@@ -25,6 +25,7 @@ from .ctc import (
     write_posteriorgram,
 )
 from .decoder import (
+    CrossAttentionCache,
     DecoderLayerParams,
     DecoderParams,
     advance_position,

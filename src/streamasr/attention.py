@@ -107,12 +107,32 @@ def scaled_dot_attention(q, k, v, mask):
     return out
 
 
+def project_heads(x, w):
+    """Rows of x projected by every head of w (heads, d_model, d), side by side.
+
+    Returns a (rows, heads * d) matrix whose columns h*d:(h+1)*d hold head
+    h.  Each row depends only on its own input row, so rows projected one
+    at a time and stored are bit-identical to rows projected together.
+    """
+    return np.concatenate([kernels.matmul(x, w[h]) for h in range(w.shape[0])], axis=1)
+
+
+def attend(q_in, keys, values, params, mask):
+    """Multi-head attention over keys and values already projected by
+    :func:`project_heads` with ``params.w_k`` and ``params.w_v``."""
+    h_count = params.head_count
+    d_k = keys.shape[1] // h_count
+    d_v = values.shape[1] // h_count
+    heads = [
+        scaled_dot_attention(kernels.matmul(q_in, params.w_q[h]),
+                             keys[:, h * d_k:(h + 1) * d_k],
+                             values[:, h * d_v:(h + 1) * d_v], mask)
+        for h in range(h_count)
+    ]
+    return kernels.matmul(np.concatenate(heads, axis=1), params.w_h)
+
+
 def multi_head_attention(q_in, k_in, v_in, params, mask):
     """Concatenated per-head scaled dot-product attention, then output projection."""
-    heads = []
-    for h in range(params.head_count):
-        qh = kernels.matmul(q_in, params.w_q[h])
-        kh = kernels.matmul(k_in, params.w_k[h])
-        vh = kernels.matmul(v_in, params.w_v[h])
-        heads.append(scaled_dot_attention(qh, kh, vh, mask))
-    return kernels.matmul(np.concatenate(heads, axis=1), params.w_h)
+    return attend(q_in, project_heads(k_in, params.w_k), project_heads(v_in, params.w_v),
+                  params, mask)

@@ -26,6 +26,7 @@ class Posteriorgram:
         lp = np.asarray(self.logp)
         if lp.ndim != 2 or lp.shape[0] < 1 or lp.shape[1] < 2:
             raise ValueError(f"posteriorgram must be (N>=1, V+1>=2), got {lp.shape}")
+        check_log_probs(lp)
         lse = np.array([_row_lse(row) for row in lp])
         bad = np.flatnonzero(np.abs(lse) > tol)
         if bad.size:
@@ -56,6 +57,12 @@ class TriggerAlignment:
     path: tuple
     first_occurrence: tuple
     nu: tuple
+
+
+def check_log_probs(lp):
+    """Reject NaN or +inf log probabilities; -inf (probability zero) is allowed."""
+    if np.isnan(lp).any() or (lp == math.inf).any():
+        raise ValueError("log probabilities contain NaN or +inf")
 
 
 def _row_lse(row):

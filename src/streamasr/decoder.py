@@ -8,6 +8,12 @@ of label l plus the configured decoder look-ahead.  Positions are
 computed once, at their own truncation point, and reused verbatim when
 the prefix is extended; ``advance_position`` is that single-step unit and
 everything else here is built from it.
+
+Attention keys and values are projected once per row and kept: a
+prefix's history holds its positions' self-attention keys and values
+(:class:`KeyValues`), and a :class:`CrossAttentionCache` holds the
+encoder rows' cross-attention keys and values for a whole utterance.  A
+step therefore projects only its own position.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .attention import MhaParams, full_mask, multi_head_attention
+from .attention import MhaParams, attend, full_mask, project_heads
+# multi_head_attention is no longer called here, but stays bound: the
+# benchmark's tracer (perfbench/tracer.py) wraps it by this module's name.
+from .attention import multi_head_attention  # noqa: F401
 from .encoder import EncoderStates, feed_forward, positional_encoding
 
 
@@ -59,33 +68,111 @@ def _enc_matrix(enc):
     return enc.states if isinstance(enc, EncoderStates) else np.asarray(enc)
 
 
+@dataclass(frozen=True)
+class KeyValues:
+    """Attention keys and values of consecutive rows, projected once.
+
+    keys, values: (rows, heads * d) matrices in :func:`project_heads`
+    layout.  ``shape`` is the key matrix's, so ``shape[0]`` counts rows.
+    A decoder history holds one per layer for its positions'
+    self-attention; a :class:`CrossAttentionCache` one per layer for the
+    encoder rows.
+    """
+
+    keys: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def project(cls, x, mha):
+        return cls(project_heads(x, mha.w_k), project_heads(x, mha.w_v))
+
+    @classmethod
+    def empty(cls, mha):
+        def none(w):
+            return np.zeros((0, w.shape[0] * w.shape[2]), dtype=np.float32)
+
+        return cls(none(mha.w_k), none(mha.w_v))
+
+    @property
+    def shape(self):
+        return self.keys.shape
+
+    def append(self, other):
+        """These rows followed by ``other``'s."""
+        return KeyValues(np.concatenate([self.keys, other.keys]),
+                         np.concatenate([self.values, other.values]))
+
+
+class CrossAttentionCache:
+    """Cross-attention keys and values of one utterance's encoder rows.
+
+    Each encoder row is projected once per decoder layer and head, the
+    first time a step reads it, and every prefix scored against the
+    utterance shares the result.  The projected prefix grows to the
+    largest ``nu`` requested, so one cache also serves a streaming
+    session whose encoder is still growing: :meth:`update` hands it the
+    longer matrix.  Emitted encoder rows never change, which is what
+    keeps a projection valid for the rest of the utterance.
+    """
+
+    def __init__(self, params, enc):
+        self.params = params
+        self.enc = _enc_matrix(enc)
+        self.rows = 0
+        self.kv = [KeyValues.empty(layer.src_mha) for layer in params.layers]
+
+    def update(self, enc):
+        """Point the cache at the utterance's encoder rows so far."""
+        enc = _enc_matrix(enc)
+        if enc.shape[0] < self.rows:
+            raise ValueError(f"{enc.shape[0]} encoder rows, but {self.rows} already projected")
+        self.enc = enc
+
+    def layer(self, d, nu):
+        """Keys and values of encoder rows 1..nu (at most the rows in
+        ``enc``) in decoder layer d."""
+        if nu > self.rows:
+            new = self.enc[self.rows:nu]
+            self.kv = [kv.append(KeyValues.project(new, layer.src_mha))
+                       for kv, layer in zip(self.kv, self.params.layers)]
+            self.rows = nu
+        return self.kv[d].keys[:nu], self.kv[d].values[:nu]
+
+
 def advance_position(params, enc, hist, token_id, pos_index, nu):
     """Compute decoder states and the next-label posterior for one new position.
 
-    hist holds the layer inputs of the already-computed positions: one
-    (pos_index, d_model) array per layer.  The new position embeds
-    ``token_id``, self-attends over the cached positions plus itself and
-    cross-attends to encoder rows 1..nu only.
+    hist holds one :class:`KeyValues` per layer for the already
+    computed positions.  The new position embeds ``token_id``,
+    self-attends over the cached positions plus itself and cross-attends
+    to encoder rows 1..nu only.  ``enc`` is the encoder matrix, its
+    :class:`EncoderStates`, or a :class:`CrossAttentionCache` shared
+    between calls; a bare matrix is projected afresh.
 
-    Returns (new_rows, log_posterior): the per-layer input rows to append
-    to hist, and the float64 log posterior over the vocabulary.
+    Returns (new_rows, log_posterior): the position's per-layer history
+    entries to append to hist, and the float64 log posterior over the
+    vocabulary.
     """
-    enc = _enc_matrix(enc)
-    if not 1 <= nu <= enc.shape[0]:
+    cache = enc if isinstance(enc, CrossAttentionCache) else CrossAttentionCache(params, enc)
+    if cache.params is not params:
+        raise ValueError("cross-attention cache belongs to another decoder")
+    if not 1 <= nu <= cache.enc.shape[0]:
         raise ValueError("trigger index out of range")
     cur = params.embed[token_id] + positional_encoding(pos_index, params.d_model)
     new_rows = []
-    enc_slice = enc[:nu]
     src_mask = full_mask(1, nu)
     for d, layer in enumerate(params.layers):
-        new_rows.append(cur)
-        stacked = np.vstack([hist[d], cur[None, :]])
-        normed = kernels.layer_norm(stacked, layer.norm1_g, layer.norm1_b)
-        att = multi_head_attention(normed[-1:], normed, normed, layer.self_mha,
-                                   full_mask(1, stacked.shape[0]))
+        # layer_norm and the projections are per row, so this position's
+        # keys and values match what a stacked history would give it.
+        normed = kernels.layer_norm(cur[None, :], layer.norm1_g, layer.norm1_b)
+        row = KeyValues.project(normed, layer.self_mha)
+        new_rows.append(row)
+        past = hist[d].append(row)
+        att = attend(normed, past.keys, past.values, layer.self_mha, full_mask(1, past.shape[0]))
         z = cur + att[0]
         normed_q = kernels.layer_norm(z[None, :], layer.norm2_g, layer.norm2_b)
-        att = multi_head_attention(normed_q, enc_slice, enc_slice, layer.src_mha, src_mask)
+        keys, values = cache.layer(d, nu)
+        att = attend(normed_q, keys, values, layer.src_mha, src_mask)
         z = z + att[0]
         normed_f = kernels.layer_norm(z[None, :], layer.norm3_g, layer.norm3_b)
         cur = z + feed_forward(normed_f, layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b)[0]
@@ -96,13 +183,12 @@ def advance_position(params, enc, hist, token_id, pos_index, nu):
 
 def empty_history(params):
     """Fresh per-layer history for a decode with no positions computed yet."""
-    d = params.d_model
-    return [np.zeros((0, d), dtype=np.float32) for _ in params.layers]
+    return [KeyValues.empty(layer.self_mha) for layer in params.layers]
 
 
 def append_history(hist, new_rows):
     """New history with one position appended per layer (inputs left untouched)."""
-    return [np.vstack([h, r[None, :]]) for h, r in zip(hist, new_rows)]
+    return [h.append(r) for h, r in zip(hist, new_rows)]
 
 
 def decoder_log_posterior(enc, nu, context, params):
@@ -112,10 +198,11 @@ def decoder_log_posterior(enc, nu, context, params):
     implicit); every position uses the same encoder truncation nu.
     """
     tokens = [params.sos_id] + list(context)
+    cache = CrossAttentionCache(params, enc)
     hist = empty_history(params)
     logp = None
     for i, tok in enumerate(tokens):
-        rows, logp = advance_position(params, enc, hist, tok, i, nu)
+        rows, logp = advance_position(params, cache, hist, tok, i, nu)
         hist = append_history(hist, rows)
     return logp
 
@@ -132,12 +219,12 @@ def ta_prefix_score(enc, labels, nu_per_label, params):
     encoder-row count visible when label l is scored.  Values beyond the
     encoder length are clamped to it.  Empty input scores 0.0.
     """
-    enc = _enc_matrix(enc)
+    cache = CrossAttentionCache(params, enc)
     labels = list(labels)
     nus = list(nu_per_label)
     if len(labels) != len(nus):
         raise ValueError(f"{len(labels)} labels but {len(nus)} truncation points")
-    n = enc.shape[0]
+    n = cache.enc.shape[0]
     nus = [min(v, n) for v in nus]
     if any(b < a for a, b in zip(nus, nus[1:])):
         raise ValueError("truncation points must be non-decreasing")
@@ -145,7 +232,7 @@ def ta_prefix_score(enc, labels, nu_per_label, params):
     hist = empty_history(params)
     total = 0.0
     for i, (tok, label, nu) in enumerate(zip(tokens, labels, nus)):
-        rows, logp = advance_position(params, enc, hist, tok, i, nu)
+        rows, logp = advance_position(params, cache, hist, tok, i, nu)
         hist = append_history(hist, rows)
         total += float(logp[label])
     return total

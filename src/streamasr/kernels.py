@@ -19,18 +19,18 @@ def matmul(a, b):
 
     Each output row is computed as an independent vector-matrix product,
     so the result of row i depends only on ``a[i]`` and ``b`` and never on
-    how many other rows are present in ``a``.  The streaming layers rely
-    on this to reproduce offline results bit-exactly when they compute
-    rows one at a time.
+    how many other rows are present in ``a``.  The streaming layers and
+    the decoder's projection caches rely on this to reproduce offline
+    results bit-exactly when they compute rows one at a time.  The rows
+    are a stack of (1, k) @ (k, n) products, which NumPy evaluates with
+    the same vector-matrix routine as ``a[i] @ b``; plain ``a @ b`` is a
+    matrix-matrix product whose bits may differ.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    for i in range(a.shape[0]):
-        out[i] = a[i] @ b
-    return out
+    return np.matmul(a[:, None, :], b)[:, 0]
 
 
 def relu(x):

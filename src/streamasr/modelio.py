@@ -327,7 +327,10 @@ def load_model(path):
     off = 0
     for name in sorted(shapes):
         n = int(np.prod(shapes[name])) * 4
-        tensors[name] = np.frombuffer(payload[off : off + n], dtype="<f4").reshape(shapes[name]).copy()
+        tensors[name] = np.frombuffer(payload, "<f4", n // 4, off).reshape(shapes[name]).copy()
+        # Read-only: decoders derive projection caches from these weights,
+        # and sessions sharing a model must not see it change under them.
+        tensors[name].setflags(write=False)
         off += n
 
     def mha(prefix):
@@ -406,6 +409,8 @@ def load_features(path):
     if len(payload) != t * d * 4:
         raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {t * d * 4}")
     frames = np.frombuffer(payload, dtype="<f4").reshape(t, d).copy()
+    if not np.isfinite(frames).all():
+        raise ValueError(f"{path}: non-finite feature values")
     return FeatureMatrix(frames, frame_shift_ms=shift)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import decoder as dec_mod
-from .ctc import BLANK, PrefixScores, ctc_prefix_step
+from .ctc import BLANK, PrefixScores, check_log_probs, ctc_prefix_step
 from .kernels import NEG_INF, log_add
 
 
@@ -39,6 +39,14 @@ class DecodeParams:
     per-label insertion bonus.  k_size/theta1 prune the CTC candidates,
     p_size/theta2 shape the carried beam.  eps_dec is the decoder
     look-ahead in encoder frames.
+
+    The hooks see (prefix, omega_hat, frame, post_row).  dcond returning
+    True deletes a prefix's triggered-attention (TA) score so it is
+    computed again this frame.  acond returning False skips TA scoring
+    for a prefix this frame; its fused score then falls back to the
+    parent's TA score.  A declined prefix still gets a TA score when a
+    descendant is scored later: missing ancestors are scored first,
+    shortest first, at that frame's encoder truncation.
     """
 
     lam: float = 0.5
@@ -156,7 +164,7 @@ def _format_trace(frame, beams, prefix, phat, pjoint):
 class _TaEntry:
     logp: float
     nus: tuple
-    hist: list  # per-layer (positions, d_model) float32 decoder inputs
+    hist: list  # per-layer decoder.KeyValues: self-attention keys and values
 
 
 class JointSearch:
@@ -180,6 +188,7 @@ class JointSearch:
             (): Hypothesis((), p_b=0.0, p_nb=NEG_INF, lm_state=lm.start_state(), lm_logp=0.0)
         }
         self.ta = {(): _TaEntry(0.0, (), dec_mod.empty_history(dec))}
+        self.cross = None  # CrossAttentionCache over the encoder rows, from the first frame
         self.frame = 0
         self.trace = []
         self._last_carried = dict(self.hyps)
@@ -196,6 +205,9 @@ class JointSearch:
             raise ValueError(f"posterior row shape {row.shape}, expected ({self.n_cols},)")
         row[self._banned_cols] = NEG_INF
         row = row.tolist()
+        if self.cross is None:
+            self.cross = dec_mod.CrossAttentionCache(self.dec, enc_rows)
+        self.cross.update(enc_rows)
 
         prev = {pre: PrefixScores(h.p_b, h.p_nb) for pre, h in self.hyps.items()}
         stepped = ctc_prefix_step(row, prev, p.local_threshold)
@@ -225,7 +237,7 @@ class JointSearch:
                 continue
             if p.acond is not None and not p.acond(pre, omega_hat, n, row):
                 continue
-            self._score_ta(pre, enc_rows, n)
+            self._score_ta(pre, n)
 
         pjoint = {}
         for pre, h in omega_hat.items():
@@ -250,19 +262,24 @@ class JointSearch:
         best = min(omega_hat, key=_rank_key(pjoint))
         self.trace.append(_format_trace(n, len(omega_hat), best, phat[best], pjoint[best]))
 
-    def _score_ta(self, pre, enc_rows, n):
-        parent_entry = self.ta[pre[:-1]]
-        avail = enc_rows.states.shape[0] if hasattr(enc_rows, "states") else enc_rows.shape[0]
-        nu = min(n + self.params.eps_dec, avail)
-        token = pre[-2] - 1 if len(pre) > 1 else self.dec.sos_id
-        rows, logpost = dec_mod.advance_position(
-            self.dec, enc_rows, parent_entry.hist, token, len(pre) - 1, nu
-        )
-        self.ta[pre] = _TaEntry(
-            parent_entry.logp + float(logpost[pre[-1] - 1]),
-            parent_entry.nus + (nu,),
-            dec_mod.append_history(parent_entry.hist, rows),
-        )
+    def _score_ta(self, pre, n):
+        """Give ``pre`` a TA entry at frame n, first scoring (shortest first,
+        at the same truncation) any ancestors that have none."""
+        nu = min(n + self.params.eps_dec, self.cross.enc.shape[0])
+        missing = [pre]
+        while missing[-1][:-1] not in self.ta:
+            missing.append(missing[-1][:-1])
+        for pre in reversed(missing):
+            parent_entry = self.ta[pre[:-1]]
+            token = pre[-2] - 1 if len(pre) > 1 else self.dec.sos_id
+            rows, logpost = dec_mod.advance_position(
+                self.dec, self.cross, parent_entry.hist, token, len(pre) - 1, nu
+            )
+            self.ta[pre] = _TaEntry(
+                parent_entry.logp + float(logpost[pre[-1] - 1]),
+                parent_entry.nus + (nu,),
+                dec_mod.append_history(parent_entry.hist, rows),
+            )
 
     def _evict_ta(self):
         keep = set()
@@ -284,14 +301,15 @@ class JointSearch:
         scores = {pre: self._last_pjoint[pre] for pre in self._last_carried}
         p = self.params
         if p.add_eos_at_finalize and self.dec.eos_id is not None:
-            avail = enc_rows.states.shape[0] if hasattr(enc_rows, "states") else enc_rows.shape[0]
+            self.cross.update(enc_rows)
+            avail = self.cross.enc.shape[0]
             for pre, h in self._last_carried.items():
                 entry = self.ta.get(pre)
                 if entry is None:
                     continue
                 token = pre[-1] - 1 if pre else self.dec.sos_id
                 _, logpost = dec_mod.advance_position(
-                    self.dec, enc_rows, entry.hist, token, len(pre), avail
+                    self.dec, self.cross, entry.hist, token, len(pre), avail
                 )
                 eos_hyp = replace(h, ta_logp=entry.logp + float(logpost[self.dec.eos_id]))
                 scores[pre] = joint_score(eos_hyp, p)
@@ -313,6 +331,9 @@ def decode(enc, post, lm, dec, params):
         raise ValueError("empty utterance")
     if states.shape[0] != n:
         raise ValueError(f"{n} posterior rows but {states.shape[0]} encoder rows")
+    if not np.isfinite(states).all():
+        raise ValueError("encoder states contain non-finite values")
+    check_log_probs(logp)
     search = JointSearch(dec, lm, params, logp.shape[1])
     for i in range(n):
         search.advance(logp[i], states)

@@ -136,6 +136,8 @@ class StreamingSession:
         frames = chunk.frames if isinstance(chunk, FeatureMatrix) else np.asarray(chunk)
         if frames.ndim != 2 or frames.shape[0] < 1:
             raise ValueError(f"chunk must be a non-empty 2-D frame matrix, got shape {frames.shape}")
+        if not np.isfinite(frames).all():
+            raise ValueError("chunk contains non-finite feature values")
         if not self._x1p:
             self._x1p.append(np.zeros((1, frames.shape[1] + 2), dtype=frames.dtype))
         elif frames.shape[1] + 2 != self._x1p[0].shape[1]:

@@ -234,6 +234,19 @@ def test_posteriorgram_file_round_trip(tmp_path):
     assert np.array_equal(back.logp, post.logp)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_posteriorgram_file_rejects_nan_and_pos_inf(tmp_path, bad):
+    # a column of probability zero (-inf) stays legal
+    lp = np.hstack([logprob_rows(np.random.default_rng(37), 3, 3), np.full((3, 1), NEG_INF)])
+    p = tmp_path / "ok.post"
+    write_posteriorgram(Posteriorgram(lp), p)
+    read_posteriorgram(p)
+    lp[2, 1] = bad
+    write_posteriorgram(Posteriorgram(lp), p)
+    with pytest.raises(ValueError, match="NaN or \\+inf"):
+        read_posteriorgram(p)
+
+
 def test_posteriorgram_file_errors(tmp_path):
     p = tmp_path / "bad.post"
     p.write_bytes(b"CTCPOST v1 2 3\n" + b"\x00" * 10)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from streamasr.decoder import (advance_position, append_history,
-                               decoder_log_posterior, decoder_posterior,
-                               empty_history, ta_prefix_score)
+from streamasr.decoder import (CrossAttentionCache, advance_position,
+                               append_history, decoder_log_posterior,
+                               decoder_posterior, empty_history,
+                               ta_prefix_score)
 from helpers import random_enc_states, tiny_model
 from oracles import full_context_decoder_logps
 
@@ -146,3 +147,39 @@ def test_history_rows_shapes():
     rows, _ = advance_position(dec, enc, hist, dec.sos_id, 0, 2)
     hist = append_history(hist, rows)
     assert all(h.shape == (1, dec.d_model) for h in hist)
+
+
+def test_shared_cross_cache_grown_in_steps_matches_fresh_caches():
+    # one cache for a whole prefix tree, handed a longer encoder as rows
+    # are emitted (as in streaming), against a fresh cache per call
+    dec, enc = setup_case(65, n=8)
+    cache = CrossAttentionCache(dec, enc[:1])
+    schedule = [((), 1), ((2,), 2), ((3,), 2), ((2, 4), 4), ((3, 2), 5),
+                ((2, 4, 3), 7), ((2, 3), 3), ((3, 2, 2), 8)]
+    shared, fresh = {}, {}  # context -> history of its positions, start token first
+    emitted = 1
+    for context, nu in schedule:
+        emitted = min(max(emitted, nu + 1), 8)
+        cache.update(enc[:emitted])
+        token = context[-1] if context else dec.sos_id
+        hist_s = shared[context[:-1]] if context else empty_history(dec)
+        hist_f = fresh[context[:-1]] if context else empty_history(dec)
+        rows_s, lp_s = advance_position(dec, cache, hist_s, token, len(context), nu)
+        rows_f, lp_f = advance_position(dec, enc[:emitted], hist_f, token, len(context), nu)
+        assert np.array_equal(lp_s, lp_f)
+        for a, b in zip(rows_s, rows_f):
+            assert np.array_equal(a.keys, b.keys) and np.array_equal(a.values, b.values)
+        shared[context] = append_history(hist_s, rows_s)
+        fresh[context] = append_history(hist_f, rows_f)
+    assert cache.rows == 8
+
+
+def test_cross_cache_rejects_shrinking_encoder_and_foreign_decoder():
+    dec, enc = setup_case(66, n=5)
+    cache = CrossAttentionCache(dec, enc)
+    advance_position(dec, cache, empty_history(dec), dec.sos_id, 0, 4)
+    with pytest.raises(ValueError, match="already projected"):
+        cache.update(enc[:3])
+    other, _ = setup_case(67, n=5)
+    with pytest.raises(ValueError, match="another decoder"):
+        advance_position(other, cache, empty_history(other), other.sos_id, 0, 2)

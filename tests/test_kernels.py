@@ -89,6 +89,45 @@ def test_matmul_rows_independent_of_batch():
         assert np.array_equal(whole[i], kernels.matmul(a[i:i + 1], b)[0])
 
 
+def _per_row_matmul(a, b):
+    """The row loop kernels.matmul replaced; its bits are the reference."""
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    for i in range(a.shape[0]):
+        out[i] = a[i] @ b
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+def test_matmul_equals_per_row_loop(dtype, layout):
+    rng = np.random.default_rng(10)
+
+    def operand(rows, cols):
+        if layout == "strided":
+            return rng.standard_normal((2 * rows, 3 * cols)).astype(dtype)[::2, 1::3]
+        x = rng.standard_normal((rows, cols)).astype(dtype)
+        return np.asfortranarray(x) if layout == "fortran" else x
+
+    for d in (1, 16, 40, 64, 256):
+        for m in (0, 1, 7, 150):
+            for n in (1, 16, 65):
+                a, b = operand(m, d), operand(d, n)
+                got = kernels.matmul(a, b)
+                want = _per_row_matmul(a, b)
+                assert got.shape == want.shape == (m, n)
+                assert got.dtype == want.dtype == dtype
+                assert np.array_equal(got, want), (d, m, n)
+
+
+def test_matmul_mixed_precision_equals_per_row_loop():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((9, 16)).astype(np.float32)
+    b = rng.standard_normal((16, 5))
+    got = kernels.matmul(a, b)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, _per_row_matmul(a, b))
+
+
 def test_matmul_shape_error():
     with pytest.raises(ValueError, match="matmul shape mismatch"):
         kernels.matmul(np.zeros((2, 3)), np.zeros((4, 2)))

@@ -186,6 +186,25 @@ def test_features_errors(tmp_path):
         load_features(p)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_features_with_non_finite_values_are_rejected(tmp_path, bad):
+    frames = np.zeros((3, 2), dtype=np.float32)
+    frames[1, 0] = bad
+    p = tmp_path / "u.feats"
+    write_features(p, FeatureMatrix(frames))
+    with pytest.raises(ValueError, match="non-finite"):
+        load_features(p)
+
+
+def test_loaded_model_weights_are_read_only(tmp_path):
+    p = tmp_path / "m.model"
+    save_model(p, random_model(146, d_model=8, heads=2, vocab_size=4))
+    m = load_model(p)
+    for w in (m.decoder.embed, m.decoder.layers[0].src_mha.w_k, m.encoder.cnn.proj_w, m.ctc_b):
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
+
+
 def test_random_features_deterministic():
     a = random_features(145, 7, 5)
     b = random_features(145, 7, 5)

@@ -310,3 +310,65 @@ def test_joint_loss_unreachable_reference_is_infinite():
     short_enc = EncoderStates(enc.states[:1])
     bad_align = ctc_viterbi_align(post, [lab + 1 for lab in y], eps_dec=0)
     assert joint_loss(short, short_enc, y, bad_align, m.decoder, LossParams(0.5)) == math.inf
+
+
+def test_decode_projects_each_encoder_row_once_per_layer_and_head(monkeypatch):
+    from streamasr import kernels
+
+    m = tiny_model(116, d_layers=2)
+    rng = np.random.default_rng(616)
+    enc = EncoderStates(random_enc_states(rng, 7, 8))
+    post = posteriorgram_from_states(enc.states, m.ctc_w, m.ctc_b)
+    params = DecodeParams(k_size=8, p_size=4, eps_dec=1)
+    weights = {}
+    for d, layer in enumerate(m.decoder.layers):
+        for kind, w in (("k", layer.src_mha.w_k), ("v", layer.src_mha.w_v)):
+            for h in range(w.shape[0]):
+                weights[w[h].__array_interface__["data"][0]] = (d, kind, h)
+    rows = dict.fromkeys(weights.values(), 0)
+    matmul = kernels.matmul
+
+    def counting(a, b):
+        key = weights.get(np.asarray(b).__array_interface__["data"][0])
+        if key is not None:
+            rows[key] += np.shape(a)[0]
+        return matmul(a, b)
+
+    monkeypatch.setattr(kernels, "matmul", counting)
+    decode(enc, post, UniformLM(3), m.decoder, params)
+    assert rows == dict.fromkeys(weights.values(), 7)
+
+
+def test_declined_ancestor_is_scored_before_its_child():
+    # acond declines every one-label prefix; scoring a two-label child must
+    # first score its parent at the same truncation instead of crashing
+    m, enc, post, lm, _ = decode_setup(117, n=5)
+    params = DecodeParams(acond=lambda pre, *_: len(pre) != 1, eps_dec=1, k_size=8,
+                          p_size=8, theta1=1e6, theta2=1e6, local_threshold=0.0)
+    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    seen_child = False
+    for i in range(5):
+        search.advance(post.logp[i], enc)
+        for pre, entry in search.ta.items():
+            if len(pre) >= 2:
+                seen_child = True
+                parent = search.ta[pre[:-1]]
+                assert parent.nus == entry.nus[:-1]
+            labels = [c - 1 for c in pre]
+            assert entry.logp == ta_prefix_score(enc, labels, entry.nus, m.decoder)
+    assert seen_child
+    out = search.finalize(enc)
+    assert out.trace == search.trace
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_decode_rejects_non_finite_input(bad):
+    m, enc, post, lm, params = decode_setup(118)
+    states = enc.states.copy()
+    states[2, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        decode(EncoderStates(states), post, lm, m.decoder, params)
+    logp = post.logp.copy()
+    logp[1, 2] = bad
+    with pytest.raises(ValueError, match="NaN or \\+inf"):
+        decode(enc, Posteriorgram(logp), lm, m.decoder, params)

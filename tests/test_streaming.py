@@ -181,6 +181,24 @@ def test_session_usage_errors():
         sess.finalize()
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_push_rejects_non_finite_chunk_and_keeps_session(bad):
+    m = tiny_model(136)
+    frames = np.random.default_rng(136).standard_normal((24, 4)).astype(np.float32)
+    cfg = StreamConfig(eps_enc=1, eps_dec=1)
+    params = DecodeParams(k_size=8, p_size=4, eps_dec=1)
+    sess = StreamingSession(m, UniformLM(3), params, cfg)
+    sess.push(frames[:10])
+    poisoned = frames[10:14].copy()
+    poisoned[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        sess.push(poisoned)
+    sess.push(frames[10:])
+    got = sess.finalize()
+    want = offline_reference(m, frames, 1, params)
+    assert got.labels == want.labels and got.trace == want.trace
+
+
 def test_finalize_without_frames_is_empty_result():
     m = tiny_model(133)
     sess = StreamingSession(m, UniformLM(3), DecodeParams(),
