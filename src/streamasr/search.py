@@ -14,7 +14,9 @@ and (5) carries forward the union of the top P by p_joint and the top P
 within width theta2 by p_prfx.  Triggered-attention scores are cached per
 prefix together with the decoder states and the encoder truncation each
 label was scored at, so a label's score never silently shifts to a later
-frame once computed.
+frame once computed.  A cached prefix also keeps its next-label decoder
+step at the latest truncation; its children and the final ``<eos>`` pass
+share that one step.
 
 Prefixes are tuples of posteriorgram column indices (blank = 0 never
 appears); the start token is implicit.  Label ids are column - 1.
@@ -46,7 +48,10 @@ class DecodeParams:
     for a prefix this frame; its fused score then falls back to the
     parent's TA score.  A declined prefix still gets a TA score when a
     descendant is scored later: missing ancestors are scored first,
-    shortest first, at that frame's encoder truncation.
+    shortest first, at that frame's encoder truncation.  A prefix
+    re-scored after dcond and a missing ancestor both read their parent's
+    decoder step at that frame's truncation, the step the parent's other
+    children share.
     """
 
     lam: float = 0.5
@@ -165,6 +170,7 @@ class _TaEntry:
     logp: float
     nus: tuple
     hist: list  # per-layer decoder.KeyValues: self-attention keys and values
+    step: tuple = None  # (nu, child_hist, log_posterior) of the next label, see _next
 
 
 class JointSearch:
@@ -197,12 +203,12 @@ class JointSearch:
 
     def advance(self, post_row, enc_rows):
         """Process one frame: returns nothing, mutates the beam."""
-        self.frame += 1
-        n = self.frame
-        p = self.params
         row = np.array(post_row, dtype=np.float64, copy=True)
         if row.shape != (self.n_cols,):
             raise ValueError(f"posterior row shape {row.shape}, expected ({self.n_cols},)")
+        self.frame += 1
+        n = self.frame
+        p = self.params
         row[self._banned_cols] = NEG_INF
         row = row.tolist()
         if self.cross is None:
@@ -270,23 +276,40 @@ class JointSearch:
         while missing[-1][:-1] not in self.ta:
             missing.append(missing[-1][:-1])
         for pre in reversed(missing):
-            parent_entry = self.ta[pre[:-1]]
-            token = pre[-2] - 1 if len(pre) > 1 else self.dec.sos_id
+            parent = self.ta[pre[:-1]]
+            hist, logpost = self._next(pre[:-1], nu)
+            self.ta[pre] = _TaEntry(parent.logp + float(logpost[pre[-1] - 1]),
+                                    parent.nus + (nu,), hist)
+
+    def _next(self, pre, nu):
+        """(child_hist, log_posterior) of the label after ``pre`` at truncation nu.
+
+        The decoder step depends only on ``pre``'s entry and nu, so it runs
+        once per pair: every child of ``pre`` and the ``<eos>`` pass read the
+        kept result, and the children share the one history.
+        """
+        entry = self.ta[pre]
+        if entry.step is None or entry.step[0] != nu:
+            token = pre[-1] - 1 if pre else self.dec.sos_id
             rows, logpost = dec_mod.advance_position(
-                self.dec, self.cross, parent_entry.hist, token, len(pre) - 1, nu
+                self.dec, self.cross, entry.hist, token, len(pre), nu
             )
-            self.ta[pre] = _TaEntry(
-                parent_entry.logp + float(logpost[pre[-1] - 1]),
-                parent_entry.nus + (nu,),
-                dec_mod.append_history(parent_entry.hist, rows),
-            )
+            entry.step = (nu, dec_mod.append_history(entry.hist, rows), logpost)
+        return entry.step[1:]
 
     def _evict_ta(self):
+        """Keep the entries of live prefixes' ancestors, and only the steps
+        a later frame or finalize can still read: nu never falls below the
+        encoder rows already seen."""
         keep = set()
         for pre in self.hyps:
             for i in range(len(pre) + 1):
                 keep.add(pre[:i])
         self.ta = {pre: e for pre, e in self.ta.items() if pre in keep}
+        seen = self.cross.enc.shape[0]
+        for entry in self.ta.values():
+            if entry.step is not None and entry.step[0] < seen:
+                entry.step = None
 
     @property
     def best_ctc_partial(self):
@@ -307,10 +330,7 @@ class JointSearch:
                 entry = self.ta.get(pre)
                 if entry is None:
                     continue
-                token = pre[-1] - 1 if pre else self.dec.sos_id
-                _, logpost = dec_mod.advance_position(
-                    self.dec, self.cross, entry.hist, token, len(pre), avail
-                )
+                _, logpost = self._next(pre, avail)
                 eos_hyp = replace(h, ta_logp=entry.logp + float(logpost[self.dec.eos_id]))
                 scores[pre] = joint_score(eos_hyp, p)
         best = min(self._last_carried, key=_rank_key(scores))
@@ -362,9 +382,11 @@ class CtcPrefixSearch:
         self._last_phat = {(): 0.0}
 
     def advance(self, post_row, enc_rows=None):
+        row = np.array(post_row, dtype=np.float64, copy=True)
+        if row.shape != (self.n_cols,):
+            raise ValueError(f"posterior row shape {row.shape}, expected ({self.n_cols},)")
         self.frame += 1
         p = self.params
-        row = np.array(post_row, dtype=np.float64, copy=True)
         row[self._banned_cols] = NEG_INF
         row = row.tolist()
         prev = {pre: PrefixScores(h.p_b, h.p_nb) for pre, h in self.hyps.items()}
@@ -431,6 +453,7 @@ def ctc_prefix_search(post, lm, params, banned_ids=()):
     logp = post.logp
     if logp.shape[0] < 1:
         raise ValueError("empty utterance")
+    check_log_probs(logp)
     search = CtcPrefixSearch(lm, params, logp.shape[1], banned_ids)
     for i in range(logp.shape[0]):
         search.advance(logp[i])

@@ -23,6 +23,7 @@ reproduces the offline boundary handling exactly.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,15 +108,17 @@ class StreamingSession:
             self.search = JointSearch(model.decoder, lm, self.params, n_cols)
         self.closed = False
         self._t = 0
-        self._x1p = []            # freq-padded input rows (1, F+2), leading zero row first
-        self._x2p = []            # freq-padded conv1 activations (ch1, f1+2), leading zero row
+        # freq-padded conv inputs, from the next output's first row (at first
+        # the leading zero row) on: input rows (1, F+2), conv1 rows (ch1, f1+2)
+        self._x1p = []
+        self._x2p = []
         self._c1 = 0
         self._c2 = 0
         e = len(model.encoder.layers)
         self._lin = [np.zeros((0, model.encoder.d_model), dtype=np.float32) for _ in range(e + 1)]
         self._lln = [np.zeros((0, model.encoder.d_model), dtype=np.float32) for _ in range(e)]
         self._enc = np.zeros((0, model.encoder.d_model), dtype=np.float32)
-        self._post = []
+        self._post = deque()      # posterior rows the search has not consumed yet
         self._last_partial = None
 
     @property
@@ -169,8 +172,11 @@ class StreamingSession:
             return cur
         return None
 
-    def _conv_row(self, padded, i, weights, bias):
-        slab = np.stack([padded[2 * i], padded[2 * i + 1], padded[2 * i + 2]], axis=1)
+    def _conv_row(self, padded, weights, bias):
+        """Next stride-2 output row from padded rows 0..2; drops rows 0 and 1,
+        which no later output reads."""
+        slab = np.stack(padded[:3], axis=1)
+        del padded[:2]
         return kernels.relu(kernels.conv_time_slab(slab, weights, stride=2) + bias[:, None])
 
     def _pump(self, final):
@@ -179,7 +185,7 @@ class StreamingSession:
             self._x1p.append(np.zeros_like(self._x1p[0]))
         c1_target = math.ceil(self._t / 2) if final else self._t // 2
         while self._c1 < c1_target:
-            act = self._conv_row(self._x1p, self._c1, cnn.conv1_w, cnn.conv1_b)
+            act = self._conv_row(self._x1p, cnn.conv1_w, cnn.conv1_b)
             if not self._x2p:
                 self._x2p.append(np.zeros((act.shape[0], act.shape[1] + 2), dtype=act.dtype))
             self._x2p.append(np.pad(act, ((0, 0), (1, 1))))
@@ -189,7 +195,7 @@ class StreamingSession:
         c2_target = math.ceil(self._c1 / 2) if final else self._c1 // 2
         d_model = self.model.encoder.d_model
         while self._c2 < c2_target:
-            act = self._conv_row(self._x2p, self._c2, cnn.conv2_w, cnn.conv2_b)
+            act = self._conv_row(self._x2p, cnn.conv2_w, cnn.conv2_b)
             row = kernels.matmul(act.reshape(1, -1), cnn.proj_w)[0] + cnn.proj_b
             row = row + positional_encoding(self._c2, d_model)
             self._lin[0] = _append(self._lin[0], row)
@@ -234,4 +240,4 @@ class StreamingSession:
         n = self._enc.shape[0]
         dec_target = n if final else max(0, n - self.config.eps_dec)
         while self.search.frame < dec_target:
-            self.search.advance(self._post[self.search.frame], self._enc)
+            self.search.advance(self._post.popleft(), self._enc)

@@ -372,3 +372,118 @@ def test_decode_rejects_non_finite_input(bad):
     logp[1, 2] = bad
     with pytest.raises(ValueError, match="NaN or \\+inf"):
         decode(enc, Posteriorgram(logp), lm, m.decoder, params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ctc_prefix_search_rejects_non_finite_input(bad):
+    logp = logprob_rows(np.random.default_rng(119), 6, 5)
+    logp[2, 3] = bad
+    with pytest.raises(ValueError, match="NaN or \\+inf"):
+        ctc_prefix_search(Posteriorgram(logp), UniformLM(3), DecodeParams())
+
+
+@pytest.mark.parametrize("kind", ["joint", "ctc"])
+def test_advance_rejects_row_of_wrong_width(kind):
+    m, enc, post, lm, params = decode_setup(119)
+    n_cols = post.logp.shape[1]
+    if kind == "joint":
+        search = JointSearch(m.decoder, lm, params, n_cols)
+    else:
+        search = CtcPrefixSearch(lm, params, n_cols)
+    wide = logprob_rows(np.random.default_rng(120), 1, n_cols + 2)[0]
+    with pytest.raises(ValueError, match="posterior row shape"):
+        search.advance(wide, enc)
+    assert search.frame == 0
+    search.advance(post.logp[0], enc)
+    assert search.frame == 1
+
+
+def counted_steps(monkeypatch):
+    """Record one (parent history, token, position, nu) key per decoder step."""
+    from streamasr import decoder
+
+    calls = []
+    step = decoder.advance_position
+
+    def counting(params, enc, hist, token_id, pos_index, nu):
+        calls.append((hist, token_id, pos_index, nu))
+        return step(params, enc, hist, token_id, pos_index, nu)
+
+    monkeypatch.setattr(decoder, "advance_position", counting)
+    return calls
+
+
+def distinct_steps(calls):
+    # a parent is its history object plus the token it feeds; the history
+    # objects stay referenced by ``calls``, so their ids are not reused
+    return {(id(h), tok, pos, nu) for h, tok, pos, nu in calls}
+
+
+@pytest.mark.parametrize("seed", [121, 122, 123])
+def test_decode_runs_one_decoder_step_per_parent_and_truncation(monkeypatch, seed):
+    from streamasr import search as search_mod
+
+    calls = counted_steps(monkeypatch)
+    entries = []
+    ta_entry = search_mod._TaEntry
+
+    def counting_entry(*args):
+        entries.append(args)
+        return ta_entry(*args)
+
+    monkeypatch.setattr(search_mod, "_TaEntry", counting_entry)
+    m, enc, post, lm, _ = decode_setup(seed, n=6)
+    params = DecodeParams(eps_dec=2, k_size=8, p_size=8, theta1=1e6, theta2=1e6)
+    decode(enc, post, lm, m.decoder, params)
+    assert len(calls) == len(distinct_steps(calls))
+    # siblings share their parent's step: fewer steps than scored prefixes
+    assert len(calls) < len(entries)
+
+
+def test_finalize_reuses_steps_taken_at_the_last_truncation(monkeypatch):
+    m, enc, post, lm, _ = decode_setup(124, n=6)
+    params = DecodeParams(eps_dec=2, k_size=8, p_size=8, theta1=1e6, theta2=1e6)
+    calls = counted_steps(monkeypatch)
+    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    for i in range(6):
+        search.advance(post.logp[i], enc)
+    avail = enc.states.shape[0]
+    scored = [search.ta[pre] for pre in search._last_carried if pre in search.ta]
+    kept = [e for e in scored if e.step is not None and e.step[0] == avail]
+    assert kept
+    before = len(calls)
+    search.finalize(enc)
+    assert len(calls) - before == len(scored) - len(kept)
+    assert len(calls) == len(distinct_steps(calls))
+
+
+def test_rescored_entries_equal_the_truncated_decoder_score():
+    # dcond deletes every TA score each frame, so each one is rebuilt from
+    # its parent's step at that frame's truncation
+    m, enc, post, lm, _ = decode_setup(125, n=6)
+    params = DecodeParams(dcond=lambda *_: True, eps_dec=1, k_size=8, p_size=8,
+                          theta1=1e6, theta2=1e6, local_threshold=0.0)
+    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    for i in range(6):
+        search.advance(post.logp[i], enc)
+        assert len(search.ta) > 1
+        for pre, entry in search.ta.items():
+            labels = [c - 1 for c in pre]
+            assert entry.logp == ta_prefix_score(enc, labels, entry.nus, m.decoder)
+    search.finalize(enc)
+
+
+@pytest.mark.parametrize("growing", [False, True])
+def test_steps_below_the_seen_encoder_rows_are_dropped(growing):
+    m, enc, post, lm, _ = decode_setup(126, n=8)
+    params = DecodeParams(eps_dec=2, k_size=8, p_size=8, theta1=1e6, theta2=1e6)
+    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    kept_any = False
+    for i in range(8):
+        rows = enc.states[:i + 1 + params.eps_dec] if growing else enc.states
+        search.advance(post.logp[i], rows)
+        seen = search.cross.enc.shape[0]
+        steps = [e.step for e in search.ta.values() if e.step is not None]
+        assert all(nu >= seen for nu, _, _ in steps)
+        kept_any = kept_any or bool(steps)
+    assert kept_any

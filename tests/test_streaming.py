@@ -106,6 +106,28 @@ def test_streaming_equals_offline_bitwise(chunk):
     assert got.trace == offline.trace
 
 
+def test_long_session_keeps_bounded_input_buffers():
+    # a 400-frame session drops conv input rows and posterior rows once no
+    # later row reads them, and still decodes the offline bits
+    m = tiny_model(137)
+    rng = np.random.default_rng(138)
+    frames = rng.standard_normal((400, 4)).astype(np.float32)
+    cfg = StreamConfig(eps_enc=1, eps_dec=3)
+    params = DecodeParams(k_size=8, p_size=4, eps_dec=3)
+    sess = StreamingSession(m, UniformLM(3), params, cfg)
+    for t in range(0, 400, 5):
+        sess.push(frames[t:t + 5])
+        assert len(sess._x1p) <= 2 and len(sess._x2p) <= 2
+        assert len(sess._post) <= cfg.eps_dec
+    assert sess.emitted_frames > 90
+    got = sess.finalize()
+    assert not sess._post
+    want = offline_reference(m, frames, 1, params)
+    assert got.labels == want.labels
+    assert got.score == want.score
+    assert got.trace == want.trace
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.lists(st.integers(1, 9), min_size=0, max_size=10))
 def test_streaming_invariant_to_chunking(sizes):
