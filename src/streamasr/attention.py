@@ -136,3 +136,38 @@ def multi_head_attention(q_in, k_in, v_in, params, mask):
     """Concatenated per-head scaled dot-product attention, then output projection."""
     return attend(q_in, project_heads(k_in, params.w_k), project_heads(v_in, params.w_v),
                   params, mask)
+
+
+@dataclass(frozen=True)
+class KeyValues:
+    """Attention keys and values of consecutive rows, projected once.
+
+    keys, values: (rows, heads * d) matrices in :func:`project_heads`
+    layout.  ``shape`` is the key matrix's, so ``shape[0]`` counts rows.
+    Each user keeps one per attention layer: the incremental encoder for
+    its rows so far, a decoder history for its positions, and the
+    decoder's cross-attention cache for the encoder rows.
+    """
+
+    keys: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def project(cls, x, mha):
+        return cls(project_heads(x, mha.w_k), project_heads(x, mha.w_v))
+
+    @classmethod
+    def empty(cls, mha):
+        def none(w):
+            return np.zeros((0, w.shape[0] * w.shape[2]), dtype=np.float32)
+
+        return cls(none(mha.w_k), none(mha.w_v))
+
+    @property
+    def shape(self):
+        return self.keys.shape
+
+    def append(self, other):
+        """These rows followed by ``other``'s."""
+        return KeyValues(np.concatenate([self.keys, other.keys]),
+                         np.concatenate([self.values, other.values]))

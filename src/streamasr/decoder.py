@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .attention import MhaParams, attend, full_mask, project_heads
+from .attention import KeyValues, MhaParams, attend, full_mask
 # multi_head_attention is no longer called here, but stays bound: the
 # benchmark's tracer (perfbench/tracer.py) wraps it by this module's name.
 from .attention import multi_head_attention  # noqa: F401
@@ -66,41 +66,6 @@ class DecoderParams:
 
 def _enc_matrix(enc):
     return enc.states if isinstance(enc, EncoderStates) else np.asarray(enc)
-
-
-@dataclass(frozen=True)
-class KeyValues:
-    """Attention keys and values of consecutive rows, projected once.
-
-    keys, values: (rows, heads * d) matrices in :func:`project_heads`
-    layout.  ``shape`` is the key matrix's, so ``shape[0]`` counts rows.
-    A decoder history holds one per layer for its positions'
-    self-attention; a :class:`CrossAttentionCache` one per layer for the
-    encoder rows.
-    """
-
-    keys: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def project(cls, x, mha):
-        return cls(project_heads(x, mha.w_k), project_heads(x, mha.w_v))
-
-    @classmethod
-    def empty(cls, mha):
-        def none(w):
-            return np.zeros((0, w.shape[0] * w.shape[2]), dtype=np.float32)
-
-        return cls(none(mha.w_k), none(mha.w_v))
-
-    @property
-    def shape(self):
-        return self.keys.shape
-
-    def append(self, other):
-        """These rows followed by ``other``'s."""
-        return KeyValues(np.concatenate([self.keys, other.keys]),
-                         np.concatenate([self.values, other.values]))
 
 
 class CrossAttentionCache:

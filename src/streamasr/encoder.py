@@ -6,6 +6,11 @@ the model width.  Sinusoidal positional encodings are added, then E
 identical pre-norm transformer layers follow.  Each layer's self-attention
 lets frame i see every past frame but only ``eps_enc`` future frames, so
 the total encoder look-ahead grows linearly with depth.
+
+One engine, :class:`IncrementalEncoder`, runs all of it: offline
+:func:`encode` is one push with ``final=True``, and streaming, pushing
+each chunk as it arrives, gets the same bits.  :func:`encoder_layer` is
+the whole-matrix reference the engine is tested against.
 """
 
 import math
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .attention import MhaParams, lookahead_mask, multi_head_attention
+from .attention import KeyValues, MhaParams, attend, lookahead_mask, multi_head_attention
 
 
 @dataclass
@@ -94,24 +99,133 @@ def feed_forward(x, w1, b1, w2, b2):
     return kernels.matmul(kernels.relu(kernels.matmul(x, w1) + b1), w2) + b2
 
 
+class _ConvRows:
+    """One stride-2 3x3 convolution with bias and ReLU over time rows as they arrive.
+
+    ``pending`` holds the frequency-padded input rows from the next
+    output's first on, starting with the time axis's leading zero row;
+    output row j reads padded rows 2j..2j+2.
+    """
+
+    def __init__(self, w, b):
+        self.w = w
+        self.b = b
+        self.pending = None
+
+    def push(self, x, final):
+        """New input rows (in_ch, rows, f), or None -> the output rows they
+        complete; ``final`` appends the time axis's trailing zero row."""
+        buf = self.pending
+        if x is not None:
+            x = np.pad(x, ((0, 0), (int(buf is None), 0), (1, 1)))
+            if buf is not None and x.shape[2] != buf.shape[2]:
+                raise ValueError(f"feature width changed: {x.shape[2] - 2} vs {buf.shape[2] - 2}")
+            buf = x if buf is None else np.concatenate([buf, x], axis=1)
+        if final:
+            buf = np.pad(buf, ((0, 0), (0, 1), (0, 0)))
+        k = (buf.shape[1] - 1) // 2
+        self.pending = buf[:, 2 * k:]
+        if k == 0:
+            return np.zeros((self.w.shape[0], 0, (buf.shape[2] - 3) // 2 + 1), dtype=buf.dtype)
+        h = kernels.conv2d(buf[:, :2 * k + 1], self.w, stride=2, pad=0)
+        return kernels.relu(h + self.b[:, None, None])
+
+
+class _LayerRows:
+    """One encoder layer over rows as they arrive: keeps the input rows not
+    emitted yet, their norm1 rows (the attention queries) and the keys and
+    values of every row so far, each projected once."""
+
+    def __init__(self, layer, eps_enc):
+        self.layer = layer
+        self.eps = eps_enc
+        self.x = self.normed = np.zeros((0, layer.norm1_g.shape[0]), dtype=np.float32)
+        self.kv = KeyValues.empty(layer.mha)
+
+    def push(self, x, final):
+        """New input rows -> the output rows whose look-ahead is complete."""
+        layer = self.layer
+        normed = kernels.layer_norm(x, layer.norm1_g, layer.norm1_b)
+        self.kv = self.kv.append(KeyValues.project(normed, layer.mha))
+        self.x = np.concatenate([self.x, x])
+        self.normed = np.concatenate([self.normed, normed])
+        n, pending = self.kv.shape[0], self.x.shape[0]
+        m = pending if final else int(max(0, pending - self.eps))
+        # the rows of lookahead_mask(n, n, eps) for the m oldest pending rows
+        mask = lookahead_mask(m, n, float(n - pending) + self.eps)
+        z = self.x[:m] + attend(self.normed[:m], self.kv.keys, self.kv.values, layer.mha, mask)
+        normed = kernels.layer_norm(z, layer.norm2_g, layer.norm2_b)
+        self.x, self.normed = self.x[m:], self.normed[m:]
+        return z + feed_forward(normed, layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b)
+
+
+def check_eps_enc(eps_enc):
+    """Reject an encoder look-ahead that is neither a non-negative integer nor math.inf."""
+    if not (eps_enc == math.inf or (float(eps_enc).is_integer() and eps_enc >= 0)):
+        raise ValueError(f"eps_enc must be a non-negative integer or inf, got {eps_enc}")
+
+
+class IncrementalEncoder:
+    """The encoder, run on feature frames as they arrive.
+
+    A push runs each stage as far as its inputs are complete and returns
+    the encoder rows it finished.  In 1-based counts, conv row m needs
+    input frames 1..2m, so projected row m needs frames 1..4m; a layer's
+    output row i needs rows 1..i+eps_enc of the layer below, so encoder
+    row n needs frame 4n + 4*E*eps_enc (``streaming.emission_frame``).
+    ``final`` ends the sequence: the time axis is zero-padded and every
+    look-ahead clamped to the end, as offline.
+    """
+
+    def __init__(self, params, eps_enc):
+        check_eps_enc(eps_enc)
+        self.params = params
+        cnn = params.cnn
+        self.convs = [_ConvRows(cnn.conv1_w, cnn.conv1_b), _ConvRows(cnn.conv2_w, cnn.conv2_b)]
+        self.layers = [_LayerRows(layer, eps_enc) for layer in params.layers]
+        self.frames = 0
+        self.rows = 0
+
+    def push(self, frames=None, final=False):
+        """New feature frames (T, d_feat), or None -> the new encoder rows."""
+        x0 = self.front_end(frames, final)
+        x0 = x0 + positional_encoding_rows(self.rows, x0.shape[0], self.params.d_model)
+        self.rows += x0.shape[0]
+        return self.push_rows(x0, final)
+
+    def front_end(self, frames, final):
+        """The conv stack and projection alone -> the projected rows completed."""
+        h = None
+        if frames is not None:
+            frames = frames.frames if isinstance(frames, FeatureMatrix) else np.asarray(frames)
+            if frames.ndim != 2:
+                raise ValueError(f"feature matrix must be 2-D, got shape {frames.shape}")
+            h = frames[None, :, :]
+        t = 0 if h is None else h.shape[1]
+        if self.frames + t == 0 and (final or h is None):
+            raise ValueError("input too short")
+        for conv in self.convs:
+            h = conv.push(h, final)
+        self.frames += t
+        ch, n, f = h.shape
+        flat = h.transpose(1, 0, 2).reshape(n, ch * f)  # per frame: channels-major flatten
+        return kernels.matmul(flat, self.params.cnn.proj_w) + self.params.cnn.proj_b
+
+    def push_rows(self, x0, final=False):
+        """The layer stack and final norm alone, on projected, position-encoded rows."""
+        x = np.asarray(x0, dtype=np.float32)
+        for layer in self.layers:
+            x = layer.push(x, final)
+        return kernels.layer_norm(x, self.params.final_norm_g, self.params.final_norm_b)
+
+
 def enc_cnn(features, cnn):
     """Run the convolutional front end; returns the projected (N, d_model) matrix.
 
     Positional encodings are not added here; callers add them before the
     self-attention stack.
     """
-    frames = features.frames if isinstance(features, FeatureMatrix) else np.asarray(features)
-    if frames.ndim != 2:
-        raise ValueError(f"feature matrix must be 2-D, got shape {frames.shape}")
-    if frames.shape[0] < 1:
-        raise ValueError("input too short")
-    h = kernels.conv2d(frames[None, :, :], cnn.conv1_w, stride=2, pad=1)
-    h = kernels.relu(h + cnn.conv1_b[:, None, None])
-    h = kernels.conv2d(h, cnn.conv2_w, stride=2, pad=1)
-    h = kernels.relu(h + cnn.conv2_b[:, None, None])
-    n = h.shape[1]
-    flat = h.transpose(1, 0, 2).reshape(n, -1)  # per frame: channels-major flatten
-    return kernels.matmul(flat, cnn.proj_w) + cnn.proj_b
+    return IncrementalEncoder(EncoderParams(cnn), math.inf).front_end(features, final=True)
 
 
 def encoder_layer(x, layer, mask):
@@ -128,18 +242,12 @@ def encoder_forward(x0, params, eps_enc, frame_shift_ms=10.0):
     eps_enc is the per-layer future visibility in encoder frames; math.inf
     removes the restriction entirely.
     """
-    x = np.asarray(x0, dtype=np.float32)
-    n = x.shape[0]
-    mask = lookahead_mask(n, n, eps_enc)
-    for layer in params.layers:
-        x = encoder_layer(x, layer, mask)
-    states = kernels.layer_norm(x, params.final_norm_g, params.final_norm_b)
+    states = IncrementalEncoder(params, eps_enc).push_rows(x0, final=True)
     return EncoderStates(states, frame_duration_ms=4.0 * frame_shift_ms)
 
 
 def encode(features, params, eps_enc):
     """Features -> encoder states: CNN front end, positional encoding, layer stack."""
-    x0 = enc_cnn(features, params.cnn)
-    x0 = x0 + positional_encoding_rows(0, x0.shape[0], params.d_model)
+    states = IncrementalEncoder(params, eps_enc).push(features, final=True)
     shift = features.frame_shift_ms if isinstance(features, FeatureMatrix) else 10.0
-    return encoder_forward(x0, params, eps_enc, frame_shift_ms=shift)
+    return EncoderStates(states, frame_duration_ms=4.0 * shift)

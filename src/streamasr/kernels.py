@@ -75,10 +75,10 @@ def conv_time_slab(window, kernels, stride):
 
     ``window`` is the already padded input slab (in_ch, k_h, f_padded)
     covering a single output time position; the frequency axis is swept
-    here.  Streaming and offline paths both route through this function,
-    so a given window yields bit-identical rows in either mode.  The slab
-    is copied to a contiguous buffer first: einsum's traversal order may
-    depend on input strides, and callers pass views as well as stacks.
+    here and :func:`conv2d` sweeps time with it, so a window yields the
+    same row however many rows the call computes.  The slab is copied to
+    a contiguous buffer first: einsum's traversal order may depend on
+    input strides, and callers pass views.
     """
     window = np.ascontiguousarray(window)
     k_w = kernels.shape[3]

@@ -296,7 +296,7 @@ def load_model(path):
             raise ValueError(f"{path}: expected data marker")
         payload = f.read()
 
-    if dims["d_model"] % dims["heads"] != 0:
+    if dims["heads"] < 1 or dims["d_model"] % dims["heads"] != 0:
         raise ValueError(f"{path}: d_model {dims['d_model']} not divisible by heads {dims['heads']}")
     if not 0 <= sos_id < dims["vocab"]:
         raise ValueError(f"{path}: sos_id {sos_id} outside vocabulary")

@@ -169,7 +169,7 @@ def _format_trace(frame, beams, prefix, phat, pjoint):
 class _TaEntry:
     logp: float
     nus: tuple
-    hist: list  # per-layer decoder.KeyValues: self-attention keys and values
+    hist: list  # per-layer attention.KeyValues: self-attention keys and values
     step: tuple = None  # (nu, child_hist, log_posterior) of the next label, see _next
 
 
@@ -206,6 +206,7 @@ class JointSearch:
         row = np.array(post_row, dtype=np.float64, copy=True)
         if row.shape != (self.n_cols,):
             raise ValueError(f"posterior row shape {row.shape}, expected ({self.n_cols},)")
+        check_log_probs(row)
         self.frame += 1
         n = self.frame
         p = self.params
@@ -385,6 +386,7 @@ class CtcPrefixSearch:
         row = np.array(post_row, dtype=np.float64, copy=True)
         if row.shape != (self.n_cols,):
             raise ValueError(f"posterior row shape {row.shape}, expected ({self.n_cols},)")
+        check_log_probs(row)
         self.frame += 1
         p = self.params
         row[self._banned_cols] = NEG_INF

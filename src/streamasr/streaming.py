@@ -1,25 +1,13 @@
-"""Incremental recognition sessions over the same kernels as the offline path.
+"""Incremental recognition sessions over the same encoder as the offline path.
 
-A session buffers feature frames, runs the convolutional front end and the
-restricted-look-ahead encoder layers row by row as their inputs become
-complete, converts each finished encoder row to a CTC posterior row, and
-advances the joint beam search one frame at a time.  Every row is produced
-by the exact per-row routine the offline pipeline uses on the same values,
-so for any chunking of the input the encoder rows, posterior rows, trace
-lines, and the final hypothesis are bit-identical to a single offline run.
-
-Availability rules, with 1-based counts and per-layer look-ahead ``eps``:
-
-* front-end conv row m exists once 2m input frames arrived; stacking both
-  stride-2 convolutions, projected row m needs 4m input frames;
-* encoder layer output row i needs rows 1..i+eps of the layer below, so
-  the final encoder row n needs projected rows 1..n + E*eps, i.e. input
-  frame 4n + 4*E*eps (the closed form behind ``emission_frame``);
-* the search consumes frame n once n + eps_dec encoder rows exist.
-
-Whatever is still pending when the utterance ends is flushed by
-``finalize`` with the look-ahead clamped to the true input length, which
-reproduces the offline boundary handling exactly.
+A session pushes each feature chunk into an
+:class:`~streamasr.encoder.IncrementalEncoder`, the engine offline
+:func:`~streamasr.encoder.encode` runs in one push, turns each encoder row
+it completes into a CTC posterior row, and advances the joint beam search
+on frame n once n + eps_dec encoder rows exist; ``finalize`` flushes the
+rest.  For any chunking of the input the encoder rows, posterior rows,
+trace lines, and the final hypothesis are bit-identical to a single
+offline run.
 """
 
 import math
@@ -28,10 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels
-from .attention import full_mask, multi_head_attention
+# multi_head_attention is not called here, but stays bound: the
+# benchmark's tracer (perfbench/tracer.py) wraps it by this module's name.
+from .attention import multi_head_attention  # noqa: F401
 from .ctc import log_posterior_row
-from .encoder import FeatureMatrix, feed_forward, positional_encoding
+from .encoder import FeatureMatrix, IncrementalEncoder, check_eps_enc
 from .search import CtcPrefixSearch, DecodeResult, JointSearch
 
 
@@ -49,11 +38,7 @@ class StreamConfig:
     frame_shift_ms: float = 10.0
 
     def __post_init__(self):
-        ok = self.eps_enc == math.inf or (
-            float(self.eps_enc).is_integer() and self.eps_enc >= 0
-        )
-        if not ok:
-            raise ValueError(f"eps_enc must be a non-negative integer or inf, got {self.eps_enc}")
+        check_eps_enc(self.eps_enc)
         if self.eps_dec < 0:
             raise ValueError(f"eps_dec must be >= 0, got {self.eps_dec}")
         if self.frame_shift_ms <= 0:
@@ -82,10 +67,6 @@ def emission_frame(n, e_layers, eps_enc):
     return 4 * (n + e_layers * eps_enc)
 
 
-def _append(mat, row):
-    return np.concatenate([mat, row[None, :]], axis=0)
-
-
 class StreamingSession:
     """One in-flight utterance: push feature chunks, read partials, finalize.
 
@@ -107,16 +88,7 @@ class StreamingSession:
         else:
             self.search = JointSearch(model.decoder, lm, self.params, n_cols)
         self.closed = False
-        self._t = 0
-        # freq-padded conv inputs, from the next output's first row (at first
-        # the leading zero row) on: input rows (1, F+2), conv1 rows (ch1, f1+2)
-        self._x1p = []
-        self._x2p = []
-        self._c1 = 0
-        self._c2 = 0
-        e = len(model.encoder.layers)
-        self._lin = [np.zeros((0, model.encoder.d_model), dtype=np.float32) for _ in range(e + 1)]
-        self._lln = [np.zeros((0, model.encoder.d_model), dtype=np.float32) for _ in range(e)]
+        self.encoder = IncrementalEncoder(model.encoder, config.eps_enc)
         self._enc = np.zeros((0, model.encoder.d_model), dtype=np.float32)
         self._post = deque()      # posterior rows the search has not consumed yet
         self._last_partial = None
@@ -141,16 +113,7 @@ class StreamingSession:
             raise ValueError(f"chunk must be a non-empty 2-D frame matrix, got shape {frames.shape}")
         if not np.isfinite(frames).all():
             raise ValueError("chunk contains non-finite feature values")
-        if not self._x1p:
-            self._x1p.append(np.zeros((1, frames.shape[1] + 2), dtype=frames.dtype))
-        elif frames.shape[1] + 2 != self._x1p[0].shape[1]:
-            raise ValueError(
-                f"feature width changed: {frames.shape[1]} vs {self._x1p[0].shape[1] - 2}"
-            )
-        for row in frames:
-            self._x1p.append(np.pad(row, 1)[None, :])
-        self._t += frames.shape[0]
-        self._pump(final=False)
+        self._pump(frames, final=False)
         return self._partial()
 
     def finalize(self):
@@ -158,9 +121,9 @@ class StreamingSession:
         if self.closed:
             raise RuntimeError("session closed")
         self.closed = True
-        if self._t == 0:
+        if self.encoder.frames == 0:
             return DecodeResult((), 0.0, [])
-        self._pump(final=True)
+        self._pump(None, final=True)
         return self.search.finalize(self._enc)
 
     def _partial(self):
@@ -172,71 +135,10 @@ class StreamingSession:
             return cur
         return None
 
-    def _conv_row(self, padded, weights, bias):
-        """Next stride-2 output row from padded rows 0..2; drops rows 0 and 1,
-        which no later output reads."""
-        slab = np.stack(padded[:3], axis=1)
-        del padded[:2]
-        return kernels.relu(kernels.conv_time_slab(slab, weights, stride=2) + bias[:, None])
-
-    def _pump(self, final):
-        cnn = self.model.encoder.cnn
-        if final:
-            self._x1p.append(np.zeros_like(self._x1p[0]))
-        c1_target = math.ceil(self._t / 2) if final else self._t // 2
-        while self._c1 < c1_target:
-            act = self._conv_row(self._x1p, cnn.conv1_w, cnn.conv1_b)
-            if not self._x2p:
-                self._x2p.append(np.zeros((act.shape[0], act.shape[1] + 2), dtype=act.dtype))
-            self._x2p.append(np.pad(act, ((0, 0), (1, 1))))
-            self._c1 += 1
-        if final and self._x2p:
-            self._x2p.append(np.zeros_like(self._x2p[0]))
-        c2_target = math.ceil(self._c1 / 2) if final else self._c1 // 2
-        d_model = self.model.encoder.d_model
-        while self._c2 < c2_target:
-            act = self._conv_row(self._x2p, cnn.conv2_w, cnn.conv2_b)
-            row = kernels.matmul(act.reshape(1, -1), cnn.proj_w)[0] + cnn.proj_b
-            row = row + positional_encoding(self._c2, d_model)
-            self._lin[0] = _append(self._lin[0], row)
-            self._c2 += 1
-
-        eps = self.config.eps_enc
-        for e, layer in enumerate(self.model.encoder.layers):
-            inp = self._lin[e]
-            ln = self._lln[e]
-            while ln.shape[0] < inp.shape[0]:
-                j = ln.shape[0]
-                ln = _append(ln, kernels.layer_norm(inp[j : j + 1], layer.norm1_g, layer.norm1_b)[0])
-            self._lln[e] = ln
-            if final:
-                limit = inp.shape[0]
-            elif eps == math.inf:
-                limit = 0
-            else:
-                limit = max(0, inp.shape[0] - int(eps))
-            out = self._lin[e + 1]
-            while out.shape[0] < limit:
-                i = out.shape[0]
-                klim = int(min(i + eps + 1, inp.shape[0]))
-                att = multi_head_attention(
-                    ln[i : i + 1], ln[:klim], ln[:klim], layer.mha, full_mask(1, klim)
-                )
-                z = inp[i] + att[0]
-                normed = kernels.layer_norm(z[None, :], layer.norm2_g, layer.norm2_b)
-                row = z + feed_forward(normed, layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b)[0]
-                out = _append(out, row)
-            self._lin[e + 1] = out
-
-        last = self._lin[-1]
-        while self._enc.shape[0] < last.shape[0]:
-            i = self._enc.shape[0]
-            row = kernels.layer_norm(
-                last[i : i + 1], self.model.encoder.final_norm_g, self.model.encoder.final_norm_b
-            )[0]
-            self._enc = _append(self._enc, row)
-            self._post.append(log_posterior_row(row, self.model.ctc_w, self.model.ctc_b))
-
+    def _pump(self, frames, final):
+        rows = self.encoder.push(frames, final)
+        self._enc = np.concatenate([self._enc, rows])
+        self._post.extend(log_posterior_row(row, self.model.ctc_w, self.model.ctc_b) for row in rows)
         n = self._enc.shape[0]
         dec_target = n if final else max(0, n - self.config.eps_dec)
         while self.search.frame < dec_target:

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamasr import kernels
-from streamasr.attention import full_mask
+from streamasr.attention import full_mask, lookahead_mask
 from streamasr.encoder import (CnnParams, EncoderStates, FeatureMatrix,
-                               cnn_frame_count, enc_cnn, encode,
-                               encoder_forward, encoder_layer, feed_forward,
-                               positional_encoding, positional_encoding_rows)
+                               IncrementalEncoder, cnn_frame_count, enc_cnn,
+                               encode, encoder_forward, encoder_layer,
+                               feed_forward, positional_encoding,
+                               positional_encoding_rows)
 from streamasr.modelio import random_model
 from helpers import tiny_model
 from oracles import conv2d_oracle, positional_encoding_oracle
@@ -202,3 +204,55 @@ def test_random_model_channel_defaults_follow_width():
     m = random_model(44, d_model=16)
     assert m.encoder.cnn.conv1_w.shape[0] == 4
     assert m.encoder.cnn.conv2_w.shape[0] == 8
+
+
+@pytest.mark.parametrize("eps", [0, 1, 2, math.inf])
+def test_encoder_forward_equals_reference_layer_stack(eps):
+    m = tiny_model(45, e_layers=3)
+    rng = np.random.default_rng(46)
+    x0 = rng.standard_normal((11, 8)).astype(np.float32)
+    x = x0
+    mask = lookahead_mask(11, 11, eps)
+    for layer in m.encoder.layers:
+        x = encoder_layer(x, layer, mask)
+    want = kernels.layer_norm(x, m.encoder.final_norm_g, m.encoder.final_norm_b)
+    assert np.array_equal(encoder_forward(x0, m.encoder, eps).states, want)
+
+
+def pushed_in_pieces(push, rows, sizes):
+    """Rows pushed in pieces of the given sizes, the rest at the final push."""
+    out, i = [], 0
+    for size in sizes:
+        out.append(push(rows[i:i + size]))
+        i += size
+    out.append(push(rows[i:], final=True))
+    return np.concatenate(out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([0, 1, 2, math.inf]), st.lists(st.integers(0, 6), max_size=6))
+def test_rows_pushed_in_pieces_equal_one_final_push(eps, sizes):
+    m = tiny_model(47, e_layers=3)
+    x0 = np.random.default_rng(48).standard_normal((13, 8)).astype(np.float32)
+    whole = IncrementalEncoder(m.encoder, eps).push_rows(x0, final=True)
+    got = pushed_in_pieces(IncrementalEncoder(m.encoder, eps).push_rows, x0, sizes)
+    assert np.array_equal(got, whole)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([0, 1, math.inf]), st.lists(st.integers(0, 7), max_size=6))
+def test_frames_pushed_in_pieces_equal_encode(eps, sizes):
+    m = tiny_model(49)
+    frames = np.random.default_rng(50).standard_normal((23, 4)).astype(np.float32)
+    got = pushed_in_pieces(IncrementalEncoder(m.encoder, eps).push, frames, sizes)
+    assert np.array_equal(got, encode(frames, m.encoder, eps).states)
+
+
+def test_encoder_rejects_bad_lookahead_and_missing_input():
+    m = tiny_model(51)
+    for eps in (-1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="eps_enc"):
+            encode(np.zeros((8, 4), dtype=np.float32), m.encoder, eps)
+    for final in (False, True):
+        with pytest.raises(ValueError, match="input too short"):
+            IncrementalEncoder(m.encoder, 1).push(None, final=final)

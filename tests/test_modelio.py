@@ -111,6 +111,11 @@ def test_model_archive_error_paths(tmp_path):
     with pytest.raises(ValueError, match="payload is"):
         load_model(bad)
 
+    # zero heads is rejected, not divided by
+    bad.write_bytes(raw.replace(b"\nheads 2\n", b"\nheads 0\n", 1))
+    with pytest.raises(ValueError, match="heads 0"):
+        load_model(bad)
+
 
 def test_model_without_eos_round_trips(tmp_path):
     m = random_model(146, d_model=8, heads=2, vocab_size=4, with_eos=False)

@@ -398,6 +398,27 @@ def test_advance_rejects_row_of_wrong_width(kind):
     assert search.frame == 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["joint", "ctc"])
+def test_advance_rejects_non_finite_row(kind, bad):
+    m, enc, post, lm, params = decode_setup(124)
+    n_cols = post.logp.shape[1]
+    if kind == "joint":
+        search = JointSearch(m.decoder, lm, params, n_cols)
+    else:
+        search = CtcPrefixSearch(lm, params, n_cols)
+    search.advance(post.logp[0], enc)
+    hyps, trace = dict(search.hyps), list(search.trace)
+    row = post.logp[1].copy()
+    row[2] = bad
+    with pytest.raises(ValueError, match="NaN or \\+inf"):
+        search.advance(row, enc)
+    assert search.frame == 1
+    assert search.hyps == hyps and search.trace == trace
+    search.advance(post.logp[1], enc)
+    assert search.frame == 2
+
+
 def counted_steps(monkeypatch):
     """Record one (parent history, token, position, nu) key per decoder step."""
     from streamasr import decoder

@@ -107,8 +107,9 @@ def test_streaming_equals_offline_bitwise(chunk):
 
 
 def test_long_session_keeps_bounded_input_buffers():
-    # a 400-frame session drops conv input rows and posterior rows once no
-    # later row reads them, and still decodes the offline bits
+    # a 400-frame session drops conv input rows, per-layer input and normed
+    # rows and posterior rows once no later row reads them, and still
+    # decodes the offline bits
     m = tiny_model(137)
     rng = np.random.default_rng(138)
     frames = rng.standard_normal((400, 4)).astype(np.float32)
@@ -117,8 +118,12 @@ def test_long_session_keeps_bounded_input_buffers():
     sess = StreamingSession(m, UniformLM(3), params, cfg)
     for t in range(0, 400, 5):
         sess.push(frames[t:t + 5])
-        assert len(sess._x1p) <= 2 and len(sess._x2p) <= 2
+        assert all(conv.pending.shape[1] <= 2 for conv in sess.encoder.convs)
+        for layer in sess.encoder.layers:
+            assert layer.x.shape[0] <= cfg.eps_enc + 1
+            assert layer.normed.shape[0] <= cfg.eps_enc + 1
         assert len(sess._post) <= cfg.eps_dec
+    assert not [k for k, v in vars(sess).items() if isinstance(v, list)]
     assert sess.emitted_frames > 90
     got = sess.finalize()
     assert not sess._post
