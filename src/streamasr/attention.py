@@ -102,8 +102,8 @@ def scaled_dot_attention(q, k, v, mask):
         if idx.size == 0:
             raise ValueError("empty attention row")
         logits = (k[idx] @ q[i]) * scale
-        e = np.exp(logits - np.max(logits))
-        out[i] = (e / np.sum(e)) @ v[idx]
+        e = np.exp(logits - logits.max())
+        out[i] = (e / e.sum()) @ v[idx]
     return out
 
 

@@ -6,8 +6,10 @@ self-attention over positions 1..l and attends to a *truncated* prefix of
 the encoder sequence: only rows 1..nu_l, where nu_l is the trigger frame
 of label l plus the configured decoder look-ahead.  Positions are
 computed once, at their own truncation point, and reused verbatim when
-the prefix is extended; ``advance_position`` is that single-step unit and
-everything else here is built from it.
+the prefix is extended.  :func:`advance_positions` is the one step: it
+computes a batch of new positions that share a truncation nu (a search
+frame's distinct parents) in one pass, and ``advance_position`` is its
+one-row case.
 
 Attention keys and values are projected once per row and kept: a
 prefix's history holds its positions' self-attention keys and values
@@ -104,46 +106,78 @@ class CrossAttentionCache:
         return self.kv[d].keys[:nu], self.kv[d].values[:nu]
 
 
-def advance_position(params, enc, hist, token_id, pos_index, nu):
-    """Compute decoder states and the next-label posterior for one new position.
+def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
+    """Decoder states and next-label posteriors for B new positions at once.
 
-    hist holds one :class:`KeyValues` per layer for the already
-    computed positions.  The new position embeds ``token_id``,
-    self-attends over the cached positions plus itself and cross-attends
-    to encoder rows 1..nu only.  ``enc`` is the encoder matrix, its
-    :class:`EncoderStates`, or a :class:`CrossAttentionCache` shared
-    between calls; a bare matrix is projected afresh.
+    Row i extends the positions cached in ``hists[i]`` (one
+    :class:`KeyValues` per layer) with a position that embeds
+    ``token_ids[i]`` at index ``pos_indices[i]``; it self-attends over
+    its own history plus itself, and every row cross-attends to encoder
+    rows 1..nu only.  ``cache`` is a :class:`CrossAttentionCache` shared
+    between calls, or the encoder matrix or its :class:`EncoderStates`,
+    which are projected afresh.
 
-    Returns (new_rows, log_posterior): the position's per-layer history
-    entries to append to hist, and the float64 log posterior over the
-    vocabulary.
+    The norms, projections, feed-forward and vocabulary projection run
+    once over the B rows; they are row-invariant, and attention is
+    computed per query row, so row i equals a call with that row alone
+    bit for bit.  Returns one (new_rows, log_posterior) per row: the
+    position's per-layer history entries to append to its history, and
+    the float64 log posterior over the vocabulary.
     """
-    cache = enc if isinstance(enc, CrossAttentionCache) else CrossAttentionCache(params, enc)
+    if not isinstance(cache, CrossAttentionCache):
+        cache = CrossAttentionCache(params, cache)
     if cache.params is not params:
         raise ValueError("cross-attention cache belongs to another decoder")
     if not 1 <= nu <= cache.enc.shape[0]:
         raise ValueError("trigger index out of range")
-    cur = params.embed[token_id] + positional_encoding(pos_index, params.d_model)
+    if not len(hists) == len(token_ids) == len(pos_indices):
+        raise ValueError(f"{len(hists)} histories, {len(token_ids)} tokens "
+                         f"and {len(pos_indices)} positions")
+    b = len(hists)
+    if b == 0:
+        return []
+    cur = params.embed[np.asarray(token_ids)] + np.stack(
+        [positional_encoding(pos, params.d_model) for pos in pos_indices])
     new_rows = []
-    src_mask = full_mask(1, nu)
+    src_mask = full_mask(b, nu)
     for d, layer in enumerate(params.layers):
-        # layer_norm and the projections are per row, so this position's
-        # keys and values match what a stacked history would give it.
-        normed = kernels.layer_norm(cur[None, :], layer.norm1_g, layer.norm1_b)
-        row = KeyValues.project(normed, layer.self_mha)
-        new_rows.append(row)
-        past = hist[d].append(row)
-        att = attend(normed, past.keys, past.values, layer.self_mha, full_mask(1, past.shape[0]))
-        z = cur + att[0]
-        normed_q = kernels.layer_norm(z[None, :], layer.norm2_g, layer.norm2_b)
+        normed = kernels.layer_norm(cur, layer.norm1_g, layer.norm1_b)
+        rows = KeyValues.project(normed, layer.self_mha)
+        new_rows.append(rows)
+        keys, values, mask = _own_histories([h[d] for h in hists], rows)
+        z = cur + attend(normed, keys, values, layer.self_mha, mask)
+        normed_q = kernels.layer_norm(z, layer.norm2_g, layer.norm2_b)
         keys, values = cache.layer(d, nu)
-        att = attend(normed_q, keys, values, layer.src_mha, src_mask)
-        z = z + att[0]
-        normed_f = kernels.layer_norm(z[None, :], layer.norm3_g, layer.norm3_b)
-        cur = z + feed_forward(normed_f, layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b)[0]
-    final = kernels.layer_norm(cur[None, :], params.final_norm_g, params.final_norm_b)
-    logits = kernels.matmul(final, params.out_w)[0] + params.out_b
-    return new_rows, kernels.log_softmax_f64(logits)
+        z = z + attend(normed_q, keys, values, layer.src_mha, src_mask)
+        normed_f = kernels.layer_norm(z, layer.norm3_g, layer.norm3_b)
+        cur = z + feed_forward(normed_f, layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b)
+    final = kernels.layer_norm(cur, params.final_norm_g, params.final_norm_b)
+    logits = kernels.matmul(final, params.out_w) + params.out_b
+    return [([KeyValues(r.keys[i:i + 1], r.values[i:i + 1]) for r in new_rows],
+             kernels.log_softmax_f64(logits[i]))
+            for i in range(b)]
+
+
+def _own_histories(pasts, rows):
+    """Every row's history followed by its new row, stacked, and the mask
+    that lets query row i attend to exactly its own block."""
+    keys, values = [], []
+    for i, past in enumerate(pasts):
+        keys += [past.keys, rows.keys[i:i + 1]]
+        values += [past.values, rows.values[i:i + 1]]
+    ends = np.cumsum([past.shape[0] + 1 for past in pasts])
+    starts = np.concatenate([[0], ends[:-1]])
+    cols = np.arange(ends[-1])
+    mask = (cols >= starts[:, None]) & (cols < ends[:, None])
+    return np.concatenate(keys), np.concatenate(values), mask
+
+
+def advance_position(params, enc, hist, token_id, pos_index, nu):
+    """One row of :func:`advance_positions`: the position after ``hist``.
+
+    Returns (new_rows, log_posterior) as a row of that function does.
+    """
+    return advance_positions(params, enc, [hist], [token_id], [pos_index], nu)[0]
 
 
 def empty_history(params):

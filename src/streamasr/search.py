@@ -16,13 +16,15 @@ prefix together with the decoder states and the encoder truncation each
 label was scored at, so a label's score never silently shifts to a later
 frame once computed.  A cached prefix also keeps its next-label decoder
 step at the latest truncation; its children and the final ``<eos>`` pass
-share that one step.
+share that one step, and the steps a frame needs run as one batched
+decoder call.
 
 Prefixes are tuples of posteriorgram column indices (blank = 0 never
 appears); the start token is implicit.  Label ids are column - 1.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,7 +42,10 @@ class DecodeParams:
     LM weights inside the CTC ranking and the joint score; beta is the
     per-label insertion bonus.  k_size/theta1 prune the CTC candidates,
     p_size/theta2 shape the carried beam.  eps_dec is the decoder
-    look-ahead in encoder frames.
+    look-ahead in encoder frames.  local_threshold is the per-frame label
+    probability below which the CTC step skips a label.  The sizes and
+    eps_dec must be integers, the weights and widths finite, and
+    local_threshold in [0, 1); anything else raises ``ValueError``.
 
     The hooks see (prefix, omega_hat, frame, post_row).  dcond returning
     True deletes a prefix's triggered-attention (TA) score so it is
@@ -71,12 +76,29 @@ class DecodeParams:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must be in [0, 1], got {self.lam}")
+        for name in ("k_size", "p_size"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.k_size < self.p_size or self.p_size < 1:
             raise ValueError(f"need k_size >= p_size >= 1, got {self.k_size}, {self.p_size}")
+        for name in ("alpha0", "alpha", "beta", "theta1", "theta2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.theta1 <= 0 or self.theta2 <= 0:
             raise ValueError("beam widths must be positive")
-        if self.eps_dec < 0:
-            raise ValueError(f"eps_dec must be >= 0, got {self.eps_dec}")
+        check_eps_dec(self.eps_dec)
+        if not 0.0 <= self.local_threshold < 1.0:
+            raise ValueError(f"local_threshold must be in [0, 1), got {self.local_threshold}")
+
+
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def check_eps_dec(eps_dec):
+    """Reject a decoder look-ahead that is not a non-negative integer."""
+    if not _is_int(eps_dec) or eps_dec < 0:
+        raise ValueError(f"eps_dec must be a non-negative integer, got {eps_dec!r}")
 
 
 @dataclass
@@ -239,12 +261,10 @@ class JointSearch:
                 if pre and pre in self.ta and p.dcond(pre, omega_hat, n, row):
                     del self.ta[pre]
 
-        for pre in sorted(omega_hat, key=lambda q: (len(q), q)):
-            if pre in self.ta:
-                continue
-            if p.acond is not None and not p.acond(pre, omega_hat, n, row):
-                continue
-            self._score_ta(pre, n)
+        targets = [pre for pre in sorted(omega_hat, key=lambda q: (len(q), q))
+                   if pre not in self.ta
+                   and (p.acond is None or p.acond(pre, omega_hat, n, row))]
+        self._score_ta(targets, min(n + p.eps_dec, self.cross.enc.shape[0]))
 
         pjoint = {}
         for pre, h in omega_hat.items():
@@ -269,34 +289,48 @@ class JointSearch:
         best = min(omega_hat, key=_rank_key(pjoint))
         self.trace.append(_format_trace(n, len(omega_hat), best, phat[best], pjoint[best]))
 
-    def _score_ta(self, pre, n):
-        """Give ``pre`` a TA entry at frame n, first scoring (shortest first,
-        at the same truncation) any ancestors that have none."""
-        nu = min(n + self.params.eps_dec, self.cross.enc.shape[0])
-        missing = [pre]
-        while missing[-1][:-1] not in self.ta:
-            missing.append(missing[-1][:-1])
-        for pre in reversed(missing):
-            parent = self.ta[pre[:-1]]
-            hist, logpost = self._next(pre[:-1], nu)
-            self.ta[pre] = _TaEntry(parent.logp + float(logpost[pre[-1] - 1]),
-                                    parent.nus + (nu,), hist)
+    def _score_ta(self, targets, nu):
+        """Give each of ``targets`` a TA entry at truncation nu, scoring
+        any ancestors that have none first.
 
-    def _next(self, pre, nu):
-        """(child_hist, log_posterior) of the label after ``pre`` at truncation nu.
-
-        The decoder step depends only on ``pre``'s entry and nu, so it runs
-        once per pair: every child of ``pre`` and the ``<eos>`` pass read the
-        kept result, and the children share the one history.
+        Each round creates the entries whose parent has one, after
+        stepping all of their distinct parents in one decoder call; a
+        later round serves children of entries made this frame (missing
+        ancestors, ``dcond`` re-scoring).
         """
-        entry = self.ta[pre]
-        if entry.step is None or entry.step[0] != nu:
-            token = pre[-1] - 1 if pre else self.dec.sos_id
-            rows, logpost = dec_mod.advance_position(
-                self.dec, self.cross, entry.hist, token, len(pre), nu
-            )
+        todo = {}
+        for pre in targets:
+            while pre not in self.ta and pre not in todo:
+                todo[pre] = None
+                pre = pre[:-1]
+        while todo:
+            ready = sorted((pre for pre in todo if pre[:-1] in self.ta),
+                           key=lambda q: (len(q), q))
+            self._step([pre[:-1] for pre in ready], nu)
+            for pre in ready:
+                parent = self.ta[pre[:-1]]
+                _, hist, logpost = parent.step
+                self.ta[pre] = _TaEntry(parent.logp + float(logpost[pre[-1] - 1]),
+                                        parent.nus + (nu,), hist)
+                del todo[pre]
+
+    def _step(self, prefixes, nu):
+        """Give each of ``prefixes`` its next-label decoder step at
+        truncation nu, running the missing ones as one batched step.
+
+        The step depends only on the prefix's entry and nu, so it runs
+        once per pair: every child of the prefix and the ``<eos>`` pass
+        read the kept result, and the children share the one history.
+        """
+        stale = [pre for pre in dict.fromkeys(prefixes)
+                 if self.ta[pre].step is None or self.ta[pre].step[0] != nu]
+        entries = [self.ta[pre] for pre in stale]
+        steps = dec_mod.advance_positions(
+            self.dec, self.cross, [e.hist for e in entries],
+            [pre[-1] - 1 if pre else self.dec.sos_id for pre in stale],
+            [len(pre) for pre in stale], nu)
+        for entry, (rows, logpost) in zip(entries, steps):
             entry.step = (nu, dec_mod.append_history(entry.hist, rows), logpost)
-        return entry.step[1:]
 
     def _evict_ta(self):
         """Keep the entries of live prefixes' ancestors, and only the steps
@@ -327,12 +361,12 @@ class JointSearch:
         if p.add_eos_at_finalize and self.dec.eos_id is not None:
             self.cross.update(enc_rows)
             avail = self.cross.enc.shape[0]
-            for pre, h in self._last_carried.items():
-                entry = self.ta.get(pre)
-                if entry is None:
-                    continue
-                _, logpost = self._next(pre, avail)
-                eos_hyp = replace(h, ta_logp=entry.logp + float(logpost[self.dec.eos_id]))
+            scored = [pre for pre in self._last_carried if pre in self.ta]
+            self._step(scored, avail)
+            for pre in scored:
+                entry = self.ta[pre]
+                eos_logp = float(entry.step[2][self.dec.eos_id])
+                eos_hyp = replace(self._last_carried[pre], ta_logp=entry.logp + eos_logp)
                 scores[pre] = joint_score(eos_hyp, p)
         best = min(self._last_carried, key=_rank_key(scores))
         return DecodeResult(tuple(c - 1 for c in best), float(scores[best]), list(self.trace))

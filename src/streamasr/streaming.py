@@ -21,7 +21,7 @@ import numpy as np
 from .attention import multi_head_attention  # noqa: F401
 from .ctc import log_posterior_row
 from .encoder import FeatureMatrix, IncrementalEncoder, check_eps_enc
-from .search import CtcPrefixSearch, DecodeResult, JointSearch
+from .search import CtcPrefixSearch, DecodeResult, JointSearch, check_eps_dec
 
 
 @dataclass
@@ -39,8 +39,7 @@ class StreamConfig:
 
     def __post_init__(self):
         check_eps_enc(self.eps_enc)
-        if self.eps_dec < 0:
-            raise ValueError(f"eps_dec must be >= 0, got {self.eps_dec}")
+        check_eps_dec(self.eps_dec)
         if self.frame_shift_ms <= 0:
             raise ValueError(f"frame_shift_ms must be positive, got {self.frame_shift_ms}")
 

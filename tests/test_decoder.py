@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from streamasr.decoder import (CrossAttentionCache, advance_position,
-                               append_history, decoder_log_posterior,
+                               advance_positions, append_history, decoder_log_posterior,
                                decoder_posterior, empty_history,
                                ta_prefix_score)
 from helpers import random_enc_states, tiny_model
@@ -183,3 +183,55 @@ def test_cross_cache_rejects_shrinking_encoder_and_foreign_decoder():
     other, _ = setup_case(67, n=5)
     with pytest.raises(ValueError, match="another decoder"):
         advance_position(other, cache, empty_history(other), other.sos_id, 0, 2)
+
+
+def history_of_length(dec, enc, rng, length):
+    """A history of ``length`` positions, start token first, each scored
+    at a random truncation."""
+    hist = empty_history(dec)
+    for pos in range(length):
+        tok = dec.sos_id if pos == 0 else int(rng.integers(dec.vocab_size))
+        nu = int(rng.integers(1, enc.shape[0] + 1))
+        rows, _ = advance_position(dec, enc, hist, tok, pos, nu)
+        hist = append_history(hist, rows)
+    return hist
+
+
+@pytest.mark.parametrize("d_layers", [1, 2])
+@pytest.mark.parametrize("b", [1, 2, 5])
+def test_advance_positions_rows_equal_single_row_steps(b, d_layers):
+    dec, enc = setup_case(70 + b, n=6, d_layers=d_layers)
+    rng = np.random.default_rng(b + 10 * d_layers)
+    cache = CrossAttentionCache(dec, enc)
+    for nu in range(1, enc.shape[0] + 1):
+        # lengths 0..4 mixed within a batch and across truncations
+        hists = [history_of_length(dec, enc, rng, (nu + i) % 5) for i in range(b)]
+        tokens = [dec.sos_id] + [int(t) for t in rng.integers(dec.vocab_size, size=b - 1)]
+        positions = [h[0].shape[0] for h in hists]
+        got = advance_positions(dec, cache, hists, tokens, positions, nu)
+        assert len(got) == b
+        for hist, tok, pos, (rows, logp) in zip(hists, tokens, positions, got):
+            want_rows, want_logp = advance_position(dec, enc, hist, tok, pos, nu)
+            assert logp.dtype == np.float64
+            assert (logp == want_logp).all()
+            assert len(rows) == len(want_rows) == d_layers
+            for r, w in zip(rows, want_rows):
+                assert r.shape == w.shape == (1, dec.d_model)
+                assert (r.keys == w.keys).all() and (r.values == w.values).all()
+
+
+def test_advance_positions_rejects_bad_arguments():
+    dec, enc = setup_case(77, n=4)
+    cache = CrossAttentionCache(dec, enc)
+    hist = empty_history(dec)
+    other, _ = setup_case(78, n=4)
+    with pytest.raises(ValueError, match="another decoder"):
+        advance_positions(other, cache, [empty_history(other)], [other.sos_id], [0], 2)
+    for nu in (0, 5, -1):
+        with pytest.raises(ValueError, match="trigger index out of range"):
+            advance_positions(dec, cache, [hist], [dec.sos_id], [0], nu)
+    for hists, tokens, positions in [([hist, hist], [dec.sos_id], [0, 0]),
+                                     ([hist], [dec.sos_id, 2], [0]),
+                                     ([hist, hist], [dec.sos_id, 2], [0])]:
+        with pytest.raises(ValueError, match="histories"):
+            advance_positions(dec, cache, hists, tokens, positions, 2)

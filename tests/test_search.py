@@ -113,6 +113,27 @@ def test_decode_params_validation():
         DecodeParams(eps_dec=-1)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("k_size", 16.0), ("p_size", 8.5), ("eps_dec", 1.5), ("eps_dec", True),
+    ("alpha0", math.nan), ("alpha", math.nan), ("beta", math.inf),
+    ("theta1", math.nan), ("theta2", math.inf),
+    ("local_threshold", 2.0), ("local_threshold", 1.0), ("local_threshold", -1e-9),
+    ("local_threshold", math.nan),
+])
+def test_decode_params_reject_values_the_search_cannot_use(field, bad):
+    # each of these used to pass validation and then crash deep in the
+    # search or decode to garbage (nan scores, empty labels, no pruning)
+    with pytest.raises(ValueError, match=field):
+        DecodeParams(**{field: bad})
+
+
+def test_decode_params_accept_integer_likes_and_threshold_bounds():
+    p = DecodeParams(k_size=np.int64(16), p_size=np.int32(8), eps_dec=np.int64(0),
+                     local_threshold=0.0)
+    assert (p.k_size, p.p_size, p.eps_dec) == (16, 8, 0)
+    DecodeParams(local_threshold=0.999)
+
+
 def test_blank_peaked_single_frame_decodes_empty():
     m, enc, post, lm, params = decode_setup(100, n=1)
     c = post.logp.shape[1]
@@ -420,17 +441,18 @@ def test_advance_rejects_non_finite_row(kind, bad):
 
 
 def counted_steps(monkeypatch):
-    """Record one (parent history, token, position, nu) key per decoder step."""
+    """Record one (parent history, token, position, nu) key per row of
+    every batched decoder step."""
     from streamasr import decoder
 
     calls = []
-    step = decoder.advance_position
+    step = decoder.advance_positions
 
-    def counting(params, enc, hist, token_id, pos_index, nu):
-        calls.append((hist, token_id, pos_index, nu))
-        return step(params, enc, hist, token_id, pos_index, nu)
+    def counting(params, cache, hists, token_ids, pos_indices, nu):
+        calls.extend((hist, tok, pos, nu) for hist, tok, pos in zip(hists, token_ids, pos_indices))
+        return step(params, cache, hists, token_ids, pos_indices, nu)
 
-    monkeypatch.setattr(decoder, "advance_position", counting)
+    monkeypatch.setattr(decoder, "advance_positions", counting)
     return calls
 
 
@@ -456,6 +478,7 @@ def test_decode_runs_one_decoder_step_per_parent_and_truncation(monkeypatch, see
     m, enc, post, lm, _ = decode_setup(seed, n=6)
     params = DecodeParams(eps_dec=2, k_size=8, p_size=8, theta1=1e6, theta2=1e6)
     decode(enc, post, lm, m.decoder, params)
+    assert calls
     assert len(calls) == len(distinct_steps(calls))
     # siblings share their parent's step: fewer steps than scored prefixes
     assert len(calls) < len(entries)
@@ -473,6 +496,7 @@ def test_finalize_reuses_steps_taken_at_the_last_truncation(monkeypatch):
     kept = [e for e in scored if e.step is not None and e.step[0] == avail]
     assert kept
     before = len(calls)
+    assert before
     search.finalize(enc)
     assert len(calls) - before == len(scored) - len(kept)
     assert len(calls) == len(distinct_steps(calls))

@@ -45,6 +45,13 @@ def test_stream_config_validation():
         StreamConfig(frame_shift_ms=0.0)
 
 
+def test_stream_config_rejects_non_integer_eps_dec():
+    # a float look-ahead used to pass and then fail as a slice index
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="eps_dec"):
+            StreamConfig(eps_dec=bad)
+
+
 def test_latency_matches_hand_formula():
     for eps_enc in (0, 1, 2, 3):
         for eps_dec in (0, 6, 18):
