@@ -8,6 +8,7 @@ domain as float64; impossible events are -inf, never an underflowed zero.
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -177,49 +178,72 @@ def ctc_viterbi_align(post, labels, eps_dec):
     return TriggerAlignment(path, first, tuple(f + eps_dec for f in first))
 
 
-def ctc_prefix_step(post_row, hyps, local_threshold=1e-4):
+_LAST = attrgetter("last")
+
+
+def _append_column(prefix, col):
+    return prefix + (col,)
+
+
+def _last_column(prefix):
+    return prefix[-1] if prefix else None
+
+
+def ctc_prefix_step(post_row, hyps, local_threshold=1e-4, child=None):
     """One frame of prefix beam search: extend every prefix by this frame.
 
-    hyps maps prefix tuples (column indices, no blanks) to PrefixScores
-    from the previous frame.  Returns the updated mapping containing the
-    survivors and their one-label extensions.  Blank mass is always
-    propagated; a non-blank label is skipped for the whole frame when its
-    linear probability falls below ``local_threshold`` (or is exactly
-    zero), since it can contribute no usable mass.  Entries whose blank
-    and non-blank masses both come out zero are dropped: a prefix no path
-    can reach is not a candidate, and keeping it would let downstream
-    ranking terms that ignore path mass promote an impossible sequence.
+    hyps maps prefixes to their blank-final and label-final masses from
+    the previous frame (anything with ``p_b`` and ``p_nb``, such as
+    PrefixScores).  By default a prefix is a tuple of column indices (no
+    blanks).  With ``child`` a prefix is any key with a ``last`` column
+    (None for the empty prefix), and ``child(prefix, col)`` returns the
+    key of prefix extended by col.  Returns the updated mapping to
+    PrefixScores, containing the survivors and their one-label
+    extensions.  Blank mass is always propagated; a non-blank label is
+    skipped for the whole frame when its linear probability falls below
+    ``local_threshold`` (or is exactly zero), since it can contribute no
+    usable mass.  Entries whose blank and non-blank masses both come out
+    zero are dropped: a prefix no path can reach is not a candidate, and
+    keeping it would let downstream ranking terms that ignore path mass
+    promote an impossible sequence.
     """
     row = np.asarray(post_row, dtype=np.float64)
     if row.ndim != 1:
         raise ValueError(f"posterior row must be a vector, got shape {row.shape}")
-    n_cols = row.shape[0]
     row = row.tolist()  # plain floats: scores stay host-precision floats throughout
     log_thresh = math.log(local_threshold) if local_threshold > 0 else NEG_INF
+    if child is None:
+        child, last_of = _append_column, _last_column
+    else:
+        last_of = _LAST
+    active = [(k, lp) for k, lp in enumerate(row)
+              if k != BLANK and not (lp == NEG_INF or lp < log_thresh)]
     acc = {}
-
-    def bump(prefix, p_b=NEG_INF, p_nb=NEG_INF):
-        cur = acc.get(prefix)
-        if cur is None:
-            acc[prefix] = [p_b, p_nb]
-        else:
-            cur[0] = log_add(cur[0], p_b)
-            cur[1] = log_add(cur[1], p_nb)
-
+    # Each contribution adds to one of a prefix's two masses.  log_add with
+    # a -inf side returns the other side unchanged, so only the mass that
+    # receives it is added to.
     lp_blank = row[BLANK]
     for prefix, sc in hyps.items():
-        total = log_add(sc.p_b, sc.p_nb)
-        bump(prefix, p_b=lp_blank + total)
-        last = prefix[-1] if prefix else None
-        for k in range(1, n_cols):
-            lp = row[k]
-            if lp == NEG_INF or lp < log_thresh:
-                continue
+        p_b, p_nb = sc.p_b, sc.p_nb
+        total = log_add(p_b, p_nb)
+        cur = acc.get(prefix)
+        if cur is None:
+            cur = acc[prefix] = [lp_blank + total, NEG_INF]
+        else:
+            cur[0] = log_add(cur[0], lp_blank + total)
+        last = last_of(prefix)
+        for k, lp in active:
             if k == last:
-                bump(prefix, p_nb=lp + sc.p_nb)
-                bump(prefix + (k,), p_nb=lp + sc.p_b)
+                cur[1] = log_add(cur[1], lp + p_nb)
+                mass = lp + p_b
             else:
-                bump(prefix + (k,), p_nb=lp + total)
+                mass = lp + total
+            ext = child(prefix, k)
+            nxt = acc.get(ext)
+            if nxt is None:
+                acc[ext] = [NEG_INF, mass]
+            else:
+                nxt[1] = log_add(nxt[1], mass)
     return {p: PrefixScores(v[0], v[1]) for p, v in acc.items()
             if v[0] != NEG_INF or v[1] != NEG_INF}
 

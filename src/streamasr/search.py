@@ -19,8 +19,13 @@ step at the latest truncation; its children and the final ``<eos>`` pass
 share that one step, and the steps a frame needs run as one batched
 decoder call.
 
-Prefixes are tuples of posteriorgram column indices (blank = 0 never
-appears); the start token is implicit.  Label ids are column - 1.
+A prefix is a sequence of posteriorgram column indices (blank = 0 never
+appears); the start token is implicit.  Label ids are column - 1.  The
+search holds each prefix as an interned :class:`Prefix` node (a parent,
+a last column and a length), found through the search's
+:class:`PrefixTable`, so extending, hashing and looking up a prefix cost
+O(1) however long it grows.  Hooks, labels and trace lines still see
+column tuples.
 """
 
 import math
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import decoder as dec_mod
-from .ctc import BLANK, PrefixScores, check_log_probs, ctc_prefix_step
+from .ctc import check_log_probs, ctc_prefix_step
 from .kernels import NEG_INF, log_add
 
 
@@ -47,11 +52,14 @@ class DecodeParams:
     eps_dec must be integers, the weights and widths finite, and
     local_threshold in [0, 1); anything else raises ``ValueError``.
 
-    The hooks see (prefix, omega_hat, frame, post_row).  dcond returning
-    True deletes a prefix's triggered-attention (TA) score so it is
-    computed again this frame.  acond returning False skips TA scoring
-    for a prefix this frame; its fused score then falls back to the
-    parent's TA score.  A declined prefix still gets a TA score when a
+    The hooks see (prefix, omega_hat, frame, post_row): the prefix as a
+    tuple of posteriorgram columns and omega_hat as a view of this frame's
+    pruned candidates keyed by such tuples, both built only when a hook is
+    set.  acond is asked shortest prefix first, then in tuple order.
+    dcond returning True deletes a prefix's triggered-attention (TA) score
+    so it is computed again this frame.  acond returning False skips TA
+    scoring for a prefix this frame; its fused score then falls back to
+    the parent's TA score.  A declined prefix still gets a TA score when a
     descendant is scored later: missing ancestors are scored first,
     shortest first, at that frame's encoder truncation.  A prefix
     re-scored after dcond and a missing ancestor both read their parent's
@@ -112,11 +120,11 @@ class LossParams:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Hypothesis:
     """One search prefix with its CTC mass and fused bookkeeping."""
 
-    prefix: tuple
+    prefix: object  # a Prefix inside a search; any sized key works for the scores
     p_b: float
     p_nb: float
     lm_state: object
@@ -129,6 +137,78 @@ class DecodeResult:
     labels: tuple
     score: float
     trace: list = field(default_factory=list)
+
+
+class Prefix:
+    """One interned search prefix: the empty prefix, or a parent plus one
+    last column.
+
+    A search makes one node per distinct prefix (see PrefixTable), so a
+    node hashes and compares equal by identity.  ``len`` is the number of
+    columns and ``<`` is the lexicographic order of the column tuples,
+    built only when two nodes are compared: the same order as the tuples
+    the search used to key on.
+    """
+
+    __slots__ = ("parent", "last", "length")
+
+    def __init__(self, parent=None, last=None):
+        self.parent = parent
+        self.last = last
+        self.length = 0 if parent is None else parent.length + 1
+
+    def __len__(self):
+        return self.length
+
+    def __lt__(self, other):
+        return self.as_tuple() < other.as_tuple()
+
+    def as_tuple(self):
+        """The prefix's posteriorgram columns, oldest first."""
+        cols = [None] * self.length
+        node = self
+        for i in range(self.length - 1, -1, -1):
+            cols[i] = node.last
+            node = node.parent
+        return tuple(cols)
+
+    def __repr__(self):
+        return f"Prefix{self.as_tuple()}"
+
+
+class PrefixTable:
+    """The child table that interns one search's prefixes: each (parent,
+    column) pair maps to one Prefix, so a prefix reached again comes back
+    as the same node and finds the state kept under it."""
+
+    def __init__(self):
+        self.root = Prefix()
+        self._children = {}
+
+    def child(self, parent, col):
+        """The node of ``parent`` extended by column ``col``."""
+        key = (parent, col)
+        node = self._children.get(key)
+        if node is None:
+            node = self._children[key] = Prefix(parent, col)
+        return node
+
+    def retain(self, live):
+        """Keep only the ``live`` prefixes and their ancestors in the table
+        and return them as a set.  The walk up from each live prefix stops
+        at the first node already kept."""
+        keep = {self.root}
+        for node in live:
+            while node not in keep:
+                keep.add(node)
+                node = node.parent
+        self._children = {(node.parent, node.last): node for node in keep
+                          if node.parent is not None}
+        return keep
+
+    def __iter__(self):
+        """Every non-empty prefix in the table."""
+        return iter(self._children.values())
 
 
 def prefix_score(hyp, alpha0, beta):
@@ -160,24 +240,31 @@ def _rank_key(scores):
     return lambda p: (-scores[p], len(p), p)
 
 
-def prune(hyps, score_fn, size, width):
-    """Keep the top ``size`` by score, then drop anything below max - width.
-
-    Ties break toward shorter, then lexicographically smaller prefixes.
-    """
-    if size < 1:
-        raise ValueError(f"prune size must be >= 1, got {size}")
-    scores = {p: score_fn(h) for p, h in hyps.items()}
-    kept = sorted(hyps, key=_rank_key(scores))[:size]
+def _within(ranked, scores, size, width):
+    """The first ``size`` of ``ranked`` (best first) that score no lower
+    than the best minus ``width``."""
+    kept = ranked[:size]
     if kept:
         cut = scores[kept[0]] - width
         kept = [p for p in kept if not scores[p] < cut]
-    return {p: hyps[p] for p in kept}
+    return kept
 
 
-def top_hypotheses(hyps, score_fn, size):
+def prune(hyps, scores, size, width):
+    """Keep the top ``size`` by score, then drop anything below max - width.
+
+    ``scores`` maps each key of ``hyps`` to its score.  The result is in
+    rank order.  Ties break toward shorter, then lexicographically smaller
+    prefixes.
+    """
+    if size < 1:
+        raise ValueError(f"prune size must be >= 1, got {size}")
+    ranked = sorted(hyps, key=_rank_key(scores))
+    return {p: hyps[p] for p in _within(ranked, scores, size, width)}
+
+
+def top_hypotheses(hyps, scores, size):
     """Keep the top ``size`` by score with the same tie-breaking as prune."""
-    scores = {p: score_fn(h) for p, h in hyps.items()}
     kept = sorted(hyps, key=_rank_key(scores))[:size]
     return {p: hyps[p] for p in kept}
 
@@ -187,15 +274,106 @@ def _format_trace(frame, beams, prefix, phat, pjoint):
     return f"frame={frame} beams={beams} best={ids} p_prfx={phat!r} p_joint={pjoint!r}"
 
 
+class _PrefixBeam:
+    """What the joint and the pure-CTC search share: the carried beam over
+    interned prefixes, the CTC stage of a frame and the carry.
+
+    ``banned_cols`` are posteriorgram columns the search never extends a
+    prefix with.
+    """
+
+    def __init__(self, lm, params, n_cols, banned_cols):
+        self.lm = lm
+        self.params = params
+        self.n_cols = n_cols
+        self._banned_cols = banned_cols
+        self.prefixes = PrefixTable()
+        root = self.prefixes.root
+        self.hyps = {
+            root: Hypothesis(root, p_b=0.0, p_nb=NEG_INF, lm_state=lm.start_state(), lm_logp=0.0)
+        }
+        self.frame = 0
+        self.trace = []
+        self._last_carried = dict(self.hyps)
+        self._last_phat = {root: 0.0}
+
+    def _ctc_stage(self, post_row):
+        """Check a posterior row and count the frame, extend the beam through
+        one CTC step and the LM, and prune by the CTC ranking score.
+
+        Returns the row as floats, every candidate's ranking score (phat),
+        and the candidates within k_size and theta1 (omega_hat) in rank
+        order.
+        """
+        row = np.array(post_row, dtype=np.float64, copy=True)
+        if row.shape != (self.n_cols,):
+            raise ValueError(f"posterior row shape {row.shape}, expected ({self.n_cols},)")
+        check_log_probs(row)
+        self.frame += 1
+        p = self.params
+        row[self._banned_cols] = NEG_INF
+        row = row.tolist()
+        stepped = ctc_prefix_step(row, self.hyps, p.local_threshold, self.prefixes.child)
+        omega_ctc = {}
+        phat = {}
+        for pre, sc in stepped.items():
+            h = self.hyps.get(pre)
+            if h is None:
+                parent = self.hyps[pre.parent]
+                state, inc = self.lm.extend(parent.lm_state, pre.last - 1)
+                h = Hypothesis(pre, sc.p_b, sc.p_nb, state, parent.lm_logp + inc)
+            else:
+                h = Hypothesis(pre, sc.p_b, sc.p_nb, h.lm_state, h.lm_logp)
+            omega_ctc[pre] = h
+            phat[pre] = prefix_score(h, p.alpha0, p.beta)
+        omega_hat = prune(omega_ctc, phat, p.k_size, p.theta1)
+        if not omega_hat:
+            raise RuntimeError("search collapsed")
+        return row, phat, omega_hat
+
+    def _carry(self, omega_hat, top, phat, pjoint):
+        """Carry ``top`` (the top p_size prefixes by pjoint) and then the top
+        p_size of omega_hat within theta2 by phat, trace the frame, and keep
+        only the carried prefixes and their ancestors in the prefix table.
+
+        Returns the set of those prefixes.  omega_hat is in phat rank
+        order, so the second cut needs no sort.  The carried order (top
+        first) is the order the next frame accumulates CTC mass in.
+        """
+        p = self.params
+        kept = {pre: omega_hat[pre] for pre in _within(list(omega_hat), phat, p.p_size, p.theta2)}
+        carried = {pre: omega_hat[pre] for pre in top}
+        carried.update(kept)
+        self.hyps = carried
+        self._last_carried = kept
+        self._last_phat = phat
+        best = min(kept, key=_rank_key(pjoint))
+        self.trace.append(_format_trace(self.frame, len(kept), best.as_tuple(),
+                                        phat[best], pjoint[best]))
+        return self.prefixes.retain(carried)
+
+    @property
+    def best_ctc_partial(self):
+        """Best carried prefix by CTC ranking score, as label ids."""
+        best = min(self._last_carried, key=_rank_key(self._last_phat))
+        return tuple(c - 1 for c in best.as_tuple())
+
+    def _result(self, scores):
+        """The DecodeResult of the last frame's best carried prefix by ``scores``."""
+        best = min(self._last_carried, key=_rank_key(scores))
+        return DecodeResult(tuple(c - 1 for c in best.as_tuple()), float(scores[best]),
+                            list(self.trace))
+
+
 @dataclass
 class _TaEntry:
     logp: float
     nus: tuple
     hist: list  # per-layer attention.KeyValues: self-attention keys and values
-    step: tuple = None  # (nu, child_hist, log_posterior) of the next label, see _next
+    step: tuple = None  # (nu, child_hist, log_posterior) of the next label, see _step
 
 
-class JointSearch:
+class JointSearch(_PrefixBeam):
     """Mutable per-utterance state of the joint decode, advanced frame by frame.
 
     The same object backs offline decoding and streaming sessions; both
@@ -204,66 +382,37 @@ class JointSearch:
     """
 
     def __init__(self, dec, lm, params, n_cols):
-        self.dec = dec
-        self.lm = lm
-        self.params = params
-        self.n_cols = n_cols
         banned = [dec.sos_id + 1]
         if dec.eos_id is not None:
             banned.append(dec.eos_id + 1)
-        self._banned_cols = [c for c in banned if c < n_cols]
-        self.hyps = {
-            (): Hypothesis((), p_b=0.0, p_nb=NEG_INF, lm_state=lm.start_state(), lm_logp=0.0)
-        }
-        self.ta = {(): _TaEntry(0.0, (), dec_mod.empty_history(dec))}
+        super().__init__(lm, params, n_cols, [c for c in banned if c < n_cols])
+        self.dec = dec
+        self.ta = {self.prefixes.root: _TaEntry(0.0, (), dec_mod.empty_history(dec))}
         self.cross = None  # CrossAttentionCache over the encoder rows, from the first frame
-        self.frame = 0
-        self.trace = []
-        self._last_carried = dict(self.hyps)
-        self._last_pjoint = {(): 0.0}
-        self._last_phat = {(): 0.0}
+        self._last_pjoint = {self.prefixes.root: 0.0}
 
     def advance(self, post_row, enc_rows):
         """Process one frame: returns nothing, mutates the beam."""
-        row = np.array(post_row, dtype=np.float64, copy=True)
-        if row.shape != (self.n_cols,):
-            raise ValueError(f"posterior row shape {row.shape}, expected ({self.n_cols},)")
-        check_log_probs(row)
-        self.frame += 1
+        row, phat, omega_hat = self._ctc_stage(post_row)
         n = self.frame
         p = self.params
-        row[self._banned_cols] = NEG_INF
-        row = row.tolist()
         if self.cross is None:
             self.cross = dec_mod.CrossAttentionCache(self.dec, enc_rows)
         self.cross.update(enc_rows)
 
-        prev = {pre: PrefixScores(h.p_b, h.p_nb) for pre, h in self.hyps.items()}
-        stepped = ctc_prefix_step(row, prev, p.local_threshold)
-        omega_ctc = {}
-        for pre, sc in stepped.items():
-            h = self.hyps.get(pre)
-            if h is None:
-                parent = self.hyps[pre[:-1]]
-                state, inc = self.lm.extend(parent.lm_state, pre[-1] - 1)
-                h = Hypothesis(pre, sc.p_b, sc.p_nb, state, parent.lm_logp + inc)
-            else:
-                h = replace(h, p_b=sc.p_b, p_nb=sc.p_nb)
-            omega_ctc[pre] = h
-
-        phat = {pre: prefix_score(h, p.alpha0, p.beta) for pre, h in omega_ctc.items()}
-        omega_hat = prune(omega_ctc, lambda h: phat[h.prefix], p.k_size, p.theta1)
-        if not omega_hat:
-            raise RuntimeError("search collapsed")
-
+        if p.dcond is not None or p.acond is not None:
+            # the hooks see column tuples, built only when a hook is set
+            cols = {pre: pre.as_tuple() for pre in omega_hat}
+            view = {cols[pre]: h for pre, h in omega_hat.items()}
         if p.dcond is not None:
             for pre in omega_hat:
-                if pre and pre in self.ta and p.dcond(pre, omega_hat, n, row):
+                if pre and pre in self.ta and p.dcond(cols[pre], view, n, row):
                     del self.ta[pre]
-
-        targets = [pre for pre in sorted(omega_hat, key=lambda q: (len(q), q))
-                   if pre not in self.ta
-                   and (p.acond is None or p.acond(pre, omega_hat, n, row))]
+        if p.acond is None:
+            targets = [pre for pre in omega_hat if pre not in self.ta]
+        else:
+            targets = [pre for pre in sorted(omega_hat, key=lambda q: (len(q), cols[q]))
+                       if pre not in self.ta and p.acond(cols[pre], view, n, row)]
         self._score_ta(targets, min(n + p.eps_dec, self.cross.enc.shape[0]))
 
         pjoint = {}
@@ -274,20 +423,12 @@ class JointSearch:
                 pjoint[pre] = joint_score(h, p)
             else:
                 h.ta_logp = None
-                parent = self.ta.get(pre[:-1]) if pre else None
+                parent = self.ta.get(pre.parent)
                 pjoint[pre] = joint_score(h, p, parent.logp if parent else None)
 
-        carried = top_hypotheses(omega_hat, lambda h: pjoint[h.prefix], p.p_size)
-        omega_hat = prune(omega_hat, lambda h: phat[h.prefix], p.p_size, p.theta2)
-        carried.update(omega_hat)
-        self.hyps = carried
-        self._evict_ta()
-
-        self._last_carried = omega_hat
+        live = self._carry(omega_hat, top_hypotheses(omega_hat, pjoint, p.p_size), phat, pjoint)
+        self._evict_ta(live)
         self._last_pjoint = pjoint
-        self._last_phat = phat
-        best = min(omega_hat, key=_rank_key(pjoint))
-        self.trace.append(_format_trace(n, len(omega_hat), best, phat[best], pjoint[best]))
 
     def _score_ta(self, targets, nu):
         """Give each of ``targets`` a TA entry at truncation nu, scoring
@@ -296,21 +437,22 @@ class JointSearch:
         Each round creates the entries whose parent has one, after
         stepping all of their distinct parents in one decoder call; a
         later round serves children of entries made this frame (missing
-        ancestors, ``dcond`` re-scoring).
+        ancestors, ``dcond`` re-scoring).  Rows of a batched decoder step
+        do not depend on each other, so the order within a round does not
+        change any score.
         """
         todo = {}
         for pre in targets:
             while pre not in self.ta and pre not in todo:
                 todo[pre] = None
-                pre = pre[:-1]
+                pre = pre.parent
         while todo:
-            ready = sorted((pre for pre in todo if pre[:-1] in self.ta),
-                           key=lambda q: (len(q), q))
-            self._step([pre[:-1] for pre in ready], nu)
+            ready = [pre for pre in todo if pre.parent in self.ta]
+            self._step([pre.parent for pre in ready], nu)
             for pre in ready:
-                parent = self.ta[pre[:-1]]
+                parent = self.ta[pre.parent]
                 _, hist, logpost = parent.step
-                self.ta[pre] = _TaEntry(parent.logp + float(logpost[pre[-1] - 1]),
+                self.ta[pre] = _TaEntry(parent.logp + float(logpost[pre.last - 1]),
                                         parent.nus + (nu,), hist)
                 del todo[pre]
 
@@ -327,30 +469,20 @@ class JointSearch:
         entries = [self.ta[pre] for pre in stale]
         steps = dec_mod.advance_positions(
             self.dec, self.cross, [e.hist for e in entries],
-            [pre[-1] - 1 if pre else self.dec.sos_id for pre in stale],
+            [pre.last - 1 if pre else self.dec.sos_id for pre in stale],
             [len(pre) for pre in stale], nu)
         for entry, (rows, logpost) in zip(entries, steps):
             entry.step = (nu, dec_mod.append_history(entry.hist, rows), logpost)
 
-    def _evict_ta(self):
-        """Keep the entries of live prefixes' ancestors, and only the steps
-        a later frame or finalize can still read: nu never falls below the
-        encoder rows already seen."""
-        keep = set()
-        for pre in self.hyps:
-            for i in range(len(pre) + 1):
-                keep.add(pre[:i])
-        self.ta = {pre: e for pre, e in self.ta.items() if pre in keep}
+    def _evict_ta(self, live):
+        """Keep the entries of ``live`` (the carried prefixes and their
+        ancestors), and only the steps a later frame or finalize can still
+        read: nu never falls below the encoder rows already seen."""
+        self.ta = {pre: e for pre, e in self.ta.items() if pre in live}
         seen = self.cross.enc.shape[0]
         for entry in self.ta.values():
             if entry.step is not None and entry.step[0] < seen:
                 entry.step = None
-
-    @property
-    def best_ctc_partial(self):
-        """Best carried prefix by CTC ranking score, as label ids."""
-        best = min(self._last_carried, key=_rank_key(self._last_phat))
-        return tuple(c - 1 for c in best)
 
     def finalize(self, enc_rows):
         """Pick the joint-score winner of the final frame's carried beam."""
@@ -368,8 +500,7 @@ class JointSearch:
                 eos_logp = float(entry.step[2][self.dec.eos_id])
                 eos_hyp = replace(self._last_carried[pre], ta_logp=entry.logp + eos_logp)
                 scores[pre] = joint_score(eos_hyp, p)
-        best = min(self._last_carried, key=_rank_key(scores))
-        return DecodeResult(tuple(c - 1 for c in best), float(scores[best]), list(self.trace))
+        return self._result(scores)
 
 
 def decode(enc, post, lm, dec, params):
@@ -395,72 +526,32 @@ def decode(enc, post, lm, dec, params):
     return search.finalize(states)
 
 
-class CtcPrefixSearch:
+class CtcPrefixSearch(_PrefixBeam):
     """Pure CTC prefix beam search with the same pruning cascade as the
     joint search but no attention decoder anywhere.
 
     With p_size == k_size and theta2 == theta1 the second prune is a
     no-op and this is a classic single-prune prefix beam search.
+    ``banned_ids`` are label ids the search never emits; each must be an
+    integer in [0, n_cols - 1), else ``ValueError``.
     """
 
     def __init__(self, lm, params, n_cols, banned_ids=()):
-        self.lm = lm
-        self.params = params
-        self.n_cols = n_cols
-        self._banned_cols = [i + 1 for i in banned_ids if i + 1 < n_cols]
-        self.hyps = {
-            (): Hypothesis((), p_b=0.0, p_nb=NEG_INF, lm_state=lm.start_state(), lm_logp=0.0)
-        }
-        self.frame = 0
-        self.trace = []
-        self._last_carried = dict(self.hyps)
-        self._last_phat = {(): 0.0}
+        banned_ids = tuple(banned_ids)
+        for i in banned_ids:
+            if not _is_int(i) or not 0 <= i < n_cols - 1:
+                raise ValueError(f"banned id {i!r} is not a label id in [0, {n_cols - 1})")
+        super().__init__(lm, params, n_cols, [i + 1 for i in banned_ids])
 
     def advance(self, post_row, enc_rows=None):
-        row = np.array(post_row, dtype=np.float64, copy=True)
-        if row.shape != (self.n_cols,):
-            raise ValueError(f"posterior row shape {row.shape}, expected ({self.n_cols},)")
-        check_log_probs(row)
-        self.frame += 1
-        p = self.params
-        row[self._banned_cols] = NEG_INF
-        row = row.tolist()
-        prev = {pre: PrefixScores(h.p_b, h.p_nb) for pre, h in self.hyps.items()}
-        stepped = ctc_prefix_step(row, prev, p.local_threshold)
-        omega_ctc = {}
-        for pre, sc in stepped.items():
-            h = self.hyps.get(pre)
-            if h is None:
-                parent = self.hyps[pre[:-1]]
-                state, inc = self.lm.extend(parent.lm_state, pre[-1] - 1)
-                h = Hypothesis(pre, sc.p_b, sc.p_nb, state, parent.lm_logp + inc)
-            else:
-                h = replace(h, p_b=sc.p_b, p_nb=sc.p_nb)
-            omega_ctc[pre] = h
-        phat = {pre: prefix_score(h, p.alpha0, p.beta) for pre, h in omega_ctc.items()}
-        omega_hat = prune(omega_ctc, lambda h: phat[h.prefix], p.k_size, p.theta1)
-        if not omega_hat:
-            raise RuntimeError("search collapsed")
-        carried = top_hypotheses(omega_hat, lambda h: phat[h.prefix], p.p_size)
-        omega_hat = prune(omega_hat, lambda h: phat[h.prefix], p.p_size, p.theta2)
-        carried.update(omega_hat)
-        self.hyps = carried
-        self._last_carried = omega_hat
-        self._last_phat = phat
-        best = min(omega_hat, key=_rank_key(phat))
-        self.trace.append(_format_trace(self.frame, len(omega_hat), best, phat[best], phat[best]))
-
-    @property
-    def best_ctc_partial(self):
-        best = min(self._last_carried, key=_rank_key(self._last_phat))
-        return tuple(c - 1 for c in best)
+        _, phat, omega_hat = self._ctc_stage(post_row)
+        # omega_hat is in phat order, so its head is the top p_size by phat
+        self._carry(omega_hat, list(omega_hat)[:self.params.p_size], phat, phat)
 
     def finalize(self, enc_rows=None):
         if self.frame == 0:
             return DecodeResult((), 0.0, list(self.trace))
-        scores = {pre: self._last_phat[pre] for pre in self._last_carried}
-        best = min(self._last_carried, key=_rank_key(scores))
-        return DecodeResult(tuple(c - 1 for c in best), float(scores[best]), list(self.trace))
+        return self._result(self._last_phat)
 
 
 def joint_loss(post, enc, y, align, dec, lp):

@@ -294,3 +294,92 @@ def stepwise_ta_with_eos(dec, enc, labels, nus, n_total):
         token = lab
     _, logp = advance_position(dec, enc, hist, token, len(labels), n_total)
     return total + float(logp[dec.eos_id])
+
+
+def _tuple_prefix_step(row, hyps, local_threshold):
+    """One CTC prefix-search frame over tuple prefixes: the package's step
+    as it was before prefixes were interned, kept as the reference."""
+    from streamasr.kernels import log_add
+
+    n_cols = len(row)
+    log_thresh = math.log(local_threshold) if local_threshold > 0 else NEG_INF
+    acc = {}
+
+    def bump(prefix, p_b=NEG_INF, p_nb=NEG_INF):
+        cur = acc.get(prefix)
+        if cur is None:
+            acc[prefix] = [p_b, p_nb]
+        else:
+            cur[0] = log_add(cur[0], p_b)
+            cur[1] = log_add(cur[1], p_nb)
+
+    for prefix, (p_b, p_nb) in hyps.items():
+        total = log_add(p_b, p_nb)
+        bump(prefix, p_b=row[0] + total)
+        last = prefix[-1] if prefix else None
+        for k in range(1, n_cols):
+            lp = row[k]
+            if lp == NEG_INF or lp < log_thresh:
+                continue
+            if k == last:
+                bump(prefix, p_nb=lp + p_nb)
+                bump(prefix + (k,), p_nb=lp + p_b)
+            else:
+                bump(prefix + (k,), p_nb=lp + total)
+    return {p: v for p, v in acc.items() if v[0] != NEG_INF or v[1] != NEG_INF}
+
+
+def tuple_ctc_search(logp, lm, params, banned_ids=()):
+    """Pure-CTC prefix beam search keyed on column tuples, with every score
+    and ranking dict rebuilt per frame: the search as it was before
+    prefixes were interned.  Returns (labels, score, trace lines) with the
+    package's arithmetic and trace format, so a decode must match it bit
+    for bit."""
+    from streamasr.kernels import log_add
+
+    def phat_of(pre, p_b, p_nb, lm_logp):
+        return log_add(p_b, p_nb) + params.alpha0 * lm_logp + params.beta * len(pre)
+
+    def ranked(cands, scores):
+        return sorted(cands, key=lambda p: (-scores[p], len(p), p))
+
+    def prune(cands, scores, size, width):
+        kept = ranked(cands, scores)[:size]
+        if kept:
+            cut = scores[kept[0]] - width
+            kept = [p for p in kept if not scores[p] < cut]
+        return kept
+
+    # prefix -> [p_b, p_nb, lm_state, lm_logp]
+    hyps = {(): [0.0, NEG_INF, lm.start_state(), 0.0]}
+    banned = [i + 1 for i in banned_ids]
+    trace = []
+    last_carried, last_phat = [()], {(): 0.0}
+    for n, row in enumerate(np.asarray(logp, dtype=np.float64), start=1):
+        row = row.copy()
+        row[banned] = NEG_INF
+        row = row.tolist()
+        stepped = _tuple_prefix_step(row, {p: h[:2] for p, h in hyps.items()},
+                                     params.local_threshold)
+        cands = {}
+        for pre, (p_b, p_nb) in stepped.items():
+            h = hyps.get(pre)
+            if h is None:
+                parent = hyps[pre[:-1]]
+                state, inc = lm.extend(parent[2], pre[-1] - 1)
+                cands[pre] = [p_b, p_nb, state, parent[3] + inc]
+            else:
+                cands[pre] = [p_b, p_nb, h[2], h[3]]
+        phat = {pre: phat_of(pre, c[0], c[1], c[3]) for pre, c in cands.items()}
+        omega = prune(cands, phat, params.k_size, params.theta1)
+        top = ranked(omega, phat)[:params.p_size]
+        kept = prune(omega, phat, params.p_size, params.theta2)
+        hyps = {pre: cands[pre] for pre in top}
+        hyps.update((pre, cands[pre]) for pre in kept)
+        last_carried, last_phat = kept, phat
+        best = min(kept, key=lambda p: (-phat[p], len(p), p))
+        ids = ",".join(str(c - 1) for c in best)
+        trace.append(f"frame={n} beams={len(kept)} best={ids} "
+                     f"p_prfx={phat[best]!r} p_joint={phat[best]!r}")
+    best = min(last_carried, key=lambda p: (-last_phat[p], len(p), p))
+    return tuple(c - 1 for c in best), float(last_phat[best]), trace

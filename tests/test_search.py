@@ -25,6 +25,15 @@ def hyp(prefix, p_b, p_nb, lm_logp=0.0, ta=None):
     return Hypothesis(prefix, p_b, p_nb, lm_state=(), lm_logp=lm_logp, ta_logp=ta)
 
 
+def by_columns(prefix_keyed):
+    """A search's prefix-keyed dict (``ta``, ``hyps``) keyed by column tuples."""
+    return {pre.as_tuple(): v for pre, v in prefix_keyed.items()}
+
+
+def scored(hyps, score_fn):
+    return {p: score_fn(h) for p, h in hyps.items()}
+
+
 def decode_setup(seed, n=4, **params_kw):
     m = tiny_model(seed)
     rng = np.random.default_rng(seed + 500)
@@ -73,13 +82,13 @@ def test_prune_width_drops_distant_tail():
     hyps = {(3,): hyp((3,), 0.0, NEG_INF),
             (4,): hyp((4,), -5.0, NEG_INF),
             (3, 4): hyp((3, 4), -20.0, NEG_INF)}
-    kept = prune(hyps, lambda h: log_add(h.p_b, h.p_nb), size=10, width=16.0)
+    kept = prune(hyps, scored(hyps, lambda h: log_add(h.p_b, h.p_nb)), size=10, width=16.0)
     assert set(kept) == {(3,), (4,)}
 
 
 def test_prune_size_keeps_best():
     hyps = {(c,): hyp((c,), -float(c), NEG_INF) for c in (3, 4, 5, 6)}
-    kept = prune(hyps, lambda h: h.p_b, size=2, width=100.0)
+    kept = prune(hyps, scored(hyps, lambda h: h.p_b), size=2, width=100.0)
     assert set(kept) == {(3,), (4,)}
 
 
@@ -87,19 +96,19 @@ def test_prune_tie_breaks_toward_shorter_then_lexicographic():
     hyps = {(4,): hyp((4,), -1.0, NEG_INF),
             (3,): hyp((3,), -1.0, NEG_INF),
             (): hyp((), -1.0, NEG_INF)}
-    kept = prune(hyps, lambda h: h.p_b, size=2, width=50.0)
+    kept = prune(hyps, scored(hyps, lambda h: h.p_b), size=2, width=50.0)
     assert set(kept) == {(), (3,)}
 
 
 def test_prune_keeps_all_neg_inf_rather_than_emptying():
     hyps = {(3,): hyp((3,), NEG_INF, NEG_INF)}
-    kept = prune(hyps, lambda h: log_add(h.p_b, h.p_nb), size=4, width=6.0)
+    kept = prune(hyps, scored(hyps, lambda h: log_add(h.p_b, h.p_nb)), size=4, width=6.0)
     assert set(kept) == {(3,)}
 
 
 def test_top_hypotheses_is_size_only():
     hyps = {(c,): hyp((c,), -float(c), NEG_INF) for c in (3, 4, 5)}
-    assert set(top_hypotheses(hyps, lambda h: h.p_b, 2)) == {(3,), (4,)}
+    assert set(top_hypotheses(hyps, scored(hyps, lambda h: h.p_b), 2)) == {(3,), (4,)}
 
 
 def test_decode_params_validation():
@@ -239,14 +248,15 @@ def test_delete_hook_forces_rescoring_at_later_frame():
                           theta1=1e6, theta2=1e6, local_threshold=0.0)
     search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
     search.advance(post.logp[0], enc)
-    for pre, entry in search.ta.items():
+    for pre, entry in by_columns(search.ta).items():
         if len(pre) == 1:
             target[pre] = entry.nus
     assert target and all(nus == (1,) for nus in target.values())
     search.advance(post.logp[1], enc)
+    ta = by_columns(search.ta)
     for pre in target:
-        if pre in search.ta:
-            assert search.ta[pre].nus == (2,)
+        if pre in ta:
+            assert ta[pre].nus == (2,)
 
 
 def test_skip_hook_falls_back_to_parent_score():
@@ -257,7 +267,7 @@ def test_skip_hook_falls_back_to_parent_score():
     search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
     search.advance(post.logp[0], enc)
     # nothing new was scored: only the root entry remains
-    assert set(search.ta) == {()}
+    assert set(by_columns(search.ta)) == {()}
     for pre, val in search._last_pjoint.items():
         h = search.hyps.get(pre)
         if h is None or not pre:
@@ -290,10 +300,10 @@ def test_ta_cache_holds_only_ancestors_of_live_prefixes():
     for i in range(5):
         search.advance(post.logp[i], enc)
         live = set()
-        for pre in search.hyps:
+        for pre in by_columns(search.hyps):
             for j in range(len(pre) + 1):
                 live.add(pre[:j])
-        assert set(search.ta) <= live
+        assert set(by_columns(search.ta)) <= live
 
 
 def test_loss_params_validation():
@@ -370,10 +380,11 @@ def test_declined_ancestor_is_scored_before_its_child():
     seen_child = False
     for i in range(5):
         search.advance(post.logp[i], enc)
-        for pre, entry in search.ta.items():
+        ta = by_columns(search.ta)
+        for pre, entry in ta.items():
             if len(pre) >= 2:
                 seen_child = True
-                parent = search.ta[pre[:-1]]
+                parent = ta[pre[:-1]]
                 assert parent.nus == entry.nus[:-1]
             labels = [c - 1 for c in pre]
             assert entry.logp == ta_prefix_score(enc, labels, entry.nus, m.decoder)
@@ -512,7 +523,7 @@ def test_rescored_entries_equal_the_truncated_decoder_score():
     for i in range(6):
         search.advance(post.logp[i], enc)
         assert len(search.ta) > 1
-        for pre, entry in search.ta.items():
+        for pre, entry in by_columns(search.ta).items():
             labels = [c - 1 for c in pre]
             assert entry.logp == ta_prefix_score(enc, labels, entry.nus, m.decoder)
     search.finalize(enc)
