@@ -63,7 +63,6 @@ def build_parser():
 
 def _decode_one(path, model, lm, params, args):
     feats = load_features(path)
-    banned = (model.sos_id,) if model.eos_id is None else (model.sos_id, model.eos_id)
     if args.streaming is not None:
         cfg = StreamConfig(eps_enc=args.eps_enc, eps_dec=args.eps_dec,
                            frame_shift_ms=feats.frame_shift_ms)
@@ -75,7 +74,7 @@ def _decode_one(path, model, lm, params, args):
     enc = encode(feats, model.encoder, args.eps_enc)
     post = posteriorgram_from_states(enc.states, model.ctc_w, model.ctc_b)
     if args.ctc_only:
-        return ctc_prefix_search(post, lm, params, banned_ids=banned)
+        return ctc_prefix_search(post, lm, params, banned_ids=model.decoder.reserved_ids)
     return decode(enc, post, lm, model.decoder, params)
 
 

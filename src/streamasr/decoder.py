@@ -65,6 +65,11 @@ class DecoderParams:
     def vocab_size(self):
         return self.embed.shape[0]
 
+    @property
+    def reserved_ids(self):
+        """Label ids no hypothesis emits as a token: <sos>, and <eos> if any."""
+        return (self.sos_id,) if self.eos_id is None else (self.sos_id, self.eos_id)
+
 
 def _enc_matrix(enc):
     return enc.states if isinstance(enc, EncoderStates) else np.asarray(enc)

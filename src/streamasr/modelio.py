@@ -27,9 +27,18 @@ declaring the word-boundary marker used for detokenization; the CTC
 output layer prepends a blank at column 0, so posterior column k maps to
 label id k - 1.  Feature files are ``FEATS v1`` with a frame count, a
 feature width, a frame shift, and float32 rows.
+
+One table, ``_SCHEMA``, names every tensor once: its archive name, the
+dataclass field it fills, its shape in the header dims (and d_k and the
+conv channels ch1, ch2), and its random initializer.  save_model,
+load_model's shape checks and assembly, and random_model all walk it.
+Its row order is random_model's draw order, so reordering rows changes
+every random model's weights (tests pin them by archive hash).
 """
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,7 +84,8 @@ class Vocab:
     def detokenize(self, ids):
         """Label ids -> text: concatenate pieces, then turn the declared
         boundary marker into spaces.  Reserved ids are dropped."""
-        pieces = [self.tokens[i] for i in ids if i not in self.reserved_ids()]
+        reserved = self.reserved_ids()
+        pieces = [self.tokens[i] for i in ids if i not in reserved]
         text = "".join(pieces)
         if self.boundary:
             text = text.replace(self.boundary, " ").strip()
@@ -133,119 +143,142 @@ class ModelParams:
         return self.decoder.eos_id
 
 
-def _conv_len(n):
-    """Output length of one pad-1 kernel-3 stride-2 sweep."""
-    return (n - 1) // 2 + 1
+class _Block(NamedTuple):
+    """A nested dataclass and the schema rows of its fields."""
+
+    cls: type
+    rows: tuple
 
 
-def _mha_tensors(prefix, mha):
-    return {
-        f"{prefix}.w_q": mha.w_q,
-        f"{prefix}.w_k": mha.w_k,
-        f"{prefix}.w_v": mha.w_v,
-        f"{prefix}.w_h": mha.w_h,
-    }
+# The tensor schema.  A row is (archive name, dataclass field, shape,
+# initializer kind) for a tensor, or (name prefix, field, _Block, layer-count
+# dim or None) for a nested block; a counted block repeats as name0., name1.,
+# ...  Shape entries are ints or symbols from _symbols.  Rows are in
+# random_model's draw order; save_model sorts by name, so this order never
+# reaches the archive.
+_MHA = _Block(MhaParams, (
+    ("w_q", "w_q", ("heads", "d_model", "d_k"), "w"),
+    ("w_k", "w_k", ("heads", "d_model", "d_k"), "w"),
+    ("w_v", "w_v", ("heads", "d_model", "d_k"), "w"),
+    ("w_h", "w_h", ("heads*d_k", "d_model"), "w"),
+))
+_CNN = _Block(CnnParams, (
+    ("conv1_w", "conv1_w", ("ch1", 1, 3, 3), "conv"),
+    ("conv1_b", "conv1_b", ("ch1",), "bias"),
+    ("conv2_w", "conv2_w", ("ch2", "ch1", 3, 3), "conv"),
+    ("conv2_b", "conv2_b", ("ch2",), "bias"),
+    ("proj_w", "proj_w", ("ch2*f2", "d_model"), "w"),
+    ("proj_b", "proj_b", ("d_model",), "bias"),
+))
+_ENC_LAYER = _Block(EncoderLayerParams, (
+    ("att.", "mha", _MHA, None),
+    ("norm1_g", "norm1_g", ("d_model",), "gain"),
+    ("norm1_b", "norm1_b", ("d_model",), "bias"),
+    ("ff1_w", "ff1_w", ("d_model", "d_ff"), "w"),
+    ("ff1_b", "ff1_b", ("d_ff",), "bias"),
+    ("ff2_w", "ff2_w", ("d_ff", "d_model"), "w"),
+    ("ff2_b", "ff2_b", ("d_model",), "bias"),
+    ("norm2_g", "norm2_g", ("d_model",), "gain"),
+    ("norm2_b", "norm2_b", ("d_model",), "bias"),
+))
+_DEC_LAYER = _Block(DecoderLayerParams, (
+    ("self_att.", "self_mha", _MHA, None),
+    ("src_att.", "src_mha", _MHA, None),
+    ("norm1_g", "norm1_g", ("d_model",), "gain"),
+    ("norm1_b", "norm1_b", ("d_model",), "bias"),
+    ("norm2_g", "norm2_g", ("d_model",), "gain"),
+    ("norm2_b", "norm2_b", ("d_model",), "bias"),
+    ("norm3_g", "norm3_g", ("d_model",), "gain"),
+    ("norm3_b", "norm3_b", ("d_model",), "bias"),
+    ("ff1_w", "ff1_w", ("d_model", "d_ff"), "w"),
+    ("ff1_b", "ff1_b", ("d_ff",), "bias"),
+    ("ff2_w", "ff2_w", ("d_ff", "d_model"), "w"),
+    ("ff2_b", "ff2_b", ("d_model",), "bias"),
+))
+_SCHEMA = (
+    ("", "encoder", _Block(EncoderParams, (
+        ("cnn.", "cnn", _CNN, None),
+        ("enc.layer", "layers", _ENC_LAYER, "e_layers"),
+        ("enc.final_norm_g", "final_norm_g", ("d_model",), "gain"),
+        ("enc.final_norm_b", "final_norm_b", ("d_model",), "bias"),
+    )), None),
+    ("dec.", "decoder", _Block(DecoderParams, (
+        ("embed", "embed", ("vocab", "d_model"), "embed"),
+        ("layer", "layers", _DEC_LAYER, "d_layers"),
+        ("final_norm_g", "final_norm_g", ("d_model",), "gain"),
+        ("final_norm_b", "final_norm_b", ("d_model",), "bias"),
+        ("out_w", "out_w", ("d_model", "vocab"), "w"),
+        ("out_b", "out_b", ("vocab",), "bias"),
+    )), None),
+    ("ctc.w", "ctc_w", ("d_model", "vocab+1"), "w"),
+    ("ctc.b", "ctc_b", ("vocab+1",), "bias"),
+)
+
+# initializer kind -> (low, high, fan-in of a shape or None): uniform draws,
+# divided by sqrt(fan-in) where one is given
+_INITS = {
+    "w": (-1.0, 1.0, lambda s: s[-2]),
+    "conv": (-1.0, 1.0, lambda s: 9 * s[1]),
+    "gain": (0.5, 1.5, None),
+    "bias": (-0.1, 0.1, None),
+    "embed": (-1.0, 1.0, None),
+}
+
+# header dimension -> ModelParams field, in header order
+_DIMS = {"e_layers": "e_layers", "d_layers": "d_layers", "d_model": "d_model", "d_ff": "d_ff",
+         "heads": "heads", "vocab": "vocab_size", "d_feat": "d_feat"}
+_POSITIVE_DIMS = ("d_model", "vocab", "d_feat")  # the others may be 0
 
 
-def _model_tensors(m):
-    t = {
-        "cnn.conv1_w": m.encoder.cnn.conv1_w,
-        "cnn.conv1_b": m.encoder.cnn.conv1_b,
-        "cnn.conv2_w": m.encoder.cnn.conv2_w,
-        "cnn.conv2_b": m.encoder.cnn.conv2_b,
-        "cnn.proj_w": m.encoder.cnn.proj_w,
-        "cnn.proj_b": m.encoder.cnn.proj_b,
-        "enc.final_norm_g": m.encoder.final_norm_g,
-        "enc.final_norm_b": m.encoder.final_norm_b,
-        "dec.embed": m.decoder.embed,
-        "dec.final_norm_g": m.decoder.final_norm_g,
-        "dec.final_norm_b": m.decoder.final_norm_b,
-        "dec.out_w": m.decoder.out_w,
-        "dec.out_b": m.decoder.out_b,
-        "ctc.w": m.ctc_w,
-        "ctc.b": m.ctc_b,
-    }
-    for i, lay in enumerate(m.encoder.layers):
-        p = f"enc.layer{i}"
-        t.update(_mha_tensors(f"{p}.att", lay.mha))
-        t.update({
-            f"{p}.norm1_g": lay.norm1_g, f"{p}.norm1_b": lay.norm1_b,
-            f"{p}.ff1_w": lay.ff1_w, f"{p}.ff1_b": lay.ff1_b,
-            f"{p}.ff2_w": lay.ff2_w, f"{p}.ff2_b": lay.ff2_b,
-            f"{p}.norm2_g": lay.norm2_g, f"{p}.norm2_b": lay.norm2_b,
-        })
-    for i, lay in enumerate(m.decoder.layers):
-        p = f"dec.layer{i}"
-        t.update(_mha_tensors(f"{p}.self_att", lay.self_mha))
-        t.update(_mha_tensors(f"{p}.src_att", lay.src_mha))
-        t.update({
-            f"{p}.norm1_g": lay.norm1_g, f"{p}.norm1_b": lay.norm1_b,
-            f"{p}.norm2_g": lay.norm2_g, f"{p}.norm2_b": lay.norm2_b,
-            f"{p}.norm3_g": lay.norm3_g, f"{p}.norm3_b": lay.norm3_b,
-            f"{p}.ff1_w": lay.ff1_w, f"{p}.ff1_b": lay.ff1_b,
-            f"{p}.ff2_w": lay.ff2_w, f"{p}.ff2_b": lay.ff2_b,
-        })
-    return t
+def _symbols(dims, ch1, ch2):
+    """Shape symbol -> size.  Compound symbols are computed here once, so
+    the walk resolves every shape by lookup."""
+    d_k = dims["d_model"] // dims["heads"]
+    f2 = (dims["d_feat"] - 1) // 4 + 1  # feature bins after two pad-1 kernel-3 stride-2 convs
+    return {**dims, "d_k": d_k, "ch1": ch1, "ch2": ch2, "heads*d_k": dims["heads"] * d_k,
+            "ch2*f2": ch2 * f2, "vocab+1": dims["vocab"] + 1}
 
 
-def _expected_shapes(dims, ch1, ch2):
-    d_model, d_ff, heads = dims["d_model"], dims["d_ff"], dims["heads"]
-    vocab, d_feat = dims["vocab"], dims["d_feat"]
-    d_k = d_model // heads
-    f2 = _conv_len(_conv_len(d_feat))
-    exp = {
-        "cnn.conv1_w": (ch1, 1, 3, 3),
-        "cnn.conv1_b": (ch1,),
-        "cnn.conv2_w": (ch2, ch1, 3, 3),
-        "cnn.conv2_b": (ch2,),
-        "cnn.proj_w": (ch2 * f2, d_model),
-        "cnn.proj_b": (d_model,),
-        "enc.final_norm_g": (d_model,),
-        "enc.final_norm_b": (d_model,),
-        "dec.embed": (vocab, d_model),
-        "dec.final_norm_g": (d_model,),
-        "dec.final_norm_b": (d_model,),
-        "dec.out_w": (d_model, vocab),
-        "dec.out_b": (vocab,),
-        "ctc.w": (d_model, vocab + 1),
-        "ctc.b": (vocab + 1,),
-    }
-    mha = {"w_q": (heads, d_model, d_k), "w_k": (heads, d_model, d_k),
-           "w_v": (heads, d_model, d_k), "w_h": (heads * d_k, d_model)}
-    for i in range(dims["e_layers"]):
-        p = f"enc.layer{i}"
-        for k, s in mha.items():
-            exp[f"{p}.att.{k}"] = s
-        exp.update({
-            f"{p}.norm1_g": (d_model,), f"{p}.norm1_b": (d_model,),
-            f"{p}.ff1_w": (d_model, d_ff), f"{p}.ff1_b": (d_ff,),
-            f"{p}.ff2_w": (d_ff, d_model), f"{p}.ff2_b": (d_model,),
-            f"{p}.norm2_g": (d_model,), f"{p}.norm2_b": (d_model,),
-        })
-    for i in range(dims["d_layers"]):
-        p = f"dec.layer{i}"
-        for a in ("self_att", "src_att"):
-            for k, s in mha.items():
-                exp[f"{p}.{a}.{k}"] = s
-        exp.update({
-            f"{p}.norm1_g": (d_model,), f"{p}.norm1_b": (d_model,),
-            f"{p}.norm2_g": (d_model,), f"{p}.norm2_b": (d_model,),
-            f"{p}.norm3_g": (d_model,), f"{p}.norm3_b": (d_model,),
-            f"{p}.ff1_w": (d_model, d_ff), f"{p}.ff1_b": (d_ff,),
-            f"{p}.ff2_w": (d_ff, d_model), f"{p}.ff2_b": (d_model,),
-        })
-    return exp
+def _build(rows, prefix, sym, leaf):
+    """Walk rows in draw order, ``leaf(name, shape, init)`` supplying each
+    tensor; returns the block's field values."""
+    fields = {}
+    for name, fld, spec, arg in rows:
+        name = prefix + name
+        if type(spec) is not _Block:
+            fields[fld] = leaf(name, tuple(sym.get(d, d) for d in spec), arg)
+        elif arg is None:
+            fields[fld] = spec.cls(**_build(spec.rows, name, sym, leaf))
+        else:
+            fields[fld] = [spec.cls(**_build(spec.rows, f"{name}{i}.", sym, leaf))
+                           for i in range(sym[arg])]
+    return fields
 
 
-_DIM_KEYS = ("e_layers", "d_layers", "d_model", "d_ff", "heads", "vocab", "d_feat")
+def _model(dims, sos_id, eos_id, sym, leaf):
+    """ModelParams with header dims, reserved ids, and tensors from ``leaf``."""
+    fields = _build(_SCHEMA, "", sym, leaf)
+    fields["decoder"].sos_id, fields["decoder"].eos_id = sos_id, eos_id
+    return ModelParams(**{fld: dims[k] for k, fld in _DIMS.items()}, **fields)
+
+
+def _tensors(rows, prefix, obj):
+    """(archive name, array) for every tensor of obj, a block of rows."""
+    for name, fld, spec, arg in rows:
+        val = getattr(obj, fld)
+        if type(spec) is not _Block:
+            yield prefix + name, val
+        elif arg is None:
+            yield from _tensors(spec.rows, prefix + name, val)
+        else:
+            for i, sub in enumerate(val):
+                yield from _tensors(spec.rows, f"{prefix}{name}{i}.", sub)
 
 
 def save_model(path, m):
-    tensors = {k: np.ascontiguousarray(v, dtype=np.float32) for k, v in _model_tensors(m).items()}
-    dims = {"e_layers": m.e_layers, "d_layers": m.d_layers, "d_model": m.d_model,
-            "d_ff": m.d_ff, "heads": m.heads, "vocab": m.vocab_size, "d_feat": m.d_feat}
+    tensors = {k: np.ascontiguousarray(v, dtype=np.float32) for k, v in _tensors(_SCHEMA, "", m)}
     lines = [MODEL_MAGIC]
-    lines += [f"{k} {dims[k]}" for k in _DIM_KEYS]
+    lines += [f"{k} {getattr(m, fld)}" for k, fld in _DIMS.items()]
     lines.append(f"sos_id {m.sos_id}")
     lines.append(f"eos_id {'none' if m.eos_id is None else m.eos_id}")
     names = sorted(tensors)
@@ -265,29 +298,29 @@ def _read_header_line(f, path):
     return raw[:-1].decode("ascii")
 
 
+def _header_value(f, path, key):
+    """The value of the next header line, which must be ``key value``."""
+    k, _, v = _read_header_line(f, path).partition(" ")
+    if k != key:
+        raise ValueError(f"{path}: expected {key!r} line, got {k!r}")
+    return v
+
+
 def load_model(path):
     with open(path, "rb") as f:
         if _read_header_line(f, path) != MODEL_MAGIC:
             raise ValueError(f"{path}: bad magic, expected {MODEL_MAGIC!r}")
         dims = {}
-        for key in _DIM_KEYS:
-            k, _, v = _read_header_line(f, path).partition(" ")
-            if k != key:
-                raise ValueError(f"{path}: expected dimension {key!r}, got {k!r}")
-            dims[key] = int(v)
-        k, _, v = _read_header_line(f, path).partition(" ")
-        if k != "sos_id":
-            raise ValueError(f"{path}: expected sos_id, got {k!r}")
-        sos_id = int(v)
-        k, _, v = _read_header_line(f, path).partition(" ")
-        if k != "eos_id":
-            raise ValueError(f"{path}: expected eos_id, got {k!r}")
-        eos_id = None if v == "none" else int(v)
-        k, _, v = _read_header_line(f, path).partition(" ")
-        if k != "tensors":
-            raise ValueError(f"{path}: expected tensor count, got {k!r}")
+        for key in _DIMS:
+            dims[key] = n = int(_header_value(f, path, key))
+            least = 1 if key in _POSITIVE_DIMS else 0
+            if n < least:
+                raise ValueError(f"{path}: dimension {key} is {n}, must be at least {least}")
+        sos_id = int(_header_value(f, path, "sos_id"))
+        eos_id = _header_value(f, path, "eos_id")
+        eos_id = None if eos_id == "none" else int(eos_id)
         shapes = {}
-        for _ in range(int(v)):
+        for _ in range(int(_header_value(f, path, "tensors"))):
             name, _, dimtxt = _read_header_line(f, path).partition(" ")
             if name in shapes:
                 raise ValueError(f"{path}: duplicate tensor {name}")
@@ -306,9 +339,9 @@ def load_model(path):
     for conv in ("cnn.conv1_w", "cnn.conv2_w"):
         if conv not in shapes:
             raise ValueError(f"{path}: missing tensor {conv}")
-    ch1 = shapes["cnn.conv1_w"][0]
-    ch2 = shapes["cnn.conv2_w"][0]
-    expected = _expected_shapes(dims, ch1, ch2)
+    sym = _symbols(dims, shapes["cnn.conv1_w"][0], shapes["cnn.conv2_w"][0])
+    expected = {}
+    _build(_SCHEMA, "", sym, lambda name, shape, _: expected.setdefault(name, shape))
     for name in sorted(expected):
         if name not in shapes:
             raise ValueError(f"{path}: missing tensor {name}")
@@ -320,67 +353,19 @@ def load_model(path):
                 f"{path}: tensor {name}: shape {shapes[name]} != expected {expected[name]}"
             )
 
-    total = sum(int(np.prod(s)) * 4 for s in shapes.values())
+    sizes = {name: math.prod(shape) for name, shape in shapes.items()}
+    total = 4 * sum(sizes.values())
     if len(payload) != total:
         raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {total}")
     tensors = {}
     off = 0
     for name in sorted(shapes):
-        n = int(np.prod(shapes[name])) * 4
-        tensors[name] = np.frombuffer(payload, "<f4", n // 4, off).reshape(shapes[name]).copy()
+        tensors[name] = np.frombuffer(payload, "<f4", sizes[name], off).reshape(shapes[name]).copy()
         # Read-only: decoders derive projection caches from these weights,
         # and sessions sharing a model must not see it change under them.
         tensors[name].setflags(write=False)
-        off += n
-
-    def mha(prefix):
-        return MhaParams(
-            w_q=tensors[f"{prefix}.w_q"], w_k=tensors[f"{prefix}.w_k"],
-            w_v=tensors[f"{prefix}.w_v"], w_h=tensors[f"{prefix}.w_h"],
-        )
-
-    enc_layers = [
-        EncoderLayerParams(
-            mha=mha(f"enc.layer{i}.att"),
-            norm1_g=tensors[f"enc.layer{i}.norm1_g"], norm1_b=tensors[f"enc.layer{i}.norm1_b"],
-            ff1_w=tensors[f"enc.layer{i}.ff1_w"], ff1_b=tensors[f"enc.layer{i}.ff1_b"],
-            ff2_w=tensors[f"enc.layer{i}.ff2_w"], ff2_b=tensors[f"enc.layer{i}.ff2_b"],
-            norm2_g=tensors[f"enc.layer{i}.norm2_g"], norm2_b=tensors[f"enc.layer{i}.norm2_b"],
-        )
-        for i in range(dims["e_layers"])
-    ]
-    dec_layers = [
-        DecoderLayerParams(
-            self_mha=mha(f"dec.layer{i}.self_att"), src_mha=mha(f"dec.layer{i}.src_att"),
-            norm1_g=tensors[f"dec.layer{i}.norm1_g"], norm1_b=tensors[f"dec.layer{i}.norm1_b"],
-            norm2_g=tensors[f"dec.layer{i}.norm2_g"], norm2_b=tensors[f"dec.layer{i}.norm2_b"],
-            norm3_g=tensors[f"dec.layer{i}.norm3_g"], norm3_b=tensors[f"dec.layer{i}.norm3_b"],
-            ff1_w=tensors[f"dec.layer{i}.ff1_w"], ff1_b=tensors[f"dec.layer{i}.ff1_b"],
-            ff2_w=tensors[f"dec.layer{i}.ff2_w"], ff2_b=tensors[f"dec.layer{i}.ff2_b"],
-        )
-        for i in range(dims["d_layers"])
-    ]
-    encoder = EncoderParams(
-        cnn=CnnParams(
-            conv1_w=tensors["cnn.conv1_w"], conv1_b=tensors["cnn.conv1_b"],
-            conv2_w=tensors["cnn.conv2_w"], conv2_b=tensors["cnn.conv2_b"],
-            proj_w=tensors["cnn.proj_w"], proj_b=tensors["cnn.proj_b"],
-        ),
-        layers=enc_layers,
-        final_norm_g=tensors["enc.final_norm_g"], final_norm_b=tensors["enc.final_norm_b"],
-    )
-    decoder = DecoderParams(
-        embed=tensors["dec.embed"], layers=dec_layers,
-        final_norm_g=tensors["dec.final_norm_g"], final_norm_b=tensors["dec.final_norm_b"],
-        out_w=tensors["dec.out_w"], out_b=tensors["dec.out_b"],
-        sos_id=sos_id, eos_id=eos_id,
-    )
-    return ModelParams(
-        d_feat=dims["d_feat"], d_model=dims["d_model"], d_ff=dims["d_ff"],
-        heads=dims["heads"], e_layers=dims["e_layers"], d_layers=dims["d_layers"],
-        vocab_size=dims["vocab"], encoder=encoder, decoder=decoder,
-        ctc_w=tensors["ctc.w"], ctc_b=tensors["ctc.b"],
-    )
+        off += 4 * sizes[name]
+    return _model(dims, sos_id, eos_id, sym, lambda name, _shape, _init: tensors[name])
 
 
 # ---------------------------------------------------------------- features
@@ -430,60 +415,14 @@ def random_model(seed, d_feat=8, d_model=16, d_ff=32, heads=4, e_layers=2,
         ch2 = max(1, d_model // 2)
     rng = np.random.default_rng(seed)
 
-    def w(*shape):
-        fan = shape[-2] if len(shape) > 1 else shape[0]
-        return (rng.uniform(-1.0, 1.0, shape) / np.sqrt(fan)).astype(np.float32)
+    def draw(name, shape, init):
+        low, high, fan_in = _INITS[init]
+        x = rng.uniform(low, high, shape)
+        return (x if fan_in is None else x / np.sqrt(fan_in(shape))).astype(np.float32)
 
-    def gain(n):
-        return rng.uniform(0.5, 1.5, n).astype(np.float32)
-
-    def bias(n):
-        return rng.uniform(-0.1, 0.1, n).astype(np.float32)
-
-    d_k = d_model // heads
-
-    def mha():
-        return MhaParams(w_q=w(heads, d_model, d_k), w_k=w(heads, d_model, d_k),
-                         w_v=w(heads, d_model, d_k), w_h=w(heads * d_k, d_model))
-
-    def conv(out_ch, in_ch):
-        return (rng.uniform(-1.0, 1.0, (out_ch, in_ch, 3, 3)) / np.sqrt(9 * in_ch)).astype(np.float32)
-
-    f2 = _conv_len(_conv_len(d_feat))
-    encoder = EncoderParams(
-        cnn=CnnParams(conv1_w=conv(ch1, 1), conv1_b=bias(ch1),
-                      conv2_w=conv(ch2, ch1), conv2_b=bias(ch2),
-                      proj_w=w(ch2 * f2, d_model), proj_b=bias(d_model)),
-        layers=[
-            EncoderLayerParams(mha=mha(), norm1_g=gain(d_model), norm1_b=bias(d_model),
-                               ff1_w=w(d_model, d_ff), ff1_b=bias(d_ff),
-                               ff2_w=w(d_ff, d_model), ff2_b=bias(d_model),
-                               norm2_g=gain(d_model), norm2_b=bias(d_model))
-            for _ in range(e_layers)
-        ],
-        final_norm_g=gain(d_model), final_norm_b=bias(d_model),
-    )
-    decoder = DecoderParams(
-        embed=rng.uniform(-1.0, 1.0, (vocab_size, d_model)).astype(np.float32),
-        layers=[
-            DecoderLayerParams(self_mha=mha(), src_mha=mha(),
-                               norm1_g=gain(d_model), norm1_b=bias(d_model),
-                               norm2_g=gain(d_model), norm2_b=bias(d_model),
-                               norm3_g=gain(d_model), norm3_b=bias(d_model),
-                               ff1_w=w(d_model, d_ff), ff1_b=bias(d_ff),
-                               ff2_w=w(d_ff, d_model), ff2_b=bias(d_model))
-            for _ in range(d_layers)
-        ],
-        final_norm_g=gain(d_model), final_norm_b=bias(d_model),
-        out_w=w(d_model, vocab_size), out_b=bias(vocab_size),
-        sos_id=0, eos_id=1 if with_eos else None,
-    )
-    return ModelParams(
-        d_feat=d_feat, d_model=d_model, d_ff=d_ff, heads=heads,
-        e_layers=e_layers, d_layers=d_layers, vocab_size=vocab_size,
-        encoder=encoder, decoder=decoder,
-        ctc_w=w(d_model, vocab_size + 1), ctc_b=bias(vocab_size + 1),
-    )
+    dims = {"e_layers": e_layers, "d_layers": d_layers, "d_model": d_model, "d_ff": d_ff,
+            "heads": heads, "vocab": vocab_size, "d_feat": d_feat}
+    return _model(dims, 0, 1 if with_eos else None, _symbols(dims, ch1, ch2), draw)
 
 
 def random_features(seed, t, d_feat, frame_shift_ms=10.0):

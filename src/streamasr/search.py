@@ -382,10 +382,7 @@ class JointSearch(_PrefixBeam):
     """
 
     def __init__(self, dec, lm, params, n_cols):
-        banned = [dec.sos_id + 1]
-        if dec.eos_id is not None:
-            banned.append(dec.eos_id + 1)
-        super().__init__(lm, params, n_cols, [c for c in banned if c < n_cols])
+        super().__init__(lm, params, n_cols, [i + 1 for i in dec.reserved_ids if i + 1 < n_cols])
         self.dec = dec
         self.ta = {self.prefixes.root: _TaEntry(0.0, (), dec_mod.empty_history(dec))}
         self.cross = None  # CrossAttentionCache over the encoder rows, from the first frame

@@ -80,10 +80,7 @@ class StreamingSession:
         self.params = replace(decode_params, eps_dec=config.eps_dec)
         n_cols = model.ctc_b.shape[0]
         if ctc_only:
-            banned = [model.decoder.sos_id]
-            if model.decoder.eos_id is not None:
-                banned.append(model.decoder.eos_id)
-            self.search = CtcPrefixSearch(lm, self.params, n_cols, banned)
+            self.search = CtcPrefixSearch(lm, self.params, n_cols, model.decoder.reserved_ids)
         else:
             self.search = JointSearch(model.decoder, lm, self.params, n_cols)
         self.closed = False

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamasr.encoder import FeatureMatrix
 from streamasr.modelio import (EOS_TOKEN, SOS_TOKEN, Vocab, load_features,
@@ -115,6 +118,49 @@ def test_model_archive_error_paths(tmp_path):
     bad.write_bytes(raw.replace(b"\nheads 2\n", b"\nheads 0\n", 1))
     with pytest.raises(ValueError, match="heads 0"):
         load_model(bad)
+
+    # degenerate dimensions are rejected by name, even with matching tensors
+    save_model(bad, random_model(147, d_model=0, heads=1))
+    with pytest.raises(ValueError, match="dimension d_model is 0"):
+        load_model(bad)
+    save_model(bad, random_model(148, e_layers=-3))
+    with pytest.raises(ValueError, match="dimension e_layers is -3"):
+        load_model(bad)
+
+
+# sha256 of save_model(random_model(seed, **kw)): a change to random_model's
+# draw order or initializers, or to the archive format, changes these
+GOLDEN_ARCHIVES = [
+    (0, {}, "9c3a6107e9531c0bec17180308a055dd56c935c026dda5b8a0d8de0b2a448d79"),
+    (1, dict(d_feat=40, d_model=64, d_ff=256, heads=4, e_layers=6, d_layers=2, vocab_size=30),
+     "45835f77d5956d650347ac4072cf76cdbd7a501583342e171e3df69ad7e4d6ba"),
+    (2, dict(with_eos=False), "2627e29eeab17864fbb7c73a05499580fb04d87d7b25245001678ce573d66610"),
+    (3, dict(ch1=3, ch2=5, e_layers=0, d_layers=0),
+     "927ecf3a182c7ea8e44856ca8d0425986db4635ec3ecea2a675c2d47b5b3dab7"),
+]
+
+
+@pytest.mark.parametrize("seed,kw,digest", GOLDEN_ARCHIVES)
+def test_random_model_archive_bytes_are_pinned(tmp_path, seed, kw, digest):
+    p = tmp_path / "m.model"
+    save_model(p, random_model(seed, **kw))
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d_feat=st.integers(0, 7).map(lambda n: 2 * n + 1),
+       heads=st.sampled_from([1, 2, 4]), d_k=st.integers(1, 3), d_ff=st.integers(1, 8),
+       e_layers=st.integers(0, 2), d_layers=st.integers(0, 2), vocab_size=st.integers(2, 6),
+       with_eos=st.booleans())
+def test_random_model_archives_load_and_round_trip(tmp_path_factory, seed, d_feat, heads, d_k,
+                                                   d_ff, e_layers, d_layers, vocab_size, with_eos):
+    d = tmp_path_factory.mktemp("rt")
+    m = random_model(seed, d_feat=d_feat, d_model=heads * d_k, d_ff=d_ff, heads=heads,
+                     e_layers=e_layers, d_layers=d_layers, vocab_size=vocab_size,
+                     with_eos=with_eos)
+    save_model(d / "a.model", m)
+    save_model(d / "b.model", load_model(d / "a.model"))
+    assert (d / "a.model").read_bytes() == (d / "b.model").read_bytes()
 
 
 def test_model_without_eos_round_trips(tmp_path):
