@@ -1,10 +1,17 @@
 """Scaled dot-product and multi-head attention with boolean masks.
 
 A mask entry ``mask[i, j] == True`` allows query row i to attend to
-key/value row j.  Disallowed positions carry exactly zero weight: each
-query row gathers its allowed keys and runs softmax over that compact
-set, so perturbing a disallowed row can never change the output, not
-even in the last bit.
+key/value row j; one (queries, keys) mask serves every head.  Disallowed
+positions carry exactly zero weight: each query row's allowed keys are
+gathered and softmax runs over that compact set, so perturbing a
+disallowed row can never change the output, not even in the last bit.
+
+Projected keys and values are stored head-major, (heads, rows, d), and a
+block makes one :func:`scaled_dot_attention` call for all its heads.
+That call gathers the allowed rows of each group of equal mask rows as a
+C-contiguous copy and scores every (head, row) of the group in one
+stacked product.  Its output is bit-identical to computing each head and
+query row alone on its gathered rows; the copy is part of that contract.
 """
 
 import math
@@ -27,10 +34,6 @@ class MhaParams:
     w_k: np.ndarray
     w_v: np.ndarray
     w_h: np.ndarray
-
-    @property
-    def head_count(self):
-        return self.w_q.shape[0]
 
     def validate(self, d_model):
         h, dm, d_k = self.w_q.shape
@@ -79,57 +82,67 @@ def truncation_mask(limits, n_k):
 def scaled_dot_attention(q, k, v, mask):
     """Softmax(q k^T / sqrt(d_k)) v, restricted to mask-allowed positions.
 
-    Computed one query row at a time over the gathered allowed keys, so a
-    row's result is a pure function of its own query, its allowed
-    key/value rows and nothing else.
+    q (..., B, d), k (..., n, d) and v (..., n, d_v) may carry leading
+    head axes; the one (B, n) mask is shared by every head.  Query rows
+    with equal mask rows form a group.  A group gathers its allowed
+    key/value rows once, as C-contiguous copies, scores them with one
+    stacked matrix-vector product per (head, row) and takes the softmax
+    over that compact set, so a row's result is a pure function of its
+    own query and its allowed key/value rows, bit for bit the same as
+    computing that row and head alone.  The gathered copy is part of that
+    contract: vector products over strided views can round differently.
     """
     q = np.asarray(q)
     k = np.asarray(k)
     v = np.asarray(v)
     mask = np.asarray(mask)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ValueError("scaled_dot_attention expects matrices")
-    if q.shape[1] != k.shape[1]:
-        raise ValueError(f"query width {q.shape[1]} != key width {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ValueError(f"key rows {k.shape[0]} != value rows {v.shape[0]}")
-    if mask.shape != (q.shape[0], k.shape[0]):
-        raise ValueError(f"mask shape {mask.shape}, expected {(q.shape[0], k.shape[0])}")
-    scale = 1.0 / math.sqrt(q.shape[1])
-    out = np.empty((q.shape[0], v.shape[1]), dtype=np.result_type(q, v))
-    for i in range(q.shape[0]):
-        idx = np.flatnonzero(mask[i])
+    if q.ndim < 2 or k.ndim != q.ndim or v.ndim != q.ndim:
+        raise ValueError("scaled_dot_attention expects matrices with equal leading axes")
+    if q.shape[:-2] != k.shape[:-2] or k.shape[:-2] != v.shape[:-2]:
+        raise ValueError(f"head axes differ: q {q.shape}, k {k.shape}, v {v.shape}")
+    if q.shape[-1] != k.shape[-1]:
+        raise ValueError(f"query width {q.shape[-1]} != key width {k.shape[-1]}")
+    if k.shape[-2] != v.shape[-2]:
+        raise ValueError(f"key rows {k.shape[-2]} != value rows {v.shape[-2]}")
+    if mask.shape != (q.shape[-2], k.shape[-2]):
+        raise ValueError(f"mask shape {mask.shape}, expected {(q.shape[-2], k.shape[-2])}")
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    out = np.empty(q.shape[:-1] + v.shape[-1:], dtype=np.result_type(q, v))
+    groups = {}
+    for i, row in enumerate(mask):
+        groups.setdefault(row.tobytes(), []).append(i)
+    for rows in groups.values():
+        idx = np.flatnonzero(mask[rows[0]])
         if idx.size == 0:
             raise ValueError("empty attention row")
-        logits = (k[idx] @ q[i]) * scale
-        e = np.exp(logits - logits.max())
-        out[i] = (e / e.sum()) @ v[idx]
+        kg = np.take(k, idx, axis=-2)
+        vg = np.take(v, idx, axis=-2)
+        qg = np.take(q, rows, axis=-2)
+        logits = np.matmul(kg[..., None, :, :], qg[..., None])[..., 0] * scale
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        out[..., rows, :] = np.matmul(p[..., None, :], vg[..., None, :, :])[..., 0, :]
     return out
 
 
 def project_heads(x, w):
-    """Rows of x projected by every head of w (heads, d_model, d), side by side.
+    """Rows of x projected by every head of w (heads, d_model, d).
 
-    Returns a (rows, heads * d) matrix whose columns h*d:(h+1)*d hold head
-    h.  Each row depends only on its own input row, so rows projected one
-    at a time and stored are bit-identical to rows projected together.
+    Returns a head-major (heads, rows, d) array.  Each row depends only on
+    its own input row, so rows projected one at a time and stored are
+    bit-identical to rows projected together.
     """
-    return np.concatenate([kernels.matmul(x, w[h]) for h in range(w.shape[0])], axis=1)
+    return np.stack([kernels.matmul(x, w[h]) for h in range(w.shape[0])])
 
 
 def attend(q_in, keys, values, params, mask):
-    """Multi-head attention over keys and values already projected by
-    :func:`project_heads` with ``params.w_k`` and ``params.w_v``."""
-    h_count = params.head_count
-    d_k = keys.shape[1] // h_count
-    d_v = values.shape[1] // h_count
-    heads = [
-        scaled_dot_attention(kernels.matmul(q_in, params.w_q[h]),
-                             keys[:, h * d_k:(h + 1) * d_k],
-                             values[:, h * d_v:(h + 1) * d_v], mask)
-        for h in range(h_count)
-    ]
-    return kernels.matmul(np.concatenate(heads, axis=1), params.w_h)
+    """Multi-head attention over head-major keys and values already
+    projected by :func:`project_heads` with ``params.w_k`` and
+    ``params.w_v``: one :func:`scaled_dot_attention` call for all heads,
+    whose outputs are concatenated head by head and projected."""
+    heads = scaled_dot_attention(project_heads(q_in, params.w_q), keys, values, mask)
+    h_count, b, d_v = heads.shape
+    return kernels.matmul(heads.transpose(1, 0, 2).reshape(b, h_count * d_v), params.w_h)
 
 
 def multi_head_attention(q_in, k_in, v_in, params, mask):
@@ -142,11 +155,13 @@ def multi_head_attention(q_in, k_in, v_in, params, mask):
 class KeyValues:
     """Attention keys and values of consecutive rows, projected once.
 
-    keys, values: (rows, heads * d) matrices in :func:`project_heads`
-    layout.  ``shape`` is the key matrix's, so ``shape[0]`` counts rows.
-    Each user keeps one per attention layer: the incremental encoder for
-    its rows so far, a decoder history for its positions, and the
-    decoder's cross-attention cache for the encoder rows.
+    keys, values: head-major (heads, rows, d) arrays, as
+    :func:`project_heads` returns them, so :func:`attend` hands all heads
+    to one :func:`scaled_dot_attention` call.  ``shape`` is that of the
+    (rows, heads * d) matrix of the heads side by side.  Each user keeps
+    one per attention layer: the incremental encoder for its rows so far,
+    a decoder history for its positions, and the decoder's
+    cross-attention cache for the encoder rows.
     """
 
     keys: np.ndarray
@@ -159,15 +174,20 @@ class KeyValues:
     @classmethod
     def empty(cls, mha):
         def none(w):
-            return np.zeros((0, w.shape[0] * w.shape[2]), dtype=np.float32)
+            return np.zeros((w.shape[0], 0, w.shape[2]), dtype=np.float32)
 
         return cls(none(mha.w_k), none(mha.w_v))
 
     @property
+    def rows(self):
+        return self.keys.shape[1]
+
+    @property
     def shape(self):
-        return self.keys.shape
+        h, n, d = self.keys.shape
+        return (n, h * d)
 
     def append(self, other):
         """These rows followed by ``other``'s."""
-        return KeyValues(np.concatenate([self.keys, other.keys]),
-                         np.concatenate([self.values, other.values]))
+        return KeyValues(np.concatenate([self.keys, other.keys], axis=1),
+                         np.concatenate([self.values, other.values], axis=1))

@@ -108,7 +108,7 @@ class CrossAttentionCache:
             self.kv = [kv.append(KeyValues.project(new, layer.src_mha))
                        for kv, layer in zip(self.kv, self.params.layers)]
             self.rows = nu
-        return self.kv[d].keys[:nu], self.kv[d].values[:nu]
+        return self.kv[d].keys[:, :nu], self.kv[d].values[:, :nu]
 
 
 def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
@@ -158,7 +158,7 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
         cur = z + feed_forward(normed_f, layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b)
     final = kernels.layer_norm(cur, params.final_norm_g, params.final_norm_b)
     logits = kernels.matmul(final, params.out_w) + params.out_b
-    return [([KeyValues(r.keys[i:i + 1], r.values[i:i + 1]) for r in new_rows],
+    return [([KeyValues(r.keys[:, i:i + 1], r.values[:, i:i + 1]) for r in new_rows],
              kernels.log_softmax_f64(logits[i]))
             for i in range(b)]
 
@@ -168,13 +168,13 @@ def _own_histories(pasts, rows):
     that lets query row i attend to exactly its own block."""
     keys, values = [], []
     for i, past in enumerate(pasts):
-        keys += [past.keys, rows.keys[i:i + 1]]
-        values += [past.values, rows.values[i:i + 1]]
-    ends = np.cumsum([past.shape[0] + 1 for past in pasts])
+        keys += [past.keys, rows.keys[:, i:i + 1]]
+        values += [past.values, rows.values[:, i:i + 1]]
+    ends = np.cumsum([past.rows + 1 for past in pasts])
     starts = np.concatenate([[0], ends[:-1]])
     cols = np.arange(ends[-1])
     mask = (cols >= starts[:, None]) & (cols < ends[:, None])
-    return np.concatenate(keys), np.concatenate(values), mask
+    return np.concatenate(keys, axis=1), np.concatenate(values, axis=1), mask
 
 
 def advance_position(params, enc, hist, token_id, pos_index, nu):

@@ -149,7 +149,7 @@ class _LayerRows:
         self.kv = self.kv.append(KeyValues.project(normed, layer.mha))
         self.x = np.concatenate([self.x, x])
         self.normed = np.concatenate([self.normed, normed])
-        n, pending = self.kv.shape[0], self.x.shape[0]
+        n, pending = self.kv.rows, self.x.shape[0]
         m = pending if final else int(max(0, pending - self.eps))
         # the rows of lookahead_mask(n, n, eps) for the m oldest pending rows
         mask = lookahead_mask(m, n, float(n - pending) + self.eps)

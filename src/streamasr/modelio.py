@@ -37,6 +37,7 @@ every random model's weights (tests pin them by archive hash).
 """
 
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -306,6 +307,24 @@ def _header_value(f, path, key):
     return v
 
 
+def _read_f32(f, path, shapes):
+    """The rest of f as consecutive little-endian float32 tensors of the
+    given shapes, each read straight into its own array.  The remaining
+    byte count must equal their total size."""
+    sizes = [math.prod(shape) for shape in shapes]
+    total = 4 * sum(sizes)
+    have = os.fstat(f.fileno()).st_size - f.tell()
+    if have != total:
+        raise ValueError(f"{path}: payload is {have} bytes, expected {total}")
+    arrays = []
+    for shape in shapes:
+        a = np.empty(shape, dtype="<f4")
+        if f.readinto(a) != a.nbytes:
+            raise ValueError(f"{path}: payload ended early, expected {total} bytes")
+        arrays.append(a)
+    return arrays
+
+
 def load_model(path):
     with open(path, "rb") as f:
         if _read_header_line(f, path) != MODEL_MAGIC:
@@ -327,44 +346,40 @@ def load_model(path):
             shapes[name] = tuple(int(d) for d in dimtxt.split(","))
         if _read_header_line(f, path) != "data":
             raise ValueError(f"{path}: expected data marker")
-        payload = f.read()
 
-    if dims["heads"] < 1 or dims["d_model"] % dims["heads"] != 0:
-        raise ValueError(f"{path}: d_model {dims['d_model']} not divisible by heads {dims['heads']}")
-    if not 0 <= sos_id < dims["vocab"]:
-        raise ValueError(f"{path}: sos_id {sos_id} outside vocabulary")
-    if eos_id is not None and not 0 <= eos_id < dims["vocab"]:
-        raise ValueError(f"{path}: eos_id {eos_id} outside vocabulary")
+        if dims["heads"] < 1 or dims["d_model"] % dims["heads"] != 0:
+            raise ValueError(f"{path}: d_model {dims['d_model']} not divisible by heads {dims['heads']}")
+        if not 0 <= sos_id < dims["vocab"]:
+            raise ValueError(f"{path}: sos_id {sos_id} outside vocabulary")
+        if eos_id is not None and not 0 <= eos_id < dims["vocab"]:
+            raise ValueError(f"{path}: eos_id {eos_id} outside vocabulary")
 
-    for conv in ("cnn.conv1_w", "cnn.conv2_w"):
-        if conv not in shapes:
-            raise ValueError(f"{path}: missing tensor {conv}")
-    sym = _symbols(dims, shapes["cnn.conv1_w"][0], shapes["cnn.conv2_w"][0])
-    expected = {}
-    _build(_SCHEMA, "", sym, lambda name, shape, _: expected.setdefault(name, shape))
-    for name in sorted(expected):
-        if name not in shapes:
-            raise ValueError(f"{path}: missing tensor {name}")
-    for name in sorted(shapes):
-        if name not in expected:
-            raise ValueError(f"{path}: unexpected tensor {name}")
-        if shapes[name] != expected[name]:
-            raise ValueError(
-                f"{path}: tensor {name}: shape {shapes[name]} != expected {expected[name]}"
-            )
+        for conv in ("cnn.conv1_w", "cnn.conv2_w"):
+            if conv not in shapes:
+                raise ValueError(f"{path}: missing tensor {conv}")
+            if shapes[conv][0] < 1:
+                raise ValueError(f"{path}: tensor {conv} has {shapes[conv][0]} output "
+                                 f"channels, must be at least 1")
+        sym = _symbols(dims, shapes["cnn.conv1_w"][0], shapes["cnn.conv2_w"][0])
+        expected = {}
+        _build(_SCHEMA, "", sym, lambda name, shape, _: expected.setdefault(name, shape))
+        for name in sorted(expected):
+            if name not in shapes:
+                raise ValueError(f"{path}: missing tensor {name}")
+        for name in sorted(shapes):
+            if name not in expected:
+                raise ValueError(f"{path}: unexpected tensor {name}")
+            if shapes[name] != expected[name]:
+                raise ValueError(
+                    f"{path}: tensor {name}: shape {shapes[name]} != expected {expected[name]}"
+                )
 
-    sizes = {name: math.prod(shape) for name, shape in shapes.items()}
-    total = 4 * sum(sizes.values())
-    if len(payload) != total:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {total}")
-    tensors = {}
-    off = 0
-    for name in sorted(shapes):
-        tensors[name] = np.frombuffer(payload, "<f4", sizes[name], off).reshape(shapes[name]).copy()
+        names = sorted(shapes)
+        tensors = dict(zip(names, _read_f32(f, path, [shapes[n] for n in names])))
+    for a in tensors.values():
         # Read-only: decoders derive projection caches from these weights,
         # and sessions sharing a model must not see it change under them.
-        tensors[name].setflags(write=False)
-        off += 4 * sizes[name]
+        a.setflags(write=False)
     return _model(dims, sos_id, eos_id, sym, lambda name, _shape, _init: tensors[name])
 
 
@@ -390,10 +405,9 @@ def load_features(path):
         t, d, shift = int(parts[0]), int(parts[1]), float(parts[2])
         if t == 0:
             raise ValueError(f"{path}: empty utterance")
-        payload = f.read()
-    if len(payload) != t * d * 4:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {t * d * 4}")
-    frames = np.frombuffer(payload, dtype="<f4").reshape(t, d).copy()
+        if t < 0 or d < 0:
+            raise ValueError(f"{path}: negative feature dimension {t} x {d}")
+        frames, = _read_f32(f, path, [(t, d)])
     if not np.isfinite(frames).all():
         raise ValueError(f"{path}: non-finite feature values")
     return FeatureMatrix(frames, frame_shift_ms=shift)

@@ -383,3 +383,18 @@ def tuple_ctc_search(logp, lm, params, banned_ids=()):
                      f"p_prfx={phat[best]!r} p_joint={phat[best]!r}")
     best = min(last_carried, key=lambda p: (-last_phat[p], len(p), p))
     return tuple(c - 1 for c in best), float(last_phat[best]), trace
+
+
+def row_loop_attention(q, k, v, mask):
+    """The one-query-row-at-a-time NumPy attention that the stacked
+    ``scaled_dot_attention`` replaced: the bit reference for one head.
+    Each row gathers its allowed keys and values with ``k[idx]``, a
+    C-contiguous copy, and runs a matrix-vector product over them."""
+    scale = 1.0 / math.sqrt(q.shape[1])
+    out = np.empty((q.shape[0], v.shape[1]), dtype=np.result_type(q, v))
+    for i in range(q.shape[0]):
+        idx = np.flatnonzero(mask[i])
+        logits = (k[idx] @ q[i]) * scale
+        e = np.exp(logits - logits.max())
+        out[i] = (e / e.sum()) @ v[idx]
+    return out

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from streamasr import attention
-from streamasr.attention import (MhaParams, causal_mask, full_mask,
+from streamasr import attention, kernels
+from streamasr.attention import (KeyValues, MhaParams, causal_mask, full_mask,
                                  lookahead_mask, multi_head_attention,
-                                 scaled_dot_attention, truncation_mask)
-from oracles import attention_oracle, mha_oracle
+                                 project_heads, scaled_dot_attention,
+                                 truncation_mask)
+from oracles import attention_oracle, mha_oracle, row_loop_attention
 
 
 def rand_mha(rng, heads, d_model, d_k):
@@ -172,3 +174,75 @@ def test_attention_shape_errors():
     with pytest.raises(ValueError, match="mask shape"):
         scaled_dot_attention(np.ones((1, 3)), np.ones((2, 3)), np.ones((2, 2)),
                              np.ones((2, 2), dtype=bool))
+    with pytest.raises(ValueError, match="head axes differ"):
+        scaled_dot_attention(np.ones((2, 1, 3)), np.ones((3, 2, 3)), np.ones((3, 2, 2)),
+                             np.ones((1, 2), dtype=bool))
+
+
+def random_mask(rng, kind, b, n):
+    """A (b, n) mask of the given kind whose every row allows some key."""
+    if kind == "prefix":
+        return truncation_mask(rng.integers(1, n + 1, size=b), n)
+    if kind == "lookahead":
+        return lookahead_mask(b, n, int(rng.integers(0, n)))
+    if kind == "block":
+        # contiguous key blocks, each query row reading one of them
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(b, n) - 1, replace=False))
+        edges = np.concatenate([[0], cuts, [n]])
+        block = rng.integers(0, len(edges) - 1, size=b)
+        cols = np.arange(n)
+        return (cols >= edges[block][:, None]) & (cols < edges[block + 1][:, None])
+    mask = rng.random((b, n)) < rng.uniform(0.05, 0.9)
+    mask[np.arange(b), rng.integers(0, n, size=b)] = True
+    return mask
+
+
+@settings(max_examples=120, deadline=None)
+@given(heads=st.sampled_from([1, 2, 4]), d=st.integers(4, 32), b=st.integers(1, 20),
+       n=st.integers(1, 160), extra=st.integers(0, 8),
+       kind=st.sampled_from(["prefix", "lookahead", "block", "random"]),
+       interleaved=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_heads_equal_the_row_loop_bit_for_bit(heads, d, b, n, extra, kind,
+                                                      interleaved, seed):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((heads, b, d)).astype(np.float32)
+    # keys and values as the decoder's cross cache hands them over: a
+    # prefix view of a longer head-major array, or strided head views of
+    # (rows, heads * d) matrices
+    kv = rng.standard_normal((2, heads, n + extra, d)).astype(np.float32)
+    if interleaved:
+        kv = kv.transpose(0, 2, 1, 3).copy().transpose(0, 2, 1, 3)
+    k, v = kv[0][:, :n], kv[1][:, :n]
+    mask = random_mask(rng, kind, b, n)
+    got = scaled_dot_attention(q, k, v, mask)
+    assert got.shape == (heads, b, d) and got.dtype == np.float32
+    for h in range(heads):
+        assert (got[h] == row_loop_attention(q[h], k[h], v[h], mask)).all()
+    assert (scaled_dot_attention(q[0], k[0], v[0], mask) == got[0]).all()
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+def test_row_alone_equals_row_in_a_group(heads):
+    rng = np.random.default_rng(17)
+    q = rng.standard_normal((heads, 12, 16)).astype(np.float32)
+    k = rng.standard_normal((heads, 40, 16)).astype(np.float32)
+    v = rng.standard_normal((heads, 40, 16)).astype(np.float32)
+    # two groups of six equal mask rows each
+    mask = truncation_mask([25] * 6 + [40] * 6, 40)
+    together = scaled_dot_attention(q, k, v, mask)
+    for i in range(12):
+        alone = scaled_dot_attention(q[:, i:i + 1], k, v, mask[i:i + 1])
+        assert (alone[:, 0] == together[:, i]).all()
+
+
+def test_project_heads_stacks_per_head_matmuls():
+    rng = np.random.default_rng(18)
+    params = rand_mha(rng, heads=4, d_model=16, d_k=4)
+    x = rng.standard_normal((7, 16)).astype(np.float32)
+    want = np.stack([kernels.matmul(x, params.w_k[h]) for h in range(4)])
+    got = project_heads(x, params.w_k)
+    assert got.shape == (4, 7, 4) and got.flags.c_contiguous and (got == want).all()
+    kv = KeyValues.project(x[:3], params).append(KeyValues.project(x[3:], params))
+    assert kv.rows == 7 and kv.shape == (7, 16) and kv.keys.flags.c_contiguous
+    assert (kv.keys == want).all()
+    assert (kv.values == np.stack([kernels.matmul(x, params.w_v[h]) for h in range(4)])).all()

@@ -207,7 +207,7 @@ def test_advance_positions_rows_equal_single_row_steps(b, d_layers):
         # lengths 0..4 mixed within a batch and across truncations
         hists = [history_of_length(dec, enc, rng, (nu + i) % 5) for i in range(b)]
         tokens = [dec.sos_id] + [int(t) for t in rng.integers(dec.vocab_size, size=b - 1)]
-        positions = [h[0].shape[0] for h in hists]
+        positions = [h[0].rows for h in hists]
         got = advance_positions(dec, cache, hists, tokens, positions, nu)
         assert len(got) == b
         for hist, tok, pos, (rows, logp) in zip(hists, tokens, positions, got):

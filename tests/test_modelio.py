@@ -127,6 +127,21 @@ def test_model_archive_error_paths(tmp_path):
     with pytest.raises(ValueError, match="dimension e_layers is -3"):
         load_model(bad)
 
+    # negative conv channels are rejected by tensor name, even when every
+    # shape agrees with them and the payload is trimmed to their total
+    ch2 = m.encoder.cnn.conv2_w.shape[0]
+    negative = {"cnn.conv1_w": (-1, 1, 3, 3), "cnn.conv1_b": (-1,), "cnn.conv2_w": (ch2, -1, 3, 3)}
+    lines, drop = [], 0
+    for ln in tensor_lines:
+        name, dims = ln.split(" ", 1)
+        if name in negative:
+            drop += np.prod([int(d) for d in dims.split(",")]) - np.prod(negative[name])
+            ln = f"{name} {','.join(str(d) for d in negative[name])}"
+        lines.append(ln)
+    bad.write_bytes(join_archive(head, lines, blob[:len(blob) - 4 * int(drop)]))
+    with pytest.raises(ValueError, match="tensor cnn.conv1_w has -1 output channels"):
+        load_model(bad)
+
 
 # sha256 of save_model(random_model(seed, **kw)): a change to random_model's
 # draw order or initializers, or to the archive format, changes these
