@@ -2,7 +2,8 @@
 """Print how the pure-CTC search's per-frame cost grows along one utterance.
 
 Encodes a random utterance with a random mid-size model (the benchmark's
-dimensions), then runs ``CtcPrefixSearch`` (k 300, p 30, a random back-off
+dimensions), then runs ``CtcPrefixSearch`` (the one search loop,
+``JointSearch``, without a decoder; k 300, p 30, a random back-off
 bigram LM) over its posteriorgram, timing every frame.  Prints the mean
 per-frame cost in each quarter of the utterance, the best prefix's length
 at the end of each quarter, and the last-quarter/first-quarter ratio.  A

@@ -14,6 +14,7 @@ the whole-matrix reference the engine is tested against.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,8 +162,9 @@ class _LayerRows:
 
 def check_eps_enc(eps_enc):
     """Reject an encoder look-ahead that is neither a non-negative integer nor math.inf."""
-    if not (eps_enc == math.inf or (float(eps_enc).is_integer() and eps_enc >= 0)):
-        raise ValueError(f"eps_enc must be a non-negative integer or inf, got {eps_enc}")
+    if not (isinstance(eps_enc, numbers.Real) and not isinstance(eps_enc, bool)
+            and (eps_enc == math.inf or (float(eps_enc).is_integer() and eps_enc >= 0))):
+        raise ValueError(f"eps_enc must be a non-negative integer or inf, got {eps_enc!r}")
 
 
 class IncrementalEncoder:

@@ -19,6 +19,11 @@ step at the latest truncation; its children and the final ``<eos>`` pass
 share that one step, and the steps a frame needs run as one batched
 decoder call.
 
+:class:`JointSearch` is the one implementation.  Its decoder-less case,
+:class:`CtcPrefixSearch`, is the pure CTC prefix beam search: steps (3)
+and (4) do not run and p_joint is p_prfx, so the carried top P is the
+head of the first prune, and finalize has no ``<eos>`` pass.
+
 A prefix is a sequence of posteriorgram column indices (blank = 0 never
 appears); the start token is implicit.  Label ids are column - 1.  The
 search holds each prefix as an interned :class:`Prefix` node (a parent,
@@ -274,19 +279,43 @@ def _format_trace(frame, beams, prefix, phat, pjoint):
     return f"frame={frame} beams={beams} best={ids} p_prfx={phat!r} p_joint={pjoint!r}"
 
 
-class _PrefixBeam:
-    """What the joint and the pure-CTC search share: the carried beam over
-    interned prefixes, the CTC stage of a frame and the carry.
+@dataclass
+class _TaEntry:
+    logp: float
+    nus: tuple
+    hist: list  # per-layer attention.KeyValues: self-attention keys and values
+    step: tuple = None  # (nu, child_hist, log_posterior) of the next label, see _step
 
-    ``banned_cols`` are posteriorgram columns the search never extends a
-    prefix with.
+
+class JointSearch:
+    """Mutable per-utterance state of the one-pass search, advanced frame by frame.
+
+    The same object backs offline decoding and streaming sessions; both
+    call :meth:`advance` once per encoder frame with the posterior row
+    and every encoder row available so far, then :meth:`finalize`.
+    ``n_cols`` must be the decoder's vocab_size + 1 (the blank, then one
+    column per label id), else ``ValueError``; the decoder's reserved ids
+    are never emitted.  Without a decoder it is the pure CTC search, see
+    :class:`CtcPrefixSearch`.
     """
 
-    def __init__(self, lm, params, n_cols, banned_cols):
+    def __init__(self, dec, lm, params, n_cols):
+        if n_cols != dec.vocab_size + 1:
+            raise ValueError(f"posteriorgram has {n_cols} columns, but the decoder's "
+                             f"{dec.vocab_size} labels need {dec.vocab_size + 1}")
+        self._start(dec, lm, params, n_cols, dec.reserved_ids)
+
+    def _start(self, dec, lm, params, n_cols, banned_ids):
+        """Set up the empty beam; ``dec`` is None for the pure CTC search."""
+        banned_ids = tuple(banned_ids)
+        for i in banned_ids:
+            if not _is_int(i) or not 0 <= i < n_cols - 1:
+                raise ValueError(f"banned id {i!r} is not a label id in [0, {n_cols - 1})")
+        self.dec = dec
         self.lm = lm
         self.params = params
         self.n_cols = n_cols
-        self._banned_cols = banned_cols
+        self._banned_cols = [i + 1 for i in banned_ids]
         self.prefixes = PrefixTable()
         root = self.prefixes.root
         self.hyps = {
@@ -296,15 +325,15 @@ class _PrefixBeam:
         self.trace = []
         self._last_carried = dict(self.hyps)
         self._last_phat = {root: 0.0}
+        self._last_pjoint = {root: 0.0}
+        self.ta = None if dec is None else {root: _TaEntry(0.0, (), dec_mod.empty_history(dec))}
+        self.cross = None  # CrossAttentionCache over the encoder rows, from the first frame
 
-    def _ctc_stage(self, post_row):
-        """Check a posterior row and count the frame, extend the beam through
-        one CTC step and the LM, and prune by the CTC ranking score.
-
-        Returns the row as floats, every candidate's ranking score (phat),
-        and the candidates within k_size and theta1 (omega_hat) in rank
-        order.
-        """
+    def advance(self, post_row, enc_rows=None):
+        """Process one frame: returns nothing, mutates the beam.  ``enc_rows``,
+        every encoder row so far, are read only with a decoder."""
+        if enc_rows is None and self.dec is not None:
+            raise ValueError("the joint search needs the encoder rows")
         row = np.array(post_row, dtype=np.float64, copy=True)
         if row.shape != (self.n_cols,):
             raise ValueError(f"posterior row shape {row.shape}, expected ({self.n_cols},)")
@@ -313,6 +342,8 @@ class _PrefixBeam:
         p = self.params
         row[self._banned_cols] = NEG_INF
         row = row.tolist()
+
+        # the CTC stage: one prefix step, the LM, and the first prune by phat
         stepped = ctc_prefix_step(row, self.hyps, p.local_threshold, self.prefixes.child)
         omega_ctc = {}
         phat = {}
@@ -326,71 +357,34 @@ class _PrefixBeam:
                 h = Hypothesis(pre, sc.p_b, sc.p_nb, h.lm_state, h.lm_logp)
             omega_ctc[pre] = h
             phat[pre] = prefix_score(h, p.alpha0, p.beta)
-        omega_hat = prune(omega_ctc, phat, p.k_size, p.theta1)
+        omega_hat = prune(omega_ctc, phat, p.k_size, p.theta1)  # in phat rank order
         if not omega_hat:
             raise RuntimeError("search collapsed")
-        return row, phat, omega_hat
 
-    def _carry(self, omega_hat, top, phat, pjoint):
-        """Carry ``top`` (the top p_size prefixes by pjoint) and then the top
-        p_size of omega_hat within theta2 by phat, trace the frame, and keep
-        only the carried prefixes and their ancestors in the prefix table.
-
-        Returns the set of those prefixes.  omega_hat is in phat rank
-        order, so the second cut needs no sort.  The carried order (top
-        first) is the order the next frame accumulates CTC mass in.
-        """
-        p = self.params
+        if self.dec is None:
+            pjoint, top = phat, list(omega_hat)[:p.p_size]
+        else:
+            pjoint = self._ta_stage(row, omega_hat, enc_rows)
+            top = top_hypotheses(omega_hat, pjoint, p.p_size)
+        # Carry the top p_size by pjoint, then the top p_size of omega_hat
+        # within theta2 by phat.  The carried order (top first) is the order
+        # the next frame accumulates CTC mass in.
         kept = {pre: omega_hat[pre] for pre in _within(list(omega_hat), phat, p.p_size, p.theta2)}
-        carried = {pre: omega_hat[pre] for pre in top}
-        carried.update(kept)
-        self.hyps = carried
+        self.hyps = {pre: omega_hat[pre] for pre in top}
+        self.hyps.update(kept)
         self._last_carried = kept
         self._last_phat = phat
+        self._last_pjoint = pjoint
         best = min(kept, key=_rank_key(pjoint))
         self.trace.append(_format_trace(self.frame, len(kept), best.as_tuple(),
                                         phat[best], pjoint[best]))
-        return self.prefixes.retain(carried)
+        live = self.prefixes.retain(self.hyps)
+        if self.dec is not None:
+            self._evict_ta(live)
 
-    @property
-    def best_ctc_partial(self):
-        """Best carried prefix by CTC ranking score, as label ids."""
-        best = min(self._last_carried, key=_rank_key(self._last_phat))
-        return tuple(c - 1 for c in best.as_tuple())
-
-    def _result(self, scores):
-        """The DecodeResult of the last frame's best carried prefix by ``scores``."""
-        best = min(self._last_carried, key=_rank_key(scores))
-        return DecodeResult(tuple(c - 1 for c in best.as_tuple()), float(scores[best]),
-                            list(self.trace))
-
-
-@dataclass
-class _TaEntry:
-    logp: float
-    nus: tuple
-    hist: list  # per-layer attention.KeyValues: self-attention keys and values
-    step: tuple = None  # (nu, child_hist, log_posterior) of the next label, see _step
-
-
-class JointSearch(_PrefixBeam):
-    """Mutable per-utterance state of the joint decode, advanced frame by frame.
-
-    The same object backs offline decoding and streaming sessions; both
-    call :meth:`advance` once per encoder frame with the posterior row
-    and every encoder row available so far, then :meth:`finalize`.
-    """
-
-    def __init__(self, dec, lm, params, n_cols):
-        super().__init__(lm, params, n_cols, [i + 1 for i in dec.reserved_ids if i + 1 < n_cols])
-        self.dec = dec
-        self.ta = {self.prefixes.root: _TaEntry(0.0, (), dec_mod.empty_history(dec))}
-        self.cross = None  # CrossAttentionCache over the encoder rows, from the first frame
-        self._last_pjoint = {self.prefixes.root: 0.0}
-
-    def advance(self, post_row, enc_rows):
-        """Process one frame: returns nothing, mutates the beam."""
-        row, phat, omega_hat = self._ctc_stage(post_row)
+    def _ta_stage(self, row, omega_hat, enc_rows):
+        """Run the hooks, give omega_hat's prefixes their TA scores at this
+        frame's truncation, and return every candidate's joint score."""
         n = self.frame
         p = self.params
         if self.cross is None:
@@ -422,10 +416,7 @@ class JointSearch(_PrefixBeam):
                 h.ta_logp = None
                 parent = self.ta.get(pre.parent)
                 pjoint[pre] = joint_score(h, p, parent.logp if parent else None)
-
-        live = self._carry(omega_hat, top_hypotheses(omega_hat, pjoint, p.p_size), phat, pjoint)
-        self._evict_ta(live)
-        self._last_pjoint = pjoint
+        return pjoint
 
     def _score_ta(self, targets, nu):
         """Give each of ``targets`` a TA entry at truncation nu, scoring
@@ -481,13 +472,22 @@ class JointSearch(_PrefixBeam):
             if entry.step is not None and entry.step[0] < seen:
                 entry.step = None
 
-    def finalize(self, enc_rows):
-        """Pick the joint-score winner of the final frame's carried beam."""
+    @property
+    def best_ctc_partial(self):
+        """Best carried prefix by CTC ranking score, as label ids."""
+        best = min(self._last_carried, key=_rank_key(self._last_phat))
+        return tuple(c - 1 for c in best.as_tuple())
+
+    def finalize(self, enc_rows=None):
+        """Pick the joint-score winner of the final frame's carried beam,
+        rescored with ``<eos>`` when a decoder and the params ask for it."""
+        if enc_rows is None and self.dec is not None:
+            raise ValueError("the joint search needs the encoder rows")
         if self.frame == 0:
             return DecodeResult((), 0.0, list(self.trace))
         scores = {pre: self._last_pjoint[pre] for pre in self._last_carried}
         p = self.params
-        if p.add_eos_at_finalize and self.dec.eos_id is not None:
+        if self.dec is not None and p.add_eos_at_finalize and self.dec.eos_id is not None:
             self.cross.update(enc_rows)
             avail = self.cross.enc.shape[0]
             scored = [pre for pre in self._last_carried if pre in self.ta]
@@ -497,35 +497,14 @@ class JointSearch(_PrefixBeam):
                 eos_logp = float(entry.step[2][self.dec.eos_id])
                 eos_hyp = replace(self._last_carried[pre], ta_logp=entry.logp + eos_logp)
                 scores[pre] = joint_score(eos_hyp, p)
-        return self._result(scores)
+        best = min(self._last_carried, key=_rank_key(scores))
+        return DecodeResult(tuple(c - 1 for c in best.as_tuple()), float(scores[best]),
+                            list(self.trace))
 
 
-def decode(enc, post, lm, dec, params):
-    """Offline joint decode of a whole utterance.
-
-    enc: EncoderStates (or matrix); post: Posteriorgram whose rows match
-    the encoder rows one to one.  Posterior rows are only read at their
-    own frame, exactly as a streaming session would see them.
-    """
-    states = enc.states if hasattr(enc, "states") else np.asarray(enc)
-    logp = post.logp
-    n = logp.shape[0]
-    if n < 1:
-        raise ValueError("empty utterance")
-    if states.shape[0] != n:
-        raise ValueError(f"{n} posterior rows but {states.shape[0]} encoder rows")
-    if not np.isfinite(states).all():
-        raise ValueError("encoder states contain non-finite values")
-    check_log_probs(logp)
-    search = JointSearch(dec, lm, params, logp.shape[1])
-    for i in range(n):
-        search.advance(logp[i], states)
-    return search.finalize(states)
-
-
-class CtcPrefixSearch(_PrefixBeam):
-    """Pure CTC prefix beam search with the same pruning cascade as the
-    joint search but no attention decoder anywhere.
+class CtcPrefixSearch(JointSearch):
+    """Pure CTC prefix beam search: the joint search without a decoder,
+    with the same pruning cascade.
 
     With p_size == k_size and theta2 == theta1 the second prune is a
     no-op and this is a classic single-prune prefix beam search.
@@ -534,21 +513,47 @@ class CtcPrefixSearch(_PrefixBeam):
     """
 
     def __init__(self, lm, params, n_cols, banned_ids=()):
-        banned_ids = tuple(banned_ids)
-        for i in banned_ids:
-            if not _is_int(i) or not 0 <= i < n_cols - 1:
-                raise ValueError(f"banned id {i!r} is not a label id in [0, {n_cols - 1})")
-        super().__init__(lm, params, n_cols, [i + 1 for i in banned_ids])
+        self._start(None, lm, params, n_cols, banned_ids)
 
-    def advance(self, post_row, enc_rows=None):
-        _, phat, omega_hat = self._ctc_stage(post_row)
-        # omega_hat is in phat order, so its head is the top p_size by phat
-        self._carry(omega_hat, list(omega_hat)[:self.params.p_size], phat, phat)
+    # not inherited: the benchmark's tracer patches each class's own dict
+    advance = JointSearch.advance
+    # likewise bound here for the tracer (perfbench/tracer.py)
+    finalize = JointSearch.finalize
 
-    def finalize(self, enc_rows=None):
-        if self.frame == 0:
-            return DecodeResult((), 0.0, list(self.trace))
-        return self._result(self._last_phat)
+
+def _search_offline(search, post, states=None):
+    """Run a fresh ``search`` over every posterior row and finalize it.
+    ``states`` are the encoder rows, one per posterior row (None without a
+    decoder); each posterior row is read only at its own frame, as a
+    streaming session reads it."""
+    logp = post.logp
+    n = logp.shape[0]
+    if n < 1:
+        raise ValueError("empty utterance")
+    if states is not None:
+        if states.shape[0] != n:
+            raise ValueError(f"{n} posterior rows but {states.shape[0]} encoder rows")
+        if not np.isfinite(states).all():
+            raise ValueError("encoder states contain non-finite values")
+    check_log_probs(logp)
+    for i in range(n):
+        search.advance(logp[i], states)
+    return search.finalize(states)
+
+
+def decode(enc, post, lm, dec, params):
+    """Offline joint decode of a whole utterance.
+
+    enc: EncoderStates (or matrix); post: Posteriorgram whose rows match
+    the encoder rows one to one and whose width is dec.vocab_size + 1.
+    """
+    states = enc.states if hasattr(enc, "states") else np.asarray(enc)
+    return _search_offline(JointSearch(dec, lm, params, post.logp.shape[1]), post, states)
+
+
+def ctc_prefix_search(post, lm, params, banned_ids=()):
+    """Offline pure-CTC prefix beam search over a posteriorgram."""
+    return _search_offline(CtcPrefixSearch(lm, params, post.logp.shape[1], banned_ids), post)
 
 
 def joint_loss(post, enc, y, align, dec, lp):
@@ -570,15 +575,3 @@ def joint_loss(post, enc, y, align, dec, lp):
     if lp.gamma < 1.0:
         loss += -(1.0 - lp.gamma) * ta_prefix_score(enc, y, align.nu, dec)
     return float(loss)
-
-
-def ctc_prefix_search(post, lm, params, banned_ids=()):
-    """Offline pure-CTC prefix beam search over a posteriorgram."""
-    logp = post.logp
-    if logp.shape[0] < 1:
-        raise ValueError("empty utterance")
-    check_log_probs(logp)
-    search = CtcPrefixSearch(lm, params, logp.shape[1], banned_ids)
-    for i in range(logp.shape[0]):
-        search.advance(logp[i])
-    return search.finalize()

@@ -40,8 +40,8 @@ class StreamConfig:
     def __post_init__(self):
         check_eps_enc(self.eps_enc)
         check_eps_dec(self.eps_dec)
-        if self.frame_shift_ms <= 0:
-            raise ValueError(f"frame_shift_ms must be positive, got {self.frame_shift_ms}")
+        if not 0 < self.frame_shift_ms < math.inf:
+            raise ValueError(f"frame_shift_ms must be positive and finite, got {self.frame_shift_ms}")
 
 
 def theoretical_latency_ms(cfg, e_layers):
@@ -71,7 +71,8 @@ class StreamingSession:
 
     ``model`` provides .encoder, .decoder, .ctc_w, .ctc_b; the decoder
     look-ahead in ``decode_params`` is overridden by the stream config so
-    the two cannot disagree.
+    the two cannot disagree.  ``ctc_only`` runs the search without the
+    decoder (:class:`~streamasr.search.CtcPrefixSearch`).
     """
 
     def __init__(self, model, lm, decode_params, config, ctc_only=False):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from streamasr.ctc import Posteriorgram
+from streamasr.lm import NgramLM
 from streamasr.modelio import random_model
 
 
@@ -29,6 +30,19 @@ def tiny_model(seed, **kw):
     kw.setdefault("d_layers", 1)
     kw.setdefault("vocab_size", 5)
     return random_model(seed, **kw)
+
+
+def bigram(rng, n_labels, quantized):
+    """A back-off bigram over label ids, built in memory."""
+    def logp():
+        return math.log(rng.choice([0.25, 0.5])) if quantized else math.log(rng.uniform(0.05, 1))
+
+    entries = {(a,): (logp(), logp()) for a in range(n_labels)}
+    for a in range(n_labels):
+        for b in range(n_labels):
+            if rng.random() < 0.5:
+                entries[(a, b)] = (logp(), 0.0)
+    return NgramLM(entries, 2)
 
 
 def random_enc_states(rng, n, d_model):

@@ -250,7 +250,7 @@ def test_frames_pushed_in_pieces_equal_encode(eps, sizes):
 
 def test_encoder_rejects_bad_lookahead_and_missing_input():
     m = tiny_model(51)
-    for eps in (-1, 1.5, math.nan):
+    for eps in (-1, 1.5, math.nan, True, "3", None):
         with pytest.raises(ValueError, match="eps_enc"):
             encode(np.zeros((8, 4), dtype=np.float32), m.encoder, eps)
     for final in (False, True):

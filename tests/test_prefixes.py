@@ -1,19 +1,18 @@
 """Interned search prefixes: identity, tuple order, the bounded child
 table, and bit-identity with the tuple-keyed search they replaced."""
 
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamasr.ctc import Posteriorgram
-from streamasr.lm import NgramLM, UniformLM
+from streamasr.lm import UniformLM
 from streamasr.modelio import random_features
 from streamasr.search import (CtcPrefixSearch, DecodeParams, Prefix, PrefixTable,
                               _rank_key, ctc_prefix_search, prune)
 from streamasr.streaming import StreamConfig, StreamingSession
-from helpers import logprob_rows, tiny_model
+from helpers import bigram, logprob_rows, tiny_model
 from oracles import tuple_ctc_search
 
 
@@ -66,19 +65,6 @@ def quantized_rows(rng, n, c):
     probability, so sibling prefixes tie exactly in score and length."""
     levels = rng.integers(1, 4, size=(n, c)).astype(np.float64)
     return np.log(levels / levels.sum(axis=1, keepdims=True))
-
-
-def bigram(rng, n_labels, quantized):
-    """A back-off bigram over label ids, built in memory."""
-    def logp():
-        return math.log(rng.choice([0.25, 0.5])) if quantized else math.log(rng.uniform(0.05, 1))
-
-    entries = {(a,): (logp(), logp()) for a in range(n_labels)}
-    for a in range(n_labels):
-        for b in range(n_labels):
-            if rng.random() < 0.5:
-                entries[(a, b)] = (logp(), 0.0)
-    return NgramLM(entries, 2)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,18 +3,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamasr.ctc import (Posteriorgram, ctc_forward_logprob,
                            ctc_viterbi_align, posteriorgram_from_states)
 from streamasr.decoder import ta_prefix_score
-from streamasr.encoder import EncoderStates
+from streamasr.encoder import EncoderStates, encode
 from streamasr.kernels import NEG_INF, log_add
 from streamasr.lm import UniformLM
 from streamasr.search import (CtcPrefixSearch, DecodeParams, Hypothesis,
                               JointSearch, LossParams, ctc_prefix_search,
                               decode, joint_loss, joint_score, prefix_score,
                               prune, top_hypotheses)
-from helpers import logprob_rows, random_enc_states, tiny_model
+from streamasr.streaming import StreamConfig, StreamingSession
+from helpers import bigram, logprob_rows, random_enc_states, tiny_model
 
 TRACE_RE = re.compile(
     r"^frame=(\d+) beams=(\d+) best=((?:-?\d+)(?:,-?\d+)*)? ?p_prfx=(\S+) p_joint=(\S+)$"
@@ -161,6 +163,19 @@ def test_decode_rejects_empty_and_mismatched_inputs():
         decode(EncoderStates(enc.states[:2]), post, lm, m.decoder, params)
 
 
+@pytest.mark.parametrize("n_cols", [10, 4])
+def test_joint_search_rejects_posteriorgram_of_wrong_width(n_cols):
+    # the 5-label decoder needs 6 columns: 10 used to fail with an
+    # IndexError in the decoder, 4 decoded a truncated label set
+    m, enc, _, lm, params = decode_setup(125)
+    post = Posteriorgram(logprob_rows(np.random.default_rng(126), 4, n_cols))
+    want = f"posteriorgram has {n_cols} columns, but the decoder's 5 labels need 6"
+    with pytest.raises(ValueError, match=want):
+        decode(enc, post, lm, m.decoder, params)
+    with pytest.raises(ValueError, match=want):
+        JointSearch(m.decoder, lm, params, n_cols)
+
+
 def test_trace_lines_are_well_formed_and_frame_synchronous():
     m, enc, post, lm, params = decode_setup(102, n=4)
     out = decode(enc, post, lm, m.decoder, params)
@@ -194,15 +209,35 @@ def test_lookahead_beyond_length_saturates():
     assert a.trace == b.trace
 
 
-def test_pure_ctc_reduction_is_bitwise():
-    m, enc, post, lm, _ = decode_setup(105, n=5)
-    params = DecodeParams(lam=1.0, alpha0=0.7, alpha=0.7, k_size=6, p_size=3)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pure_ctc_reduction_is_bitwise(data):
+    """At lam 1 the joint search, the pure CTC search and a ctc_only
+    streaming session decode the same bits: the search without a decoder
+    is the joint search with its TA stage off."""
+    seed = data.draw(st.integers(0, 2**16))
+    m = tiny_model(seed)
+    rng = np.random.default_rng(seed)
+    frames = rng.standard_normal((data.draw(st.integers(1, 80)), 4)).astype(np.float32)
+    lm = bigram(rng, 5, quantized=False) if data.draw(st.booleans()) else UniformLM(3)
+    k = data.draw(st.integers(1, 40))
+    params = DecodeParams(lam=1.0, alpha0=0.7, alpha=0.7, k_size=k,
+                          p_size=data.draw(st.integers(1, k)),
+                          theta2=data.draw(st.sampled_from([0.5, 6.0])), eps_dec=1)
+    enc = encode(frames, m.encoder, 1)
+    post = posteriorgram_from_states(enc.states, m.ctc_w, m.ctc_b)
     joint = decode(enc, post, lm, m.decoder, params)
     banned = (m.decoder.sos_id, m.decoder.eos_id)
     pure = ctc_prefix_search(post, lm, params, banned_ids=banned)
-    assert joint.labels == pure.labels
-    assert joint.score == pure.score
-    assert joint.trace == pure.trace
+    session = StreamingSession(m, lm, params, StreamConfig(eps_enc=1, eps_dec=1), ctc_only=True)
+    chunk = data.draw(st.integers(1, 9))
+    for start in range(0, frames.shape[0], chunk):
+        session.push(frames[start:start + chunk])
+    streamed = session.finalize()
+    for out in (pure, streamed):
+        assert out.labels == joint.labels
+        assert out.score == joint.score
+        assert out.trace == joint.trace
 
 
 def test_eos_rescoring_changes_finalize_only():
@@ -428,6 +463,18 @@ def test_advance_rejects_row_of_wrong_width(kind):
     assert search.frame == 0
     search.advance(post.logp[0], enc)
     assert search.frame == 1
+
+
+def test_joint_search_needs_encoder_rows():
+    m, enc, post, lm, params = decode_setup(127)
+    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    with pytest.raises(ValueError, match="needs the encoder rows"):
+        search.advance(post.logp[0])
+    assert search.frame == 0
+    search.advance(post.logp[0], enc.states)
+    with pytest.raises(ValueError, match="needs the encoder rows"):
+        search.finalize()
+    assert search.finalize(enc.states).trace == search.trace
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -41,8 +41,12 @@ def test_stream_config_validation():
         StreamConfig(eps_enc=-1)
     with pytest.raises(ValueError, match="eps_dec"):
         StreamConfig(eps_dec=-2)
-    with pytest.raises(ValueError, match="frame_shift_ms"):
-        StreamConfig(frame_shift_ms=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="frame_shift_ms"):
+            StreamConfig(frame_shift_ms=bad)
+    for bad in (True, "3", None):
+        with pytest.raises(ValueError, match="eps_enc"):
+            StreamConfig(eps_enc=bad)
 
 
 def test_stream_config_rejects_non_integer_eps_dec():
