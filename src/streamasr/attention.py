@@ -128,11 +128,13 @@ def scaled_dot_attention(q, k, v, mask):
 def project_heads(x, w):
     """Rows of x projected by every head of w (heads, d_model, d).
 
-    Returns a head-major (heads, rows, d) array.  Each row depends only on
-    its own input row, so rows projected one at a time and stored are
-    bit-identical to rows projected together.
+    Returns a head-major (heads, rows, d) array.  Each (head, row) is one
+    broadcast (1, d_model) @ (d_model, d) product, the vector-matrix
+    routine of :func:`kernels.matmul`, so a row depends only on its own
+    input row: rows projected one at a time and stored are bit-identical
+    to rows projected together.
     """
-    return np.stack([kernels.matmul(x, w[h]) for h in range(w.shape[0])])
+    return np.matmul(x[None, :, None, :], w[:, None])[:, :, 0]
 
 
 def attend(q_in, keys, values, params, mask):

@@ -210,7 +210,15 @@ def ctc_prefix_step(post_row, hyps, local_threshold=1e-4, child=None):
     row = np.asarray(post_row, dtype=np.float64)
     if row.ndim != 1:
         raise ValueError(f"posterior row must be a vector, got shape {row.shape}")
-    row = row.tolist()  # plain floats: scores stay host-precision floats throughout
+    # plain floats: scores stay host-precision floats throughout
+    masses = _prefix_masses(row.tolist(), hyps, local_threshold, child)
+    return {p: PrefixScores(p_b, p_nb) for p, (p_b, p_nb) in masses.items()}
+
+
+def _prefix_masses(row, hyps, local_threshold, child=None):
+    """The recursion behind :func:`ctc_prefix_step`, on a posterior row of
+    Python floats: returns ``{prefix: [p_b, p_nb]}`` with the same keys
+    and values, without wrapping them."""
     log_thresh = math.log(local_threshold) if local_threshold > 0 else NEG_INF
     if child is None:
         child, last_of = _append_column, _last_column
@@ -244,8 +252,7 @@ def ctc_prefix_step(post_row, hyps, local_threshold=1e-4, child=None):
                 acc[ext] = [NEG_INF, mass]
             else:
                 nxt[1] = log_add(nxt[1], mass)
-    return {p: PrefixScores(v[0], v[1]) for p, v in acc.items()
-            if v[0] != NEG_INF or v[1] != NEG_INF}
+    return {p: v for p, v in acc.items() if v[0] != NEG_INF or v[1] != NEG_INF}
 
 
 def posteriorgram_from_states(states, weight, bias):

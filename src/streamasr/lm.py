@@ -12,6 +12,14 @@ LN10 = math.log(10.0)
 
 
 class LanguageModel:
+    """A state-machine LM over label ids.
+
+    States must be hashable values (tuples, ints, strings, ...), and
+    ``extend`` must depend only on its (state, label) arguments: the
+    search memoises LM steps keyed on (state, label), so two prefixes
+    whose states compare equal share one step.
+    """
+
     def start_state(self):
         raise NotImplementedError
 

@@ -27,10 +27,12 @@ head of the first prune, and finalize has no ``<eos>`` pass.
 A prefix is a sequence of posteriorgram column indices (blank = 0 never
 appears); the start token is implicit.  Label ids are column - 1.  The
 search holds each prefix as an interned :class:`Prefix` node (a parent,
-a last column and a length), found through the search's
-:class:`PrefixTable`, so extending, hashing and looking up a prefix cost
-O(1) however long it grows.  Hooks, labels and trace lines still see
-column tuples.
+a last column, a length, its LM state and LM log probability), found
+through the search's :class:`PrefixTable`, so extending, hashing and
+looking up a prefix cost O(1) however long it grows, and each LM step
+runs once per carried LM state.  Hooks, labels and trace lines still see
+column tuples.  A frame's CTC candidates stay plain masses until the
+first prune: only its survivors become :class:`Hypothesis` objects.
 """
 
 import math
@@ -40,7 +42,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import decoder as dec_mod
-from .ctc import check_log_probs, ctc_prefix_step
+# ctc_prefix_step is not called here, but stays bound: the benchmark's
+# tracer (perfbench/tracer.py) wraps it in this module by name.
+from .ctc import _prefix_masses, check_log_probs, ctc_prefix_step  # noqa: F401
 from .kernels import NEG_INF, log_add
 
 
@@ -54,8 +58,10 @@ class DecodeParams:
     p_size/theta2 shape the carried beam.  eps_dec is the decoder
     look-ahead in encoder frames.  local_threshold is the per-frame label
     probability below which the CTC step skips a label.  The sizes and
-    eps_dec must be integers, the weights and widths finite, and
-    local_threshold in [0, 1); anything else raises ``ValueError``.
+    eps_dec must be integers, the weights and widths finite real numbers
+    (not bools), local_threshold a real number in [0, 1),
+    add_eos_at_finalize a bool, and each hook None or callable; anything
+    else raises ``ValueError``.
 
     The hooks see (prefix, omega_hat, frame, post_row): the prefix as a
     tuple of posteriorgram columns and omega_hat as a view of this frame's
@@ -87,6 +93,9 @@ class DecodeParams:
     acond: object = None  # fn(prefix, omega_hat, frame, post_row) -> bool; None = always
 
     def __post_init__(self):
+        for name in ("lam", "alpha0", "alpha", "beta", "theta1", "theta2", "local_threshold"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must be in [0, 1], got {self.lam}")
         for name in ("k_size", "p_size"):
@@ -102,10 +111,20 @@ class DecodeParams:
         check_eps_dec(self.eps_dec)
         if not 0.0 <= self.local_threshold < 1.0:
             raise ValueError(f"local_threshold must be in [0, 1), got {self.local_threshold}")
+        if not isinstance(self.add_eos_at_finalize, bool):
+            raise ValueError(f"add_eos_at_finalize must be a bool, got {self.add_eos_at_finalize!r}")
+        for name in ("dcond", "acond"):
+            hook = getattr(self, name)
+            if hook is not None and not callable(hook):
+                raise ValueError(f"{name} must be None or callable, got {hook!r}")
 
 
 def _is_int(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def check_eps_dec(eps_dec):
@@ -132,7 +151,6 @@ class Hypothesis:
     prefix: object  # a Prefix inside a search; any sized key works for the scores
     p_b: float
     p_nb: float
-    lm_state: object
     lm_logp: float
     ta_logp: float | None = None
 
@@ -146,7 +164,8 @@ class DecodeResult:
 
 class Prefix:
     """One interned search prefix: the empty prefix, or a parent plus one
-    last column.
+    last column, with the LM state after its labels and their cumulative
+    LM log probability.
 
     A search makes one node per distinct prefix (see PrefixTable), so a
     node hashes and compares equal by identity.  ``len`` is the number of
@@ -155,12 +174,14 @@ class Prefix:
     the search used to key on.
     """
 
-    __slots__ = ("parent", "last", "length")
+    __slots__ = ("parent", "last", "length", "lm_state", "lm_logp")
 
-    def __init__(self, parent=None, last=None):
+    def __init__(self, parent, last, lm_state, lm_logp):
         self.parent = parent
         self.last = last
         self.length = 0 if parent is None else parent.length + 1
+        self.lm_state = lm_state
+        self.lm_logp = lm_logp
 
     def __len__(self):
         return self.length
@@ -184,31 +205,49 @@ class Prefix:
 class PrefixTable:
     """The child table that interns one search's prefixes: each (parent,
     column) pair maps to one Prefix, so a prefix reached again comes back
-    as the same node and finds the state kept under it."""
+    as the same node and finds the state kept under it.
 
-    def __init__(self):
-        self.root = Prefix()
+    A node gets its LM state and log probability from ``lm`` when it is
+    interned.  The LM steps come from a memo keyed on (parent LM state,
+    column), so prefixes that share an LM state share each step.
+    """
+
+    def __init__(self, lm):
+        self.lm = lm
+        self.root = Prefix(None, None, lm.start_state(), 0.0)
         self._children = {}
+        self._lm_steps = {}  # (LM state, column) -> (next LM state, log p increment)
 
     def child(self, parent, col):
         """The node of ``parent`` extended by column ``col``."""
         key = (parent, col)
         node = self._children.get(key)
         if node is None:
-            node = self._children[key] = Prefix(parent, col)
+            step_key = (parent.lm_state, col)
+            step = self._lm_steps.get(step_key)
+            if step is None:
+                step = self._lm_steps[step_key] = self.lm.extend(parent.lm_state, col - 1)
+            node = self._children[key] = Prefix(parent, col, step[0],
+                                                parent.lm_logp + step[1])
         return node
 
     def retain(self, live):
         """Keep only the ``live`` prefixes and their ancestors in the table
         and return them as a set.  The walk up from each live prefix stops
-        at the first node already kept."""
+        at the first node already kept.  The LM memo keeps only the steps
+        from the live prefixes' LM states, the only ones the next frame
+        extends."""
         keep = {self.root}
+        states = set()
         for node in live:
+            states.add(node.lm_state)
             while node not in keep:
                 keep.add(node)
                 node = node.parent
         self._children = {(node.parent, node.last): node for node in keep
                           if node.parent is not None}
+        self._lm_steps = {key: step for key, step in self._lm_steps.items()
+                          if key[0] in states}
         return keep
 
     def __iter__(self):
@@ -218,7 +257,14 @@ class PrefixTable:
 
 def prefix_score(hyp, alpha0, beta):
     """CTC ranking score: log prefix mass + weighted LM + insertion bonus."""
-    return log_add(hyp.p_b, hyp.p_nb) + alpha0 * hyp.lm_logp + beta * len(hyp.prefix)
+    return _phat(hyp.p_b, hyp.p_nb, hyp.lm_logp, len(hyp.prefix), alpha0, beta)
+
+
+def _phat(p_b, p_nb, lm_logp, length, alpha0, beta):
+    """prefix_score of a prefix given as its masses, LM log probability
+    and length; the search ranks candidates with it before any
+    Hypothesis exists."""
+    return log_add(p_b, p_nb) + alpha0 * lm_logp + beta * length
 
 
 def joint_score(hyp, params, fallback_ta=None):
@@ -312,15 +358,12 @@ class JointSearch:
             if not _is_int(i) or not 0 <= i < n_cols - 1:
                 raise ValueError(f"banned id {i!r} is not a label id in [0, {n_cols - 1})")
         self.dec = dec
-        self.lm = lm
         self.params = params
         self.n_cols = n_cols
         self._banned_cols = [i + 1 for i in banned_ids]
-        self.prefixes = PrefixTable()
+        self.prefixes = PrefixTable(lm)
         root = self.prefixes.root
-        self.hyps = {
-            root: Hypothesis(root, p_b=0.0, p_nb=NEG_INF, lm_state=lm.start_state(), lm_logp=0.0)
-        }
+        self.hyps = {root: Hypothesis(root, p_b=0.0, p_nb=NEG_INF, lm_logp=0.0)}
         self.frame = 0
         self.trace = []
         self._last_carried = dict(self.hyps)
@@ -343,21 +386,15 @@ class JointSearch:
         row[self._banned_cols] = NEG_INF
         row = row.tolist()
 
-        # the CTC stage: one prefix step, the LM, and the first prune by phat
-        stepped = ctc_prefix_step(row, self.hyps, p.local_threshold, self.prefixes.child)
-        omega_ctc = {}
-        phat = {}
-        for pre, sc in stepped.items():
-            h = self.hyps.get(pre)
-            if h is None:
-                parent = self.hyps[pre.parent]
-                state, inc = self.lm.extend(parent.lm_state, pre.last - 1)
-                h = Hypothesis(pre, sc.p_b, sc.p_nb, state, parent.lm_logp + inc)
-            else:
-                h = Hypothesis(pre, sc.p_b, sc.p_nb, h.lm_state, h.lm_logp)
-            omega_ctc[pre] = h
-            phat[pre] = prefix_score(h, p.alpha0, p.beta)
-        omega_hat = prune(omega_ctc, phat, p.k_size, p.theta1)  # in phat rank order
+        # the CTC stage: one prefix step (its new nodes take their LM step
+        # from the table), phat from the masses, and the first prune by
+        # phat; only its survivors become Hypotheses
+        masses = _prefix_masses(row, self.hyps, p.local_threshold, self.prefixes.child)
+        alpha0, beta = p.alpha0, p.beta
+        phat = {pre: _phat(m[0], m[1], pre.lm_logp, pre.length, alpha0, beta)
+                for pre, m in masses.items()}
+        omega_hat = {pre: Hypothesis(pre, m[0], m[1], pre.lm_logp)  # in phat rank order
+                     for pre, m in prune(masses, phat, p.k_size, p.theta1).items()}
         if not omega_hat:
             raise RuntimeError("search collapsed")
 

@@ -11,6 +11,7 @@ offline run.
 """
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -40,8 +41,9 @@ class StreamConfig:
     def __post_init__(self):
         check_eps_enc(self.eps_enc)
         check_eps_dec(self.eps_dec)
-        if not 0 < self.frame_shift_ms < math.inf:
-            raise ValueError(f"frame_shift_ms must be positive and finite, got {self.frame_shift_ms}")
+        shift = self.frame_shift_ms
+        if isinstance(shift, bool) or not isinstance(shift, numbers.Real) or not 0 < shift < math.inf:
+            raise ValueError(f"frame_shift_ms must be a positive finite number, got {shift!r}")
 
 
 def theoretical_latency_ms(cfg, e_layers):

@@ -246,3 +246,21 @@ def test_project_heads_stacks_per_head_matmuls():
     assert kv.rows == 7 and kv.shape == (7, 16) and kv.keys.flags.c_contiguous
     assert (kv.keys == want).all()
     assert (kv.values == np.stack([kernels.matmul(x, params.w_v[h]) for h in range(4)])).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(heads=st.integers(1, 6), d_model=st.integers(1, 80), d=st.integers(1, 40),
+       rows=st.integers(0, 24), strided=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+def test_project_heads_equals_the_per_head_matmul_stack(heads, d_model, d, rows, strided,
+                                                        dtype, seed):
+    # one broadcast product per (head, row) runs the same vector-matrix
+    # routine as kernels.matmul on each head, so the bits match exactly
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((heads, d_model, d)).astype(dtype)
+    x = rng.standard_normal((rows, 2 * d_model)).astype(dtype)
+    x = x[:, ::2] if strided else x[:, :d_model]
+    want = np.stack([kernels.matmul(x, w[h]) for h in range(heads)])
+    got = project_heads(x, w)
+    assert got.shape == want.shape == (heads, rows, d) and got.dtype == want.dtype
+    assert (got == want).all()

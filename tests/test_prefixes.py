@@ -1,16 +1,18 @@
 """Interned search prefixes: identity, tuple order, the bounded child
-table, and bit-identity with the tuple-keyed search they replaced."""
+table and its LM memo, and bit-identity with the tuple-keyed search they
+replaced."""
 
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from streamasr import search as search_mod
 from streamasr.ctc import Posteriorgram
-from streamasr.lm import UniformLM
+from streamasr.lm import LanguageModel, UniformLM
 from streamasr.modelio import random_features
-from streamasr.search import (CtcPrefixSearch, DecodeParams, Prefix, PrefixTable,
-                              _rank_key, ctc_prefix_search, prune)
+from streamasr.search import (CtcPrefixSearch, DecodeParams, JointSearch, Prefix, PrefixTable,
+                              _rank_key, ctc_prefix_search, prefix_score, prune)
 from streamasr.streaming import StreamConfig, StreamingSession
 from helpers import bigram, logprob_rows, tiny_model
 from oracles import tuple_ctc_search
@@ -24,7 +26,7 @@ def node(table, cols):
 
 
 def test_table_interns_each_prefix_once():
-    table = PrefixTable()
+    table = PrefixTable(UniformLM(9))
     a = node(table, (3, 4))
     assert node(table, (3, 4)) is a
     assert node(table, (4, 3)) is not a
@@ -34,7 +36,7 @@ def test_table_interns_each_prefix_once():
 
 
 def test_equal_score_and_length_sort_in_tuple_order():
-    table = PrefixTable()
+    table = PrefixTable(UniformLM(9))
     cols = [(4, 2), (3, 5), (3, 4, 1), (4, 1), (2,), (3, 4)]
     nodes = {c: node(table, c) for c in cols}
     scores = {n: -1.0 for n in nodes.values()}
@@ -47,7 +49,7 @@ def test_equal_score_and_length_sort_in_tuple_order():
 
 
 def test_retain_keeps_live_prefixes_and_ancestors_only():
-    table = PrefixTable()
+    table = PrefixTable(UniformLM(9))
     live = [node(table, (1, 2, 3)), node(table, (1, 4))]
     node(table, (1, 2, 5))
     node(table, (6,))
@@ -175,3 +177,137 @@ def test_ctc_search_rejects_banned_ids_that_are_not_label_ids(bad):
     with pytest.raises(ValueError, match="banned id"):
         CtcPrefixSearch(UniformLM(5), DecodeParams(), 6, banned_ids=(0, bad))
     CtcPrefixSearch(UniformLM(5), DecodeParams(), 6, banned_ids=(0, np.int64(4)))
+
+
+class HistoryLM(LanguageModel):
+    """A bigram whose state is the whole label history, so no two prefixes
+    share an LM state and the memo can never serve one prefix's step to
+    another."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def start_state(self):
+        return ()
+
+    def extend(self, state, label):
+        _, inc = self.inner.extend(state[-1:], label)
+        return state + (label,), inc
+
+
+class CountingLM(LanguageModel):
+    """Records every (state, label) it is asked to extend."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def start_state(self):
+        return self.inner.start_state()
+
+    def extend(self, state, label):
+        self.calls.append((state, label))
+        return self.inner.extend(state, label)
+
+
+def chained_lm(lm, cols):
+    """LM state and log probability of a column prefix, extended label by
+    label in the order the search adds them."""
+    state, logp = lm.start_state(), 0.0
+    for c in cols:
+        state, inc = lm.extend(state, c - 1)
+        logp = logp + inc
+    return state, logp
+
+
+def ctc_setup(seed, n=30, n_cols=6, **params_kw):
+    rng = np.random.default_rng(seed)
+    logp = logprob_rows(rng, n, n_cols)
+    params_kw.setdefault("local_threshold", 0.0)
+    params = DecodeParams(k_size=12, p_size=5, theta1=8.0, **params_kw)
+    return logp, bigram(rng, n_cols - 1, False), params
+
+
+def test_node_lm_fields_equal_chaining_extend_over_its_labels():
+    logp, lm, params = ctc_setup(140)
+    search = CtcPrefixSearch(lm, params, logp.shape[1])
+    for row in logp:
+        search.advance(row)
+        # the carried prefixes and their ancestors
+        for pre in search.prefixes:
+            state, lm_logp = chained_lm(lm, pre.as_tuple())
+            assert pre.lm_state == state and pre.lm_logp == lm_logp
+    assert max(len(pre) for pre in search.hyps) > 10
+
+
+def test_memo_with_history_states_matches_tuple_search_and_stays_bounded():
+    logp, inner, params = ctc_setup(141, n=24)
+    lm = HistoryLM(inner)
+    labels = logp.shape[1] - 1
+    search = CtcPrefixSearch(lm, params, logp.shape[1])
+    for row in logp:
+        search.advance(row)
+        carried_states = {pre.lm_state for pre in search.hyps}
+        assert len(carried_states) == len(search.hyps)
+        assert len(search.prefixes._lm_steps) <= len(carried_states) * labels
+    got = search.finalize()
+    want_labels, want_score, want_trace = tuple_ctc_search(logp, lm, params)
+    assert got.trace == want_trace
+    assert got.labels == want_labels and got.score == want_score
+
+
+@pytest.mark.parametrize("ctc_only", [True, False])
+def test_each_lm_step_runs_once_while_its_state_stays_carried(ctc_only):
+    logp, inner, params = ctc_setup(142, n=40)
+    lm = CountingLM(inner)
+    if ctc_only:
+        search = CtcPrefixSearch(lm, params, logp.shape[1])
+    else:
+        m = tiny_model(142)
+        search = JointSearch(m.decoder, lm, params, logp.shape[1])
+        enc = np.random.default_rng(143).standard_normal((logp.shape[0], m.d_model))
+    extended = set()
+    for row in logp:
+        start = len(lm.calls)
+        search.advance(row, None if ctc_only else enc.astype(np.float32))
+        for call in lm.calls[start:]:
+            assert call not in extended
+            extended.add(call)
+        carried = {pre.lm_state for pre in search.hyps}
+        extended = {(state, label) for state, label in extended if state in carried}
+    # a bigram has one state per label plus the empty history, and a pair
+    # whose state left the beam is extended again if the state returns
+    n_labels = logp.shape[1] - 1
+    assert len(set(lm.calls)) <= (n_labels + 1) * n_labels < len(lm.calls)
+
+
+@pytest.mark.parametrize("ctc_only", [True, False])
+def test_search_phat_is_prefix_score_of_each_survivor(monkeypatch, ctc_only):
+    logp, lm, params = ctc_setup(144, n=20, alpha0=0.7, beta=1.5)
+    built = []
+    hypothesis = search_mod.Hypothesis
+
+    def recording(*args):
+        h = hypothesis(*args)
+        built.append(h)
+        return h
+
+    if ctc_only:
+        search = CtcPrefixSearch(lm, params, logp.shape[1])
+    else:
+        m = tiny_model(144)
+        search = JointSearch(m.decoder, lm, params, logp.shape[1])
+    enc = np.random.default_rng(145).standard_normal((logp.shape[0], 8)).astype(np.float32)
+    monkeypatch.setattr(search_mod, "Hypothesis", recording)
+    dropped = 0
+    for row in logp:
+        del built[:]
+        search.advance(row, None if ctc_only else enc)
+        # Hypotheses are built for the first prune's survivors only
+        assert 0 < len(built) <= min(params.k_size, len(search._last_phat))
+        assert {h.prefix for h in built} >= set(search.hyps)
+        for h in built:
+            assert h.lm_logp == h.prefix.lm_logp
+            assert search._last_phat[h.prefix] == prefix_score(h, params.alpha0, params.beta)
+        dropped += len(search._last_phat) - len(built)
+    assert dropped > 0

@@ -24,7 +24,7 @@ TRACE_RE = re.compile(
 
 
 def hyp(prefix, p_b, p_nb, lm_logp=0.0, ta=None):
-    return Hypothesis(prefix, p_b, p_nb, lm_state=(), lm_logp=lm_logp, ta_logp=ta)
+    return Hypothesis(prefix, p_b, p_nb, lm_logp=lm_logp, ta_logp=ta)
 
 
 def by_columns(prefix_keyed):
@@ -136,6 +136,30 @@ def test_decode_params_reject_values_the_search_cannot_use(field, bad):
     # search or decode to garbage (nan scores, empty labels, no pruning)
     with pytest.raises(ValueError, match=field):
         DecodeParams(**{field: bad})
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("lam", "0.5"), ("lam", None), ("lam", True),
+    ("alpha0", "0.7"), ("alpha0", False), ("alpha", True), ("alpha", None),
+    ("beta", "2"), ("beta", True), ("theta1", None), ("theta1", True),
+    ("theta2", "6"), ("theta2", False), ("local_threshold", "1e-4"),
+    ("local_threshold", None), ("local_threshold", False),
+    ("add_eos_at_finalize", "no"), ("add_eos_at_finalize", 1), ("add_eos_at_finalize", None),
+    ("dcond", 3), ("dcond", "never"), ("acond", 3), ("acond", True),
+])
+def test_decode_params_reject_values_of_the_wrong_type(field, bad):
+    # a string or None used to raise TypeError from a comparison, a bool
+    # weight passed as a number, a non-bool add_eos_at_finalize ran the
+    # <eos> pass, and a non-callable hook failed mid-search
+    with pytest.raises(ValueError, match=field):
+        DecodeParams(**{field: bad})
+
+
+def test_decode_params_accept_numpy_reals_and_callable_hooks():
+    p = DecodeParams(lam=np.float64(0.25), alpha=np.float32(0.5), beta=3,
+                     theta1=np.int64(8), dcond=lambda *a: False, acond=print,
+                     add_eos_at_finalize=False)
+    assert p.lam == 0.25 and p.theta1 == 8 and p.add_eos_at_finalize is False
 
 
 def test_decode_params_accept_integer_likes_and_threshold_bounds():
@@ -308,7 +332,7 @@ def test_skip_hook_falls_back_to_parent_score():
         if h is None or not pre:
             continue
         # fused score used the root's 0.0 attention mass as fallback
-        want = joint_score(Hypothesis(pre, h.p_b, h.p_nb, (), h.lm_logp, None),
+        want = joint_score(Hypothesis(pre, h.p_b, h.p_nb, h.lm_logp, None),
                            params, fallback_ta=0.0)
         assert val == pytest.approx(want, abs=1e-12)
 
@@ -379,7 +403,7 @@ def test_joint_loss_unreachable_reference_is_infinite():
 
 
 def test_decode_projects_each_encoder_row_once_per_layer_and_head(monkeypatch):
-    from streamasr import kernels
+    from streamasr import attention
 
     m = tiny_model(116, d_layers=2)
     rng = np.random.default_rng(616)
@@ -389,20 +413,19 @@ def test_decode_projects_each_encoder_row_once_per_layer_and_head(monkeypatch):
     weights = {}
     for d, layer in enumerate(m.decoder.layers):
         for kind, w in (("k", layer.src_mha.w_k), ("v", layer.src_mha.w_v)):
-            for h in range(w.shape[0]):
-                weights[w[h].__array_interface__["data"][0]] = (d, kind, h)
-    rows = dict.fromkeys(weights.values(), 0)
-    matmul = kernels.matmul
+            weights[w.__array_interface__["data"][0]] = [(d, kind, h) for h in range(w.shape[0])]
+    rows = {key: 0 for keys in weights.values() for key in keys}
+    project_heads = attention.project_heads
 
-    def counting(a, b):
-        key = weights.get(np.asarray(b).__array_interface__["data"][0])
-        if key is not None:
-            rows[key] += np.shape(a)[0]
-        return matmul(a, b)
+    def counting(x, w):
+        # one call projects the rows through every head of w
+        for key in weights.get(np.asarray(w).__array_interface__["data"][0], ()):
+            rows[key] += np.shape(x)[0]
+        return project_heads(x, w)
 
-    monkeypatch.setattr(kernels, "matmul", counting)
+    monkeypatch.setattr(attention, "project_heads", counting)
     decode(enc, post, UniformLM(3), m.decoder, params)
-    assert rows == dict.fromkeys(weights.values(), 7)
+    assert rows == dict.fromkeys(rows, 7)
 
 
 def test_declined_ancestor_is_scored_before_its_child():

@@ -49,6 +49,13 @@ def test_stream_config_validation():
             StreamConfig(eps_enc=bad)
 
 
+@pytest.mark.parametrize("bad", ["10", True, False, None, -5, math.nan, 1j])
+def test_stream_config_rejects_frame_shifts_that_are_not_positive_reals(bad):
+    # "10" used to raise TypeError from a comparison and True passed as 1 ms
+    with pytest.raises(ValueError, match="frame_shift_ms"):
+        StreamConfig(frame_shift_ms=bad)
+
+
 def test_stream_config_rejects_non_integer_eps_dec():
     # a float look-ahead used to pass and then fail as a slice index
     for bad in (1.5, 2.0, True):
