@@ -12,6 +12,9 @@ That call gathers the allowed rows of each group of equal mask rows as a
 C-contiguous copy and scores every (head, row) of the group in one
 stacked product.  Its output is bit-identical to computing each head and
 query row alone on its gathered rows; the copy is part of that contract.
+A mask that lets every row see every key (a streaming encoder row, the
+decoder's cross-attention) is one group whose gather would copy q, k and
+v whole, so the call scores C-contiguous q, k and v directly.
 """
 
 import math
@@ -47,6 +50,19 @@ class MhaParams:
         if self.w_h.shape != (h * d_v, d_model):
             raise ValueError(f"w_h shape {self.w_h.shape}, expected {(h * d_v, d_model)}")
 
+    def qkv(self):
+        """w_q, w_k and w_v stacked into one (3 * heads, d_model, d)
+        weight, so that one :func:`project_heads` call gives a row's
+        query, key and value heads, in that order.  Built on first use
+        and kept with the block, so every session over one model shares
+        it; it is rebuilt if one of the three weights is replaced."""
+        kept = self.__dict__.get("_qkv")
+        if (kept is None or kept[0] is not self.w_q or kept[1] is not self.w_k
+                or kept[2] is not self.w_v):
+            kept = self._qkv = (self.w_q, self.w_k, self.w_v,
+                                np.concatenate([self.w_q, self.w_k, self.w_v]))
+        return kept[3]
+
 
 def full_mask(n_q, n_k):
     return np.ones((n_q, n_k), dtype=bool)
@@ -55,14 +71,15 @@ def full_mask(n_q, n_k):
 def lookahead_mask(n_q, n_k, lookahead):
     """Query i may attend to keys j <= i + lookahead; the past is unbounded.
 
-    ``lookahead`` may be math.inf for an unrestricted mask.
+    ``lookahead`` may be math.inf for an unrestricted mask; so is every
+    mask whose first row already sees the last key.
     """
     if not isinstance(lookahead, (int, float)):
         raise ValueError(f"lookahead must be a number, got {type(lookahead).__name__}")
-    if math.isinf(lookahead):
-        return full_mask(n_q, n_k)
     if lookahead < 0:
         raise ValueError(f"lookahead must be >= 0, got {lookahead}")
+    if lookahead >= n_k - 1:
+        return full_mask(n_q, n_k)
     cols = np.arange(n_k)
     rows = np.arange(n_q)
     return cols[None, :] <= rows[:, None] + int(lookahead)
@@ -91,6 +108,11 @@ def scaled_dot_attention(q, k, v, mask):
     own query and its allowed key/value rows, bit for bit the same as
     computing that row and head alone.  The gathered copy is part of that
     contract: vector products over strided views can round differently.
+    When every row allows every key the one group's gather would copy q,
+    k and v whole, so they are scored as C-contiguous arrays without the
+    grouping: ``np.ascontiguousarray`` copies a strided view, such as a
+    query slice of a longer buffer, and hands a C-contiguous array over
+    as it is.
     """
     q = np.asarray(q)
     k = np.asarray(k)
@@ -107,7 +129,11 @@ def scaled_dot_attention(q, k, v, mask):
     if mask.shape != (q.shape[-2], k.shape[-2]):
         raise ValueError(f"mask shape {mask.shape}, expected {(q.shape[-2], k.shape[-2])}")
     scale = 1.0 / math.sqrt(q.shape[-1])
-    out = np.empty(q.shape[:-1] + v.shape[-1:], dtype=np.result_type(q, v))
+    out_type = np.result_type(q, v)
+    if k.shape[-2] and mask.all():
+        q, k, v = np.ascontiguousarray(q), np.ascontiguousarray(k), np.ascontiguousarray(v)
+        return _softmax_attend(q, k, v, scale).astype(out_type, copy=False)
+    out = np.empty(q.shape[:-1] + v.shape[-1:], dtype=out_type)
     groups = {}
     for i, row in enumerate(mask):
         groups.setdefault(row.tobytes(), []).append(i)
@@ -115,14 +141,18 @@ def scaled_dot_attention(q, k, v, mask):
         idx = np.flatnonzero(mask[rows[0]])
         if idx.size == 0:
             raise ValueError("empty attention row")
-        kg = np.take(k, idx, axis=-2)
-        vg = np.take(v, idx, axis=-2)
-        qg = np.take(q, rows, axis=-2)
-        logits = np.matmul(kg[..., None, :, :], qg[..., None])[..., 0] * scale
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        p = e / e.sum(axis=-1, keepdims=True)
-        out[..., rows, :] = np.matmul(p[..., None, :], vg[..., None, :, :])[..., 0, :]
+        out[..., rows, :] = _softmax_attend(np.take(q, rows, axis=-2), np.take(k, idx, axis=-2),
+                                            np.take(v, idx, axis=-2), scale)
     return out
+
+
+def _softmax_attend(q, k, v, scale):
+    """Every query row of q (..., B, d) over every row of k and v, one
+    stacked matrix-vector product per (head, row)."""
+    logits = np.matmul(k[..., None, :, :], q[..., None])[..., 0] * scale
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    return np.matmul(p[..., None, :], v[..., None, :, :])[..., 0, :]
 
 
 def project_heads(x, w):
@@ -140,9 +170,17 @@ def project_heads(x, w):
 def attend(q_in, keys, values, params, mask):
     """Multi-head attention over head-major keys and values already
     projected by :func:`project_heads` with ``params.w_k`` and
-    ``params.w_v``: one :func:`scaled_dot_attention` call for all heads,
-    whose outputs are concatenated head by head and projected."""
-    heads = scaled_dot_attention(project_heads(q_in, params.w_q), keys, values, mask)
+    ``params.w_v``: :func:`attend_heads` on the rows of q_in projected
+    by ``params.w_q``."""
+    return attend_heads(project_heads(q_in, params.w_q), keys, values, params, mask)
+
+
+def attend_heads(q, keys, values, params, mask):
+    """Multi-head attention of head-major queries q (heads, rows, d)
+    already projected: one :func:`scaled_dot_attention` call for all
+    heads, whose outputs are concatenated head by head and projected by
+    ``params.w_h``."""
+    heads = scaled_dot_attention(q, keys, values, mask)
     h_count, b, d_v = heads.shape
     return kernels.matmul(heads.transpose(1, 0, 2).reshape(b, h_count * d_v), params.w_h)
 

@@ -63,6 +63,9 @@ def build_parser():
 
 def _decode_one(path, model, lm, params, args):
     feats = load_features(path)
+    if feats.frames.shape[1] != model.d_feat:
+        raise ValueError(f"{path}: {feats.frames.shape[1]} feature columns, "
+                         f"the model takes {model.d_feat}")
     if args.streaming is not None:
         cfg = StreamConfig(eps_enc=args.eps_enc, eps_dec=args.eps_dec,
                            frame_shift_ms=feats.frame_shift_ms)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .attention import KeyValues, MhaParams, attend, lookahead_mask, multi_head_attention
+from .attention import (KeyValues, MhaParams, attend_heads, lookahead_mask, multi_head_attention,
+                        project_heads)
 
 
 @dataclass
@@ -74,20 +75,60 @@ class EncoderStates:
     frame_duration_ms: float = 40.0
 
 
+_POSITION_TABLES = {}  # d_model -> read-only float32 table of positions 0, 1, ...
+
+
+def positional_table(n, d_model):
+    """Sinusoidal position vectors sin/cos(pos / 10000^(2i/d_model)) of
+    positions 0..n-1 at least, as read-only float32 rows.
+
+    One table per width serves every encoder and decoder in the process:
+    it is a memo of a pure function of (position, width), so sharing it
+    changes no result.  It grows by doubling, so it holds at most twice
+    the longest sequence seen.  It is computed in float64 and rounded
+    once; sin and cos are elementwise, so a row has the bits of its
+    position computed alone (the tests check it against that form).
+    """
+    table = _POSITION_TABLES.get(d_model)
+    if table is None or table.shape[0] < n:
+        rows = max(n, 64 if table is None else 2 * table.shape[0])
+        even = np.arange(0, d_model, 2, dtype=np.float64)
+        angles = np.arange(rows, dtype=np.float64)[:, None] / np.power(10000.0, even / d_model)
+        table = np.empty((rows, d_model), dtype=np.float64)
+        table[:, 0::2] = np.sin(angles)
+        table[:, 1::2] = np.cos(angles)[:, :d_model // 2]
+        table = table.astype(np.float32)
+        table.setflags(write=False)
+        _POSITION_TABLES[d_model] = table
+    return table
+
+
 def positional_encoding(pos, d_model):
-    """Sinusoidal position vector: sin/cos(pos / 10000^(2i/d_model))."""
-    even = np.arange(0, d_model, 2, dtype=np.float64)
-    angles = pos / np.power(10000.0, even / d_model)
-    out = np.empty(d_model, dtype=np.float64)
-    out[0::2] = np.sin(angles)
-    out[1::2] = np.cos(angles[: d_model // 2])
-    return out.astype(np.float32)
+    """Sinusoidal position vector of position ``pos``: a row of :func:`positional_table`."""
+    if pos < 0:
+        raise ValueError(f"position must be >= 0, got {pos}")
+    return positional_table(pos + 1, d_model)[pos]
 
 
 def positional_encoding_rows(start, count, d_model):
-    if count == 0:
-        return np.zeros((0, d_model), dtype=np.float32)
-    return np.stack([positional_encoding(p, d_model) for p in range(start, start + count)])
+    """Position vectors of positions start..start+count-1, one per row."""
+    if start < 0 or count < 0:
+        raise ValueError(f"positions must be >= 0, got {count} from {start}")
+    return positional_table(start + count, d_model)[start:start + count]
+
+
+def feature_frames(features):
+    """The frame matrix of a :class:`FeatureMatrix` or array as float32,
+    the model's dtype: the same values give the same bits whatever dtype
+    they arrive in.  Values that are not real numbers raise; values
+    beyond float32's range become infinite."""
+    frames = features.frames if isinstance(features, FeatureMatrix) else np.asarray(features)
+    if frames.dtype.kind not in "biuf":
+        raise ValueError(f"feature values must be real numbers, got dtype {frames.dtype}")
+    if frames.dtype != np.float32:
+        with np.errstate(over="ignore"):
+            frames = frames.astype(np.float32)
+    return frames
 
 
 def cnn_frame_count(t):
@@ -116,47 +157,66 @@ class _ConvRows:
     def push(self, x, final):
         """New input rows (in_ch, rows, f), or None -> the output rows they
         complete; ``final`` appends the time axis's trailing zero row."""
-        buf = self.pending
-        if x is not None:
-            x = np.pad(x, ((0, 0), (int(buf is None), 0), (1, 1)))
-            if buf is not None and x.shape[2] != buf.shape[2]:
-                raise ValueError(f"feature width changed: {x.shape[2] - 2} vs {buf.shape[2] - 2}")
-            buf = x if buf is None else np.concatenate([buf, x], axis=1)
-        if final:
-            buf = np.pad(buf, ((0, 0), (0, 1), (0, 0)))
+        kept = self.pending
+        if x is None:
+            x = kept[:, :0, 1:-1]
+        elif kept is not None and x.shape[2] + 2 != kept.shape[2]:
+            raise ValueError(f"feature width changed: {x.shape[2]} vs {kept.shape[2] - 2}")
+        # the kept rows (or the leading zero row), the new rows between two
+        # zero frequency columns, and the trailing zero row if final
+        ch, t, f = x.shape
+        start = 1 if kept is None else kept.shape[1]
+        buf = np.zeros((ch, start + t + int(final), f + 2), dtype=x.dtype)
+        if kept is not None:
+            buf[:, :start] = kept
+        buf[:, start:start + t, 1:f + 1] = x
         k = (buf.shape[1] - 1) // 2
         self.pending = buf[:, 2 * k:]
         if k == 0:
-            return np.zeros((self.w.shape[0], 0, (buf.shape[2] - 3) // 2 + 1), dtype=buf.dtype)
+            return np.zeros((self.w.shape[0], 0, (f - 1) // 2 + 1), dtype=buf.dtype)
         h = kernels.conv2d(buf[:, :2 * k + 1], self.w, stride=2, pad=0)
         return kernels.relu(h + self.b[:, None, None])
 
 
 class _LayerRows:
-    """One encoder layer over rows as they arrive: keeps the input rows not
-    emitted yet, their norm1 rows (the attention queries) and the keys and
-    values of every row so far, each projected once."""
+    """One encoder layer over rows as they arrive.
+
+    Keeps the input rows not emitted yet (``x``, the residual), their
+    attention queries (``q``, head-major (heads, rows, d)) and the keys
+    and values of every row so far (``kv``).  A row is normed and
+    projected once, when it arrives: one :func:`project_heads` call over
+    the block's stacked Q/K/V weight gives its query, key and value.
+    """
 
     def __init__(self, layer, eps_enc):
         self.layer = layer
         self.eps = eps_enc
-        self.x = self.normed = np.zeros((0, layer.norm1_g.shape[0]), dtype=np.float32)
+        self.heads = layer.mha.w_q.shape[0]
+        self.x = np.zeros((0, layer.norm1_g.shape[0]), dtype=np.float32)
+        self.q = np.zeros((self.heads, 0, layer.mha.w_q.shape[2]), dtype=np.float32)
         self.kv = KeyValues.empty(layer.mha)
 
     def push(self, x, final):
         """New input rows -> the output rows whose look-ahead is complete."""
-        layer = self.layer
-        normed = kernels.layer_norm(x, layer.norm1_g, layer.norm1_b)
-        self.kv = self.kv.append(KeyValues.project(normed, layer.mha))
-        self.x = np.concatenate([self.x, x])
-        self.normed = np.concatenate([self.normed, normed])
+        layer, h = self.layer, self.heads
+        if x.shape[0]:
+            qkv = project_heads(kernels.layer_norm(x, layer.norm1_g, layer.norm1_b),
+                                layer.mha.qkv())
+            self.kv = self.kv.append(KeyValues(qkv[h:2 * h], qkv[2 * h:]))
+            if self.x.shape[0]:
+                self.x = np.concatenate([self.x, x])
+                self.q = np.concatenate([self.q, qkv[:h]], axis=1)
+            else:
+                self.x, self.q = x, qkv[:h]
         n, pending = self.kv.rows, self.x.shape[0]
         m = pending if final else int(max(0, pending - self.eps))
+        if m == 0:
+            return self.x[:0]
         # the rows of lookahead_mask(n, n, eps) for the m oldest pending rows
         mask = lookahead_mask(m, n, float(n - pending) + self.eps)
-        z = self.x[:m] + attend(self.normed[:m], self.kv.keys, self.kv.values, layer.mha, mask)
+        z = self.x[:m] + attend_heads(self.q[:, :m], self.kv.keys, self.kv.values, layer.mha, mask)
         normed = kernels.layer_norm(z, layer.norm2_g, layer.norm2_b)
-        self.x, self.normed = self.x[m:], self.normed[m:]
+        self.x, self.q = self.x[m:], self.q[:, m:]
         return z + feed_forward(normed, layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b)
 
 
@@ -193,13 +253,13 @@ class IncrementalEncoder:
         x0 = self.front_end(frames, final)
         x0 = x0 + positional_encoding_rows(self.rows, x0.shape[0], self.params.d_model)
         self.rows += x0.shape[0]
-        return self.push_rows(x0, final)
+        return self._layer_stack(x0, final)
 
     def front_end(self, frames, final):
         """The conv stack and projection alone -> the projected rows completed."""
         h = None
         if frames is not None:
-            frames = frames.frames if isinstance(frames, FeatureMatrix) else np.asarray(frames)
+            frames = feature_frames(frames)
             if frames.ndim != 2:
                 raise ValueError(f"feature matrix must be 2-D, got shape {frames.shape}")
             h = frames[None, :, :]
@@ -214,8 +274,11 @@ class IncrementalEncoder:
         return kernels.matmul(flat, self.params.cnn.proj_w) + self.params.cnn.proj_b
 
     def push_rows(self, x0, final=False):
-        """The layer stack and final norm alone, on projected, position-encoded rows."""
-        x = np.asarray(x0, dtype=np.float32)
+        """The layer stack and final norm alone, on projected, position-encoded
+        rows.  The rows are copied: the first layer keeps its pending rows."""
+        return self._layer_stack(np.array(x0, dtype=np.float32), final)
+
+    def _layer_stack(self, x, final):
         for layer in self.layers:
             x = layer.push(x, final)
         return kernels.layer_norm(x, self.params.final_norm_g, self.params.final_norm_b)

@@ -64,9 +64,11 @@ def layer_norm(m, gain, bias, eps=1e-12):
         raise ValueError(
             f"layer_norm shape mismatch: m {m.shape}, gain {gain.shape}, bias {bias.shape}"
         )
-    mu = np.mean(m, axis=1, keepdims=True)
-    centered = m - mu
-    var = np.mean(centered * centered, axis=1, keepdims=True)
+    # sum / n is np.mean's own arithmetic (a pairwise add.reduce, then one
+    # correctly rounded division) without its Python-level wrapper
+    n = m.shape[1]
+    centered = m - m.sum(axis=1, keepdims=True) / n
+    var = (centered * centered).sum(axis=1, keepdims=True) / n
     return (centered / np.sqrt(var + eps)) * gain + bias
 
 
@@ -78,14 +80,18 @@ def conv_time_slab(window, kernels, stride):
     here and :func:`conv2d` sweeps time with it, so a window yields the
     same row however many rows the call computes.  The slab is copied to
     a contiguous buffer first: einsum's traversal order may depend on
-    input strides, and callers pass views.
+    input strides, and callers pass views.  The frequency windows are a
+    strided view of that buffer, with the shape and strides that
+    ``sliding_window_view(window, k_w, axis=2)[:, :, ::stride]`` gives.
     """
     window = np.ascontiguousarray(window)
     k_w = kernels.shape[3]
     f_out = (window.shape[2] - k_w) // stride + 1
     if f_out < 1:
         raise ValueError("input too short")
-    sw = np.lib.stride_tricks.sliding_window_view(window, k_w, axis=2)[:, :, ::stride, :]
+    s_c, s_h, s_f = window.strides
+    sw = np.lib.stride_tricks.as_strided(window, window.shape[:2] + (f_out, k_w),
+                                         (s_c, s_h, s_f * stride, s_f), writeable=False)
     # sw: (in_ch, k_h, f_out, k_w); kernels: (out_ch, in_ch, k_h, k_w)
     return np.einsum("ihfw,oihw->of", sw, kernels, optimize=False)
 
@@ -108,7 +114,7 @@ def conv2d(x, kernels, stride, pad):
     f_out = (x.shape[2] + 2 * pad - k_w) // stride + 1
     if t_out < 1 or f_out < 1:
         raise ValueError("input too short")
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
     out = np.empty((kernels.shape[0], t_out, f_out), dtype=np.result_type(x, kernels))
     for i in range(t_out):
         out[:, i, :] = conv_time_slab(xp[:, i * stride : i * stride + k_h, :], kernels, stride)

@@ -398,3 +398,55 @@ def row_loop_attention(q, k, v, mask):
         e = np.exp(logits - logits.max())
         out[i] = (e / e.sum()) @ v[idx]
     return out
+
+
+# ---------------------------------------------------------------------
+# Forms the package replaced with cheaper calls that give the same bits.
+# Each is the old code, kept as the bit reference of its replacement.
+
+
+def layer_norm_np_mean(m, gain, bias, eps=1e-12):
+    """``kernels.layer_norm`` with both means taken by ``np.mean``."""
+    mu = np.mean(m, axis=1, keepdims=True)
+    centered = m - mu
+    var = np.mean(centered * centered, axis=1, keepdims=True)
+    return (centered / np.sqrt(var + eps)) * gain + bias
+
+
+def conv_time_slab_window_view(window, kernels, stride):
+    """``kernels.conv_time_slab`` with its frequency windows taken by
+    ``sliding_window_view``."""
+    window = np.ascontiguousarray(window)
+    k_w = kernels.shape[3]
+    sw = np.lib.stride_tricks.sliding_window_view(window, k_w, axis=2)[:, :, ::stride, :]
+    return np.einsum("ihfw,oihw->of", sw, kernels, optimize=False)
+
+
+def conv2d_np_pad(x, kernels, stride, pad):
+    """``kernels.conv2d`` padding with ``np.pad`` (also when ``pad`` is 0)
+    and sweeping time with :func:`conv_time_slab_window_view`."""
+    k_h = kernels.shape[2]
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    t_out = (xp.shape[1] - k_h) // stride + 1
+    return np.stack([conv_time_slab_window_view(xp[:, i * stride:i * stride + k_h], kernels,
+                                                stride)
+                     for i in range(t_out)], axis=1)
+
+
+def project_qkv_separately(x, mha):
+    """Queries, keys and values of the rows of x, one ``project_heads``
+    call per weight."""
+    from streamasr.attention import project_heads
+
+    return tuple(project_heads(x, w) for w in (mha.w_q, mha.w_k, mha.w_v))
+
+
+def positional_encoding_per_row(pos, d_model):
+    """One sinusoidal position vector computed on its own, with sin and cos
+    of this position's angles only."""
+    even = np.arange(0, d_model, 2, dtype=np.float64)
+    angles = pos / np.power(10000.0, even / d_model)
+    out = np.empty(d_model, dtype=np.float64)
+    out[0::2] = np.sin(angles)
+    out[1::2] = np.cos(angles[: d_model // 2])
+    return out.astype(np.float32)

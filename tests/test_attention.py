@@ -9,7 +9,7 @@ from streamasr.attention import (KeyValues, MhaParams, causal_mask, full_mask,
                                  lookahead_mask, multi_head_attention,
                                  project_heads, scaled_dot_attention,
                                  truncation_mask)
-from oracles import attention_oracle, mha_oracle, row_loop_attention
+from oracles import attention_oracle, mha_oracle, project_qkv_separately, row_loop_attention
 
 
 def rand_mha(rng, heads, d_model, d_k):
@@ -132,11 +132,16 @@ def test_lookahead_mask_shape_and_contents():
 
 def test_lookahead_mask_inf_is_full():
     assert np.array_equal(lookahead_mask(3, 4, math.inf), full_mask(3, 4))
+    for lookahead in (3, 3.0, 7):
+        assert np.array_equal(lookahead_mask(3, 4, lookahead), full_mask(3, 4))
+    assert not lookahead_mask(3, 4, 2)[0, 3]
 
 
 def test_lookahead_mask_negative_raises():
     with pytest.raises(ValueError, match="lookahead must be >= 0"):
         lookahead_mask(2, 2, -1)
+    with pytest.raises(ValueError, match="lookahead must be >= 0"):
+        lookahead_mask(2, 2, -math.inf)  # used to pass as an unrestricted mask
 
 
 def test_causal_mask_is_lower_triangular():
@@ -264,3 +269,57 @@ def test_project_heads_equals_the_per_head_matmul_stack(heads, d_model, d, rows,
     got = project_heads(x, w)
     assert got.shape == want.shape == (heads, rows, d) and got.dtype == want.dtype
     assert (got == want).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(heads=st.integers(1, 4), d=st.integers(1, 32), b=st.integers(0, 6), n=st.integers(1, 90),
+       q_extra=st.integers(0, 3), kv_extra=st.integers(0, 4),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+def test_all_keys_fast_path_equals_the_grouped_path(heads, d, b, n, q_extra, kv_extra, dtype,
+                                                    seed):
+    # a mask that lets every row see every key skips the grouping; it must
+    # score the same arrays the one group's gather would build: queries
+    # sliced from a longer pending buffer (the encoder's layers) and keys
+    # and values that are prefix views of a longer cache (the decoder's
+    # cross-attention)
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((heads, b + q_extra, d)).astype(dtype)[:, q_extra:]
+    kv = rng.standard_normal((2, heads, n + kv_extra, d)).astype(dtype)
+    k, v = kv[0][:, :n], kv[1][:, :n]
+    got = scaled_dot_attention(q, k, v, full_mask(b, n))
+    # the grouped path over the same rows: one more key, masked off in
+    # every row, so every row is in one group gathering keys 0..n-1
+    pad = np.ones((heads, 1, d), dtype=dtype)
+    grouped = scaled_dot_attention(q, np.concatenate([k, pad], axis=1),
+                                   np.concatenate([v, pad], axis=1),
+                                   np.arange(n + 1) < np.full((b, 1), n))
+    assert got.shape == grouped.shape == (heads, b, d) and got.dtype == grouped.dtype
+    assert (got == grouped).all()
+    for h in range(heads):
+        assert (got[h] == row_loop_attention(q[h], k[h], v[h], full_mask(b, n))).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(heads=st.integers(1, 6), d_model=st.integers(1, 80), d=st.integers(1, 40),
+       rows=st.integers(0, 24), strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_qkv_projection_equals_three_projections(heads, d_model, d, rows, strided,
+                                                         seed):
+    rng = np.random.default_rng(seed)
+    mha = rand_mha(rng, heads, d_model, d)
+    x = rng.standard_normal((rows, 2 * d_model)).astype(np.float32)
+    x = x[:, ::2] if strided else x[:, :d_model]
+    got = project_heads(x, mha.qkv())
+    assert got.shape == (3 * heads, rows, d)
+    for part, want in zip((got[:heads], got[heads:2 * heads], got[2 * heads:]),
+                          project_qkv_separately(x, mha)):
+        assert (part == want).all()
+
+
+def test_stacked_qkv_weight_is_built_once_and_follows_replaced_weights():
+    rng = np.random.default_rng(19)
+    mha = rand_mha(rng, heads=2, d_model=8, d_k=4)
+    w = mha.qkv()
+    assert mha.qkv() is w
+    assert (w == np.concatenate([mha.w_q, mha.w_k, mha.w_v])).all()
+    mha.w_k = -mha.w_k
+    assert (mha.qkv()[2:4] == mha.w_k).all()

@@ -146,3 +146,17 @@ def test_runtime_errors_exit_one_with_message(capsys, workspace, tmp_path):
                                 "--features", str(workspace / "utt0.feats")])
     assert code == 1
     assert "vocabulary has 4 tokens but the model expects 5" in err
+
+
+@pytest.mark.parametrize("streaming", [None, 4])
+def test_feature_width_must_match_the_model(capsys, workspace, tmp_path, streaming):
+    # 3 columns give the conv stack the width 4 does, so the offline path
+    # used to decode them silently
+    write_features(tmp_path / "narrow.feats", random_features(153, 12, 3))
+    args = ["--model", str(workspace / "toy.model"), "--vocab", str(workspace / "toy.vocab"),
+            "--features", str(tmp_path / "narrow.feats")]
+    if streaming is not None:
+        args += ["--streaming", str(streaming)]
+    code, out, err = run(capsys, args)
+    assert code == 1 and out == ""
+    assert "3 feature columns, the model takes 4" in err

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamasr import kernels
+from streamasr import encoder, kernels
 from streamasr.attention import full_mask, lookahead_mask
 from streamasr.encoder import (CnnParams, EncoderStates, FeatureMatrix,
                                IncrementalEncoder, cnn_frame_count, enc_cnn,
                                encode, encoder_forward, encoder_layer,
                                feed_forward, positional_encoding,
-                               positional_encoding_rows)
+                               positional_encoding_rows, positional_table)
 from streamasr.modelio import random_model
 from helpers import tiny_model
-from oracles import conv2d_oracle, positional_encoding_oracle
+from oracles import (conv2d_np_pad, conv2d_oracle, positional_encoding_oracle,
+                     positional_encoding_per_row)
 
 
 def rand_cnn(rng, d_feat, ch1, ch2, d_model):
@@ -58,6 +59,34 @@ def test_positional_encoding_rows_stacks_positions():
     for i in range(4):
         assert np.array_equal(rows[i], positional_encoding(3 + i, 8))
     assert positional_encoding_rows(0, 0, 8).shape == (0, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d_model=st.integers(1, 130), positions=st.lists(st.integers(0, 5000), min_size=1,
+                                                         max_size=8))
+def test_positional_table_rows_equal_rows_computed_alone(d_model, positions):
+    # the table's rows (computed many at a time, as the table grows) carry
+    # the bits of each position computed on its own
+    for pos in positions:
+        assert (positional_encoding(pos, d_model) == positional_encoding_per_row(pos, d_model)).all()
+    table = positional_table(max(positions) + 1, d_model)
+    assert table.dtype == np.float32 and not table.flags.writeable
+    assert (table[positions] == np.stack([positional_encoding_per_row(p, d_model)
+                                          for p in positions])).all()
+
+
+def test_negative_positions_raise():
+    with pytest.raises(ValueError, match="position"):
+        positional_encoding(-1, 8)
+    with pytest.raises(ValueError, match="position"):
+        positional_encoding_rows(-2, 3, 8)
+
+
+def test_positional_table_grows_and_keeps_its_rows():
+    small = positional_table(3, 6)
+    big = positional_table(small.shape[0] + 1, 6)
+    assert big.shape[0] > small.shape[0] and positional_table(3, 6) is big
+    assert (big[:small.shape[0]] == small).all()
 
 
 @pytest.mark.parametrize("t,n", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 2), (13, 4), (16, 4), (17, 5)])
@@ -256,3 +285,66 @@ def test_encoder_rejects_bad_lookahead_and_missing_input():
     for final in (False, True):
         with pytest.raises(ValueError, match="input too short"):
             IncrementalEncoder(m.encoder, 1).push(None, final=final)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ch=st.integers(1, 3), t=st.integers(1, 14), f=st.integers(1, 12),
+       sizes=st.lists(st.integers(0, 5), max_size=5), seed=st.integers(0, 2**32 - 1))
+def test_conv_rows_pushed_in_pieces_equal_the_np_pad_conv(ch, t, f, sizes, seed):
+    # the conv stage pads by writing rows into a zero buffer; its output
+    # rows equal one padded convolution of the whole input
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((ch, t, f)).astype(np.float32)
+    w = rng.standard_normal((2, ch, 3, 3)).astype(np.float32)
+    b = rng.standard_normal(2).astype(np.float32)
+    conv = encoder._ConvRows(w, b)
+    out, i = [], 0
+    for size in sizes:
+        out.append(conv.push(x[:, i:i + size], final=False))
+        i += size
+    out.append(conv.push(x[:, i:], final=False))
+    out.append(conv.push(None, final=True))
+    want = kernels.relu(conv2d_np_pad(x, w, 2, 1) + b[:, None, None])
+    assert (np.concatenate(out, axis=1) == want).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.int16])
+def test_encode_gives_float32_bits_for_any_real_dtype(dtype):
+    m = tiny_model(52)
+    values = np.random.default_rng(53).integers(-3, 4, size=(19, 4))
+    want = encode(values.astype(np.float32), m.encoder, 1).states
+    got = encode(FeatureMatrix(values.astype(dtype)), m.encoder, 1).states
+    assert got.dtype == np.float32 and (got == want).all()
+    halves = np.random.default_rng(54).standard_normal((19, 4)).astype(np.float32)
+    assert (encode(halves.astype(np.float64), m.encoder, 1).states
+            == encode(halves, m.encoder, 1).states).all()
+
+
+def test_encode_rejects_features_that_are_not_real_numbers():
+    m = tiny_model(55)
+    for bad in (np.zeros((8, 4), dtype=complex), np.full((8, 4), "1")):
+        with pytest.raises(ValueError, match="real numbers"):
+            encode(bad, m.encoder, 1)
+
+
+def test_push_rows_keeps_no_view_of_its_input():
+    m = tiny_model(56, e_layers=2)
+    x0 = np.random.default_rng(57).standard_normal((6, 8)).astype(np.float32)
+    whole = IncrementalEncoder(m.encoder, 2).push_rows(x0, final=True)
+    enc = IncrementalEncoder(m.encoder, 2)
+    x = x0.copy()
+    first = enc.push_rows(x[:4])
+    x[:4] = 0.0  # rows still pending in the layers must not see this
+    got = np.concatenate([first, enc.push_rows(x0[4:], final=True)])
+    assert (got == whole).all()
+
+
+def test_engine_rejects_a_width_change_and_keeps_its_state():
+    m = tiny_model(58)
+    frames = np.random.default_rng(59).standard_normal((16, 4)).astype(np.float32)
+    enc = IncrementalEncoder(m.encoder, 1)
+    first = enc.push(frames[:7])
+    with pytest.raises(ValueError, match="feature width changed: 5 vs 4"):
+        enc.push(np.zeros((3, 5), dtype=np.float32))
+    got = np.concatenate([first, enc.push(frames[7:], final=True)])
+    assert (got == encode(frames, m.encoder, 1).states).all()

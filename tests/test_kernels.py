@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamasr import kernels
-from oracles import (conv2d_oracle, layer_norm_oracle, log_add_oracle,
-                     softmax_oracle)
+from oracles import (conv2d_np_pad, conv2d_oracle, conv_time_slab_window_view,
+                     layer_norm_np_mean, layer_norm_oracle, log_add_oracle, softmax_oracle)
 
 NEG_INF = float("-inf")
 
@@ -78,6 +78,23 @@ def test_layer_norm_matches_scalar_oracle():
 def test_layer_norm_shape_mismatch():
     with pytest.raises(ValueError, match="layer_norm shape mismatch"):
         kernels.layer_norm(np.zeros((2, 3)), np.ones(4), np.zeros(3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(0, 12), cols=st.integers(1, 300), scale=st.sampled_from([1e-3, 1.0, 1e4]),
+       offset=st.sampled_from([0.0, 7.5, -3e3]), dtype=st.sampled_from([np.float32, np.float64]),
+       strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_layer_norm_equals_its_np_mean_form(rows, cols, scale, offset, dtype, strided, seed):
+    # sum / n repeats np.mean's pairwise sum and its one division, bit for bit
+    rng = np.random.default_rng(seed)
+    m = (rng.standard_normal((rows, 2 * cols)) * scale + offset).astype(dtype)
+    m = m[:, ::2] if strided else m[:, :cols]
+    gain = rng.standard_normal(cols).astype(dtype)
+    bias = rng.standard_normal(cols).astype(dtype)
+    got = kernels.layer_norm(m, gain, bias)
+    want = layer_norm_np_mean(m, gain, bias)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (got == want).all()
 
 
 def test_matmul_rows_independent_of_batch():
@@ -157,6 +174,37 @@ def test_conv2d_matches_scalar_oracle():
         k = rng.standard_normal((3, 2, 3, 3))
         got = kernels.conv2d(x, k, stride=stride, pad=pad)
         assert np.allclose(got, conv2d_oracle(x, k, stride, pad), atol=1e-10)
+
+
+@settings(max_examples=120, deadline=None)
+@given(in_ch=st.integers(1, 3), out_ch=st.integers(1, 4), k_h=st.integers(1, 3),
+       k_w=st.integers(1, 3), f=st.integers(3, 40), stride=st.integers(1, 3),
+       dtype=st.sampled_from([np.float32, np.float64]), strided=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_conv_time_slab_equals_its_window_view_form(in_ch, out_ch, k_h, k_w, f, stride, dtype,
+                                                    strided, seed):
+    # the as_strided windows have sliding_window_view's shape and strides,
+    # so einsum gets an identical operand
+    rng = np.random.default_rng(seed)
+    window = rng.standard_normal((in_ch, k_h, 2 * f)).astype(dtype)
+    window = window[:, :, ::2] if strided else window[:, :, :f]
+    kern = rng.standard_normal((out_ch, in_ch, k_h, k_w)).astype(dtype)
+    got = kernels.conv_time_slab(window, kern, stride)
+    want = conv_time_slab_window_view(window, kern, stride)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (got == want).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(in_ch=st.integers(1, 3), out_ch=st.integers(1, 3), t=st.integers(3, 12),
+       f=st.integers(3, 20), stride=st.integers(1, 2), pad=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_conv2d_equals_its_np_pad_form(in_ch, out_ch, t, f, stride, pad, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((in_ch, t, f)).astype(np.float32)
+    kern = rng.standard_normal((out_ch, in_ch, 3, 3)).astype(np.float32)
+    got = kernels.conv2d(x, kern, stride, pad)
+    assert (got == conv2d_np_pad(x, kern, stride, pad)).all()
 
 
 def test_conv2d_linearity():

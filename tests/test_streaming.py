@@ -125,9 +125,9 @@ def test_streaming_equals_offline_bitwise(chunk):
 
 
 def test_long_session_keeps_bounded_input_buffers():
-    # a 400-frame session drops conv input rows, per-layer input and normed
-    # rows and posterior rows once no later row reads them, and still
-    # decodes the offline bits
+    # a 400-frame session drops conv input rows, per-layer input rows and
+    # their query heads, and posterior rows once no later row reads them,
+    # and still decodes the offline bits
     m = tiny_model(137)
     rng = np.random.default_rng(138)
     frames = rng.standard_normal((400, 4)).astype(np.float32)
@@ -139,7 +139,7 @@ def test_long_session_keeps_bounded_input_buffers():
         assert all(conv.pending.shape[1] <= 2 for conv in sess.encoder.convs)
         for layer in sess.encoder.layers:
             assert layer.x.shape[0] <= cfg.eps_enc + 1
-            assert layer.normed.shape[0] <= cfg.eps_enc + 1
+            assert layer.q.shape[1] <= cfg.eps_enc + 1
         assert len(sess._post) <= cfg.eps_dec
     assert not [k for k, v in vars(sess).items() if isinstance(v, list)]
     assert sess.emitted_frames > 90
@@ -217,7 +217,7 @@ def test_session_usage_errors():
     with pytest.raises(ValueError, match="non-empty 2-D"):
         sess.push(np.zeros(4, dtype=np.float32))
     sess.push(np.zeros((2, 4), dtype=np.float32))
-    with pytest.raises(ValueError, match="feature width changed"):
+    with pytest.raises(ValueError, match="5 feature columns, the model takes 4"):
         sess.push(np.zeros((1, 5), dtype=np.float32))
     sess.finalize()
     with pytest.raises(RuntimeError, match="session closed"):
@@ -242,6 +242,50 @@ def test_push_rejects_non_finite_chunk_and_keeps_session(bad):
     got = sess.finalize()
     want = offline_reference(m, frames, 1, params)
     assert got.labels == want.labels and got.trace == want.trace
+
+
+@pytest.mark.parametrize("d_feat,width", [(8, 9), (8, 7), (4, 5), (4, 3)])
+def test_bad_first_chunk_leaves_a_fresh_session(d_feat, width):
+    # a wrong-width first chunk used to reach the conv buffers before the
+    # projection rejected it (9 columns), or to decode silently (7 columns
+    # give the conv stack the same output width as 8), and every later
+    # chunk then failed as a width change
+    m = tiny_model(139, d_feat=d_feat)
+    frames = np.random.default_rng(140).standard_normal((22, d_feat)).astype(np.float32)
+    cfg = StreamConfig(eps_enc=1, eps_dec=1)
+    params = DecodeParams(k_size=8, p_size=4, eps_dec=1)
+    sess = StreamingSession(m, UniformLM(3), params, cfg)
+    with pytest.raises(ValueError, match=f"chunk has {width} feature columns, "
+                                         f"the model takes {d_feat}"):
+        sess.push(np.zeros((4, width), dtype=np.float32))
+    assert sess.encoder.frames == 0 and sess.emitted_frames == 0
+    for t in range(0, 22, 4):
+        sess.push(frames[t:t + 4])
+    got = sess.finalize()
+    want = run_session(m, frames, cfg, [4] * 6)
+    assert (got.labels, got.score, got.trace) == (want.labels, want.score, want.trace)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_chunk_dtype_does_not_change_the_decode(dtype):
+    # equal values decode to equal bits: every chunk is cast to float32
+    m = tiny_model(141)
+    values = np.random.default_rng(142).integers(-2, 3, size=(21, 4))
+    cfg = StreamConfig(eps_enc=1, eps_dec=2)
+    want = run_session(m, values.astype(np.float32), cfg, [3] * 7)
+    got = run_session(m, values.astype(dtype), cfg, [3] * 7)
+    assert (got.labels, got.score, got.trace) == (want.labels, want.score, want.trace)
+    assert got.trace == offline_reference(m, values.astype(dtype), 1,
+                                          DecodeParams(k_size=8, p_size=4, eps_dec=2)).trace
+
+
+def test_chunk_values_beyond_float32_are_non_finite():
+    m = tiny_model(143)
+    sess = StreamingSession(m, UniformLM(3), DecodeParams(), StreamConfig(eps_enc=1, eps_dec=1))
+    with pytest.raises(ValueError, match="non-finite"):
+        sess.push(np.full((2, 4), 1e300))
+    with pytest.raises(ValueError, match="real numbers"):
+        sess.push(np.zeros((2, 4), dtype=complex))
 
 
 def test_finalize_without_frames_is_empty_result():
