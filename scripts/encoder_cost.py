@@ -4,7 +4,7 @@
 Builds a random mid-size model (the benchmark's dimensions) and one random
 utterance, then times the encoder alone, eps_enc 1: offline ``encode``
 (one final push) and ``IncrementalEncoder.push`` fed 40 ms chunks plus the
-final flush.  Each is the best of ``--repeats`` runs, in seconds per
+final flush.  Each is the best of ``REPEATS`` runs, in seconds per
 audio second; the ratio streaming/offline is the fixed per-push cost the
 streaming path pays on top of the rows it computes.  Both paths must
 return the same bits, and the script exits 1 if they do not.
@@ -33,11 +33,13 @@ from streamasr.encoder import IncrementalEncoder  # noqa: E402
 MID_MODEL = dict(d_feat=40, d_model=64, d_ff=256, heads=4, e_layers=6, d_layers=2, vocab_size=30)
 EPS_ENC = 1
 CHUNK_FRAMES = 4  # 40 ms of 10 ms feature frames
+REPEATS = 5  # runs per path; the best is kept
+SEED = 0
 
 
-def best_of(repeats, fn):
+def best_of(fn):
     best, out = float("inf"), None
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = perf_counter()
         out = fn()
         best = min(best, perf_counter() - t0)
@@ -47,14 +49,10 @@ def best_of(repeats, fn):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seconds", type=float, default=4.0, help="utterance length")
-    ap.add_argument("--repeats", type=int, default=5, help="runs per path; the best is kept")
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    if args.repeats < 1:
-        sys.exit("--repeats must be at least 1")
 
-    model = random_model(args.seed, **MID_MODEL)
-    feats = random_features(args.seed + 1, max(1, int(args.seconds * 100)), MID_MODEL["d_feat"])
+    model = random_model(SEED, **MID_MODEL)
+    feats = random_features(SEED + 1, max(1, int(args.seconds * 100)), MID_MODEL["d_feat"])
     frames = feats.frames
     audio_s = frames.shape[0] * feats.frame_shift_ms / 1000.0
 
@@ -67,13 +65,13 @@ def main():
         rows.append(enc.push(None, final=True))
         return np.concatenate(rows)
 
-    off_s, off_rows = best_of(args.repeats, offline)
-    str_s, str_rows = best_of(args.repeats, streaming)
+    off_s, off_rows = best_of(offline)
+    str_s, str_rows = best_of(streaming)
     if not np.array_equal(off_rows, str_rows):
         sys.exit("streaming and offline encoder rows differ")
 
     print(f"{audio_s:g} s utterance, {off_rows.shape[0]} encoder rows, eps_enc {EPS_ENC}, "
-          f"{CHUNK_FRAMES * 10} ms chunks, best of {args.repeats}")
+          f"{CHUNK_FRAMES * 10} ms chunks, best of {REPEATS}")
     print(f"offline   encode: {off_s / audio_s:.4f} s per audio s")
     print(f"streaming push:   {str_s / audio_s:.4f} s per audio s")
     print(f"streaming/offline: {str_s / off_s:.2f}x")

@@ -53,7 +53,8 @@ class MhaParams:
     def qkv(self):
         """w_q, w_k and w_v stacked into one (3 * heads, d_model, d)
         weight, so that one :func:`project_heads` call gives a row's
-        query, key and value heads, in that order.  Built on first use
+        query, key and value heads, in that order; it needs d_v == d_k,
+        as the streaming encoder checks.  Built on first use
         and kept with the block, so every session over one model shares
         it; it is rebuilt if one of the three weights is replaced."""
         kept = self.__dict__.get("_qkv")

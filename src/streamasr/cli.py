@@ -63,9 +63,6 @@ def build_parser():
 
 def _decode_one(path, model, lm, params, args):
     feats = load_features(path)
-    if feats.frames.shape[1] != model.d_feat:
-        raise ValueError(f"{path}: {feats.frames.shape[1]} feature columns, "
-                         f"the model takes {model.d_feat}")
     if args.streaming is not None:
         cfg = StreamConfig(eps_enc=args.eps_enc, eps_dec=args.eps_dec,
                            frame_shift_ms=feats.frame_shift_ms)
@@ -74,6 +71,11 @@ def _decode_one(path, model, lm, params, args):
         for start in range(0, frames.shape[0], args.streaming):
             session.push(frames[start : start + args.streaming])
         return session.finalize()
+    # the session checks the width of each chunk; offline encode cannot,
+    # as the encoder's weights do not fix the feature width
+    if feats.frames.shape[1] != model.d_feat:
+        raise ValueError(f"{path}: {feats.frames.shape[1]} feature columns, "
+                         f"the model takes {model.d_feat}")
     enc = encode(feats, model.encoder, args.eps_enc)
     post = posteriorgram_from_states(enc.states, model.ctc_w, model.ctc_b)
     if args.ctc_only:

@@ -27,7 +27,7 @@ from .attention import KeyValues, MhaParams, attend, full_mask
 # multi_head_attention is no longer called here, but stays bound: the
 # benchmark's tracer (perfbench/tracer.py) wraps it by this module's name.
 from .attention import multi_head_attention  # noqa: F401
-from .encoder import EncoderStates, feed_forward, positional_table
+from .encoder import EncoderStates, feed_forward, positional_encodings
 
 
 @dataclass
@@ -141,9 +141,7 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
     b = len(hists)
     if b == 0:
         return []
-    pos_indices = np.asarray(pos_indices)
-    cur = (params.embed[np.asarray(token_ids)]
-           + positional_table(int(pos_indices.max()) + 1, params.d_model)[pos_indices])
+    cur = params.embed[np.asarray(token_ids)] + positional_encodings(pos_indices, params.d_model)
     new_rows = []
     src_mask = full_mask(b, nu)
     for d, layer in enumerate(params.layers):

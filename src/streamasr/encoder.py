@@ -75,46 +75,35 @@ class EncoderStates:
     frame_duration_ms: float = 40.0
 
 
-_POSITION_TABLES = {}  # d_model -> read-only float32 table of positions 0, 1, ...
+def positional_encodings(positions, d_model):
+    """Sinusoidal position vectors sin/cos(pos / 10000^(2i/d_model)), one
+    float32 row per position.
 
-
-def positional_table(n, d_model):
-    """Sinusoidal position vectors sin/cos(pos / 10000^(2i/d_model)) of
-    positions 0..n-1 at least, as read-only float32 rows.
-
-    One table per width serves every encoder and decoder in the process:
-    it is a memo of a pure function of (position, width), so sharing it
-    changes no result.  It grows by doubling, so it holds at most twice
-    the longest sequence seen.  It is computed in float64 and rounded
-    once; sin and cos are elementwise, so a row has the bits of its
-    position computed alone (the tests check it against that form).
+    Computed in float64 and rounded once.  Division, sin and cos are
+    elementwise, so each row has the bits of its position computed alone
+    (the tests check it against that form).
     """
-    table = _POSITION_TABLES.get(d_model)
-    if table is None or table.shape[0] < n:
-        rows = max(n, 64 if table is None else 2 * table.shape[0])
-        even = np.arange(0, d_model, 2, dtype=np.float64)
-        angles = np.arange(rows, dtype=np.float64)[:, None] / np.power(10000.0, even / d_model)
-        table = np.empty((rows, d_model), dtype=np.float64)
-        table[:, 0::2] = np.sin(angles)
-        table[:, 1::2] = np.cos(angles)[:, :d_model // 2]
-        table = table.astype(np.float32)
-        table.setflags(write=False)
-        _POSITION_TABLES[d_model] = table
-    return table
+    positions = np.asarray(positions, dtype=np.float64)
+    if positions.size and positions.min() < 0:
+        raise ValueError(f"positions must be >= 0, got {positions.min():g}")
+    even = np.arange(0, d_model, 2, dtype=np.float64)
+    angles = positions[:, None] / np.power(10000.0, even / d_model)
+    out = np.empty((positions.shape[0], d_model), dtype=np.float64)
+    out[:, 0::2] = np.sin(angles)
+    out[:, 1::2] = np.cos(angles[:, :d_model // 2])
+    return out.astype(np.float32)
 
 
 def positional_encoding(pos, d_model):
-    """Sinusoidal position vector of position ``pos``: a row of :func:`positional_table`."""
-    if pos < 0:
-        raise ValueError(f"position must be >= 0, got {pos}")
-    return positional_table(pos + 1, d_model)[pos]
+    """Sinusoidal position vector of position ``pos``."""
+    return positional_encodings([pos], d_model)[0]
 
 
 def positional_encoding_rows(start, count, d_model):
     """Position vectors of positions start..start+count-1, one per row."""
     if start < 0 or count < 0:
         raise ValueError(f"positions must be >= 0, got {count} from {start}")
-    return positional_table(start + count, d_model)[start:start + count]
+    return positional_encodings(np.arange(start, start + count), d_model)
 
 
 def feature_frames(features):
@@ -189,6 +178,10 @@ class _LayerRows:
     """
 
     def __init__(self, layer, eps_enc):
+        d_k, d_v = layer.mha.w_q.shape[2], layer.mha.w_v.shape[2]
+        if d_v != d_k:
+            raise ValueError(f"the encoder's attention needs value heads as wide as its "
+                             f"key heads (stacked Q/K/V projection), got d_v {d_v}, d_k {d_k}")
         self.layer = layer
         self.eps = eps_enc
         self.heads = layer.mha.w_q.shape[0]

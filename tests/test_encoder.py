@@ -10,7 +10,7 @@ from streamasr.encoder import (CnnParams, EncoderStates, FeatureMatrix,
                                IncrementalEncoder, cnn_frame_count, enc_cnn,
                                encode, encoder_forward, encoder_layer,
                                feed_forward, positional_encoding,
-                               positional_encoding_rows, positional_table)
+                               positional_encoding_rows, positional_encodings)
 from streamasr.modelio import random_model
 from helpers import tiny_model
 from oracles import (conv2d_np_pad, conv2d_oracle, positional_encoding_oracle,
@@ -63,16 +63,21 @@ def test_positional_encoding_rows_stacks_positions():
 
 @settings(max_examples=60, deadline=None)
 @given(d_model=st.integers(1, 130), positions=st.lists(st.integers(0, 5000), min_size=1,
-                                                         max_size=8))
-def test_positional_table_rows_equal_rows_computed_alone(d_model, positions):
-    # the table's rows (computed many at a time, as the table grows) carry
-    # the bits of each position computed on its own
+                                                         max_size=8),
+       count=st.integers(0, 300))
+def test_position_rows_equal_rows_computed_alone(d_model, positions, count):
+    # rows computed many at a time carry the bits of each position
+    # computed on its own
     for pos in positions:
         assert (positional_encoding(pos, d_model) == positional_encoding_per_row(pos, d_model)).all()
-    table = positional_table(max(positions) + 1, d_model)
-    assert table.dtype == np.float32 and not table.flags.writeable
-    assert (table[positions] == np.stack([positional_encoding_per_row(p, d_model)
-                                          for p in positions])).all()
+    rows = positional_encodings(positions, d_model)
+    assert rows.dtype == np.float32
+    assert (rows == np.stack([positional_encoding_per_row(p, d_model) for p in positions])).all()
+    start = min(positions)
+    rows = positional_encoding_rows(start, count, d_model)
+    assert rows.shape == (count, d_model)
+    for i, row in enumerate(rows):
+        assert (row == positional_encoding_per_row(start + i, d_model)).all()
 
 
 def test_negative_positions_raise():
@@ -80,13 +85,8 @@ def test_negative_positions_raise():
         positional_encoding(-1, 8)
     with pytest.raises(ValueError, match="position"):
         positional_encoding_rows(-2, 3, 8)
-
-
-def test_positional_table_grows_and_keeps_its_rows():
-    small = positional_table(3, 6)
-    big = positional_table(small.shape[0] + 1, 6)
-    assert big.shape[0] > small.shape[0] and positional_table(3, 6) is big
-    assert (big[:small.shape[0]] == small).all()
+    with pytest.raises(ValueError, match="position"):
+        positional_encodings([3, -1], 8)
 
 
 @pytest.mark.parametrize("t,n", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 2), (13, 4), (16, 4), (17, 5)])
@@ -285,6 +285,22 @@ def test_encoder_rejects_bad_lookahead_and_missing_input():
     for final in (False, True):
         with pytest.raises(ValueError, match="input too short"):
             IncrementalEncoder(m.encoder, 1).push(None, final=final)
+
+
+def test_encoder_rejects_value_heads_of_another_width():
+    # the engine projects Q, K and V with one stacked weight, so it needs
+    # d_v == d_k; the reference layer does not, so the engine says so
+    m = tiny_model(52)
+    mha = m.encoder.layers[-1].mha
+    h, d_model, d_k = mha.w_q.shape
+    mha.w_v = np.zeros((h, d_model, d_k + 1), dtype=np.float32)
+    mha.w_h = np.zeros((h * (d_k + 1), d_model), dtype=np.float32)
+    mha.validate(d_model)
+    msg = f"d_v {d_k + 1}, d_k {d_k}"
+    with pytest.raises(ValueError, match=msg):
+        IncrementalEncoder(m.encoder, 1)
+    with pytest.raises(ValueError, match=msg):
+        encode(np.zeros((8, 4), dtype=np.float32), m.encoder, 1)
 
 
 @settings(max_examples=40, deadline=None)
