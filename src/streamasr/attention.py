@@ -12,9 +12,9 @@ That call gathers the allowed rows of each group of equal mask rows as a
 C-contiguous copy and scores every (head, row) of the group in one
 stacked product.  Its output is bit-identical to computing each head and
 query row alone on its gathered rows; the copy is part of that contract.
-A mask that lets every row see every key (a streaming encoder row, the
-decoder's cross-attention) is one group whose gather would copy q, k and
-v whole, so the call scores C-contiguous q, k and v directly.
+A mask that lets every row see every key (streaming encoder rows, decoder
+rows over their own history or the encoder) is one group whose gather would
+copy q, k and v whole, so the call scores C-contiguous q, k and v directly.
 """
 
 import math
@@ -53,13 +53,16 @@ class MhaParams:
     def qkv(self):
         """w_q, w_k and w_v stacked into one (3 * heads, d_model, d)
         weight, so that one :func:`project_heads` call gives a row's
-        query, key and value heads, in that order; it needs d_v == d_k,
-        as the streaming encoder checks.  Built on first use
-        and kept with the block, so every session over one model shares
-        it; it is rebuilt if one of the three weights is replaced."""
+        query, key and value heads, in that order; d_v must equal d_k.
+        Built on first use and kept with the block, so every session over
+        one model shares it; it is rebuilt if one of the three weights is
+        replaced."""
         kept = self.__dict__.get("_qkv")
         if (kept is None or kept[0] is not self.w_q or kept[1] is not self.w_k
                 or kept[2] is not self.w_v):
+            if self.w_v.shape[2] != self.w_q.shape[2]:
+                raise ValueError(f"a stacked Q/K/V projection needs value heads as wide as its "
+                                 f"key heads, got d_v {self.w_v.shape[2]}, d_k {self.w_q.shape[2]}")
             kept = self._qkv = (self.w_q, self.w_k, self.w_v,
                                 np.concatenate([self.w_q, self.w_k, self.w_v]))
         return kept[3]
@@ -179,9 +182,12 @@ def attend(q_in, keys, values, params, mask):
 def attend_heads(q, keys, values, params, mask):
     """Multi-head attention of head-major queries q (heads, rows, d)
     already projected: one :func:`scaled_dot_attention` call for all
-    heads, whose outputs are concatenated head by head and projected by
-    ``params.w_h``."""
-    heads = scaled_dot_attention(q, keys, values, mask)
+    heads, then :func:`merge_heads`."""
+    return merge_heads(scaled_dot_attention(q, keys, values, mask), params)
+
+
+def merge_heads(heads, params):
+    """Head-major outputs (heads, rows, d_v), joined per row and projected by ``params.w_h``."""
     h_count, b, d_v = heads.shape
     return kernels.matmul(heads.transpose(1, 0, 2).reshape(b, h_count * d_v), params.w_h)
 

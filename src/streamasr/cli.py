@@ -1,23 +1,22 @@
 """Command line decoder: model + vocab + feature files in, transcripts out.
 
-One transcript line is printed per --features argument.  Without
---streaming the whole utterance is encoded at once (look-ahead still
-applies through the attention masks); with --streaming N the features are
-pushed through an incremental session N frames at a time, which by
-construction prints the same transcript.  --ctc-only drops the attention
-decoder and runs pure prefix beam search.  --trace appends per-frame
-search diagnostics to a file.
+One transcript line is printed per --features argument.  Every file is
+decoded by a streaming session: without --streaming the whole utterance
+is pushed as one chunk (look-ahead still applies through the attention
+masks); with --streaming N it is pushed N frames at a time, which by
+construction prints the same transcript.  The encoder checks each file's
+feature width against the model.  --ctc-only drops the attention decoder
+and runs pure prefix beam search.  --trace appends per-frame search
+diagnostics to a file.
 """
 
 import argparse
 import math
 import sys
 
-from .ctc import posteriorgram_from_states
-from .encoder import encode
 from .lm import UniformLM, ngram_load
 from .modelio import load_features, load_model, load_vocab
-from .search import DecodeParams, ctc_prefix_search, decode
+from .search import DecodeParams
 from .streaming import StreamConfig, StreamingSession
 
 
@@ -63,24 +62,14 @@ def build_parser():
 
 def _decode_one(path, model, lm, params, args):
     feats = load_features(path)
-    if args.streaming is not None:
-        cfg = StreamConfig(eps_enc=args.eps_enc, eps_dec=args.eps_dec,
-                           frame_shift_ms=feats.frame_shift_ms)
-        session = StreamingSession(model, lm, params, cfg, ctc_only=args.ctc_only)
-        frames = feats.frames
-        for start in range(0, frames.shape[0], args.streaming):
-            session.push(frames[start : start + args.streaming])
-        return session.finalize()
-    # the session checks the width of each chunk; offline encode cannot,
-    # as the encoder's weights do not fix the feature width
-    if feats.frames.shape[1] != model.d_feat:
-        raise ValueError(f"{path}: {feats.frames.shape[1]} feature columns, "
-                         f"the model takes {model.d_feat}")
-    enc = encode(feats, model.encoder, args.eps_enc)
-    post = posteriorgram_from_states(enc.states, model.ctc_w, model.ctc_b)
-    if args.ctc_only:
-        return ctc_prefix_search(post, lm, params, banned_ids=model.decoder.reserved_ids)
-    return decode(enc, post, lm, model.decoder, params)
+    cfg = StreamConfig(eps_enc=args.eps_enc, eps_dec=args.eps_dec,
+                       frame_shift_ms=feats.frame_shift_ms)
+    session = StreamingSession(model, lm, params, cfg, ctc_only=args.ctc_only)
+    frames = feats.frames
+    chunk = frames.shape[0] if args.streaming is None else args.streaming
+    for start in range(0, frames.shape[0], chunk):
+        session.push(frames[start : start + chunk])
+    return session.finalize()
 
 
 def main(argv=None):

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .attention import KeyValues, MhaParams, attend, full_mask
+from . import attention, kernels
+from .attention import KeyValues, MhaParams, attend, full_mask, merge_heads, project_heads
 # multi_head_attention is no longer called here, but stays bound: the
 # benchmark's tracer (perfbench/tracer.py) wraps it by this module's name.
 from .attention import multi_head_attention  # noqa: F401
@@ -146,10 +146,10 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
     src_mask = full_mask(b, nu)
     for d, layer in enumerate(params.layers):
         normed = kernels.layer_norm(cur, layer.norm1_g, layer.norm1_b)
-        rows = KeyValues.project(normed, layer.self_mha)
-        new_rows.append(rows)
-        keys, values, mask = _own_histories([h[d] for h in hists], rows)
-        z = cur + attend(normed, keys, values, layer.self_mha, mask)
+        q, k, v = np.split(project_heads(normed, layer.self_mha.qkv()), 3)
+        new_rows.append(KeyValues(k, v))
+        z = cur + merge_heads(_attend_own_histories(q, [h[d] for h in hists], new_rows[-1]),
+                              layer.self_mha)
         normed_q = kernels.layer_norm(z, layer.norm2_g, layer.norm2_b)
         keys, values = cache.layer(d, nu)
         z = z + attend(normed_q, keys, values, layer.src_mha, src_mask)
@@ -162,18 +162,17 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
             for i in range(b)]
 
 
-def _own_histories(pasts, rows):
-    """Every row's history followed by its new row, stacked, and the mask
-    that lets query row i attend to exactly its own block."""
-    keys, values = [], []
+def _attend_own_histories(q, pasts, rows):
+    """Head-major attention outputs (heads, B, d_v): query row i of q over
+    the keys and values of its own history ``pasts[i]`` followed by its new
+    row, all of which it sees."""
+    out = []
     for i, past in enumerate(pasts):
-        keys += [past.keys, rows.keys[:, i:i + 1]]
-        values += [past.values, rows.values[:, i:i + 1]]
-    ends = np.cumsum([past.rows + 1 for past in pasts])
-    starts = np.concatenate([[0], ends[:-1]])
-    cols = np.arange(ends[-1])
-    mask = (cols >= starts[:, None]) & (cols < ends[:, None])
-    return np.concatenate(keys, axis=1), np.concatenate(values, axis=1), mask
+        keys = np.concatenate([past.keys, rows.keys[:, i:i + 1]], axis=1)
+        values = np.concatenate([past.values, rows.values[:, i:i + 1]], axis=1)
+        out.append(attention.scaled_dot_attention(q[:, i:i + 1], keys, values,
+                                                  full_mask(1, past.rows + 1)))
+    return np.concatenate(out, axis=1)
 
 
 def advance_position(params, enc, hist, token_id, pos_index, nu):

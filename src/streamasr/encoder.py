@@ -61,6 +61,7 @@ class EncoderParams:
     layers: list = field(default_factory=list)
     final_norm_g: np.ndarray = None
     final_norm_b: np.ndarray = None
+    d_feat: int = None  # feature columns per frame; the conv weights do not fix it
 
     @property
     def d_model(self):
@@ -149,8 +150,6 @@ class _ConvRows:
         kept = self.pending
         if x is None:
             x = kept[:, :0, 1:-1]
-        elif kept is not None and x.shape[2] + 2 != kept.shape[2]:
-            raise ValueError(f"feature width changed: {x.shape[2]} vs {kept.shape[2] - 2}")
         # the kept rows (or the leading zero row), the new rows between two
         # zero frequency columns, and the trailing zero row if final
         ch, t, f = x.shape
@@ -178,10 +177,7 @@ class _LayerRows:
     """
 
     def __init__(self, layer, eps_enc):
-        d_k, d_v = layer.mha.w_q.shape[2], layer.mha.w_v.shape[2]
-        if d_v != d_k:
-            raise ValueError(f"the encoder's attention needs value heads as wide as its "
-                             f"key heads (stacked Q/K/V projection), got d_v {d_v}, d_k {d_k}")
+        layer.mha.qkv()  # fails now, not at the first push, if d_v != d_k
         self.layer = layer
         self.eps = eps_enc
         self.heads = layer.mha.w_q.shape[0]
@@ -249,12 +245,18 @@ class IncrementalEncoder:
         return self._layer_stack(x0, final)
 
     def front_end(self, frames, final):
-        """The conv stack and projection alone -> the projected rows completed."""
+        """The one feature check, made before any state changes, then the conv
+        stack and projection alone -> the projected rows completed."""
         h = None
         if frames is not None:
             frames = feature_frames(frames)
             if frames.ndim != 2:
                 raise ValueError(f"feature matrix must be 2-D, got shape {frames.shape}")
+            if frames.shape[1] != self.params.d_feat:
+                raise ValueError(f"got {frames.shape[1]} feature columns, "
+                                 f"the model takes {self.params.d_feat}")
+            if not np.isfinite(frames).all():
+                raise ValueError("features contain non-finite values")
             h = frames[None, :, :]
         t = 0 if h is None else h.shape[1]
         if self.frames + t == 0 and (final or h is None):
@@ -281,9 +283,11 @@ def enc_cnn(features, cnn):
     """Run the convolutional front end; returns the projected (N, d_model) matrix.
 
     Positional encodings are not added here; callers add them before the
-    self-attention stack.
+    self-attention stack.  The feature width is the one ``features`` has.
     """
-    return IncrementalEncoder(EncoderParams(cnn), math.inf).front_end(features, final=True)
+    frames = feature_frames(features)
+    params = EncoderParams(cnn, d_feat=frames.shape[-1] if frames.ndim else None)
+    return IncrementalEncoder(params, math.inf).front_end(frames, final=True)
 
 
 def encoder_layer(x, layer, mask):

@@ -123,7 +123,6 @@ def save_vocab(path, vocab):
 class ModelParams:
     """Everything a recognizer needs: front end + encoder, decoder, CTC head."""
 
-    d_feat: int
     d_model: int
     d_ff: int
     heads: int
@@ -134,6 +133,10 @@ class ModelParams:
     decoder: DecoderParams
     ctc_w: np.ndarray
     ctc_b: np.ndarray
+
+    @property
+    def d_feat(self):
+        return self.encoder.d_feat
 
     @property
     def sos_id(self):
@@ -225,7 +228,7 @@ _INITS = {
     "embed": (-1.0, 1.0, None),
 }
 
-# header dimension -> ModelParams field, in header order
+# header dimension -> ModelParams field (d_feat reads the encoder's), in header order
 _DIMS = {"e_layers": "e_layers", "d_layers": "d_layers", "d_model": "d_model", "d_ff": "d_ff",
          "heads": "heads", "vocab": "vocab_size", "d_feat": "d_feat"}
 _POSITIVE_DIMS = ("d_model", "vocab", "d_feat")  # the others may be 0
@@ -259,8 +262,9 @@ def _build(rows, prefix, sym, leaf):
 def _model(dims, sos_id, eos_id, sym, leaf):
     """ModelParams with header dims, reserved ids, and tensors from ``leaf``."""
     fields = _build(_SCHEMA, "", sym, leaf)
+    fields["encoder"].d_feat = dims["d_feat"]
     fields["decoder"].sos_id, fields["decoder"].eos_id = sos_id, eos_id
-    return ModelParams(**{fld: dims[k] for k, fld in _DIMS.items()}, **fields)
+    return ModelParams(**{fld: dims[k] for k, fld in _DIMS.items() if k != "d_feat"}, **fields)
 
 
 def _tensors(rows, prefix, obj):
@@ -407,6 +411,8 @@ def load_features(path):
             raise ValueError(f"{path}: empty utterance")
         if t < 0 or d < 0:
             raise ValueError(f"{path}: negative feature dimension {t} x {d}")
+        if not 0 < shift < math.inf:
+            raise ValueError(f"{path}: frame shift must be positive and finite, got {shift!r}")
         frames, = _read_f32(f, path, [(t, d)])
     if not np.isfinite(frames).all():
         raise ValueError(f"{path}: non-finite feature values")

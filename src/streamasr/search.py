@@ -561,8 +561,8 @@ class CtcPrefixSearch(JointSearch):
 def _search_offline(search, post, states=None):
     """Run a fresh ``search`` over every posterior row and finalize it.
     ``states`` are the encoder rows, one per posterior row (None without a
-    decoder); each posterior row is read only at its own frame, as a
-    streaming session reads it."""
+    decoder); each posterior row is read, and checked, only at its own
+    frame, as a streaming session reads it."""
     logp = post.logp
     n = logp.shape[0]
     if n < 1:
@@ -572,7 +572,6 @@ def _search_offline(search, post, states=None):
             raise ValueError(f"{n} posterior rows but {states.shape[0]} encoder rows")
         if not np.isfinite(states).all():
             raise ValueError("encoder states contain non-finite values")
-    check_log_probs(logp)
     for i in range(n):
         search.advance(logp[i], states)
     return search.finalize(states)

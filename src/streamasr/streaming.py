@@ -21,7 +21,7 @@ import numpy as np
 # benchmark's tracer (perfbench/tracer.py) wraps it by this module's name.
 from .attention import multi_head_attention  # noqa: F401
 from .ctc import log_posterior_row
-from .encoder import IncrementalEncoder, check_eps_enc, feature_frames
+from .encoder import FeatureMatrix, IncrementalEncoder, check_eps_enc
 from .search import CtcPrefixSearch, DecodeResult, JointSearch, check_eps_dec
 
 
@@ -71,7 +71,8 @@ def emission_frame(n, e_layers, eps_enc):
 class StreamingSession:
     """One in-flight utterance: push feature chunks, read partials, finalize.
 
-    ``model`` provides .d_feat, .encoder, .decoder, .ctc_w, .ctc_b; the
+    ``model`` provides .encoder, .decoder, .ctc_w, .ctc_b; the encoder
+    checks each chunk's features before any state changes.  The
     decoder look-ahead in ``decode_params`` is overridden by the stream
     config so the two cannot disagree.  ``ctc_only`` runs the search
     without the decoder (:class:`~streamasr.search.CtcPrefixSearch`).
@@ -107,14 +108,9 @@ class StreamingSession:
         hypothesis (label-id tuple) if it changed, else None."""
         if self.closed:
             raise RuntimeError("session closed")
-        frames = feature_frames(chunk)
-        if frames.ndim != 2 or frames.shape[0] < 1:
-            raise ValueError(f"chunk must be a non-empty 2-D frame matrix, got shape {frames.shape}")
-        if frames.shape[1] != self.model.d_feat:
-            raise ValueError(f"chunk has {frames.shape[1]} feature columns, "
-                             f"the model takes {self.model.d_feat}")
-        if not np.isfinite(frames).all():
-            raise ValueError("chunk contains non-finite feature values")
+        frames = chunk.frames if isinstance(chunk, FeatureMatrix) else chunk
+        if np.shape(frames)[:1] == (0,):
+            raise ValueError("chunk must hold at least one frame")
         self._pump(frames, final=False)
         return self._partial()
 

@@ -450,3 +450,19 @@ def positional_encoding_per_row(pos, d_model):
     out[0::2] = np.sin(angles)
     out[1::2] = np.cos(angles[: d_model // 2])
     return out.astype(np.float32)
+
+
+def own_histories_block_mask(pasts, rows):
+    """Every row's history followed by its new row, stacked along the key
+    axis, and the block mask that lets query row i attend to exactly its
+    own block: the decoder's self-attention as one grouped
+    ``scaled_dot_attention`` call."""
+    keys, values = [], []
+    for i, past in enumerate(pasts):
+        keys += [past.keys, rows.keys[:, i:i + 1]]
+        values += [past.values, rows.values[:, i:i + 1]]
+    ends = np.cumsum([past.rows + 1 for past in pasts])
+    starts = np.concatenate([[0], ends[:-1]])
+    cols = np.arange(ends[-1])
+    mask = (cols >= starts[:, None]) & (cols < ends[:, None])
+    return np.concatenate(keys, axis=1), np.concatenate(values, axis=1), mask

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from streamasr.cli import build_parser, main
-from streamasr.modelio import (random_features, random_model, save_model,
-                               save_vocab, toy_vocab, write_features)
+from streamasr.ctc import posteriorgram_from_states
+from streamasr.encoder import encode
+from streamasr.lm import UniformLM
+from streamasr.modelio import (load_features, load_model, load_vocab, random_features,
+                               random_model, save_model, save_vocab, toy_vocab,
+                               write_features)
+from streamasr.search import DecodeParams, ctc_prefix_search, decode
 
 UNIFORM_ARPA = """\\data\\
 ngram 1=3
@@ -57,16 +62,41 @@ def test_offline_decode_prints_one_line_per_utterance(capsys, workspace):
         assert set(line) <= set("abc")
 
 
+def library_offline(ws, ctc_only):
+    """The transcript and trace lines of base_args's files, decoded by the
+    library's offline path with the command's default weights."""
+    m = load_model(ws / "toy.model")
+    vocab = load_vocab(ws / "toy.vocab")
+    params = DecodeParams(lam=0.5, alpha0=0.7, alpha=0.5, beta=2.0, k_size=8, p_size=4,
+                          theta1=16.0, theta2=6.0, eps_dec=2)
+    out, trace = [], []
+    for i, name in enumerate(["utt0.feats", "utt1.feats"]):
+        enc = encode(load_features(ws / name), m.encoder, 1)
+        post = posteriorgram_from_states(enc.states, m.ctc_w, m.ctc_b)
+        if ctc_only:
+            result = ctc_prefix_search(post, UniformLM(3), params,
+                                       banned_ids=m.decoder.reserved_ids)
+        else:
+            result = decode(enc, post, UniformLM(3), m.decoder, params)
+        out.append(vocab.detokenize(result.labels))
+        trace += [f"utt {i} {ws / name}"] + result.trace
+    return out, trace
+
+
 def test_streaming_flag_reproduces_offline_output(capsys, workspace, tmp_path):
-    t_off = tmp_path / "off.trace"
-    t_str = tmp_path / "str.trace"
-    code1, out1, _ = run(capsys, base_args(workspace, trace=t_off))
-    code2, out2, _ = run(capsys, base_args(workspace, streaming=1, trace=t_str))
-    assert code1 == code2 == 0
-    assert out1 == out2
-    off_lines = t_off.read_text().splitlines()
-    str_lines = t_str.read_text().splitlines()
-    assert off_lines == str_lines
+    # with and without --streaming the command decodes through a session;
+    # both must print what the library's offline decode gives
+    for ctc_only in (False, True):
+        want_out, want_trace = library_offline(workspace, ctc_only)
+        for streaming in (None, 1):
+            t = tmp_path / f"{ctc_only}-{streaming}.trace"
+            args = base_args(workspace, trace=t) + (["--ctc-only"] if ctc_only else [])
+            if streaming is not None:
+                args += ["--streaming", str(streaming)]
+            code, out, _ = run(capsys, args)
+            assert code == 0
+            assert out.splitlines() == want_out
+            assert t.read_text().splitlines() == want_trace
 
 
 def test_larger_chunks_match_too(capsys, workspace):
@@ -146,6 +176,21 @@ def test_runtime_errors_exit_one_with_message(capsys, workspace, tmp_path):
                                 "--features", str(workspace / "utt0.feats")])
     assert code == 1
     assert "vocabulary has 4 tokens but the model expects 5" in err
+
+
+@pytest.mark.parametrize("streaming", [None, 4])
+@pytest.mark.parametrize("shift", ["0.0", "nan"])
+def test_bad_frame_shift_fails_with_and_without_streaming(capsys, workspace, tmp_path,
+                                                          streaming, shift):
+    bad = tmp_path / "bad.feats"
+    bad.write_bytes(f"FEATS v1\n8 4 {shift}\n".encode("ascii") + b"\x00" * 128)
+    args = ["--model", str(workspace / "toy.model"), "--vocab", str(workspace / "toy.vocab"),
+            "--features", str(bad)]
+    if streaming is not None:
+        args += ["--streaming", str(streaming)]
+    code, out, err = run(capsys, args)
+    assert code == 1 and out == ""
+    assert f"{bad}: frame shift must be positive and finite" in err
 
 
 @pytest.mark.parametrize("streaming", [None, 4])

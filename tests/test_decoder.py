@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from streamasr import decoder
+from streamasr.attention import KeyValues, scaled_dot_attention
 from streamasr.decoder import (CrossAttentionCache, advance_position,
                                advance_positions, append_history, decoder_log_posterior,
                                decoder_posterior, empty_history,
                                ta_prefix_score)
 from helpers import random_enc_states, tiny_model
-from oracles import full_context_decoder_logps
+from oracles import full_context_decoder_logps, own_histories_block_mask
 
 
 def setup_case(seed, n=5, **kw):
@@ -235,3 +238,34 @@ def test_advance_positions_rejects_bad_arguments():
                                      ([hist, hist], [dec.sos_id, 2], [0])]:
         with pytest.raises(ValueError, match="histories"):
             advance_positions(dec, cache, hists, tokens, positions, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(heads=st.integers(1, 4), d=st.integers(1, 16),
+       lengths=st.lists(st.integers(0, 12), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_own_history_attention_equals_the_block_mask_form(heads, d, lengths, seed):
+    # each row attends its own history plus its new row in one all-keys
+    # call; stacking every row's block under a block mask gives the same bits
+    rng = np.random.default_rng(seed)
+
+    def heads_of(n):
+        return rng.standard_normal((heads, n, d)).astype(np.float32)
+
+    b = len(lengths)
+    pasts = [KeyValues(heads_of(n), heads_of(n)) for n in lengths]
+    rows = KeyValues(heads_of(b), heads_of(b))
+    q = heads_of(b)
+    got = decoder._attend_own_histories(q, pasts, rows)
+    assert got.shape == (heads, b, d) and got.dtype == np.float32
+    assert (got == scaled_dot_attention(q, *own_histories_block_mask(pasts, rows))).all()
+
+
+def test_decoder_self_attention_needs_value_heads_as_wide_as_key_heads():
+    dec, enc = setup_case(79, n=4)
+    mha = dec.layers[0].self_mha
+    h, d_model, d_k = mha.w_q.shape
+    mha.w_v = np.zeros((h, d_model, d_k + 1), dtype=np.float32)
+    mha.w_h = np.zeros((h * (d_k + 1), d_model), dtype=np.float32)
+    with pytest.raises(ValueError, match=f"d_v {d_k + 1}, d_k {d_k}"):
+        advance_position(dec, enc, empty_history(dec), dec.sos_id, 0, 2)

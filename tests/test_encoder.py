@@ -360,7 +360,38 @@ def test_engine_rejects_a_width_change_and_keeps_its_state():
     frames = np.random.default_rng(59).standard_normal((16, 4)).astype(np.float32)
     enc = IncrementalEncoder(m.encoder, 1)
     first = enc.push(frames[:7])
-    with pytest.raises(ValueError, match="feature width changed: 5 vs 4"):
+    with pytest.raises(ValueError, match="got 5 feature columns, the model takes 4"):
         enc.push(np.zeros((3, 5), dtype=np.float32))
     got = np.concatenate([first, enc.push(frames[7:], final=True)])
+    assert (got == encode(frames, m.encoder, 1).states).all()
+
+
+@pytest.mark.parametrize("width", [5, 6, 7, 9])
+def test_encode_rejects_features_of_another_width(width):
+    # 5 to 7 columns give the conv stack the output width 8 does, and 9
+    # used to fail only at the projection's matmul
+    m = random_model(0, d_feat=8)
+    with pytest.raises(ValueError, match=f"got {width} feature columns, the model takes 8"):
+        encode(np.zeros((12, width)), m.encoder, 1)
+    assert encode(np.zeros((12, 8)), m.encoder, 1).states.shape == (3, 16)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_encode_rejects_non_finite_features(bad):
+    m = random_model(0, d_feat=8)
+    frames = np.zeros((12, 8), dtype=np.float32)
+    frames[5, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        encode(frames, m.encoder, 1)
+
+
+def test_a_rejected_first_push_leaves_the_engine_fresh():
+    m = tiny_model(60)
+    frames = np.random.default_rng(61).standard_normal((16, 4)).astype(np.float32)
+    enc = IncrementalEncoder(m.encoder, 1)
+    for bad in (np.zeros((3, 5)), np.full((3, 4), np.nan), np.zeros((3, 4, 1))):
+        with pytest.raises(ValueError):
+            enc.push(bad)
+    assert enc.frames == 0 and enc.rows == 0
+    got = np.concatenate([enc.push(frames[:7]), enc.push(frames[7:], final=True)])
     assert (got == encode(frames, m.encoder, 1).states).all()

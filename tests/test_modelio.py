@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -260,6 +261,23 @@ def test_features_with_non_finite_values_are_rejected(tmp_path, bad):
     write_features(p, FeatureMatrix(frames))
     with pytest.raises(ValueError, match="non-finite"):
         load_features(p)
+
+
+@pytest.mark.parametrize("shift", ["0.0", "-10.0", "nan", "inf"])
+def test_features_with_a_bad_frame_shift_are_rejected(tmp_path, shift):
+    p = tmp_path / "u.feats"
+    p.write_bytes(f"FEATS v1\n2 3 {shift}\n".encode("ascii") + b"\x00" * 24)
+    msg = re.escape(f"{p}: frame shift must be positive and finite")
+    with pytest.raises(ValueError, match=msg):
+        load_features(p)
+
+
+def test_model_stores_d_feat_once_on_the_encoder(tmp_path):
+    m = random_model(147, d_feat=6, d_model=8, heads=2, vocab_size=4)
+    assert m.encoder.d_feat == m.d_feat == 6
+    save_model(tmp_path / "m.model", m)
+    back = load_model(tmp_path / "m.model")
+    assert back.encoder.d_feat == back.d_feat == 6
 
 
 def test_loaded_model_weights_are_read_only(tmp_path):

@@ -212,9 +212,9 @@ def test_session_usage_errors():
     m = tiny_model(132)
     cfg = StreamConfig(eps_enc=1, eps_dec=1)
     sess = StreamingSession(m, UniformLM(3), DecodeParams(), cfg)
-    with pytest.raises(ValueError, match="non-empty 2-D"):
+    with pytest.raises(ValueError, match="at least one frame"):
         sess.push(np.zeros((0, 4), dtype=np.float32))
-    with pytest.raises(ValueError, match="non-empty 2-D"):
+    with pytest.raises(ValueError, match="must be 2-D"):
         sess.push(np.zeros(4, dtype=np.float32))
     sess.push(np.zeros((2, 4), dtype=np.float32))
     with pytest.raises(ValueError, match="5 feature columns, the model takes 4"):
@@ -255,7 +255,7 @@ def test_bad_first_chunk_leaves_a_fresh_session(d_feat, width):
     cfg = StreamConfig(eps_enc=1, eps_dec=1)
     params = DecodeParams(k_size=8, p_size=4, eps_dec=1)
     sess = StreamingSession(m, UniformLM(3), params, cfg)
-    with pytest.raises(ValueError, match=f"chunk has {width} feature columns, "
+    with pytest.raises(ValueError, match=f"got {width} feature columns, "
                                          f"the model takes {d_feat}"):
         sess.push(np.zeros((4, width), dtype=np.float32))
     assert sess.encoder.frames == 0 and sess.emitted_frames == 0
