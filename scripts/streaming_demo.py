@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Stream a random utterance through an incremental session and show how the
 partial hypothesis evolves, then check the result against the offline path.
+Exits 1 if the streamed and offline results are not bit-identical.
 """
 
 import argparse
@@ -56,7 +57,8 @@ def main():
     offline = decode(enc, post, lm, model.decoder, params)
     same = offline.labels == result.labels and offline.score == result.score
     print(f"offline agreement (bit-exact): {same}")
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -43,8 +43,7 @@ from .encoder import (
     enc_cnn,
     encode,
     encoder_forward,
-    positional_encoding,
-    positional_encoding_rows,
+    positional_encodings,
 )
 from .lm import LanguageModel, NgramLM, UniformLM, ngram_load
 from .modelio import (

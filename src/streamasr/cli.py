@@ -5,9 +5,9 @@ decoded by a streaming session: without --streaming the whole utterance
 is pushed as one chunk (look-ahead still applies through the attention
 masks); with --streaming N it is pushed N frames at a time, which by
 construction prints the same transcript.  The encoder checks each file's
-feature width against the model.  --ctc-only drops the attention decoder
-and runs pure prefix beam search.  --trace appends per-frame search
-diagnostics to a file.
+feature width against the model; an error met while decoding a file
+names it.  --ctc-only drops the attention decoder and runs pure prefix
+beam search.  --trace appends per-frame search diagnostics to a file.
 """
 
 import argparse
@@ -61,15 +61,18 @@ def build_parser():
 
 
 def _decode_one(path, model, lm, params, args):
-    feats = load_features(path)
-    cfg = StreamConfig(eps_enc=args.eps_enc, eps_dec=args.eps_dec,
-                       frame_shift_ms=feats.frame_shift_ms)
-    session = StreamingSession(model, lm, params, cfg, ctc_only=args.ctc_only)
-    frames = feats.frames
-    chunk = frames.shape[0] if args.streaming is None else args.streaming
-    for start in range(0, frames.shape[0], chunk):
-        session.push(frames[start : start + chunk])
-    return session.finalize()
+    feats = load_features(path)  # its errors name the file already
+    try:
+        cfg = StreamConfig(eps_enc=args.eps_enc, eps_dec=args.eps_dec,
+                           frame_shift_ms=feats.frame_shift_ms)
+        session = StreamingSession(model, lm, params, cfg, ctc_only=args.ctc_only)
+        frames = feats.frames
+        chunk = frames.shape[0] if args.streaming is None else args.streaming
+        for start in range(0, frames.shape[0], chunk):
+            session.push(frames[start : start + chunk])
+        return session.finalize()
+    except (ValueError, RuntimeError) as e:
+        raise type(e)(f"{path}: {e}") from e
 
 
 def main(argv=None):

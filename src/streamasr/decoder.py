@@ -13,9 +13,9 @@ one-row case.
 
 Attention keys and values are projected once per row and kept: a
 prefix's history holds its positions' self-attention keys and values
-(:class:`KeyValues`), and a :class:`CrossAttentionCache` holds the
-encoder rows' cross-attention keys and values for a whole utterance.  A
-step therefore projects only its own position.
+(:class:`KeyValues`), and a :class:`CrossAttentionCache`, fed encoder
+rows as they arrive, holds their cross-attention keys and values for a
+whole utterance.  A step therefore projects only its own position.
 """
 
 from dataclasses import dataclass, field
@@ -78,36 +78,35 @@ def _enc_matrix(enc):
 class CrossAttentionCache:
     """Cross-attention keys and values of one utterance's encoder rows.
 
-    Each encoder row is projected once per decoder layer and head, the
-    first time a step reads it, and every prefix scored against the
-    utterance shares the result.  The projected prefix grows to the
-    largest ``nu`` requested, so one cache also serves a streaming
-    session whose encoder is still growing: :meth:`update` hands it the
-    longer matrix.  Emitted encoder rows never change, which is what
-    keeps a projection valid for the rest of the utterance.
+    The cache is append-only and the one store of the encoder rows a
+    decoder reads: :meth:`extend` projects each new row once per decoder
+    layer, when the row arrives, and keeps no raw encoder matrix.  Every
+    prefix scored against the utterance shares the result.  A streaming
+    search hands it rows as the encoder emits them; emitted rows never
+    change, which is what keeps a projection valid for the rest of the
+    utterance.  ``rows`` counts the rows added.
     """
 
-    def __init__(self, params, enc):
+    def __init__(self, params, enc=None):
         self.params = params
-        self.enc = _enc_matrix(enc)
         self.rows = 0
         self.kv = [KeyValues.empty(layer.src_mha) for layer in params.layers]
+        if enc is not None:
+            self.extend(enc)
 
-    def update(self, enc):
-        """Point the cache at the utterance's encoder rows so far."""
-        enc = _enc_matrix(enc)
-        if enc.shape[0] < self.rows:
-            raise ValueError(f"{enc.shape[0]} encoder rows, but {self.rows} already projected")
-        self.enc = enc
+    def extend(self, rows):
+        """Project and append the next encoder rows, (n, d_model)."""
+        rows = _enc_matrix(rows)
+        if rows.ndim != 2 or rows.shape[1] != self.params.d_model:
+            raise ValueError(f"encoder rows of shape {rows.shape}, "
+                             f"expected (n, {self.params.d_model})")
+        if rows.shape[0]:
+            self.kv = [kv.append(KeyValues.project(rows, layer.src_mha))
+                       for kv, layer in zip(self.kv, self.params.layers)]
+            self.rows += rows.shape[0]
 
     def layer(self, d, nu):
-        """Keys and values of encoder rows 1..nu (at most the rows in
-        ``enc``) in decoder layer d."""
-        if nu > self.rows:
-            new = self.enc[self.rows:nu]
-            self.kv = [kv.append(KeyValues.project(new, layer.src_mha))
-                       for kv, layer in zip(self.kv, self.params.layers)]
-            self.rows = nu
+        """Keys and values of encoder rows 1..nu in decoder layer d."""
         return self.kv[d].keys[:, :nu], self.kv[d].values[:, :nu]
 
 
@@ -133,7 +132,7 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
         cache = CrossAttentionCache(params, cache)
     if cache.params is not params:
         raise ValueError("cross-attention cache belongs to another decoder")
-    if not 1 <= nu <= cache.enc.shape[0]:
+    if not 1 <= nu <= cache.rows:
         raise ValueError("trigger index out of range")
     if not len(hists) == len(token_ids) == len(pos_indices):
         raise ValueError(f"{len(hists)} histories, {len(token_ids)} tokens "
@@ -226,7 +225,7 @@ def ta_prefix_score(enc, labels, nu_per_label, params):
     nus = list(nu_per_label)
     if len(labels) != len(nus):
         raise ValueError(f"{len(labels)} labels but {len(nus)} truncation points")
-    n = cache.enc.shape[0]
+    n = cache.rows
     nus = [min(v, n) for v in nus]
     if any(b < a for a, b in zip(nus, nus[1:])):
         raise ValueError("truncation points must be non-decreasing")

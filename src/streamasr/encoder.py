@@ -95,18 +95,6 @@ def positional_encodings(positions, d_model):
     return out.astype(np.float32)
 
 
-def positional_encoding(pos, d_model):
-    """Sinusoidal position vector of position ``pos``."""
-    return positional_encodings([pos], d_model)[0]
-
-
-def positional_encoding_rows(start, count, d_model):
-    """Position vectors of positions start..start+count-1, one per row."""
-    if start < 0 or count < 0:
-        raise ValueError(f"positions must be >= 0, got {count} from {start}")
-    return positional_encodings(np.arange(start, start + count), d_model)
-
-
 def feature_frames(features):
     """The frame matrix of a :class:`FeatureMatrix` or array as float32,
     the model's dtype: the same values give the same bits whatever dtype
@@ -162,7 +150,7 @@ class _ConvRows:
         self.pending = buf[:, 2 * k:]
         if k == 0:
             return np.zeros((self.w.shape[0], 0, (f - 1) // 2 + 1), dtype=buf.dtype)
-        h = kernels.conv2d(buf[:, :2 * k + 1], self.w, stride=2, pad=0)
+        h = kernels.conv2d(buf[:, :2 * k + 1], self.w, stride=2)
         return kernels.relu(h + self.b[:, None, None])
 
 
@@ -240,7 +228,8 @@ class IncrementalEncoder:
     def push(self, frames=None, final=False):
         """New feature frames (T, d_feat), or None -> the new encoder rows."""
         x0 = self.front_end(frames, final)
-        x0 = x0 + positional_encoding_rows(self.rows, x0.shape[0], self.params.d_model)
+        x0 = x0 + positional_encodings(np.arange(self.rows, self.rows + x0.shape[0]),
+                                       self.params.d_model)
         self.rows += x0.shape[0]
         return self._layer_stack(x0, final)
 

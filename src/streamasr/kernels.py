@@ -37,24 +37,6 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
-def softmax_rows(m):
-    """Row-wise softmax where ``-inf`` entries map to exactly zero weight.
-
-    Rows are independent: the max subtraction, exponentiation and the sum
-    all operate along axis 1 only.  A row with no finite entry has no
-    valid distribution and raises.
-    """
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise ValueError(f"softmax_rows expects a matrix, got shape {m.shape}")
-    mx = np.max(m, axis=1)
-    if np.any(mx == NEG_INF):
-        raise ValueError("empty attention row")
-    e = np.exp(m - mx[:, None])
-    s = np.sum(e, axis=1)
-    return e / s[:, None]
-
-
 def layer_norm(m, gain, bias, eps=1e-12):
     """Per-row layer normalization: gain * (x - mean) / sqrt(var + eps) + bias."""
     m = np.asarray(m)
@@ -96,12 +78,12 @@ def conv_time_slab(window, kernels, stride):
     return np.einsum("ihfw,oihw->of", sw, kernels, optimize=False)
 
 
-def conv2d(x, kernels, stride, pad):
+def conv2d(x, kernels, stride):
     """2-D convolution over (time, freq), cross-correlation convention.
 
     x: (in_ch, T, F); kernels: (out_ch, in_ch, k_h, k_w).  Both axes are
-    zero-padded by ``pad`` and swept with the same ``stride``.  No bias,
-    no activation.
+    swept with the same ``stride``, without padding.  No bias, no
+    activation.
     """
     x = np.asarray(x)
     kernels = np.asarray(kernels)
@@ -110,14 +92,13 @@ def conv2d(x, kernels, stride, pad):
     if kernels.shape[1] != x.shape[0]:
         raise ValueError(f"conv2d channel mismatch: input {x.shape[0]}, kernels {kernels.shape[1]}")
     k_h, k_w = kernels.shape[2:]
-    t_out = (x.shape[1] + 2 * pad - k_h) // stride + 1
-    f_out = (x.shape[2] + 2 * pad - k_w) // stride + 1
+    t_out = (x.shape[1] - k_h) // stride + 1
+    f_out = (x.shape[2] - k_w) // stride + 1
     if t_out < 1 or f_out < 1:
         raise ValueError("input too short")
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
     out = np.empty((kernels.shape[0], t_out, f_out), dtype=np.result_type(x, kernels))
     for i in range(t_out):
-        out[:, i, :] = conv_time_slab(xp[:, i * stride : i * stride + k_h, :], kernels, stride)
+        out[:, i, :] = conv_time_slab(x[:, i * stride : i * stride + k_h, :], kernels, stride)
     return out
 
 

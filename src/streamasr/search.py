@@ -17,7 +17,10 @@ label was scored at, so a label's score never silently shifts to a later
 frame once computed.  A cached prefix also keeps its next-label decoder
 step at the latest truncation; its children and the final ``<eos>`` pass
 share that one step, and the steps a frame needs run as one batched
-decoder call.
+decoder call.  The encoder rows the decoder reads have one owner, the
+search's append-only :class:`~streamasr.decoder.CrossAttentionCache`:
+a caller adds rows as they exist (all at once offline, as the encoder
+emits them in a streaming session), and frame n needs its own row.
 
 :class:`JointSearch` is the one implementation.  Its decoder-less case,
 :class:`CtcPrefixSearch`, is the pure CTC prefix beam search: steps (3)
@@ -337,8 +340,9 @@ class JointSearch:
     """Mutable per-utterance state of the one-pass search, advanced frame by frame.
 
     The same object backs offline decoding and streaming sessions; both
-    call :meth:`advance` once per encoder frame with the posterior row
-    and every encoder row available so far, then :meth:`finalize`.
+    hand it encoder rows through :meth:`add_rows` as they exist, call
+    :meth:`advance` once per encoder frame with its posterior row, then
+    :meth:`finalize`.
     ``n_cols`` must be the decoder's vocab_size + 1 (the blank, then one
     column per label id), else ``ValueError``; the decoder's reserved ids
     are never emitted.  Without a decoder it is the pure CTC search, see
@@ -370,17 +374,24 @@ class JointSearch:
         self._last_phat = {root: 0.0}
         self._last_pjoint = {root: 0.0}
         self.ta = None if dec is None else {root: _TaEntry(0.0, (), dec_mod.empty_history(dec))}
-        self.cross = None  # CrossAttentionCache over the encoder rows, from the first frame
+        self.cross = None if dec is None else dec_mod.CrossAttentionCache(dec)
 
-    def advance(self, post_row, enc_rows=None):
-        """Process one frame: returns nothing, mutates the beam.  ``enc_rows``,
-        every encoder row so far, are read only with a decoder."""
-        if enc_rows is None and self.dec is not None:
-            raise ValueError("the joint search needs the encoder rows")
+    def add_rows(self, enc_rows):
+        """Append the next encoder rows, (n, d_model), for the decoder to
+        read; without a decoder this does nothing."""
+        if self.cross is not None:
+            self.cross.extend(enc_rows)
+
+    def advance(self, post_row):
+        """Process one frame: returns nothing, mutates the beam.  With a
+        decoder, the frame's own encoder row must have been added."""
         row = np.array(post_row, dtype=np.float64, copy=True)
         if row.shape != (self.n_cols,):
             raise ValueError(f"posterior row shape {row.shape}, expected ({self.n_cols},)")
         check_log_probs(row)
+        if self.cross is not None and self.cross.rows <= self.frame:
+            raise ValueError(f"frame {self.frame + 1} needs its encoder row, "
+                             f"but {self.cross.rows} were added")
         self.frame += 1
         p = self.params
         row[self._banned_cols] = NEG_INF
@@ -401,7 +412,7 @@ class JointSearch:
         if self.dec is None:
             pjoint, top = phat, list(omega_hat)[:p.p_size]
         else:
-            pjoint = self._ta_stage(row, omega_hat, enc_rows)
+            pjoint = self._ta_stage(row, omega_hat)
             top = top_hypotheses(omega_hat, pjoint, p.p_size)
         # Carry the top p_size by pjoint, then the top p_size of omega_hat
         # within theta2 by phat.  The carried order (top first) is the order
@@ -419,14 +430,11 @@ class JointSearch:
         if self.dec is not None:
             self._evict_ta(live)
 
-    def _ta_stage(self, row, omega_hat, enc_rows):
+    def _ta_stage(self, row, omega_hat):
         """Run the hooks, give omega_hat's prefixes their TA scores at this
         frame's truncation, and return every candidate's joint score."""
         n = self.frame
         p = self.params
-        if self.cross is None:
-            self.cross = dec_mod.CrossAttentionCache(self.dec, enc_rows)
-        self.cross.update(enc_rows)
 
         if p.dcond is not None or p.acond is not None:
             # the hooks see column tuples, built only when a hook is set
@@ -441,7 +449,7 @@ class JointSearch:
         else:
             targets = [pre for pre in sorted(omega_hat, key=lambda q: (len(q), cols[q]))
                        if pre not in self.ta and p.acond(cols[pre], view, n, row)]
-        self._score_ta(targets, min(n + p.eps_dec, self.cross.enc.shape[0]))
+        self._score_ta(targets, min(n + p.eps_dec, self.cross.rows))
 
         pjoint = {}
         for pre, h in omega_hat.items():
@@ -504,7 +512,7 @@ class JointSearch:
         ancestors), and only the steps a later frame or finalize can still
         read: nu never falls below the encoder rows already seen."""
         self.ta = {pre: e for pre, e in self.ta.items() if pre in live}
-        seen = self.cross.enc.shape[0]
+        seen = self.cross.rows
         for entry in self.ta.values():
             if entry.step is not None and entry.step[0] < seen:
                 entry.step = None
@@ -515,18 +523,16 @@ class JointSearch:
         best = min(self._last_carried, key=_rank_key(self._last_phat))
         return tuple(c - 1 for c in best.as_tuple())
 
-    def finalize(self, enc_rows=None):
+    def finalize(self):
         """Pick the joint-score winner of the final frame's carried beam,
-        rescored with ``<eos>`` when a decoder and the params ask for it."""
-        if enc_rows is None and self.dec is not None:
-            raise ValueError("the joint search needs the encoder rows")
+        rescored with ``<eos>`` at every encoder row added when a decoder
+        and the params ask for it."""
         if self.frame == 0:
             return DecodeResult((), 0.0, list(self.trace))
         scores = {pre: self._last_pjoint[pre] for pre in self._last_carried}
         p = self.params
         if self.dec is not None and p.add_eos_at_finalize and self.dec.eos_id is not None:
-            self.cross.update(enc_rows)
-            avail = self.cross.enc.shape[0]
+            avail = self.cross.rows
             scored = [pre for pre in self._last_carried if pre in self.ta]
             self._step(scored, avail)
             for pre in scored:
@@ -561,8 +567,8 @@ class CtcPrefixSearch(JointSearch):
 def _search_offline(search, post, states=None):
     """Run a fresh ``search`` over every posterior row and finalize it.
     ``states`` are the encoder rows, one per posterior row (None without a
-    decoder); each posterior row is read, and checked, only at its own
-    frame, as a streaming session reads it."""
+    decoder), added once after their checks; each posterior row is read,
+    and checked, only at its own frame, as a streaming session reads it."""
     logp = post.logp
     n = logp.shape[0]
     if n < 1:
@@ -572,9 +578,10 @@ def _search_offline(search, post, states=None):
             raise ValueError(f"{n} posterior rows but {states.shape[0]} encoder rows")
         if not np.isfinite(states).all():
             raise ValueError("encoder states contain non-finite values")
+        search.add_rows(states)
     for i in range(n):
-        search.advance(logp[i], states)
-    return search.finalize(states)
+        search.advance(logp[i])
+    return search.finalize()
 
 
 def decode(enc, post, lm, dec, params):

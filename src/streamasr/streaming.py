@@ -3,11 +3,12 @@
 A session pushes each feature chunk into an
 :class:`~streamasr.encoder.IncrementalEncoder`, the engine offline
 :func:`~streamasr.encoder.encode` runs in one push, turns each encoder row
-it completes into a CTC posterior row, and advances the joint beam search
-on frame n once n + eps_dec encoder rows exist; ``finalize`` flushes the
-rest.  For any chunking of the input the encoder rows, posterior rows,
-trace lines, and the final hypothesis are bit-identical to a single
-offline run.
+it completes into a CTC posterior row, adds the row to the search (whose
+cross-attention cache is the one store of encoder rows; the session keeps
+only their count), and advances the joint beam search on frame n once
+n + eps_dec encoder rows exist; ``finalize`` flushes the rest.  For any
+chunking of the input the encoder rows, posterior rows, trace lines, and
+the final hypothesis are bit-identical to a single offline run.
 """
 
 import math
@@ -89,14 +90,14 @@ class StreamingSession:
             self.search = JointSearch(model.decoder, lm, self.params, n_cols)
         self.closed = False
         self.encoder = IncrementalEncoder(model.encoder, config.eps_enc)
-        self._enc = np.zeros((0, model.encoder.d_model), dtype=np.float32)
+        self._rows = 0            # encoder rows emitted so far, all added to the search
         self._post = deque()      # posterior rows the search has not consumed yet
         self._last_partial = None
 
     @property
     def emitted_frames(self):
         """Encoder rows produced so far."""
-        return self._enc.shape[0]
+        return self._rows
 
     @property
     def decoded_frames(self):
@@ -122,7 +123,7 @@ class StreamingSession:
         if self.encoder.frames == 0:
             return DecodeResult((), 0.0, [])
         self._pump(None, final=True)
-        return self.search.finalize(self._enc)
+        return self.search.finalize()
 
     def _partial(self):
         if self.search.frame == 0:
@@ -135,9 +136,9 @@ class StreamingSession:
 
     def _pump(self, frames, final):
         rows = self.encoder.push(frames, final)
-        self._enc = np.concatenate([self._enc, rows])
+        self.search.add_rows(rows)
+        self._rows += rows.shape[0]
         self._post.extend(log_posterior_row(row, self.model.ctc_w, self.model.ctc_b) for row in rows)
-        n = self._enc.shape[0]
-        dec_target = n if final else max(0, n - self.config.eps_dec)
+        dec_target = self._rows if final else max(0, self._rows - self.config.eps_dec)
         while self.search.frame < dec_target:
-            self.search.advance(self._post.popleft(), self._enc)
+            self.search.advance(self._post.popleft())

@@ -257,13 +257,12 @@ def full_context_decoder_logps(dec, enc, labels):
     computed as one batched pass (whole prefix matrix at once, causal
     self-attention, cross-attention over all encoder rows)."""
     from streamasr.attention import causal_mask, full_mask, multi_head_attention
-    from streamasr.encoder import feed_forward, positional_encoding
+    from streamasr.encoder import feed_forward, positional_encodings
     from streamasr import kernels
 
     enc_m = enc.states if hasattr(enc, "states") else np.asarray(enc)
     tokens = [dec.sos_id] + list(labels)
-    x = np.stack([dec.embed[t] + positional_encoding(p, dec.d_model)
-                  for p, t in enumerate(tokens)])
+    x = dec.embed[tokens] + positional_encodings(np.arange(len(tokens)), dec.d_model)
     causal = causal_mask(len(tokens))
     cross = full_mask(len(tokens), enc_m.shape[0])
     for layer in dec.layers:

@@ -11,13 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from streamasr.attention import full_mask
+from streamasr.attention import full_mask, scaled_dot_attention
 from streamasr.ctc import (Posteriorgram, PrefixScores, ctc_forward_logprob,
                            ctc_prefix_step, ctc_viterbi_align,
                            posteriorgram_from_states)
 from streamasr.decoder import decoder_posterior, ta_prefix_score
 from streamasr.encoder import encode, encoder_forward, encoder_layer
-from streamasr.kernels import NEG_INF, layer_norm, softmax_rows
+from streamasr.kernels import NEG_INF, layer_norm
 from streamasr.lm import UniformLM, ngram_load
 from streamasr.modelio import random_model
 from streamasr.search import (DecodeParams, LossParams, ctc_prefix_search,
@@ -325,21 +325,24 @@ def test_acceptance_09_loss_limits():
 
 
 def test_acceptance_10_normalization_suite(tmp_path):
-    # 1000 randomized distributions: softmax rows, CTC posterior rows,
-    # decoder posteriors, and LM conditionals all sum to one.
+    # 1000 randomized distributions: attention weight rows, CTC posterior
+    # rows, decoder posteriors, and LM conditionals all sum to one.
     rng = np.random.default_rng(1010)
     failures = []
     cases = 0
 
     for _ in range(400):
         width = int(rng.integers(2, 9))
-        row = rng.normal(scale=4.0, size=width)
+        q = rng.normal(scale=4.0, size=(1, 4))
+        k = rng.normal(size=(width, 4))
+        mask = full_mask(1, width)
         if rng.random() < 0.3:
-            row[rng.integers(0, width)] = NEG_INF
-        out = softmax_rows(row[None, :])
+            mask[0, rng.integers(0, width)] = False
+        # with identity values the attention output is its weight row
+        out = scaled_dot_attention(q, k, np.eye(width), mask)
         cases += 1
-        if abs(float(out.sum()) - 1.0) > 1e-6:
-            failures.append(("softmax", cases))
+        if abs(float(out.sum()) - 1.0) > 1e-6 or (out[~mask] != 0.0).any():
+            failures.append(("attention weights", cases))
 
     m = tiny_model(2020)
     for _ in range(300):

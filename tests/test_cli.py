@@ -196,12 +196,15 @@ def test_bad_frame_shift_fails_with_and_without_streaming(capsys, workspace, tmp
 @pytest.mark.parametrize("streaming", [None, 4])
 def test_feature_width_must_match_the_model(capsys, workspace, tmp_path, streaming):
     # 3 columns give the conv stack the width 4 does, so the offline path
-    # used to decode them silently
-    write_features(tmp_path / "narrow.feats", random_features(153, 12, 3))
+    # used to decode them silently; of several files, the error names the
+    # one that failed
+    narrow = tmp_path / "narrow.feats"
+    write_features(narrow, random_features(153, 12, 3))
     args = ["--model", str(workspace / "toy.model"), "--vocab", str(workspace / "toy.vocab"),
-            "--features", str(tmp_path / "narrow.feats")]
+            "--features", str(workspace / "utt0.feats"), "--features", str(narrow)]
     if streaming is not None:
         args += ["--streaming", str(streaming)]
     code, out, err = run(capsys, args)
-    assert code == 1 and out == ""
-    assert "3 feature columns, the model takes 4" in err
+    assert code == 1 and len(out.splitlines()) == 1
+    assert f"{narrow}: got 3 feature columns, the model takes 4" in err
+    assert "utt0.feats" not in err

@@ -153,8 +153,9 @@ def test_history_rows_shapes():
 
 
 def test_shared_cross_cache_grown_in_steps_matches_fresh_caches():
-    # one cache for a whole prefix tree, handed a longer encoder as rows
-    # are emitted (as in streaming), against a fresh cache per call
+    # one cache for a whole prefix tree, extended by uneven steps of rows
+    # as they are emitted (as in streaming, empty steps included), against
+    # a fresh cache per call
     dec, enc = setup_case(65, n=8)
     cache = CrossAttentionCache(dec, enc[:1])
     schedule = [((), 1), ((2,), 2), ((3,), 2), ((2, 4), 4), ((3, 2), 5),
@@ -162,8 +163,10 @@ def test_shared_cross_cache_grown_in_steps_matches_fresh_caches():
     shared, fresh = {}, {}  # context -> history of its positions, start token first
     emitted = 1
     for context, nu in schedule:
-        emitted = min(max(emitted, nu + 1), 8)
-        cache.update(enc[:emitted])
+        target = min(max(emitted, nu + 1), 8)
+        cache.extend(enc[emitted:target])
+        emitted = target
+        assert cache.rows == emitted
         token = context[-1] if context else dec.sos_id
         hist_s = shared[context[:-1]] if context else empty_history(dec)
         hist_f = fresh[context[:-1]] if context else empty_history(dec)
@@ -181,8 +184,6 @@ def test_cross_cache_rejects_shrinking_encoder_and_foreign_decoder():
     dec, enc = setup_case(66, n=5)
     cache = CrossAttentionCache(dec, enc)
     advance_position(dec, cache, empty_history(dec), dec.sos_id, 0, 4)
-    with pytest.raises(ValueError, match="already projected"):
-        cache.update(enc[:3])
     other, _ = setup_case(67, n=5)
     with pytest.raises(ValueError, match="another decoder"):
         advance_position(other, cache, empty_history(other), other.sos_id, 0, 2)

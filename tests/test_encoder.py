@@ -9,8 +9,7 @@ from streamasr.attention import full_mask, lookahead_mask
 from streamasr.encoder import (CnnParams, EncoderStates, FeatureMatrix,
                                IncrementalEncoder, cnn_frame_count, enc_cnn,
                                encode, encoder_forward, encoder_layer,
-                               feed_forward, positional_encoding,
-                               positional_encoding_rows, positional_encodings)
+                               feed_forward, positional_encodings)
 from streamasr.modelio import random_model
 from helpers import tiny_model
 from oracles import (conv2d_np_pad, conv2d_oracle, positional_encoding_oracle,
@@ -27,6 +26,11 @@ def rand_cnn(rng, d_feat, ch1, ch2, d_model):
         proj_w=rng.standard_normal((ch2 * f2, d_model)).astype(np.float32) / 4.0,
         proj_b=rng.standard_normal(d_model).astype(np.float32) * 0.1,
     )
+
+
+def positional_encoding(pos, d_model):
+    """The position vector of one position."""
+    return positional_encodings([pos], d_model)[0]
 
 
 def test_positional_encoding_position_zero():
@@ -54,11 +58,11 @@ def test_positional_encoding_matches_scalar_oracle():
 
 
 def test_positional_encoding_rows_stacks_positions():
-    rows = positional_encoding_rows(3, 4, 8)
+    rows = positional_encodings(np.arange(3, 7), 8)
     assert rows.shape == (4, 8)
     for i in range(4):
         assert np.array_equal(rows[i], positional_encoding(3 + i, 8))
-    assert positional_encoding_rows(0, 0, 8).shape == (0, 8)
+    assert positional_encodings(np.arange(0), 8).shape == (0, 8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -74,7 +78,7 @@ def test_position_rows_equal_rows_computed_alone(d_model, positions, count):
     assert rows.dtype == np.float32
     assert (rows == np.stack([positional_encoding_per_row(p, d_model) for p in positions])).all()
     start = min(positions)
-    rows = positional_encoding_rows(start, count, d_model)
+    rows = positional_encodings(np.arange(start, start + count), d_model)
     assert rows.shape == (count, d_model)
     for i, row in enumerate(rows):
         assert (row == positional_encoding_per_row(start + i, d_model)).all()
@@ -84,7 +88,7 @@ def test_negative_positions_raise():
     with pytest.raises(ValueError, match="position"):
         positional_encoding(-1, 8)
     with pytest.raises(ValueError, match="position"):
-        positional_encoding_rows(-2, 3, 8)
+        positional_encodings(np.arange(-2, 1), 8)
     with pytest.raises(ValueError, match="position"):
         positional_encodings([3, -1], 8)
 

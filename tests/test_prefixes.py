@@ -266,10 +266,11 @@ def test_each_lm_step_runs_once_while_its_state_stays_carried(ctc_only):
         m = tiny_model(142)
         search = JointSearch(m.decoder, lm, params, logp.shape[1])
         enc = np.random.default_rng(143).standard_normal((logp.shape[0], m.d_model))
+        search.add_rows(enc.astype(np.float32))
     extended = set()
     for row in logp:
         start = len(lm.calls)
-        search.advance(row, None if ctc_only else enc.astype(np.float32))
+        search.advance(row)
         for call in lm.calls[start:]:
             assert call not in extended
             extended.add(call)
@@ -298,11 +299,12 @@ def test_search_phat_is_prefix_score_of_each_survivor(monkeypatch, ctc_only):
         m = tiny_model(144)
         search = JointSearch(m.decoder, lm, params, logp.shape[1])
     enc = np.random.default_rng(145).standard_normal((logp.shape[0], 8)).astype(np.float32)
+    search.add_rows(enc)
     monkeypatch.setattr(search_mod, "Hypothesis", recording)
     dropped = 0
     for row in logp:
         del built[:]
-        search.advance(row, None if ctc_only else enc)
+        search.advance(row)
         # Hypotheses are built for the first prune's survivors only
         assert 0 < len(built) <= min(params.k_size, len(search._last_phat))
         assert {h.prefix for h in built} >= set(search.hyps)

@@ -306,12 +306,13 @@ def test_delete_hook_forces_rescoring_at_later_frame():
     params = DecodeParams(eps_dec=0, dcond=dcond, k_size=8, p_size=8,
                           theta1=1e6, theta2=1e6, local_threshold=0.0)
     search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
-    search.advance(post.logp[0], enc)
+    search.add_rows(enc)
+    search.advance(post.logp[0])
     for pre, entry in by_columns(search.ta).items():
         if len(pre) == 1:
             target[pre] = entry.nus
     assert target and all(nus == (1,) for nus in target.values())
-    search.advance(post.logp[1], enc)
+    search.advance(post.logp[1])
     ta = by_columns(search.ta)
     for pre in target:
         if pre in ta:
@@ -324,7 +325,8 @@ def test_skip_hook_falls_back_to_parent_score():
                           k_size=8, p_size=8, theta1=1e6, theta2=1e6,
                           local_threshold=0.0)
     search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
-    search.advance(post.logp[0], enc)
+    search.add_rows(enc)
+    search.advance(post.logp[0])
     # nothing new was scored: only the root entry remains
     assert set(by_columns(search.ta)) == {()}
     for pre, val in search._last_pjoint.items():
@@ -340,8 +342,9 @@ def test_skip_hook_falls_back_to_parent_score():
 def test_best_ctc_partial_tracks_prefix_ranking():
     m, enc, post, lm, params = decode_setup(111, n=3)
     search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    search.add_rows(enc)
     assert search.best_ctc_partial == ()
-    search.advance(post.logp[0], enc)
+    search.advance(post.logp[0])
     best = search.best_ctc_partial
     assert all(0 <= lab < m.decoder.vocab_size - 1 for lab in best) or best == ()
 
@@ -349,15 +352,17 @@ def test_best_ctc_partial_tracks_prefix_ranking():
 def test_finalize_before_any_frame_is_empty():
     m, enc, post, lm, params = decode_setup(112)
     search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
-    out = search.finalize(enc)
+    search.add_rows(enc)
+    out = search.finalize()
     assert out.labels == () and out.score == 0.0 and out.trace == []
 
 
 def test_ta_cache_holds_only_ancestors_of_live_prefixes():
     m, enc, post, lm, params = decode_setup(113, n=5)
     search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    search.add_rows(enc)
     for i in range(5):
-        search.advance(post.logp[i], enc)
+        search.advance(post.logp[i])
         live = set()
         for pre in by_columns(search.hyps):
             for j in range(len(pre) + 1):
@@ -435,9 +440,10 @@ def test_declined_ancestor_is_scored_before_its_child():
     params = DecodeParams(acond=lambda pre, *_: len(pre) != 1, eps_dec=1, k_size=8,
                           p_size=8, theta1=1e6, theta2=1e6, local_threshold=0.0)
     search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    search.add_rows(enc)
     seen_child = False
     for i in range(5):
-        search.advance(post.logp[i], enc)
+        search.advance(post.logp[i])
         ta = by_columns(search.ta)
         for pre, entry in ta.items():
             if len(pre) >= 2:
@@ -447,7 +453,7 @@ def test_declined_ancestor_is_scored_before_its_child():
             labels = [c - 1 for c in pre]
             assert entry.logp == ta_prefix_score(enc, labels, entry.nus, m.decoder)
     assert seen_child
-    out = search.finalize(enc)
+    out = search.finalize()
     assert out.trace == search.trace
 
 
@@ -480,24 +486,46 @@ def test_advance_rejects_row_of_wrong_width(kind):
         search = JointSearch(m.decoder, lm, params, n_cols)
     else:
         search = CtcPrefixSearch(lm, params, n_cols)
+    search.add_rows(enc)
     wide = logprob_rows(np.random.default_rng(120), 1, n_cols + 2)[0]
     with pytest.raises(ValueError, match="posterior row shape"):
-        search.advance(wide, enc)
+        search.advance(wide)
     assert search.frame == 0
-    search.advance(post.logp[0], enc)
+    search.advance(post.logp[0])
     assert search.frame == 1
 
 
 def test_joint_search_needs_encoder_rows():
+    # a frame reads its own encoder row, which must have been added first;
+    # a refused frame leaves the search as it was
     m, enc, post, lm, params = decode_setup(127)
     search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
-    with pytest.raises(ValueError, match="needs the encoder rows"):
+    with pytest.raises(ValueError, match="frame 1 needs its encoder row, but 0 were added"):
         search.advance(post.logp[0])
-    assert search.frame == 0
-    search.advance(post.logp[0], enc.states)
-    with pytest.raises(ValueError, match="needs the encoder rows"):
-        search.finalize()
-    assert search.finalize(enc.states).trace == search.trace
+    assert search.frame == 0 and search.trace == []
+    search.add_rows(enc.states[:1])
+    search.advance(post.logp[0])
+    hyps, trace = dict(search.hyps), list(search.trace)
+    with pytest.raises(ValueError, match="frame 2 needs its encoder row, but 1 were added"):
+        search.advance(post.logp[1])
+    assert search.frame == 1
+    assert search.hyps == hyps and search.trace == trace
+    search.add_rows(enc.states[1:])
+    for i in range(1, post.logp.shape[0]):
+        search.advance(post.logp[i])
+    assert search.finalize().trace == search.trace
+
+
+@pytest.mark.parametrize("bad", ["1-D", "wrong width"])
+def test_add_rows_rejects_a_matrix_of_the_wrong_shape(bad):
+    m, enc, post, lm, params = decode_setup(128)
+    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    rows = enc.states[0] if bad == "1-D" else np.pad(enc.states, ((0, 0), (0, 1)))
+    with pytest.raises(ValueError, match="encoder rows of shape"):
+        search.add_rows(rows)
+    assert search.cross.rows == 0
+    # the pure CTC search reads no encoder rows and ignores them
+    CtcPrefixSearch(lm, params, post.logp.shape[1]).add_rows(rows)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -509,15 +537,16 @@ def test_advance_rejects_non_finite_row(kind, bad):
         search = JointSearch(m.decoder, lm, params, n_cols)
     else:
         search = CtcPrefixSearch(lm, params, n_cols)
-    search.advance(post.logp[0], enc)
+    search.add_rows(enc)
+    search.advance(post.logp[0])
     hyps, trace = dict(search.hyps), list(search.trace)
     row = post.logp[1].copy()
     row[2] = bad
     with pytest.raises(ValueError, match="NaN or \\+inf"):
-        search.advance(row, enc)
+        search.advance(row)
     assert search.frame == 1
     assert search.hyps == hyps and search.trace == trace
-    search.advance(post.logp[1], enc)
+    search.advance(post.logp[1])
     assert search.frame == 2
 
 
@@ -570,15 +599,16 @@ def test_finalize_reuses_steps_taken_at_the_last_truncation(monkeypatch):
     params = DecodeParams(eps_dec=2, k_size=8, p_size=8, theta1=1e6, theta2=1e6)
     calls = counted_steps(monkeypatch)
     search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    search.add_rows(enc)
     for i in range(6):
-        search.advance(post.logp[i], enc)
+        search.advance(post.logp[i])
     avail = enc.states.shape[0]
     scored = [search.ta[pre] for pre in search._last_carried if pre in search.ta]
     kept = [e for e in scored if e.step is not None and e.step[0] == avail]
     assert kept
     before = len(calls)
     assert before
-    search.finalize(enc)
+    search.finalize()
     assert len(calls) - before == len(scored) - len(kept)
     assert len(calls) == len(distinct_steps(calls))
 
@@ -590,13 +620,14 @@ def test_rescored_entries_equal_the_truncated_decoder_score():
     params = DecodeParams(dcond=lambda *_: True, eps_dec=1, k_size=8, p_size=8,
                           theta1=1e6, theta2=1e6, local_threshold=0.0)
     search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    search.add_rows(enc)
     for i in range(6):
-        search.advance(post.logp[i], enc)
+        search.advance(post.logp[i])
         assert len(search.ta) > 1
         for pre, entry in by_columns(search.ta).items():
             labels = [c - 1 for c in pre]
             assert entry.logp == ta_prefix_score(enc, labels, entry.nus, m.decoder)
-    search.finalize(enc)
+    search.finalize()
 
 
 @pytest.mark.parametrize("growing", [False, True])
@@ -605,10 +636,13 @@ def test_steps_below_the_seen_encoder_rows_are_dropped(growing):
     params = DecodeParams(eps_dec=2, k_size=8, p_size=8, theta1=1e6, theta2=1e6)
     search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
     kept_any = False
+    added = 0
     for i in range(8):
-        rows = enc.states[:i + 1 + params.eps_dec] if growing else enc.states
-        search.advance(post.logp[i], rows)
-        seen = search.cross.enc.shape[0]
+        target = min(i + 1 + params.eps_dec, 8) if growing else 8
+        search.add_rows(enc.states[added:target])
+        added = target
+        search.advance(post.logp[i])
+        seen = search.cross.rows
         steps = [e.step for e in search.ta.values() if e.step is not None]
         assert all(nu >= seen for nu, _, _ in steps)
         kept_any = kept_any or bool(steps)
