@@ -8,7 +8,6 @@ domain as float64; impossible events are -inf, never an underflowed zero.
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -178,27 +177,18 @@ def ctc_viterbi_align(post, labels, eps_dec):
     return TriggerAlignment(path, first, tuple(f + eps_dec for f in first))
 
 
-_LAST = attrgetter("last")
+def _split_columns(prefix):
+    """A column-tuple prefix as (parent, last column); (None, None) for ()."""
+    return (prefix[:-1], prefix[-1]) if prefix else (None, None)
 
 
-def _append_column(prefix, col):
-    return prefix + (col,)
-
-
-def _last_column(prefix):
-    return prefix[-1] if prefix else None
-
-
-def ctc_prefix_step(post_row, hyps, local_threshold=1e-4, child=None):
+def ctc_prefix_step(post_row, hyps, local_threshold=1e-4):
     """One frame of prefix beam search: extend every prefix by this frame.
 
-    hyps maps prefixes to their blank-final and label-final masses from
-    the previous frame (anything with ``p_b`` and ``p_nb``, such as
-    PrefixScores).  By default a prefix is a tuple of column indices (no
-    blanks).  With ``child`` a prefix is any key with a ``last`` column
-    (None for the empty prefix), and ``child(prefix, col)`` returns the
-    key of prefix extended by col.  Returns the updated mapping to
-    PrefixScores, containing the survivors and their one-label
+    hyps maps prefixes, tuples of column indices (no blanks), to their
+    blank-final and label-final masses from the previous frame (anything
+    with ``p_b`` and ``p_nb``, such as PrefixScores).  Returns the updated
+    mapping to PrefixScores, containing the survivors and their one-label
     extensions.  Blank mass is always propagated; a non-blank label is
     skipped for the whole frame when its linear probability falls below
     ``local_threshold`` (or is exactly zero), since it can contribute no
@@ -211,48 +201,64 @@ def ctc_prefix_step(post_row, hyps, local_threshold=1e-4, child=None):
     if row.ndim != 1:
         raise ValueError(f"posterior row must be a vector, got shape {row.shape}")
     # plain floats: scores stay host-precision floats throughout
-    masses = _prefix_masses(row.tolist(), hyps, local_threshold, child)
-    return {p: PrefixScores(p_b, p_nb) for p, (p_b, p_nb) in masses.items()}
+    carried, extensions = _prefix_masses(row.tolist(), hyps, local_threshold, _split_columns)
+    out = {p: PrefixScores(p_b, p_nb) for p, (p_b, p_nb) in carried.items()}
+    for parent, col, mass in extensions:
+        out[parent + (col,)] = PrefixScores(NEG_INF, mass)
+    return out
 
 
-def _prefix_masses(row, hyps, local_threshold, child=None):
-    """The recursion behind :func:`ctc_prefix_step`, on a posterior row of
-    Python floats: returns ``{prefix: [p_b, p_nb]}`` with the same keys
-    and values, without wrapping them."""
+def _prefix_masses(row, hyps, local_threshold, split):
+    """The recursion behind :func:`ctc_prefix_step` and the search's CTC
+    stage, on a posterior row of Python floats.
+
+    ``split(prefix)`` gives a carried prefix's (parent, last column),
+    (None, None) for the empty prefix.  Returns ``(carried, extensions)``:
+    ``carried`` maps each prefix of ``hyps`` to its new ``[p_b, p_nb]``,
+    in the order of ``hyps``; ``extensions`` lists every other one-column
+    extension as ``(parent, col, mass)``.  Such an extension gets one
+    contribution only, so its p_b is -inf and its p_nb is ``mass``; a
+    carried prefix's p_nb gets at most two, its own repeat and its
+    carried parent's extension, and ``log_add`` is commutative bit for
+    bit, so the order they arrive in changes no bit.  Entries of zero
+    mass are left out of both parts.
+    """
     log_thresh = math.log(local_threshold) if local_threshold > 0 else NEG_INF
-    if child is None:
-        child, last_of = _append_column, _last_column
-    else:
-        last_of = _LAST
     active = [(k, lp) for k, lp in enumerate(row)
               if k != BLANK and not (lp == NEG_INF or lp < log_thresh)]
-    acc = {}
-    # Each contribution adds to one of a prefix's two masses.  log_add with
-    # a -inf side returns the other side unchanged, so only the mass that
-    # receives it is added to.
+    carried = {prefix: [NEG_INF, NEG_INF] for prefix in hyps}
+    lasts = []
+    kids = {}  # carried parent -> {column: the accumulator of that carried child}
+    for prefix in hyps:
+        parent, last = split(prefix)
+        lasts.append(last)
+        if parent in carried:
+            kids.setdefault(parent, {})[last] = carried[prefix]
+    no_kids = {}
+    extensions = []
+    append = extensions.append
     lp_blank = row[BLANK]
-    for prefix, sc in hyps.items():
+    for (prefix, sc), last in zip(hyps.items(), lasts):
         p_b, p_nb = sc.p_b, sc.p_nb
         total = log_add(p_b, p_nb)
-        cur = acc.get(prefix)
-        if cur is None:
-            cur = acc[prefix] = [lp_blank + total, NEG_INF]
-        else:
-            cur[0] = log_add(cur[0], lp_blank + total)
-        last = last_of(prefix)
+        cur = carried[prefix]
+        # the blank is p_b's one contribution; log_add with a -inf side
+        # returns the other side unchanged, so p_nb's start at -inf
+        cur[0] = lp_blank + total
+        mine = kids.get(prefix, no_kids)
         for k, lp in active:
             if k == last:
                 cur[1] = log_add(cur[1], lp + p_nb)
                 mass = lp + p_b
             else:
                 mass = lp + total
-            ext = child(prefix, k)
-            nxt = acc.get(ext)
-            if nxt is None:
-                acc[ext] = [NEG_INF, mass]
-            else:
-                nxt[1] = log_add(nxt[1], mass)
-    return {p: v for p, v in acc.items() if v[0] != NEG_INF or v[1] != NEG_INF}
+            kid = mine.get(k)
+            if kid is not None:
+                kid[1] = log_add(kid[1], mass)
+            elif mass != NEG_INF:
+                append((prefix, k, mass))
+    return ({p: v for p, v in carried.items() if v[0] != NEG_INF or v[1] != NEG_INF},
+            extensions)
 
 
 def posteriorgram_from_states(states, weight, bias):

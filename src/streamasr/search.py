@@ -34,13 +34,17 @@ a last column, a length, its LM state and LM log probability), found
 through the search's :class:`PrefixTable`, so extending, hashing and
 looking up a prefix cost O(1) however long it grows, and each LM step
 runs once per carried LM state.  Hooks, labels and trace lines still see
-column tuples.  A frame's CTC candidates stay plain masses until the
-first prune: only its survivors become :class:`Hypothesis` objects.
+column tuples.  A frame's CTC candidates are ranked as plain numbers
+(masses, an LM step from the table's memo, phat) with no node of their
+own: only the survivors the search keeps are interned and become
+:class:`Hypothesis` objects, all of the first prune's with a decoder and
+the top P without one.
 """
 
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -205,14 +209,19 @@ class Prefix:
         return f"Prefix{self.as_tuple()}"
 
 
+_PARENT_LAST = attrgetter("parent", "last")
+
+
 class PrefixTable:
     """The child table that interns one search's prefixes: each (parent,
     column) pair maps to one Prefix, so a prefix reached again comes back
-    as the same node and finds the state kept under it.
+    as the same node and finds the state kept under it.  A search interns
+    only the candidates it keeps, not every extension it ranks.
 
     A node gets its LM state and log probability from ``lm`` when it is
     interned.  The LM steps come from a memo keyed on (parent LM state,
-    column), so prefixes that share an LM state share each step.
+    column), which the search also reads to rank candidates that have no
+    node, so prefixes that share an LM state share each step.
     """
 
     def __init__(self, lm):
@@ -221,17 +230,21 @@ class PrefixTable:
         self._children = {}
         self._lm_steps = {}  # (LM state, column) -> (next LM state, log p increment)
 
+    def lm_step(self, state, col):
+        """(next LM state, log p increment) of column ``col`` after ``state``."""
+        key = (state, col)
+        step = self._lm_steps.get(key)
+        if step is None:
+            step = self._lm_steps[key] = self.lm.extend(state, col - 1)
+        return step
+
     def child(self, parent, col):
         """The node of ``parent`` extended by column ``col``."""
         key = (parent, col)
         node = self._children.get(key)
         if node is None:
-            step_key = (parent.lm_state, col)
-            step = self._lm_steps.get(step_key)
-            if step is None:
-                step = self._lm_steps[step_key] = self.lm.extend(parent.lm_state, col - 1)
-            node = self._children[key] = Prefix(parent, col, step[0],
-                                                parent.lm_logp + step[1])
+            state, inc = self.lm_step(parent.lm_state, col)
+            node = self._children[key] = Prefix(parent, col, state, parent.lm_logp + inc)
         return node
 
     def retain(self, live):
@@ -265,8 +278,9 @@ def prefix_score(hyp, alpha0, beta):
 
 def _phat(p_b, p_nb, lm_logp, length, alpha0, beta):
     """prefix_score of a prefix given as its masses, LM log probability
-    and length; the search ranks candidates with it before any
-    Hypothesis exists."""
+    and length; the search ranks its carried candidates with it before
+    any Hypothesis exists (an extension's p_b is -inf, so its phat is the
+    same sum with its one mass in place of the log_add)."""
     return log_add(p_b, p_nb) + alpha0 * lm_logp + beta * length
 
 
@@ -397,18 +411,7 @@ class JointSearch:
         row[self._banned_cols] = NEG_INF
         row = row.tolist()
 
-        # the CTC stage: one prefix step (its new nodes take their LM step
-        # from the table), phat from the masses, and the first prune by
-        # phat; only its survivors become Hypotheses
-        masses = _prefix_masses(row, self.hyps, p.local_threshold, self.prefixes.child)
-        alpha0, beta = p.alpha0, p.beta
-        phat = {pre: _phat(m[0], m[1], pre.lm_logp, pre.length, alpha0, beta)
-                for pre, m in masses.items()}
-        omega_hat = {pre: Hypothesis(pre, m[0], m[1], pre.lm_logp)  # in phat rank order
-                     for pre, m in prune(masses, phat, p.k_size, p.theta1).items()}
-        if not omega_hat:
-            raise RuntimeError("search collapsed")
-
+        omega_hat, phat = self._ctc_stage(row)
         if self.dec is None:
             pjoint, top = phat, list(omega_hat)[:p.p_size]
         else:
@@ -429,6 +432,49 @@ class JointSearch:
         live = self.prefixes.retain(self.hyps)
         if self.dec is not None:
             self._evict_ta(live)
+
+    def _ctc_stage(self, row):
+        """One CTC prefix step, phat for every candidate and the first
+        prune by phat.  Returns omega_hat, the survivors as Hypotheses in
+        phat rank order, and their phat.
+
+        Candidates are ranked as plain numbers: a rank tuple (-phat,
+        length, parent, column, ...) orders as (-phat, length, column
+        tuple), and compares nodes, building their column tuples, only on
+        exact ties (the root is the one candidate of length 0, so its None
+        parent is never compared).  Only the survivors the search keeps
+        become nodes: all of them with a decoder (the TA stage and the
+        hooks read them), the top p_size without one (the carried beam is
+        their head).
+        """
+        p = self.params
+        alpha0, beta = p.alpha0, p.beta
+        carried, extensions = _prefix_masses(row, self.hyps, p.local_threshold, _PARENT_LAST)
+        ranked = [(-_phat(m[0], m[1], pre.lm_logp, pre.length, alpha0, beta),
+                   pre.length, pre.parent, pre.last, pre, m[0], m[1])
+                  for pre, m in carried.items()]
+        lm_step = self.prefixes.lm_step
+        for parent, col, mass in extensions:
+            # phat of a candidate whose p_b is -inf: log_add(-inf, mass) is mass
+            length = parent.length + 1
+            lm_logp = parent.lm_logp + lm_step(parent.lm_state, col)[1]
+            ranked.append((-(mass + alpha0 * lm_logp + beta * length),
+                           length, parent, col, None, NEG_INF, mass))
+        if not ranked:
+            raise RuntimeError("search collapsed")
+        ranked.sort()
+        cut = -ranked[0][0] - p.theta1
+        survivors = p.k_size if self.dec is not None else p.p_size
+        child = self.prefixes.child
+        omega_hat, phat = {}, {}
+        for neg, _, parent, col, pre, p_b, p_nb in ranked[:survivors]:
+            if -neg < cut:
+                break
+            if pre is None:
+                pre = child(parent, col)
+            omega_hat[pre] = Hypothesis(pre, p_b, p_nb, pre.lm_logp)
+            phat[pre] = -neg
+        return omega_hat, phat
 
     def _ta_stage(self, row, omega_hat):
         """Run the hooks, give omega_hat's prefixes their TA scores at this

@@ -465,3 +465,63 @@ def own_histories_block_mask(pasts, rows):
     cols = np.arange(ends[-1])
     mask = (cols >= starts[:, None]) & (cols < ends[:, None])
     return np.concatenate(keys, axis=1), np.concatenate(values, axis=1), mask
+
+
+def _prefix_masses_with_child(row, hyps, local_threshold, child):
+    """The package's CTC recursion as it was while every candidate was a
+    node: ``child(prefix, col)`` gives each extension's node, and one
+    accumulator dict, keyed by node, gathers every contribution."""
+    from streamasr.kernels import log_add
+
+    log_thresh = math.log(local_threshold) if local_threshold > 0 else NEG_INF
+    active = [(k, lp) for k, lp in enumerate(row)
+              if k != 0 and not (lp == NEG_INF or lp < log_thresh)]
+    acc = {}
+    lp_blank = row[0]
+    for prefix, sc in hyps.items():
+        p_b, p_nb = sc.p_b, sc.p_nb
+        total = log_add(p_b, p_nb)
+        cur = acc.get(prefix)
+        if cur is None:
+            cur = acc[prefix] = [lp_blank + total, NEG_INF]
+        else:
+            cur[0] = log_add(cur[0], lp_blank + total)
+        for k, lp in active:
+            if k == prefix.last:
+                cur[1] = log_add(cur[1], lp + p_nb)
+                mass = lp + p_b
+            else:
+                mass = lp + total
+            ext = child(prefix, k)
+            nxt = acc.get(ext)
+            if nxt is None:
+                acc[ext] = [NEG_INF, mass]
+            else:
+                nxt[1] = log_add(nxt[1], mass)
+    return {p: v for p, v in acc.items() if v[0] != NEG_INF or v[1] != NEG_INF}
+
+
+def all_nodes_ctc_stage(row, hyps, lm, params, size):
+    """The search's CTC stage as it was while every candidate was a node:
+    each extension is interned (with its LM step) before it is ranked,
+    phat is computed for every candidate, and the mapping ``prune`` ranks
+    them all.  ``hyps`` is the carried beam, Prefix nodes to Hypotheses,
+    and ``row`` a posterior row of floats with banned columns at -inf.
+    Returns the first ``size`` survivors of the prune, in rank order, as
+    (column tuple, p_b, p_nb, phat)."""
+    from streamasr.search import Prefix, _phat, prune
+
+    children = {(pre.parent, pre.last): pre for pre in hyps if pre.parent is not None}
+
+    def child(parent, col):
+        node = children.get((parent, col))
+        if node is None:
+            state, inc = lm.extend(parent.lm_state, col - 1)
+            node = children[parent, col] = Prefix(parent, col, state, parent.lm_logp + inc)
+        return node
+
+    masses = _prefix_masses_with_child(row, hyps, params.local_threshold, child)
+    phat = {pre: _phat(m[0], m[1], pre.lm_logp, pre.length, params.alpha0, params.beta)
+            for pre, m in masses.items()}
+    kept = list(prune(masses, phat, params.k_size, params.theta1).items())[:size]
+    return [(pre.as_tuple(), m[0], m[1], phat[pre]) for pre, m in kept]

@@ -1,7 +1,9 @@
 """Interned search prefixes: identity, tuple order, the bounded child
-table and its LM memo, and bit-identity with the tuple-keyed search they
-replaced."""
+table and its LM memo, nodes only for the candidates the search keeps,
+and bit-identity with the tuple-keyed search and the all-nodes CTC stage
+they replaced."""
 
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from streamasr.search import (CtcPrefixSearch, DecodeParams, JointSearch, Prefix
                               _rank_key, ctc_prefix_search, prefix_score, prune)
 from streamasr.streaming import StreamConfig, StreamingSession
 from helpers import bigram, logprob_rows, tiny_model
-from oracles import tuple_ctc_search
+from oracles import _tuple_prefix_step, all_nodes_ctc_stage, tuple_ctc_search
+
+NEG_INF = float("-inf")
 
 
 def node(table, cols):
@@ -69,6 +73,23 @@ def quantized_rows(rng, n, c):
     return np.log(levels / levels.sum(axis=1, keepdims=True))
 
 
+def zero_blank_frames(rng, logp, banned_ids, local_threshold):
+    """Give about half the frames a blank of probability exactly zero, the
+    labels renormalised.  A prefix whose p_b is then -inf gives its repeat
+    extension zero mass.  A frame is left as it is when no label the
+    search may emit would stay at or above ``local_threshold``: with no
+    label and no blank the search has nothing to extend."""
+    out = logp.copy()
+    allowed = [i for i in range(out.shape[1] - 1) if i not in banned_ids]
+    floor = math.log(local_threshold) if local_threshold > 0 else NEG_INF
+    for i in np.flatnonzero(rng.random(out.shape[0]) < 0.5):
+        labels = out[i, 1:] - np.logaddexp.reduce(out[i, 1:])
+        if labels[allowed].max() >= floor:
+            out[i, 1:] = labels
+            out[i, 0] = NEG_INF
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_interned_search_matches_tuple_reference(data):
@@ -78,6 +99,7 @@ def test_interned_search_matches_tuple_reference(data):
     quantized = data.draw(st.booleans())
     rng = np.random.default_rng(seed)
     logp = quantized_rows(rng, n, n_cols) if quantized else logprob_rows(rng, n, n_cols)
+    zero_blanks = data.draw(st.booleans())
     if data.draw(st.booleans()):
         lm = UniformLM(n_cols - 1)
     else:
@@ -91,6 +113,8 @@ def test_interned_search_matches_tuple_reference(data):
         beta=data.draw(st.sampled_from([0.0, 0.5, 2.0])),
         local_threshold=data.draw(st.sampled_from([0.0, 1e-4, 0.2])))
     banned = tuple(data.draw(st.sets(st.integers(0, n_cols - 2), max_size=n_cols - 2)))
+    if zero_blanks:
+        logp = zero_blank_frames(rng, logp, banned, params.local_threshold)
     got = ctc_prefix_search(Posteriorgram(logp), lm, params, banned_ids=banned)
     labels, score, trace = tuple_ctc_search(logp, lm, params, banned)
     assert got.trace == trace
@@ -282,16 +306,33 @@ def test_each_lm_step_runs_once_while_its_state_stays_carried(ctc_only):
     assert len(set(lm.calls)) <= (n_labels + 1) * n_labels < len(lm.calls)
 
 
+def carried_tuples(search):
+    return {pre.as_tuple(): (h.p_b, h.p_nb) for pre, h in search.hyps.items()}
+
+
+def masked_row(search, row):
+    """The posterior row the search's CTC stage reads: banned columns at
+    -inf, as Python floats."""
+    out = np.array(row, dtype=np.float64)
+    out[search._banned_cols] = NEG_INF
+    return out.tolist()
+
+
 @pytest.mark.parametrize("ctc_only", [True, False])
 def test_search_phat_is_prefix_score_of_each_survivor(monkeypatch, ctc_only):
     logp, lm, params = ctc_setup(144, n=20, alpha0=0.7, beta=1.5)
-    built = []
-    hypothesis = search_mod.Hypothesis
+    built, created = [], []
+    hypothesis, prefix = search_mod.Hypothesis, search_mod.Prefix
 
     def recording(*args):
         h = hypothesis(*args)
         built.append(h)
         return h
+
+    def counting(*args):
+        node = prefix(*args)
+        created.append(node)
+        return node
 
     if ctc_only:
         search = CtcPrefixSearch(lm, params, logp.shape[1])
@@ -301,15 +342,104 @@ def test_search_phat_is_prefix_score_of_each_survivor(monkeypatch, ctc_only):
     enc = np.random.default_rng(145).standard_normal((logp.shape[0], 8)).astype(np.float32)
     search.add_rows(enc)
     monkeypatch.setattr(search_mod, "Hypothesis", recording)
-    dropped = 0
+    monkeypatch.setattr(search_mod, "Prefix", counting)
+    node_cap = params.p_size if ctc_only else params.k_size
+    nodes = 0
     for row in logp:
-        del built[:]
+        del built[:], created[:]
+        candidates = len(_tuple_prefix_step(masked_row(search, row), carried_tuples(search),
+                                            params.local_threshold))
         search.advance(row)
-        # Hypotheses are built for the first prune's survivors only
-        assert 0 < len(built) <= min(params.k_size, len(search._last_phat))
-        assert {h.prefix for h in built} >= set(search.hyps)
+        # Hypotheses are built for the first prune's survivors only, and
+        # nodes only for the survivors the search keeps
+        assert 0 < len(built) <= min(params.k_size, candidates)
+        assert len(created) <= node_cap and len(created) < candidates
+        assert {h.prefix for h in built} >= set(search.hyps) | set(created)
         for h in built:
             assert h.lm_logp == h.prefix.lm_logp
             assert search._last_phat[h.prefix] == prefix_score(h, params.alpha0, params.beta)
-        dropped += len(search._last_phat) - len(built)
-    assert dropped > 0
+        nodes += len(created)
+    assert nodes > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ctc_stage_survivors_match_the_all_nodes_reference(data):
+    """Frame by frame, the first prune's survivors equal those of the
+    stage that interned every candidate: all k of them as the hooks see
+    them in the joint search, the carried top p without a decoder."""
+    joint = data.draw(st.booleans())
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    n_cols = 6 if joint else data.draw(st.integers(3, 6))
+    n = data.draw(st.integers(1, 12))
+    quantized = data.draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    logp = quantized_rows(rng, n, n_cols) if quantized else logprob_rows(rng, n, n_cols)
+    zero_blanks = data.draw(st.booleans())
+    lm = UniformLM(n_cols - 1) if data.draw(st.booleans()) else bigram(rng, n_cols - 1, quantized)
+    k = data.draw(st.integers(1, 12))
+    views = {}
+
+    def record(pre, view, frame, row):
+        views.setdefault(frame, [(cols, h.p_b, h.p_nb) for cols, h in view.items()])
+
+    params = DecodeParams(
+        k_size=k, p_size=data.draw(st.integers(1, k)),
+        theta1=data.draw(st.sampled_from([0.5, 4.0, 16.0])),
+        theta2=data.draw(st.sampled_from([0.5, 6.0])),
+        alpha0=data.draw(st.sampled_from([0.0, 0.7])),
+        beta=data.draw(st.sampled_from([0.0, 0.5, 2.0])),
+        local_threshold=data.draw(st.sampled_from([0.0, 1e-4, 0.2])),
+        dcond=lambda *a: record(*a) or False, acond=lambda *a: record(*a) or True)
+    if joint:
+        search = JointSearch(tiny_model(seed % 1000).decoder, lm, params, n_cols)
+        search.add_rows(rng.standard_normal((n, 8)).astype(np.float32))
+    else:
+        search = CtcPrefixSearch(lm, params, n_cols)
+    if zero_blanks:
+        banned = [c - 1 for c in search._banned_cols]
+        logp = zero_blank_frames(rng, logp, banned, params.local_threshold)
+    for frame, row in enumerate(logp, start=1):
+        want = all_nodes_ctc_stage(masked_row(search, row), search.hyps, lm, params,
+                                   params.k_size if joint else params.p_size)
+        search.advance(row)
+        assert [(pre.as_tuple(), v) for pre, v in search._last_phat.items()] == \
+            [(cols, phat) for cols, _, _, phat in want]
+        masses = [(cols, p_b, p_nb) for cols, p_b, p_nb, _ in want]
+        if joint:
+            # the hooks run unless the root is the only survivor
+            assert views.get(frame, masses[:1]) == masses
+            assert set(carried_tuples(search).items()) <= {(c, (b, nb)) for c, b, nb in masses}
+        else:
+            assert [(c, b, nb) for c, (b, nb) in carried_tuples(search).items()] == masses
+
+
+def test_zero_mass_extension_takes_no_lm_step():
+    """With the blank at probability zero in frame 1, every carried prefix
+    has p_b = -inf in frame 2, so extending one by its own last label has
+    zero mass: it is dropped before its LM step is taken."""
+    rng = np.random.default_rng(146)
+    logp = logprob_rows(rng, 2, 4)
+    logp[0, 1:] -= np.logaddexp.reduce(logp[0, 1:])
+    logp[0, 0] = NEG_INF
+    lm = CountingLM(HistoryLM(bigram(rng, 3, False)))
+    search = CtcPrefixSearch(lm, DecodeParams(k_size=20, p_size=10, local_threshold=0.0), 4)
+    search.advance(logp[0])
+    carried = list(search.hyps)
+    assert [len(pre) for pre in carried] == [1, 1, 1]
+    assert all(search.hyps[pre].p_b == NEG_INF for pre in carried)
+    del lm.calls[:]
+    search.advance(logp[1])
+    repeats = {(pre.lm_state, pre.last - 1) for pre in carried}
+    assert lm.calls and not repeats & set(lm.calls)
+
+
+def test_first_prune_keeps_a_candidate_exactly_at_the_beam_edge():
+    # phat is the mass alone (alpha0 = beta = 0): the root at -1, (1,) at
+    # exactly -1 - theta1, (2,) below it
+    params = DecodeParams(k_size=5, p_size=5, theta1=4.0, theta2=100.0, alpha0=0.0, beta=0.0,
+                          local_threshold=0.0)
+    search = CtcPrefixSearch(UniformLM(2), params, 3)
+    search.advance([-1.0, -5.0, -20.0])
+    assert [(pre.as_tuple(), v) for pre, v in search._last_phat.items()] == [((), -1.0),
+                                                                          ((1,), -5.0)]
