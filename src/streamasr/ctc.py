@@ -195,16 +195,20 @@ def ctc_prefix_step(post_row, hyps, local_threshold=1e-4):
     usable mass.  Entries whose blank and non-blank masses both come out
     zero are dropped: a prefix no path can reach is not a candidate, and
     keeping it would let downstream ranking terms that ignore path mass
-    promote an impossible sequence.
+    promote an impossible sequence.  The extensions come from the mass
+    matrix of :func:`_prefix_masses`, carried prefix by carried prefix
+    and column by column, as Python floats.
     """
     row = np.asarray(post_row, dtype=np.float64)
     if row.ndim != 1:
         raise ValueError(f"posterior row must be a vector, got shape {row.shape}")
     # plain floats: scores stay host-precision floats throughout
-    carried, extensions = _prefix_masses(row.tolist(), hyps, local_threshold, _split_columns)
+    carried, cols, masses = _prefix_masses(row.tolist(), hyps, local_threshold, _split_columns)
     out = {p: PrefixScores(p_b, p_nb) for p, (p_b, p_nb) in carried.items()}
-    for parent, col, mass in extensions:
-        out[parent + (col,)] = PrefixScores(NEG_INF, mass)
+    parents = list(hyps)
+    rows, where = np.nonzero(masses != NEG_INF)
+    for i, j, mass in zip(rows.tolist(), where.tolist(), masses[rows, where].tolist()):
+        out[parents[i] + (cols[j],)] = PrefixScores(NEG_INF, mass)
     return out
 
 
@@ -213,52 +217,57 @@ def _prefix_masses(row, hyps, local_threshold, split):
     stage, on a posterior row of Python floats.
 
     ``split(prefix)`` gives a carried prefix's (parent, last column),
-    (None, None) for the empty prefix.  Returns ``(carried, extensions)``:
-    ``carried`` maps each prefix of ``hyps`` to its new ``[p_b, p_nb]``,
-    in the order of ``hyps``; ``extensions`` lists every other one-column
-    extension as ``(parent, col, mass)``.  Such an extension gets one
-    contribution only, so its p_b is -inf and its p_nb is ``mass``; a
-    carried prefix's p_nb gets at most two, its own repeat and its
-    carried parent's extension, and ``log_add`` is commutative bit for
-    bit, so the order they arrive in changes no bit.  Entries of zero
-    mass are left out of both parts.
+    (None, None) for the empty prefix.  Returns ``(carried, cols,
+    masses)``.  ``carried`` maps each prefix of ``hyps`` that keeps some
+    mass to its new ``[p_b, p_nb]``, in the order of ``hyps``.  ``cols``
+    lists the active label columns, those at or above ``local_threshold``,
+    in column order.  ``masses`` is a float64 (len(hyps), len(cols))
+    matrix, row i for the i-th prefix of ``hyps``: the mass of extending
+    it by ``cols[j]``, or -inf where that extension has zero mass or is
+    itself carried.
+
+    An extension that is not carried gets one contribution only, so its
+    p_b is -inf and its p_nb is its entry: the total mass plus the label,
+    or p_b plus the label for its own last column, added by NumPy, whose
+    float64 ``+`` rounds as Python's does.  A carried prefix's p_nb gets at
+    most two contributions, its own repeat and its carried parent's
+    extension, through ``log_add`` on Python floats; ``log_add`` is
+    commutative bit for bit, so the order they arrive in changes no bit.
     """
     log_thresh = math.log(local_threshold) if local_threshold > 0 else NEG_INF
-    active = [(k, lp) for k, lp in enumerate(row)
-              if k != BLANK and not (lp == NEG_INF or lp < log_thresh)]
-    carried = {prefix: [NEG_INF, NEG_INF] for prefix in hyps}
-    lasts = []
-    kids = {}  # carried parent -> {column: the accumulator of that carried child}
-    for prefix in hyps:
-        parent, last = split(prefix)
-        lasts.append(last)
-        if parent in carried:
-            kids.setdefault(parent, {})[last] = carried[prefix]
-    no_kids = {}
-    extensions = []
-    append = extensions.append
+    cols = [k for k, lp in enumerate(row)
+            if k != BLANK and not (lp == NEG_INF or lp < log_thresh)]
+    lps = [row[k] for k in cols]
+    where = {k: j for j, k in enumerate(cols)}
     lp_blank = row[BLANK]
-    for (prefix, sc), last in zip(hyps.items(), lasts):
-        p_b, p_nb = sc.p_b, sc.p_nb
-        total = log_add(p_b, p_nb)
-        cur = carried[prefix]
+    carried = {}
+    index = {}  # carried prefix -> its row of masses
+    kin = []  # per carried prefix: its [p_b, p_nb], parent, last column's j, scores
+    totals = []
+    for i, (prefix, sc) in enumerate(hyps.items()):
+        total = log_add(sc.p_b, sc.p_nb)
         # the blank is p_b's one contribution; log_add with a -inf side
         # returns the other side unchanged, so p_nb's start at -inf
-        cur[0] = lp_blank + total
-        mine = kids.get(prefix, no_kids)
-        for k, lp in active:
-            if k == last:
-                cur[1] = log_add(cur[1], lp + p_nb)
-                mass = lp + p_b
-            else:
-                mass = lp + total
-            kid = mine.get(k)
-            if kid is not None:
-                kid[1] = log_add(kid[1], mass)
-            elif mass != NEG_INF:
-                append((prefix, k, mass))
+        cur = carried[prefix] = [lp_blank + total, NEG_INF]
+        index[prefix] = i
+        parent, last = split(prefix)
+        kin.append((cur, parent, where.get(last), sc))
+        totals.append(total)
+    masses = np.add.outer(totals, lps)
+    for i, (cur, _, j, sc) in enumerate(kin):
+        if j is not None:
+            # its own last column: the repeat adds to p_nb, and the
+            # extension takes p_b's mass only
+            cur[1] = log_add(cur[1], lps[j] + sc.p_nb)
+            masses[i, j] = lps[j] + sc.p_b
+    # a carried child takes its carried parent's extension into its p_nb
+    for cur, parent, j, _ in kin:
+        i = index.get(parent)
+        if i is not None and j is not None:
+            cur[1] = log_add(cur[1], float(masses[i, j]))
+            masses[i, j] = NEG_INF
     return ({p: v for p, v in carried.items() if v[0] != NEG_INF or v[1] != NEG_INF},
-            extensions)
+            cols, masses)
 
 
 def posteriorgram_from_states(states, weight, bias):

@@ -34,11 +34,15 @@ a last column, a length, its LM state and LM log probability), found
 through the search's :class:`PrefixTable`, so extending, hashing and
 looking up a prefix cost O(1) however long it grows, and each LM step
 runs once per carried LM state.  Hooks, labels and trace lines still see
-column tuples.  A frame's CTC candidates are ranked as plain numbers
-(masses, an LM step from the table's memo, phat) with no node of their
-own: only the survivors the search keeps are interned and become
-:class:`Hypothesis` objects, all of the first prune's with a decoder and
-the top P without one.
+column tuples.  A frame's CTC candidates are ranked as arrays with no
+node of their own: the extensions' masses come as a (carried prefix x
+active column) matrix, their LM increments from the table's memo rows,
+and phat for all of them is one NumPy expression.  A partial selection
+leaves rank tuples only for the carried prefixes and the extensions that
+can be among the first prune's survivors.  Only the survivors the search
+keeps are interned and become :class:`Hypothesis` objects, all of the
+first prune's with a decoder and the top P without one.  Every score is
+a Python float, as are the weights ``DecodeParams`` holds.
 """
 
 import math
@@ -124,6 +128,12 @@ class DecodeParams:
             hook = getattr(self, name)
             if hook is not None and not callable(hook):
                 raise ValueError(f"{name} must be None or callable, got {hook!r}")
+        # held as Python numbers: a NumPy scalar would turn every score it
+        # touches, and so the trace lines, into NumPy scalars
+        for name in ("lam", "alpha0", "alpha", "beta", "theta1", "theta2", "local_threshold"):
+            setattr(self, name, float(getattr(self, name)))
+        for name in ("k_size", "p_size", "eps_dec"):
+            setattr(self, name, int(getattr(self, name)))
 
 
 def _is_int(v):
@@ -219,24 +229,75 @@ class PrefixTable:
     only the candidates it keeps, not every extension it ranks.
 
     A node gets its LM state and log probability from ``lm`` when it is
-    interned.  The LM steps come from a memo keyed on (parent LM state,
-    column), which the search also reads to rank candidates that have no
-    node, so prefixes that share an LM state share each step.
+    interned.  The LM steps come from a memo with one row per LM state
+    and one entry per posterior column (``n_cols`` of them): the log p
+    increment in a float64 matrix, a stepped mask beside it, and the
+    LM's (next state, increment) as it returned them.  Entries are filled
+    lazily, one LM step per (state, column) pair that a candidate of
+    nonzero mass needs, and the search reads them as a matrix to rank
+    candidates that have no node, so prefixes that share an LM state
+    share each step.  ``retain`` keeps the rows of the carried states.
     """
 
-    def __init__(self, lm):
+    def __init__(self, lm, n_cols):
         self.lm = lm
         self.root = Prefix(None, None, lm.start_state(), 0.0)
         self._children = {}
-        self._lm_steps = {}  # (LM state, column) -> (next LM state, log p increment)
+        self._rows = {}  # LM state -> its row in the memo
+        self._steps = []  # per row: column -> the LM's (next state, log p increment)
+        self._inc = np.zeros((0, n_cols))
+        self._stepped = np.zeros((0, n_cols), dtype=bool)
+
+    def _row(self, state):
+        """The memo row of LM state ``state``, added empty if it has none."""
+        r = self._rows.get(state)
+        if r is None:
+            r = self._rows[state] = len(self._steps)
+            self._steps.append({})
+            if r == len(self._inc):
+                more, width = max(r, 8), self._inc.shape[1]
+                self._inc = np.concatenate((self._inc, np.zeros((more, width))))
+                self._stepped = np.concatenate((self._stepped,
+                                                np.zeros((more, width), dtype=bool)))
+        return r
+
+    def _take_steps(self, rows, states, cols):
+        """Take the LM step of each (row, LM state, column) triple whose
+        step is not memoised yet, in the order given."""
+        taken_r, taken_c, incs = [], [], []
+        for r, state, col in zip(rows, states, cols):
+            steps = self._steps[r]
+            if col not in steps:  # an LM state may come more than once
+                steps[col] = step = self.lm.extend(state, col - 1)
+                taken_r.append(r)
+                taken_c.append(col)
+                incs.append(step[1])
+        self._inc[taken_r, taken_c] = incs
+        self._stepped[taken_r, taken_c] = True
 
     def lm_step(self, state, col):
         """(next LM state, log p increment) of column ``col`` after ``state``."""
-        key = (state, col)
-        step = self._lm_steps.get(key)
+        r = self._row(state)
+        step = self._steps[r].get(col)
         if step is None:
-            step = self._lm_steps[key] = self.lm.extend(state, col - 1)
+            self._take_steps((r,), (state,), (col,))
+            step = self._steps[r][col]
         return step
+
+    def increments(self, states, cols, need):
+        """The log p increments of each LM state of ``states`` (a list)
+        extended by each column of ``cols``, as a float64 (len(states),
+        len(cols)) matrix.  The LM steps that the boolean matrix ``need``
+        marks are taken first, each once, in row-major order; the entries
+        it does not mark hold no meaning."""
+        rows = np.array([self._row(s) for s in states], dtype=np.intp)
+        cols = np.array(cols, dtype=np.intp)
+        missing = need & ~self._stepped[rows[:, None], cols]
+        i, j = np.nonzero(missing)
+        if len(i):
+            self._take_steps(rows[i].tolist(), [states[k] for k in i.tolist()],
+                             cols[j].tolist())
+        return self._inc[rows[:, None], cols]
 
     def child(self, parent, col):
         """The node of ``parent`` extended by column ``col``."""
@@ -250,20 +311,26 @@ class PrefixTable:
     def retain(self, live):
         """Keep only the ``live`` prefixes and their ancestors in the table
         and return them as a set.  The walk up from each live prefix stops
-        at the first node already kept.  The LM memo keeps only the steps
-        from the live prefixes' LM states, the only ones the next frame
+        at the first node already kept.  The LM memo keeps only the rows
+        of the live prefixes' LM states, the only ones the next frame
         extends."""
         keep = {self.root}
-        states = set()
+        states = {}
         for node in live:
-            states.add(node.lm_state)
+            states[node.lm_state] = None
             while node not in keep:
                 keep.add(node)
                 node = node.parent
         self._children = {(node.parent, node.last): node for node in keep
                           if node.parent is not None}
-        self._lm_steps = {key: step for key, step in self._lm_steps.items()
-                          if key[0] in states}
+        kept = [(state, self._rows[state]) for state in states if state in self._rows]
+        old = [r for _, r in kept]
+        n = len(old)
+        self._inc[:n] = self._inc[old]
+        self._stepped[:n] = self._stepped[old]
+        self._stepped[n:] = False
+        self._steps = [self._steps[r] for r in old]
+        self._rows = {state: i for i, (state, _) in enumerate(kept)}
         return keep
 
     def __iter__(self):
@@ -379,7 +446,7 @@ class JointSearch:
         self.params = params
         self.n_cols = n_cols
         self._banned_cols = [i + 1 for i in banned_ids]
-        self.prefixes = PrefixTable(lm)
+        self.prefixes = PrefixTable(lm, n_cols)
         root = self.prefixes.root
         self.hyps = {root: Hypothesis(root, p_b=0.0, p_nb=NEG_INF, lm_logp=0.0)}
         self.frame = 0
@@ -398,7 +465,10 @@ class JointSearch:
 
     def advance(self, post_row):
         """Process one frame: returns nothing, mutates the beam.  With a
-        decoder, the frame's own encoder row must have been added."""
+        decoder, the frame's own encoder row must have been added.  A row
+        in which no prefix keeps nonzero probability (a zero blank and no
+        label the search may extend) raises ``ValueError``, and the
+        search is left as it was."""
         row = np.array(post_row, dtype=np.float64, copy=True)
         if row.shape != (self.n_cols,):
             raise ValueError(f"posterior row shape {row.shape}, expected ({self.n_cols},)")
@@ -406,12 +476,11 @@ class JointSearch:
         if self.cross is not None and self.cross.rows <= self.frame:
             raise ValueError(f"frame {self.frame + 1} needs its encoder row, "
                              f"but {self.cross.rows} were added")
-        self.frame += 1
-        p = self.params
         row[self._banned_cols] = NEG_INF
         row = row.tolist()
-
         omega_hat, phat = self._ctc_stage(row)
+        self.frame += 1
+        p = self.params
         if self.dec is None:
             pjoint, top = phat, list(omega_hat)[:p.p_size]
         else:
@@ -436,44 +505,62 @@ class JointSearch:
     def _ctc_stage(self, row):
         """One CTC prefix step, phat for every candidate and the first
         prune by phat.  Returns omega_hat, the survivors as Hypotheses in
-        phat rank order, and their phat.
+        phat rank order, and their phat.  Raises ``ValueError`` before any
+        state changes when no candidate has nonzero mass.
 
-        Candidates are ranked as plain numbers: a rank tuple (-phat,
-        length, parent, column, ...) orders as (-phat, length, column
-        tuple), and compares nodes, building their column tuples, only on
+        The extensions are ranked as arrays: phat of all of them is one
+        NumPy expression over the (carried prefix x active column) mass
+        matrix, in the order and float64 rounding of ``_phat`` (an
+        extension's p_b is -inf, so its log_add is its one mass).  A
+        partial selection finds the ``survivors``-th best -phat among the
+        carried prefixes and the extensions; rank tuples (-phat, length,
+        parent, column, ...) are built only for the carried prefixes and
+        the extensions at or below it, so exact ties at that place still
+        reach the sort.  The tuples order as (-phat, length, column
+        tuple) and compare nodes, building their column tuples, only on
         exact ties (the root is the one candidate of length 0, so its None
         parent is never compared).  Only the survivors the search keeps
         become nodes: all of them with a decoder (the TA stage and the
         hooks read them), the top p_size without one (the carried beam is
-        their head).
+        their head).  Every value handed on is a Python float.
         """
         p = self.params
         alpha0, beta = p.alpha0, p.beta
-        carried, extensions = _prefix_masses(row, self.hyps, p.local_threshold, _PARENT_LAST)
+        parents = list(self.hyps)
+        carried, cols, masses = _prefix_masses(row, self.hyps, p.local_threshold, _PARENT_LAST)
         ranked = [(-_phat(m[0], m[1], pre.lm_logp, pre.length, alpha0, beta),
                    pre.length, pre.parent, pre.last, pre, m[0], m[1])
                   for pre, m in carried.items()]
-        lm_step = self.prefixes.lm_step
-        for parent, col, mass in extensions:
-            # phat of a candidate whose p_b is -inf: log_add(-inf, mass) is mass
-            length = parent.length + 1
-            lm_logp = parent.lm_logp + lm_step(parent.lm_state, col)[1]
-            ranked.append((-(mass + alpha0 * lm_logp + beta * length),
-                           length, parent, col, None, NEG_INF, mass))
-        if not ranked:
-            raise RuntimeError("search collapsed")
+        valid = masses != NEG_INF
+        n_ext = int(np.count_nonzero(valid))
+        if not ranked and not n_ext:
+            raise ValueError(f"frame {self.frame + 1}: no prefix has nonzero probability")
+        inc = self.prefixes.increments([pre.lm_state for pre in parents], cols, valid)
+        lm_logp = np.array([pre.lm_logp for pre in parents])
+        length = np.array([pre.length + 1 for pre in parents], dtype=np.float64)
+        with np.errstate(invalid="ignore"):  # an LM may return -inf
+            neg = -(masses + alpha0 * (lm_logp[:, None] + inc) + beta * length[:, None])
+        survivors = p.k_size if self.dec is not None else p.p_size
+        if len(ranked) + n_ext > survivors:
+            negs = np.concatenate(([r[0] for r in ranked], neg[valid]))
+            kth = np.partition(negs, survivors - 1)[survivors - 1]
+            valid &= ~(neg > kth)  # a NaN phat (0 * -inf) still reaches the sort
+        rows, where = np.nonzero(valid)
+        for i, j, neg_ij, mass in zip(rows.tolist(), where.tolist(), neg[rows, where].tolist(),
+                                      masses[rows, where].tolist()):
+            parent = parents[i]
+            ranked.append((neg_ij, parent.length + 1, parent, cols[j], None, NEG_INF, mass))
         ranked.sort()
         cut = -ranked[0][0] - p.theta1
-        survivors = p.k_size if self.dec is not None else p.p_size
         child = self.prefixes.child
         omega_hat, phat = {}, {}
-        for neg, _, parent, col, pre, p_b, p_nb in ranked[:survivors]:
-            if -neg < cut:
+        for neg_i, _, parent, col, pre, p_b, p_nb in ranked[:survivors]:
+            if -neg_i < cut:
                 break
             if pre is None:
                 pre = child(parent, col)
             omega_hat[pre] = Hypothesis(pre, p_b, p_nb, pre.lm_logp)
-            phat[pre] = -neg
+            phat[pre] = -neg_i
         return omega_hat, phat
 
     def _ta_stage(self, row, omega_hat):

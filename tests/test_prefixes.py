@@ -30,7 +30,7 @@ def node(table, cols):
 
 
 def test_table_interns_each_prefix_once():
-    table = PrefixTable(UniformLM(9))
+    table = PrefixTable(UniformLM(9), 10)
     a = node(table, (3, 4))
     assert node(table, (3, 4)) is a
     assert node(table, (4, 3)) is not a
@@ -40,7 +40,7 @@ def test_table_interns_each_prefix_once():
 
 
 def test_equal_score_and_length_sort_in_tuple_order():
-    table = PrefixTable(UniformLM(9))
+    table = PrefixTable(UniformLM(9), 10)
     cols = [(4, 2), (3, 5), (3, 4, 1), (4, 1), (2,), (3, 4)]
     nodes = {c: node(table, c) for c in cols}
     scores = {n: -1.0 for n in nodes.values()}
@@ -53,7 +53,7 @@ def test_equal_score_and_length_sort_in_tuple_order():
 
 
 def test_retain_keeps_live_prefixes_and_ancestors_only():
-    table = PrefixTable(UniformLM(9))
+    table = PrefixTable(UniformLM(9), 10)
     live = [node(table, (1, 2, 3)), node(table, (1, 4))]
     node(table, (1, 2, 5))
     node(table, (6,))
@@ -273,7 +273,9 @@ def test_memo_with_history_states_matches_tuple_search_and_stays_bounded():
         search.advance(row)
         carried_states = {pre.lm_state for pre in search.hyps}
         assert len(carried_states) == len(search.hyps)
-        assert len(search.prefixes._lm_steps) <= len(carried_states) * labels
+        # the memo's stepped (LM state, column) entries
+        stepped = int(np.count_nonzero(search.prefixes._stepped))
+        assert stepped <= len(carried_states) * labels
     got = search.finalize()
     want_labels, want_score, want_trace = tuple_ctc_search(logp, lm, params)
     assert got.trace == want_trace
@@ -362,6 +364,36 @@ def test_search_phat_is_prefix_score_of_each_survivor(monkeypatch, ctc_only):
     assert nodes > 0
 
 
+def view_recording_hooks(views):
+    """dcond and acond hooks that record, per frame, the omega_hat view
+    the first hook call of that frame sees, as (columns, p_b, p_nb)."""
+    def record(pre, view, frame, row):
+        views.setdefault(frame, [(cols, h.p_b, h.p_nb) for cols, h in view.items()])
+
+    return dict(dcond=lambda *a: record(*a) or False, acond=lambda *a: record(*a) or True)
+
+
+def assert_stage_matches_all_nodes(search, logp, lm, params, views):
+    """Advance ``search`` over ``logp``; frame by frame, the first prune's
+    survivors equal those of the stage that interned every candidate: all
+    k of them as the hooks see them (``views``) in a joint search, the
+    carried top p without a decoder."""
+    joint = search.dec is not None
+    for frame, row in enumerate(logp, start=1):
+        want = all_nodes_ctc_stage(masked_row(search, row), search.hyps, lm, params,
+                                   params.k_size if joint else params.p_size)
+        search.advance(row)
+        assert [(pre.as_tuple(), v) for pre, v in search._last_phat.items()] == \
+            [(cols, phat) for cols, _, _, phat in want]
+        masses = [(cols, p_b, p_nb) for cols, p_b, p_nb, _ in want]
+        if joint:
+            # the hooks run unless the root is the only survivor
+            assert views.get(frame, masses[:1]) == masses
+            assert set(carried_tuples(search).items()) <= {(c, (b, nb)) for c, b, nb in masses}
+        else:
+            assert [(c, b, nb) for c, (b, nb) in carried_tuples(search).items()] == masses
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_ctc_stage_survivors_match_the_all_nodes_reference(data):
@@ -379,10 +411,6 @@ def test_ctc_stage_survivors_match_the_all_nodes_reference(data):
     lm = UniformLM(n_cols - 1) if data.draw(st.booleans()) else bigram(rng, n_cols - 1, quantized)
     k = data.draw(st.integers(1, 12))
     views = {}
-
-    def record(pre, view, frame, row):
-        views.setdefault(frame, [(cols, h.p_b, h.p_nb) for cols, h in view.items()])
-
     params = DecodeParams(
         k_size=k, p_size=data.draw(st.integers(1, k)),
         theta1=data.draw(st.sampled_from([0.5, 4.0, 16.0])),
@@ -390,7 +418,7 @@ def test_ctc_stage_survivors_match_the_all_nodes_reference(data):
         alpha0=data.draw(st.sampled_from([0.0, 0.7])),
         beta=data.draw(st.sampled_from([0.0, 0.5, 2.0])),
         local_threshold=data.draw(st.sampled_from([0.0, 1e-4, 0.2])),
-        dcond=lambda *a: record(*a) or False, acond=lambda *a: record(*a) or True)
+        **view_recording_hooks(views))
     if joint:
         search = JointSearch(tiny_model(seed % 1000).decoder, lm, params, n_cols)
         search.add_rows(rng.standard_normal((n, 8)).astype(np.float32))
@@ -399,19 +427,36 @@ def test_ctc_stage_survivors_match_the_all_nodes_reference(data):
     if zero_blanks:
         banned = [c - 1 for c in search._banned_cols]
         logp = zero_blank_frames(rng, logp, banned, params.local_threshold)
-    for frame, row in enumerate(logp, start=1):
-        want = all_nodes_ctc_stage(masked_row(search, row), search.hyps, lm, params,
-                                   params.k_size if joint else params.p_size)
-        search.advance(row)
-        assert [(pre.as_tuple(), v) for pre, v in search._last_phat.items()] == \
-            [(cols, phat) for cols, _, _, phat in want]
-        masses = [(cols, p_b, p_nb) for cols, p_b, p_nb, _ in want]
-        if joint:
-            # the hooks run unless the root is the only survivor
-            assert views.get(frame, masses[:1]) == masses
-            assert set(carried_tuples(search).items()) <= {(c, (b, nb)) for c, b, nb in masses}
-        else:
-            assert [(c, b, nb) for c, (b, nb) in carried_tuples(search).items()] == masses
+    assert_stage_matches_all_nodes(search, logp, lm, params, views)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ctc_stage_keeps_exact_ties_at_the_kth_place(data):
+    """phat is the mass alone (alpha0 = beta = 0, a uniform LM) and each
+    row holds two or three distinct values, so many candidates tie exactly
+    with the k-th best (the p-th without a decoder).  The survivors still
+    match the stage that ranked every candidate."""
+    joint = data.draw(st.booleans())
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    n_cols = 6 if joint else data.draw(st.integers(3, 6))
+    n = data.draw(st.integers(1, 10))
+    levels = data.draw(st.sampled_from([(1, 2), (1, 3), (1, 2, 4), (2, 3, 5)]))
+    rng = np.random.default_rng(seed)
+    probs = rng.choice(np.array(levels, dtype=np.float64), size=(n, n_cols))
+    logp = np.log(probs / probs.sum(axis=1, keepdims=True))
+    k = data.draw(st.integers(1, 8))
+    views = {}
+    lm = UniformLM(n_cols - 1)
+    params = DecodeParams(k_size=k, p_size=data.draw(st.integers(1, k)), theta1=16.0,
+                          alpha0=0.0, beta=0.0, local_threshold=0.0,
+                          **view_recording_hooks(views))
+    if joint:
+        search = JointSearch(tiny_model(seed % 1000).decoder, lm, params, n_cols)
+        search.add_rows(rng.standard_normal((n, 8)).astype(np.float32))
+    else:
+        search = CtcPrefixSearch(lm, params, n_cols)
+    assert_stage_matches_all_nodes(search, logp, lm, params, views)
 
 
 def test_zero_mass_extension_takes_no_lm_step():
@@ -443,3 +488,26 @@ def test_first_prune_keeps_a_candidate_exactly_at_the_beam_edge():
     search.advance([-1.0, -5.0, -20.0])
     assert [(pre.as_tuple(), v) for pre, v in search._last_phat.items()] == [((), -1.0),
                                                                           ((1,), -5.0)]
+
+
+
+@pytest.mark.parametrize("ctc_only", [True, False])
+def test_no_numpy_scalar_reaches_scores_or_trace(ctc_only):
+    logp, lm, params = ctc_setup(147, n=12, alpha0=0.7, beta=1.5)
+    if ctc_only:
+        search = CtcPrefixSearch(lm, params, logp.shape[1])
+    else:
+        m = tiny_model(147)
+        search = JointSearch(m.decoder, lm, params, logp.shape[1])
+        search.add_rows(np.random.default_rng(148).standard_normal(
+            (logp.shape[0], m.d_model)).astype(np.float32))
+    for row in logp:
+        search.advance(row)
+        for h in search.hyps.values():
+            assert type(h.p_b) is float and type(h.p_nb) is float
+            assert type(h.lm_logp) is float and type(h.prefix.lm_logp) is float
+        assert all(type(v) is float for v in search._last_phat.values())
+        assert all(type(v) is float for v in search._last_pjoint.values())
+    result = search.finalize()
+    assert type(result.score) is float
+    assert result.trace and not any("np." in line for line in result.trace)

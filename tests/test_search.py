@@ -169,6 +169,34 @@ def test_decode_params_accept_integer_likes_and_threshold_bounds():
     DecodeParams(local_threshold=0.999)
 
 
+@pytest.mark.parametrize("bad", [[NEG_INF, 0.0, NEG_INF, NEG_INF], [NEG_INF] * 4])
+def test_frame_with_no_reachable_prefix_is_refused_before_any_state_changes(bad):
+    # blank at zero probability and no label the search may extend: the
+    # only finite label is banned, or no column is finite
+    search = CtcPrefixSearch(UniformLM(3), DecodeParams(k_size=4, p_size=2), 4, banned_ids=(0,))
+    with pytest.raises(ValueError, match="frame 1: no prefix"):
+        search.advance(bad)
+    assert search.frame == 0 and search.trace == [] and by_columns(search.hyps) == {
+        (): hyp(search.prefixes.root, 0.0, NEG_INF)}
+    search.advance([-0.5, -2.0, -1.5, -2.5])
+    hyps, trace = by_columns(search.hyps), list(search.trace)
+    with pytest.raises(ValueError, match="frame 2: no prefix"):
+        search.advance(bad)
+    assert search.frame == 1 and search.trace == trace and by_columns(search.hyps) == hyps
+    search.advance([-0.5, -2.0, -1.5, -2.5])
+    assert search.frame == 2 and search.finalize().trace[:1] == trace
+
+
+def test_numpy_real_params_decode_as_the_python_floats_they_hold():
+    logp = logprob_rows(np.random.default_rng(127), 6, 4)
+    got = ctc_prefix_search(Posteriorgram(logp), UniformLM(3), DecodeParams(
+        alpha0=np.float32(0.7), beta=np.float64(1.5), theta1=np.int64(8), k_size=np.int64(40)))
+    want = ctc_prefix_search(Posteriorgram(logp), UniformLM(3), DecodeParams(
+        alpha0=float(np.float32(0.7)), beta=1.5, theta1=8.0, k_size=40))
+    assert got.trace == want.trace and got.score == want.score
+    assert type(got.score) is float and not any("np." in line for line in got.trace)
+
+
 def test_blank_peaked_single_frame_decodes_empty():
     m, enc, post, lm, params = decode_setup(100, n=1)
     c = post.logp.shape[1]
