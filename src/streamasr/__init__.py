@@ -21,8 +21,6 @@ from .ctc import (
     ctc_viterbi_align,
     log_posterior_row,
     posteriorgram_from_states,
-    read_posteriorgram,
-    write_posteriorgram,
 )
 from .decoder import (
     CrossAttentionCache,
@@ -72,7 +70,6 @@ from .search import (
     joint_score,
     prefix_score,
     prune,
-    top_hypotheses,
 )
 from .streaming import (
     StreamConfig,

@@ -282,25 +282,3 @@ def log_posterior_row(state_row, weight, bias):
     logits = state_row @ weight + bias
     return log_softmax_f64(logits)
 
-
-def write_posteriorgram(post, path):
-    lp = np.asarray(post.logp, dtype=np.float64)
-    with open(path, "wb") as f:
-        f.write(f"CTCPOST v1 {lp.shape[0]} {lp.shape[1]}\n".encode("ascii"))
-        f.write(lp.astype("<f8").tobytes())
-
-
-def read_posteriorgram(path):
-    with open(path, "rb") as f:
-        header = f.readline().decode("ascii", errors="replace").strip()
-        parts = header.split()
-        if len(parts) != 4 or parts[0] != "CTCPOST" or parts[1] != "v1":
-            raise ValueError(f"{path}: bad posteriorgram header {header!r}")
-        n, c = int(parts[2]), int(parts[3])
-        payload = f.read()
-    expected = n * c * 8
-    if len(payload) != expected:
-        raise ValueError(f"{path}: expected {expected} payload bytes, found {len(payload)}")
-    post = Posteriorgram(np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(n, c))
-    post.validate()
-    return post

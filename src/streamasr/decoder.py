@@ -15,7 +15,9 @@ Attention keys and values are projected once per row and kept: a
 prefix's history holds its positions' self-attention keys and values
 (:class:`KeyValues`), and a :class:`CrossAttentionCache`, fed encoder
 rows as they arrive, holds their cross-attention keys and values for a
-whole utterance.  A step therefore projects only its own position.
+whole utterance.  A step therefore projects only its own position, and
+it returns each row's history with that position appended: the one copy
+of the history its self-attention reads and its caller keeps.
 """
 
 from dataclasses import dataclass, field
@@ -124,9 +126,11 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
     The norms, projections, feed-forward and vocabulary projection run
     once over the B rows; they are row-invariant, and attention is
     computed per query row, so row i equals a call with that row alone
-    bit for bit.  Returns one (new_rows, log_posterior) per row: the
-    position's per-layer history entries to append to its history, and
-    the float64 log posterior over the vocabulary.
+    bit for bit.  Returns one (history, log_posterior) per row: a new
+    per-layer history, ``hists[i]`` with the position appended (the input
+    is left untouched), and the float64 log posterior over the vocabulary.
+    Each layer grows the histories once, through :func:`append_history`,
+    and its self-attention reads what it stores.
     """
     if not isinstance(cache, CrossAttentionCache):
         cache = CrossAttentionCache(params, cache)
@@ -141,14 +145,16 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
     if b == 0:
         return []
     cur = params.embed[np.asarray(token_ids)] + positional_encodings(pos_indices, params.d_model)
-    new_rows = []
+    grown = []  # per layer: every row's history with its new position
     src_mask = full_mask(b, nu)
     for d, layer in enumerate(params.layers):
         normed = kernels.layer_norm(cur, layer.norm1_g, layer.norm1_b)
         q, k, v = np.split(project_heads(normed, layer.self_mha.qkv()), 3)
-        new_rows.append(KeyValues(k, v))
-        z = cur + merge_heads(_attend_own_histories(q, [h[d] for h in hists], new_rows[-1]),
-                              layer.self_mha)
+        # row i's new key and value heads, each (heads, 1, d)
+        new = [KeyValues(kr, vr) for kr, vr in zip(k.swapaxes(0, 1)[:, :, None],
+                                                    v.swapaxes(0, 1)[:, :, None])]
+        grown.append(append_history([h[d] for h in hists], new))
+        z = cur + merge_heads(_attend_own_histories(q, grown[-1]), layer.self_mha)
         normed_q = kernels.layer_norm(z, layer.norm2_g, layer.norm2_b)
         keys, values = cache.layer(d, nu)
         z = z + attend(normed_q, keys, values, layer.src_mha, src_mask)
@@ -156,28 +162,23 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
         cur = z + feed_forward(normed_f, layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b)
     final = kernels.layer_norm(cur, params.final_norm_g, params.final_norm_b)
     logits = kernels.matmul(final, params.out_w) + params.out_b
-    return [([KeyValues(r.keys[:, i:i + 1], r.values[:, i:i + 1]) for r in new_rows],
-             kernels.log_softmax_f64(logits[i]))
-            for i in range(b)]
+    return [(list(hist), kernels.log_softmax_f64(logits[i]))
+            for i, hist in enumerate(zip(*grown))]
 
 
-def _attend_own_histories(q, pasts, rows):
+def _attend_own_histories(q, hists):
     """Head-major attention outputs (heads, B, d_v): query row i of q over
-    the keys and values of its own history ``pasts[i]`` followed by its new
-    row, all of which it sees."""
-    out = []
-    for i, past in enumerate(pasts):
-        keys = np.concatenate([past.keys, rows.keys[:, i:i + 1]], axis=1)
-        values = np.concatenate([past.values, rows.values[:, i:i + 1]], axis=1)
-        out.append(attention.scaled_dot_attention(q[:, i:i + 1], keys, values,
-                                                  full_mask(1, past.rows + 1)))
-    return np.concatenate(out, axis=1)
+    the keys and values of ``hists[i]``, its history with its new position
+    already appended, all of which it sees."""
+    return np.concatenate([attention.scaled_dot_attention(q[:, i:i + 1], h.keys, h.values,
+                                                          full_mask(1, h.rows))
+                           for i, h in enumerate(hists)], axis=1)
 
 
 def advance_position(params, enc, hist, token_id, pos_index, nu):
     """One row of :func:`advance_positions`: the position after ``hist``.
 
-    Returns (new_rows, log_posterior) as a row of that function does.
+    Returns (history, log_posterior) as a row of that function does.
     """
     return advance_positions(params, enc, [hist], [token_id], [pos_index], nu)[0]
 
@@ -188,7 +189,9 @@ def empty_history(params):
 
 
 def append_history(hist, new_rows):
-    """New history with one position appended per layer (inputs left untouched)."""
+    """Pair two lists of :class:`KeyValues`: each of ``hist`` followed by
+    the matching entry of ``new_rows``, as a new list (inputs left
+    untouched)."""
     return [h.append(r) for h, r in zip(hist, new_rows)]
 
 
@@ -203,8 +206,7 @@ def decoder_log_posterior(enc, nu, context, params):
     hist = empty_history(params)
     logp = None
     for i, tok in enumerate(tokens):
-        rows, logp = advance_position(params, cache, hist, tok, i, nu)
-        hist = append_history(hist, rows)
+        hist, logp = advance_position(params, cache, hist, tok, i, nu)
     return logp
 
 
@@ -233,7 +235,6 @@ def ta_prefix_score(enc, labels, nu_per_label, params):
     hist = empty_history(params)
     total = 0.0
     for i, (tok, label, nu) in enumerate(zip(tokens, labels, nus)):
-        rows, logp = advance_position(params, cache, hist, tok, i, nu)
-        hist = append_history(hist, rows)
+        hist, logp = advance_position(params, cache, hist, tok, i, nu)
         total += float(logp[label])
     return total

@@ -42,7 +42,11 @@ leaves rank tuples only for the carried prefixes and the extensions that
 can be among the first prune's survivors.  Only the survivors the search
 keeps are interned and become :class:`Hypothesis` objects, all of the
 first prune's with a decoder and the top P without one.  Every score is
-a Python float, as are the weights ``DecodeParams`` holds.
+a Python float, as are the weights ``DecodeParams`` holds, and a zero LM
+weight means no LM term.  Every ranking (the first prune, both halves of
+the carried beam, the best prefix) goes through one routine, ``_rank``,
+which breaks score ties toward shorter, then lexicographically smaller
+column tuples.
 """
 
 import math
@@ -263,17 +267,26 @@ class PrefixTable:
 
     def _take_steps(self, rows, states, cols):
         """Take the LM step of each (row, LM state, column) triple whose
-        step is not memoised yet, in the order given."""
+        step is not memoised yet, in the order given.  An increment that
+        is NaN or +inf raises ``ValueError``: no score could rank it.  The
+        steps taken before a raise stay memoised, in the dicts and the
+        matrices alike."""
         taken_r, taken_c, incs = [], [], []
-        for r, state, col in zip(rows, states, cols):
-            steps = self._steps[r]
-            if col not in steps:  # an LM state may come more than once
-                steps[col] = step = self.lm.extend(state, col - 1)
-                taken_r.append(r)
-                taken_c.append(col)
-                incs.append(step[1])
-        self._inc[taken_r, taken_c] = incs
-        self._stepped[taken_r, taken_c] = True
+        try:
+            for r, state, col in zip(rows, states, cols):
+                steps = self._steps[r]
+                if col not in steps:  # an LM state may come more than once
+                    step = self.lm.extend(state, col - 1)
+                    if not step[1] < math.inf:
+                        raise ValueError(f"LM step from state {state!r} by label {col - 1} "
+                                         f"gave log p increment {step[1]!r}")
+                    steps[col] = step
+                    taken_r.append(r)
+                    taken_c.append(col)
+                    incs.append(step[1])
+        finally:
+            self._inc[taken_r, taken_c] = incs
+            self._stepped[taken_r, taken_c] = True
 
     def lm_step(self, state, col):
         """(next LM state, log p increment) of column ``col`` after ``state``."""
@@ -347,8 +360,12 @@ def _phat(p_b, p_nb, lm_logp, length, alpha0, beta):
     """prefix_score of a prefix given as its masses, LM log probability
     and length; the search ranks its carried candidates with it before
     any Hypothesis exists (an extension's p_b is -inf, so its phat is the
-    same sum with its one mass in place of the log_add)."""
-    return log_add(p_b, p_nb) + alpha0 * lm_logp + beta * length
+    same sum with its one mass in place of the log_add).  A zero LM
+    weight means no LM term, so an LM's -inf never meets it as 0 * -inf."""
+    s = log_add(p_b, p_nb)
+    if alpha0:
+        s += alpha0 * lm_logp
+    return s + beta * length
 
 
 def joint_score(hyp, params, fallback_ta=None):
@@ -356,7 +373,8 @@ def joint_score(hyp, params, fallback_ta=None):
 
     The lam == 1 branch reproduces prefix_score's arithmetic exactly (not
     just to rounding), which is what makes the pure-CTC reduction an
-    identity rather than an approximation.
+    identity rather than an approximation.  As in prefix_score, a zero
+    LM weight means no LM term.
     """
     ta = hyp.ta_logp if hyp.ta_logp is not None else fallback_ta
     if ta is None:
@@ -368,21 +386,29 @@ def joint_score(hyp, params, fallback_ta=None):
         s = (1.0 - params.lam) * ta
     else:
         s = params.lam * logp + (1.0 - params.lam) * ta
-    return s + params.alpha * hyp.lm_logp + params.beta * len(hyp.prefix)
+    if params.alpha:
+        s += params.alpha * hyp.lm_logp
+    return s + params.beta * len(hyp.prefix)
 
 
-def _rank_key(scores):
-    return lambda p: (-scores[p], len(p), p)
-
-
-def _within(ranked, scores, size, width):
-    """The first ``size`` of ``ranked`` (best first) that score no lower
+def _rank(ranked, size, width):
+    """The one ranking of the search: sort the rank tuples ``ranked``
+    (-score, length, then items that order as the column tuple) in place,
+    best first, and return the first ``size`` of them that score no lower
     than the best minus ``width``."""
+    ranked.sort()
     kept = ranked[:size]
     if kept:
-        cut = scores[kept[0]] - width
-        kept = [p for p in kept if not scores[p] < cut]
+        cut = -kept[0][0] - width
+        kept = [r for r in kept if not -r[0] < cut]
     return kept
+
+
+def _top(scores, keys, size, width):
+    """The first ``size`` of ``keys`` (prefixes or column tuples) by
+    ``scores`` within ``width`` of the best, in rank order, through
+    :func:`_rank`."""
+    return [r[2] for r in _rank([(-scores[k], len(k), k) for k in keys], size, width)]
 
 
 def prune(hyps, scores, size, width):
@@ -394,14 +420,7 @@ def prune(hyps, scores, size, width):
     """
     if size < 1:
         raise ValueError(f"prune size must be >= 1, got {size}")
-    ranked = sorted(hyps, key=_rank_key(scores))
-    return {p: hyps[p] for p in _within(ranked, scores, size, width)}
-
-
-def top_hypotheses(hyps, scores, size):
-    """Keep the top ``size`` by score with the same tie-breaking as prune."""
-    kept = sorted(hyps, key=_rank_key(scores))[:size]
-    return {p: hyps[p] for p in kept}
+    return {p: hyps[p] for p in _top(scores, hyps, size, width)}
 
 
 def _format_trace(frame, beams, prefix, phat, pjoint):
@@ -485,17 +504,17 @@ class JointSearch:
             pjoint, top = phat, list(omega_hat)[:p.p_size]
         else:
             pjoint = self._ta_stage(row, omega_hat)
-            top = top_hypotheses(omega_hat, pjoint, p.p_size)
+            top = _top(pjoint, omega_hat, p.p_size, math.inf)
         # Carry the top p_size by pjoint, then the top p_size of omega_hat
         # within theta2 by phat.  The carried order (top first) is the order
         # the next frame accumulates CTC mass in.
-        kept = {pre: omega_hat[pre] for pre in _within(list(omega_hat), phat, p.p_size, p.theta2)}
+        kept = {pre: omega_hat[pre] for pre in _top(phat, omega_hat, p.p_size, p.theta2)}
         self.hyps = {pre: omega_hat[pre] for pre in top}
         self.hyps.update(kept)
         self._last_carried = kept
         self._last_phat = phat
         self._last_pjoint = pjoint
-        best = min(kept, key=_rank_key(pjoint))
+        best = _top(pjoint, kept, 1, math.inf)[0]
         self.trace.append(_format_trace(self.frame, len(kept), best.as_tuple(),
                                         phat[best], pjoint[best]))
         live = self.prefixes.retain(self.hyps)
@@ -511,18 +530,19 @@ class JointSearch:
         The extensions are ranked as arrays: phat of all of them is one
         NumPy expression over the (carried prefix x active column) mass
         matrix, in the order and float64 rounding of ``_phat`` (an
-        extension's p_b is -inf, so its log_add is its one mass).  A
-        partial selection finds the ``survivors``-th best -phat among the
-        carried prefixes and the extensions; rank tuples (-phat, length,
-        parent, column, ...) are built only for the carried prefixes and
-        the extensions at or below it, so exact ties at that place still
-        reach the sort.  The tuples order as (-phat, length, column
-        tuple) and compare nodes, building their column tuples, only on
-        exact ties (the root is the one candidate of length 0, so its None
-        parent is never compared).  Only the survivors the search keeps
-        become nodes: all of them with a decoder (the TA stage and the
-        hooks read them), the top p_size without one (the carried beam is
-        their head).  Every value handed on is a Python float.
+        extension's p_b is -inf, so its log_add is its one mass, and a
+        zero alpha0 leaves the LM term out).  A partial selection finds the
+        ``survivors``-th best -phat among the carried prefixes and the
+        extensions; rank tuples (-phat, length, parent, column, ...) are
+        built only for the carried prefixes and the extensions at or below
+        it, so exact ties at that place still reach :func:`_rank`.  The
+        tuples order as (-phat, length, column tuple) and compare nodes,
+        building their column tuples, only on exact ties (the root is the
+        one candidate of length 0, so its None parent is never compared).
+        Only the survivors the search keeps become nodes: all of them with
+        a decoder (the TA stage and the hooks read them), the top p_size
+        without one (the carried beam is their head).  Every value handed
+        on is a Python float.
         """
         p = self.params
         alpha0, beta = p.alpha0, p.beta
@@ -538,25 +558,21 @@ class JointSearch:
         inc = self.prefixes.increments([pre.lm_state for pre in parents], cols, valid)
         lm_logp = np.array([pre.lm_logp for pre in parents])
         length = np.array([pre.length + 1 for pre in parents], dtype=np.float64)
-        with np.errstate(invalid="ignore"):  # an LM may return -inf
-            neg = -(masses + alpha0 * (lm_logp[:, None] + inc) + beta * length[:, None])
+        s = masses + alpha0 * (lm_logp[:, None] + inc) if alpha0 else masses
+        neg = -(s + beta * length[:, None])
         survivors = p.k_size if self.dec is not None else p.p_size
         if len(ranked) + n_ext > survivors:
             negs = np.concatenate(([r[0] for r in ranked], neg[valid]))
             kth = np.partition(negs, survivors - 1)[survivors - 1]
-            valid &= ~(neg > kth)  # a NaN phat (0 * -inf) still reaches the sort
+            valid &= neg <= kth
         rows, where = np.nonzero(valid)
         for i, j, neg_ij, mass in zip(rows.tolist(), where.tolist(), neg[rows, where].tolist(),
                                       masses[rows, where].tolist()):
             parent = parents[i]
             ranked.append((neg_ij, parent.length + 1, parent, cols[j], None, NEG_INF, mass))
-        ranked.sort()
-        cut = -ranked[0][0] - p.theta1
         child = self.prefixes.child
         omega_hat, phat = {}, {}
-        for neg_i, _, parent, col, pre, p_b, p_nb in ranked[:survivors]:
-            if -neg_i < cut:
-                break
+        for neg_i, _, parent, col, pre, p_b, p_nb in _rank(ranked, survivors, p.theta1):
             if pre is None:
                 pre = child(parent, col)
             omega_hat[pre] = Hypothesis(pre, p_b, p_nb, pre.lm_logp)
@@ -637,8 +653,8 @@ class JointSearch:
             self.dec, self.cross, [e.hist for e in entries],
             [pre.last - 1 if pre else self.dec.sos_id for pre in stale],
             [len(pre) for pre in stale], nu)
-        for entry, (rows, logpost) in zip(entries, steps):
-            entry.step = (nu, dec_mod.append_history(entry.hist, rows), logpost)
+        for entry, (hist, logpost) in zip(entries, steps):
+            entry.step = (nu, hist, logpost)
 
     def _evict_ta(self, live):
         """Keep the entries of ``live`` (the carried prefixes and their
@@ -653,7 +669,7 @@ class JointSearch:
     @property
     def best_ctc_partial(self):
         """Best carried prefix by CTC ranking score, as label ids."""
-        best = min(self._last_carried, key=_rank_key(self._last_phat))
+        best = _top(self._last_phat, self._last_carried, 1, math.inf)[0]
         return tuple(c - 1 for c in best.as_tuple())
 
     def finalize(self):
@@ -673,7 +689,7 @@ class JointSearch:
                 eos_logp = float(entry.step[2][self.dec.eos_id])
                 eos_hyp = replace(self._last_carried[pre], ta_logp=entry.logp + eos_logp)
                 scores[pre] = joint_score(eos_hyp, p)
-        best = min(self._last_carried, key=_rank_key(scores))
+        best = _top(scores, self._last_carried, 1, math.inf)[0]
         return DecodeResult(tuple(c - 1 for c in best.as_tuple()), float(scores[best]),
                             list(self.trace))
 

@@ -241,7 +241,9 @@ def exhaustive_joint_argmax(rows, banned_cols, lm, params, ta_fn):
             s = (1.0 - params.lam) * ta_fn(labels, tuple(nus))
         else:
             s = params.lam * mass + (1.0 - params.lam) * ta_fn(labels, tuple(nus))
-        scores[pre] = s + params.alpha * lm_logp + params.beta * len(pre)
+        if params.alpha:  # a zero LM weight means no LM term
+            s += params.alpha * lm_logp
+        scores[pre] = s + params.beta * len(pre)
     best = min(scores, key=lambda p: (-scores[p], len(p), p))
     return best, scores
 
@@ -281,14 +283,13 @@ def stepwise_ta_with_eos(dec, enc, labels, nus, n_total):
     """Prefix score under a per-label truncation schedule plus the
     end-of-sequence continuation at full visibility, rebuilt from the
     single-position decoder op."""
-    from streamasr.decoder import advance_position, append_history, empty_history
+    from streamasr.decoder import advance_position, empty_history
 
     hist = empty_history(dec)
     token = dec.sos_id
     total = 0.0
     for j, lab in enumerate(labels):
-        rows, logp = advance_position(dec, enc, hist, token, j, nus[j])
-        hist = append_history(hist, rows)
+        hist, logp = advance_position(dec, enc, hist, token, j, nus[j])
         total += float(logp[lab])
         token = lab
     _, logp = advance_position(dec, enc, hist, token, len(labels), n_total)
@@ -337,7 +338,10 @@ def tuple_ctc_search(logp, lm, params, banned_ids=()):
     from streamasr.kernels import log_add
 
     def phat_of(pre, p_b, p_nb, lm_logp):
-        return log_add(p_b, p_nb) + params.alpha0 * lm_logp + params.beta * len(pre)
+        s = log_add(p_b, p_nb)
+        if params.alpha0:  # a zero LM weight means no LM term
+            s += params.alpha0 * lm_logp
+        return s + params.beta * len(pre)
 
     def ranked(cands, scores):
         return sorted(cands, key=lambda p: (-scores[p], len(p), p))
@@ -501,15 +505,43 @@ def _prefix_masses_with_child(row, hyps, local_threshold, child):
     return {p: v for p, v in acc.items() if v[0] != NEG_INF or v[1] != NEG_INF}
 
 
+def rank_key(scores):
+    """The sort key the search ranked with before its one rank routine:
+    best score first, then shorter, then the smaller column tuple."""
+    return lambda p: (-scores[p], len(p), p)
+
+
+def within(ranked, scores, size, width):
+    """The first ``size`` of ``ranked`` (best first) that score no lower
+    than the best minus ``width``."""
+    kept = ranked[:size]
+    if kept:
+        cut = scores[kept[0]] - width
+        kept = [p for p in kept if not scores[p] < cut]
+    return kept
+
+
+def sorted_key_prune(hyps, scores, size, width):
+    """``search.prune`` as a sort by :func:`rank_key` and a cut by
+    :func:`within`."""
+    ranked = sorted(hyps, key=rank_key(scores))
+    return {p: hyps[p] for p in within(ranked, scores, size, width)}
+
+
+def top_hypotheses(hyps, scores, size):
+    """The top ``size`` by score with the same tie-breaking, no width."""
+    return {p: hyps[p] for p in sorted(hyps, key=rank_key(scores))[:size]}
+
+
 def all_nodes_ctc_stage(row, hyps, lm, params, size):
     """The search's CTC stage as it was while every candidate was a node:
     each extension is interned (with its LM step) before it is ranked,
-    phat is computed for every candidate, and the mapping ``prune`` ranks
-    them all.  ``hyps`` is the carried beam, Prefix nodes to Hypotheses,
-    and ``row`` a posterior row of floats with banned columns at -inf.
-    Returns the first ``size`` survivors of the prune, in rank order, as
-    (column tuple, p_b, p_nb, phat)."""
-    from streamasr.search import Prefix, _phat, prune
+    phat is computed for every candidate, and :func:`sorted_key_prune`
+    ranks them all.  ``hyps`` is the carried beam, Prefix nodes to
+    Hypotheses, and ``row`` a posterior row of floats with banned columns
+    at -inf.  Returns the first ``size`` survivors of the prune, in rank
+    order, as (column tuple, p_b, p_nb, phat)."""
+    from streamasr.search import Prefix, _phat
 
     children = {(pre.parent, pre.last): pre for pre in hyps if pre.parent is not None}
 
@@ -523,5 +555,5 @@ def all_nodes_ctc_stage(row, hyps, lm, params, size):
     masses = _prefix_masses_with_child(row, hyps, params.local_threshold, child)
     phat = {pre: _phat(m[0], m[1], pre.lm_logp, pre.length, params.alpha0, params.beta)
             for pre, m in masses.items()}
-    kept = list(prune(masses, phat, params.k_size, params.theta1).items())[:size]
+    kept = list(sorted_key_prune(masses, phat, params.k_size, params.theta1).items())[:size]
     return [(pre.as_tuple(), m[0], m[1], phat[pre]) for pre, m in kept]

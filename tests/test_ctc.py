@@ -5,8 +5,7 @@ import pytest
 
 from streamasr.ctc import (Posteriorgram, PrefixScores, ctc_forward_logprob,
                            ctc_prefix_step, ctc_viterbi_align,
-                           log_posterior_row, posteriorgram_from_states,
-                           read_posteriorgram, write_posteriorgram)
+                           log_posterior_row, posteriorgram_from_states)
 from streamasr.kernels import NEG_INF, log_add
 from helpers import logprob_rows, random_posteriorgram, tiny_model
 from oracles import (collapse_path, ctc_forward_oracle, ctc_path_masses,
@@ -223,35 +222,3 @@ def test_posteriorgram_from_states_rows_normalize_and_match_row_op():
     assert post.logp.shape == (4, m.ctc_b.shape[0])
     for i in range(4):
         assert np.array_equal(post.logp[i], log_posterior_row(states[i], m.ctc_w, m.ctc_b))
-
-
-def test_posteriorgram_file_round_trip(tmp_path):
-    rng = np.random.default_rng(88)
-    post = random_posteriorgram(rng, 6, 5)
-    p = tmp_path / "utt.post"
-    write_posteriorgram(post, p)
-    back = read_posteriorgram(p)
-    assert np.array_equal(back.logp, post.logp)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_posteriorgram_file_rejects_nan_and_pos_inf(tmp_path, bad):
-    # a column of probability zero (-inf) stays legal
-    lp = np.hstack([logprob_rows(np.random.default_rng(37), 3, 3), np.full((3, 1), NEG_INF)])
-    p = tmp_path / "ok.post"
-    write_posteriorgram(Posteriorgram(lp), p)
-    read_posteriorgram(p)
-    lp[2, 1] = bad
-    write_posteriorgram(Posteriorgram(lp), p)
-    with pytest.raises(ValueError, match="NaN or \\+inf"):
-        read_posteriorgram(p)
-
-
-def test_posteriorgram_file_errors(tmp_path):
-    p = tmp_path / "bad.post"
-    p.write_bytes(b"CTCPOST v1 2 3\n" + b"\x00" * 10)
-    with pytest.raises(ValueError, match="payload bytes"):
-        read_posteriorgram(p)
-    p.write_bytes(b"NOTPOST v1 2 3\n")
-    with pytest.raises(ValueError, match="bad posteriorgram header"):
-        read_posteriorgram(p)

@@ -68,8 +68,7 @@ def test_causal_consistency_of_cached_positions():
     hist = empty_history(dec)
     tokens = (dec.sos_id,) + ctx
     for i, tok in enumerate(tokens):
-        rows, logp = advance_position(dec, enc, hist, tok, i, 5)
-        hist = append_history(hist, rows)
+        hist, logp = advance_position(dec, enc, hist, tok, i, 5)
         standalone = decoder_log_posterior(enc, 5, ctx[:i], dec)
         assert np.array_equal(logp, standalone)
 
@@ -93,8 +92,7 @@ def test_ta_prefix_score_is_sum_of_stepwise_terms():
     tokens = (dec.sos_id,) + labels[:-1]
     want = 0.0
     for i, (tok, lab, nu) in enumerate(zip(tokens, labels, nus)):
-        rows, logp = advance_position(dec, enc, hist, tok, i, nu)
-        hist = append_history(hist, rows)
+        hist, logp = advance_position(dec, enc, hist, tok, i, nu)
         want += float(logp[lab])
     got = ta_prefix_score(enc, labels, nus, dec)
     assert got == pytest.approx(want, abs=1e-10)
@@ -139,7 +137,7 @@ def test_earlier_positions_unaffected_by_later_truncation_growth():
     # both runs score the first label identically at nu=2
     assert total_a != total_b
     hist = empty_history(dec)
-    rows, logp0 = advance_position(dec, enc, hist, dec.sos_id, 0, 2)
+    _, logp0 = advance_position(dec, enc, hist, dec.sos_id, 0, 2)
     assert np.array_equal(logp0, lp_first)
 
 
@@ -147,9 +145,9 @@ def test_history_rows_shapes():
     dec, enc = setup_case(64)
     hist = empty_history(dec)
     assert len(hist) == len(dec.layers)
-    rows, _ = advance_position(dec, enc, hist, dec.sos_id, 0, 2)
-    hist = append_history(hist, rows)
-    assert all(h.shape == (1, dec.d_model) for h in hist)
+    grown, _ = advance_position(dec, enc, hist, dec.sos_id, 0, 2)
+    assert all(h.shape == (1, dec.d_model) for h in grown)
+    assert all(h.shape == (0, dec.d_model) for h in hist)  # the input is left as it was
 
 
 def test_shared_cross_cache_grown_in_steps_matches_fresh_caches():
@@ -170,13 +168,12 @@ def test_shared_cross_cache_grown_in_steps_matches_fresh_caches():
         token = context[-1] if context else dec.sos_id
         hist_s = shared[context[:-1]] if context else empty_history(dec)
         hist_f = fresh[context[:-1]] if context else empty_history(dec)
-        rows_s, lp_s = advance_position(dec, cache, hist_s, token, len(context), nu)
-        rows_f, lp_f = advance_position(dec, enc[:emitted], hist_f, token, len(context), nu)
+        shared[context], lp_s = advance_position(dec, cache, hist_s, token, len(context), nu)
+        fresh[context], lp_f = advance_position(dec, enc[:emitted], hist_f, token, len(context),
+                                                nu)
         assert np.array_equal(lp_s, lp_f)
-        for a, b in zip(rows_s, rows_f):
+        for a, b in zip(shared[context], fresh[context]):
             assert np.array_equal(a.keys, b.keys) and np.array_equal(a.values, b.values)
-        shared[context] = append_history(hist_s, rows_s)
-        fresh[context] = append_history(hist_f, rows_f)
     assert cache.rows == 8
 
 
@@ -196,8 +193,7 @@ def history_of_length(dec, enc, rng, length):
     for pos in range(length):
         tok = dec.sos_id if pos == 0 else int(rng.integers(dec.vocab_size))
         nu = int(rng.integers(1, enc.shape[0] + 1))
-        rows, _ = advance_position(dec, enc, hist, tok, pos, nu)
-        hist = append_history(hist, rows)
+        hist, _ = advance_position(dec, enc, hist, tok, pos, nu)
     return hist
 
 
@@ -214,14 +210,18 @@ def test_advance_positions_rows_equal_single_row_steps(b, d_layers):
         positions = [h[0].rows for h in hists]
         got = advance_positions(dec, cache, hists, tokens, positions, nu)
         assert len(got) == b
-        for hist, tok, pos, (rows, logp) in zip(hists, tokens, positions, got):
-            want_rows, want_logp = advance_position(dec, enc, hist, tok, pos, nu)
+        for hist, tok, pos, (grown, logp) in zip(hists, tokens, positions, got):
+            want_hist, want_logp = advance_position(dec, enc, hist, tok, pos, nu)
             assert logp.dtype == np.float64
             assert (logp == want_logp).all()
-            assert len(rows) == len(want_rows) == d_layers
-            for r, w in zip(rows, want_rows):
-                assert r.shape == w.shape == (1, dec.d_model)
-                assert (r.keys == w.keys).all() and (r.values == w.values).all()
+            assert len(grown) == len(want_hist) == len(hist) == d_layers
+            for g, w, h in zip(grown, want_hist, hist):
+                assert g.shape == w.shape == (pos + 1, dec.d_model)
+                assert (g.keys == w.keys).all() and (g.values == w.values).all()
+                # the history comes back with the position appended, and
+                # the input is left as it was
+                assert h.rows == pos
+                assert (g.keys[:, :pos] == h.keys).all() and (g.values[:, :pos] == h.values).all()
 
 
 def test_advance_positions_rejects_bad_arguments():
@@ -246,8 +246,9 @@ def test_advance_positions_rejects_bad_arguments():
        lengths=st.lists(st.integers(0, 12), min_size=1, max_size=6),
        seed=st.integers(0, 2**32 - 1))
 def test_own_history_attention_equals_the_block_mask_form(heads, d, lengths, seed):
-    # each row attends its own history plus its new row in one all-keys
-    # call; stacking every row's block under a block mask gives the same bits
+    # each row attends its history with its new row appended in one
+    # all-keys call; stacking every row's block under a block mask gives
+    # the same bits
     rng = np.random.default_rng(seed)
 
     def heads_of(n):
@@ -257,7 +258,9 @@ def test_own_history_attention_equals_the_block_mask_form(heads, d, lengths, see
     pasts = [KeyValues(heads_of(n), heads_of(n)) for n in lengths]
     rows = KeyValues(heads_of(b), heads_of(b))
     q = heads_of(b)
-    got = decoder._attend_own_histories(q, pasts, rows)
+    grown = append_history(pasts, [KeyValues(rows.keys[:, i:i + 1], rows.values[:, i:i + 1])
+                                   for i in range(b)])
+    got = decoder._attend_own_histories(q, grown)
     assert got.shape == (heads, b, d) and got.dtype == np.float32
     assert (got == scaled_dot_attention(q, *own_histories_block_mask(pasts, rows))).all()
 

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamasr.ctc import read_posteriorgram, write_posteriorgram
 from streamasr.lm import ngram_load
 from streamasr.modelio import load_features, load_model, random_features, save_model, write_features
-from helpers import normalized_bigram_arpa, random_posteriorgram, tiny_model
+from helpers import normalized_bigram_arpa, tiny_model
 
 # bytes that keep a damaged text header parseable far enough to reach the
 # later checks, next to arbitrary ones
@@ -36,9 +35,8 @@ def valid_files(d):
     rng = np.random.default_rng(160)
     save_model(d / "model", tiny_model(161))
     write_features(d / "feats", random_features(162, 15, 4))
-    write_posteriorgram(random_posteriorgram(rng, 6, 5), d / "ctcpost")
     (d / "lm").write_text(normalized_bigram_arpa(rng, range(1, 6)))
-    return {name: (d / name).read_bytes() for name in ("model", "feats", "ctcpost", "lm")}
+    return {name: (d / name).read_bytes() for name in ("model", "feats", "lm")}
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +54,7 @@ def loads_or_rejects(load, path, data):
         pass
 
 
-LOADERS = [("model", load_model), ("feats", load_features),
-           ("ctcpost", read_posteriorgram), ("lm", ngram_load)]
+LOADERS = [("model", load_model), ("feats", load_features), ("lm", ngram_load)]
 
 
 @pytest.mark.parametrize("name,load", LOADERS)

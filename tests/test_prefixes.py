@@ -14,7 +14,7 @@ from streamasr.ctc import Posteriorgram
 from streamasr.lm import LanguageModel, UniformLM
 from streamasr.modelio import random_features
 from streamasr.search import (CtcPrefixSearch, DecodeParams, JointSearch, Prefix, PrefixTable,
-                              _rank_key, ctc_prefix_search, prefix_score, prune)
+                              _rank, ctc_prefix_search, prefix_score, prune)
 from streamasr.streaming import StreamConfig, StreamingSession
 from helpers import bigram, logprob_rows, tiny_model
 from oracles import _tuple_prefix_step, all_nodes_ctc_stage, tuple_ctc_search
@@ -44,8 +44,8 @@ def test_equal_score_and_length_sort_in_tuple_order():
     cols = [(4, 2), (3, 5), (3, 4, 1), (4, 1), (2,), (3, 4)]
     nodes = {c: node(table, c) for c in cols}
     scores = {n: -1.0 for n in nodes.values()}
-    ranked = sorted(nodes.values(), key=_rank_key(scores))
-    assert [n.as_tuple() for n in ranked] == sorted(cols, key=lambda c: (len(c), c))
+    ranked = _rank([(-scores[n], len(n), n) for n in nodes.values()], len(nodes), math.inf)
+    assert [r[2].as_tuple() for r in ranked] == sorted(cols, key=lambda c: (len(c), c))
     kept = prune({n: n for n in nodes.values()}, scores, 2, 1.0)
     assert [n.as_tuple() for n in kept] == [(2,), (3, 4)]
     assert nodes[(3, 4)] < nodes[(3, 5)] and not nodes[(3, 5)] < nodes[(3, 4)]
@@ -511,3 +511,83 @@ def test_no_numpy_scalar_reaches_scores_or_trace(ctc_only):
     result = search.finalize()
     assert type(result.score) is float
     assert result.trace and not any("np." in line for line in result.trace)
+
+
+class BlockingLM(LanguageModel):
+    """An LM that gives the label pairs in ``blocked`` probability zero: a
+    log p increment of -inf for label b right after label a, for each
+    (a, b) in it (a is None at the start)."""
+
+    def __init__(self, inner, blocked):
+        self.inner = inner
+        self.blocked = blocked
+
+    def start_state(self):
+        return self.inner.start_state(), None
+
+    def extend(self, state, label):
+        inner_state, last = state
+        nxt, inc = self.inner.extend(inner_state, label)
+        return (nxt, label), NEG_INF if (last, label) in self.blocked else inc
+
+
+def assert_no_nan_scores(search):
+    assert not any(math.isnan(v) for v in search._last_phat.values())
+    assert not any(math.isnan(v) for v in search._last_pjoint.values())
+    assert "nan" not in search.trace[-1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_zero_lm_weight_keeps_an_lm_minus_inf_out_of_every_score(data):
+    """An LM that gives some labels probability zero, under LM weights of
+    zero and above: a zero weight means no LM term, so no score is NaN
+    (0 * -inf), and the pure CTC search still equals the tuple search."""
+    joint = data.draw(st.booleans())
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    n_cols = 6 if joint else data.draw(st.integers(3, 6))
+    n = data.draw(st.integers(1, 10))
+    rng = np.random.default_rng(seed)
+    logp = logprob_rows(rng, n, n_cols)
+    labels = st.integers(0, n_cols - 2)
+    blocked = data.draw(st.sets(st.tuples(st.none() | labels, labels), min_size=1, max_size=8))
+    inner = UniformLM(n_cols - 1) if data.draw(st.booleans()) else bigram(rng, n_cols - 1, False)
+    lm = BlockingLM(inner, blocked)
+    k = data.draw(st.integers(1, 10))
+    params = DecodeParams(
+        k_size=k, p_size=data.draw(st.integers(1, k)),
+        alpha0=data.draw(st.sampled_from([0.0, 0.7])),
+        alpha=data.draw(st.sampled_from([0.0, 0.5])),
+        lam=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+        beta=data.draw(st.sampled_from([0.0, 1.5])),
+        theta1=data.draw(st.sampled_from([4.0, 16.0])), local_threshold=0.0)
+    if joint:
+        m = tiny_model(seed % 1000)
+        search = JointSearch(m.decoder, lm, params, n_cols)
+        search.add_rows(rng.standard_normal((n, m.d_model)).astype(np.float32))
+    else:
+        search = CtcPrefixSearch(lm, params, n_cols)
+    for row in logp:
+        search.advance(row)
+        assert_no_nan_scores(search)
+    got = search.finalize()
+    assert not math.isnan(got.score)
+    if not joint:
+        want_labels, want_score, want_trace = tuple_ctc_search(logp, lm, params)
+        assert got.trace == want_trace
+        assert got.labels == want_labels and got.score == want_score
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_lm_increment_that_is_nan_or_pos_inf_is_refused(bad):
+    class BadLM(UniformLM):
+        def extend(self, state, label):
+            return state, bad if label == 1 else self._logp
+
+    logp = logprob_rows(np.random.default_rng(149), 2, 4)
+    search = CtcPrefixSearch(BadLM(3), DecodeParams(k_size=5, p_size=3, local_threshold=0.0), 4)
+    with pytest.raises(ValueError, match=r"from state \(\) by label 1 gave log p increment"):
+        search.advance(logp[0])
+    # the steps taken before the refusal stay memoised in both forms
+    table = search.prefixes
+    assert sum(len(steps) for steps in table._steps) == np.count_nonzero(table._stepped) == 1

@@ -12,11 +12,12 @@ from streamasr.encoder import EncoderStates, encode
 from streamasr.kernels import NEG_INF, log_add
 from streamasr.lm import UniformLM
 from streamasr.search import (CtcPrefixSearch, DecodeParams, Hypothesis,
-                              JointSearch, LossParams, ctc_prefix_search,
+                              JointSearch, LossParams, PrefixTable, _rank, ctc_prefix_search,
                               decode, joint_loss, joint_score, prefix_score,
-                              prune, top_hypotheses)
+                              prune)
 from streamasr.streaming import StreamConfig, StreamingSession
 from helpers import bigram, logprob_rows, random_enc_states, tiny_model
+from oracles import rank_key, sorted_key_prune, top_hypotheses, within
 
 TRACE_RE = re.compile(
     r"^frame=(\d+) beams=(\d+) best=((?:-?\d+)(?:,-?\d+)*)? ?p_prfx=(\S+) p_joint=(\S+)$"
@@ -108,9 +109,40 @@ def test_prune_keeps_all_neg_inf_rather_than_emptying():
     assert set(kept) == {(3,)}
 
 
-def test_top_hypotheses_is_size_only():
+def test_prune_with_infinite_width_is_size_only():
     hyps = {(c,): hyp((c,), -float(c), NEG_INF) for c in (3, 4, 5)}
-    assert set(top_hypotheses(hyps, scored(hyps, lambda h: h.p_b), 2)) == {(3,), (4,)}
+    assert set(prune(hyps, scored(hyps, lambda h: h.p_b), 2, math.inf)) == {(3,), (4,)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_prune_and_the_rank_routine_equal_the_sorted_key_form(data):
+    """prune and the search's rank routine against the sort by key and the
+    width cut they replaced: scores tie exactly, some are -inf, and the
+    width may be infinite.  The routine orders interned nodes as it orders
+    their column tuples."""
+    keys = data.draw(st.lists(st.lists(st.integers(1, 3), max_size=3).map(tuple),
+                              min_size=1, max_size=12, unique=True))
+    values = st.sampled_from([NEG_INF, -4.0, -2.5, -1.0, -0.5, 0.0])
+    scores = {k: data.draw(values) for k in keys}
+    size = data.draw(st.integers(1, len(keys) + 2))
+    width = data.draw(st.sampled_from([0.0, 0.5, 1.5, 3.0, math.inf]))
+    hyps = {k: object() for k in keys}
+    want = within(sorted(keys, key=rank_key(scores)), scores, size, width)
+    assert list(prune(hyps, scores, size, width).items()) == \
+        list(sorted_key_prune(hyps, scores, size, width).items())
+    assert list(prune(hyps, scores, size, width)) == want
+    assert list(prune(hyps, scores, size, math.inf)) == list(top_hypotheses(hyps, scores, size))
+    assert [r[2] for r in _rank([(-scores[k], len(k), k) for k in keys], size, width)] == want
+    table = PrefixTable(UniformLM(3), 4)
+    nodes = {}
+    for k in keys:
+        pre = table.root
+        for c in k:
+            pre = table.child(pre, c)
+        nodes[k] = pre
+    ranked = _rank([(-scores[k], len(k), nodes[k]) for k in keys], size, width)
+    assert [r[2].as_tuple() for r in ranked] == want
 
 
 def test_decode_params_validation():
