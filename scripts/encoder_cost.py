@@ -6,8 +6,11 @@ utterance, then times the encoder alone, eps_enc 1: offline ``encode``
 (one final push) and ``IncrementalEncoder.push`` fed 40 ms chunks plus the
 final flush.  Each is the best of ``REPEATS`` runs, in seconds per
 audio second; the ratio streaming/offline is the fixed per-push cost the
-streaming path pays on top of the rows it computes.  Both paths must
-return the same bits, and the script exits 1 if they do not.
+streaming path pays on top of the rows it computes.  It also prints the
+median cost of one streaming push in the first and the last quarter of
+the utterance (each push timed as the best of its ``REPEATS`` runs), so
+a cost that grows with stream length shows.  Both paths must return the
+same bits, and the script exits 1 if they do not.
 
     python3 scripts/encoder_cost.py              # 4 s utterance, best of 5
     python3 scripts/encoder_cost.py --seconds 1  # quick smoke run
@@ -38,12 +41,13 @@ SEED = 0
 
 
 def best_of(fn):
-    best, out = float("inf"), None
+    """The fastest of REPEATS runs of fn, in seconds, and every run's result."""
+    best, outs = float("inf"), []
     for _ in range(REPEATS):
         t0 = perf_counter()
-        out = fn()
+        outs.append(fn())
         best = min(best, perf_counter() - t0)
-    return best, out
+    return best, outs
 
 
 def main():
@@ -60,21 +64,33 @@ def main():
         return encode(feats, model.encoder, EPS_ENC).states
 
     def streaming():
+        """The encoder rows, and the seconds each chunk's push took."""
         enc = IncrementalEncoder(model.encoder, EPS_ENC)
-        rows = [enc.push(frames[t:t + CHUNK_FRAMES]) for t in range(0, frames.shape[0], CHUNK_FRAMES)]
+        rows, pushes = [], []
+        for t in range(0, frames.shape[0], CHUNK_FRAMES):
+            t0 = perf_counter()
+            rows.append(enc.push(frames[t:t + CHUNK_FRAMES]))
+            pushes.append(perf_counter() - t0)
         rows.append(enc.push(None, final=True))
-        return np.concatenate(rows)
+        return np.concatenate(rows), pushes
 
-    off_s, off_rows = best_of(offline)
-    str_s, str_rows = best_of(streaming)
+    off_s, off_runs = best_of(offline)
+    str_s, str_runs = best_of(streaming)
+    off_rows, str_rows = off_runs[-1], str_runs[-1][0]
     if not np.array_equal(off_rows, str_rows):
         sys.exit("streaming and offline encoder rows differ")
+    pushes = np.min([run[1] for run in str_runs], axis=0)  # each push's best run
+    quarter = max(1, len(pushes) // 4)
+    first_us = float(np.median(pushes[:quarter])) * 1e6
+    last_us = float(np.median(pushes[-quarter:])) * 1e6
 
     print(f"{audio_s:g} s utterance, {off_rows.shape[0]} encoder rows, eps_enc {EPS_ENC}, "
           f"{CHUNK_FRAMES * 10} ms chunks, best of {REPEATS}")
     print(f"offline   encode: {off_s / audio_s:.4f} s per audio s")
     print(f"streaming push:   {str_s / audio_s:.4f} s per audio s")
     print(f"streaming/offline: {str_s / off_s:.2f}x")
+    print(f"streaming push, median per push: first quarter {first_us:.0f} us, "
+          f"last quarter {last_us:.0f} us ({last_us / first_us:.2f}x)")
 
 
 if __name__ == "__main__":

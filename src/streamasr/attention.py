@@ -8,13 +8,21 @@ disallowed row can never change the output, not even in the last bit.
 
 Projected keys and values are stored head-major, (heads, rows, d), and a
 block makes one :func:`scaled_dot_attention` call for all its heads.
-That call gathers the allowed rows of each group of equal mask rows as a
-C-contiguous copy and scores every (head, row) of the group in one
-stacked product.  Its output is bit-identical to computing each head and
-query row alone on its gathered rows; the copy is part of that contract.
-A mask that lets every row see every key (streaming encoder rows, decoder
-rows over their own history or the encoder) is one group whose gather would
-copy q, k and v whole, so the call scores C-contiguous q, k and v directly.
+That call scores every (head, row) of a group of equal mask rows in one
+stacked product, and its output is bit-identical to computing each head
+and query row alone on its allowed rows.  A mask that lets every row see
+every key (streaming encoder rows, decoder rows over their own history
+or the encoder) is scored on q, k and v where they are stored: a prefix
+view ``[:, :n]`` of a longer store, or a query slice, reads the same
+bits as its C-contiguous copy, because its rows are packed the same way
+(the tests prove it for views of a block-grown store, misaligned ones
+included).  Only rows laid out otherwise, such as head columns of a
+(rows, heads * d) matrix, are copied first.
+
+Two kinds of owner keep projected rows.  :class:`KeyValueStore` is
+append-in-place, for a sequence that only grows: each encoder layer and
+the decoder's cross-attention cache.  :class:`KeyValues` is an immutable
+pair, for decoder histories, which branch per prefix.
 """
 
 import math
@@ -69,7 +77,9 @@ class MhaParams:
 
 
 def full_mask(n_q, n_k):
-    return np.ones((n_q, n_k), dtype=bool)
+    mask = np.empty((n_q, n_k), dtype=bool)
+    mask.fill(True)  # np.ones without its Python-level wrapper
+    return mask
 
 
 def lookahead_mask(n_q, n_k, lookahead):
@@ -106,17 +116,16 @@ def scaled_dot_attention(q, k, v, mask):
     q (..., B, d), k (..., n, d) and v (..., n, d_v) may carry leading
     head axes; the one (B, n) mask is shared by every head.  Query rows
     with equal mask rows form a group.  A group gathers its allowed
-    key/value rows once, as C-contiguous copies, scores them with one
-    stacked matrix-vector product per (head, row) and takes the softmax
-    over that compact set, so a row's result is a pure function of its
-    own query and its allowed key/value rows, bit for bit the same as
-    computing that row and head alone.  The gathered copy is part of that
-    contract: vector products over strided views can round differently.
-    When every row allows every key the one group's gather would copy q,
-    k and v whole, so they are scored as C-contiguous arrays without the
-    grouping: ``np.ascontiguousarray`` copies a strided view, such as a
-    query slice of a longer buffer, and hands a C-contiguous array over
-    as it is.
+    key/value rows once, scores them with one stacked matrix-vector
+    product per (head, row) and takes the softmax over that compact set,
+    so a row's result is a pure function of its own query and its
+    allowed key/value rows, bit for bit the same as computing that row
+    and head alone.  When every row allows every key there is one group
+    and nothing to gather: q, k and v are scored where they are stored.
+    A view whose rows are packed, d values each and one behind the other,
+    such as a query slice or a ``[:, :n]`` prefix of a (heads, capacity,
+    d) store, gives the bits of its C-contiguous copy, so it is not
+    copied; rows laid out otherwise are (see :func:`_packed`).
     """
     q = np.asarray(q)
     k = np.asarray(k)
@@ -135,8 +144,8 @@ def scaled_dot_attention(q, k, v, mask):
     scale = 1.0 / math.sqrt(q.shape[-1])
     out_type = np.result_type(q, v)
     if k.shape[-2] and mask.all():
-        q, k, v = np.ascontiguousarray(q), np.ascontiguousarray(k), np.ascontiguousarray(v)
-        return _softmax_attend(q, k, v, scale).astype(out_type, copy=False)
+        return _softmax_attend(_packed(q), _packed(k), _packed(v), scale).astype(out_type,
+                                                                                 copy=False)
     out = np.empty(q.shape[:-1] + v.shape[-1:], dtype=out_type)
     groups = {}
     for i, row in enumerate(mask):
@@ -150,12 +159,25 @@ def scaled_dot_attention(q, k, v, mask):
     return out
 
 
+def _packed(a):
+    """a itself if its rows are packed, each d values long and the next
+    right behind it, as in a C-contiguous array, a ``[:, :n]`` view of
+    one or a slice of its rows; else a C-contiguous copy.  Vector
+    products over rows laid out any other way, such as head columns of a
+    (rows, heads * d) matrix, can round differently."""
+    item = a.itemsize
+    if a.strides[-1] == item and a.strides[-2] == item * a.shape[-1]:
+        return a
+    return np.ascontiguousarray(a)
+
+
 def _softmax_attend(q, k, v, scale):
     """Every query row of q (..., B, d) over every row of k and v, one
     stacked matrix-vector product per (head, row)."""
+    # the reductions are max's and sum's own, called without their wrappers
     logits = np.matmul(k[..., None, :, :], q[..., None])[..., 0] * scale
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
     return np.matmul(p[..., None, :], v[..., None, :, :])[..., 0, :]
 
 
@@ -198,25 +220,79 @@ def multi_head_attention(q_in, k_in, v_in, params, mask):
                   params, mask)
 
 
+ROW_BLOCK = 16  # rows a KeyValueStore grows by
+
+
+class KeyValueStore:
+    """Attention keys and values of a sequence that only grows, appended in place.
+
+    Keys and values each live in one head-major (heads, capacity, d)
+    buffer, made at the first :meth:`append`.  Rows are written behind
+    the rows already held; when they do not fit, both buffers are
+    replaced by ones whose capacity is the next multiple of
+    ``ROW_BLOCK`` rows, so a store holds fewer than ``ROW_BLOCK`` unused
+    rows and a steady append keeps its buffers until a block fills.
+    :meth:`view` hands out ``[:, :n]`` views, which attention scores
+    without a copy.  Rows once written never change, so a view stays
+    valid while the store grows.  Each encoder layer keeps one for its
+    rows so far, and the decoder's cross-attention cache one per layer
+    for the encoder rows.
+    """
+
+    def __init__(self, mha):
+        self.heads, self.d_k, self.d_v = mha.w_k.shape[0], mha.w_k.shape[2], mha.w_v.shape[2]
+        self.buffers = None  # (keys, values), each (heads, capacity, d)
+        self.rows = 0
+
+    @property
+    def capacity(self):
+        return 0 if self.buffers is None else self.buffers[0].shape[1]
+
+    def append(self, keys, values):
+        """Write head-major key rows (heads, m, d_k) and value rows
+        (heads, m, d_v) behind the rows held."""
+        start, end = self.rows, self.rows + keys.shape[1]
+        if values.shape[1] != keys.shape[1]:
+            raise ValueError(f"{keys.shape[1]} key rows but {values.shape[1]} value rows")
+        if end > self.capacity:
+            capacity = -(-end // ROW_BLOCK) * ROW_BLOCK
+            grown = (np.empty((self.heads, capacity, self.d_k), dtype=keys.dtype),
+                     np.empty((self.heads, capacity, self.d_v), dtype=values.dtype))
+            if start:
+                for new, old in zip(grown, self.buffers):
+                    new[:, :start] = old[:, :start]
+            self.buffers = grown
+        key_buf, value_buf = self.buffers
+        key_buf[:, start:end] = keys
+        value_buf[:, start:end] = values
+        self.rows = end
+
+    def view(self, n=None):
+        """Keys and values of the first n rows (every row by default, and
+        at most the rows held), as views of the buffers."""
+        n = self.rows if n is None else min(n, self.rows)
+        if self.buffers is None:
+            return (np.zeros((self.heads, 0, self.d_k), dtype=np.float32),
+                    np.zeros((self.heads, 0, self.d_v), dtype=np.float32))
+        return self.buffers[0][:, :n], self.buffers[1][:, :n]
+
+
 @dataclass(frozen=True)
 class KeyValues:
-    """Attention keys and values of consecutive rows, projected once.
+    """Attention keys and values of a decoder history, projected once.
 
     keys, values: head-major (heads, rows, d) arrays, as
     :func:`project_heads` returns them, so :func:`attend` hands all heads
     to one :func:`scaled_dot_attention` call.  ``shape`` is that of the
-    (rows, heads * d) matrix of the heads side by side.  Each user keeps
-    one per attention layer: the incremental encoder for its rows so far,
-    a decoder history for its positions, and the decoder's
-    cross-attention cache for the encoder rows.
+    (rows, heads * d) matrix of the heads side by side.  The pair is
+    immutable, because histories branch: sibling prefixes extend one
+    parent history, each with its own copy.  Sequences that only grow
+    (the encoder layers, the cross-attention cache) append in place to a
+    :class:`KeyValueStore` instead.
     """
 
     keys: np.ndarray
     values: np.ndarray
-
-    @classmethod
-    def project(cls, x, mha):
-        return cls(project_heads(x, mha.w_k), project_heads(x, mha.w_v))
 
     @classmethod
     def empty(cls, mha):

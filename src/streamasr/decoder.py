@@ -13,11 +13,12 @@ one-row case.
 
 Attention keys and values are projected once per row and kept: a
 prefix's history holds its positions' self-attention keys and values
-(:class:`KeyValues`), and a :class:`CrossAttentionCache`, fed encoder
-rows as they arrive, holds their cross-attention keys and values for a
-whole utterance.  A step therefore projects only its own position, and
-it returns each row's history with that position appended: the one copy
-of the history its self-attention reads and its caller keeps.
+(:class:`KeyValues`, immutable, because histories branch), and a
+:class:`CrossAttentionCache`, fed encoder rows as they arrive, appends
+their cross-attention keys and values in place for a whole utterance.
+A step therefore projects only its own position, and it returns each
+row's history with that position appended: the one copy of the history
+its self-attention reads and its caller keeps.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attention, kernels
-from .attention import KeyValues, MhaParams, attend, full_mask, merge_heads, project_heads
+from .attention import (KeyValues, KeyValueStore, MhaParams, attend, full_mask, merge_heads,
+                        project_heads)
 # multi_head_attention is no longer called here, but stays bound: the
 # benchmark's tracer (perfbench/tracer.py) wraps it by this module's name.
 from .attention import multi_head_attention  # noqa: F401
@@ -82,17 +84,21 @@ class CrossAttentionCache:
 
     The cache is append-only and the one store of the encoder rows a
     decoder reads: :meth:`extend` projects each new row once per decoder
-    layer, when the row arrives, and keeps no raw encoder matrix.  Every
-    prefix scored against the utterance shares the result.  A streaming
-    search hands it rows as the encoder emits them; emitted rows never
-    change, which is what keeps a projection valid for the rest of the
-    utterance.  ``rows`` counts the rows added.
+    layer, when the row arrives, and appends it in place to that layer's
+    :class:`KeyValueStore`; it keeps no raw encoder matrix.  Every prefix
+    scored against the utterance shares the result, and :meth:`layer`
+    hands out ``[:, :nu]`` views that attention reads without a copy.
+    A streaming search hands it rows as the encoder emits them; emitted
+    rows never change, which is what keeps a projection valid for the
+    rest of the utterance.  ``rows`` counts the rows added.  (Decoder
+    histories, which branch per prefix, stay immutable
+    :class:`KeyValues`.)
     """
 
     def __init__(self, params, enc=None):
         self.params = params
         self.rows = 0
-        self.kv = [KeyValues.empty(layer.src_mha) for layer in params.layers]
+        self.kv = [KeyValueStore(layer.src_mha) for layer in params.layers]
         if enc is not None:
             self.extend(enc)
 
@@ -103,13 +109,16 @@ class CrossAttentionCache:
             raise ValueError(f"encoder rows of shape {rows.shape}, "
                              f"expected (n, {self.params.d_model})")
         if rows.shape[0]:
-            self.kv = [kv.append(KeyValues.project(rows, layer.src_mha))
-                       for kv, layer in zip(self.kv, self.params.layers)]
+            # project_heads is looked up on its module, where a test
+            # counts the rows each weight projects
+            for store, layer in zip(self.kv, self.params.layers):
+                store.append(attention.project_heads(rows, layer.src_mha.w_k),
+                             attention.project_heads(rows, layer.src_mha.w_v))
             self.rows += rows.shape[0]
 
     def layer(self, d, nu):
         """Keys and values of encoder rows 1..nu in decoder layer d."""
-        return self.kv[d].keys[:, :nu], self.kv[d].values[:, :nu]
+        return self.kv[d].view(nu)
 
 
 def advance_positions(params, cache, hists, token_ids, pos_indices, nu):

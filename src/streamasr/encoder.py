@@ -13,14 +13,15 @@ each chunk as it arrives, gets the same bits.  :func:`encoder_layer` is
 the whole-matrix reference the engine is tested against.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .attention import (KeyValues, MhaParams, attend_heads, lookahead_mask, multi_head_attention,
+from . import attention, kernels
+from .attention import (KeyValueStore, MhaParams, full_mask, merge_heads, multi_head_attention,
                         project_heads)
 
 
@@ -87,12 +88,22 @@ def positional_encodings(positions, d_model):
     positions = np.asarray(positions, dtype=np.float64)
     if positions.size and positions.min() < 0:
         raise ValueError(f"positions must be >= 0, got {positions.min():g}")
-    even = np.arange(0, d_model, 2, dtype=np.float64)
-    angles = positions[:, None] / np.power(10000.0, even / d_model)
+    angles = positions[:, None] / _frequency_divisors(d_model)
     out = np.empty((positions.shape[0], d_model), dtype=np.float64)
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles[:, :d_model // 2])
     return out.astype(np.float32)
+
+
+@functools.lru_cache(maxsize=8)
+def _frequency_divisors(d_model):
+    """10000^(2i/d_model) for each even column 2i: d_model/2 numbers per
+    model width, kept read-only for the few widths in use; positions are
+    not cached, so nothing grows with stream length."""
+    even = np.arange(0, d_model, 2, dtype=np.float64)
+    out = np.power(10000.0, even / d_model)
+    out.flags.writeable = False
+    return out
 
 
 def feature_frames(features):
@@ -159,9 +170,12 @@ class _LayerRows:
 
     Keeps the input rows not emitted yet (``x``, the residual), their
     attention queries (``q``, head-major (heads, rows, d)) and the keys
-    and values of every row so far (``kv``).  A row is normed and
-    projected once, when it arrives: one :func:`project_heads` call over
-    the block's stacked Q/K/V weight gives its query, key and value.
+    and values of every row so far, appended in place (``kv``).  A row is
+    normed and projected once, when it arrives: one :func:`project_heads`
+    call over the block's stacked Q/K/V weight gives its query, key and
+    value.  Attention reads the stored keys as views, without a mask: the
+    rows that see every key in one call, and each row whose look-ahead
+    ends sooner in one call over its key prefix.
     """
 
     def __init__(self, layer, eps_enc):
@@ -171,7 +185,7 @@ class _LayerRows:
         self.heads = layer.mha.w_q.shape[0]
         self.x = np.zeros((0, layer.norm1_g.shape[0]), dtype=np.float32)
         self.q = np.zeros((self.heads, 0, layer.mha.w_q.shape[2]), dtype=np.float32)
-        self.kv = KeyValues.empty(layer.mha)
+        self.kv = KeyValueStore(layer.mha)
 
     def push(self, x, final):
         """New input rows -> the output rows whose look-ahead is complete."""
@@ -179,7 +193,7 @@ class _LayerRows:
         if x.shape[0]:
             qkv = project_heads(kernels.layer_norm(x, layer.norm1_g, layer.norm1_b),
                                 layer.mha.qkv())
-            self.kv = self.kv.append(KeyValues(qkv[h:2 * h], qkv[2 * h:]))
+            self.kv.append(qkv[h:2 * h], qkv[2 * h:])
             if self.x.shape[0]:
                 self.x = np.concatenate([self.x, x])
                 self.q = np.concatenate([self.q, qkv[:h]], axis=1)
@@ -189,9 +203,22 @@ class _LayerRows:
         m = pending if final else int(max(0, pending - self.eps))
         if m == 0:
             return self.x[:0]
-        # the rows of lookahead_mask(n, n, eps) for the m oldest pending rows
-        mask = lookahead_mask(m, n, float(n - pending) + self.eps)
-        z = self.x[:m] + attend_heads(self.q[:, :m], self.kv.keys, self.kv.values, layer.mha, mask)
+        # pending row i is row n - pending + i and sees the keys up to eps
+        # rows ahead of it, so the first `limited` rows end before the last
+        # key (eps is finite then) and each scores a key prefix alone
+        limited = int(min(m, max(0, pending - 1 - self.eps)))
+        keys, values = self.kv.view()
+        q = self.q[:, :m]
+        heads = []
+        for i in range(limited):
+            stop = n - pending + i + int(self.eps) + 1
+            heads.append(attention.scaled_dot_attention(q[:, i:i + 1], keys[:, :stop],
+                                                        values[:, :stop], full_mask(1, stop)))
+        if limited < m:
+            heads.append(attention.scaled_dot_attention(q[:, limited:], keys, values,
+                                                        full_mask(m - limited, n)))
+        z = self.x[:m] + merge_heads(heads[0] if len(heads) == 1 else np.concatenate(heads, axis=1),
+                                     layer.mha)
         normed = kernels.layer_norm(z, layer.norm2_g, layer.norm2_b)
         self.x, self.q = self.x[m:], self.q[:, m:]
         return z + feed_forward(normed, layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b)

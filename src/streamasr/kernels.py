@@ -46,11 +46,11 @@ def layer_norm(m, gain, bias, eps=1e-12):
         raise ValueError(
             f"layer_norm shape mismatch: m {m.shape}, gain {gain.shape}, bias {bias.shape}"
         )
-    # sum / n is np.mean's own arithmetic (a pairwise add.reduce, then one
-    # correctly rounded division) without its Python-level wrapper
+    # add.reduce / n is np.mean's own arithmetic (a pairwise sum, then one
+    # correctly rounded division) without its Python-level wrappers
     n = m.shape[1]
-    centered = m - m.sum(axis=1, keepdims=True) / n
-    var = (centered * centered).sum(axis=1, keepdims=True) / n
+    centered = m - np.add.reduce(m, axis=1, keepdims=True) / n
+    var = np.add.reduce(centered * centered, axis=1, keepdims=True) / n
     return (centered / np.sqrt(var + eps)) * gain + bias
 
 
@@ -63,7 +63,8 @@ def conv_time_slab(window, kernels, stride):
     same row however many rows the call computes.  The slab is copied to
     a contiguous buffer first: einsum's traversal order may depend on
     input strides, and callers pass views.  The frequency windows are a
-    strided view of that buffer, with the shape and strides that
+    strided array over that buffer, made directly by ``np.ndarray``, with
+    the shape and strides that
     ``sliding_window_view(window, k_w, axis=2)[:, :, ::stride]`` gives.
     """
     window = np.ascontiguousarray(window)
@@ -72,8 +73,8 @@ def conv_time_slab(window, kernels, stride):
     if f_out < 1:
         raise ValueError("input too short")
     s_c, s_h, s_f = window.strides
-    sw = np.lib.stride_tricks.as_strided(window, window.shape[:2] + (f_out, k_w),
-                                         (s_c, s_h, s_f * stride, s_f), writeable=False)
+    sw = np.ndarray(window.shape[:2] + (f_out, k_w), window.dtype, window,
+                    strides=(s_c, s_h, s_f * stride, s_f))
     # sw: (in_ch, k_h, f_out, k_w); kernels: (out_ch, in_ch, k_h, k_w)
     return np.einsum("ihfw,oihw->of", sw, kernels, optimize=False)
 

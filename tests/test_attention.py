@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamasr import attention, kernels
-from streamasr.attention import (KeyValues, MhaParams, causal_mask, full_mask,
-                                 lookahead_mask, multi_head_attention,
+from streamasr.attention import (ROW_BLOCK, KeyValues, KeyValueStore, MhaParams, causal_mask,
+                                 full_mask, lookahead_mask, multi_head_attention,
                                  project_heads, scaled_dot_attention,
                                  truncation_mask)
 from oracles import attention_oracle, mha_oracle, project_qkv_separately, row_loop_attention
@@ -247,7 +247,11 @@ def test_project_heads_stacks_per_head_matmuls():
     want = np.stack([kernels.matmul(x, params.w_k[h]) for h in range(4)])
     got = project_heads(x, params.w_k)
     assert got.shape == (4, 7, 4) and got.flags.c_contiguous and (got == want).all()
-    kv = KeyValues.project(x[:3], params).append(KeyValues.project(x[3:], params))
+
+    def projected(rows):
+        return KeyValues(project_heads(rows, params.w_k), project_heads(rows, params.w_v))
+
+    kv = projected(x[:3]).append(projected(x[3:]))
     assert kv.rows == 7 and kv.shape == (7, 16) and kv.keys.flags.c_contiguous
     assert (kv.keys == want).all()
     assert (kv.values == np.stack([kernels.matmul(x, params.w_v[h]) for h in range(4)])).all()
@@ -297,6 +301,70 @@ def test_all_keys_fast_path_equals_the_grouped_path(heads, d, b, n, q_extra, kv_
     assert (got == grouped).all()
     for h in range(heads):
         assert (got[h] == row_loop_attention(q[h], k[h], v[h], full_mask(b, n))).all()
+
+
+def misaligned_copy(a, offset):
+    """A C-ordered copy of a whose storage starts ``offset`` elements into
+    a fresh allocation."""
+    raw = np.empty(a.size + offset, dtype=a.dtype)
+    out = raw[offset:].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(heads=st.integers(1, 4), d=st.integers(1, 32),
+       blocks=st.lists(st.integers(1, 2 * ROW_BLOCK + 3), min_size=1, max_size=6),
+       b=st.integers(1, 6), q_extra=st.integers(0, 3), offset=st.integers(0, 3),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+def test_block_grown_store_views_read_the_bits_of_contiguous_copies(heads, d, blocks, b, q_extra,
+                                                                     offset, dtype, seed):
+    # the all-keys path scores [:, :n] views of a store grown block by
+    # block, and query rows sliced from a longer buffer, without a copy:
+    # at every growth boundary, and from storage that starts at a
+    # misaligned offset, they give the bits of C-contiguous copies
+    rng = np.random.default_rng(seed)
+    store = KeyValueStore(rand_mha(rng, heads, 1, d))
+    pending = rng.standard_normal((heads, b + q_extra, d)).astype(dtype)
+    q = pending[:, q_extra:]
+    assert store.view()[0].shape == (heads, 0, d)
+    appended = []
+    for size in blocks:
+        capacity = store.capacity
+        kv = rng.standard_normal((2, heads, size, d)).astype(dtype)
+        store.append(kv[0], kv[1])
+        appended.append(kv)
+        # the contents are the appended blocks, in order, and fewer than
+        # ROW_BLOCK rows are allocated and unused
+        keys, values = store.view()
+        whole = np.concatenate(appended, axis=2)
+        assert (keys == whole[0]).all() and (values == whole[1]).all()
+        assert store.capacity % ROW_BLOCK == 0 and 0 <= store.capacity - store.rows < ROW_BLOCK
+        # prefixes ending at each block edge crossed, on both sides, and the whole store
+        edges = range(capacity, store.rows + 1, ROW_BLOCK)
+        for n in sorted({store.rows} | {e + s for e in edges for s in (-1, 0, 1)}):
+            if not 1 <= n <= store.rows:
+                continue
+            k, v = store.view(n)
+            assert k.shape == (heads, n, d) and k.base is not None
+            mask = full_mask(b, n)
+            got = scaled_dot_attention(q, k, v, mask)
+            want = scaled_dot_attention(np.ascontiguousarray(q), k.copy(), v.copy(), mask)
+            assert got.dtype == want.dtype and (got == want).all()
+            mis = [misaligned_copy(buf, offset)[:, :n] for buf in store.buffers]
+            assert (scaled_dot_attention(misaligned_copy(q, offset), *mis, mask) == want).all()
+
+
+def test_store_view_stops_at_the_rows_held():
+    rng = np.random.default_rng(20)
+    store = KeyValueStore(rand_mha(rng, heads=2, d_model=4, d_k=3))
+    rows = rng.standard_normal((2, 2, 5, 3)).astype(np.float32)
+    store.append(rows[0], rows[1])
+    assert store.rows == 5 and store.capacity == ROW_BLOCK
+    keys, values = store.view(9)
+    assert keys.shape == values.shape == (2, 5, 3) and (keys == rows[0]).all()
+    with pytest.raises(ValueError, match="3 key rows but 2 value rows"):
+        store.append(rows[0][:, :3], rows[1][:, :2])
 
 
 @settings(max_examples=150, deadline=None)

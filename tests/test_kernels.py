@@ -147,8 +147,8 @@ def test_conv2d_matches_scalar_oracle():
        seed=st.integers(0, 2**32 - 1))
 def test_conv_time_slab_equals_its_window_view_form(in_ch, out_ch, k_h, k_w, f, stride, dtype,
                                                     strided, seed):
-    # the as_strided windows have sliding_window_view's shape and strides,
-    # so einsum gets an identical operand
+    # the strided windows have sliding_window_view's shape and strides, so
+    # einsum gets an identical operand
     rng = np.random.default_rng(seed)
     window = rng.standard_normal((in_ch, k_h, 2 * f)).astype(dtype)
     window = window[:, :, ::2] if strided else window[:, :, :f]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from streamasr.attention import ROW_BLOCK
 from streamasr.ctc import posteriorgram_from_states
 from streamasr.encoder import encode
 from streamasr.lm import UniformLM
@@ -149,6 +150,36 @@ def test_long_session_keeps_bounded_input_buffers():
     assert got.labels == want.labels
     assert got.score == want.score
     assert got.trace == want.trace
+
+
+def test_long_session_keeps_key_value_stores_within_a_block():
+    # the encoder layers and the cross-attention cache append keys and
+    # values in place: after many steady pushes each store holds fewer
+    # than ROW_BLOCK unused rows, and a push that fills no block keeps the
+    # buffers it had
+    m = tiny_model(139, d_layers=2)
+    frames = np.random.default_rng(140).standard_normal((640, 4)).astype(np.float32)
+    cfg = StreamConfig(eps_enc=1, eps_dec=2)
+    params = DecodeParams(k_size=8, p_size=4, eps_dec=2)
+    sess = StreamingSession(m, UniformLM(3), params, cfg)
+    stores = [layer.kv for layer in sess.encoder.layers] + sess.search.cross.kv
+    assert len(stores) == 4 and all(s.buffers is None for s in stores)
+    kept = grown = 0
+    for t in range(0, 640, 4):
+        before = [(s.buffers, s.capacity) for s in stores]
+        sess.push(frames[t:t + 4])
+        for store, (buffers, capacity) in zip(stores, before):
+            assert store.capacity % ROW_BLOCK == 0
+            assert 0 <= store.capacity - store.rows < ROW_BLOCK
+            if store.rows <= capacity:
+                # no block filled: the same (keys, values) buffers, or still none
+                assert store.buffers is buffers
+                kept += 1
+            else:
+                grown += 1
+    assert sess.encoder.rows == 160 and min(s.rows for s in stores) > 150
+    # each store grew once per block it holds and kept its buffers otherwise
+    assert grown == sum(-(-s.rows // ROW_BLOCK) for s in stores) and kept == 4 * 160 - grown
 
 
 @settings(max_examples=12, deadline=None)
