@@ -9,7 +9,9 @@ audio second; the ratio streaming/offline is the fixed per-push cost the
 streaming path pays on top of the rows it computes.  It also prints the
 median cost of one streaming push in the first and the last quarter of
 the utterance (each push timed as the best of its ``REPEATS`` runs), so
-a cost that grows with stream length shows.  Both paths must return the
+a cost that grows with stream length shows, and the median cost of the
+conv front end and projection alone (``IncrementalEncoder.front_end``)
+per push, so its share of a push shows.  Both paths must return the
 same bits, and the script exits 1 if they do not.
 
     python3 scripts/encoder_cost.py              # 4 s utterance, best of 5
@@ -74,8 +76,19 @@ def main():
         rows.append(enc.push(None, final=True))
         return np.concatenate(rows), pushes
 
+    def front_end():
+        """The seconds each chunk's front end took."""
+        enc = IncrementalEncoder(model.encoder, EPS_ENC)
+        pushes = []
+        for t in range(0, frames.shape[0], CHUNK_FRAMES):
+            t0 = perf_counter()
+            enc.front_end(frames[t:t + CHUNK_FRAMES], False)
+            pushes.append(perf_counter() - t0)
+        return pushes
+
     off_s, off_runs = best_of(offline)
     str_s, str_runs = best_of(streaming)
+    _, front_runs = best_of(front_end)
     off_rows, str_rows = off_runs[-1], str_runs[-1][0]
     if not np.array_equal(off_rows, str_rows):
         sys.exit("streaming and offline encoder rows differ")
@@ -83,6 +96,8 @@ def main():
     quarter = max(1, len(pushes) // 4)
     first_us = float(np.median(pushes[:quarter])) * 1e6
     last_us = float(np.median(pushes[-quarter:])) * 1e6
+    push_us = float(np.median(pushes)) * 1e6
+    front_us = float(np.median(np.min(front_runs, axis=0))) * 1e6
 
     print(f"{audio_s:g} s utterance, {off_rows.shape[0]} encoder rows, eps_enc {EPS_ENC}, "
           f"{CHUNK_FRAMES * 10} ms chunks, best of {REPEATS}")
@@ -91,6 +106,8 @@ def main():
     print(f"streaming/offline: {str_s / off_s:.2f}x")
     print(f"streaming push, median per push: first quarter {first_us:.0f} us, "
           f"last quarter {last_us:.0f} us ({last_us / first_us:.2f}x)")
+    print(f"front end (conv stack and projection), median per push: {front_us:.0f} us "
+          f"of {push_us:.0f} us ({front_us / push_us:.0%})")
 
 
 if __name__ == "__main__":

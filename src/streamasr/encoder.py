@@ -188,21 +188,44 @@ class _LayerRows:
         self.kv = KeyValueStore(layer.mha)
 
     def push(self, x, final):
-        """New input rows -> the output rows whose look-ahead is complete."""
+        """New input rows -> the output rows whose look-ahead is complete.
+
+        The rows emitted are taken from the pending rows before the new
+        ones are joined to them, so a push that emits every old pending
+        row (a steady push) joins nothing."""
         layer, h = self.layer, self.heads
+        q = None
         if x.shape[0]:
             qkv = project_heads(kernels.layer_norm(x, layer.norm1_g, layer.norm1_b),
                                 layer.mha.qkv())
             self.kv.append(qkv[h:2 * h], qkv[2 * h:])
-            if self.x.shape[0]:
-                self.x = np.concatenate([self.x, x])
-                self.q = np.concatenate([self.q, qkv[:h]], axis=1)
-            else:
-                self.x, self.q = x, qkv[:h]
-        n, pending = self.kv.rows, self.x.shape[0]
+            q = qkv[:h]
+        old = self.x.shape[0]
+        pending = old + x.shape[0]
         m = pending if final else int(max(0, pending - self.eps))
+        if m > old:  # new rows are emitted too: join them first
+            self._join(x, q)
+            return self._emit(m, pending)
+        out = self._emit(m, pending)
+        self._join(x, q)
+        return out
+
+    def _join(self, x, q):
+        """Append new input rows and their query heads to the pending ones."""
+        if not x.shape[0]:
+            return
+        if self.x.shape[0]:
+            self.x = np.concatenate([self.x, x])
+            self.q = np.concatenate([self.q, q], axis=1)
+        else:
+            self.x, self.q = x, q
+
+    def _emit(self, m, pending):
+        """The output rows of the first m of ``pending`` rows, whose first
+        m are held in ``x`` and ``q``; they leave the pending rows."""
         if m == 0:
             return self.x[:0]
+        layer, n = self.layer, self.kv.rows
         # pending row i is row n - pending + i and sees the keys up to eps
         # rows ahead of it, so the first `limited` rows end before the last
         # key (eps is finite then) and each scores a key prefix alone

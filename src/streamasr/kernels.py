@@ -5,6 +5,13 @@ in float64.  Every reduction here has a fixed evaluation order, and every
 row-level operation depends only on its own row.  That makes repeated
 calls bit-identical and lets the causality and streaming-equivalence
 checks compare outputs with ``==`` instead of a tolerance.
+
+The convolution keeps the bits of ``np.einsum``: each (in-channel, kernel
+row) pair's kernel-column products are summed left to right, and those
+sums are added one after another from +0.  For float32 rows of at least
+two output columns :func:`conv_time_slab` computes that order with
+whole-array products and one sequential reduction; every other input
+stays on einsum itself.
 """
 
 import math
@@ -55,28 +62,52 @@ def layer_norm(m, gain, bias, eps=1e-12):
 
 
 def conv_time_slab(window, kernels, stride):
-    """One output time row of a 2-D convolution (cross-correlation).
+    """One output time row (out_ch, f_out) of a 2-D convolution
+    (cross-correlation).
 
     ``window`` is the already padded input slab (in_ch, k_h, f_padded)
     covering a single output time position; the frequency axis is swept
     here and :func:`conv2d` sweeps time with it, so a window yields the
-    same row however many rows the call computes.  The slab is copied to
-    a contiguous buffer first: einsum's traversal order may depend on
-    input strides, and callers pass views.  The frequency windows are a
-    strided array over that buffer, made directly by ``np.ndarray``, with
-    the shape and strides that
-    ``sliding_window_view(window, k_w, axis=2)[:, :, ::stride]`` gives.
+    same row however many rows the call computes.
+
+    The row has the bits of ``np.einsum("ihfw,oihw->of", ...)`` over the
+    strided frequency windows, which sums in two levels: each (in-channel,
+    kernel row) pair's kernel-column products left to right,
+    ``(p0 + p1) + p2``, then those partial sums one after another in
+    in-channel-major order, starting from +0.  For float32 windows and
+    kernels with at least two output columns that order is computed here
+    as whole-array arithmetic: one product per kernel column of a strided
+    column slice (a view: elementwise products have the same bits on any
+    layout) accumulated in column order, then one sequential
+    ``np.add.reduce`` over the (in-channel, kernel row) axis.  Every other
+    input (float64, mixed dtypes, or ``f_out == 1``, where einsum merges
+    the kernel row and column loops) follows no fixed order, so it stays
+    on einsum, over a contiguous copy of the slab since einsum's order may
+    depend on strides.
     """
-    window = np.ascontiguousarray(window)
+    in_ch, k_h = window.shape[:2]
     k_w = kernels.shape[3]
     f_out = (window.shape[2] - k_w) // stride + 1
     if f_out < 1:
         raise ValueError("input too short")
-    s_c, s_h, s_f = window.strides
-    sw = np.ndarray(window.shape[:2] + (f_out, k_w), window.dtype, window,
-                    strides=(s_c, s_h, s_f * stride, s_f))
-    # sw: (in_ch, k_h, f_out, k_w); kernels: (out_ch, in_ch, k_h, k_w)
-    return np.einsum("ihfw,oihw->of", sw, kernels, optimize=False)
+    if f_out == 1 or window.dtype != np.float32 or kernels.dtype != np.float32:
+        # the frequency windows, made directly by np.ndarray with the shape
+        # and strides that sliding_window_view(window, k_w, axis=2)[:, :, ::stride]
+        # gives
+        window = np.ascontiguousarray(window)
+        s_c, s_h, s_f = window.strides
+        sw = np.ndarray((in_ch, k_h, f_out, k_w), window.dtype, window,
+                        strides=(s_c, s_h, s_f * stride, s_f))
+        return np.einsum("ihfw,oihw->of", sw, kernels, optimize=False)
+    span = stride * (f_out - 1) + 1
+    # (in_ch, k_h, 1, k_w, out_ch): column w's weights broadcast over f_out
+    kt = kernels.transpose(1, 2, 3, 0)[:, :, None]
+    acc = window[:, :, 0:span:stride, None] * kt[:, :, :, 0]
+    for w in range(1, k_w):
+        acc += window[:, :, w:w + span:stride, None] * kt[:, :, :, w]
+    # acc: (in_ch, k_h, f_out, out_ch); the reduction over the outer axis adds
+    # the pairs' sums one after another, and initial=0 is einsum's +0 start
+    return np.add.reduce(acc.reshape(in_ch * k_h, f_out, -1), axis=0, initial=0).T
 
 
 def conv2d(x, kernels, stride):

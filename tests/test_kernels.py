@@ -140,23 +140,55 @@ def test_conv2d_matches_scalar_oracle():
         assert np.allclose(got, conv2d_oracle(x, k, stride, pad), atol=1e-10)
 
 
-@settings(max_examples=120, deadline=None)
-@given(in_ch=st.integers(1, 3), out_ch=st.integers(1, 4), k_h=st.integers(1, 3),
-       k_w=st.integers(1, 3), f=st.integers(3, 40), stride=st.integers(1, 3),
-       dtype=st.sampled_from([np.float32, np.float64]), strided=st.booleans(),
+def bits(a):
+    """The bit patterns of a float32 or float64 array: -0.0 differs from +0.0."""
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+# channel pairs (in, out), the mid model's two convs among them
+CONV_CHANNELS = st.one_of(st.tuples(st.integers(1, 3), st.integers(1, 4)),
+                          st.sampled_from([(1, 16), (16, 32)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(channels=CONV_CHANNELS, k_h=st.integers(1, 3), k_w=st.integers(1, 3),
+       f_extra=st.integers(0, 40), stride=st.integers(1, 3),
+       dtypes=st.sampled_from([(np.float32, np.float32), (np.float64, np.float64),
+                               (np.float32, np.float64)]),
+       values=st.sampled_from(["normal", "relu", "zero"]),
+       weights=st.sampled_from(["mixed", "negative"]),
+       layout=st.sampled_from(["contiguous", "time-slice", "freq-strided"]),
        seed=st.integers(0, 2**32 - 1))
-def test_conv_time_slab_equals_its_window_view_form(in_ch, out_ch, k_h, k_w, f, stride, dtype,
-                                                    strided, seed):
-    # the strided windows have sliding_window_view's shape and strides, so
-    # einsum gets an identical operand
+def test_conv_time_slab_equals_its_window_view_form(channels, k_h, k_w, f_extra, stride, dtypes,
+                                                    values, weights, layout, seed):
+    # f_extra < stride gives f_out == 1; with float64 or mixed dtypes that
+    # keeps einsum's own path in the draws.  "time-slice" windows are rows
+    # of a (ch, T, F) buffer, as conv2d passes them; "freq-strided" ones
+    # have a frequency stride of two items.  ReLU-style and all-zero
+    # windows make zero products of both signs (all -0.0 under negative
+    # weights), so the bit comparison tells -0.0 from +0.0
+    in_ch, out_ch = channels
+    w_dtype, k_dtype = dtypes
+    f = k_w + f_extra
     rng = np.random.default_rng(seed)
-    window = rng.standard_normal((in_ch, k_h, 2 * f)).astype(dtype)
-    window = window[:, :, ::2] if strided else window[:, :, :f]
-    kern = rng.standard_normal((out_ch, in_ch, k_h, k_w)).astype(dtype)
+    buf = rng.standard_normal((in_ch, k_h + 3, 2 * f)).astype(w_dtype)
+    if values == "relu":
+        buf = np.maximum(buf, 0)
+    elif values == "zero":
+        buf[:] = 0
+    if layout == "contiguous":
+        window = np.ascontiguousarray(buf[:, :k_h, :f])
+    elif layout == "time-slice":
+        window = buf[:, 2:2 + k_h, :f]
+    else:
+        window = buf[:, :k_h, ::2]
+    kern = rng.standard_normal((out_ch, in_ch, k_h, k_w)).astype(k_dtype)
+    if weights == "negative":
+        kern = -np.abs(kern)
     got = kernels.conv_time_slab(window, kern, stride)
     want = conv_time_slab_window_view(window, kern, stride)
     assert got.dtype == want.dtype and got.shape == want.shape
-    assert (got == want).all()
+    assert (bits(got) == bits(want)).all()
 
 
 @settings(max_examples=80, deadline=None)
@@ -168,7 +200,8 @@ def test_conv2d_equals_its_np_pad_form(in_ch, out_ch, t, f, stride, pad, seed):
     x = rng.standard_normal((in_ch, t, f)).astype(np.float32)
     kern = rng.standard_normal((out_ch, in_ch, 3, 3)).astype(np.float32)
     got = kernels.conv2d(np.pad(x, ((0, 0), (pad, pad), (pad, pad))), kern, stride)
-    assert (got == conv2d_np_pad(x, kern, stride, pad)).all()
+    want = conv2d_np_pad(x, kern, stride, pad)
+    assert got.dtype == want.dtype and (bits(got) == bits(want)).all()
 
 
 def test_conv2d_linearity():
