@@ -4,12 +4,9 @@ search, all on deterministic per-row numpy kernels."""
 
 from .attention import (
     MhaParams,
-    causal_mask,
     full_mask,
-    lookahead_mask,
     multi_head_attention,
     scaled_dot_attention,
-    truncation_mask,
 )
 from .ctc import (
     BLANK,
@@ -27,8 +24,6 @@ from .decoder import (
     DecoderLayerParams,
     DecoderParams,
     advance_position,
-    decoder_log_posterior,
-    decoder_posterior,
     ta_prefix_score,
 )
 from .encoder import (

@@ -19,10 +19,12 @@ bits as its C-contiguous copy, because its rows are packed the same way
 included).  Only rows laid out otherwise, such as head columns of a
 (rows, heads * d) matrix, are copied first.
 
-Two kinds of owner keep projected rows.  :class:`KeyValueStore` is
-append-in-place, for a sequence that only grows: each encoder layer and
-the decoder's cross-attention cache.  :class:`KeyValues` is an immutable
-pair, for decoder histories, which branch per prefix.
+One owner keeps the projected rows of a sequence that only grows:
+:class:`KeyValueStore`, which appends them in place, for each encoder
+layer and for the decoder's cross-attention cache.  Decoder histories,
+which branch per prefix, are the decoder's own (one array per prefix, see
+:mod:`streamasr.decoder`); attention reads their per-layer key and value
+slices as it reads a store's views, without a copy.
 """
 
 import math
@@ -80,34 +82,6 @@ def full_mask(n_q, n_k):
     mask = np.empty((n_q, n_k), dtype=bool)
     mask.fill(True)  # np.ones without its Python-level wrapper
     return mask
-
-
-def lookahead_mask(n_q, n_k, lookahead):
-    """Query i may attend to keys j <= i + lookahead; the past is unbounded.
-
-    ``lookahead`` may be math.inf for an unrestricted mask; so is every
-    mask whose first row already sees the last key.
-    """
-    if not isinstance(lookahead, (int, float)):
-        raise ValueError(f"lookahead must be a number, got {type(lookahead).__name__}")
-    if lookahead < 0:
-        raise ValueError(f"lookahead must be >= 0, got {lookahead}")
-    if lookahead >= n_k - 1:
-        return full_mask(n_q, n_k)
-    cols = np.arange(n_k)
-    rows = np.arange(n_q)
-    return cols[None, :] <= rows[:, None] + int(lookahead)
-
-
-def causal_mask(n):
-    return lookahead_mask(n, n, 0)
-
-
-def truncation_mask(limits, n_k):
-    """Row i attends to key rows 0..limits[i]-1 (a per-row prefix of keys)."""
-    limits = np.asarray(limits, dtype=int)
-    cols = np.arange(n_k)
-    return cols[None, :] < limits[:, None]
 
 
 def scaled_dot_attention(q, k, v, mask):
@@ -196,16 +170,11 @@ def project_heads(x, w):
 def attend(q_in, keys, values, params, mask):
     """Multi-head attention over head-major keys and values already
     projected by :func:`project_heads` with ``params.w_k`` and
-    ``params.w_v``: :func:`attend_heads` on the rows of q_in projected
-    by ``params.w_q``."""
-    return attend_heads(project_heads(q_in, params.w_q), keys, values, params, mask)
-
-
-def attend_heads(q, keys, values, params, mask):
-    """Multi-head attention of head-major queries q (heads, rows, d)
-    already projected: one :func:`scaled_dot_attention` call for all
-    heads, then :func:`merge_heads`."""
-    return merge_heads(scaled_dot_attention(q, keys, values, mask), params)
+    ``params.w_v``: the rows of q_in projected by ``params.w_q``, one
+    :func:`scaled_dot_attention` call for all heads, then
+    :func:`merge_heads`."""
+    return merge_heads(scaled_dot_attention(project_heads(q_in, params.w_q), keys, values, mask),
+                       params)
 
 
 def merge_heads(heads, params):
@@ -276,41 +245,3 @@ class KeyValueStore:
                     np.zeros((self.heads, 0, self.d_v), dtype=np.float32))
         return self.buffers[0][:, :n], self.buffers[1][:, :n]
 
-
-@dataclass(frozen=True)
-class KeyValues:
-    """Attention keys and values of a decoder history, projected once.
-
-    keys, values: head-major (heads, rows, d) arrays, as
-    :func:`project_heads` returns them, so :func:`attend` hands all heads
-    to one :func:`scaled_dot_attention` call.  ``shape`` is that of the
-    (rows, heads * d) matrix of the heads side by side.  The pair is
-    immutable, because histories branch: sibling prefixes extend one
-    parent history, each with its own copy.  Sequences that only grow
-    (the encoder layers, the cross-attention cache) append in place to a
-    :class:`KeyValueStore` instead.
-    """
-
-    keys: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def empty(cls, mha):
-        def none(w):
-            return np.zeros((w.shape[0], 0, w.shape[2]), dtype=np.float32)
-
-        return cls(none(mha.w_k), none(mha.w_v))
-
-    @property
-    def rows(self):
-        return self.keys.shape[1]
-
-    @property
-    def shape(self):
-        h, n, d = self.keys.shape
-        return (n, h * d)
-
-    def append(self, other):
-        """These rows followed by ``other``'s."""
-        return KeyValues(np.concatenate([self.keys, other.keys], axis=1),
-                         np.concatenate([self.values, other.values], axis=1))

@@ -11,14 +11,17 @@ computes a batch of new positions that share a truncation nu (a search
 frame's distinct parents) in one pass, and ``advance_position`` is its
 one-row case.
 
-Attention keys and values are projected once per row and kept: a
-prefix's history holds its positions' self-attention keys and values
-(:class:`KeyValues`, immutable, because histories branch), and a
+Attention keys and values are projected once per row and kept.  A
 :class:`CrossAttentionCache`, fed encoder rows as they arrive, appends
-their cross-attention keys and values in place for a whole utterance.
-A step therefore projects only its own position, and it returns each
-row's history with that position appended: the one copy of the history
-its self-attention reads and its caller keeps.
+their cross-attention keys and values in place for a whole utterance.  A
+prefix's history is one array, (layers, 2, heads, positions, d), with
+every layer's self-attention keys (``[:, 0]``) and values (``[:, 1]``)
+of its positions; it is the decoder's own format, which callers keep and
+hand back without looking inside.  Histories branch, sibling prefixes
+extending one parent, so a step never writes the history it is given: it
+copies it once into a new array with room for the new position, writes
+each layer's new key and value rows there, and its self-attention reads
+that array, which the step returns for its caller to keep.
 """
 
 from dataclasses import dataclass, field
@@ -26,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attention, kernels
-from .attention import (KeyValues, KeyValueStore, MhaParams, attend, full_mask, merge_heads,
-                        project_heads)
+from .attention import KeyValueStore, MhaParams, attend, full_mask, merge_heads, project_heads
 # multi_head_attention is no longer called here, but stays bound: the
 # benchmark's tracer (perfbench/tracer.py) wraps it by this module's name.
 from .attention import multi_head_attention  # noqa: F401
@@ -90,9 +92,7 @@ class CrossAttentionCache:
     hands out ``[:, :nu]`` views that attention reads without a copy.
     A streaming search hands it rows as the encoder emits them; emitted
     rows never change, which is what keeps a projection valid for the
-    rest of the utterance.  ``rows`` counts the rows added.  (Decoder
-    histories, which branch per prefix, stay immutable
-    :class:`KeyValues`.)
+    rest of the utterance.  ``rows`` counts the rows added.
     """
 
     def __init__(self, params, enc=None):
@@ -124,8 +124,8 @@ class CrossAttentionCache:
 def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
     """Decoder states and next-label posteriors for B new positions at once.
 
-    Row i extends the positions cached in ``hists[i]`` (one
-    :class:`KeyValues` per layer) with a position that embeds
+    Row i extends the positions cached in ``hists[i]`` (a history array,
+    see :func:`empty_history`) with a position that embeds
     ``token_ids[i]`` at index ``pos_indices[i]``; it self-attends over
     its own history plus itself, and every row cross-attends to encoder
     rows 1..nu only.  ``cache`` is a :class:`CrossAttentionCache` shared
@@ -136,10 +136,11 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
     once over the B rows; they are row-invariant, and attention is
     computed per query row, so row i equals a call with that row alone
     bit for bit.  Returns one (history, log_posterior) per row: a new
-    per-layer history, ``hists[i]`` with the position appended (the input
-    is left untouched), and the float64 log posterior over the vocabulary.
-    Each layer grows the histories once, through :func:`append_history`,
-    and its self-attention reads what it stores.
+    history array, ``hists[i]`` with the position appended (the input is
+    left untouched), and the float64 log posterior over the vocabulary.
+    :func:`append_history` copies each history once, before the first
+    layer; each layer writes its new key and value rows into the copies,
+    and its self-attention reads them there.
     """
     if not isinstance(cache, CrossAttentionCache):
         cache = CrossAttentionCache(params, cache)
@@ -154,16 +155,15 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
     if b == 0:
         return []
     cur = params.embed[np.asarray(token_ids)] + positional_encodings(pos_indices, params.d_model)
-    grown = []  # per layer: every row's history with its new position
+    grown = append_history(hists, cur.dtype)
     src_mask = full_mask(b, nu)
     for d, layer in enumerate(params.layers):
         normed = kernels.layer_norm(cur, layer.norm1_g, layer.norm1_b)
-        q, k, v = np.split(project_heads(normed, layer.self_mha.qkv()), 3)
-        # row i's new key and value heads, each (heads, 1, d)
-        new = [KeyValues(kr, vr) for kr, vr in zip(k.swapaxes(0, 1)[:, :, None],
-                                                    v.swapaxes(0, 1)[:, :, None])]
-        grown.append(append_history([h[d] for h in hists], new))
-        z = cur + merge_heads(_attend_own_histories(q, grown[-1]), layer.self_mha)
+        qkv = project_heads(normed, layer.self_mha.qkv())
+        qkv = qkv.reshape(3, -1, b, qkv.shape[-1])  # query, key and value heads, (heads, B, d) each
+        for i, hist in enumerate(grown):
+            hist[d, :, :, -1] = qkv[1:, :, i]
+        z = cur + merge_heads(_attend_own_histories(qkv[0], grown, d), layer.self_mha)
         normed_q = kernels.layer_norm(z, layer.norm2_g, layer.norm2_b)
         keys, values = cache.layer(d, nu)
         z = z + attend(normed_q, keys, values, layer.src_mha, src_mask)
@@ -171,16 +171,15 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
         cur = z + feed_forward(normed_f, layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b)
     final = kernels.layer_norm(cur, params.final_norm_g, params.final_norm_b)
     logits = kernels.matmul(final, params.out_w) + params.out_b
-    return [(list(hist), kernels.log_softmax_f64(logits[i]))
-            for i, hist in enumerate(zip(*grown))]
+    return [(hist, kernels.log_softmax_f64(logits[i])) for i, hist in enumerate(grown)]
 
 
-def _attend_own_histories(q, hists):
+def _attend_own_histories(q, hists, d):
     """Head-major attention outputs (heads, B, d_v): query row i of q over
-    the keys and values of ``hists[i]``, its history with its new position
-    already appended, all of which it sees."""
-    return np.concatenate([attention.scaled_dot_attention(q[:, i:i + 1], h.keys, h.values,
-                                                          full_mask(1, h.rows))
+    layer d's keys and values in ``hists[i]``, its history with its new
+    position already written, all of which it sees."""
+    return np.concatenate([attention.scaled_dot_attention(q[:, i:i + 1], h[d, 0], h[d, 1],
+                                                          full_mask(1, h.shape[3]))
                            for i, h in enumerate(hists)], axis=1)
 
 
@@ -193,35 +192,29 @@ def advance_position(params, enc, hist, token_id, pos_index, nu):
 
 
 def empty_history(params):
-    """Fresh per-layer history for a decode with no positions computed yet."""
-    return [KeyValues.empty(layer.self_mha) for layer in params.layers]
+    """The history of a decode with no positions computed yet: a
+    (layers, 2, heads, 0, d) array.  Every layer's self-attention must
+    have the same heads and key width, which the one array stacks, else
+    ``ValueError``."""
+    dims = {layer.self_mha.w_k.shape[::2] for layer in params.layers}
+    if len(dims) > 1:
+        raise ValueError(f"decoder layers differ in self-attention (heads, d_k): {sorted(dims)}")
+    heads, d_k = dims.pop() if dims else (0, 0)
+    return np.zeros((len(params.layers), 2, heads, 0, d_k), dtype=np.float32)
 
 
-def append_history(hist, new_rows):
-    """Pair two lists of :class:`KeyValues`: each of ``hist`` followed by
-    the matching entry of ``new_rows``, as a new list (inputs left
-    untouched)."""
-    return [h.append(r) for h, r in zip(hist, new_rows)]
-
-
-def decoder_log_posterior(enc, nu, context, params):
-    """Float64 log posterior of the next label after ``context``.
-
-    context is the label-id sequence already decoded (the start token is
-    implicit); every position uses the same encoder truncation nu.
-    """
-    tokens = [params.sos_id] + list(context)
-    cache = CrossAttentionCache(params, enc)
-    hist = empty_history(params)
-    logp = None
-    for i, tok in enumerate(tokens):
-        hist, logp = advance_position(params, cache, hist, tok, i, nu)
-    return logp
-
-
-def decoder_posterior(enc, nu, context, params):
-    """Probability vector over the vocabulary for the next label."""
-    return np.exp(decoder_log_posterior(enc, nu, context, params))
+def append_history(hists, dtype):
+    """Each of ``hists`` copied into a new array with room for one more
+    position, whose rows are left for the caller to write; the dtype is
+    the history's promoted by ``dtype``, that of the rows to come.  The
+    inputs are left untouched."""
+    grown = []
+    for hist in hists:
+        layers, _, heads, n, d_k = hist.shape
+        new = np.empty((layers, 2, heads, n + 1, d_k), dtype=np.result_type(hist, dtype))
+        new[:, :, :, :n] = hist
+        grown.append(new)
+    return grown
 
 
 def ta_prefix_score(enc, labels, nu_per_label, params):

@@ -432,7 +432,7 @@ def _format_trace(frame, beams, prefix, phat, pjoint):
 class _TaEntry:
     logp: float
     nus: tuple
-    hist: list  # per-layer attention.KeyValues: self-attention keys and values
+    hist: np.ndarray  # the prefix's decoder history, opaque here (see decoder.empty_history)
     step: tuple = None  # (nu, child_hist, log_posterior) of the next label, see _step
 
 

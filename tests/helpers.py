@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from streamasr.ctc import Posteriorgram
+from streamasr.decoder import CrossAttentionCache, advance_positions, empty_history
 from streamasr.lm import NgramLM
 from streamasr.modelio import random_model
 
@@ -47,6 +48,17 @@ def bigram(rng, n_labels, quantized):
 
 def random_enc_states(rng, n, d_model):
     return rng.standard_normal((n, d_model)).astype(np.float32)
+
+
+def next_label_logp(dec, enc, nu, context):
+    """Float64 log posterior of the label after ``context`` (label ids,
+    the start token implicit), every position stepped through
+    ``advance_positions`` at truncation nu on one CrossAttentionCache."""
+    cache = CrossAttentionCache(dec, enc)
+    hist = empty_history(dec)
+    for pos, token in enumerate([dec.sos_id, *context]):
+        [(hist, logp)] = advance_positions(dec, cache, [hist], [token], [pos], nu)
+    return logp
 
 
 def normalized_bigram_arpa(rng, ids):

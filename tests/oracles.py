@@ -35,6 +35,34 @@ def log_add_oracle(a, b):
     return m + math.log(math.exp(a - m) + math.exp(b - m))
 
 
+def lookahead_mask(n_q, n_k, lookahead):
+    """Query i may attend to keys j <= i + lookahead; the past is unbounded.
+
+    ``lookahead`` may be math.inf for an unrestricted mask; so is every
+    mask whose first row already sees the last key.
+    """
+    if not isinstance(lookahead, (int, float)):
+        raise ValueError(f"lookahead must be a number, got {type(lookahead).__name__}")
+    if lookahead < 0:
+        raise ValueError(f"lookahead must be >= 0, got {lookahead}")
+    if lookahead >= n_k - 1:
+        return np.ones((n_q, n_k), dtype=bool)
+    cols = np.arange(n_k)
+    rows = np.arange(n_q)
+    return cols[None, :] <= rows[:, None] + int(lookahead)
+
+
+def causal_mask(n):
+    return lookahead_mask(n, n, 0)
+
+
+def truncation_mask(limits, n_k):
+    """Row i attends to key rows 0..limits[i]-1 (a per-row prefix of keys)."""
+    limits = np.asarray(limits, dtype=int)
+    cols = np.arange(n_k)
+    return cols[None, :] < limits[:, None]
+
+
 def layer_norm_oracle(mat, gain, bias, eps=1e-12):
     mat = np.asarray(mat, dtype=np.float64)
     out = []
@@ -258,7 +286,7 @@ def full_context_decoder_logps(dec, enc, labels):
     """Next-token log-posteriors for every position of a full-context run,
     computed as one batched pass (whole prefix matrix at once, causal
     self-attention, cross-attention over all encoder rows)."""
-    from streamasr.attention import causal_mask, full_mask, multi_head_attention
+    from streamasr.attention import full_mask, multi_head_attention
     from streamasr.encoder import feed_forward, positional_encodings
     from streamasr import kernels
 
@@ -459,12 +487,14 @@ def own_histories_block_mask(pasts, rows):
     """Every row's history followed by its new row, stacked along the key
     axis, and the block mask that lets query row i attend to exactly its
     own block: the decoder's self-attention as one grouped
-    ``scaled_dot_attention`` call."""
+    ``scaled_dot_attention`` call.  ``pasts[i]`` holds row i's keys and
+    values stacked, (2, heads, n_i, d), and ``rows`` the new rows',
+    (2, heads, B, d)."""
     keys, values = [], []
     for i, past in enumerate(pasts):
-        keys += [past.keys, rows.keys[:, i:i + 1]]
-        values += [past.values, rows.values[:, i:i + 1]]
-    ends = np.cumsum([past.rows + 1 for past in pasts])
+        keys += [past[0], rows[0, :, i:i + 1]]
+        values += [past[1], rows[1, :, i:i + 1]]
+    ends = np.cumsum([past.shape[2] + 1 for past in pasts])
     starts = np.concatenate([[0], ends[:-1]])
     cols = np.arange(ends[-1])
     mask = (cols >= starts[:, None]) & (cols < ends[:, None])

@@ -15,7 +15,7 @@ from streamasr.attention import full_mask, scaled_dot_attention
 from streamasr.ctc import (Posteriorgram, PrefixScores, ctc_forward_logprob,
                            ctc_prefix_step, ctc_viterbi_align,
                            posteriorgram_from_states)
-from streamasr.decoder import decoder_posterior, ta_prefix_score
+from streamasr.decoder import ta_prefix_score
 from streamasr.encoder import encode, encoder_forward, encoder_layer
 from streamasr.kernels import NEG_INF, layer_norm
 from streamasr.lm import UniformLM, ngram_load
@@ -24,8 +24,8 @@ from streamasr.search import (DecodeParams, LossParams, ctc_prefix_search,
                               decode, joint_loss)
 from streamasr.streaming import (StreamConfig, StreamingSession,
                                  emission_frame, theoretical_latency_ms)
-from helpers import (logprob_rows, normalized_bigram_arpa, random_enc_states,
-                     tiny_model)
+from helpers import (logprob_rows, next_label_logp, normalized_bigram_arpa,
+                     random_enc_states, tiny_model)
 from oracles import (collapse_path, ctc_path_masses, exhaustive_joint_argmax,
                      full_context_decoder_logps, latency_oracle,
                      stepwise_ta_with_eos, viterbi_oracle)
@@ -225,11 +225,11 @@ def test_acceptance_06_triggered_truncation():
         enc = random_enc_states(rng, n, 8)
         nu = int(rng.integers(1, n + 1))
         ctx = tuple(int(rng.integers(2, 5)) for _ in range(int(rng.integers(0, 4))))
-        base = decoder_posterior(enc, nu, ctx, m.decoder)
+        base = next_label_logp(m.decoder, enc, nu, ctx)
         pert = enc.copy()
         pert[nu:] += 9.0
         if nu < n and not np.array_equal(
-                base, decoder_posterior(pert, nu, ctx, m.decoder)):
+                base, next_label_logp(m.decoder, pert, nu, ctx)):
             failures.append((case, "truncation leak"))
     for case in range(20):
         m = tiny_model(int(rng.integers(1, 10**9)))
@@ -356,7 +356,7 @@ def test_acceptance_10_normalization_suite(tmp_path):
         n = int(rng.integers(2, 6))
         enc = random_enc_states(rng, n, 8)
         ctx = tuple(int(rng.integers(2, 5)) for _ in range(int(rng.integers(0, 3))))
-        p = decoder_posterior(enc, n, ctx, m.decoder)
+        p = np.exp(next_label_logp(m.decoder, enc, n, ctx))
         cases += 1
         if abs(float(p.sum()) - 1.0) > 1e-6:
             failures.append(("decoder", cases))

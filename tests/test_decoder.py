@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamasr import decoder
-from streamasr.attention import KeyValues, scaled_dot_attention
-from streamasr.decoder import (CrossAttentionCache, advance_position,
-                               advance_positions, append_history, decoder_log_posterior,
-                               decoder_posterior, empty_history,
-                               ta_prefix_score)
-from helpers import random_enc_states, tiny_model
+from streamasr import decoder, kernels
+from streamasr.attention import project_heads, scaled_dot_attention
+from streamasr.decoder import (CrossAttentionCache, advance_position, advance_positions,
+                               append_history, empty_history, ta_prefix_score)
+from streamasr.encoder import positional_encodings
+from helpers import next_label_logp, random_enc_states, tiny_model
 from oracles import full_context_decoder_logps, own_histories_block_mask
 
 
@@ -22,7 +21,7 @@ def setup_case(seed, n=5, **kw):
 def test_posterior_rows_normalize():
     dec, enc = setup_case(50)
     for ctx in [(), (2,), (2, 3), (4, 2, 3)]:
-        p = decoder_posterior(enc, 3, ctx, dec)
+        p = np.exp(next_label_logp(dec, enc, 3, ctx))
         assert p.shape == (dec.vocab_size,)
         assert abs(p.sum() - 1.0) < 1e-6
         assert (p > 0).all()
@@ -30,34 +29,34 @@ def test_posterior_rows_normalize():
 
 def test_log_posterior_is_float64_log_of_posterior():
     dec, enc = setup_case(51)
-    lp = decoder_log_posterior(enc, 4, (2,), dec)
+    lp = next_label_logp(dec, enc, 4, (2,))
     assert lp.dtype == np.float64
-    assert np.allclose(np.exp(lp), decoder_posterior(enc, 4, (2,), dec), atol=1e-12)
+    assert abs(np.exp(lp).sum() - 1.0) < 1e-12
 
 
 def test_truncation_hides_later_encoder_rows_bit_exactly():
     dec, enc = setup_case(52, n=6)
     nu = 3
-    base = decoder_log_posterior(enc, nu, (2, 4), dec)
+    base = next_label_logp(dec, enc, nu, (2, 4))
     pert = enc.copy()
     pert[nu:] += 7.0
-    again = decoder_log_posterior(pert, nu, (2, 4), dec)
+    again = next_label_logp(dec, pert, nu, (2, 4))
     assert np.array_equal(base, again)
 
 
 def test_visible_encoder_row_changes_posterior():
     dec, enc = setup_case(53, n=6)
-    base = decoder_log_posterior(enc, 3, (2,), dec)
+    base = next_label_logp(dec, enc, 3, (2,))
     pert = enc.copy()
     pert[2] += 7.0
-    assert not np.array_equal(base, decoder_log_posterior(pert, 3, (2,), dec))
+    assert not np.array_equal(base, next_label_logp(dec, pert, 3, (2,)))
 
 
 def test_nu_out_of_range():
     dec, enc = setup_case(54, n=4)
     for nu in (0, 5, -1):
         with pytest.raises(ValueError, match="trigger index out of range"):
-            decoder_log_posterior(enc, nu, (), dec)
+            next_label_logp(dec, enc, nu, ())
 
 
 def test_causal_consistency_of_cached_positions():
@@ -69,7 +68,7 @@ def test_causal_consistency_of_cached_positions():
     tokens = (dec.sos_id,) + ctx
     for i, tok in enumerate(tokens):
         hist, logp = advance_position(dec, enc, hist, tok, i, 5)
-        standalone = decoder_log_posterior(enc, 5, ctx[:i], dec)
+        standalone = next_label_logp(dec, enc, 5, ctx[:i])
         assert np.array_equal(logp, standalone)
 
 
@@ -80,7 +79,7 @@ def test_ta_prefix_score_empty_is_zero():
 
 def test_ta_prefix_score_single_label_is_log_posterior_entry():
     dec, enc = setup_case(57, n=4)
-    lp = decoder_log_posterior(enc, 4, (), dec)
+    lp = next_label_logp(dec, enc, 4, ())
     assert ta_prefix_score(enc, (3,), (4,), dec) == pytest.approx(float(lp[3]), abs=1e-12)
 
 
@@ -133,7 +132,7 @@ def test_earlier_positions_unaffected_by_later_truncation_growth():
     labels = (2, 3)
     total_a = ta_prefix_score(enc, labels, (2, 2), dec)
     total_b = ta_prefix_score(enc, labels, (2, 6), dec)
-    lp_first = decoder_log_posterior(enc, 2, (), dec)
+    lp_first = next_label_logp(dec, enc, 2, ())
     # both runs score the first label identically at nu=2
     assert total_a != total_b
     hist = empty_history(dec)
@@ -144,10 +143,76 @@ def test_earlier_positions_unaffected_by_later_truncation_growth():
 def test_history_rows_shapes():
     dec, enc = setup_case(64)
     hist = empty_history(dec)
-    assert len(hist) == len(dec.layers)
+    heads, _, d_k = dec.layers[0].self_mha.w_k.shape
+    assert hist.shape == (len(dec.layers), 2, heads, 0, d_k)
     grown, _ = advance_position(dec, enc, hist, dec.sos_id, 0, 2)
-    assert all(h.shape == (1, dec.d_model) for h in grown)
-    assert all(h.shape == (0, dec.d_model) for h in hist)  # the input is left as it was
+    assert grown.shape == (len(dec.layers), 2, heads, 1, d_k)
+    assert hist.shape == (len(dec.layers), 2, heads, 0, d_k)  # the input is left as it was
+
+
+def test_a_step_shares_no_storage_with_its_input_or_its_siblings():
+    # histories branch: two children of one parent in one batched step
+    # are separate arrays, and writing one changes neither its parent nor
+    # its sibling
+    dec, enc = setup_case(80, n=5, d_layers=2)
+    parent, _ = advance_position(dec, enc, empty_history(dec), dec.sos_id, 0, 3)
+    kept = parent.copy()
+    (first, _), (second, _) = advance_positions(dec, CrossAttentionCache(dec, enc),
+                                                [parent, parent], [2, 3], [1, 1], 4)
+    assert (parent == kept).all()
+    assert (first[:, :, :, :1] == parent).all() and (second[:, :, :, :1] == parent).all()
+    assert not (first[:, :, :, 1] == second[:, :, :, 1]).all()
+    for a, b in [(first, parent), (second, parent), (first, second)]:
+        assert not np.shares_memory(a, b)
+    second_kept = second.copy()
+    first[...] = 99.0
+    assert (parent == kept).all() and (second == second_kept).all()
+
+
+def float64_decoder(dec):
+    """``dec`` with every weight array cast to float64, in place."""
+    for obj in [dec] + [o for layer in dec.layers for o in (layer, layer.self_mha, layer.src_mha)]:
+        for name, value in list(vars(obj).items()):
+            if isinstance(value, np.ndarray):
+                setattr(obj, name, value.astype(np.float64))
+    return dec
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_history_has_the_dtype_of_the_key_rows_it_holds(wide):
+    # a float64 decoder projects float64 keys and values, and its
+    # histories keep them in float64, not rounded to float32
+    dec, enc = setup_case(81, n=4, d_layers=2)
+    if wide:
+        dec = float64_decoder(dec)
+    dtype = np.float64 if wide else np.float32
+    hist, _ = advance_position(dec, enc, empty_history(dec), dec.sos_id, 0, 2)
+    hist, _ = advance_position(dec, enc, hist, 3, 1, 4)
+    assert hist.dtype == dtype
+    # layer 0's rows are the projections of its normed input, bit for bit
+    x = dec.embed[[dec.sos_id, 3]] + positional_encodings([0, 1], dec.d_model)
+    layer = dec.layers[0]
+    normed = kernels.layer_norm(x, layer.norm1_g, layer.norm1_b)
+    for j, w in enumerate((layer.self_mha.w_k, layer.self_mha.w_v)):
+        want = project_heads(normed, w)
+        assert want.dtype == dtype and (hist[0, j] == want).all()
+
+
+def test_decoder_layers_must_share_self_attention_heads_and_width():
+    # one history array stacks every layer's keys, so layers whose
+    # self-attention differs in heads or d_k are refused before any step
+    for heads, d_k in [(1, 4), (2, 3)]:
+        dec, enc = setup_case(82, n=4, d_layers=2)
+        mha = dec.layers[1].self_mha
+        d_model = dec.d_model
+        rng = np.random.default_rng(83)
+        mha.w_q, mha.w_k, mha.w_v = (rng.standard_normal((heads, d_model, d_k))
+                                     .astype(np.float32) for _ in range(3))
+        mha.w_h = rng.standard_normal((heads * d_k, d_model)).astype(np.float32)
+        with pytest.raises(ValueError, match="differ in self-attention"):
+            empty_history(dec)
+        with pytest.raises(ValueError, match="differ in self-attention"):
+            ta_prefix_score(enc, (2,), (4,), dec)
 
 
 def test_shared_cross_cache_grown_in_steps_matches_fresh_caches():
@@ -172,8 +237,7 @@ def test_shared_cross_cache_grown_in_steps_matches_fresh_caches():
         fresh[context], lp_f = advance_position(dec, enc[:emitted], hist_f, token, len(context),
                                                 nu)
         assert np.array_equal(lp_s, lp_f)
-        for a, b in zip(shared[context], fresh[context]):
-            assert np.array_equal(a.keys, b.keys) and np.array_equal(a.values, b.values)
+        assert np.array_equal(shared[context], fresh[context])
     assert cache.rows == 8
 
 
@@ -197,7 +261,7 @@ def history_of_length(dec, enc, rng, length):
     return hist
 
 
-@pytest.mark.parametrize("d_layers", [1, 2])
+@pytest.mark.parametrize("d_layers", [1, 2, 0])
 @pytest.mark.parametrize("b", [1, 2, 5])
 def test_advance_positions_rows_equal_single_row_steps(b, d_layers):
     dec, enc = setup_case(70 + b, n=6, d_layers=d_layers)
@@ -207,21 +271,20 @@ def test_advance_positions_rows_equal_single_row_steps(b, d_layers):
         # lengths 0..4 mixed within a batch and across truncations
         hists = [history_of_length(dec, enc, rng, (nu + i) % 5) for i in range(b)]
         tokens = [dec.sos_id] + [int(t) for t in rng.integers(dec.vocab_size, size=b - 1)]
-        positions = [h[0].rows for h in hists]
+        positions = [h.shape[3] for h in hists]
         got = advance_positions(dec, cache, hists, tokens, positions, nu)
         assert len(got) == b
         for hist, tok, pos, (grown, logp) in zip(hists, tokens, positions, got):
             want_hist, want_logp = advance_position(dec, enc, hist, tok, pos, nu)
             assert logp.dtype == np.float64
             assert (logp == want_logp).all()
-            assert len(grown) == len(want_hist) == len(hist) == d_layers
-            for g, w, h in zip(grown, want_hist, hist):
-                assert g.shape == w.shape == (pos + 1, dec.d_model)
-                assert (g.keys == w.keys).all() and (g.values == w.values).all()
-                # the history comes back with the position appended, and
-                # the input is left as it was
-                assert h.rows == pos
-                assert (g.keys[:, :pos] == h.keys).all() and (g.values[:, :pos] == h.values).all()
+            assert grown.shape == want_hist.shape
+            assert grown.shape[:4] == (d_layers, 2, hist.shape[2], pos + 1)
+            assert (grown == want_hist).all()
+            # the history comes back with the position appended, and
+            # the input is left as it was
+            assert hist.shape[3] == pos
+            assert (grown[:, :, :, :pos] == hist).all()
 
 
 def test_advance_positions_rejects_bad_arguments():
@@ -255,14 +318,17 @@ def test_own_history_attention_equals_the_block_mask_form(heads, d, lengths, see
         return rng.standard_normal((heads, n, d)).astype(np.float32)
 
     b = len(lengths)
-    pasts = [KeyValues(heads_of(n), heads_of(n)) for n in lengths]
-    rows = KeyValues(heads_of(b), heads_of(b))
+    # one-layer histories, keys and values stacked as the decoder keeps them
+    pasts = [np.stack([heads_of(n), heads_of(n)])[None] for n in lengths]
+    rows = np.stack([heads_of(b), heads_of(b)])
     q = heads_of(b)
-    grown = append_history(pasts, [KeyValues(rows.keys[:, i:i + 1], rows.values[:, i:i + 1])
-                                   for i in range(b)])
-    got = decoder._attend_own_histories(q, grown)
+    grown = append_history(pasts, np.float32)
+    for i, hist in enumerate(grown):
+        hist[0, :, :, -1] = rows[:, :, i]
+    got = decoder._attend_own_histories(q, grown, 0)
     assert got.shape == (heads, b, d) and got.dtype == np.float32
-    assert (got == scaled_dot_attention(q, *own_histories_block_mask(pasts, rows))).all()
+    want = scaled_dot_attention(q, *own_histories_block_mask([p[0] for p in pasts], rows))
+    assert (got == want).all()
 
 
 def test_decoder_self_attention_needs_value_heads_as_wide_as_key_heads():

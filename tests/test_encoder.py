@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamasr import encoder, kernels
-from streamasr.attention import full_mask, lookahead_mask
+from streamasr.attention import full_mask
 from streamasr.encoder import (CnnParams, EncoderStates, FeatureMatrix,
                                IncrementalEncoder, cnn_frame_count, enc_cnn,
                                encode, encoder_forward, encoder_layer,
                                feed_forward, positional_encodings)
 from streamasr.modelio import random_model
 from helpers import tiny_model
-from oracles import (conv2d_np_pad, conv2d_oracle, positional_encoding_oracle,
+from oracles import (conv2d_np_pad, conv2d_oracle, lookahead_mask, positional_encoding_oracle,
                      positional_encoding_per_row)
 
 

@@ -125,6 +125,22 @@ def test_streaming_equals_offline_bitwise(chunk):
     assert got.trace == offline.trace
 
 
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_zero_layer_decoder_streams_as_offline(chunk):
+    # the archive header allows d_layers 0: the decoder is then its
+    # embeddings, final norm and output projection, and a joint decode
+    # still runs and streams to the offline bits
+    m = tiny_model(150, d_layers=0)
+    frames = np.random.default_rng(151).standard_normal((21, 4)).astype(np.float32)
+    cfg = StreamConfig(eps_enc=1, eps_dec=2)
+    params = DecodeParams(k_size=8, p_size=4, eps_dec=2)
+    offline = offline_reference(m, frames, 1, params)
+    got = run_session(m, frames, cfg, [chunk] * 30)
+    assert got.labels == offline.labels
+    assert got.score == offline.score
+    assert got.trace == offline.trace
+
+
 def test_long_session_keeps_bounded_input_buffers():
     # a 400-frame session drops conv input rows, per-layer input rows and
     # their query heads, and posterior rows once no later row reads them,
