@@ -5,10 +5,12 @@ Encodes a random utterance with a random mid-size model (the benchmark's
 dimensions), then runs ``CtcPrefixSearch`` (the one search loop,
 ``JointSearch``, without a decoder; k 300, p 30, a random back-off
 bigram LM) over its posteriorgram, timing every frame.  Prints the mean
-per-frame cost in each quarter of the utterance, the best prefix's length
-at the end of each quarter, and the last-quarter/first-quarter ratio.  A
-search whose frame cost does not depend on how long the prefixes have
-grown prints a ratio near 1.
+per-frame cost in each quarter of the utterance, the mean number of
+nodes interned in the search's prefix table and of LM memo rows in use
+after a frame (the live trie and memo that a frame's bookkeeping could
+walk), the best prefix's length at the end of each quarter, and the
+last-quarter/first-quarter ratio.  A search whose frame cost does not
+depend on how long the prefixes have grown prints a ratio near 1.
 
     python3 scripts/search_growth.py              # 16 s utterance
     python3 scripts/search_growth.py --seconds 1  # quick smoke run
@@ -69,13 +71,15 @@ def main():
     banned = (model.sos_id, model.eos_id)
     lm = random_bigram(np.random.default_rng(args.seed + 2), model.vocab_size)
     search = CtcPrefixSearch(lm, DecodeParams(k_size=300, p_size=30), logp.shape[1], banned)
-    cost = []
-    lengths = []
+    table = search.prefixes
+    cost, lengths, nodes, rows = [], [], [], []
     for row in logp:
         t0 = perf_counter()
         search.advance(row)
         cost.append(perf_counter() - t0)
         lengths.append(len(search.best_ctc_partial))
+        nodes.append(sum(1 for _ in table))
+        rows.append(len(table._rows))  # the LM states that hold a memo row
 
     print(f"{args.seconds:g} s utterance, {n} encoder frames, k 300, p 30, bigram LM")
     quarters = np.array_split(np.arange(n), 4)
@@ -83,7 +87,9 @@ def main():
     for q, idx in enumerate(quarters, start=1):
         means.append(1000.0 * float(np.mean([cost[i] for i in idx])))
         print(f"quarter {q}: frames {idx[0] + 1:4d}-{idx[-1] + 1:4d}  "
-              f"{means[-1]:7.2f} ms/frame  best prefix {lengths[idx[-1]]:4d} labels")
+              f"{means[-1]:7.2f} ms/frame  {np.mean([nodes[i] for i in idx]):6.1f} nodes  "
+              f"{np.mean([rows[i] for i in idx]):5.1f} memo rows  "
+              f"best prefix {lengths[idx[-1]]:4d} labels")
     print(f"last/first quarter: {means[-1] / means[0]:.2f}")
 
 

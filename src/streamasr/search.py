@@ -43,15 +43,17 @@ can be among the first prune's survivors.  Only the survivors the search
 keeps are interned and become :class:`Hypothesis` objects, all of the
 first prune's with a decoder and the top P without one.  Every score is
 a Python float, as are the weights ``DecodeParams`` holds, and a zero LM
-weight means no LM term.  Every ranking (the first prune, both halves of
-the carried beam, the best prefix) goes through one routine, ``_rank``,
+weight means no LM term.  Every ranking (the first prune, the top P by
+p_joint, the best prefix by p_joint) goes through one routine, ``_rank``,
 which breaks score ties toward shorter, then lexicographically smaller
-column tuples.
+column tuples; what ranks by p_prfx afterwards reads the first prune's
+order.  A frame commits only after every hook has returned.
 """
 
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from operator import attrgetter
 
 import numpy as np
@@ -195,7 +197,7 @@ class Prefix:
     the search used to key on.
     """
 
-    __slots__ = ("parent", "last", "length", "lm_state", "lm_logp")
+    __slots__ = ("parent", "last", "length", "lm_state", "lm_logp", "refs")
 
     def __init__(self, parent, last, lm_state, lm_logp):
         self.parent = parent
@@ -203,6 +205,7 @@ class Prefix:
         self.length = 0 if parent is None else parent.length + 1
         self.lm_state = lm_state
         self.lm_logp = lm_logp
+        self.refs = 0  # its children in the table, plus 1 while carried; -1 once dropped
 
     def __len__(self):
         return self.length
@@ -230,7 +233,10 @@ class PrefixTable:
     """The child table that interns one search's prefixes: each (parent,
     column) pair maps to one Prefix, so a prefix reached again comes back
     as the same node and finds the state kept under it.  A search interns
-    only the candidates it keeps, not every extension it ranks.
+    only the candidates it keeps, and the table holds only the carried
+    prefixes and their ancestors: ``Prefix.refs`` counts a node's children
+    in the table and 1 while it is carried, and a node whose count falls
+    to 0 leaves the table, taking 1 from its parent.
 
     A node gets its LM state and log probability from ``lm`` when it is
     interned.  The LM steps come from a memo with one row per LM state
@@ -240,14 +246,20 @@ class PrefixTable:
     lazily, one LM step per (state, column) pair that a candidate of
     nonzero mass needs, and the search reads them as a matrix to rank
     candidates that have no node, so prefixes that share an LM state
-    share each step.  ``retain`` keeps the rows of the carried states.
+    share each step.  Steps are taken only from the carried prefixes'
+    states, the ones a frame extends.  A state's row is freed when its
+    last carried prefix leaves the beam, and the next new state reuses it.
     """
 
     def __init__(self, lm, n_cols):
         self.lm = lm
         self.root = Prefix(None, None, lm.start_state(), 0.0)
+        self.root.refs = 1  # a search starts by carrying the root
         self._children = {}
+        self._carried = {self.root: None}
+        self._new = []  # nodes interned since the last retain
         self._rows = {}  # LM state -> its row in the memo
+        self._free = []  # rows of states that left the beam, emptied
         self._steps = []  # per row: column -> the LM's (next state, log p increment)
         self._inc = np.zeros((0, n_cols))
         self._stepped = np.zeros((0, n_cols), dtype=bool)
@@ -256,8 +268,11 @@ class PrefixTable:
         """The memo row of LM state ``state``, added empty if it has none."""
         r = self._rows.get(state)
         if r is None:
-            r = self._rows[state] = len(self._steps)
-            self._steps.append({})
+            if self._free:
+                r = self._rows[state] = self._free.pop()
+            else:
+                r = self._rows[state] = len(self._steps)
+                self._steps.append({})
             if r == len(self._inc):
                 more, width = max(r, 8), self._inc.shape[1]
                 self._inc = np.concatenate((self._inc, np.zeros((more, width))))
@@ -319,32 +334,44 @@ class PrefixTable:
         if node is None:
             state, inc = self.lm_step(parent.lm_state, col)
             node = self._children[key] = Prefix(parent, col, state, parent.lm_logp + inc)
+            parent.refs += 1
+            self._new.append(node)
         return node
 
     def retain(self, live):
-        """Keep only the ``live`` prefixes and their ancestors in the table
-        and return them as a set.  The walk up from each live prefix stops
-        at the first node already kept.  The LM memo keeps only the rows
-        of the live prefixes' LM states, the only ones the next frame
-        extends."""
-        keep = {self.root}
-        states = {}
+        """Make ``live`` the carried prefixes, touching only those that
+        enter or leave the carried set and the nodes interned since the
+        last call.  The LM memo keeps the rows of the carried states only."""
+        live, old = dict.fromkeys(live), self._carried
         for node in live:
-            states[node.lm_state] = None
-            while node not in keep:
-                keep.add(node)
-                node = node.parent
-        self._children = {(node.parent, node.last): node for node in keep
-                          if node.parent is not None}
-        kept = [(state, self._rows[state]) for state in states if state in self._rows]
-        old = [r for _, r in kept]
-        n = len(old)
-        self._inc[:n] = self._inc[old]
-        self._stepped[:n] = self._stepped[old]
-        self._stepped[n:] = False
-        self._steps = [self._steps[r] for r in old]
-        self._rows = {state: i for i, (state, _) in enumerate(kept)}
-        return keep
+            if node not in old:
+                node.refs += 1
+        states = {node.lm_state for node in live}
+        for node in old:
+            if node not in live:
+                node.refs -= 1
+                self._drop(node)
+                if node.lm_state not in states:
+                    self._free_row(node.lm_state)
+        for node in self._new:
+            self._drop(node)
+        self._carried, self._new = live, []
+
+    def _drop(self, node):
+        """Drop ``node`` if nothing holds it, and each ancestor then left empty."""
+        while not node.refs and node.parent is not None:
+            del self._children[node.parent, node.last]
+            node.refs = -1
+            node = node.parent
+            node.refs -= 1
+
+    def _free_row(self, state):
+        """Empty the memo row of ``state``, if it has one, for a new state."""
+        r = self._rows.pop(state, None)
+        if r is not None:
+            self._steps[r] = {}
+            self._stepped[r] = False
+            self._free.append(r)
 
     def __iter__(self):
         """Every non-empty prefix in the table."""
@@ -486,8 +513,9 @@ class JointSearch:
         """Process one frame: returns nothing, mutates the beam.  With a
         decoder, the frame's own encoder row must have been added.  A row
         in which no prefix keeps nonzero probability (a zero blank and no
-        label the search may extend) raises ``ValueError``, and the
-        search is left as it was."""
+        label the search may extend) raises ``ValueError``; that and a
+        hook that raises leave ``frame``, ``hyps``, ``trace`` and the TA
+        cache as they were, so the frame can be advanced again."""
         row = np.array(post_row, dtype=np.float64, copy=True)
         if row.shape != (self.n_cols,):
             raise ValueError(f"posterior row shape {row.shape}, expected ({self.n_cols},)")
@@ -498,34 +526,40 @@ class JointSearch:
         row[self._banned_cols] = NEG_INF
         row = row.tolist()
         omega_hat, phat = self._ctc_stage(row)
-        self.frame += 1
         p = self.params
+        pjoint = phat if self.dec is None else self._ta_stage(row, omega_hat, self.frame + 1)
+        # Every hook has returned: commit.  omega_hat is in phat rank order,
+        # so the top p_size within theta2 by phat is its head.  The carried
+        # beam adds the top p_size by pjoint (all of omega_hat without a
+        # decoder); its order is the order the next frame accumulates in.
+        self.frame += 1
+        cut = phat[next(iter(omega_hat))] - p.theta2
+        kept = {}
+        for pre, h in islice(omega_hat.items(), p.p_size):
+            if phat[pre] < cut:
+                break
+            kept[pre] = h
         if self.dec is None:
-            pjoint, top = phat, list(omega_hat)[:p.p_size]
+            self.hyps, best = omega_hat, next(iter(kept))
         else:
-            pjoint = self._ta_stage(row, omega_hat)
-            top = _top(pjoint, omega_hat, p.p_size, math.inf)
-        # Carry the top p_size by pjoint, then the top p_size of omega_hat
-        # within theta2 by phat.  The carried order (top first) is the order
-        # the next frame accumulates CTC mass in.
-        kept = {pre: omega_hat[pre] for pre in _top(phat, omega_hat, p.p_size, p.theta2)}
-        self.hyps = {pre: omega_hat[pre] for pre in top}
-        self.hyps.update(kept)
+            self.hyps = {pre: omega_hat[pre] for pre in _top(pjoint, omega_hat, p.p_size, math.inf)}
+            self.hyps.update(kept)
+            best = _top(pjoint, kept, 1, math.inf)[0]
         self._last_carried = kept
         self._last_phat = phat
         self._last_pjoint = pjoint
-        best = _top(pjoint, kept, 1, math.inf)[0]
         self.trace.append(_format_trace(self.frame, len(kept), best.as_tuple(),
                                         phat[best], pjoint[best]))
-        live = self.prefixes.retain(self.hyps)
+        self.prefixes.retain(self.hyps)
         if self.dec is not None:
-            self._evict_ta(live)
+            self._evict_ta()
 
     def _ctc_stage(self, row):
         """One CTC prefix step, phat for every candidate and the first
         prune by phat.  Returns omega_hat, the survivors as Hypotheses in
-        phat rank order, and their phat.  Raises ``ValueError`` before any
-        state changes when no candidate has nonzero mass.
+        phat rank order (the carried top P by phat is its head, read
+        without ranking again), and their phat.  Raises ``ValueError``
+        before any state changes when no candidate has nonzero mass.
 
         The extensions are ranked as arrays: phat of all of them is one
         NumPy expression over the (carried prefix x active column) mass
@@ -579,25 +613,28 @@ class JointSearch:
             phat[pre] = -neg_i
         return omega_hat, phat
 
-    def _ta_stage(self, row, omega_hat):
-        """Run the hooks, give omega_hat's prefixes their TA scores at this
-        frame's truncation, and return every candidate's joint score."""
-        n = self.frame
+    def _ta_stage(self, row, omega_hat, n):
+        """Ask the hooks about frame ``n``, then give omega_hat's prefixes
+        their TA scores at its truncation, and return every candidate's
+        joint score.  Every hook is asked before any TA entry is deleted
+        or added, so a hook that raises leaves the TA cache as it was."""
         p = self.params
-
+        drop = ()
         if p.dcond is not None or p.acond is not None:
             # the hooks see column tuples, built only when a hook is set
             cols = {pre: pre.as_tuple() for pre in omega_hat}
             view = {cols[pre]: h for pre, h in omega_hat.items()}
         if p.dcond is not None:
-            for pre in omega_hat:
-                if pre and pre in self.ta and p.dcond(cols[pre], view, n, row):
-                    del self.ta[pre]
+            drop = {pre for pre in omega_hat
+                    if pre and pre in self.ta and p.dcond(cols[pre], view, n, row)}
         if p.acond is None:
-            targets = [pre for pre in omega_hat if pre not in self.ta]
+            targets = [pre for pre in omega_hat if pre not in self.ta or pre in drop]
         else:
             targets = [pre for pre in sorted(omega_hat, key=lambda q: (len(q), cols[q]))
-                       if pre not in self.ta and p.acond(cols[pre], view, n, row)]
+                       if (pre not in self.ta or pre in drop)
+                       and p.acond(cols[pre], view, n, row)]
+        for pre in drop:
+            del self.ta[pre]
         self._score_ta(targets, min(n + p.eps_dec, self.cross.rows))
 
         pjoint = {}
@@ -656,11 +693,12 @@ class JointSearch:
         for entry, (hist, logpost) in zip(entries, steps):
             entry.step = (nu, hist, logpost)
 
-    def _evict_ta(self, live):
-        """Keep the entries of ``live`` (the carried prefixes and their
-        ancestors), and only the steps a later frame or finalize can still
-        read: nu never falls below the encoder rows already seen."""
-        self.ta = {pre: e for pre, e in self.ta.items() if pre in live}
+    def _evict_ta(self):
+        """Keep the entries of the prefixes still in the table (the carried
+        prefixes and their ancestors), and only the steps a later frame or
+        finalize can still read: nu never falls below the encoder rows
+        already seen."""
+        self.ta = {pre: e for pre, e in self.ta.items() if pre.refs > 0}
         seen = self.cross.rows
         for entry in self.ta.values():
             if entry.step is not None and entry.step[0] < seen:
@@ -669,7 +707,7 @@ class JointSearch:
     @property
     def best_ctc_partial(self):
         """Best carried prefix by CTC ranking score, as label ids."""
-        best = _top(self._last_phat, self._last_carried, 1, math.inf)[0]
+        best = next(iter(self._last_carried))  # carried in phat rank order
         return tuple(c - 1 for c in best.as_tuple())
 
     def finalize(self):

@@ -141,4 +141,6 @@ class StreamingSession:
         self._post.extend(log_posterior_row(row, self.model.ctc_w, self.model.ctc_b) for row in rows)
         dec_target = self._rows if final else max(0, self._rows - self.config.eps_dec)
         while self.search.frame < dec_target:
-            self.search.advance(self._post.popleft())
+            # consumed once advance returns: a failed frame is retried later
+            self.search.advance(self._post[0])
+            self._post.popleft()

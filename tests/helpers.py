@@ -89,3 +89,25 @@ def normalized_bigram_arpa(rng, ids):
         lines.append(f"{math.log10(uni[h])!r} {hid} {math.log10(backoffs[h])!r}")
     lines += ["", "\\2-grams:"] + bigram_lines + ["", "\\end\\", ""]
     return "\n".join(lines)
+
+
+class HookFailed(Exception):
+    """What :class:`RaiseOnce` raises."""
+
+
+class RaiseOnce:
+    """A search hook that raises :class:`HookFailed` on its ``call``-th
+    call at frame ``at``, once, and otherwise answers as ``inner``."""
+
+    def __init__(self, inner, at, call=1):
+        self.inner, self.at, self.call = inner, at, call
+        self.calls = 0
+        self.raised = False
+
+    def __call__(self, pre, view, frame, row):
+        if frame == self.at and not self.raised:
+            self.calls += 1
+            if self.calls == self.call:
+                self.raised = True
+                raise HookFailed(f"hook failed at frame {frame}")
+        return self.inner(pre, view, frame, row)

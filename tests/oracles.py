@@ -587,3 +587,31 @@ def all_nodes_ctc_stage(row, hyps, lm, params, size):
             for pre, m in masses.items()}
     kept = list(sorted_key_prune(masses, phat, params.k_size, params.theta1).items())[:size]
     return [(pre.as_tuple(), m[0], m[1], phat[pre]) for pre, m in kept]
+
+
+def memo_row(table, state):
+    """LM state ``state``'s memo row in ``table``, as (its steps, the
+    stepped mask, the stepped increments): the parts of a row that mean
+    something."""
+    r = table._rows[state]
+    stepped = table._stepped[r]
+    return dict(table._steps[r]), stepped.tolist(), table._inc[r][stepped].tolist()
+
+
+def rebuilt_retain(table, live):
+    """``PrefixTable.retain`` as it was while it rebuilt the table every
+    frame, as a pure function of the table before the call: walk up from
+    each ``live`` prefix to the first node already kept, rebuild the child
+    table from the kept set, and keep the memo rows of the live prefixes'
+    LM states.  Returns (the kept nodes, the child table, LM state to
+    :func:`memo_row`), what the table must hold after ``retain(live)``."""
+    keep = {table.root}
+    states = {}
+    for node in live:
+        states[node.lm_state] = None
+        while node not in keep:
+            keep.add(node)
+            node = node.parent
+    children = {(node.parent, node.last): node for node in keep if node.parent is not None}
+    rows = {state: memo_row(table, state) for state in states if state in table._rows}
+    return keep, children, rows

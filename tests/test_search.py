@@ -16,7 +16,7 @@ from streamasr.search import (CtcPrefixSearch, DecodeParams, Hypothesis,
                               decode, joint_loss, joint_score, prefix_score,
                               prune)
 from streamasr.streaming import StreamConfig, StreamingSession
-from helpers import bigram, logprob_rows, random_enc_states, tiny_model
+from helpers import HookFailed, RaiseOnce, bigram, logprob_rows, random_enc_states, tiny_model
 from oracles import rank_key, sorted_key_prune, top_hypotheses, within
 
 TRACE_RE = re.compile(
@@ -397,6 +397,38 @@ def test_skip_hook_falls_back_to_parent_score():
         want = joint_score(Hypothesis(pre, h.p_b, h.p_nb, h.lm_logp, None),
                            params, fallback_ta=0.0)
         assert val == pytest.approx(want, abs=1e-12)
+
+
+HOOK_ANSWERS = {"dcond": lambda pre, *_: len(pre) % 2 == 1,
+                "acond": lambda pre, *_: len(pre) != 2}
+
+
+def ta_snapshot(search):
+    return [(pre, e.logp, e.nus) for pre, e in search.ta.items()]
+
+
+@pytest.mark.parametrize("call", [1, 3])
+@pytest.mark.parametrize("hook", ["dcond", "acond"])
+def test_search_retried_after_a_raising_hook_equals_one_that_never_raises(hook, call):
+    # the hook raises part way through frame 5's calls (dcond after it has
+    # already asked to delete scores); the frame is then advanced again
+    m, enc, post, lm, _ = decode_setup(115, n=20)
+    kw = dict(k_size=8, p_size=4, eps_dec=1, local_threshold=0.0)
+    want = decode(enc, post, lm, m.decoder, DecodeParams(**kw, **{hook: HOOK_ANSWERS[hook]}))
+    flaky = RaiseOnce(HOOK_ANSWERS[hook], at=5, call=call)
+    search = JointSearch(m.decoder, lm, DecodeParams(**kw, **{hook: flaky}), post.logp.shape[1])
+    search.add_rows(enc)
+    for row in post.logp:
+        before = (search.frame, dict(search.hyps), list(search.trace), ta_snapshot(search))
+        try:
+            search.advance(row)
+        except HookFailed:
+            assert (search.frame, search.hyps, search.trace, ta_snapshot(search)) == before
+            search.advance(row)
+    assert flaky.raised
+    got = search.finalize()
+    assert got.trace == want.trace
+    assert got.labels == want.labels and got.score == want.score
 
 
 def test_best_ctc_partial_tracks_prefix_ranking():

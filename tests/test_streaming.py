@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from streamasr.lm import UniformLM
 from streamasr.search import DecodeParams, ctc_prefix_search, decode
 from streamasr.streaming import (StreamConfig, StreamingSession,
                                  emission_frame, theoretical_latency_ms)
-from helpers import tiny_model
+from helpers import HookFailed, RaiseOnce, tiny_model
 from oracles import latency_oracle
 
 
@@ -289,6 +290,27 @@ def test_push_rejects_non_finite_chunk_and_keeps_session(bad):
     got = sess.finalize()
     want = offline_reference(m, frames, 1, params)
     assert got.labels == want.labels and got.trace == want.trace
+
+
+@pytest.mark.parametrize("retry", ["push", "finalize"])
+def test_session_retried_after_a_raising_hook_equals_one_that_never_raises(retry):
+    m = tiny_model(137)
+    frames = np.random.default_rng(137).standard_normal((48, 4)).astype(np.float32)
+    cfg = StreamConfig(eps_enc=1, eps_dec=1)
+    params = DecodeParams(k_size=8, p_size=4, eps_dec=1, acond=lambda pre, *_: len(pre) != 2)
+    want = offline_reference(m, frames, 1, params)
+    flaky = RaiseOnce(params.acond, at=5)
+    sess = StreamingSession(m, UniformLM(3), replace(params, acond=flaky), cfg)
+    first = 32 if retry == "push" else 48
+    with pytest.raises(HookFailed):
+        sess.push(frames[:first])
+    # frame 5 failed: four frames decoded, and no posterior row was lost
+    assert sess.decoded_frames == len(sess.search.trace) == 4
+    assert len(sess._post) == sess.emitted_frames - sess.decoded_frames > 0
+    if retry == "push":
+        sess.push(frames[first:])
+    got = sess.finalize()
+    assert got.labels == want.labels and got.trace == want.trace and got.score == want.score
 
 
 @pytest.mark.parametrize("d_feat,width", [(8, 9), (8, 7), (4, 5), (4, 3)])
