@@ -6,9 +6,10 @@ dimensions), then runs ``CtcPrefixSearch`` (the one search loop,
 ``JointSearch``, without a decoder; k 300, p 30, a random back-off
 bigram LM) over its posteriorgram, timing every frame.  Prints the mean
 per-frame cost in each quarter of the utterance, the mean number of
-nodes interned in the search's prefix table and of LM memo rows in use
-after a frame (the live trie and memo that a frame's bookkeeping could
-walk), the best prefix's length at the end of each quarter, and the
+nodes interned in the search's prefix table, of LM memo rows in use
+(the carried states') and of spare memo rows held (states that left the
+beam, steps kept) after a frame, the mean ``lm.extend`` calls per frame,
+the best prefix's length at the end of each quarter, and the
 last-quarter/first-quarter ratio.  A search whose frame cost does not
 depend on how long the prefixes have grown prints a ratio near 1.
 
@@ -29,6 +30,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from streamasr import (  # noqa: E402
     CtcPrefixSearch,
     DecodeParams,
+    LanguageModel,
     NgramLM,
     encode,
     posteriorgram_from_states,
@@ -52,6 +54,21 @@ def random_bigram(rng, n_labels):
     return NgramLM(entries, 2)
 
 
+class CountingLM(LanguageModel):
+    """Counts the steps the search asks of ``inner``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def start_state(self):
+        return self.inner.start_state()
+
+    def extend(self, state, label):
+        self.calls += 1
+        return self.inner.extend(state, label)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seconds", type=float, default=16.0, help="utterance length")
@@ -69,17 +86,20 @@ def main():
 
     # label ids 0 and 1 are the decoder's start and end tokens
     banned = (model.sos_id, model.eos_id)
-    lm = random_bigram(np.random.default_rng(args.seed + 2), model.vocab_size)
+    lm = CountingLM(random_bigram(np.random.default_rng(args.seed + 2), model.vocab_size))
     search = CtcPrefixSearch(lm, DecodeParams(k_size=300, p_size=30), logp.shape[1], banned)
     table = search.prefixes
-    cost, lengths, nodes, rows = [], [], [], []
+    cost, lengths, nodes, rows, spare, calls = [], [], [], [], [], []
     for row in logp:
+        before = lm.calls
         t0 = perf_counter()
         search.advance(row)
         cost.append(perf_counter() - t0)
+        calls.append(lm.calls - before)
         lengths.append(len(search.best_ctc_partial))
         nodes.append(sum(1 for _ in table))
-        rows.append(len(table._rows))  # the LM states that hold a memo row
+        rows.append(len(table._rows))  # the carried LM states that hold a memo row
+        spare.append(len(table._spare))
 
     print(f"{args.seconds:g} s utterance, {n} encoder frames, k 300, p 30, bigram LM")
     quarters = np.array_split(np.arange(n), 4)
@@ -89,6 +109,8 @@ def main():
         print(f"quarter {q}: frames {idx[0] + 1:4d}-{idx[-1] + 1:4d}  "
               f"{means[-1]:7.2f} ms/frame  {np.mean([nodes[i] for i in idx]):6.1f} nodes  "
               f"{np.mean([rows[i] for i in idx]):5.1f} memo rows  "
+              f"{np.mean([spare[i] for i in idx]):5.1f} spare  "
+              f"{np.mean([calls[i] for i in idx]):6.2f} lm.extend/frame  "
               f"best prefix {lengths[idx[-1]]:4d} labels")
     print(f"last/first quarter: {means[-1] / means[0]:.2f}")
 

@@ -17,7 +17,11 @@ class LanguageModel:
     States must be hashable values (tuples, ints, strings, ...), and
     ``extend`` must depend only on its (state, label) arguments: the
     search memoises LM steps keyed on (state, label), so two prefixes
-    whose states compare equal share one step.
+    whose states compare equal share one step, and a state that leaves
+    the beam and comes back finds its steps again.  A search calls
+    ``extend`` once per (state, label) pair while the state is carried
+    or among the last ``PrefixTable.SPARE_ROWS`` to leave, and again
+    only after its memo row went to a new state.
     """
 
     def start_state(self):

@@ -247,9 +247,17 @@ class PrefixTable:
     nonzero mass needs, and the search reads them as a matrix to rank
     candidates that have no node, so prefixes that share an LM state
     share each step.  Steps are taken only from the carried prefixes'
-    states, the ones a frame extends.  A state's row is freed when its
-    last carried prefix leaves the beam, and the next new state reuses it.
+    states, the ones a frame extends.  When a state's last carried prefix
+    leaves the beam, its row becomes spare, steps and all, and a state
+    that comes back takes its row back.  A new state gets a fresh row
+    while at most ``SPARE_ROWS`` rows are spare, else the row of the state
+    that left longest ago, emptied.  So each step runs once per search
+    while its state is carried or among the last ``SPARE_ROWS`` to leave,
+    and the memo holds at most (the most states carried at once +
+    ``SPARE_ROWS``) rows, whatever the LM.
     """
+
+    SPARE_ROWS = 64  # covers the 29 states of the benchmark's bigram
 
     def __init__(self, lm, n_cols):
         self.lm = lm
@@ -258,21 +266,26 @@ class PrefixTable:
         self._children = {}
         self._carried = {self.root: None}
         self._new = []  # nodes interned since the last retain
-        self._rows = {}  # LM state -> its row in the memo
-        self._free = []  # rows of states that left the beam, emptied
+        self._rows = {}  # carried LM state -> its row in the memo
+        self._spare = {}  # LM state that left the beam -> its row, oldest exit first
         self._steps = []  # per row: column -> the LM's (next state, log p increment)
         self._inc = np.zeros((0, n_cols))
         self._stepped = np.zeros((0, n_cols), dtype=bool)
 
     def _row(self, state):
-        """The memo row of LM state ``state``, added empty if it has none."""
+        """The memo row of LM state ``state``; a state without one gets a
+        fresh row, or the oldest spare row, emptied, once more than
+        ``SPARE_ROWS`` are spare."""
         r = self._rows.get(state)
         if r is None:
-            if self._free:
-                r = self._rows[state] = self._free.pop()
-            else:
-                r = self._rows[state] = len(self._steps)
+            if len(self._spare) <= self.SPARE_ROWS:
+                r = len(self._steps)
                 self._steps.append({})
+            else:
+                r = self._spare.pop(next(iter(self._spare)))
+                self._steps[r] = {}
+                self._stepped[r] = False
+            self._rows[state] = r
             if r == len(self._inc):
                 more, width = max(r, 8), self._inc.shape[1]
                 self._inc = np.concatenate((self._inc, np.zeros((more, width))))
@@ -341,18 +354,25 @@ class PrefixTable:
     def retain(self, live):
         """Make ``live`` the carried prefixes, touching only those that
         enter or leave the carried set and the nodes interned since the
-        last call.  The LM memo keeps the rows of the carried states only."""
+        last call.  The memo row of a state no longer carried becomes the
+        newest spare row, and a state carried again takes its spare row
+        back."""
         live, old = dict.fromkeys(live), self._carried
         for node in live:
             if node not in old:
                 node.refs += 1
+                r = self._spare.pop(node.lm_state, None)
+                if r is not None:
+                    self._rows[node.lm_state] = r
         states = {node.lm_state for node in live}
         for node in old:
             if node not in live:
                 node.refs -= 1
                 self._drop(node)
                 if node.lm_state not in states:
-                    self._free_row(node.lm_state)
+                    r = self._rows.pop(node.lm_state, None)
+                    if r is not None:
+                        self._spare[node.lm_state] = r
         for node in self._new:
             self._drop(node)
         self._carried, self._new = live, []
@@ -364,14 +384,6 @@ class PrefixTable:
             node.refs = -1
             node = node.parent
             node.refs -= 1
-
-    def _free_row(self, state):
-        """Empty the memo row of ``state``, if it has one, for a new state."""
-        r = self._rows.pop(state, None)
-        if r is not None:
-            self._steps[r] = {}
-            self._stepped[r] = False
-            self._free.append(r)
 
     def __iter__(self):
         """Every non-empty prefix in the table."""

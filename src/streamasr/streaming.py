@@ -89,6 +89,7 @@ class StreamingSession:
         else:
             self.search = JointSearch(model.decoder, lm, self.params, n_cols)
         self.closed = False
+        self._flushed = False     # the encoder's final flush has run
         self.encoder = IncrementalEncoder(model.encoder, config.eps_enc)
         self._rows = 0            # encoder rows emitted so far, all added to the search
         self._post = deque()      # posterior rows the search has not consumed yet
@@ -109,6 +110,8 @@ class StreamingSession:
         hypothesis (label-id tuple) if it changed, else None."""
         if self.closed:
             raise RuntimeError("session closed")
+        if self._flushed:
+            raise RuntimeError("session finalizing: only finalize may follow")
         frames = chunk.frames if isinstance(chunk, FeatureMatrix) else chunk
         if np.shape(frames)[:1] == (0,):
             raise ValueError("chunk must hold at least one frame")
@@ -116,14 +119,18 @@ class StreamingSession:
         return self._partial()
 
     def finalize(self):
-        """Flush everything and return the final DecodeResult; closes the session."""
+        """Flush everything and return the final DecodeResult; closes the
+        session once it returns.  If a hook raises, the encoder's final
+        flush is kept and ``finalize`` can be called again."""
         if self.closed:
             raise RuntimeError("session closed")
-        self.closed = True
         if self.encoder.frames == 0:
+            self.closed = True
             return DecodeResult((), 0.0, [])
         self._pump(None, final=True)
-        return self.search.finalize()
+        result = self.search.finalize()
+        self.closed = True
+        return result
 
     def _partial(self):
         if self.search.frame == 0:
@@ -135,10 +142,13 @@ class StreamingSession:
         return None
 
     def _pump(self, frames, final):
-        rows = self.encoder.push(frames, final)
-        self.search.add_rows(rows)
-        self._rows += rows.shape[0]
-        self._post.extend(log_posterior_row(row, self.model.ctc_w, self.model.ctc_b) for row in rows)
+        if not self._flushed:
+            rows = self.encoder.push(frames, final)
+            self.search.add_rows(rows)
+            self._rows += rows.shape[0]
+            self._post.extend(log_posterior_row(row, self.model.ctc_w, self.model.ctc_b)
+                              for row in rows)
+            self._flushed = final
         dec_target = self._rows if final else max(0, self._rows - self.config.eps_dec)
         while self.search.frame < dec_target:
             # consumed once advance returns: a failed frame is retried later

@@ -590,10 +590,10 @@ def all_nodes_ctc_stage(row, hyps, lm, params, size):
 
 
 def memo_row(table, state):
-    """LM state ``state``'s memo row in ``table``, as (its steps, the
-    stepped mask, the stepped increments): the parts of a row that mean
-    something."""
-    r = table._rows[state]
+    """LM state ``state``'s memo row in ``table``, carried or spare, as
+    (its steps, the stepped mask, the stepped increments): the parts of a
+    row that mean something."""
+    r = table._rows[state] if state in table._rows else table._spare[state]
     stepped = table._stepped[r]
     return dict(table._steps[r]), stepped.tolist(), table._inc[r][stepped].tolist()
 
@@ -603,8 +603,12 @@ def rebuilt_retain(table, live):
     frame, as a pure function of the table before the call: walk up from
     each ``live`` prefix to the first node already kept, rebuild the child
     table from the kept set, and keep the memo rows of the live prefixes'
-    LM states.  Returns (the kept nodes, the child table, LM state to
-    :func:`memo_row`), what the table must hold after ``retain(live)``."""
+    LM states, spare rows included.  The rows of the states no longer
+    carried become the newest spare rows, steps unchanged, in the order
+    the carried set held them.  Returns (the kept nodes, the child table,
+    LM state to :func:`memo_row` of each carried row, the spare rows as
+    (LM state, :func:`memo_row`) oldest first), what the table must hold
+    after ``retain(live)``."""
     keep = {table.root}
     states = {}
     for node in live:
@@ -613,5 +617,9 @@ def rebuilt_retain(table, live):
             keep.add(node)
             node = node.parent
     children = {(node.parent, node.last): node for node in keep if node.parent is not None}
-    rows = {state: memo_row(table, state) for state in states if state in table._rows}
-    return keep, children, rows
+    held = {**table._spare, **table._rows}
+    rows = {state: memo_row(table, state) for state in states if state in held}
+    left = [*table._spare, *dict.fromkeys(node.lm_state for node in table._carried)]
+    spare = [(state, memo_row(table, state)) for state in left
+             if state in held and state not in states]
+    return keep, children, rows, spare

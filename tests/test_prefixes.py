@@ -69,20 +69,30 @@ def test_retain_keeps_live_prefixes_and_ancestors_only():
 def check_retain_against_rebuild(table):
     """Make every ``retain`` of ``table`` check, after it returns, that
     the table holds what the full rebuild keeps: the same nodes, the same
-    child table and the same memo rows, each of a carried LM state, with
-    every freed row empty and ready for the next new state."""
+    child table, the same memo rows, each of a carried LM state, and the
+    same spare rows in the same order, steps unchanged.  Every row is a
+    carried state's or a spare one, and the memo holds at most (the most
+    states carried before + ``SPARE_ROWS``) rows: a frame makes rows only
+    for the states carried into it, and a fresh one only while at most
+    ``SPARE_ROWS`` are spare."""
     retain = table.retain
+    most = 1  # the root's state
 
     def checked(live):
+        nonlocal most
         live = list(live)
-        keep, children, rows = rebuilt_retain(table, live)
+        keep, children, rows, spare = rebuilt_retain(table, live)
         retain(live)
         assert set(table) | {table.root} == keep
         assert table._children == children
         assert {state: memo_row(table, state) for state in table._rows} == rows
-        assert set(table._rows) <= {pre.lm_state for pre in live}
-        assert sorted([*table._rows.values(), *table._free]) == list(range(len(table._steps)))
-        assert not any(table._steps[r] or table._stepped[r].any() for r in table._free)
+        assert [(state, memo_row(table, state)) for state in table._spare] == spare
+        carried = {pre.lm_state for pre in live}
+        assert set(table._rows) <= carried and not carried & set(table._spare)
+        held = [*table._rows.values(), *table._spare.values()]
+        assert sorted(held) == list(range(len(table._steps)))
+        assert len(table._steps) <= most + table.SPARE_ROWS
+        most = max(most, len(carried))
         assert all(pre.refs > 0 for pre in keep)
 
     table.retain = checked
@@ -120,6 +130,9 @@ def test_incremental_retain_equals_the_full_rebuild(data):
         search.add_rows(rng.standard_normal((n, 8)).astype(np.float32))
     else:
         search = CtcPrefixSearch(lm, params, n_cols)
+    # fewer spare rows than the class keeps, so that rows are evicted; with
+    # none, a row goes to the next new state as soon as its state leaves
+    search.prefixes.SPARE_ROWS = data.draw(st.sampled_from([0, 2, PrefixTable.SPARE_ROWS]))
     check_retain_against_rebuild(search.prefixes)
     for row in logp:
         try:
@@ -271,17 +284,20 @@ def test_ctc_search_rejects_banned_ids_that_are_not_label_ids(bad):
 class HistoryLM(LanguageModel):
     """A bigram whose state is the whole label history, so no two prefixes
     share an LM state and the memo can never serve one prefix's step to
-    another."""
+    another; or, given ``window``, only the last ``window`` labels, a
+    finite set of states that prefixes share and return to."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, window=None):
         self.inner = inner
+        self.window = window
 
     def start_state(self):
         return ()
 
     def extend(self, state, label):
         _, inc = self.inner.extend(state[-1:], label)
-        return state + (label,), inc
+        state = state + (label,)
+        return state if self.window is None else state[-self.window:], inc
 
 
 class CountingLM(LanguageModel):
@@ -332,15 +348,16 @@ def test_node_lm_fields_equal_chaining_extend_over_its_labels():
 def test_memo_with_history_states_matches_tuple_search_and_stays_bounded():
     logp, inner, params = ctc_setup(141, n=24)
     lm = HistoryLM(inner)
-    labels = logp.shape[1] - 1
     search = CtcPrefixSearch(lm, params, logp.shape[1])
+    table = search.prefixes
+    most = 1
     for row in logp:
         search.advance(row)
         carried_states = {pre.lm_state for pre in search.hyps}
         assert len(carried_states) == len(search.hyps)
-        # the memo's stepped (LM state, column) entries
-        stepped = int(np.count_nonzero(search.prefixes._stepped))
-        assert stepped <= len(carried_states) * labels
+        most = max(most, len(carried_states))
+        # the memo's rows: the carried states' and at most SPARE_ROWS more
+        assert len(table._steps) <= most + table.SPARE_ROWS
     got = search.finalize()
     want_labels, want_score, want_trace = tuple_ctc_search(logp, lm, params)
     assert got.trace == want_trace
@@ -358,19 +375,63 @@ def test_each_lm_step_runs_once_while_its_state_stays_carried(ctc_only):
         search = JointSearch(m.decoder, lm, params, logp.shape[1])
         enc = np.random.default_rng(143).standard_normal((logp.shape[0], m.d_model))
         search.add_rows(enc.astype(np.float32))
-    extended = set()
     for row in logp:
+        search.advance(row)
+    # a bigram has one state per label plus the empty history, 6 here: a
+    # state that leaves the beam keeps its row among the spare ones, so
+    # each (state, label) pair is stepped once per search
+    n_labels = logp.shape[1] - 1
+    assert n_labels + 1 <= search.prefixes.SPARE_ROWS
+    assert len(set(lm.calls)) == len(lm.calls) <= (n_labels + 1) * n_labels
+
+
+@pytest.mark.parametrize("window", [None, 4])
+def test_memo_stays_within_the_most_carried_states_plus_the_spare_rows(window):
+    """A long pure-CTC search under an LM with many more states than
+    SPARE_ROWS: the whole history, where a state evicted from the spare
+    rows seldom comes back, or the last four labels, where states come
+    back both while spare and after they were evicted.  The memo never
+    holds more than (the most states carried so far + SPARE_ROWS) rows, a
+    state back from the spare rows is not stepped again, one back after
+    its row was evicted is, and the decode equals the tuple search."""
+    rng = np.random.default_rng(160 if window is None else 172)
+    n_cols = 6 if window is None else 5
+    logp = logprob_rows(rng, 200 if window is None else 150, n_cols)
+    inner = HistoryLM(bigram(rng, n_cols - 1, False), window)
+    lm = CountingLM(inner)
+    k = 60 if window is None else 40
+    params = DecodeParams(k_size=k, p_size=k // 2, theta1=8.0, local_threshold=0.0)
+    search = CtcPrefixSearch(lm, params, n_cols)
+    table = search.prefixes
+    memo, evicted, returned, most = {}, set(), 0, 1
+    for row in logp:
+        spare = set(table._spare)
         start = len(lm.calls)
         search.advance(row)
-        for call in lm.calls[start:]:
-            assert call not in extended
-            extended.add(call)
-        carried = {pre.lm_state for pre in search.hyps}
-        extended = {(state, label) for state, label in extended if state in carried}
-    # a bigram has one state per label plus the empty history, and a pair
-    # whose state left the beam is extended again if the state returns
-    n_labels = logp.shape[1] - 1
-    assert len(set(lm.calls)) <= (n_labels + 1) * n_labels < len(lm.calls)
+        for state, label in lm.calls[start:]:
+            # stepped once while its state keeps a row
+            assert label not in memo.setdefault(state, set())
+            memo[state].add(label)
+        for state in spare:
+            if state in table._rows:
+                returned += 1
+            elif state not in table._spare:
+                evicted.add(state)
+                memo.pop(state, None)
+        most = max(most, len({pre.lm_state for pre in search.hyps}))
+        assert len(table._steps) <= most + table.SPARE_ROWS
+    seen, again = set(), set()
+    for call in lm.calls:
+        (again if call in seen else seen).add(call)
+    assert {state for state, _ in again} <= evicted
+    if window is None:
+        assert len({state for state, _ in lm.calls}) > 10 * table.SPARE_ROWS
+    else:
+        assert again and returned
+    got = search.finalize()
+    want_labels, want_score, want_trace = tuple_ctc_search(logp, inner, params)
+    assert got.trace == want_trace
+    assert got.labels == want_labels and got.score == want_score
 
 
 def carried_tuples(search):

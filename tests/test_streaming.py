@@ -292,13 +292,31 @@ def test_push_rejects_non_finite_chunk_and_keeps_session(bad):
     assert got.labels == want.labels and got.trace == want.trace
 
 
-@pytest.mark.parametrize("retry", ["push", "finalize"])
+@pytest.mark.parametrize("retry", ["push", "finalize", "finalize-raised"])
 def test_session_retried_after_a_raising_hook_equals_one_that_never_raises(retry):
     m = tiny_model(137)
     frames = np.random.default_rng(137).standard_normal((48, 4)).astype(np.float32)
     cfg = StreamConfig(eps_enc=1, eps_dec=1)
     params = DecodeParams(k_size=8, p_size=4, eps_dec=1, acond=lambda pre, *_: len(pre) != 2)
     want = offline_reference(m, frames, 1, params)
+    if retry == "finalize-raised":
+        # the last frame is decoded only by finalize, once the encoder's
+        # final flush has emitted its row; the retry must not flush again
+        n = len(want.trace)
+        flaky = RaiseOnce(params.acond, at=n)
+        sess = StreamingSession(m, UniformLM(3), replace(params, acond=flaky), cfg)
+        sess.push(frames)
+        assert sess.decoded_frames < n
+        with pytest.raises(HookFailed):
+            sess.finalize()
+        assert flaky.raised and not sess.closed
+        assert sess.emitted_frames == n and sess.decoded_frames == n - 1
+        with pytest.raises(RuntimeError, match="only finalize may follow"):
+            sess.push(frames[:4])
+        got = sess.finalize()
+        assert sess.closed
+        assert got.labels == want.labels and got.trace == want.trace and got.score == want.score
+        return
     flaky = RaiseOnce(params.acond, at=5)
     sess = StreamingSession(m, UniformLM(3), replace(params, acond=flaky), cfg)
     first = 32 if retry == "push" else 48
