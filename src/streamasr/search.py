@@ -33,11 +33,12 @@ search holds each prefix as an interned :class:`Prefix` node (a parent,
 a last column, a length, its LM state and LM log probability), found
 through the search's :class:`PrefixTable`, so extending, hashing and
 looking up a prefix cost O(1) however long it grows, and each LM step
-runs once per carried LM state.  Hooks, labels and trace lines still see
-column tuples.  A frame's CTC candidates are ranked as arrays with no
-node of their own: the extensions' masses come as a (carried prefix x
-active column) matrix, their LM increments from the table's memo rows,
-and phat for all of them is one NumPy expression.  A partial selection
+runs once per search while its state is carried or among the last
+``PrefixTable.SPARE_ROWS`` to leave.  Hooks, labels and trace lines
+still see column tuples.  A frame's CTC candidates are ranked as arrays
+with no node of their own: the extensions' masses come as a (carried
+prefix x active column) matrix, their LM increments from the table's
+memo rows, and phat for all of them is one NumPy expression.  A partial selection
 leaves rank tuples only for the carried prefixes and the extensions that
 can be among the first prune's survivors.  Only the survivors the search
 keeps are interned and become :class:`Hypothesis` objects, all of the
@@ -76,9 +77,8 @@ class DecodeParams:
     look-ahead in encoder frames.  local_threshold is the per-frame label
     probability below which the CTC step skips a label.  The sizes and
     eps_dec must be integers, the weights and widths finite real numbers
-    (not bools), local_threshold a real number in [0, 1),
-    add_eos_at_finalize a bool, and each hook None or callable; anything
-    else raises ``ValueError``.
+    (not bools), local_threshold a real number in [0, 1), and each hook
+    None or callable; anything else raises ``ValueError``.
 
     The hooks see (prefix, omega_hat, frame, post_row): the prefix as a
     tuple of posteriorgram columns and omega_hat as a view of this frame's
@@ -105,7 +105,6 @@ class DecodeParams:
     theta2: float = 6.0
     eps_dec: int = 18
     local_threshold: float = 1e-4
-    add_eos_at_finalize: bool = True
     dcond: object = None  # fn(prefix, omega_hat, frame, post_row) -> bool; None = never
     acond: object = None  # fn(prefix, omega_hat, frame, post_row) -> bool; None = always
 
@@ -128,8 +127,6 @@ class DecodeParams:
         check_eps_dec(self.eps_dec)
         if not 0.0 <= self.local_threshold < 1.0:
             raise ValueError(f"local_threshold must be in [0, 1), got {self.local_threshold}")
-        if not isinstance(self.add_eos_at_finalize, bool):
-            raise ValueError(f"add_eos_at_finalize must be a bool, got {self.add_eos_at_finalize!r}")
         for name in ("dcond", "acond"):
             hook = getattr(self, name)
             if hook is not None and not callable(hook):
@@ -240,21 +237,22 @@ class PrefixTable:
 
     A node gets its LM state and log probability from ``lm`` when it is
     interned.  The LM steps come from a memo with one row per LM state
-    and one entry per posterior column (``n_cols`` of them): the log p
-    increment in a float64 matrix, a stepped mask beside it, and the
-    LM's (next state, increment) as it returned them.  Entries are filled
-    lazily, one LM step per (state, column) pair that a candidate of
-    nonzero mass needs, and the search reads them as a matrix to rank
-    candidates that have no node, so prefixes that share an LM state
-    share each step.  Steps are taken only from the carried prefixes'
-    states, the ones a frame extends.  When a state's last carried prefix
-    leaves the beam, its row becomes spare, steps and all, and a state
-    that comes back takes its row back.  A new state gets a fresh row
-    while at most ``SPARE_ROWS`` rows are spare, else the row of the state
-    that left longest ago, emptied.  So each step runs once per search
-    while its state is carried or among the last ``SPARE_ROWS`` to leave,
-    and the memo holds at most (the most states carried at once +
-    ``SPARE_ROWS``) rows, whatever the LM.
+    and one entry per posterior column (``n_cols`` of them), one record
+    per step: its log p increment in a float64 matrix, NaN until the step
+    is taken (an LM's NaN is refused), and the LM's next state in the
+    row's dict, keyed by column.  Entries are filled lazily, one LM step
+    per (state, column) pair that a candidate of nonzero mass needs, and
+    the search reads them as a matrix to rank candidates that have no
+    node, so prefixes that share an LM state share each step.  Steps are
+    taken only from the carried prefixes' states, the ones a frame
+    extends.  When a state's last carried prefix leaves the beam, its row
+    becomes spare, steps and all, and a state that comes back takes its
+    row back.  A new state gets a fresh row while at most ``SPARE_ROWS``
+    rows are spare, else the row of the state that left longest ago,
+    emptied.  So each step runs once per search while its state is
+    carried or among the last ``SPARE_ROWS`` to leave, and the memo holds
+    at most (the most states carried at once + ``SPARE_ROWS``) rows,
+    whatever the LM.
     """
 
     SPARE_ROWS = 64  # covers the 29 states of the benchmark's bigram
@@ -268,9 +266,8 @@ class PrefixTable:
         self._new = []  # nodes interned since the last retain
         self._rows = {}  # carried LM state -> its row in the memo
         self._spare = {}  # LM state that left the beam -> its row, oldest exit first
-        self._steps = []  # per row: column -> the LM's (next state, log p increment)
-        self._inc = np.zeros((0, n_cols))
-        self._stepped = np.zeros((0, n_cols), dtype=bool)
+        self._next = []  # per row: column -> the LM's next state
+        self._inc = np.full((0, n_cols), np.nan)  # log p increments, NaN until stepped
 
     def _row(self, state):
         """The memo row of LM state ``state``; a state without one gets a
@@ -279,74 +276,69 @@ class PrefixTable:
         r = self._rows.get(state)
         if r is None:
             if len(self._spare) <= self.SPARE_ROWS:
-                r = len(self._steps)
-                self._steps.append({})
+                r = len(self._next)
+                self._next.append({})
             else:
                 r = self._spare.pop(next(iter(self._spare)))
-                self._steps[r] = {}
-                self._stepped[r] = False
+                self._next[r] = {}
+                self._inc[r] = np.nan
             self._rows[state] = r
             if r == len(self._inc):
                 more, width = max(r, 8), self._inc.shape[1]
-                self._inc = np.concatenate((self._inc, np.zeros((more, width))))
-                self._stepped = np.concatenate((self._stepped,
-                                                np.zeros((more, width), dtype=bool)))
+                self._inc = np.concatenate((self._inc, np.full((more, width), np.nan)))
         return r
 
     def _take_steps(self, rows, states, cols):
         """Take the LM step of each (row, LM state, column) triple whose
         step is not memoised yet, in the order given.  An increment that
-        is NaN or +inf raises ``ValueError``: no score could rank it.  The
-        steps taken before a raise stay memoised, in the dicts and the
-        matrices alike."""
+        is NaN or +inf raises ``ValueError``: no score could rank it, and
+        NaN marks a step not taken.  The steps taken before a raise stay
+        memoised."""
         taken_r, taken_c, incs = [], [], []
         try:
             for r, state, col in zip(rows, states, cols):
-                steps = self._steps[r]
-                if col not in steps:  # an LM state may come more than once
-                    step = self.lm.extend(state, col - 1)
-                    if not step[1] < math.inf:
+                nxt = self._next[r]
+                if col not in nxt:  # an LM state may come more than once
+                    nxt_state, inc = self.lm.extend(state, col - 1)
+                    if not inc < math.inf:
                         raise ValueError(f"LM step from state {state!r} by label {col - 1} "
-                                         f"gave log p increment {step[1]!r}")
-                    steps[col] = step
+                                         f"gave log p increment {inc!r}")
+                    nxt[col] = nxt_state
                     taken_r.append(r)
                     taken_c.append(col)
-                    incs.append(step[1])
+                    incs.append(inc)
         finally:
             self._inc[taken_r, taken_c] = incs
-            self._stepped[taken_r, taken_c] = True
-
-    def lm_step(self, state, col):
-        """(next LM state, log p increment) of column ``col`` after ``state``."""
-        r = self._row(state)
-        step = self._steps[r].get(col)
-        if step is None:
-            self._take_steps((r,), (state,), (col,))
-            step = self._steps[r][col]
-        return step
 
     def increments(self, states, cols, need):
         """The log p increments of each LM state of ``states`` (a list)
         extended by each column of ``cols``, as a float64 (len(states),
         len(cols)) matrix.  The LM steps that the boolean matrix ``need``
-        marks are taken first, each once, in row-major order; the entries
-        it does not mark hold no meaning."""
+        marks are taken first, each once, in row-major order; an entry it
+        does not mark holds NaN unless its step was taken before."""
         rows = np.array([self._row(s) for s in states], dtype=np.intp)
         cols = np.array(cols, dtype=np.intp)
-        missing = need & ~self._stepped[rows[:, None], cols]
-        i, j = np.nonzero(missing)
+        inc = self._inc[rows[:, None], cols]
+        i, j = np.nonzero(need & np.isnan(inc))
         if len(i):
             self._take_steps(rows[i].tolist(), [states[k] for k in i.tolist()],
                              cols[j].tolist())
-        return self._inc[rows[:, None], cols]
+            inc = self._inc[rows[:, None], cols]
+        return inc
 
     def child(self, parent, col):
-        """The node of ``parent`` extended by column ``col``."""
+        """The node of ``parent`` extended by column ``col``, with the LM
+        step from the parent's state taken if the memo lacks it."""
         key = (parent, col)
         node = self._children.get(key)
         if node is None:
-            state, inc = self.lm_step(parent.lm_state, col)
-            node = self._children[key] = Prefix(parent, col, state, parent.lm_logp + inc)
+            state = parent.lm_state
+            r = self._row(state)
+            if col not in self._next[r]:
+                self._take_steps((r,), (state,), (col,))
+            # a Python float: a NumPy scalar would reach every score and trace line
+            lm_logp = parent.lm_logp + float(self._inc[r, col])
+            node = self._children[key] = Prefix(parent, col, self._next[r][col], lm_logp)
             parent.refs += 1
             self._new.append(node)
         return node
@@ -724,13 +716,13 @@ class JointSearch:
 
     def finalize(self):
         """Pick the joint-score winner of the final frame's carried beam,
-        rescored with ``<eos>`` at every encoder row added when a decoder
-        and the params ask for it."""
+        rescored with ``<eos>`` at every encoder row added when the
+        decoder has an ``<eos>`` id."""
         if self.frame == 0:
             return DecodeResult((), 0.0, list(self.trace))
         scores = {pre: self._last_pjoint[pre] for pre in self._last_carried}
         p = self.params
-        if self.dec is not None and p.add_eos_at_finalize and self.dec.eos_id is not None:
+        if self.dec is not None and self.dec.eos_id is not None:
             avail = self.cross.rows
             scored = [pre for pre in self._last_carried if pre in self.ta]
             self._step(scored, avail)

@@ -591,11 +591,12 @@ def all_nodes_ctc_stage(row, hyps, lm, params, size):
 
 def memo_row(table, state):
     """LM state ``state``'s memo row in ``table``, carried or spare, as
-    (its steps, the stepped mask, the stepped increments): the parts of a
-    row that mean something."""
+    (its next states, its increments that are not NaN), each a dict keyed
+    by column: the parts of a row that mean something."""
     r = table._rows[state] if state in table._rows else table._spare[state]
-    stepped = table._stepped[r]
-    return dict(table._steps[r]), stepped.tolist(), table._inc[r][stepped].tolist()
+    inc = table._inc[r]
+    taken = np.flatnonzero(~np.isnan(inc))
+    return dict(table._next[r]), dict(zip(taken.tolist(), inc[taken].tolist()))
 
 
 def rebuilt_retain(table, live):

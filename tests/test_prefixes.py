@@ -66,6 +66,15 @@ def test_retain_keeps_live_prefixes_and_ancestors_only():
     assert node(table, (1, 2, 5)).parent is live[0].parent
 
 
+def assert_one_record_per_step(table):
+    """Each memo row holds a non-NaN increment at exactly the columns of
+    its next-state dict, and the rows no state has yet hold only NaN: a
+    NaN increment is what marks a step not taken."""
+    for r, nxt in enumerate(table._next):
+        assert set(np.flatnonzero(~np.isnan(table._inc[r])).tolist()) == set(nxt)
+    assert np.isnan(table._inc[len(table._next):]).all()
+
+
 def check_retain_against_rebuild(table):
     """Make every ``retain`` of ``table`` check, after it returns, that
     the table holds what the full rebuild keeps: the same nodes, the same
@@ -74,7 +83,8 @@ def check_retain_against_rebuild(table):
     carried state's or a spare one, and the memo holds at most (the most
     states carried before + ``SPARE_ROWS``) rows: a frame makes rows only
     for the states carried into it, and a fresh one only while at most
-    ``SPARE_ROWS`` are spare."""
+    ``SPARE_ROWS`` are spare.  Each row keeps one record per step (see
+    :func:`assert_one_record_per_step`)."""
     retain = table.retain
     most = 1  # the root's state
 
@@ -90,10 +100,11 @@ def check_retain_against_rebuild(table):
         carried = {pre.lm_state for pre in live}
         assert set(table._rows) <= carried and not carried & set(table._spare)
         held = [*table._rows.values(), *table._spare.values()]
-        assert sorted(held) == list(range(len(table._steps)))
-        assert len(table._steps) <= most + table.SPARE_ROWS
+        assert sorted(held) == list(range(len(table._next)))
+        assert len(table._next) <= most + table.SPARE_ROWS
         most = max(most, len(carried))
         assert all(pre.refs > 0 for pre in keep)
+        assert_one_record_per_step(table)
 
     table.retain = checked
 
@@ -357,7 +368,7 @@ def test_memo_with_history_states_matches_tuple_search_and_stays_bounded():
         assert len(carried_states) == len(search.hyps)
         most = max(most, len(carried_states))
         # the memo's rows: the carried states' and at most SPARE_ROWS more
-        assert len(table._steps) <= most + table.SPARE_ROWS
+        assert len(table._next) <= most + table.SPARE_ROWS
     got = search.finalize()
     want_labels, want_score, want_trace = tuple_ctc_search(logp, lm, params)
     assert got.trace == want_trace
@@ -419,7 +430,7 @@ def test_memo_stays_within_the_most_carried_states_plus_the_spare_rows(window):
                 evicted.add(state)
                 memo.pop(state, None)
         most = max(most, len({pre.lm_state for pre in search.hyps}))
-        assert len(table._steps) <= most + table.SPARE_ROWS
+        assert len(table._next) <= most + table.SPARE_ROWS
     seen, again = set(), set()
     for call in lm.calls:
         (again if call in seen else seen).add(call)
@@ -714,6 +725,7 @@ def test_lm_increment_that_is_nan_or_pos_inf_is_refused(bad):
     search = CtcPrefixSearch(BadLM(3), DecodeParams(k_size=5, p_size=3, local_threshold=0.0), 4)
     with pytest.raises(ValueError, match=r"from state \(\) by label 1 gave log p increment"):
         search.advance(logp[0])
-    # the steps taken before the refusal stay memoised in both forms
+    # the step taken before the refusal stays memoised, one record of it
     table = search.prefixes
-    assert sum(len(steps) for steps in table._steps) == np.count_nonzero(table._stepped) == 1
+    assert sum(len(nxt) for nxt in table._next) == 1
+    assert_one_record_per_step(table)

@@ -176,22 +176,19 @@ def test_decode_params_reject_values_the_search_cannot_use(field, bad):
     ("beta", "2"), ("beta", True), ("theta1", None), ("theta1", True),
     ("theta2", "6"), ("theta2", False), ("local_threshold", "1e-4"),
     ("local_threshold", None), ("local_threshold", False),
-    ("add_eos_at_finalize", "no"), ("add_eos_at_finalize", 1), ("add_eos_at_finalize", None),
     ("dcond", 3), ("dcond", "never"), ("acond", 3), ("acond", True),
 ])
 def test_decode_params_reject_values_of_the_wrong_type(field, bad):
     # a string or None used to raise TypeError from a comparison, a bool
-    # weight passed as a number, a non-bool add_eos_at_finalize ran the
-    # <eos> pass, and a non-callable hook failed mid-search
+    # weight passed as a number, and a non-callable hook failed mid-search
     with pytest.raises(ValueError, match=field):
         DecodeParams(**{field: bad})
 
 
 def test_decode_params_accept_numpy_reals_and_callable_hooks():
     p = DecodeParams(lam=np.float64(0.25), alpha=np.float32(0.5), beta=3,
-                     theta1=np.int64(8), dcond=lambda *a: False, acond=print,
-                     add_eos_at_finalize=False)
-    assert p.lam == 0.25 and p.theta1 == 8 and p.add_eos_at_finalize is False
+                     theta1=np.int64(8), dcond=lambda *a: False, acond=print)
+    assert p.lam == 0.25 and p.theta1 == 8
 
 
 def test_decode_params_accept_integer_likes_and_threshold_bounds():
@@ -324,13 +321,19 @@ def test_pure_ctc_reduction_is_bitwise(data):
         assert out.trace == joint.trace
 
 
+def last_line_result(trace):
+    """What finalize returns without the ``<eos>`` pass: the last trace
+    line's best labels and its p_joint, which ``repr`` prints exactly."""
+    match = TRACE_RE.match(trace[-1])
+    ids = match.group(3)
+    return (tuple(int(i) for i in ids.split(",")) if ids else ()), float(match.group(5))
+
+
 def test_eos_rescoring_changes_finalize_only():
     m, enc, post, lm, _ = decode_setup(106, n=4)
-    with_eos = decode(enc, post, lm, m.decoder, DecodeParams(lam=0.4))
-    without = decode(enc, post, lm, m.decoder,
-                     DecodeParams(lam=0.4, add_eos_at_finalize=False))
-    assert with_eos.trace == without.trace
-    assert with_eos.score != without.score
+    out = decode(enc, post, lm, m.decoder, DecodeParams(lam=0.4))
+    # the pass runs after the last frame, so it rescores what the trace shows
+    assert out.score != last_line_result(out.trace)[1]
 
 
 def test_no_eos_model_skips_final_rescoring():
@@ -339,10 +342,7 @@ def test_no_eos_model_skips_final_rescoring():
     enc = EncoderStates(random_enc_states(rng, 3, 8))
     post = posteriorgram_from_states(enc.states, m.ctc_w, m.ctc_b)
     out = decode(enc, post, UniformLM(4), m.decoder, DecodeParams())
-    flag_off = decode(enc, post, UniformLM(4), m.decoder,
-                      DecodeParams(add_eos_at_finalize=False))
-    assert out.labels == flag_off.labels
-    assert out.score == flag_off.score
+    assert (out.labels, out.score) == last_line_result(out.trace)
 
 
 def test_banned_reserved_labels_never_decoded():
