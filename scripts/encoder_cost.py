@@ -63,7 +63,7 @@ def main():
     audio_s = frames.shape[0] * feats.frame_shift_ms / 1000.0
 
     def offline():
-        return encode(feats, model.encoder, EPS_ENC).states
+        return encode(feats, model.encoder, EPS_ENC)
 
     def streaming():
         """The encoder rows, and the seconds each chunk's push took."""

@@ -78,8 +78,7 @@ def main():
     model = random_model(args.seed, **MID_MODEL)
     frames = int(args.seconds * 100)  # 10 ms feature frames
     feats = random_features(args.seed + 1, frames, MID_MODEL["d_feat"])
-    post = posteriorgram_from_states(encode(feats, model.encoder, 1), model.ctc_w, model.ctc_b)
-    logp = post.logp
+    logp = posteriorgram_from_states(encode(feats, model.encoder, 1), model.ctc_w, model.ctc_b)
     n = logp.shape[0]
     if n < 4:
         sys.exit(f"{n} encoder frames: need at least 4, one per quarter")

@@ -53,7 +53,7 @@ def main():
     print(f"final: {vocab.detokenize(result.labels)!r}  score {result.score:.4f}")
 
     enc = encode(feats, model.encoder, args.eps_enc)
-    post = posteriorgram_from_states(enc.states, model.ctc_w, model.ctc_b)
+    post = posteriorgram_from_states(enc, model.ctc_w, model.ctc_b)
     offline = decode(enc, post, lm, model.decoder, params)
     same = offline.labels == result.labels and offline.score == result.score
     print(f"offline agreement (bit-exact): {same}")

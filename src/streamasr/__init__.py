@@ -10,7 +10,6 @@ from .attention import (
 )
 from .ctc import (
     BLANK,
-    Posteriorgram,
     PrefixScores,
     TriggerAlignment,
     ctc_forward_logprob,
@@ -18,6 +17,7 @@ from .ctc import (
     ctc_viterbi_align,
     log_posterior_row,
     posteriorgram_from_states,
+    validate_posteriorgram,
 )
 from .decoder import (
     CrossAttentionCache,
@@ -30,7 +30,6 @@ from .encoder import (
     CnnParams,
     EncoderLayerParams,
     EncoderParams,
-    EncoderStates,
     FeatureMatrix,
     cnn_frame_count,
     enc_cnn,

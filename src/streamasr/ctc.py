@@ -1,9 +1,11 @@
 """CTC machinery over log-probability posteriorgrams.
 
-Labels here are posteriorgram column indices: column 0 is the blank,
-columns 1..V are the output labels.  A path collapses by first merging
-adjacent repeats, then deleting blanks.  All scores live in the log
-domain as float64; impossible events are -inf, never an underflowed zero.
+A posteriorgram is the (N, V+1) float64 matrix of per-frame label log
+probabilities that :func:`posteriorgram_from_states` returns.  Labels
+here are its column indices: column 0 is the blank, columns 1..V are the
+output labels.  A path collapses by first merging adjacent repeats, then
+deleting blanks.  All scores live in the log domain as float64;
+impossible events are -inf, never an underflowed zero.
 """
 
 import math
@@ -11,26 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import NEG_INF, log_add, log_softmax_f64
+from .kernels import NEG_INF, is_int, log_add, log_softmax_f64
 
 BLANK = 0
-
-
-@dataclass
-class Posteriorgram:
-    """Per-frame label log-probabilities: (N, V+1) float64, column 0 = blank."""
-
-    logp: np.ndarray
-
-    def validate(self, tol=1e-5):
-        lp = np.asarray(self.logp)
-        if lp.ndim != 2 or lp.shape[0] < 1 or lp.shape[1] < 2:
-            raise ValueError(f"posteriorgram must be (N>=1, V+1>=2), got {lp.shape}")
-        check_log_probs(lp)
-        lse = np.array([_row_lse(row) for row in lp])
-        bad = np.flatnonzero(np.abs(lse) > tol)
-        if bad.size:
-            raise ValueError(f"posteriorgram row {bad[0]} sums to exp({lse[bad[0]]}), not 1")
 
 
 @dataclass
@@ -59,6 +44,32 @@ class TriggerAlignment:
     nu: tuple
 
 
+def validate_posteriorgram(post, tol=1e-5):
+    """Check (N>=1, V+1>=2), no NaN or +inf, and each row's log-sum-exp within ``tol`` of 0."""
+    lp = np.asarray(post)
+    if lp.ndim != 2 or lp.shape[0] < 1 or lp.shape[1] < 2:
+        raise ValueError(f"posteriorgram must be (N>=1, V+1>=2), got {lp.shape}")
+    check_log_probs(lp)
+    lse = np.array([_row_lse(row) for row in lp])
+    bad = np.flatnonzero(np.abs(lse) > tol)
+    if bad.size:
+        raise ValueError(f"posteriorgram row {bad[0]} sums to exp({lse[bad[0]]}), not 1")
+
+
+def posterior_matrix(post):
+    """``post`` as a float64 array; one that is not 2-D raises ``ValueError``."""
+    lp = np.asarray(post, dtype=np.float64)
+    if lp.ndim != 2:
+        raise ValueError(f"posteriorgram must be 2-D (frames, columns), got shape {lp.shape}")
+    return lp
+
+
+def check_eps_dec(eps_dec):
+    """Reject a decoder look-ahead that is not a non-negative integer."""
+    if not is_int(eps_dec) or eps_dec < 0:
+        raise ValueError(f"eps_dec must be a non-negative integer, got {eps_dec!r}")
+
+
 def check_log_probs(lp):
     """Reject NaN or +inf log probabilities; -inf (probability zero) is allowed."""
     if np.isnan(lp).any() or (lp == math.inf).any():
@@ -72,10 +83,11 @@ def _row_lse(row):
     return m + math.log(float(np.sum(np.exp(row - m))))
 
 
-def _check_labels(labels, n_cols):
+def check_labels(labels, lo, hi, where):
+    """Reject a label that is not an integer in [lo, hi) ``where`` names."""
     for y in labels:
-        if not 1 <= y < n_cols:
-            raise ValueError(f"label {y} outside posteriorgram columns 1..{n_cols - 1}")
+        if not (is_int(y) and lo <= y < hi):
+            raise ValueError(f"label {y!r} outside {where} {lo}..{hi - 1}")
 
 
 def _expanded_states(labels):
@@ -93,9 +105,9 @@ def ctc_forward_logprob(post, labels):
     Sums over every path that collapses to the label sequence; returns
     -inf when no such path exists (e.g. too few frames).
     """
-    lp = np.asarray(post.logp if isinstance(post, Posteriorgram) else post, dtype=np.float64)
+    lp = posterior_matrix(post)
     labels = list(labels)
-    _check_labels(labels, lp.shape[1])
+    check_labels(labels, 1, lp.shape[1], "posteriorgram columns")
     n = lp.shape[0]
     if not labels:
         return float(np.sum(lp[:, BLANK])) if n else 0.0
@@ -104,9 +116,7 @@ def ctc_forward_logprob(post, labels):
     states = _expanded_states(labels)
     s = len(states)
     alpha = np.full(s, NEG_INF)
-    alpha[0] = lp[0, states[0]]
-    if s > 1:
-        alpha[1] = lp[0, states[1]]
+    alpha[:2] = lp[0, states[:2]]  # a path starts on the blank or the first label
     for t in range(1, n):
         prev = alpha
         alpha = np.full(s, NEG_INF)
@@ -118,19 +128,21 @@ def ctc_forward_logprob(post, labels):
                 a = log_add(a, prev[j - 2])
             if a != NEG_INF:
                 alpha[j] = a + lp[t, states[j]]
-    return float(log_add(alpha[s - 1], alpha[s - 2] if s > 1 else NEG_INF))
+    return float(log_add(alpha[s - 1], alpha[s - 2]))
 
 
 def ctc_viterbi_align(post, labels, eps_dec):
     """Most probable single alignment of ``labels`` plus trigger frames.
 
     Ties prefer the path that advances (and therefore emits labels)
-    earliest.  nu = first_occurrence + eps_dec, reported unclamped.
-    Raises when the labels cannot be aligned within the frame count.
+    earliest.  nu = first_occurrence + eps_dec (checked as the search's),
+    reported unclamped.  Raises when the labels cannot be aligned within
+    the frame count.
     """
-    lp = np.asarray(post.logp if isinstance(post, Posteriorgram) else post, dtype=np.float64)
+    check_eps_dec(eps_dec)
+    lp = posterior_matrix(post)
     labels = list(labels)
-    _check_labels(labels, lp.shape[1])
+    check_labels(labels, 1, lp.shape[1], "posteriorgram columns")
     n = lp.shape[0]
     if not labels:
         return TriggerAlignment(tuple([BLANK] * n), (), ())
@@ -140,10 +152,7 @@ def ctc_viterbi_align(post, labels, eps_dec):
     s = len(states)
     score = np.full((n, s), NEG_INF)
     back = np.zeros((n, s), dtype=np.int64)
-    score[0, 0] = lp[0, states[0]]
-    score[0, 1] = lp[0, states[1]]
-    back[0, 0] = 0
-    back[0, 1] = 1
+    score[0, :2] = lp[0, states[:2]]
     for t in range(1, n):
         for j in range(s):
             cands = [j]
@@ -157,8 +166,7 @@ def ctc_viterbi_align(post, labels, eps_dec):
                 continue
             score[t, j] = score[t - 1, best] + lp[t, states[j]]
             back[t, j] = best
-    ends = [s - 1, s - 2]
-    end = max(ends, key=lambda c: (score[n - 1, c], c))
+    end = max((s - 1, s - 2), key=lambda c: (score[n - 1, c], c))
     if score[n - 1, end] == NEG_INF:
         raise ValueError("no valid alignment")
     seq = [0] * n
@@ -167,13 +175,9 @@ def ctc_viterbi_align(post, labels, eps_dec):
         seq[t] = j
         j = back[t, j]
     path = tuple(states[j] for j in seq)
-    first = []
-    prev_state = -1
-    for t, j in enumerate(seq):
-        if j != prev_state and states[j] != BLANK:
-            first.append(t + 1)
-        prev_state = j
-    first = tuple(first)
+    # a label first fires where the path enters its state
+    first = tuple(t + 1 for t, j in enumerate(seq)
+                  if states[j] != BLANK and (t == 0 or seq[t - 1] != j))
     return TriggerAlignment(path, first, tuple(f + eps_dec for f in first))
 
 
@@ -271,10 +275,11 @@ def _prefix_masses(row, hyps, local_threshold, split):
 
 
 def posteriorgram_from_states(states, weight, bias):
-    """CTC output head: per-row linear projection and float64 log-softmax."""
-    mat = states.states if hasattr(states, "states") else np.asarray(states)
+    """CTC output head: the (N, d_model) encoder matrix -> the (N, V+1)
+    posteriorgram, a linear projection and float64 log-softmax per row."""
+    mat = np.asarray(states)
     rows = [log_posterior_row(mat[i], weight, bias) for i in range(mat.shape[0])]
-    return Posteriorgram(np.stack(rows) if rows else np.zeros((0, weight.shape[1])))
+    return np.stack(rows) if rows else np.zeros((0, weight.shape[1]))
 
 
 def log_posterior_row(state_row, weight, bias):

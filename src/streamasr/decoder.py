@@ -30,10 +30,11 @@ import numpy as np
 
 from . import attention, kernels
 from .attention import KeyValueStore, MhaParams, attend, full_mask, merge_heads, project_heads
+from .ctc import check_labels
 # multi_head_attention is no longer called here, but stays bound: the
 # benchmark's tracer (perfbench/tracer.py) wraps it by this module's name.
 from .attention import multi_head_attention  # noqa: F401
-from .encoder import EncoderStates, feed_forward, positional_encodings
+from .encoder import feed_forward, positional_encodings
 
 
 @dataclass
@@ -77,10 +78,6 @@ class DecoderParams:
         return (self.sos_id,) if self.eos_id is None else (self.sos_id, self.eos_id)
 
 
-def _enc_matrix(enc):
-    return enc.states if isinstance(enc, EncoderStates) else np.asarray(enc)
-
-
 class CrossAttentionCache:
     """Cross-attention keys and values of one utterance's encoder rows.
 
@@ -104,7 +101,7 @@ class CrossAttentionCache:
 
     def extend(self, rows):
         """Project and append the next encoder rows, (n, d_model)."""
-        rows = _enc_matrix(rows)
+        rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.params.d_model:
             raise ValueError(f"encoder rows of shape {rows.shape}, "
                              f"expected (n, {self.params.d_model})")
@@ -129,8 +126,8 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
     ``token_ids[i]`` at index ``pos_indices[i]``; it self-attends over
     its own history plus itself, and every row cross-attends to encoder
     rows 1..nu only.  ``cache`` is a :class:`CrossAttentionCache` shared
-    between calls, or the encoder matrix or its :class:`EncoderStates`,
-    which are projected afresh.
+    between calls, or the (N, d_model) encoder matrix, which is projected
+    afresh.
 
     The norms, projections, feed-forward and vocabulary projection run
     once over the B rows; they are row-invariant, and attention is
@@ -220,15 +217,17 @@ def append_history(hists, dtype):
 def ta_prefix_score(enc, labels, nu_per_label, params):
     """Sum of per-label log posteriors under a per-label truncation schedule.
 
-    labels are vocabulary ids (no start token); nu_per_label[l] is the
-    encoder-row count visible when label l is scored.  Values beyond the
-    encoder length are clamped to it.  Empty input scores 0.0.
+    enc is the encoder matrix; labels are vocabulary ids, no start token
+    (an id outside the vocabulary raises ``ValueError``); nu_per_label[l]
+    is the encoder-row count visible when label l is scored.  Values
+    beyond the encoder length are clamped to it.  Empty input scores 0.0.
     """
-    cache = CrossAttentionCache(params, enc)
     labels = list(labels)
+    check_labels(labels, 0, params.vocab_size, "the vocabulary")
     nus = list(nu_per_label)
     if len(labels) != len(nus):
         raise ValueError(f"{len(labels)} labels but {len(nus)} truncation points")
+    cache = CrossAttentionCache(params, enc)
     n = cache.rows
     nus = [min(v, n) for v in nus]
     if any(b < a for a, b in zip(nus, nus[1:])):

@@ -9,13 +9,13 @@ the total encoder look-ahead grows linearly with depth.
 
 One engine, :class:`IncrementalEncoder`, runs all of it: offline
 :func:`encode` is one push with ``final=True``, and streaming, pushing
-each chunk as it arrives, gets the same bits.  :func:`encoder_layer` is
-the whole-matrix reference the engine is tested against.
+each chunk as it arrives, gets the same bits: an (N, d_model) float32
+matrix, one row per four input frames.  :func:`encoder_layer` is the
+whole-matrix reference the engine is tested against.
 """
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,14 +67,6 @@ class EncoderParams:
     @property
     def d_model(self):
         return self.cnn.proj_w.shape[1]
-
-
-@dataclass
-class EncoderStates:
-    """Encoder output sequence: (N, d_model) float32, 40 ms per row at 10 ms input shift."""
-
-    states: np.ndarray
-    frame_duration_ms: float = 40.0
 
 
 def positional_encodings(positions, d_model):
@@ -249,7 +241,7 @@ class _LayerRows:
 
 def check_eps_enc(eps_enc):
     """Reject an encoder look-ahead that is neither a non-negative integer nor math.inf."""
-    if not (isinstance(eps_enc, numbers.Real) and not isinstance(eps_enc, bool)
+    if not (kernels.is_real(eps_enc)
             and (eps_enc == math.inf or (float(eps_enc).is_integer() and eps_enc >= 0))):
         raise ValueError(f"eps_enc must be a non-negative integer or inf, got {eps_enc!r}")
 
@@ -337,18 +329,15 @@ def encoder_layer(x, layer, mask):
     return x + feed_forward(normed, layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b)
 
 
-def encoder_forward(x0, params, eps_enc, frame_shift_ms=10.0):
+def encoder_forward(x0, params, eps_enc):
     """Run the self-attention stack over CNN+position-encoded input rows.
 
     eps_enc is the per-layer future visibility in encoder frames; math.inf
     removes the restriction entirely.
     """
-    states = IncrementalEncoder(params, eps_enc).push_rows(x0, final=True)
-    return EncoderStates(states, frame_duration_ms=4.0 * frame_shift_ms)
+    return IncrementalEncoder(params, eps_enc).push_rows(x0, final=True)
 
 
 def encode(features, params, eps_enc):
-    """Features -> encoder states: CNN front end, positional encoding, layer stack."""
-    states = IncrementalEncoder(params, eps_enc).push(features, final=True)
-    shift = features.frame_shift_ms if isinstance(features, FeatureMatrix) else 10.0
-    return EncoderStates(states, frame_duration_ms=4.0 * shift)
+    """Features -> encoder matrix: CNN front end, positional encoding, layer stack."""
+    return IncrementalEncoder(params, eps_enc).push(features, final=True)

@@ -11,10 +11,12 @@ row) pair's kernel-column products are summed left to right, and those
 sums are added one after another from +0.  For float32 rows of at least
 two output columns :func:`conv_time_slab` computes that order with
 whole-array products and one sequential reduction; every other input
-stays on einsum itself.
+stays on einsum itself.  ``is_int`` and ``is_real`` are the scalar type
+tests that every argument check shares.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -155,3 +157,13 @@ def log_softmax_f64(logits):
         raise ValueError(f"log_softmax_f64 expects a vector, got shape {z.shape}")
     m = float(np.max(z))
     return z - (m + math.log(float(np.sum(np.exp(z - m)))))
+
+
+def is_int(v):
+    """An integer that is not a bool (NumPy integers count)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_real(v):
+    """A real number that is not a bool (NumPy reals count)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)

@@ -8,6 +8,8 @@ cache per-prefix state safely.
 
 import math
 
+from .kernels import is_int
+
 LN10 = math.log(10.0)
 
 
@@ -33,11 +35,11 @@ class LanguageModel:
 
 
 class UniformLM(LanguageModel):
-    """Every label costs log(1/n) regardless of history."""
+    """Every label costs log(1/n_labels), an integer >= 1, regardless of history."""
 
     def __init__(self, n_labels):
-        if n_labels < 1:
-            raise ValueError(f"uniform LM needs at least one label, got {n_labels}")
+        if not is_int(n_labels) or n_labels < 1:
+            raise ValueError(f"uniform LM needs at least one label, an integer count: {n_labels!r}")
         self._logp = -math.log(n_labels)
 
     def start_state(self):

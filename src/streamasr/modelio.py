@@ -44,6 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import MhaParams
+from .ctc import check_labels
 from .decoder import DecoderLayerParams, DecoderParams
 from .encoder import CnnParams, EncoderLayerParams, EncoderParams
 
@@ -84,7 +85,10 @@ class Vocab:
 
     def detokenize(self, ids):
         """Label ids -> text: concatenate pieces, then turn the declared
-        boundary marker into spaces.  Reserved ids are dropped."""
+        boundary marker into spaces.  Reserved ids are dropped; an id
+        outside the vocabulary raises ``ValueError``."""
+        ids = list(ids)
+        check_labels(ids, 0, len(self.tokens), "the vocabulary")
         reserved = self.reserved_ids()
         pieces = [self.tokens[i] for i in ids if i not in reserved]
         text = "".join(pieces)

@@ -52,7 +52,6 @@ order.  A frame commits only after every hook has returned.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from operator import attrgetter
@@ -63,7 +62,8 @@ from . import decoder as dec_mod
 # ctc_prefix_step is not called here, but stays bound: the benchmark's
 # tracer (perfbench/tracer.py) wraps it in this module by name.
 from .ctc import _prefix_masses, check_log_probs, ctc_prefix_step  # noqa: F401
-from .kernels import NEG_INF, log_add
+from .ctc import check_eps_dec, ctc_forward_logprob, posterior_matrix
+from .kernels import NEG_INF, is_int, is_real, log_add
 
 
 @dataclass
@@ -110,12 +110,12 @@ class DecodeParams:
 
     def __post_init__(self):
         for name in ("lam", "alpha0", "alpha", "beta", "theta1", "theta2", "local_threshold"):
-            if not _is_real(getattr(self, name)):
+            if not is_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must be in [0, 1], got {self.lam}")
         for name in ("k_size", "p_size"):
-            if not _is_int(getattr(self, name)):
+            if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.k_size < self.p_size or self.p_size < 1:
             raise ValueError(f"need k_size >= p_size >= 1, got {self.k_size}, {self.p_size}")
@@ -137,20 +137,6 @@ class DecodeParams:
             setattr(self, name, float(getattr(self, name)))
         for name in ("k_size", "p_size", "eps_dec"):
             setattr(self, name, int(getattr(self, name)))
-
-
-def _is_int(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def check_eps_dec(eps_dec):
-    """Reject a decoder look-ahead that is not a non-negative integer."""
-    if not _is_int(eps_dec) or eps_dec < 0:
-        raise ValueError(f"eps_dec must be a non-negative integer, got {eps_dec!r}")
 
 
 @dataclass
@@ -490,7 +476,7 @@ class JointSearch:
         """Set up the empty beam; ``dec`` is None for the pure CTC search."""
         banned_ids = tuple(banned_ids)
         for i in banned_ids:
-            if not _is_int(i) or not 0 <= i < n_cols - 1:
+            if not is_int(i) or not 0 <= i < n_cols - 1:
                 raise ValueError(f"banned id {i!r} is not a label id in [0, {n_cols - 1})")
         self.dec = dec
         self.params = params
@@ -755,12 +741,12 @@ class CtcPrefixSearch(JointSearch):
     finalize = JointSearch.finalize
 
 
-def _search_offline(search, post, states=None):
-    """Run a fresh ``search`` over every posterior row and finalize it.
-    ``states`` are the encoder rows, one per posterior row (None without a
-    decoder), added once after their checks; each posterior row is read,
-    and checked, only at its own frame, as a streaming session reads it."""
-    logp = post.logp
+def _search_offline(search, logp, states=None):
+    """Run a fresh ``search`` over every row of the posteriorgram ``logp``
+    and finalize it.  ``states`` are the encoder rows, one per posterior
+    row (None without a decoder), added once after their checks; each
+    posterior row is read, and checked, only at its own frame, as a
+    streaming session reads it."""
     n = logp.shape[0]
     if n < 1:
         raise ValueError("empty utterance")
@@ -778,34 +764,35 @@ def _search_offline(search, post, states=None):
 def decode(enc, post, lm, dec, params):
     """Offline joint decode of a whole utterance.
 
-    enc: EncoderStates (or matrix); post: Posteriorgram whose rows match
-    the encoder rows one to one and whose width is dec.vocab_size + 1.
+    enc: the (N, d_model) encoder matrix; post: the posteriorgram, whose
+    rows match the encoder rows one to one and whose width is
+    dec.vocab_size + 1.  A posteriorgram that is not 2-D raises ``ValueError``.
     """
-    states = enc.states if hasattr(enc, "states") else np.asarray(enc)
-    return _search_offline(JointSearch(dec, lm, params, post.logp.shape[1]), post, states)
+    logp = posterior_matrix(post)
+    return _search_offline(JointSearch(dec, lm, params, logp.shape[1]), logp, np.asarray(enc))
 
 
 def ctc_prefix_search(post, lm, params, banned_ids=()):
-    """Offline pure-CTC prefix beam search over a posteriorgram."""
-    return _search_offline(CtcPrefixSearch(lm, params, post.logp.shape[1], banned_ids), post)
+    """Offline pure-CTC prefix beam search over an (N, V+1) posteriorgram,
+    which must be 2-D, else ``ValueError``."""
+    logp = posterior_matrix(post)
+    return _search_offline(CtcPrefixSearch(lm, params, logp.shape[1], banned_ids), logp)
 
 
 def joint_loss(post, enc, y, align, dec, lp):
     """Weighted sum of the CTC and truncated-decoder negative log likelihoods.
 
-    y is the reference label-id sequence; align supplies the per-label
-    encoder truncation points (from the forced alignment of y against
-    post).  At gamma exactly 0 or 1 the other term is not evaluated, so
-    the limits equal the single objectives identically.  A y that the
-    posteriorgram cannot emit yields +inf.
+    post is the (N, V+1) posteriorgram and enc the (N, d_model) encoder
+    matrix; y is the reference label-id sequence; align supplies the
+    per-label encoder truncation points (from the forced alignment of y
+    against post).  At gamma exactly 0 or 1 the other term is not
+    evaluated, so the limits equal the single objectives identically.  A
+    y that the posteriorgram cannot emit yields +inf.
     """
-    from .ctc import ctc_forward_logprob
-    from .decoder import ta_prefix_score
-
     y = list(y)
     loss = 0.0
     if lp.gamma > 0.0:
         loss += -lp.gamma * ctc_forward_logprob(post, [label + 1 for label in y])
     if lp.gamma < 1.0:
-        loss += -(1.0 - lp.gamma) * ta_prefix_score(enc, y, align.nu, dec)
+        loss += -(1.0 - lp.gamma) * dec_mod.ta_prefix_score(enc, y, align.nu, dec)
     return float(loss)

@@ -12,7 +12,6 @@ the final hypothesis are bit-identical to a single offline run.
 """
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -21,9 +20,10 @@ import numpy as np
 # multi_head_attention is not called here, but stays bound: the
 # benchmark's tracer (perfbench/tracer.py) wraps it by this module's name.
 from .attention import multi_head_attention  # noqa: F401
-from .ctc import log_posterior_row
+from .ctc import check_eps_dec, log_posterior_row
 from .encoder import FeatureMatrix, IncrementalEncoder, check_eps_enc
-from .search import CtcPrefixSearch, DecodeResult, JointSearch, check_eps_dec
+from .kernels import is_real
+from .search import CtcPrefixSearch, DecodeResult, JointSearch
 
 
 @dataclass
@@ -43,7 +43,7 @@ class StreamConfig:
         check_eps_enc(self.eps_enc)
         check_eps_dec(self.eps_dec)
         shift = self.frame_shift_ms
-        if isinstance(shift, bool) or not isinstance(shift, numbers.Real) or not 0 < shift < math.inf:
+        if not is_real(shift) or not 0 < shift < math.inf:
             raise ValueError(f"frame_shift_ms must be a positive finite number, got {shift!r}")
 
 

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 
-from streamasr.ctc import Posteriorgram
 from streamasr.decoder import CrossAttentionCache, advance_positions, empty_history
 from streamasr.lm import NgramLM
 from streamasr.modelio import random_model
@@ -18,7 +17,8 @@ def logprob_rows(rng, n, c):
 
 
 def random_posteriorgram(rng, n, c):
-    return Posteriorgram(logprob_rows(rng, n, c))
+    """An (n, c) posteriorgram of random, exactly-normalized rows."""
+    return logprob_rows(rng, n, c)
 
 
 def tiny_model(seed, **kw):

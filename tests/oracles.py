@@ -290,7 +290,7 @@ def full_context_decoder_logps(dec, enc, labels):
     from streamasr.encoder import feed_forward, positional_encodings
     from streamasr import kernels
 
-    enc_m = enc.states if hasattr(enc, "states") else np.asarray(enc)
+    enc_m = np.asarray(enc)
     tokens = [dec.sos_id] + list(labels)
     x = dec.embed[tokens] + positional_encodings(np.arange(len(tokens)), dec.d_model)
     causal = causal_mask(len(tokens))

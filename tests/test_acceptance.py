@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from streamasr.attention import full_mask, scaled_dot_attention
-from streamasr.ctc import (Posteriorgram, PrefixScores, ctc_forward_logprob,
+from streamasr.ctc import (PrefixScores, ctc_forward_logprob,
                            ctc_prefix_step, ctc_viterbi_align,
                            posteriorgram_from_states)
 from streamasr.decoder import ta_prefix_score
@@ -100,8 +100,8 @@ def test_acceptance_02_joint_search_exactness():
         t = int(rng.integers(2, 17))  # up to 4 encoder frames
         feats = rng.standard_normal((t, 4)).astype(np.float32)
         enc = encode(feats, m.encoder, math.inf)
-        post = posteriorgram_from_states(enc.states, m.ctc_w, m.ctc_b)
-        n = post.logp.shape[0]
+        post = posteriorgram_from_states(enc, m.ctc_w, m.ctc_b)
+        n = post.shape[0]
         lam = float(rng.choice([0.0, 0.3, 0.5, 0.8, 1.0]))
         eps_dec = int(rng.integers(0, 3))
         lm = UniformLM(3)
@@ -115,7 +115,7 @@ def test_acceptance_02_joint_search_exactness():
 
         banned = {m.decoder.sos_id + 1, m.decoder.eos_id + 1}
         best, scores = exhaustive_joint_argmax(
-            [r.tolist() for r in post.logp], banned, lm, params, ta_fn)
+            [r.tolist() for r in post], banned, lm, params, ta_fn)
         want_labels = tuple(c - 1 for c in best)
         if got.labels != want_labels:
             failures.append((case, got.labels, want_labels))
@@ -136,7 +136,7 @@ def test_acceptance_03_pure_ctc_reduction():
     failures = []
     for case in range(100):
         n = int(rng.integers(1, 9))
-        post = Posteriorgram(logprob_rows(rng, n, 6))
+        post = logprob_rows(rng, n, 6)
         enc = random_enc_states(rng, n, 8)
         params = DecodeParams(lam=1.0, alpha0=0.7, alpha=0.7, k_size=6,
                               p_size=3, eps_dec=int(rng.integers(0, 4)))
@@ -163,7 +163,7 @@ def test_acceptance_04_streaming_offline_equivalence():
             for eps_dec in (2, 4):
                 params = DecodeParams(k_size=8, p_size=4, eps_dec=eps_dec)
                 enc = encode(frames, m.encoder, eps_enc)
-                post = posteriorgram_from_states(enc.states, m.ctc_w, m.ctc_b)
+                post = posteriorgram_from_states(enc, m.ctc_w, m.ctc_b)
                 offline = decode(enc, post, lm, m.decoder, params)
                 sess = StreamingSession(
                     m, lm, params, StreamConfig(eps_enc=eps_enc, eps_dec=eps_dec))
@@ -193,17 +193,17 @@ def test_acceptance_05_encoder_causality():
                 horizon = n + e_layers * eps
                 rows = horizon + 1 + int(rng.integers(1, 3))
                 x0 = rng.standard_normal((rows, 8)).astype(np.float32)
-                base = encoder_forward(x0, m.encoder, eps).states
+                base = encoder_forward(x0, m.encoder, eps)
                 x0p = x0.copy()
                 x0p[horizon + 1:] += 3.0
-                pert = encoder_forward(x0p, m.encoder, eps).states
+                pert = encoder_forward(x0p, m.encoder, eps)
                 if not np.array_equal(base[n], pert[n]):
                     failures.append((e_layers, eps, k, "leaked"))
     rng = np.random.default_rng(7999)
     for k in range(20):
         m = tiny_model(int(rng.integers(1, 10**9)))
         x0 = rng.standard_normal((6, 8)).astype(np.float32)
-        inf_run = encoder_forward(x0, m.encoder, math.inf).states
+        inf_run = encoder_forward(x0, m.encoder, math.inf)
         x = x0.copy()
         for layer in m.encoder.layers:
             x = encoder_layer(x, layer, full_mask(6, 6))
@@ -349,7 +349,7 @@ def test_acceptance_10_normalization_suite(tmp_path):
         states = rng.standard_normal((1, 8)).astype(np.float32)
         post = posteriorgram_from_states(states, m.ctc_w, m.ctc_b)
         cases += 1
-        if abs(float(np.exp(post.logp[0]).sum()) - 1.0) > 1e-6:
+        if abs(float(np.exp(post[0]).sum()) - 1.0) > 1e-6:
             failures.append(("posterior", cases))
 
     for _ in range(100):

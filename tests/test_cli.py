@@ -72,7 +72,7 @@ def library_offline(ws, ctc_only):
     out, trace = [], []
     for i, name in enumerate(["utt0.feats", "utt1.feats"]):
         enc = encode(load_features(ws / name), m.encoder, 1)
-        post = posteriorgram_from_states(enc.states, m.ctc_w, m.ctc_b)
+        post = posteriorgram_from_states(enc, m.ctc_w, m.ctc_b)
         if ctc_only:
             result = ctc_prefix_search(post, UniformLM(3), params,
                                        banned_ids=m.decoder.reserved_ids)

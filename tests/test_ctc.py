@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from streamasr.ctc import (Posteriorgram, PrefixScores, ctc_forward_logprob,
-                           ctc_prefix_step, ctc_viterbi_align,
-                           log_posterior_row, posteriorgram_from_states)
+from streamasr.ctc import (PrefixScores, ctc_forward_logprob, ctc_prefix_step,
+                           ctc_viterbi_align, log_posterior_row, posteriorgram_from_states,
+                           validate_posteriorgram)
 from streamasr.kernels import NEG_INF, log_add
+from streamasr.search import DecodeParams
 from helpers import logprob_rows, random_posteriorgram, tiny_model
 from oracles import (collapse_path, ctc_forward_oracle, ctc_path_masses,
                      viterbi_oracle)
@@ -110,6 +111,16 @@ def test_viterbi_nu_adds_lookahead_unclamped():
     assert out.nu == (out.first_occurrence[0] + 18,)
 
 
+@pytest.mark.parametrize("eps_dec", [-5, 1.5, True, None])
+def test_viterbi_rejects_an_eps_dec_the_search_rejects(eps_dec):
+    rows = logprob_rows(np.random.default_rng(80), 4, 4)
+    with pytest.raises(ValueError, match="eps_dec must be a non-negative integer"):
+        ctc_viterbi_align(rows, (2, 3), eps_dec)
+    with pytest.raises(ValueError, match="eps_dec must be a non-negative integer"):
+        DecodeParams(eps_dec=eps_dec)
+    assert ctc_viterbi_align(rows, (2, 3), np.int64(2)) == ctc_viterbi_align(rows, (2, 3), 2)
+
+
 def test_viterbi_empty_labels_is_blank_path():
     rows = logprob_rows(np.random.default_rng(79), 3, 3)
     out = ctc_viterbi_align(rows, (), eps_dec=5)
@@ -205,12 +216,12 @@ def test_prefix_scores_total():
 
 def test_posteriorgram_validate_accepts_normalized_rejects_skewed():
     rng = np.random.default_rng(85)
-    random_posteriorgram(rng, 5, 4).validate()
-    bad = Posteriorgram(np.zeros((2, 3)))  # rows sum to 3, not 1
+    validate_posteriorgram(random_posteriorgram(rng, 5, 4))
+    bad = np.zeros((2, 3))  # rows sum to 3, not 1
     with pytest.raises(ValueError, match="sums to"):
-        bad.validate()
+        validate_posteriorgram(bad)
     with pytest.raises(ValueError, match="posteriorgram must be"):
-        Posteriorgram(np.zeros((0, 3))).validate()
+        validate_posteriorgram(np.zeros((0, 3)))
 
 
 def test_posteriorgram_from_states_rows_normalize_and_match_row_op():
@@ -218,7 +229,7 @@ def test_posteriorgram_from_states_rows_normalize_and_match_row_op():
     rng = np.random.default_rng(87)
     states = rng.standard_normal((4, 8)).astype(np.float32)
     post = posteriorgram_from_states(states, m.ctc_w, m.ctc_b)
-    post.validate()
-    assert post.logp.shape == (4, m.ctc_b.shape[0])
+    validate_posteriorgram(post)
+    assert post.shape == (4, m.ctc_b.shape[0])
     for i in range(4):
-        assert np.array_equal(post.logp[i], log_posterior_row(states[i], m.ctc_w, m.ctc_b))
+        assert np.array_equal(post[i], log_posterior_row(states[i], m.ctc_w, m.ctc_b))

@@ -125,6 +125,17 @@ def test_ta_prefix_score_length_mismatch():
         ta_prefix_score(enc, (2, 3), (4,), dec)
 
 
+@pytest.mark.parametrize("label", [-1, 5, 2.5])
+def test_ta_prefix_score_rejects_label_ids_outside_the_vocabulary(label):
+    # -1 used to score id 4, the last row of the log posterior; 5 and 2.5
+    # raised IndexError
+    dec, enc = setup_case(63, n=4)
+    with pytest.raises(ValueError, match="outside the vocabulary"):
+        ta_prefix_score(enc, (2, label), (3, 4), dec)
+    assert ta_prefix_score(enc, (np.int64(2), 4), (3, 4), dec) == ta_prefix_score(
+        enc, (2, 4), (3, 4), dec)
+
+
 def test_earlier_positions_unaffected_by_later_truncation_growth():
     # per-step scores with a growing schedule agree with scoring each label
     # at its own truncation in isolation from the same cached history

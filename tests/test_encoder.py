@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from streamasr import encoder, kernels
 from streamasr.attention import full_mask
-from streamasr.encoder import (CnnParams, EncoderStates, FeatureMatrix,
+from streamasr.encoder import (CnnParams, FeatureMatrix,
                                IncrementalEncoder, cnn_frame_count, enc_cnn,
                                encode, encoder_forward, encoder_layer,
                                feed_forward, positional_encodings)
@@ -154,15 +154,15 @@ def test_encoder_infinite_lookahead_equals_manual_full_mask_stack():
     for layer in m.encoder.layers:
         x = encoder_layer(x, layer, mask)
     want = kernels.layer_norm(x, m.encoder.final_norm_g, m.encoder.final_norm_b)
-    assert np.array_equal(got.states, want)
+    assert np.array_equal(got, want)
 
 
 def test_encoder_inf_equals_lookahead_of_full_length():
     m = tiny_model(32)
     rng = np.random.default_rng(33)
     x0 = rng.standard_normal((5, 8)).astype(np.float32)
-    a = encoder_forward(x0, m.encoder, math.inf).states
-    b = encoder_forward(x0, m.encoder, 5).states
+    a = encoder_forward(x0, m.encoder, math.inf)
+    b = encoder_forward(x0, m.encoder, 5)
     assert np.array_equal(a, b)
 
 
@@ -176,10 +176,10 @@ def test_encoder_causality_horizon(eps):
     horizon = n + e_layers * eps
     t = horizon + 3
     x0 = rng.standard_normal((t, 8)).astype(np.float32)
-    base = encoder_forward(x0, m.encoder, eps).states
+    base = encoder_forward(x0, m.encoder, eps)
     x0p = x0.copy()
     x0p[horizon + 1:] += 5.0
-    pert = encoder_forward(x0p, m.encoder, eps).states
+    pert = encoder_forward(x0p, m.encoder, eps)
     assert np.array_equal(base[n], pert[n])
     # positive control: a perturbation inside the visibility cone moves row n
     # (the farthest admissible row can attenuate below float32 resolution
@@ -189,7 +189,7 @@ def test_encoder_causality_horizon(eps):
         x0q[n] += 5.0  # row n feeds itself through the residual path
     else:
         x0q[n + 1:] += 5.0  # row n+1 is directly visible to query n
-    pert2 = encoder_forward(x0q, m.encoder, eps).states
+    pert2 = encoder_forward(x0q, m.encoder, eps)
     assert not np.array_equal(base[n], pert2[n])
 
 
@@ -199,8 +199,8 @@ def test_encoder_rows_refine_monotonically_with_lookahead():
     m = tiny_model(36)
     rng = np.random.default_rng(37)
     x0 = rng.standard_normal((7, 8)).astype(np.float32)
-    a = encoder_forward(x0, m.encoder, 0).states
-    b = encoder_forward(x0, m.encoder, 7).states
+    a = encoder_forward(x0, m.encoder, 0)
+    b = encoder_forward(x0, m.encoder, 7)
     assert a.shape == b.shape
     assert not np.array_equal(a, b)
 
@@ -210,7 +210,7 @@ def test_encoder_outputs_finite():
     rng = np.random.default_rng(39)
     x0 = rng.standard_normal((9, 8)).astype(np.float32) * 3.0
     for eps in (0, 2, math.inf):
-        out = encoder_forward(x0, m.encoder, eps).states
+        out = encoder_forward(x0, m.encoder, eps)
         assert np.isfinite(out).all()
 
 
@@ -219,17 +219,16 @@ def test_encode_end_to_end_shapes_and_duration():
     rng = np.random.default_rng(41)
     feats = FeatureMatrix(rng.standard_normal((13, 4)).astype(np.float32), frame_shift_ms=10.0)
     enc = encode(feats, m.encoder, 1)
-    assert isinstance(enc, EncoderStates)
-    assert enc.states.shape == (cnn_frame_count(13), 8)
-    assert enc.frame_duration_ms == 40.0
+    assert enc.dtype == np.float32
+    assert enc.shape == (cnn_frame_count(13), 8)
 
 
 def test_encode_accepts_bare_arrays():
     m = tiny_model(42)
     rng = np.random.default_rng(43)
     frames = rng.standard_normal((9, 4)).astype(np.float32)
-    a = encode(FeatureMatrix(frames), m.encoder, 2).states
-    b = encode(frames, m.encoder, 2).states
+    a = encode(FeatureMatrix(frames), m.encoder, 2)
+    b = encode(frames, m.encoder, 2)
     assert np.array_equal(a, b)
 
 
@@ -249,7 +248,7 @@ def test_encoder_forward_equals_reference_layer_stack(eps):
     for layer in m.encoder.layers:
         x = encoder_layer(x, layer, mask)
     want = kernels.layer_norm(x, m.encoder.final_norm_g, m.encoder.final_norm_b)
-    assert np.array_equal(encoder_forward(x0, m.encoder, eps).states, want)
+    assert np.array_equal(encoder_forward(x0, m.encoder, eps), want)
 
 
 def pushed_in_pieces(push, rows, sizes):
@@ -278,7 +277,7 @@ def test_frames_pushed_in_pieces_equal_encode(eps, sizes):
     m = tiny_model(49)
     frames = np.random.default_rng(50).standard_normal((23, 4)).astype(np.float32)
     got = pushed_in_pieces(IncrementalEncoder(m.encoder, eps).push, frames, sizes)
-    assert np.array_equal(got, encode(frames, m.encoder, eps).states)
+    assert np.array_equal(got, encode(frames, m.encoder, eps))
 
 
 def test_encoder_rejects_bad_lookahead_and_missing_input():
@@ -332,12 +331,12 @@ def test_conv_rows_pushed_in_pieces_equal_the_np_pad_conv(ch, t, f, sizes, seed)
 def test_encode_gives_float32_bits_for_any_real_dtype(dtype):
     m = tiny_model(52)
     values = np.random.default_rng(53).integers(-3, 4, size=(19, 4))
-    want = encode(values.astype(np.float32), m.encoder, 1).states
-    got = encode(FeatureMatrix(values.astype(dtype)), m.encoder, 1).states
+    want = encode(values.astype(np.float32), m.encoder, 1)
+    got = encode(FeatureMatrix(values.astype(dtype)), m.encoder, 1)
     assert got.dtype == np.float32 and (got == want).all()
     halves = np.random.default_rng(54).standard_normal((19, 4)).astype(np.float32)
-    assert (encode(halves.astype(np.float64), m.encoder, 1).states
-            == encode(halves, m.encoder, 1).states).all()
+    assert (encode(halves.astype(np.float64), m.encoder, 1)
+            == encode(halves, m.encoder, 1)).all()
 
 
 def test_encode_rejects_features_that_are_not_real_numbers():
@@ -367,7 +366,7 @@ def test_engine_rejects_a_width_change_and_keeps_its_state():
     with pytest.raises(ValueError, match="got 5 feature columns, the model takes 4"):
         enc.push(np.zeros((3, 5), dtype=np.float32))
     got = np.concatenate([first, enc.push(frames[7:], final=True)])
-    assert (got == encode(frames, m.encoder, 1).states).all()
+    assert (got == encode(frames, m.encoder, 1)).all()
 
 
 @pytest.mark.parametrize("width", [5, 6, 7, 9])
@@ -377,7 +376,7 @@ def test_encode_rejects_features_of_another_width(width):
     m = random_model(0, d_feat=8)
     with pytest.raises(ValueError, match=f"got {width} feature columns, the model takes 8"):
         encode(np.zeros((12, width)), m.encoder, 1)
-    assert encode(np.zeros((12, 8)), m.encoder, 1).states.shape == (3, 16)
+    assert encode(np.zeros((12, 8)), m.encoder, 1).shape == (3, 16)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -398,4 +397,4 @@ def test_a_rejected_first_push_leaves_the_engine_fresh():
             enc.push(bad)
     assert enc.frames == 0 and enc.rows == 0
     got = np.concatenate([enc.push(frames[:7]), enc.push(frames[7:], final=True)])
-    assert (got == encode(frames, m.encoder, 1).states).all()
+    assert (got == encode(frames, m.encoder, 1)).all()

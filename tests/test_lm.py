@@ -42,6 +42,17 @@ def test_uniform_lm_rejects_empty_vocab():
         UniformLM(0)
 
 
+@pytest.mark.parametrize("n", [2.5, True, "3", None])
+def test_uniform_lm_takes_only_an_integer_label_count(n):
+    with pytest.raises(ValueError, match="at least one label"):
+        UniformLM(n)
+
+
+def test_uniform_lm_accepts_numpy_integers():
+    _, inc = UniformLM(np.int64(4)).extend((), 2)
+    assert inc == -math.log(4)
+
+
 def test_bigram_from_count_table():
     # counts {(a,b): 3, (a,c): 1} give p(b|a)=0.75, p(c|a)=0.25
     a, b, c = 0, 1, 2

@@ -43,7 +43,7 @@ def test_loaded_model_decodes_identically(tmp_path):
     outs = []
     for model in (m, back):
         enc = encode(feats, model.encoder, 1)
-        post = posteriorgram_from_states(enc.states, model.ctc_w, model.ctc_b)
+        post = posteriorgram_from_states(enc, model.ctc_w, model.ctc_b)
         outs.append(decode(enc, post, UniformLM(3), model.decoder, params))
     assert outs[0].labels == outs[1].labels
     assert outs[0].score == outs[1].score
@@ -207,6 +207,14 @@ def test_vocab_detokenize_with_boundary():
     assert v.detokenize([2, 3, 4]) == "hello it"
     plain = Vocab([SOS_TOKEN, "ab", "cd"])
     assert plain.detokenize([1, 2]) == "abcd"
+
+
+@pytest.mark.parametrize("ids", [[-1, 2], [2, 5], [2.0]])
+def test_vocab_detokenize_rejects_ids_outside_the_vocabulary(ids):
+    # -1 used to read the last token, 5 and 2.0 raised IndexError/TypeError
+    with pytest.raises(ValueError, match="outside the vocabulary"):
+        toy_vocab(3).detokenize(ids)
+    assert toy_vocab(3).detokenize(np.array([2, 3])) == toy_vocab(3).detokenize([2, 3])
 
 
 def test_vocab_file_round_trip(tmp_path):

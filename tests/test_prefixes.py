@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamasr import search as search_mod
-from streamasr.ctc import Posteriorgram
 from streamasr.lm import LanguageModel, UniformLM
 from streamasr.modelio import random_features
 from streamasr.search import (CtcPrefixSearch, DecodeParams, JointSearch, Prefix, PrefixTable,
@@ -204,7 +203,7 @@ def test_interned_search_matches_tuple_reference(data):
     banned = tuple(data.draw(st.sets(st.integers(0, n_cols - 2), max_size=n_cols - 2)))
     if zero_blanks:
         logp = zero_blank_frames(rng, logp, banned, params.local_threshold)
-    got = ctc_prefix_search(Posteriorgram(logp), lm, params, banned_ids=banned)
+    got = ctc_prefix_search(logp, lm, params, banned_ids=banned)
     labels, score, trace = tuple_ctc_search(logp, lm, params, banned)
     assert got.trace == trace
     assert got.labels == labels
@@ -286,7 +285,7 @@ def test_ctc_search_rejects_banned_ids_that_are_not_label_ids(bad):
     # column and 99 was silently ignored.
     logp = logprob_rows(np.random.default_rng(132), 5, 6)
     with pytest.raises(ValueError, match="banned id"):
-        ctc_prefix_search(Posteriorgram(logp), UniformLM(5), DecodeParams(), banned_ids=(bad,))
+        ctc_prefix_search(logp, UniformLM(5), DecodeParams(), banned_ids=(bad,))
     with pytest.raises(ValueError, match="banned id"):
         CtcPrefixSearch(UniformLM(5), DecodeParams(), 6, banned_ids=(0, bad))
     CtcPrefixSearch(UniformLM(5), DecodeParams(), 6, banned_ids=(0, np.int64(4)))

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamasr.ctc import (Posteriorgram, ctc_forward_logprob,
-                           ctc_viterbi_align, posteriorgram_from_states)
+from streamasr.ctc import ctc_forward_logprob, ctc_viterbi_align, posteriorgram_from_states
 from streamasr.decoder import ta_prefix_score
-from streamasr.encoder import EncoderStates, encode
+from streamasr.encoder import encode
 from streamasr.kernels import NEG_INF, log_add
 from streamasr.lm import UniformLM
 from streamasr.search import (CtcPrefixSearch, DecodeParams, Hypothesis,
@@ -40,8 +39,8 @@ def scored(hyps, score_fn):
 def decode_setup(seed, n=4, **params_kw):
     m = tiny_model(seed)
     rng = np.random.default_rng(seed + 500)
-    enc = EncoderStates(random_enc_states(rng, n, 8))
-    post = posteriorgram_from_states(enc.states, m.ctc_w, m.ctc_b)
+    enc = random_enc_states(rng, n, 8)
+    post = posteriorgram_from_states(enc, m.ctc_w, m.ctc_b)
     lm = UniformLM(3)
     params = DecodeParams(**params_kw)
     return m, enc, post, lm, params
@@ -218,9 +217,9 @@ def test_frame_with_no_reachable_prefix_is_refused_before_any_state_changes(bad)
 
 def test_numpy_real_params_decode_as_the_python_floats_they_hold():
     logp = logprob_rows(np.random.default_rng(127), 6, 4)
-    got = ctc_prefix_search(Posteriorgram(logp), UniformLM(3), DecodeParams(
+    got = ctc_prefix_search(logp, UniformLM(3), DecodeParams(
         alpha0=np.float32(0.7), beta=np.float64(1.5), theta1=np.int64(8), k_size=np.int64(40)))
-    want = ctc_prefix_search(Posteriorgram(logp), UniformLM(3), DecodeParams(
+    want = ctc_prefix_search(logp, UniformLM(3), DecodeParams(
         alpha0=float(np.float32(0.7)), beta=1.5, theta1=8.0, k_size=40))
     assert got.trace == want.trace and got.score == want.score
     assert type(got.score) is float and not any("np." in line for line in got.trace)
@@ -228,10 +227,10 @@ def test_numpy_real_params_decode_as_the_python_floats_they_hold():
 
 def test_blank_peaked_single_frame_decodes_empty():
     m, enc, post, lm, params = decode_setup(100, n=1)
-    c = post.logp.shape[1]
+    c = post.shape[1]
     row = np.full(c, math.log(1e-7 / (c - 1)))
     row[0] = math.log1p(-1e-7)
-    peaked = Posteriorgram(row[None, :])
+    peaked = row[None, :]
     out = decode(enc, peaked, lm, m.decoder, params)
     assert out.labels == ()
 
@@ -239,9 +238,9 @@ def test_blank_peaked_single_frame_decodes_empty():
 def test_decode_rejects_empty_and_mismatched_inputs():
     m, enc, post, lm, params = decode_setup(101)
     with pytest.raises(ValueError, match="empty utterance"):
-        decode(enc, Posteriorgram(np.zeros((0, 6))), lm, m.decoder, params)
+        decode(enc, np.zeros((0, 6)), lm, m.decoder, params)
     with pytest.raises(ValueError, match="posterior rows but"):
-        decode(EncoderStates(enc.states[:2]), post, lm, m.decoder, params)
+        decode(enc[:2], post, lm, m.decoder, params)
 
 
 @pytest.mark.parametrize("n_cols", [10, 4])
@@ -249,7 +248,7 @@ def test_joint_search_rejects_posteriorgram_of_wrong_width(n_cols):
     # the 5-label decoder needs 6 columns: 10 used to fail with an
     # IndexError in the decoder, 4 decoded a truncated label set
     m, enc, _, lm, params = decode_setup(125)
-    post = Posteriorgram(logprob_rows(np.random.default_rng(126), 4, n_cols))
+    post = logprob_rows(np.random.default_rng(126), 4, n_cols)
     want = f"posteriorgram has {n_cols} columns, but the decoder's 5 labels need 6"
     with pytest.raises(ValueError, match=want):
         decode(enc, post, lm, m.decoder, params)
@@ -274,10 +273,10 @@ def test_search_never_reads_future_posterior_rows():
     # two utterances sharing their first rows produce identical leading
     # trace lines: frame n depends only on rows 1..n
     m, enc, post, lm, params = decode_setup(103, n=5)
-    other = post.logp.copy()
+    other = post.copy()
     other[3:] = np.roll(other[3:], 1, axis=1)
     a = decode(enc, post, lm, m.decoder, params)
-    b = decode(enc, Posteriorgram(other), lm, m.decoder, params)
+    b = decode(enc, other, lm, m.decoder, params)
     assert a.trace[:3] == b.trace[:3]
 
 
@@ -306,7 +305,7 @@ def test_pure_ctc_reduction_is_bitwise(data):
                           p_size=data.draw(st.integers(1, k)),
                           theta2=data.draw(st.sampled_from([0.5, 6.0])), eps_dec=1)
     enc = encode(frames, m.encoder, 1)
-    post = posteriorgram_from_states(enc.states, m.ctc_w, m.ctc_b)
+    post = posteriorgram_from_states(enc, m.ctc_w, m.ctc_b)
     joint = decode(enc, post, lm, m.decoder, params)
     banned = (m.decoder.sos_id, m.decoder.eos_id)
     pure = ctc_prefix_search(post, lm, params, banned_ids=banned)
@@ -339,8 +338,8 @@ def test_eos_rescoring_changes_finalize_only():
 def test_no_eos_model_skips_final_rescoring():
     m = tiny_model(107, with_eos=False)
     rng = np.random.default_rng(607)
-    enc = EncoderStates(random_enc_states(rng, 3, 8))
-    post = posteriorgram_from_states(enc.states, m.ctc_w, m.ctc_b)
+    enc = random_enc_states(rng, 3, 8)
+    post = posteriorgram_from_states(enc, m.ctc_w, m.ctc_b)
     out = decode(enc, post, UniformLM(4), m.decoder, DecodeParams())
     assert (out.labels, out.score) == last_line_result(out.trace)
 
@@ -365,14 +364,14 @@ def test_delete_hook_forces_rescoring_at_later_frame():
 
     params = DecodeParams(eps_dec=0, dcond=dcond, k_size=8, p_size=8,
                           theta1=1e6, theta2=1e6, local_threshold=0.0)
-    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    search = JointSearch(m.decoder, lm, params, post.shape[1])
     search.add_rows(enc)
-    search.advance(post.logp[0])
+    search.advance(post[0])
     for pre, entry in by_columns(search.ta).items():
         if len(pre) == 1:
             target[pre] = entry.nus
     assert target and all(nus == (1,) for nus in target.values())
-    search.advance(post.logp[1])
+    search.advance(post[1])
     ta = by_columns(search.ta)
     for pre in target:
         if pre in ta:
@@ -384,9 +383,9 @@ def test_skip_hook_falls_back_to_parent_score():
     params = DecodeParams(lam=0.5, acond=lambda pre, omega, frame, row: False,
                           k_size=8, p_size=8, theta1=1e6, theta2=1e6,
                           local_threshold=0.0)
-    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    search = JointSearch(m.decoder, lm, params, post.shape[1])
     search.add_rows(enc)
-    search.advance(post.logp[0])
+    search.advance(post[0])
     # nothing new was scored: only the root entry remains
     assert set(by_columns(search.ta)) == {()}
     for pre, val in search._last_pjoint.items():
@@ -416,9 +415,9 @@ def test_search_retried_after_a_raising_hook_equals_one_that_never_raises(hook, 
     kw = dict(k_size=8, p_size=4, eps_dec=1, local_threshold=0.0)
     want = decode(enc, post, lm, m.decoder, DecodeParams(**kw, **{hook: HOOK_ANSWERS[hook]}))
     flaky = RaiseOnce(HOOK_ANSWERS[hook], at=5, call=call)
-    search = JointSearch(m.decoder, lm, DecodeParams(**kw, **{hook: flaky}), post.logp.shape[1])
+    search = JointSearch(m.decoder, lm, DecodeParams(**kw, **{hook: flaky}), post.shape[1])
     search.add_rows(enc)
-    for row in post.logp:
+    for row in post:
         before = (search.frame, dict(search.hyps), list(search.trace), ta_snapshot(search))
         try:
             search.advance(row)
@@ -433,17 +432,17 @@ def test_search_retried_after_a_raising_hook_equals_one_that_never_raises(hook, 
 
 def test_best_ctc_partial_tracks_prefix_ranking():
     m, enc, post, lm, params = decode_setup(111, n=3)
-    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    search = JointSearch(m.decoder, lm, params, post.shape[1])
     search.add_rows(enc)
     assert search.best_ctc_partial == ()
-    search.advance(post.logp[0])
+    search.advance(post[0])
     best = search.best_ctc_partial
     assert all(0 <= lab < m.decoder.vocab_size - 1 for lab in best) or best == ()
 
 
 def test_finalize_before_any_frame_is_empty():
     m, enc, post, lm, params = decode_setup(112)
-    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    search = JointSearch(m.decoder, lm, params, post.shape[1])
     search.add_rows(enc)
     out = search.finalize()
     assert out.labels == () and out.score == 0.0 and out.trace == []
@@ -451,10 +450,10 @@ def test_finalize_before_any_frame_is_empty():
 
 def test_ta_cache_holds_only_ancestors_of_live_prefixes():
     m, enc, post, lm, params = decode_setup(113, n=5)
-    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    search = JointSearch(m.decoder, lm, params, post.shape[1])
     search.add_rows(enc)
     for i in range(5):
-        search.advance(post.logp[i])
+        search.advance(post[i])
         live = set()
         for pre in by_columns(search.hyps):
             for j in range(len(pre) + 1):
@@ -472,8 +471,8 @@ def test_loss_params_validation():
 def loss_setup(seed):
     m = tiny_model(seed)
     rng = np.random.default_rng(seed + 1)
-    enc = EncoderStates(random_enc_states(rng, 6, 8))
-    post = posteriorgram_from_states(enc.states, m.ctc_w, m.ctc_b)
+    enc = random_enc_states(rng, 6, 8)
+    post = posteriorgram_from_states(enc, m.ctc_w, m.ctc_b)
     y = (2, 3)
     align = ctc_viterbi_align(post, [lab + 1 for lab in y], eps_dec=2)
     return m, enc, post, y, align
@@ -493,10 +492,61 @@ def test_joint_loss_limits_are_exact():
 
 def test_joint_loss_unreachable_reference_is_infinite():
     m, enc, post, y, align = loss_setup(115)
-    short = Posteriorgram(post.logp[:1])
-    short_enc = EncoderStates(enc.states[:1])
+    short = post[:1]
+    short_enc = enc[:1]
     bad_align = ctc_viterbi_align(post, [lab + 1 for lab in y], eps_dec=0)
     assert joint_loss(short, short_enc, y, bad_align, m.decoder, LossParams(0.5)) == math.inf
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("y", [[-1], [5]])
+def test_joint_loss_rejects_label_ids_outside_the_vocabulary(gamma, y):
+    # at gamma 0 only the decoder term runs: -1 used to score id 4 there
+    m, enc, post, _, _ = loss_setup(117)
+    align = ctc_viterbi_align(post, [3], eps_dec=2)
+    with pytest.raises(ValueError, match="outside"):
+        joint_loss(post, enc, y, align, m.decoder, LossParams(gamma))
+
+
+def test_offline_entries_take_the_arrays_encode_and_the_ctc_head_return():
+    """encode's matrix and the CTC head's posteriorgram go straight into
+    every offline entry; decode equals a one-chunk streaming session, and
+    a posteriorgram that is not 2-D raises ValueError."""
+    m = tiny_model(140)
+    frames = np.random.default_rng(141).standard_normal((40, 4)).astype(np.float32)
+    lm = UniformLM(3)
+    params = DecodeParams(k_size=8, p_size=4, eps_dec=2)
+    enc = encode(frames, m.encoder, 1)
+    post = posteriorgram_from_states(enc, m.ctc_w, m.ctc_b)
+    assert type(enc) is np.ndarray and enc.dtype == np.float32 and enc.shape == (10, 8)
+    assert type(post) is np.ndarray and post.dtype == np.float64 and post.shape == (10, 6)
+
+    joint = decode(enc, post, lm, m.decoder, params)
+    session = StreamingSession(m, lm, params, StreamConfig(eps_enc=1, eps_dec=2))
+    session.push(frames)
+    streamed = session.finalize()
+    assert len(joint.trace) == 10
+    assert joint.labels == streamed.labels and joint.trace == streamed.trace
+    pure = ctc_prefix_search(post, lm, params, banned_ids=m.decoder.reserved_ids)
+    assert len(pure.trace) == 10
+
+    y = (2, 3)
+    cols = [label + 1 for label in y]
+    align = ctc_viterbi_align(post, cols, eps_dec=2)
+    assert align.nu == tuple(f + 2 for f in align.first_occurrence)
+    ctc_nll = -ctc_forward_logprob(post, cols)
+    ta_nll = -ta_prefix_score(enc, y, align.nu, m.decoder)
+    assert math.isfinite(ctc_nll) and math.isfinite(ta_nll)
+    assert joint_loss(post, enc, y, align, m.decoder, LossParams(0.3)) == pytest.approx(
+        0.3 * ctc_nll + 0.7 * ta_nll, abs=1e-10)
+
+    row = post[0]
+    for call in (lambda: decode(enc, row, lm, m.decoder, params),
+                 lambda: ctc_prefix_search(row, lm, params),
+                 lambda: ctc_forward_logprob(row, cols),
+                 lambda: ctc_viterbi_align(row, cols, 2)):
+        with pytest.raises(ValueError, match="posteriorgram must be 2-D"):
+            call()
 
 
 def test_decode_projects_each_encoder_row_once_per_layer_and_head(monkeypatch):
@@ -504,8 +554,8 @@ def test_decode_projects_each_encoder_row_once_per_layer_and_head(monkeypatch):
 
     m = tiny_model(116, d_layers=2)
     rng = np.random.default_rng(616)
-    enc = EncoderStates(random_enc_states(rng, 7, 8))
-    post = posteriorgram_from_states(enc.states, m.ctc_w, m.ctc_b)
+    enc = random_enc_states(rng, 7, 8)
+    post = posteriorgram_from_states(enc, m.ctc_w, m.ctc_b)
     params = DecodeParams(k_size=8, p_size=4, eps_dec=1)
     weights = {}
     for d, layer in enumerate(m.decoder.layers):
@@ -531,11 +581,11 @@ def test_declined_ancestor_is_scored_before_its_child():
     m, enc, post, lm, _ = decode_setup(117, n=5)
     params = DecodeParams(acond=lambda pre, *_: len(pre) != 1, eps_dec=1, k_size=8,
                           p_size=8, theta1=1e6, theta2=1e6, local_threshold=0.0)
-    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    search = JointSearch(m.decoder, lm, params, post.shape[1])
     search.add_rows(enc)
     seen_child = False
     for i in range(5):
-        search.advance(post.logp[i])
+        search.advance(post[i])
         ta = by_columns(search.ta)
         for pre, entry in ta.items():
             if len(pre) >= 2:
@@ -552,14 +602,14 @@ def test_declined_ancestor_is_scored_before_its_child():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_decode_rejects_non_finite_input(bad):
     m, enc, post, lm, params = decode_setup(118)
-    states = enc.states.copy()
+    states = enc.copy()
     states[2, 3] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        decode(EncoderStates(states), post, lm, m.decoder, params)
-    logp = post.logp.copy()
+        decode(states, post, lm, m.decoder, params)
+    logp = post.copy()
     logp[1, 2] = bad
     with pytest.raises(ValueError, match="NaN or \\+inf"):
-        decode(enc, Posteriorgram(logp), lm, m.decoder, params)
+        decode(enc, logp, lm, m.decoder, params)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -567,13 +617,13 @@ def test_ctc_prefix_search_rejects_non_finite_input(bad):
     logp = logprob_rows(np.random.default_rng(119), 6, 5)
     logp[2, 3] = bad
     with pytest.raises(ValueError, match="NaN or \\+inf"):
-        ctc_prefix_search(Posteriorgram(logp), UniformLM(3), DecodeParams())
+        ctc_prefix_search(logp, UniformLM(3), DecodeParams())
 
 
 @pytest.mark.parametrize("kind", ["joint", "ctc"])
 def test_advance_rejects_row_of_wrong_width(kind):
     m, enc, post, lm, params = decode_setup(119)
-    n_cols = post.logp.shape[1]
+    n_cols = post.shape[1]
     if kind == "joint":
         search = JointSearch(m.decoder, lm, params, n_cols)
     else:
@@ -583,7 +633,7 @@ def test_advance_rejects_row_of_wrong_width(kind):
     with pytest.raises(ValueError, match="posterior row shape"):
         search.advance(wide)
     assert search.frame == 0
-    search.advance(post.logp[0])
+    search.advance(post[0])
     assert search.frame == 1
 
 
@@ -591,54 +641,54 @@ def test_joint_search_needs_encoder_rows():
     # a frame reads its own encoder row, which must have been added first;
     # a refused frame leaves the search as it was
     m, enc, post, lm, params = decode_setup(127)
-    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    search = JointSearch(m.decoder, lm, params, post.shape[1])
     with pytest.raises(ValueError, match="frame 1 needs its encoder row, but 0 were added"):
-        search.advance(post.logp[0])
+        search.advance(post[0])
     assert search.frame == 0 and search.trace == []
-    search.add_rows(enc.states[:1])
-    search.advance(post.logp[0])
+    search.add_rows(enc[:1])
+    search.advance(post[0])
     hyps, trace = dict(search.hyps), list(search.trace)
     with pytest.raises(ValueError, match="frame 2 needs its encoder row, but 1 were added"):
-        search.advance(post.logp[1])
+        search.advance(post[1])
     assert search.frame == 1
     assert search.hyps == hyps and search.trace == trace
-    search.add_rows(enc.states[1:])
-    for i in range(1, post.logp.shape[0]):
-        search.advance(post.logp[i])
+    search.add_rows(enc[1:])
+    for i in range(1, post.shape[0]):
+        search.advance(post[i])
     assert search.finalize().trace == search.trace
 
 
 @pytest.mark.parametrize("bad", ["1-D", "wrong width"])
 def test_add_rows_rejects_a_matrix_of_the_wrong_shape(bad):
     m, enc, post, lm, params = decode_setup(128)
-    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
-    rows = enc.states[0] if bad == "1-D" else np.pad(enc.states, ((0, 0), (0, 1)))
+    search = JointSearch(m.decoder, lm, params, post.shape[1])
+    rows = enc[0] if bad == "1-D" else np.pad(enc, ((0, 0), (0, 1)))
     with pytest.raises(ValueError, match="encoder rows of shape"):
         search.add_rows(rows)
     assert search.cross.rows == 0
     # the pure CTC search reads no encoder rows and ignores them
-    CtcPrefixSearch(lm, params, post.logp.shape[1]).add_rows(rows)
+    CtcPrefixSearch(lm, params, post.shape[1]).add_rows(rows)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("kind", ["joint", "ctc"])
 def test_advance_rejects_non_finite_row(kind, bad):
     m, enc, post, lm, params = decode_setup(124)
-    n_cols = post.logp.shape[1]
+    n_cols = post.shape[1]
     if kind == "joint":
         search = JointSearch(m.decoder, lm, params, n_cols)
     else:
         search = CtcPrefixSearch(lm, params, n_cols)
     search.add_rows(enc)
-    search.advance(post.logp[0])
+    search.advance(post[0])
     hyps, trace = dict(search.hyps), list(search.trace)
-    row = post.logp[1].copy()
+    row = post[1].copy()
     row[2] = bad
     with pytest.raises(ValueError, match="NaN or \\+inf"):
         search.advance(row)
     assert search.frame == 1
     assert search.hyps == hyps and search.trace == trace
-    search.advance(post.logp[1])
+    search.advance(post[1])
     assert search.frame == 2
 
 
@@ -690,11 +740,11 @@ def test_finalize_reuses_steps_taken_at_the_last_truncation(monkeypatch):
     m, enc, post, lm, _ = decode_setup(124, n=6)
     params = DecodeParams(eps_dec=2, k_size=8, p_size=8, theta1=1e6, theta2=1e6)
     calls = counted_steps(monkeypatch)
-    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    search = JointSearch(m.decoder, lm, params, post.shape[1])
     search.add_rows(enc)
     for i in range(6):
-        search.advance(post.logp[i])
-    avail = enc.states.shape[0]
+        search.advance(post[i])
+    avail = enc.shape[0]
     scored = [search.ta[pre] for pre in search._last_carried if pre in search.ta]
     kept = [e for e in scored if e.step is not None and e.step[0] == avail]
     assert kept
@@ -711,10 +761,10 @@ def test_rescored_entries_equal_the_truncated_decoder_score():
     m, enc, post, lm, _ = decode_setup(125, n=6)
     params = DecodeParams(dcond=lambda *_: True, eps_dec=1, k_size=8, p_size=8,
                           theta1=1e6, theta2=1e6, local_threshold=0.0)
-    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    search = JointSearch(m.decoder, lm, params, post.shape[1])
     search.add_rows(enc)
     for i in range(6):
-        search.advance(post.logp[i])
+        search.advance(post[i])
         assert len(search.ta) > 1
         for pre, entry in by_columns(search.ta).items():
             labels = [c - 1 for c in pre]
@@ -726,14 +776,14 @@ def test_rescored_entries_equal_the_truncated_decoder_score():
 def test_steps_below_the_seen_encoder_rows_are_dropped(growing):
     m, enc, post, lm, _ = decode_setup(126, n=8)
     params = DecodeParams(eps_dec=2, k_size=8, p_size=8, theta1=1e6, theta2=1e6)
-    search = JointSearch(m.decoder, lm, params, post.logp.shape[1])
+    search = JointSearch(m.decoder, lm, params, post.shape[1])
     kept_any = False
     added = 0
     for i in range(8):
         target = min(i + 1 + params.eps_dec, 8) if growing else 8
-        search.add_rows(enc.states[added:target])
+        search.add_rows(enc[added:target])
         added = target
-        search.advance(post.logp[i])
+        search.advance(post[i])
         seen = search.cross.rows
         steps = [e.step for e in search.ta.values() if e.step is not None]
         assert all(nu >= seen for nu, _, _ in steps)

@@ -18,7 +18,7 @@ from oracles import latency_oracle
 
 def offline_reference(m, frames, eps_enc, params):
     enc = encode(frames, m.encoder, eps_enc)
-    post = posteriorgram_from_states(enc.states, m.ctc_w, m.ctc_b)
+    post = posteriorgram_from_states(enc, m.ctc_w, m.ctc_b)
     return decode(enc, post, UniformLM(3), m.decoder, params)
 
 
@@ -398,7 +398,7 @@ def test_ctc_only_session_matches_offline_prefix_search():
     params = DecodeParams(k_size=8, p_size=4, eps_dec=1)
     got = run_session(m, frames, cfg, [3] * 10, ctc_only=True)
     enc = encode(frames, m.encoder, 2)
-    post = posteriorgram_from_states(enc.states, m.ctc_w, m.ctc_b)
+    post = posteriorgram_from_states(enc, m.ctc_w, m.ctc_b)
     banned = (m.decoder.sos_id, m.decoder.eos_id)
     offline = ctc_prefix_search(post, UniformLM(3), params, banned_ids=banned)
     assert got.labels == offline.labels
