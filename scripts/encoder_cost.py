@@ -14,8 +14,18 @@ conv front end and projection alone (``IncrementalEncoder.front_end``)
 per push, so its share of a push shows.  Both paths must return the
 same bits, and the script exits 1 if they do not.
 
+``--baseline SRC_DIR`` also imports a second copy of the package from
+SRC_DIR (another checkout's ``src``) under another name, builds the same
+model and utterance with it, and steps both streaming encoders push by
+push in one process, alternating which of the two goes first from one
+push and one run to the next.  Each push is timed as the best of its
+``REPEATS`` runs on each side; the script prints the median per-push
+ratio (this copy / baseline) over the whole utterance and in each
+quarter, and exits 1 if any encoder row of the two differs.
+
     python3 scripts/encoder_cost.py              # 4 s utterance, best of 5
     python3 scripts/encoder_cost.py --seconds 1  # quick smoke run
+    python3 scripts/encoder_cost.py --seconds 8 --baseline ../parent/src
 """
 
 import os
@@ -25,6 +35,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import importlib.util  # noqa: E402
 import sys  # noqa: E402
 from time import perf_counter  # noqa: E402
 
@@ -32,6 +43,7 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+import streamasr  # noqa: E402
 from streamasr import encode, random_features, random_model  # noqa: E402
 from streamasr.encoder import IncrementalEncoder  # noqa: E402
 
@@ -52,13 +64,55 @@ def best_of(fn):
     return best, outs
 
 
+def import_baseline(src_dir):
+    """The streamasr package found in ``src_dir``, imported as
+    ``streamasr_baseline`` so that it lives beside this copy."""
+    init = os.path.join(src_dir, "streamasr", "__init__.py")
+    if not os.path.isfile(init):
+        sys.exit(f"no streamasr package in {src_dir}")
+    spec = importlib.util.spec_from_file_location(
+        "streamasr_baseline", init, submodule_search_locations=[os.path.dirname(init)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def lockstep(base, frames, seed):
+    """Both streaming encoders pushed chunk by chunk in turn, REPEATS
+    times -> each push's best time on this copy and on ``base``, or
+    None if any encoder row differs."""
+    encoders = [(pkg.encoder.IncrementalEncoder, pkg.random_model(seed, **MID_MODEL).encoder)
+                for pkg in (streamasr, base)]
+    starts = range(0, frames.shape[0], CHUNK_FRAMES)
+    best = np.full((2, len(starts)), np.inf)
+    for r in range(REPEATS):
+        live = [cls(params, EPS_ENC) for cls, params in encoders]
+        for i, t in enumerate(starts):
+            chunk = frames[t:t + CHUNK_FRAMES]
+            rows = [None, None]
+            for side in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
+                t0 = perf_counter()
+                rows[side] = live[side].push(chunk)
+                best[side, i] = min(best[side, i], perf_counter() - t0)
+            if not np.array_equal(rows[0], rows[1]):
+                return None
+        if not np.array_equal(live[0].push(None, final=True), live[1].push(None, final=True)):
+            return None
+    return best
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seconds", type=float, default=4.0, help="utterance length")
+    ap.add_argument("--seed", type=int, default=SEED, help="model and utterance seed")
+    ap.add_argument("--baseline", metavar="SRC_DIR",
+                    help="another copy's src directory, timed against this one push by push")
     args = ap.parse_args()
+    base = None if args.baseline is None else import_baseline(args.baseline)
 
-    model = random_model(SEED, **MID_MODEL)
-    feats = random_features(SEED + 1, max(1, int(args.seconds * 100)), MID_MODEL["d_feat"])
+    model = random_model(args.seed, **MID_MODEL)
+    feats = random_features(args.seed + 1, max(1, int(args.seconds * 100)), MID_MODEL["d_feat"])
     frames = feats.frames
     audio_s = frames.shape[0] * feats.frame_shift_ms / 1000.0
 
@@ -108,6 +162,17 @@ def main():
           f"last quarter {last_us:.0f} us ({last_us / first_us:.2f}x)")
     print(f"front end (conv stack and projection), median per push: {front_us:.0f} us "
           f"of {push_us:.0f} us ({front_us / push_us:.0%})")
+
+    if base is not None:
+        best = lockstep(base, frames, args.seed)
+        if best is None:
+            sys.exit(f"encoder rows differ from the baseline in {args.baseline}")
+        ratio = best[0] / best[1]
+        quarters = " ".join(f"{float(np.median(q)):.3f}" for q in np.array_split(ratio, 4))
+        print(f"lockstep against {args.baseline}: median per-push ratio (this/baseline) "
+              f"{float(np.median(ratio)):.3f}, by quarter {quarters}; "
+              f"median push {float(np.median(best[0])) * 1e6:.0f} us against "
+              f"{float(np.median(best[1])) * 1e6:.0f} us")
 
 
 if __name__ == "__main__":

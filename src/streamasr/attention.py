@@ -116,8 +116,8 @@ def scaled_dot_attention(q, k, v, mask):
     if mask.shape != (q.shape[-2], k.shape[-2]):
         raise ValueError(f"mask shape {mask.shape}, expected {(q.shape[-2], k.shape[-2])}")
     scale = 1.0 / math.sqrt(q.shape[-1])
-    out_type = np.result_type(q, v)
-    if k.shape[-2] and mask.all():
+    out_type = q.dtype if q.dtype == v.dtype else np.result_type(q, v)
+    if k.shape[-2] and np.logical_and.reduce(mask, axis=None):  # mask.all() without its wrapper
         return _softmax_attend(_packed(q), _packed(k), _packed(v), scale).astype(out_type,
                                                                                  copy=False)
     out = np.empty(q.shape[:-1] + v.shape[-1:], dtype=out_type)

@@ -72,7 +72,8 @@ def check_eps_dec(eps_dec):
 
 def check_log_probs(lp):
     """Reject NaN or +inf log probabilities; -inf (probability zero) is allowed."""
-    if np.isnan(lp).any() or (lp == math.inf).any():
+    # x < inf fails exactly for NaN and +inf: one comparison and one reduction
+    if not np.logical_and.reduce(np.less(lp, math.inf), axis=None):
         raise ValueError("log probabilities contain NaN or +inf")
 
 

@@ -143,6 +143,8 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
         cache = CrossAttentionCache(params, cache)
     if cache.params is not params:
         raise ValueError("cross-attention cache belongs to another decoder")
+    if not kernels.is_int(nu):
+        raise ValueError(f"trigger index must be an integer, got {nu!r}")
     if not 1 <= nu <= cache.rows:
         raise ValueError("trigger index out of range")
     if not len(hists) == len(token_ids) == len(pos_indices):
@@ -168,7 +170,7 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
         cur = z + feed_forward(normed_f, layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b)
     final = kernels.layer_norm(cur, params.final_norm_g, params.final_norm_b)
     logits = kernels.matmul(final, params.out_w) + params.out_b
-    return [(hist, kernels.log_softmax_f64(logits[i])) for i, hist in enumerate(grown)]
+    return list(zip(grown, kernels.log_softmax_f64(logits)))
 
 
 def _attend_own_histories(q, hists, d):
@@ -219,14 +221,18 @@ def ta_prefix_score(enc, labels, nu_per_label, params):
 
     enc is the encoder matrix; labels are vocabulary ids, no start token
     (an id outside the vocabulary raises ``ValueError``); nu_per_label[l]
-    is the encoder-row count visible when label l is scored.  Values
-    beyond the encoder length are clamped to it.  Empty input scores 0.0.
+    is the encoder-row count visible when label l is scored, an integer
+    (not a bool) or ``ValueError``.  Values beyond the encoder length are
+    clamped to it.  Empty input scores 0.0.
     """
     labels = list(labels)
     check_labels(labels, 0, params.vocab_size, "the vocabulary")
     nus = list(nu_per_label)
     if len(labels) != len(nus):
         raise ValueError(f"{len(labels)} labels but {len(nus)} truncation points")
+    for v in nus:
+        if not kernels.is_int(v):
+            raise ValueError(f"truncation point {v!r} is not an integer")
     cache = CrossAttentionCache(params, enc)
     n = cache.rows
     nus = [min(v, n) for v in nus]

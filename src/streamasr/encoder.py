@@ -78,8 +78,12 @@ def positional_encodings(positions, d_model):
     (the tests check it against that form).
     """
     positions = np.asarray(positions, dtype=np.float64)
-    if positions.size and positions.min() < 0:
-        raise ValueError(f"positions must be >= 0, got {positions.min():g}")
+    if positions.size:
+        low = np.minimum.reduce(positions, axis=None)  # NaN if any is
+        if not (low >= 0 and np.maximum.reduce(positions, axis=None) < math.inf):
+            if not np.isfinite(positions).all():
+                raise ValueError("positions must be finite")
+            raise ValueError(f"positions must be >= 0, got {low:g}")
     angles = positions[:, None] / _frequency_divisors(d_model)
     out = np.empty((positions.shape[0], d_model), dtype=np.float64)
     out[:, 0::2] = np.sin(angles)
@@ -133,6 +137,7 @@ class _ConvRows:
     def __init__(self, w, b):
         self.w = w
         self.b = b
+        self.columns = kernels.conv_columns(w)  # laid out for every row's conv call
         self.pending = None
 
     def push(self, x, final):
@@ -153,7 +158,7 @@ class _ConvRows:
         self.pending = buf[:, 2 * k:]
         if k == 0:
             return np.zeros((self.w.shape[0], 0, (f - 1) // 2 + 1), dtype=buf.dtype)
-        h = kernels.conv2d(buf[:, :2 * k + 1], self.w, stride=2)
+        h = kernels.conv2d(buf[:, :2 * k + 1], self.w, 2, self.columns)
         return kernels.relu(h + self.b[:, None, None])
 
 

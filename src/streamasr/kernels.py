@@ -13,6 +13,15 @@ two output columns :func:`conv_time_slab` computes that order with
 whole-array products and one sequential reduction; every other input
 stays on einsum itself.  ``is_int`` and ``is_real`` are the scalar type
 tests that every argument check shares.
+
+A value may cross between NumPy float32 and a Python float only through
+a correctly rounded operation: +, -, *, / and sqrt.  A Python float is a
+binary64, which carries more than 2 * 24 + 2 bits, so one of these
+operations done in binary64 and rounded once to binary32 gives the
+binary32 result bit for bit; :func:`layer_norm` takes the square root of
+a single row's variance that way, which costs less than a NumPy call.
+exp, log, sin and cos are not correctly rounded, and NumPy's and
+``math``'s differ on some inputs, so each stays on the side it runs on.
 """
 
 import math
@@ -21,6 +30,9 @@ import numbers
 import numpy as np
 
 NEG_INF = float("-inf")
+LAYER_NORM_EPS = 1e-12  # added to the variance before its square root
+
+_FLOAT32 = np.dtype(np.float32)
 
 
 def matmul(a, b):
@@ -46,8 +58,9 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
-def layer_norm(m, gain, bias, eps=1e-12):
-    """Per-row layer normalization: gain * (x - mean) / sqrt(var + eps) + bias."""
+def layer_norm(m, gain, bias):
+    """Per-row layer normalization: gain * (x - mean) / sqrt(var + eps) + bias,
+    eps being ``LAYER_NORM_EPS``."""
     m = np.asarray(m)
     gain = np.asarray(gain)
     bias = np.asarray(bias)
@@ -58,12 +71,29 @@ def layer_norm(m, gain, bias, eps=1e-12):
     # add.reduce / n is np.mean's own arithmetic (a pairwise sum, then one
     # correctly rounded division) without its Python-level wrappers
     n = m.shape[1]
+    if m.shape[0] == 1 and m.dtype is _FLOAT32:
+        # one float32 row, reduced as a vector: the same pairwise sums, the
+        # mean and var + eps as float32 scalar steps, and the square root
+        # taken as a Python float and rounded once to float32
+        row = m[0]
+        centered = row - np.add.reduce(row) / n
+        var = np.add.reduce(centered * centered) / n + LAYER_NORM_EPS
+        return ((centered / np.float32(math.sqrt(var))) * gain + bias)[None]
     centered = m - np.add.reduce(m, axis=1, keepdims=True) / n
     var = np.add.reduce(centered * centered, axis=1, keepdims=True) / n
-    return (centered / np.sqrt(var + eps)) * gain + bias
+    return (centered / np.sqrt(var + LAYER_NORM_EPS)) * gain + bias
 
 
-def conv_time_slab(window, kernels, stride):
+def conv_columns(kernels):
+    """Kernels (out_ch, in_ch, k_h, k_w) laid out as :func:`conv_time_slab`
+    multiplies them: a contiguous (k_w, in_ch, k_h, 1, out_ch) copy, whose
+    entry w holds kernel column w's weights for every output channel.  A
+    caller that convolves many rows with one set of kernels makes it once
+    and hands it to every call."""
+    return np.ascontiguousarray(kernels.transpose(3, 1, 2, 0)[:, :, :, None])
+
+
+def conv_time_slab(window, kernels, stride, columns=None):
     """One output time row (out_ch, f_out) of a 2-D convolution
     (cross-correlation).
 
@@ -85,7 +115,9 @@ def conv_time_slab(window, kernels, stride):
     input (float64, mixed dtypes, or ``f_out == 1``, where einsum merges
     the kernel row and column loops) follows no fixed order, so it stays
     on einsum, over a contiguous copy of the slab since einsum's order may
-    depend on strides.
+    depend on strides.  ``columns`` is ``conv_columns(kernels)``, made here
+    when not given; each product is elementwise, so its layout does not
+    change a bit.
     """
     in_ch, k_h = window.shape[:2]
     k_w = kernels.shape[3]
@@ -102,22 +134,24 @@ def conv_time_slab(window, kernels, stride):
                         strides=(s_c, s_h, s_f * stride, s_f))
         return np.einsum("ihfw,oihw->of", sw, kernels, optimize=False)
     span = stride * (f_out - 1) + 1
-    # (in_ch, k_h, 1, k_w, out_ch): column w's weights broadcast over f_out
-    kt = kernels.transpose(1, 2, 3, 0)[:, :, None]
-    acc = window[:, :, 0:span:stride, None] * kt[:, :, :, 0]
+    if columns is None:
+        columns = conv_columns(kernels)
+    # columns[w], (in_ch, k_h, 1, out_ch): column w's weights broadcast over f_out
+    acc = window[:, :, 0:span:stride, None] * columns[0]
     for w in range(1, k_w):
-        acc += window[:, :, w:w + span:stride, None] * kt[:, :, :, w]
+        acc += window[:, :, w:w + span:stride, None] * columns[w]
     # acc: (in_ch, k_h, f_out, out_ch); the reduction over the outer axis adds
     # the pairs' sums one after another, and initial=0 is einsum's +0 start
     return np.add.reduce(acc.reshape(in_ch * k_h, f_out, -1), axis=0, initial=0).T
 
 
-def conv2d(x, kernels, stride):
+def conv2d(x, kernels, stride, columns=None):
     """2-D convolution over (time, freq), cross-correlation convention.
 
     x: (in_ch, T, F); kernels: (out_ch, in_ch, k_h, k_w).  Both axes are
     swept with the same ``stride``, without padding.  No bias, no
-    activation.
+    activation.  ``columns`` is ``conv_columns(kernels)``, made once here
+    when not given, for every row's :func:`conv_time_slab` call.
     """
     x = np.asarray(x)
     kernels = np.asarray(kernels)
@@ -131,8 +165,11 @@ def conv2d(x, kernels, stride):
     if t_out < 1 or f_out < 1:
         raise ValueError("input too short")
     out = np.empty((kernels.shape[0], t_out, f_out), dtype=np.result_type(x, kernels))
+    if columns is None:
+        columns = conv_columns(kernels)
     for i in range(t_out):
-        out[:, i, :] = conv_time_slab(x[:, i * stride : i * stride + k_h, :], kernels, stride)
+        out[:, i, :] = conv_time_slab(x[:, i * stride : i * stride + k_h, :], kernels, stride,
+                                      columns)
     return out
 
 
@@ -151,12 +188,23 @@ def log_add(a, b):
 
 
 def log_softmax_f64(logits):
-    """Log-softmax of a single logits vector, accumulated in float64."""
+    """Log-softmax of a logits vector, or of each row of a (B, V) matrix,
+    accumulated in float64.
+
+    Each row's max and sum are reductions along the contiguous last axis,
+    which run per row, and its log is ``math.log`` of its own sum, so a
+    row of the matrix gets the bits of the vector call on that row.
+    """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError(f"log_softmax_f64 expects a vector, got shape {z.shape}")
-    m = float(np.max(z))
-    return z - (m + math.log(float(np.sum(np.exp(z - m)))))
+    if z.ndim == 1:
+        m = float(np.maximum.reduce(z))
+        return z - (m + math.log(float(np.add.reduce(np.exp(z - m)))))
+    if z.ndim != 2:
+        raise ValueError(f"log_softmax_f64 expects a vector or a matrix, got shape {z.shape}")
+    m = np.maximum.reduce(z, axis=1, keepdims=True)
+    sums = np.add.reduce(np.exp(z - m), axis=1).tolist()
+    offsets = [mi + math.log(si) for mi, si in zip(m[:, 0].tolist(), sums)]
+    return z - np.array(offsets)[:, None]
 
 
 def is_int(v):

@@ -440,9 +440,30 @@ def prune(hyps, scores, size, width):
     return {p: hyps[p] for p in _top(scores, hyps, size, width)}
 
 
-def _format_trace(frame, beams, prefix, phat, pjoint):
-    ids = ",".join(str(c - 1) for c in prefix)
+def _format_trace(frame, beams, ids, phat, pjoint):
+    """One trace line; ``ids`` is the best prefix's label ids joined by commas."""
     return f"frame={frame} beams={beams} best={ids} p_prfx={phat!r} p_joint={pjoint!r}"
+
+
+def _changed_columns(old, new):
+    """The length of the longest common prefix of nodes ``old`` and
+    ``new`` that is one node of both paths, and ``new``'s columns after
+    it, oldest first.  It walks only the labels by which the two differ,
+    not their whole length.  Every path ends at the search's one root, so
+    the walks meet; a prefix interned again after it left the table is a
+    new node, and the walks then meet higher up, which costs more labels
+    but gives the same columns."""
+    cols = []
+    while new.length > old.length:
+        cols.append(new.last)
+        new = new.parent
+    while old.length > new.length:
+        old = old.parent
+    while old is not new:
+        cols.append(new.last)
+        new, old = new.parent, old.parent
+    cols.reverse()
+    return new.length, cols
 
 
 @dataclass
@@ -487,6 +508,10 @@ class JointSearch:
         self.hyps = {root: Hypothesis(root, p_b=0.0, p_nb=NEG_INF, lm_logp=0.0)}
         self.frame = 0
         self.trace = []
+        # the last trace line's best node and its label ids joined by commas,
+        # and the last partial's node and label ids
+        self._trace_best = (root, "")
+        self._partial = (root, ())
         self._last_carried = dict(self.hyps)
         self._last_phat = {root: 0.0}
         self._last_pjoint = {root: 0.0}
@@ -538,7 +563,7 @@ class JointSearch:
         self._last_carried = kept
         self._last_phat = phat
         self._last_pjoint = pjoint
-        self.trace.append(_format_trace(self.frame, len(kept), best.as_tuple(),
+        self.trace.append(_format_trace(self.frame, len(kept), self._trace_ids(best),
                                         phat[best], pjoint[best]))
         self.prefixes.retain(self.hyps)
         if self.dec is not None:
@@ -694,11 +719,40 @@ class JointSearch:
             if entry.step is not None and entry.step[0] < seen:
                 entry.step = None
 
+    def _trace_ids(self, best):
+        """``best``'s label ids joined by commas, built from the last trace
+        line's: the labels after the nodes' common prefix are cut off,
+        found from the end one comma at a time, and ``best``'s appended,
+        so a frame costs the labels that changed."""
+        node, text = self._trace_best
+        if best is not node:
+            n, cols = _changed_columns(node, best)
+            parts = [str(c - 1) for c in cols]
+            if n:
+                cut = len(text)
+                for _ in range(node.length - n):
+                    cut = text.rfind(",", 0, cut)
+                parts.insert(0, text[:cut])
+            text = ",".join(parts)
+            self._trace_best = (best, text)
+        return text
+
+    @property
+    def best_ctc_prefix(self):
+        """Best carried prefix by CTC ranking score, as its node."""
+        return next(iter(self._last_carried))  # carried in phat rank order
+
     @property
     def best_ctc_partial(self):
-        """Best carried prefix by CTC ranking score, as label ids."""
-        best = next(iter(self._last_carried))  # carried in phat rank order
-        return tuple(c - 1 for c in best.as_tuple())
+        """Best carried prefix by CTC ranking score, as label ids, built
+        from the last partial's as :meth:`_trace_ids` builds its text."""
+        best = self.best_ctc_prefix
+        node, ids = self._partial
+        if best is not node:
+            n, cols = _changed_columns(node, best)
+            ids = ids[:n] + tuple(c - 1 for c in cols)
+            self._partial = (best, ids)
+        return ids
 
     def finalize(self):
         """Pick the joint-score winner of the final frame's carried beam,

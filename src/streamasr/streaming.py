@@ -93,6 +93,7 @@ class StreamingSession:
         self.encoder = IncrementalEncoder(model.encoder, config.eps_enc)
         self._rows = 0            # encoder rows emitted so far, all added to the search
         self._post = deque()      # posterior rows the search has not consumed yet
+        self._last_node = None    # the search's best CTC prefix at the last partial
         self._last_partial = None
 
     @property
@@ -135,6 +136,12 @@ class StreamingSession:
     def _partial(self):
         if self.search.frame == 0:
             return None
+        # nodes are interned, so the same node is the same partial; a prefix
+        # interned again is a new node with equal labels, which the tuples catch
+        node = self.search.best_ctc_prefix
+        if node is self._last_node:
+            return None
+        self._last_node = node
         cur = self.search.best_ctc_partial
         if cur != self._last_partial:
             self._last_partial = cur

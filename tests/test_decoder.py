@@ -119,6 +119,21 @@ def test_ta_prefix_score_rejects_decreasing_nus():
         ta_prefix_score(enc, (2, 3), (4, 2), dec)
 
 
+@pytest.mark.parametrize("bad", [2.5, np.float64(3.0), True, None])
+def test_ta_prefix_score_rejects_truncation_points_that_are_not_integers(bad):
+    dec, enc = setup_case(63, n=5)
+    with pytest.raises(ValueError, match="is not an integer"):
+        ta_prefix_score(enc, (2, 3), (2, bad), dec)
+
+
+@pytest.mark.parametrize("bad", [2.0, np.float64(2.0), True])
+def test_advance_positions_rejects_a_trigger_index_that_is_not_an_integer(bad):
+    dec, enc = setup_case(64, n=4)
+    with pytest.raises(ValueError, match="trigger index must be an integer"):
+        advance_positions(dec, CrossAttentionCache(dec, enc), [empty_history(dec)],
+                          [dec.sos_id], [0], bad)
+
+
 def test_ta_prefix_score_length_mismatch():
     dec, enc = setup_case(62)
     with pytest.raises(ValueError, match="labels but"):

@@ -93,6 +93,14 @@ def test_negative_positions_raise():
         positional_encodings([3, -1], 8)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_positions_raise(bad):
+    with pytest.raises(ValueError, match="positions must be"):
+        positional_encodings([bad], 8)
+    with pytest.raises(ValueError, match="positions must be"):
+        positional_encodings([2.0, bad, 5.0], 8)
+
+
 @pytest.mark.parametrize("t,n", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 2), (13, 4), (16, 4), (17, 5)])
 def test_cnn_frame_count(t, n):
     assert cnn_frame_count(t) == n

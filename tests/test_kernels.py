@@ -45,20 +45,47 @@ def test_layer_norm_shape_mismatch():
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=st.integers(0, 12), cols=st.integers(1, 300), scale=st.sampled_from([1e-3, 1.0, 1e4]),
+@given(rows=st.integers(0, 12), cols=st.integers(1, 300),
+       scale=st.sampled_from([1e-20, 1e-6, 1e-3, 1.0, 1e4, 1e18]),
        offset=st.sampled_from([0.0, 7.5, -3e3]), dtype=st.sampled_from([np.float32, np.float64]),
-       strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_layer_norm_equals_its_np_mean_form(rows, cols, scale, offset, dtype, strided, seed):
-    # sum / n repeats np.mean's pairwise sum and its one division, bit for bit
+       strided=st.booleans(), constant=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_layer_norm_equals_its_np_mean_form(rows, cols, scale, offset, dtype, strided, constant,
+                                            seed):
+    # sum / n repeats np.mean's pairwise sum and its one division, bit for bit;
+    # one float32 row takes the scalar steps as Python floats.  A constant
+    # row has a variance of 0 (or of rounding), where eps decides; at 1e-6
+    # var is near eps.
     rng = np.random.default_rng(seed)
     m = (rng.standard_normal((rows, 2 * cols)) * scale + offset).astype(dtype)
+    if constant:
+        m[:] = m[:, :1]
     m = m[:, ::2] if strided else m[:, :cols]
     gain = rng.standard_normal(cols).astype(dtype)
     bias = rng.standard_normal(cols).astype(dtype)
-    got = kernels.layer_norm(m, gain, bias)
-    want = layer_norm_np_mean(m, gain, bias)
+    # float32 squares near 1e18 may sum past float32's range: both forms
+    # then divide by an infinite root alike
+    with np.errstate(over="ignore"):
+        got = kernels.layer_norm(m, gain, bias)
+        want = layer_norm_np_mean(m, gain, bias)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert (got == want).all()
+
+
+def test_layer_norm_one_row_equals_its_np_mean_form_at_the_edges():
+    # the one-row branch against np.mean at tiny, huge and constant rows, and
+    # at a scale of 1e-6, where var is near eps and both roundings count
+    rng = np.random.default_rng(12)
+    for scale in (1e-20, 1e-6, 1e-3, 1.0, 1e18):
+        for offset in (0.0, 7.5, -3e3):
+            for cols in (1, 2, 64, 257):
+                m = (rng.standard_normal((1, cols)) * scale + offset).astype(np.float32)
+                for row in (m, np.full_like(m, m[0, 0])):
+                    gain = rng.standard_normal(cols).astype(np.float32)
+                    bias = rng.standard_normal(cols).astype(np.float32)
+                    got = kernels.layer_norm(row, gain, bias)
+                    want = layer_norm_np_mean(row, gain, bias)
+                    assert got.dtype == want.dtype == np.float32
+                    assert (got == want).all()
 
 
 def test_matmul_rows_independent_of_batch():
@@ -249,6 +276,24 @@ def test_log_softmax_f64_normalizes_and_orders():
     assert out.dtype == np.float64
     assert abs(np.exp(out).sum() - 1.0) < 1e-12
     assert np.argmax(out) == np.argmax(z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(1, 9), cols=st.integers(1, 70), scale=st.sampled_from([1e-3, 1.0, 40.0]),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+def test_log_softmax_f64_rows_equal_the_vector_call(rows, cols, scale, dtype, seed):
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((rows, cols)) * scale).astype(dtype)
+    got = kernels.log_softmax_f64(z)
+    assert got.dtype == np.float64 and got.shape == z.shape
+    for i in range(rows):
+        assert (got[i] == kernels.log_softmax_f64(z[i])).all()
+
+
+def test_log_softmax_f64_rejects_other_ranks_and_keeps_empty_batches():
+    with pytest.raises(ValueError, match="vector or a matrix"):
+        kernels.log_softmax_f64(np.zeros((2, 2, 3)))
+    assert kernels.log_softmax_f64(np.zeros((0, 5))).shape == (0, 5)
 
 
 def test_relu_clamps_negatives():

@@ -1,9 +1,11 @@
+import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from streamasr.ctc import ctc_forward_logprob, ctc_viterbi_align, posteriorgram_from_states
 from streamasr.decoder import ta_prefix_score
@@ -11,7 +13,7 @@ from streamasr.encoder import encode
 from streamasr.kernels import NEG_INF, log_add
 from streamasr.lm import UniformLM
 from streamasr.search import (CtcPrefixSearch, DecodeParams, Hypothesis,
-                              JointSearch, LossParams, PrefixTable, _rank, ctc_prefix_search,
+                              JointSearch, LossParams, PrefixTable, _rank, _top, ctc_prefix_search,
                               decode, joint_loss, joint_score, prefix_score,
                               prune)
 from streamasr.streaming import StreamConfig, StreamingSession
@@ -430,6 +432,95 @@ def test_search_retried_after_a_raising_hook_equals_one_that_never_raises(hook, 
     assert got.labels == want.labels and got.score == want.score
 
 
+def spelled(node):
+    """A prefix node's label ids, rebuilt from its columns."""
+    return tuple(c - 1 for c in node.as_tuple())
+
+
+def best_move(old, new):
+    """How the best prefix moved between two frames, by column tuples."""
+    a, b = old.as_tuple(), new.as_tuple()
+    if a == b:
+        return "same"
+    if b[:len(a)] == a:
+        return "extension"
+    if a[:len(b)] == b:
+        return "ancestor"
+    if a[:-1] == b[:-1]:
+        return "sibling"
+    return "unrelated"
+
+
+def advance_checking_kept_labels(search, rows):
+    """Advance ``search`` over ``rows``, checking after every frame that
+    the kept trace text and partial equal a full rebuild, and that a frame
+    a hook fails leaves both as they were before it is advanced again.
+    Returns how the trace's best prefix moved on each frame."""
+    moves = []
+    for row in rows:
+        prev = search._trace_best[0]
+        before = (search._trace_best, search._partial, search.best_ctc_partial)
+        try:
+            search.advance(row)
+        except HookFailed:
+            assert (search._trace_best, search._partial, search.best_ctc_partial) == before
+            search.advance(row)
+        node, text = search._trace_best
+        best = _top(search._last_pjoint, search._last_carried, 1, math.inf)[0]
+        assert node is best and text == ",".join(str(i) for i in spelled(best))
+        assert TRACE_RE.match(search.trace[-1]).group(3) == (text or None)
+        assert search.best_ctc_partial == spelled(search.best_ctc_prefix)
+        assert search.best_ctc_prefix is next(iter(search._last_carried))
+        moves.append(best_move(prev, best))
+    return moves
+
+
+def kept_labels_case(seed, joint, n, scale, beta, retry_at):
+    """A small search and its posterior rows: peaky ones at a large
+    ``scale``, with few prefixes carried, so the best prefix moves often
+    (back to an ancestor too, when an insertion penalty ``beta`` < 0
+    outweighs a longer prefix's equal mass); the joint search's dcond
+    raises once at frame ``retry_at``."""
+    m = tiny_model(seed % 7, vocab_size=4)
+    rng = np.random.default_rng(seed)
+    post = logprob_rows(rng, n, 5) * scale
+    post -= np.log(np.exp(post).sum(axis=1, keepdims=True))
+    kw = dict(k_size=6, p_size=3, theta1=30.0, theta2=30.0, beta=beta, local_threshold=0.0)
+    if joint:
+        hook = RaiseOnce(lambda *_: False, at=retry_at)
+        search = JointSearch(m.decoder, UniformLM(2), DecodeParams(**kw, dcond=hook, eps_dec=1),
+                             5)
+        search.add_rows(random_enc_states(rng, n, 8))
+    else:
+        search = CtcPrefixSearch(bigram(rng, 4, False), DecodeParams(**kw), 5, (0,))
+    return search, post
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), joint=st.booleans(), n=st.integers(1, 16),
+       scale=st.sampled_from([1.0, 3.0, 8.0]), beta=st.sampled_from([0.5, -1.5]),
+       retry_at=st.integers(1, 16))
+def test_kept_trace_text_and_partial_equal_a_full_rebuild(seed, joint, n, scale, beta, retry_at):
+    search, post = kept_labels_case(seed, joint, n, scale, beta, retry_at)
+    for move in advance_checking_kept_labels(search, post):
+        event(move)
+    assert search.finalize().trace == search.trace
+
+
+def test_kept_labels_cases_cover_every_move_of_the_best_prefix():
+    # the sweep above draws these; here a fixed set of cases shows that the
+    # best moves to a sibling, an ancestor and an unrelated prefix in both
+    # searches, and that the joint search's hook fails at least once
+    for joint in (False, True):
+        seen, retried = set(), False
+        for seed, beta in itertools.product(range(6), (0.5, -1.5)):
+            search, post = kept_labels_case(seed, joint, 16, 3.0, beta, 3)
+            seen.update(advance_checking_kept_labels(search, post))
+            retried |= joint and search.params.dcond.raised
+        assert {"extension", "sibling", "ancestor", "unrelated"} <= seen, (joint, seen)
+        assert retried or not joint
+
+
 def test_best_ctc_partial_tracks_prefix_ranking():
     m, enc, post, lm, params = decode_setup(111, n=3)
     search = JointSearch(m.decoder, lm, params, post.shape[1])
@@ -476,6 +567,14 @@ def loss_setup(seed):
     y = (2, 3)
     align = ctc_viterbi_align(post, [lab + 1 for lab in y], eps_dec=2)
     return m, enc, post, y, align
+
+
+@pytest.mark.parametrize("bad", [2.5, np.float64(3.0), True, None])
+def test_joint_loss_rejects_truncation_points_that_are_not_integers(bad):
+    m, enc, post, y, align = loss_setup(131)
+    align = replace(align, nu=(align.nu[0], bad))
+    with pytest.raises(ValueError, match="is not an integer"):
+        joint_loss(post, enc, y, align, m.decoder, LossParams(0.3))
 
 
 def test_joint_loss_limits_are_exact():
