@@ -21,7 +21,12 @@ push in one process, alternating which of the two goes first from one
 push and one run to the next.  Each push is timed as the best of its
 ``REPEATS`` runs on each side; the script prints the median per-push
 ratio (this copy / baseline) over the whole utterance and in each
-quarter, and exits 1 if any encoder row of the two differs.
+quarter.  Each run ends with ``FLUSHES`` final flushes
+(``push(None, final=True)``) of each side, alternating which goes
+first, each on a copy of the pushed encoder; the script prints the
+ratio of the two best flushes.  The flush is where the encoder scores
+look-ahead-limited rows in a streaming session.  The script exits 1 if
+any encoder row of the two differs.
 
     python3 scripts/encoder_cost.py              # 4 s utterance, best of 5
     python3 scripts/encoder_cost.py --seconds 1  # quick smoke run
@@ -35,6 +40,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import copy  # noqa: E402
 import importlib.util  # noqa: E402
 import sys  # noqa: E402
 from time import perf_counter  # noqa: E402
@@ -51,6 +57,7 @@ MID_MODEL = dict(d_feat=40, d_model=64, d_ff=256, heads=4, e_layers=6, d_layers=
 EPS_ENC = 1
 CHUNK_FRAMES = 4  # 40 ms of 10 ms feature frames
 REPEATS = 5  # runs per path; the best is kept
+FLUSHES = 20  # final flushes timed per lockstep run, each on a copy of the pushed encoder
 SEED = 0
 
 
@@ -80,25 +87,35 @@ def import_baseline(src_dir):
 
 def lockstep(base, frames, seed):
     """Both streaming encoders pushed chunk by chunk in turn, REPEATS
-    times -> each push's best time on this copy and on ``base``, or
-    None if any encoder row differs."""
+    times, each run ending with FLUSHES final flushes of each side, each
+    on a copy of the pushed encoder -> each push's best time on this
+    copy and on ``base``, (2, pushes + 1) with the flush's last, or None
+    if any encoder row differs."""
     encoders = [(pkg.encoder.IncrementalEncoder, pkg.random_model(seed, **MID_MODEL).encoder)
                 for pkg in (streamasr, base)]
     starts = range(0, frames.shape[0], CHUNK_FRAMES)
-    best = np.full((2, len(starts)), np.inf)
+    best = np.full((2, len(starts) + 1), np.inf)
+
+    def step(i, first, encs, chunk):
+        """One push of each side's encoder in ``encs``, side ``first``
+        first -> whether their rows agree; a flush (``chunk`` None) runs
+        on a copy made just before it."""
+        rows = [None, None]
+        for side in (first, 1 - first):
+            enc = encs[side] if chunk is not None else copy.deepcopy(encs[side])
+            t0 = perf_counter()
+            rows[side] = enc.push(chunk, final=chunk is None)
+            best[side, i] = min(best[side, i], perf_counter() - t0)
+        return np.array_equal(rows[0], rows[1])
+
     for r in range(REPEATS):
         live = [cls(params, EPS_ENC) for cls, params in encoders]
         for i, t in enumerate(starts):
-            chunk = frames[t:t + CHUNK_FRAMES]
-            rows = [None, None]
-            for side in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
-                t0 = perf_counter()
-                rows[side] = live[side].push(chunk)
-                best[side, i] = min(best[side, i], perf_counter() - t0)
-            if not np.array_equal(rows[0], rows[1]):
+            if not step(i, (i + r) % 2, live, frames[t:t + CHUNK_FRAMES]):
                 return None
-        if not np.array_equal(live[0].push(None, final=True), live[1].push(None, final=True)):
-            return None
+        for j in range(FLUSHES):
+            if not step(-1, (j + r) % 2, live, None):
+                return None
     return best
 
 
@@ -167,12 +184,15 @@ def main():
         best = lockstep(base, frames, args.seed)
         if best is None:
             sys.exit(f"encoder rows differ from the baseline in {args.baseline}")
-        ratio = best[0] / best[1]
+        ratio = best[0, :-1] / best[1, :-1]
         quarters = " ".join(f"{float(np.median(q)):.3f}" for q in np.array_split(ratio, 4))
         print(f"lockstep against {args.baseline}: median per-push ratio (this/baseline) "
               f"{float(np.median(ratio)):.3f}, by quarter {quarters}; "
-              f"median push {float(np.median(best[0])) * 1e6:.0f} us against "
-              f"{float(np.median(best[1])) * 1e6:.0f} us")
+              f"median push {float(np.median(best[0, :-1])) * 1e6:.0f} us against "
+              f"{float(np.median(best[1, :-1])) * 1e6:.0f} us")
+        print(f"lockstep final flush (push(None, final=True)): ratio (this/baseline) "
+              f"{best[0, -1] / best[1, -1]:.3f}; {best[0, -1] * 1e6:.0f} us against "
+              f"{best[1, -1] * 1e6:.0f} us")
 
 
 if __name__ == "__main__":

@@ -8,16 +8,28 @@ disallowed row can never change the output, not even in the last bit.
 
 Projected keys and values are stored head-major, (heads, rows, d), and a
 block makes one :func:`scaled_dot_attention` call for all its heads.
-That call scores every (head, row) of a group of equal mask rows in one
-stacked product, and its output is bit-identical to computing each head
-and query row alone on its allowed rows.  A mask that lets every row see
-every key (streaming encoder rows, decoder rows over their own history
-or the encoder) is scored on q, k and v where they are stored: a prefix
-view ``[:, :n]`` of a longer store, or a query slice, reads the same
-bits as its C-contiguous copy, because its rows are packed the same way
-(the tests prove it for views of a block-grown store, misaligned ones
+Whatever the mask, each (head, query row) of the result has the bits of
+that row computed alone over a C-contiguous copy of its allowed keys and
+values, by one of two paths.
+
+A mask that lets every row see every key (streaming encoder rows,
+decoder rows over their own history or the encoder) is scored in one
+stacked product on q, k and v where they are stored: a prefix view
+``[:, :n]`` of a longer store, or a query slice, reads the same bits as
+its C-contiguous copy, because its rows are packed the same way (the
+tests prove it for views of a block-grown store, misaligned ones
 included).  Only rows laid out otherwise, such as head columns of a
 (rows, heads * d) matrix, are copied first.
+
+Any other mask takes the masked path, one call for all its rows.  A
+sum's rounding depends on how many terms it adds, so the three steps
+that sum over keys (the logits product, the softmax denominator and the
+product with the values) run per row over exactly its allowed keys,
+read as a view when they form one run.  The steps that round each value
+on its own or pick one (scale, max, subtract, exp, divide) run once over
+all rows padded with -inf: the max of a padded row is its own, and exp
+turns the padding into zeros that no per-row step reads.  The encoder's
+look-ahead-limited rows, a staircase of key prefixes, take this path.
 
 One owner keeps the projected rows of a sequence that only grows:
 :class:`KeyValueStore`, which appends them in place, for each encoder
@@ -88,14 +100,16 @@ def scaled_dot_attention(q, k, v, mask):
     """Softmax(q k^T / sqrt(d_k)) v, restricted to mask-allowed positions.
 
     q (..., B, d), k (..., n, d) and v (..., n, d_v) may carry leading
-    head axes; the one (B, n) mask is shared by every head.  Query rows
-    with equal mask rows form a group.  A group gathers its allowed
-    key/value rows once, scores them with one stacked matrix-vector
-    product per (head, row) and takes the softmax over that compact set,
-    so a row's result is a pure function of its own query and its
-    allowed key/value rows, bit for bit the same as computing that row
-    and head alone.  When every row allows every key there is one group
-    and nothing to gather: q, k and v are scored where they are stored.
+    head axes; the one (B, n) mask is shared by every head.  Each (head,
+    row) result is a pure function of its own query and its allowed
+    key/value rows, bit for bit the same as computing that row and head
+    alone over a contiguous copy of those rows.  When every row allows
+    every key, the rows are scored together where they are stored: one
+    stacked matrix-vector product per (head, row).  Otherwise the masked
+    path (:func:`_masked_attend`) runs per row the steps whose rounding
+    depends on how many keys the row allows, and the elementwise steps
+    and the max once for all rows.  A row that allows no key, or q, k or
+    v that are not floating point, raise ``ValueError``.
     A view whose rows are packed, d values each and one behind the other,
     such as a query slice or a ``[:, :n]`` prefix of a (heads, capacity,
     d) store, gives the bits of its C-contiguous copy, so it is not
@@ -115,22 +129,19 @@ def scaled_dot_attention(q, k, v, mask):
         raise ValueError(f"key rows {k.shape[-2]} != value rows {v.shape[-2]}")
     if mask.shape != (q.shape[-2], k.shape[-2]):
         raise ValueError(f"mask shape {mask.shape}, expected {(q.shape[-2], k.shape[-2])}")
+    if q.dtype.kind != "f" or k.dtype.kind != "f" or v.dtype.kind != "f":
+        raise ValueError(f"attention takes floating-point arrays, got {q.dtype}, {k.dtype} "
+                         f"and {v.dtype}")
     scale = 1.0 / math.sqrt(q.shape[-1])
     out_type = q.dtype if q.dtype == v.dtype else np.result_type(q, v)
-    if k.shape[-2] and np.logical_and.reduce(mask, axis=None):  # mask.all() without its wrapper
-        return _softmax_attend(_packed(q), _packed(k), _packed(v), scale).astype(out_type,
-                                                                                 copy=False)
-    out = np.empty(q.shape[:-1] + v.shape[-1:], dtype=out_type)
-    groups = {}
-    for i, row in enumerate(mask):
-        groups.setdefault(row.tobytes(), []).append(i)
-    for rows in groups.values():
-        idx = np.flatnonzero(mask[rows[0]])
-        if idx.size == 0:
-            raise ValueError("empty attention row")
-        out[..., rows, :] = _softmax_attend(np.take(q, rows, axis=-2), np.take(k, idx, axis=-2),
-                                            np.take(v, idx, axis=-2), scale)
-    return out
+    q, k, v = _packed(q), _packed(k), _packed(v)
+    # one byte per mask entry, 1 where a key is allowed
+    flags = (mask if mask.dtype == bool else mask.astype(bool)).tobytes()
+    if k.shape[-2] and 0 not in flags:
+        out = _softmax_attend(q, k, v, scale)
+    else:
+        out = _masked_attend(q, k, v, flags, mask.shape, scale)
+    return out if out.dtype == out_type else out.astype(out_type)
 
 
 def _packed(a):
@@ -148,11 +159,70 @@ def _packed(a):
 def _softmax_attend(q, k, v, scale):
     """Every query row of q (..., B, d) over every row of k and v, one
     stacked matrix-vector product per (head, row)."""
-    # the reductions are max's and sum's own, called without their wrappers
-    logits = np.matmul(k[..., None, :, :], q[..., None])[..., 0] * scale
-    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
-    p = e / np.add.reduce(e, axis=-1, keepdims=True)
-    return np.matmul(p[..., None, :], v[..., None, :, :])[..., 0, :]
+    # the reductions are max's and sum's own, called without their wrappers;
+    # the elementwise steps run in place, on the product's own array
+    logits = np.matmul(k[..., None, :, :], q[..., None])[..., 0]
+    logits *= scale
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    e = np.exp(logits, out=logits)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return np.matmul(e[..., None, :], v[..., None, :, :])[..., 0, :]
+
+
+def _masked_attend(q, k, v, flags, shape, scale):
+    """The masked path (see the module docstring): every query row of q
+    (..., B, d) over its own allowed rows of k and v, which are packed;
+    ``flags`` holds the (B, n) mask's bytes, 1 where a key is allowed.
+
+    The per-row steps take the shapes :func:`_softmax_attend` gives them,
+    and the padded rows are the mask's n columns wide.  One row needs no
+    padding and is scored by :func:`_softmax_attend` itself.
+    """
+    b, n = shape
+    lead = q.shape[:-1]
+    if b == 0:
+        return np.empty(lead + v.shape[-1:], dtype=np.result_type(q, v))
+    if b == 1:
+        return _softmax_attend(q, *_allowed_rows(k, v, flags, 0, n), scale)
+    dtype = q.dtype if q.dtype == k.dtype else np.result_type(q, k)
+    logits = np.empty(lead + (n,), dtype=dtype)
+    logits.fill(-np.inf)
+    q_cols, logit_cols = q[..., None], logits[..., None]
+    rows = []  # per row: its values with an axis for the query row, and their count
+    for i in range(b):
+        keys, values = _allowed_rows(k, v, flags, i * n, n)
+        count = keys.shape[-2]
+        np.matmul(keys[..., None, :, :], q_cols[..., i:i + 1, :, :],
+                  out=logit_cols[..., i:i + 1, :count, :])
+        rows.append((values[..., None, :, :], count))
+    logits *= scale
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    e = np.exp(logits, out=logits)
+    sums = np.empty(lead + (1,), dtype=dtype)
+    for i, (_, count) in enumerate(rows):
+        np.add.reduce(e[..., i, :count], axis=-1, keepdims=True, out=sums[..., i, :])
+    e /= sums
+    out_type = dtype if dtype == v.dtype else np.result_type(dtype, v)
+    out = np.empty(lead + v.shape[-1:], dtype=out_type)
+    e_rows, out_rows = e[..., None, :], out[..., None, :]
+    for i, (values, count) in enumerate(rows):
+        np.matmul(e_rows[..., i:i + 1, :, :count], values, out=out_rows[..., i:i + 1, :, :])
+    return out
+
+
+def _allowed_rows(k, v, flags, start, n):
+    """The keys and values that the mask row at byte ``start`` of
+    ``flags`` allows: views when they form one run, else gathered copies."""
+    stop = start + n
+    first = flags.find(1, start, stop)
+    if first < 0:
+        raise ValueError("empty attention row")
+    count = flags.count(1, start, stop)
+    if flags.rfind(1, start, stop) - first + 1 == count:  # one run
+        first -= start
+        return k[..., first:first + count, :], v[..., first:first + count, :]
+    idx = np.flatnonzero(np.frombuffer(flags, dtype=bool, count=n, offset=start))
+    return np.take(k, idx, axis=-2), np.take(v, idx, axis=-2)
 
 
 def project_heads(x, w):

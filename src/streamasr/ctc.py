@@ -277,14 +277,23 @@ def _prefix_masses(row, hyps, local_threshold, split):
 
 def posteriorgram_from_states(states, weight, bias):
     """CTC output head: the (N, d_model) encoder matrix -> the (N, V+1)
-    posteriorgram, a linear projection and float64 log-softmax per row."""
+    posteriorgram, a linear projection and float64 log-softmax per row.
+
+    The rows are one stack of (1, d_model) @ (d_model, V+1) products, the
+    vector-matrix routine of :func:`log_posterior_row`, and one
+    :func:`log_softmax_f64` call, so each row has the bits of that
+    function on it.  ``states`` that are not a 2-D matrix as wide as the
+    head's input raise ``ValueError``."""
     mat = np.asarray(states)
-    rows = [log_posterior_row(mat[i], weight, bias) for i in range(mat.shape[0])]
-    return np.stack(rows) if rows else np.zeros((0, weight.shape[1]))
+    if mat.ndim != 2 or mat.shape[1] != weight.shape[0]:
+        raise ValueError(f"encoder states of shape {mat.shape}, "
+                         f"expected (N, {weight.shape[0]})")
+    return log_softmax_f64(np.matmul(mat[:, None, :], weight)[:, 0] + bias)
 
 
 def log_posterior_row(state_row, weight, bias):
-    """One CTC posterior row; streaming emits rows through this same path."""
+    """One CTC posterior row; streaming emits rows through this same path,
+    whose one vector product costs less than a one-row matrix call."""
     logits = state_row @ weight + bias
     return log_softmax_f64(logits)
 

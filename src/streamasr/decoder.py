@@ -11,6 +11,15 @@ computes a batch of new positions that share a truncation nu (a search
 frame's distinct parents) in one pass, and ``advance_position`` is its
 one-row case.
 
+Triggered attention steps one position again at each later truncation
+the search scores it at, but layer 0 reads the encoder only in its
+cross-attention.  Everything before that, the embedding, the positional
+encoding, norm1, the Q/K/V projection, self-attention, norm2 and the
+cross-attention query, is the position's :class:`Stem`: a step returns
+each row's stem, and a later step of the same history, token and
+position that is handed it skips that half of layer 0 with the same
+bits.
+
 Attention keys and values are projected once per row and kept.  A
 :class:`CrossAttentionCache`, fed encoder rows as they arrive, appends
 their cross-attention keys and values in place for a whole utterance.  A
@@ -25,11 +34,12 @@ that array, which the step returns for its caller to keep.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import attention, kernels
-from .attention import KeyValueStore, MhaParams, attend, full_mask, merge_heads, project_heads
+from .attention import KeyValueStore, MhaParams, full_mask, merge_heads, project_heads
 from .ctc import check_labels
 # multi_head_attention is no longer called here, but stays bound: the
 # benchmark's tracer (perfbench/tracer.py) wraps it by this module's name.
@@ -118,7 +128,17 @@ class CrossAttentionCache:
         return self.kv[d].view(nu)
 
 
-def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
+class Stem(NamedTuple):
+    """The first half of decoder layer 0 for one new position: everything
+    before it reads the encoder, which no truncation changes.  The
+    decoder's own format, kept and handed back by callers."""
+
+    kv: np.ndarray  # (2, heads, d_k): the position's layer-0 self-attention key and value
+    z: np.ndarray  # (d_model,): the residual after layer 0's self-attention
+    q: np.ndarray  # (heads, d_k): layer 0's cross-attention query heads
+
+
+def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=None):
     """Decoder states and next-label posteriors for B new positions at once.
 
     Row i extends the positions cached in ``hists[i]`` (a history array,
@@ -129,12 +149,21 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
     between calls, or the (N, d_model) encoder matrix, which is projected
     afresh.
 
-    The norms, projections, feed-forward and vocabulary projection run
-    once over the B rows; they are row-invariant, and attention is
-    computed per query row, so row i equals a call with that row alone
-    bit for bit.  Returns one (history, log_posterior) per row: a new
-    history array, ``hists[i]`` with the position appended (the input is
-    left untouched), and the float64 log posterior over the vocabulary.
+    ``stems`` (None, or one :class:`Stem` or None per row) carries what
+    an earlier step of the same history, token and position computed
+    before layer 0's cross-attention; a row with a stem skips the
+    embedding, the positional encoding, norm1, the Q/K/V projection,
+    self-attention, norm2 and the cross-attention query projection of
+    layer 0, and gets the same bits.  The norms, projections, feed-forward and vocabulary
+    projection run once over the rows that need them; they are
+    row-invariant, and attention is computed per query row, so row i
+    equals a call with that row alone bit for bit.
+
+    Returns one (history, log_posterior, stem) per row: a new history
+    array, ``hists[i]`` with the position appended (the input is left
+    untouched), the float64 log posterior over the vocabulary, and the
+    row's stem (None for a decoder without layers), to hand back when
+    the same position is stepped at another truncation.
     :func:`append_history` copies each history once, before the first
     layer; each layer writes its new key and value rows into the copies,
     and its self-attention reads them there.
@@ -151,26 +180,69 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu):
         raise ValueError(f"{len(hists)} histories, {len(token_ids)} tokens "
                          f"and {len(pos_indices)} positions")
     b = len(hists)
+    stems = [None] * b if stems is None else list(stems)
+    if len(stems) != b:
+        raise ValueError(f"{b} histories but {len(stems)} stems")
     if b == 0:
         return []
-    cur = params.embed[np.asarray(token_ids)] + positional_encodings(pos_indices, params.d_model)
-    grown = append_history(hists, cur.dtype)
-    src_mask = full_mask(b, nu)
-    for d, layer in enumerate(params.layers):
-        normed = kernels.layer_norm(cur, layer.norm1_g, layer.norm1_b)
-        qkv = project_heads(normed, layer.self_mha.qkv())
-        qkv = qkv.reshape(3, -1, b, qkv.shape[-1])  # query, key and value heads, (heads, B, d) each
-        for i, hist in enumerate(grown):
-            hist[d, :, :, -1] = qkv[1:, :, i]
-        z = cur + merge_heads(_attend_own_histories(qkv[0], grown, d), layer.self_mha)
-        normed_q = kernels.layer_norm(z, layer.norm2_g, layer.norm2_b)
-        keys, values = cache.layer(d, nu)
-        z = z + attend(normed_q, keys, values, layer.src_mha, src_mask)
-        normed_f = kernels.layer_norm(z, layer.norm3_g, layer.norm3_b)
-        cur = z + feed_forward(normed_f, layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b)
+    # the rows' dtype: an embedding plus a float32 position vector
+    grown = append_history(hists, np.result_type(params.embed.dtype, np.float32))
+    if not params.layers:
+        cur = _embed(params, token_ids, pos_indices)
+    else:
+        stems, z, q = _stems(params, grown, token_ids, pos_indices, stems)
+        cur = _cross_and_feed_forward(params.layers[0], 0, z, q, cache, nu)
+    for d, layer in enumerate(params.layers[1:], 1):
+        z = _self_attention(layer, d, cur, grown)[0]
+        q = project_heads(kernels.layer_norm(z, layer.norm2_g, layer.norm2_b), layer.src_mha.w_q)
+        cur = _cross_and_feed_forward(layer, d, z, q, cache, nu)
     final = kernels.layer_norm(cur, params.final_norm_g, params.final_norm_b)
     logits = kernels.matmul(final, params.out_w) + params.out_b
-    return list(zip(grown, kernels.log_softmax_f64(logits)))
+    return list(zip(grown, kernels.log_softmax_f64(logits), stems))
+
+
+def _embed(params, token_ids, pos_indices):
+    """The embedding of each token plus its position vector."""
+    return (params.embed[np.asarray(token_ids)]
+            + positional_encodings(pos_indices, params.d_model))
+
+
+def _stems(params, grown, token_ids, pos_indices, stems):
+    """Every row's stem, computing the missing ones as one batch, with
+    each row's layer-0 key and value written into its history in
+    ``grown`` -> (stems, z, q): the rows' residuals (B, d_model) and
+    cross-attention query heads (heads, B, d_k)."""
+    layer = params.layers[0]
+    fresh = []
+    for i, (hist, stem) in enumerate(zip(grown, stems)):
+        if stem is None:
+            fresh.append(i)
+        else:
+            hist[0, :, :, -1] = stem.kv
+    if fresh:
+        z, qkv = _self_attention(layer, 0, _embed(params, [token_ids[i] for i in fresh],
+                                                  [pos_indices[i] for i in fresh]),
+                                 [grown[i] for i in fresh])
+        q = project_heads(kernels.layer_norm(z, layer.norm2_g, layer.norm2_b), layer.src_mha.w_q)
+        for j, i in enumerate(fresh):
+            # copies: a kept stem holds its own row, not the whole batch
+            stems[i] = Stem(qkv[1:, :, j].copy(), z[j].copy(), q[:, j].copy())
+        if len(fresh) == len(stems):
+            return stems, z, q
+    return stems, np.stack([stem.z for stem in stems]), np.stack([stem.q for stem in stems], 1)
+
+
+def _self_attention(layer, d, cur, grown):
+    """Layer d's self-attention sublayer over rows ``cur``, each writing
+    its key and value into its history in ``grown`` and attending over
+    it -> (the residual z, the rows' query, key and value heads, each
+    (heads, B, d) in one (3, heads, B, d) array)."""
+    normed = kernels.layer_norm(cur, layer.norm1_g, layer.norm1_b)
+    qkv = project_heads(normed, layer.self_mha.qkv())
+    qkv = qkv.reshape(3, -1, cur.shape[0], qkv.shape[-1])
+    for i, hist in enumerate(grown):
+        hist[d, :, :, -1] = qkv[1:, :, i]
+    return cur + merge_heads(_attend_own_histories(qkv[0], grown, d), layer.self_mha), qkv
 
 
 def _attend_own_histories(q, hists, d):
@@ -182,12 +254,22 @@ def _attend_own_histories(q, hists, d):
                            for i, h in enumerate(hists)], axis=1)
 
 
+def _cross_and_feed_forward(layer, d, z, q, cache, nu):
+    """The rest of layer d: cross-attention of query heads q to encoder
+    rows 1..nu, added to z, then the feed-forward sublayer."""
+    keys, values = cache.layer(d, nu)
+    z = z + merge_heads(attention.scaled_dot_attention(q, keys, values, full_mask(z.shape[0], nu)),
+                        layer.src_mha)
+    normed = kernels.layer_norm(z, layer.norm3_g, layer.norm3_b)
+    return z + feed_forward(normed, layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b)
+
+
 def advance_position(params, enc, hist, token_id, pos_index, nu):
     """One row of :func:`advance_positions`: the position after ``hist``.
 
     Returns (history, log_posterior) as a row of that function does.
     """
-    return advance_positions(params, enc, [hist], [token_id], [pos_index], nu)[0]
+    return advance_positions(params, enc, [hist], [token_id], [pos_index], nu)[0][:2]
 
 
 def empty_history(params):

@@ -170,9 +170,9 @@ class _LayerRows:
     and values of every row so far, appended in place (``kv``).  A row is
     normed and projected once, when it arrives: one :func:`project_heads`
     call over the block's stacked Q/K/V weight gives its query, key and
-    value.  Attention reads the stored keys as views, without a mask: the
-    rows that see every key in one call, and each row whose look-ahead
-    ends sooner in one call over its key prefix.
+    value.  Attention reads the stored keys as views: the rows that see
+    every key in one all-keys call, and the rows whose look-ahead ends
+    sooner in one masked call, each over its own key prefix.
     """
 
     def __init__(self, layer, eps_enc):
@@ -225,15 +225,21 @@ class _LayerRows:
         layer, n = self.layer, self.kv.rows
         # pending row i is row n - pending + i and sees the keys up to eps
         # rows ahead of it, so the first `limited` rows end before the last
-        # key (eps is finite then) and each scores a key prefix alone
+        # key (eps is finite then) and each sees a key prefix
         limited = int(min(m, max(0, pending - 1 - self.eps)))
         keys, values = self.kv.view()
         q = self.q[:, :m]
         heads = []
-        for i in range(limited):
-            stop = n - pending + i + int(self.eps) + 1
-            heads.append(attention.scaled_dot_attention(q[:, i:i + 1], keys[:, :stop],
-                                                        values[:, :stop], full_mask(1, stop)))
+        if limited:
+            # limited row i sees keys 1..first + i: a staircase mask, built
+            # as bytes, which costs less than comparing index arrays
+            first = n - pending + int(self.eps) + 1
+            width = first + limited - 1
+            stairs = b"".join([b"\x01" * (first + i) + b"\x00" * (limited - 1 - i)
+                               for i in range(limited)])
+            heads.append(attention.scaled_dot_attention(
+                q[:, :limited], keys[:, :width], values[:, :width],
+                np.frombuffer(stairs, dtype=bool).reshape(limited, width)))
         if limited < m:
             heads.append(attention.scaled_dot_attention(q[:, limited:], keys, values,
                                                         full_mask(m - limited, n)))

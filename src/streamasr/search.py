@@ -472,6 +472,7 @@ class _TaEntry:
     nus: tuple
     hist: np.ndarray  # the prefix's decoder history, opaque here (see decoder.empty_history)
     step: tuple = None  # (nu, child_hist, log_posterior) of the next label, see _step
+    stem: tuple = None  # the next position's truncation-free part (decoder.Stem), see _step
 
 
 class JointSearch:
@@ -704,9 +705,10 @@ class JointSearch:
         steps = dec_mod.advance_positions(
             self.dec, self.cross, [e.hist for e in entries],
             [pre.last - 1 if pre else self.dec.sos_id for pre in stale],
-            [len(pre) for pre in stale], nu)
-        for entry, (hist, logpost) in zip(entries, steps):
+            [len(pre) for pre in stale], nu, [e.stem for e in entries])
+        for entry, (hist, logpost, stem) in zip(entries, steps):
             entry.step = (nu, hist, logpost)
+            entry.stem = stem
 
     def _evict_ta(self):
         """Keep the entries of the prefixes still in the table (the carried

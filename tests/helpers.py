@@ -57,7 +57,7 @@ def next_label_logp(dec, enc, nu, context):
     cache = CrossAttentionCache(dec, enc)
     hist = empty_history(dec)
     for pos, token in enumerate([dec.sos_id, *context]):
-        [(hist, logp)] = advance_positions(dec, cache, [hist], [token], [pos], nu)
+        [(hist, logp, _)] = advance_positions(dec, cache, [hist], [token], [pos], nu)
     return logp
 
 

@@ -486,7 +486,7 @@ def positional_encoding_per_row(pos, d_model):
 def own_histories_block_mask(pasts, rows):
     """Every row's history followed by its new row, stacked along the key
     axis, and the block mask that lets query row i attend to exactly its
-    own block: the decoder's self-attention as one grouped
+    own block: the decoder's self-attention as one masked-path
     ``scaled_dot_attention`` call.  ``pasts[i]`` holds row i's keys and
     values stacked, (2, heads, n_i, d), and ``rows`` the new rows',
     (2, heads, B, d)."""

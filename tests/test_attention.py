@@ -181,6 +181,10 @@ def test_attention_shape_errors():
     with pytest.raises(ValueError, match="head axes differ"):
         scaled_dot_attention(np.ones((2, 1, 3)), np.ones((3, 2, 3)), np.ones((3, 2, 2)),
                              np.ones((1, 2), dtype=bool))
+    for ints in range(3):
+        args = [np.ones((2, 3), dtype=np.int64 if i == ints else np.float32) for i in range(3)]
+        with pytest.raises(ValueError, match="floating-point"):
+            scaled_dot_attention(*args, np.ones((2, 2), dtype=bool))
 
 
 def random_mask(rng, kind, b, n):
@@ -274,32 +278,105 @@ def test_project_heads_equals_the_per_head_matmul_stack(heads, d_model, d, rows,
     assert (got == want).all()
 
 
+def each_row_alone(q, k, v, mask):
+    """The masked path's bit reference: ``_softmax_attend`` on each query
+    row alone over C-contiguous copies of its allowed keys and values."""
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    out = np.empty(q.shape[:-1] + v.shape[-1:], dtype=np.result_type(q, v))
+    for i, row in enumerate(mask):
+        idx = np.flatnonzero(row)
+        out[..., i:i + 1, :] = attention._softmax_attend(
+            np.ascontiguousarray(q[..., i:i + 1, :]), np.take(k, idx, axis=-2),
+            np.take(v, idx, axis=-2), scale)
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(heads=st.integers(1, 4), d=st.integers(1, 32), b=st.integers(0, 6), n=st.integers(1, 90),
        q_extra=st.integers(0, 3), kv_extra=st.integers(0, 4),
        dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
-def test_all_keys_fast_path_equals_the_grouped_path(heads, d, b, n, q_extra, kv_extra, dtype,
-                                                    seed):
-    # a mask that lets every row see every key skips the grouping; it must
-    # score the same arrays the one group's gather would build: queries
-    # sliced from a longer pending buffer (the encoder's layers) and keys
-    # and values that are prefix views of a longer cache (the decoder's
-    # cross-attention)
+def test_all_keys_fast_path_equals_the_per_row_reference(heads, d, b, n, q_extra, kv_extra, dtype,
+                                                         seed):
+    # a mask that lets every row see every key is scored in one stacked
+    # call on the arrays where they are stored: queries sliced from a
+    # longer pending buffer (the encoder's layers) and keys and values
+    # that are prefix views of a longer cache (the decoder's
+    # cross-attention); each row must have the bits of that row alone
+    # over contiguous copies
     rng = np.random.default_rng(seed)
     q = rng.standard_normal((heads, b + q_extra, d)).astype(dtype)[:, q_extra:]
     kv = rng.standard_normal((2, heads, n + kv_extra, d)).astype(dtype)
     k, v = kv[0][:, :n], kv[1][:, :n]
-    got = scaled_dot_attention(q, k, v, full_mask(b, n))
-    # the grouped path over the same rows: one more key, masked off in
-    # every row, so every row is in one group gathering keys 0..n-1
-    pad = np.ones((heads, 1, d), dtype=dtype)
-    grouped = scaled_dot_attention(q, np.concatenate([k, pad], axis=1),
-                                   np.concatenate([v, pad], axis=1),
-                                   np.arange(n + 1) < np.full((b, 1), n))
-    assert got.shape == grouped.shape == (heads, b, d) and got.dtype == grouped.dtype
-    assert (got == grouped).all()
+    mask = full_mask(b, n)
+    got = scaled_dot_attention(q, k, v, mask)
+    want = each_row_alone(q, k, v, mask)
+    assert got.shape == want.shape == (heads, b, d) and got.dtype == want.dtype
+    assert (got == want).all()
     for h in range(heads):
-        assert (got[h] == row_loop_attention(q[h], k[h], v[h], full_mask(b, n))).all()
+        assert (got[h] == row_loop_attention(q[h], k[h], v[h], mask)).all()
+
+
+def masked_path_mask(rng, kind, b, n):
+    """A (b, n) mask of one of the masked path's shapes, every row
+    allowing some key: key prefixes, the encoder's staircase of
+    prefixes, one run per row that may start past key 0, or any rows."""
+    if kind == "prefix":
+        return truncation_mask(rng.integers(1, n + 1, size=b), n)
+    if kind == "staircase":
+        first = int(rng.integers(1, n + 1))
+        return np.arange(n) < np.minimum(np.arange(first, first + b), n)[:, None]
+    if kind == "run":
+        starts = rng.integers(0, n, size=b)
+        ends = starts + 1 + rng.integers(0, n - starts)
+        cols = np.arange(n)
+        return (cols >= starts[:, None]) & (cols < ends[:, None])
+    return random_mask(rng, "random", b, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(heads=st.integers(1, 4), d=st.integers(1, 32), b=st.integers(1, 12),
+       blocks=st.lists(st.integers(1, 2 * ROW_BLOCK + 3), min_size=1, max_size=5),
+       kind=st.sampled_from(["prefix", "staircase", "run", "random"]),
+       q_extra=st.integers(0, 3), offset=st.integers(0, 3), heads_axis=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+def test_masked_path_rows_equal_each_row_alone(heads, d, b, blocks, kind, q_extra, offset,
+                                               heads_axis, dtype, seed):
+    # the masked path scores many rows in one call: each row's logits
+    # product, sum and value product over its own allowed keys, read as
+    # views of a block-grown store (also from misaligned storage), and
+    # the elementwise steps over rows padded with -inf; every row must
+    # have the bits of that row alone over contiguous copies
+    rng = np.random.default_rng(seed)
+    store = KeyValueStore(rand_mha(rng, heads, 1, d))
+    for size in blocks:
+        kv = rng.standard_normal((2, heads, size, d)).astype(dtype)
+        store.append(kv[0], kv[1])
+    n = store.rows
+    mask = masked_path_mask(rng, kind, b, n)
+    pending = rng.standard_normal((heads, b + q_extra, d)).astype(dtype)
+    q = misaligned_copy(pending, offset)[:, q_extra:]
+    for k, v in (store.view(n), [misaligned_copy(buf, offset)[:, :n] for buf in store.buffers]):
+        args = (q, k, v) if heads_axis else (q[0], k[0], v[0])
+        got = scaled_dot_attention(*args, mask)
+        want = each_row_alone(*args, mask)
+        assert got.shape == want.shape and got.dtype == want.dtype == dtype
+        assert (got == want).all()
+    for h in range(heads):
+        assert (scaled_dot_attention(q[h], k[h], v[h], mask)
+                == row_loop_attention(q[h], k[h], v[h], mask)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 6), n=st.integers(1, 40), kind=st.sampled_from(["prefix", "run", "random"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_masked_path_rejects_an_empty_row(b, n, kind, seed):
+    rng = np.random.default_rng(seed)
+    mask = masked_path_mask(rng, kind, b, n)
+    mask[rng.integers(0, b)] = False
+    q = rng.standard_normal((2, b, 4)).astype(np.float32)
+    kv = rng.standard_normal((2, 2, n, 4)).astype(np.float32)
+    with pytest.raises(ValueError, match="empty attention row"):
+        scaled_dot_attention(q, kv[0], kv[1], mask)
 
 
 def misaligned_copy(a, offset):

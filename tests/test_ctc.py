@@ -233,3 +233,24 @@ def test_posteriorgram_from_states_rows_normalize_and_match_row_op():
     assert post.shape == (4, m.ctc_b.shape[0])
     for i in range(4):
         assert np.array_equal(post[i], log_posterior_row(states[i], m.ctc_w, m.ctc_b))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 100])
+def test_posteriorgram_from_states_is_one_call_with_the_bits_of_each_row(n):
+    m = tiny_model(88)
+    rng = np.random.default_rng(89 + n)
+    states = rng.standard_normal((n, m.ctc_w.shape[0])).astype(np.float32)
+    post = posteriorgram_from_states(states, m.ctc_w, m.ctc_b)
+    assert post.shape == (n, m.ctc_b.shape[0]) and post.dtype == np.float64
+    for i in range(n):
+        assert (post[i] == log_posterior_row(states[i], m.ctc_w, m.ctc_b)).all()
+
+
+@pytest.mark.parametrize("shape", [(5, 2, 8), (0,), (8,), (4, 7), ()])
+def test_posteriorgram_from_states_rejects_states_that_are_not_a_matrix_of_the_head_width(shape):
+    # a (5, 2, 8) array once came back as a (5, 2, V+1) "posteriorgram",
+    # and a (0,) array as a (0, V+1) one
+    m = tiny_model(90)
+    assert m.ctc_w.shape[0] == 8
+    with pytest.raises(ValueError, match="encoder states of shape"):
+        posteriorgram_from_states(np.zeros(shape, dtype=np.float32), m.ctc_w, m.ctc_b)

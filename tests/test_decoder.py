@@ -183,8 +183,8 @@ def test_a_step_shares_no_storage_with_its_input_or_its_siblings():
     dec, enc = setup_case(80, n=5, d_layers=2)
     parent, _ = advance_position(dec, enc, empty_history(dec), dec.sos_id, 0, 3)
     kept = parent.copy()
-    (first, _), (second, _) = advance_positions(dec, CrossAttentionCache(dec, enc),
-                                                [parent, parent], [2, 3], [1, 1], 4)
+    (first, _, _), (second, _, _) = advance_positions(dec, CrossAttentionCache(dec, enc),
+                                                      [parent, parent], [2, 3], [1, 1], 4)
     assert (parent == kept).all()
     assert (first[:, :, :, :1] == parent).all() and (second[:, :, :, :1] == parent).all()
     assert not (first[:, :, :, 1] == second[:, :, :, 1]).all()
@@ -300,7 +300,7 @@ def test_advance_positions_rows_equal_single_row_steps(b, d_layers):
         positions = [h.shape[3] for h in hists]
         got = advance_positions(dec, cache, hists, tokens, positions, nu)
         assert len(got) == b
-        for hist, tok, pos, (grown, logp) in zip(hists, tokens, positions, got):
+        for hist, tok, pos, (grown, logp, _) in zip(hists, tokens, positions, got):
             want_hist, want_logp = advance_position(dec, enc, hist, tok, pos, nu)
             assert logp.dtype == np.float64
             assert (logp == want_logp).all()
@@ -311,6 +311,49 @@ def test_advance_positions_rows_equal_single_row_steps(b, d_layers):
             # the input is left as it was
             assert hist.shape[3] == pos
             assert (grown[:, :, :, :pos] == hist).all()
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("d_layers", [1, 2])
+@pytest.mark.parametrize("b", [1, 3, 6])
+def test_rows_with_a_stem_equal_rows_stepped_from_scratch(b, d_layers, wide):
+    # a stem is what a step computed before layer 0 reads the encoder; a
+    # call that mixes rows with and without one gives each row the bits
+    # of that row stepped from scratch, and hands a row's stem back as is
+    dec, enc = setup_case(82 + b, n=6, d_layers=d_layers)
+    if wide:
+        dec = float64_decoder(dec)
+    rng = np.random.default_rng(b + 10 * d_layers)
+    cache = CrossAttentionCache(dec, enc)
+    hists = [history_of_length(dec, enc, rng, i % 4) for i in range(b)]
+    tokens = [dec.sos_id if h.shape[3] == 0 else int(rng.integers(dec.vocab_size)) for h in hists]
+    positions = [h.shape[3] for h in hists]
+    first = advance_positions(dec, cache, hists, tokens, positions, int(rng.integers(1, 7)))
+    for nu in range(1, enc.shape[0] + 1):
+        stems = [stem if rng.random() < 0.5 else None for _, _, stem in first]
+        got = advance_positions(dec, cache, hists, tokens, positions, nu, stems)
+        want = advance_positions(dec, cache, hists, tokens, positions, nu)
+        for i, (row, want_row) in enumerate(zip(got, want)):
+            (hist, logp, stem), (want_hist, want_logp, want_stem) = row, want_row
+            assert hist.dtype == want_hist.dtype and (hist == want_hist).all()
+            assert (logp == want_logp).all()
+            assert stem is stems[i] or stems[i] is None
+            for part, want_part in zip(stem, want_stem):
+                assert part.dtype == want_part.dtype and (part == want_part).all()
+            alone_hist, alone_logp = advance_position(dec, enc, hists[i], tokens[i],
+                                                      positions[i], nu)
+            assert (hist == alone_hist).all() and (logp == alone_logp).all()
+    with pytest.raises(ValueError, match="stems"):
+        advance_positions(dec, cache, hists, tokens, positions, 2, [None] * (b + 1))
+
+
+def test_a_decoder_without_layers_has_no_stems():
+    dec, enc = setup_case(89, n=4, d_layers=0)
+    [(hist, logp, stem)] = advance_positions(dec, CrossAttentionCache(dec, enc),
+                                             [empty_history(dec)], [dec.sos_id], [0], 2)
+    assert stem is None and hist.shape[0] == 0
+    assert (advance_positions(dec, enc, [empty_history(dec)], [dec.sos_id], [0], 3, [stem])[0][1]
+            == advance_position(dec, enc, empty_history(dec), dec.sos_id, 0, 3)[1]).all()
 
 
 def test_advance_positions_rejects_bad_arguments():

@@ -799,9 +799,9 @@ def counted_steps(monkeypatch):
     calls = []
     step = decoder.advance_positions
 
-    def counting(params, cache, hists, token_ids, pos_indices, nu):
+    def counting(params, cache, hists, token_ids, pos_indices, nu, stems=None):
         calls.extend((hist, tok, pos, nu) for hist, tok, pos in zip(hists, token_ids, pos_indices))
-        return step(params, cache, hists, token_ids, pos_indices, nu)
+        return step(params, cache, hists, token_ids, pos_indices, nu, stems)
 
     monkeypatch.setattr(decoder, "advance_positions", counting)
     return calls
@@ -833,6 +833,30 @@ def test_decode_runs_one_decoder_step_per_parent_and_truncation(monkeypatch, see
     assert len(calls) == len(distinct_steps(calls))
     # siblings share their parent's step: fewer steps than scored prefixes
     assert len(calls) < len(entries)
+
+
+@pytest.mark.parametrize("seed", [121, 122, 123])
+def test_layer0_self_attention_runs_once_per_distinct_prefix_stepped(monkeypatch, seed):
+    # a TA entry keeps its next position's stem, so stepping the prefix
+    # again at a later truncation skips layer 0's self-attention
+    from streamasr import decoder
+
+    calls = counted_steps(monkeypatch)
+    layer0_rows = []
+    attend_own = decoder._attend_own_histories
+
+    def counting(q, hists, d):
+        if d == 0:
+            layer0_rows.extend(hists)
+        return attend_own(q, hists, d)
+
+    monkeypatch.setattr(decoder, "_attend_own_histories", counting)
+    m, enc, post, lm, _ = decode_setup(seed, n=6)
+    params = DecodeParams(eps_dec=2, k_size=8, p_size=8, theta1=1e6, theta2=1e6)
+    decode(enc, post, lm, m.decoder, params)
+    # a prefix stepped is its history object, the token it feeds and its position
+    prefixes = {(id(h), tok, pos) for h, tok, pos, _ in calls}
+    assert len(layer0_rows) == len(prefixes) < len(calls)
 
 
 def test_finalize_reuses_steps_taken_at_the_last_truncation(monkeypatch):
