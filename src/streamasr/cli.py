@@ -43,7 +43,8 @@ def build_parser():
     p.add_argument("--eps-enc", type=_eps_enc, default=math.inf,
                    help="encoder look-ahead per layer in encoder frames, or 'inf' (default inf)")
     p.add_argument("--eps-dec", type=int, default=18,
-                   help="decoder look-ahead in encoder frames (default 18)")
+                   help="decoder look-ahead in encoder frames (default 18); it does not "
+                        "delay --ctc-only, whose latency is (3 + 4*E*eps_enc) input frames")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5,
                    help="CTC weight in the joint score (default 0.5)")
     p.add_argument("--alpha0", type=float, default=0.7, help="LM weight in the CTC ranking (default 0.7)")
@@ -55,7 +56,9 @@ def build_parser():
     p.add_argument("--theta2", type=float, default=6.0, help="carried beam width (default 6)")
     p.add_argument("--streaming", type=int, default=None, metavar="CHUNK",
                    help="decode incrementally, pushing CHUNK frames at a time")
-    p.add_argument("--ctc-only", action="store_true", help="pure CTC prefix beam search")
+    p.add_argument("--ctc-only", action="store_true",
+                   help="pure CTC prefix beam search; each frame is decoded as soon as its "
+                        "posterior row exists, so --eps-dec adds no latency")
     p.add_argument("--trace", default=None, metavar="PATH", help="write per-frame search trace here")
     return p
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attention, kernels
-from .attention import (KeyValueStore, MhaParams, full_mask, merge_heads, multi_head_attention,
-                        project_heads)
+from .attention import (ROW_BLOCK, KeyValueStore, MhaParams, full_mask, merge_heads,
+                        multi_head_attention, project_heads)
 
 
 @dataclass
@@ -266,7 +266,9 @@ class IncrementalEncoder:
     output row i needs rows 1..i+eps_enc of the layer below, so encoder
     row n needs frame 4n + 4*E*eps_enc (``streaming.emission_frame``).
     ``final`` ends the sequence: the time axis is zero-padded and every
-    look-ahead clamped to the end, as offline.
+    look-ahead clamped to the end, as offline.  Positional encodings are
+    computed ``ROW_BLOCK`` positions at a time and sliced per push; each
+    row has the bits of its position computed alone.
     """
 
     def __init__(self, params, eps_enc):
@@ -277,14 +279,28 @@ class IncrementalEncoder:
         self.layers = [_LayerRows(layer, eps_enc) for layer in params.layers]
         self.frames = 0
         self.rows = 0
+        self._positions = np.zeros((0, params.d_model), dtype=np.float32)
+        self._positions_start = 0  # the position of _positions' first row
 
     def push(self, frames=None, final=False):
         """New feature frames (T, d_feat), or None -> the new encoder rows."""
         x0 = self.front_end(frames, final)
-        x0 = x0 + positional_encodings(np.arange(self.rows, self.rows + x0.shape[0]),
-                                       self.params.d_model)
+        x0 = x0 + self._position_rows(x0.shape[0], final)
         self.rows += x0.shape[0]
         return self._layer_stack(x0, final)
+
+    def _position_rows(self, n, final):
+        """The positional encodings of the next n rows, sliced from the kept
+        block; a block that runs out is replaced by one from the next row
+        on, ROW_BLOCK rows long unless more are needed (or ``final``, which
+        needs only these)."""
+        at = self.rows - self._positions_start
+        if at + n > self._positions.shape[0]:
+            count = n if final else max(n, ROW_BLOCK)
+            self._positions = positional_encodings(np.arange(self.rows, self.rows + count),
+                                                   self.params.d_model)
+            self._positions_start, at = self.rows, 0
+        return self._positions[at:at + n]
 
     def front_end(self, frames, final):
         """The one feature check, made before any state changes, then the conv

@@ -25,7 +25,10 @@ emits them in a streaming session), and frame n needs its own row.
 :class:`JointSearch` is the one implementation.  Its decoder-less case,
 :class:`CtcPrefixSearch`, is the pure CTC prefix beam search: steps (3)
 and (4) do not run and p_joint is p_prfx, so the carried top P is the
-head of the first prune, and finalize has no ``<eos>`` pass.
+head of the first prune, and finalize has no ``<eos>`` pass.  Each class
+states how many rows past frame n its frame n reads (``lookahead``:
+eps_dec for the joint search, 0 without a decoder), which is how long a
+streaming session holds the frame back.
 
 A prefix is a sequence of posteriorgram column indices (blank = 0 never
 appears); the start token is implicit.  Label ids are column - 1.  The
@@ -519,6 +522,13 @@ class JointSearch:
         self.ta = None if dec is None else {root: _TaEntry(0.0, (), dec_mod.empty_history(dec))}
         self.cross = None if dec is None else dec_mod.CrossAttentionCache(dec)
 
+    @property
+    def lookahead(self):
+        """Encoder rows past frame n that :meth:`advance` reads at frame n:
+        the decoder's eps_dec, so a streaming caller advances frame n once
+        n + lookahead rows exist."""
+        return self.params.eps_dec
+
     def add_rows(self, enc_rows):
         """Append the next encoder rows, (n, d_model), for the decoder to
         read; without a decoder this does nothing."""
@@ -787,6 +797,9 @@ class CtcPrefixSearch(JointSearch):
     ``banned_ids`` are label ids the search never emits; each must be an
     integer in [0, n_cols - 1), else ``ValueError``.
     """
+
+    # a frame reads only its own posterior row
+    lookahead = 0
 
     def __init__(self, lm, params, n_cols, banned_ids=()):
         self._start(None, lm, params, n_cols, banned_ids)

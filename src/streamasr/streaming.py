@@ -5,10 +5,18 @@ A session pushes each feature chunk into an
 :func:`~streamasr.encoder.encode` runs in one push, turns each encoder row
 it completes into a CTC posterior row, adds the row to the search (whose
 cross-attention cache is the one store of encoder rows; the session keeps
-only their count), and advances the joint beam search on frame n once
-n + eps_dec encoder rows exist; ``finalize`` flushes the rest.  For any
-chunking of the input the encoder rows, posterior rows, trace lines, and
-the final hypothesis are bit-identical to a single offline run.
+only their count), and advances the search on frame n once the rows that
+frame reads exist: n + eps_dec for the joint search, whose decoder reads
+eps_dec rows ahead, and n for the CTC-only search, which reads only its
+own posterior row (the search's ``lookahead``); ``finalize`` flushes the
+rest.  For any chunking of the input the encoder rows, posterior rows,
+trace lines, and the final hypothesis are bit-identical to a single
+offline run.
+
+A joint session's worst-case latency is ``(3 + 4*E*eps_enc +
+4*eps_dec) * frame_shift_ms``; a CTC-only session's is ``(3 +
+4*E*eps_enc) * frame_shift_ms``, since eps_dec delays nothing there
+(``theoretical_latency_ms(replace(cfg, eps_dec=0), E)``).
 """
 
 import math
@@ -33,6 +41,7 @@ class StreamConfig:
     eps_enc is the per-encoder-layer future visibility in encoder frames
     (math.inf disables streaming emission entirely); eps_dec is how many
     encoder frames beyond the current one the attention decoder may read.
+    A CTC-only session has no decoder, so eps_dec does not delay it.
     """
 
     eps_enc: float = math.inf
@@ -54,7 +63,9 @@ def theoretical_latency_ms(cfg, e_layers):
     frames (one encoder frame) per layer of encoder look-ahead, plus four
     per frame of decoder look-ahead.  At a 10 ms shift this is
     30 + e_layers*eps_enc*40 + eps_dec*40 milliseconds; infinite encoder
-    look-ahead means no output before the utterance ends.
+    look-ahead means no output before the utterance ends.  A CTC-only
+    session waits for no decoder look-ahead: its latency is this with
+    eps_dec 0, ``theoretical_latency_ms(replace(cfg, eps_dec=0), e_layers)``.
     """
     if cfg.eps_enc == math.inf:
         return math.inf
@@ -76,7 +87,9 @@ class StreamingSession:
     checks each chunk's features before any state changes.  The
     decoder look-ahead in ``decode_params`` is overridden by the stream
     config so the two cannot disagree.  ``ctc_only`` runs the search
-    without the decoder (:class:`~streamasr.search.CtcPrefixSearch`).
+    without the decoder (:class:`~streamasr.search.CtcPrefixSearch`),
+    which decodes every posterior row as soon as it exists: eps_dec
+    then adds no latency, see :func:`theoretical_latency_ms`.
     """
 
     def __init__(self, model, lm, decode_params, config, ctc_only=False):
@@ -156,7 +169,7 @@ class StreamingSession:
             self._post.extend(log_posterior_row(row, self.model.ctc_w, self.model.ctc_b)
                               for row in rows)
             self._flushed = final
-        dec_target = self._rows if final else max(0, self._rows - self.config.eps_dec)
+        dec_target = self._rows if final else max(0, self._rows - self.search.lookahead)
         while self.search.frame < dec_target:
             # consumed once advance returns: a failed frame is retried later
             self.search.advance(self._post[0])

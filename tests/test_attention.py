@@ -205,7 +205,8 @@ def random_mask(rng, kind, b, n):
     return mask
 
 
-@settings(max_examples=120, deadline=None)
+# print_blob: a failure prints the @reproduce_failure line that replays it
+@settings(max_examples=120, deadline=None, print_blob=True)
 @given(heads=st.sampled_from([1, 2, 4]), d=st.integers(4, 32), b=st.integers(1, 20),
        n=st.integers(1, 160), extra=st.integers(0, 8),
        kind=st.sampled_from(["prefix", "lookahead", "block", "random"]),
@@ -291,7 +292,8 @@ def each_row_alone(q, k, v, mask):
     return out
 
 
-@settings(max_examples=150, deadline=None)
+# print_blob: a failure prints the @reproduce_failure line that replays it
+@settings(max_examples=150, deadline=None, print_blob=True)
 @given(heads=st.integers(1, 4), d=st.integers(1, 32), b=st.integers(0, 6), n=st.integers(1, 90),
        q_extra=st.integers(0, 3), kv_extra=st.integers(0, 4),
        dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamasr import encoder, kernels
-from streamasr.attention import full_mask
+from streamasr.attention import ROW_BLOCK, full_mask
 from streamasr.encoder import (CnnParams, FeatureMatrix,
                                IncrementalEncoder, cnn_frame_count, enc_cnn,
                                encode, encoder_forward, encoder_layer,
@@ -286,6 +286,40 @@ def test_frames_pushed_in_pieces_equal_encode(eps, sizes):
     frames = np.random.default_rng(50).standard_normal((23, 4)).astype(np.float32)
     got = pushed_in_pieces(IncrementalEncoder(m.encoder, eps).push, frames, sizes)
     assert np.array_equal(got, encode(frames, m.encoder, eps))
+
+
+@pytest.mark.parametrize("chunk", [1, 12, 28])
+def test_position_rows_cross_a_block_with_the_bits_of_each_position(monkeypatch, chunk):
+    # a streaming encoder slices its positional rows from blocks of
+    # ROW_BLOCK positions computed in one call; rows on either side of a
+    # block's end, and pushes whose rows span it (chunks of 12 and 28
+    # frames give 3 and 7 rows), keep each position's own bits
+    calls, seen = [], []
+    compute = encoder.positional_encodings
+    take = IncrementalEncoder._position_rows
+
+    def counted(positions, d_model):
+        calls.append(len(positions))
+        return compute(positions, d_model)
+
+    def recorded(self, n, final):
+        rows = take(self, n, final)
+        seen.append((self.rows, rows))
+        return rows
+
+    m = tiny_model(52)
+    frames = np.random.default_rng(53).standard_normal((200, 4)).astype(np.float32)
+    want = encode(frames, m.encoder, 1)
+    monkeypatch.setattr(encoder, "positional_encodings", counted)
+    monkeypatch.setattr(IncrementalEncoder, "_position_rows", recorded)
+    got = pushed_in_pieces(IncrementalEncoder(m.encoder, 1).push, frames, [chunk] * (200 // chunk))
+    assert np.array_equal(got, want)
+    assert sum(rows.shape[0] for _, rows in seen) == got.shape[0] == 50
+    for start, rows in seen:
+        for i, row in enumerate(rows):
+            assert (row == positional_encoding_per_row(start + i, m.encoder.d_model)).all()
+    # one call per block of ROW_BLOCK rows, not one per push
+    assert calls == [ROW_BLOCK] * 4
 
 
 def test_encoder_rejects_bad_lookahead_and_missing_input():

@@ -76,22 +76,56 @@ def test_latency_matches_hand_formula():
 
 
 def test_emission_schedule_matches_closed_form():
+    # rows come out at their closed-form emission frame; a CTC-only session
+    # then decodes every row it has, a joint one holds frame n back until
+    # its decoder's n + eps_dec rows exist
     m = tiny_model(120)
     rng = np.random.default_rng(121)
-    frames = rng.standard_normal((26, 4)).astype(np.float32)
-    for eps in (0, 1, 2):
-        cfg = StreamConfig(eps_enc=eps, eps_dec=1)
-        sess = StreamingSession(m, UniformLM(3), DecodeParams(k_size=8, p_size=4), cfg)
-        e_layers = len(m.encoder.layers)
-        for t in range(1, 27):
+    frames = rng.standard_normal((44, 4)).astype(np.float32)
+    e_layers = len(m.encoder.layers)
+    for ctc_only in (False, True):
+        for eps in (0, 1, 2):
+            for eps_dec in (0, 1, 3):
+                cfg = StreamConfig(eps_enc=eps, eps_dec=eps_dec)
+                sess = StreamingSession(m, UniformLM(3), DecodeParams(k_size=8, p_size=4), cfg,
+                                        ctc_only=ctc_only)
+                lag = 0 if ctc_only else eps_dec
+                for t in range(1, 45):
+                    sess.push(frames[t - 1:t])
+                    # rows whose emission frame has been reached are out already
+                    want = 0
+                    while emission_frame(want + 1, e_layers, eps) <= t:
+                        want += 1
+                    assert sess.emitted_frames == want, (ctc_only, eps, eps_dec, t)
+                    assert sess.decoded_frames == max(0, want - lag), (ctc_only, eps, eps_dec, t)
+                sess.finalize()
+
+
+@pytest.mark.parametrize("ctc_only", [True, False])
+def test_realized_decode_lag_matches_the_closed_form(ctc_only):
+    # frame n covers input frames 4n-3..4n; the input frame at which the
+    # session first decodes it lies the closed-form latency after its
+    # first: eps_dec counts only with a decoder
+    m = tiny_model(144)
+    frames = np.random.default_rng(145).standard_normal((60, 4)).astype(np.float32)
+    e_layers = len(m.encoder.layers)
+    for eps_enc in (0, 1, 2):
+        cfg = StreamConfig(eps_enc=eps_enc, eps_dec=2)
+        sess = StreamingSession(m, UniformLM(3), DecodeParams(k_size=8, p_size=4), cfg,
+                                ctc_only=ctc_only)
+        first = {}
+        for t in range(1, 61):
             sess.push(frames[t - 1:t])
-            # rows whose emission frame has been reached are out already
-            want = 0
-            while emission_frame(want + 1, e_layers, eps) <= t:
-                want += 1
-            assert sess.emitted_frames == want, (eps, t)
-            assert sess.decoded_frames == max(0, want - cfg.eps_dec)
+            for n in range(len(first) + 1, sess.decoded_frames + 1):
+                first[n] = t
         sess.finalize()
+        assert len(first) >= 5, eps_enc
+        budget = replace(cfg, eps_dec=0) if ctc_only else cfg
+        lag = 0 if ctc_only else cfg.eps_dec
+        for n, t in first.items():
+            assert t == emission_frame(n + lag, e_layers, eps_enc), (eps_enc, n)
+            assert (t - (4 * n - 3)) * cfg.frame_shift_ms == theoretical_latency_ms(
+                budget, e_layers), (eps_enc, n)
 
 
 def test_infinite_lookahead_emits_nothing_until_finalize():
@@ -391,16 +425,23 @@ def test_session_overrides_decoder_lookahead_from_config():
 
 
 def test_ctc_only_session_matches_offline_prefix_search():
+    # eps_dec 3 would hold three frames back in a joint session; the
+    # CTC-only one decodes every row it has after each push and still
+    # gives the offline bits
     m = tiny_model(135)
     rng = np.random.default_rng(136)
-    frames = rng.standard_normal((19, 4)).astype(np.float32)
-    cfg = StreamConfig(eps_enc=2, eps_dec=1)
-    params = DecodeParams(k_size=8, p_size=4, eps_dec=1)
-    got = run_session(m, frames, cfg, [3] * 10, ctc_only=True)
+    frames = rng.standard_normal((33, 4)).astype(np.float32)
+    cfg = StreamConfig(eps_enc=2, eps_dec=3)
+    params = DecodeParams(k_size=8, p_size=4, eps_dec=3)
     enc = encode(frames, m.encoder, 2)
     post = posteriorgram_from_states(enc, m.ctc_w, m.ctc_b)
     banned = (m.decoder.sos_id, m.decoder.eos_id)
     offline = ctc_prefix_search(post, UniformLM(3), params, banned_ids=banned)
-    assert got.labels == offline.labels
-    assert got.score == offline.score
-    assert got.trace == offline.trace
+    for chunk in (1, 3, 7):
+        sess = StreamingSession(m, UniformLM(3), params, cfg, ctc_only=True)
+        for start in range(0, 33, chunk):
+            sess.push(frames[start:start + chunk])
+            assert sess.decoded_frames == sess.emitted_frames, (chunk, start)
+        got = sess.finalize()
+        assert (got.labels, got.score, got.trace) == (offline.labels, offline.score,
+                                                      offline.trace), chunk
