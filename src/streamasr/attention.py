@@ -115,10 +115,35 @@ def scaled_dot_attention(q, k, v, mask):
     d) store, gives the bits of its C-contiguous copy, so it is not
     copied; rows laid out otherwise are (see :func:`_packed`).
     """
-    q = np.asarray(q)
-    k = np.asarray(k)
-    v = np.asarray(v)
-    mask = np.asarray(mask)
+    q, k, v, mask = np.asarray(q), np.asarray(k), np.asarray(v), np.asarray(mask)
+    qs, ks, vs = q.shape, k.shape, v.shape
+    dtype = q.dtype
+    item = dtype.itemsize
+    # The common case in one test: valid floating-point arrays of one
+    # dtype whose rows are packed.  Anything else takes every check in
+    # turn, so the first that fails names itself, and copies rows that
+    # are not packed (:func:`_packed`).
+    if not (len(qs) == len(ks) >= 2 and ks[:-1] == vs[:-1] and qs[:-2] == ks[:-2]
+            and qs[-1] == ks[-1] and mask.shape == (qs[-2], ks[-2])
+            and dtype.kind == "f" and dtype == k.dtype == v.dtype
+            and (q.strides[-2:], k.strides[-2:], v.strides[-2:])
+            == ((qs[-1] * item, item), (ks[-1] * item, item), (vs[-1] * item, item))):
+        _check_arguments(q, k, v, mask)
+        dtype = dtype if dtype == v.dtype else np.result_type(q, v)
+        q, k, v = _packed(q), _packed(k), _packed(v)
+    scale = 1.0 / math.sqrt(qs[-1])
+    # one byte per mask entry, 1 where a key is allowed
+    flags = (mask if mask.dtype == bool else mask.astype(bool)).tobytes()
+    if ks[-2] and 0 not in flags:
+        out = _softmax_attend(q, k, v, scale)
+    else:
+        out = _masked_attend(q, k, v, flags, mask.shape, scale)
+    return out if out.dtype == dtype else out.astype(dtype)
+
+
+def _check_arguments(q, k, v, mask):
+    """Raise ``ValueError`` for the first of :func:`scaled_dot_attention`'s
+    argument checks that fails."""
     if q.ndim < 2 or k.ndim != q.ndim or v.ndim != q.ndim:
         raise ValueError("scaled_dot_attention expects matrices with equal leading axes")
     if q.shape[:-2] != k.shape[:-2] or k.shape[:-2] != v.shape[:-2]:
@@ -132,16 +157,6 @@ def scaled_dot_attention(q, k, v, mask):
     if q.dtype.kind != "f" or k.dtype.kind != "f" or v.dtype.kind != "f":
         raise ValueError(f"attention takes floating-point arrays, got {q.dtype}, {k.dtype} "
                          f"and {v.dtype}")
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    out_type = q.dtype if q.dtype == v.dtype else np.result_type(q, v)
-    q, k, v = _packed(q), _packed(k), _packed(v)
-    # one byte per mask entry, 1 where a key is allowed
-    flags = (mask if mask.dtype == bool else mask.astype(bool)).tobytes()
-    if k.shape[-2] and 0 not in flags:
-        out = _softmax_attend(q, k, v, scale)
-    else:
-        out = _masked_attend(q, k, v, flags, mask.shape, scale)
-    return out if out.dtype == out_type else out.astype(out_type)
 
 
 def _packed(a):

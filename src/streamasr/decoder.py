@@ -18,11 +18,18 @@ encoding, norm1, the Q/K/V projection, self-attention, norm2 and the
 cross-attention query, is the position's :class:`Stem`: a step returns
 each row's stem, and a later step of the same history, token and
 position that is handed it skips that half of layer 0 with the same
-bits.
+bits.  A step writes each row's residual and query heads, kept in its
+stem or computed in the step, into the step's own (B, d_model) and
+(heads, B, d_k) arrays, which the rest of layer 0 reads as one batch.
 
 Attention keys and values are projected once per row and kept.  A
 :class:`CrossAttentionCache`, fed encoder rows as they arrive, appends
-their cross-attention keys and values in place for a whole utterance.  A
+their cross-attention keys and values in place for a whole utterance,
+and refuses rows that are not finite.  It also keeps the utterance's
+positional encodings: one block of positions 0, 1, ..., grown by
+``ROW_BLOCK`` positions when a longer prefix needs them, from which a
+step slices each new position's row, with the bits of that position
+computed alone.  A
 prefix's history is one array, (layers, 2, heads, positions, d), with
 every layer's self-attention keys (``[:, 0]``) and values (``[:, 1]``)
 of its positions; it is the decoder's own format, which callers keep and
@@ -39,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import attention, kernels
-from .attention import KeyValueStore, MhaParams, full_mask, merge_heads, project_heads
+from .attention import ROW_BLOCK, KeyValueStore, MhaParams, full_mask, merge_heads, project_heads
 from .ctc import check_labels
 # multi_head_attention is no longer called here, but stays bound: the
 # benchmark's tracer (perfbench/tracer.py) wraps it by this module's name.
@@ -100,21 +107,31 @@ class CrossAttentionCache:
     A streaming search hands it rows as the encoder emits them; emitted
     rows never change, which is what keeps a projection valid for the
     rest of the utterance.  ``rows`` counts the rows added.
+
+    The cache also keeps the decoder's positional encodings for the
+    utterance: one block of positions 0, 1, ..., grown by ``ROW_BLOCK``
+    positions at a time when a position past it is asked for, from which
+    :meth:`position_row` slices one row.  Each row has the bits of its
+    position computed alone.
     """
 
     def __init__(self, params, enc=None):
         self.params = params
         self.rows = 0
         self.kv = [KeyValueStore(layer.src_mha) for layer in params.layers]
+        self._positions = np.zeros((0, params.d_model), dtype=np.float32)
         if enc is not None:
             self.extend(enc)
 
     def extend(self, rows):
-        """Project and append the next encoder rows, (n, d_model)."""
+        """Project and append the next encoder rows, (n, d_model), which
+        must be finite, else ``ValueError`` and nothing is added."""
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.params.d_model:
             raise ValueError(f"encoder rows of shape {rows.shape}, "
                              f"expected (n, {self.params.d_model})")
+        if not np.isfinite(rows).all():
+            raise ValueError("encoder states contain non-finite values")
         if rows.shape[0]:
             # project_heads is looked up on its module, where a test
             # counts the rows each weight projects
@@ -126,6 +143,16 @@ class CrossAttentionCache:
     def layer(self, d, nu):
         """Keys and values of encoder rows 1..nu in decoder layer d."""
         return self.kv[d].view(nu)
+
+    def position_row(self, pos):
+        """The positional encoding of decoder position ``pos`` (an integer
+        >= 0), a (1, d_model) view of the kept block."""
+        if pos >= self._positions.shape[0]:
+            start = self._positions.shape[0]
+            stop = (pos // ROW_BLOCK + 1) * ROW_BLOCK
+            block = positional_encodings(np.arange(start, stop), self.params.d_model)
+            self._positions = np.concatenate([self._positions, block])
+        return self._positions[pos:pos + 1]
 
 
 class Stem(NamedTuple):
@@ -147,7 +174,8 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=No
     its own history plus itself, and every row cross-attends to encoder
     rows 1..nu only.  ``cache`` is a :class:`CrossAttentionCache` shared
     between calls, or the (N, d_model) encoder matrix, which is projected
-    afresh.
+    afresh.  A token id outside the vocabulary or a position that is not
+    an integer >= 0 raises ``ValueError``.
 
     ``stems`` (None, or one :class:`Stem` or None per row) carries what
     an earlier step of the same history, token and position computed
@@ -179,6 +207,10 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=No
     if not len(hists) == len(token_ids) == len(pos_indices):
         raise ValueError(f"{len(hists)} histories, {len(token_ids)} tokens "
                          f"and {len(pos_indices)} positions")
+    check_labels(token_ids, 0, params.vocab_size, "the vocabulary")
+    for pos in pos_indices:
+        if not (kernels.is_int(pos) and pos >= 0):
+            raise ValueError(f"position {pos!r} is not an integer >= 0")
     b = len(hists)
     stems = [None] * b if stems is None else list(stems)
     if len(stems) != b:
@@ -186,11 +218,12 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=No
     if b == 0:
         return []
     # the rows' dtype: an embedding plus a float32 position vector
-    grown = append_history(hists, np.result_type(params.embed.dtype, np.float32))
+    dtype = np.promote_types(params.embed.dtype, np.float32)
+    grown = append_history(hists, dtype)
     if not params.layers:
-        cur = _embed(params, token_ids, pos_indices)
+        cur = _embed(params, cache, token_ids, pos_indices, dtype)
     else:
-        stems, z, q = _stems(params, grown, token_ids, pos_indices, stems)
+        stems, z, q = _stems(params, cache, grown, token_ids, pos_indices, stems, dtype)
         cur = _cross_and_feed_forward(params.layers[0], 0, z, q, cache, nu)
     for d, layer in enumerate(params.layers[1:], 1):
         z = _self_attention(layer, d, cur, grown)[0]
@@ -201,17 +234,21 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=No
     return list(zip(grown, kernels.log_softmax_f64(logits), stems))
 
 
-def _embed(params, token_ids, pos_indices):
-    """The embedding of each token plus its position vector."""
-    return (params.embed[np.asarray(token_ids)]
-            + positional_encodings(pos_indices, params.d_model))
+def _embed(params, cache, token_ids, pos_indices, dtype):
+    """The embedding of each token plus its position vector, sliced from
+    the cache's block, as a (B, d_model) array of ``dtype``."""
+    x = np.empty((len(token_ids), params.d_model), dtype=dtype)
+    for j, (tok, pos) in enumerate(zip(token_ids, pos_indices)):
+        np.add(params.embed[tok:tok + 1], cache.position_row(pos), out=x[j:j + 1])
+    return x
 
 
-def _stems(params, grown, token_ids, pos_indices, stems):
+def _stems(params, cache, grown, token_ids, pos_indices, stems, dtype):
     """Every row's stem, computing the missing ones as one batch, with
     each row's layer-0 key and value written into its history in
     ``grown`` -> (stems, z, q): the rows' residuals (B, d_model) and
-    cross-attention query heads (heads, B, d_k)."""
+    cross-attention query heads (heads, B, d_k), each stem's written
+    into its row of these two arrays."""
     layer = params.layers[0]
     fresh = []
     for i, (hist, stem) in enumerate(zip(grown, stems)):
@@ -220,8 +257,8 @@ def _stems(params, grown, token_ids, pos_indices, stems):
         else:
             hist[0, :, :, -1] = stem.kv
     if fresh:
-        z, qkv = _self_attention(layer, 0, _embed(params, [token_ids[i] for i in fresh],
-                                                  [pos_indices[i] for i in fresh]),
+        z, qkv = _self_attention(layer, 0, _embed(params, cache, [token_ids[i] for i in fresh],
+                                                  [pos_indices[i] for i in fresh], dtype),
                                  [grown[i] for i in fresh])
         q = project_heads(kernels.layer_norm(z, layer.norm2_g, layer.norm2_b), layer.src_mha.w_q)
         for j, i in enumerate(fresh):
@@ -229,7 +266,13 @@ def _stems(params, grown, token_ids, pos_indices, stems):
             stems[i] = Stem(qkv[1:, :, j].copy(), z[j].copy(), q[:, j].copy())
         if len(fresh) == len(stems):
             return stems, z, q
-    return stems, np.stack([stem.z for stem in stems]), np.stack([stem.q for stem in stems], 1)
+    b, first = len(stems), stems[0]
+    z = np.empty((b,) + first.z.shape, dtype=first.z.dtype)
+    q = np.empty((first.q.shape[0], b, first.q.shape[1]), dtype=first.q.dtype)
+    for i, stem in enumerate(stems):
+        z[i] = stem.z
+        q[:, i] = stem.q
+    return stems, z, q
 
 
 def _self_attention(layer, d, cur, grown):
@@ -248,10 +291,16 @@ def _self_attention(layer, d, cur, grown):
 def _attend_own_histories(q, hists, d):
     """Head-major attention outputs (heads, B, d_v): query row i of q over
     layer d's keys and values in ``hists[i]``, its history with its new
-    position already written, all of which it sees."""
-    return np.concatenate([attention.scaled_dot_attention(q[:, i:i + 1], h[d, 0], h[d, 1],
-                                                          full_mask(1, h.shape[3]))
-                           for i, h in enumerate(hists)], axis=1)
+    position already written, all of which it sees.  Each row is one
+    attention call, written into its column of the result; the
+    histories share one dtype (:func:`append_history`), so every row's
+    output has the result's."""
+    out = np.empty(q.shape[:2] + hists[0].shape[4:],
+                   dtype=np.promote_types(q.dtype, hists[0].dtype))
+    for i, h in enumerate(hists):
+        out[:, i:i + 1] = attention.scaled_dot_attention(q[:, i:i + 1], h[d, 0], h[d, 1],
+                                                         full_mask(1, h.shape[3]))
+    return out
 
 
 def _cross_and_feed_forward(layer, d, z, q, cache, nu):
@@ -286,13 +335,17 @@ def empty_history(params):
 
 def append_history(hists, dtype):
     """Each of ``hists`` copied into a new array with room for one more
-    position, whose rows are left for the caller to write; the dtype is
-    the history's promoted by ``dtype``, that of the rows to come.  The
-    inputs are left untouched."""
+    position, whose rows are left for the caller to write.  The copies
+    share one dtype, worked out once: ``dtype``, that of the rows to
+    come, promoted by any history's that is wider.  The inputs are left
+    untouched."""
+    for hist in hists:
+        if hist.dtype != dtype:
+            dtype = np.promote_types(dtype, hist.dtype)
     grown = []
     for hist in hists:
         layers, _, heads, n, d_k = hist.shape
-        new = np.empty((layers, 2, heads, n + 1, d_k), dtype=np.result_type(hist, dtype))
+        new = np.empty((layers, 2, heads, n + 1, d_k), dtype=dtype)
         new[:, :, :, :n] = hist
         grown.append(new)
     return grown

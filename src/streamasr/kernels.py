@@ -209,7 +209,7 @@ def log_softmax_f64(logits):
 
 def is_int(v):
     """An integer that is not a bool (NumPy integers count)."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
 
 
 def is_real(v):

@@ -531,7 +531,8 @@ class JointSearch:
 
     def add_rows(self, enc_rows):
         """Append the next encoder rows, (n, d_model), for the decoder to
-        read; without a decoder this does nothing."""
+        read; a row that is not finite raises ``ValueError`` and none is
+        added.  Without a decoder this does nothing."""
         if self.cross is not None:
             self.cross.extend(enc_rows)
 
@@ -813,17 +814,15 @@ class CtcPrefixSearch(JointSearch):
 def _search_offline(search, logp, states=None):
     """Run a fresh ``search`` over every row of the posteriorgram ``logp``
     and finalize it.  ``states`` are the encoder rows, one per posterior
-    row (None without a decoder), added once after their checks; each
-    posterior row is read, and checked, only at its own frame, as a
-    streaming session reads it."""
+    row (None without a decoder), added once, and checked by the search's
+    cross-attention cache as they are added; each posterior row is read,
+    and checked, only at its own frame, as a streaming session reads it."""
     n = logp.shape[0]
     if n < 1:
         raise ValueError("empty utterance")
     if states is not None:
         if states.shape[0] != n:
             raise ValueError(f"{n} posterior rows but {states.shape[0]} encoder rows")
-        if not np.isfinite(states).all():
-            raise ValueError("encoder states contain non-finite values")
         search.add_rows(states)
     for i in range(n):
         search.advance(logp[i])

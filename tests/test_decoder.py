@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamasr import decoder, kernels
-from streamasr.attention import project_heads, scaled_dot_attention
+from streamasr.attention import ROW_BLOCK, project_heads, scaled_dot_attention
 from streamasr.decoder import (CrossAttentionCache, advance_position, advance_positions,
                                append_history, empty_history, ta_prefix_score)
 from streamasr.encoder import positional_encodings
 from helpers import next_label_logp, random_enc_states, tiny_model
-from oracles import full_context_decoder_logps, own_histories_block_mask
+from oracles import (full_context_decoder_logps, own_histories_block_mask,
+                     positional_encoding_per_row)
 
 
 def setup_case(seed, n=5, **kw):
@@ -408,3 +409,115 @@ def test_decoder_self_attention_needs_value_heads_as_wide_as_key_heads():
     mha.w_h = np.zeros((h * (d_k + 1), d_model), dtype=np.float32)
     with pytest.raises(ValueError, match=f"d_v {d_k + 1}, d_k {d_k}"):
         advance_position(dec, enc, empty_history(dec), dec.sos_id, 0, 2)
+
+
+def test_position_rows_from_the_kept_block_equal_each_position_alone(monkeypatch):
+    # the cache keeps the decoder's positional encodings in one block,
+    # grown by ROW_BLOCK positions at a time; every row asked for, on
+    # either side of a block boundary and in any order, has the bits of
+    # its position computed alone
+    dec, enc = setup_case(90, n=3)
+    blocks = []
+
+    def counting(positions, d_model):
+        blocks.append(len(positions))
+        return positional_encodings(positions, d_model)
+
+    monkeypatch.setattr(decoder, "positional_encodings", counting)
+    cache = CrossAttentionCache(dec, enc)
+    for pos in (0, 15, 16, 3, 17, 31, 47, 32, 46, 1):
+        row = cache.position_row(pos)
+        assert row.shape == (1, dec.d_model) and row.dtype == np.float32
+        assert (row == positional_encodings([pos], dec.d_model)).all()
+        assert (row[0] == positional_encoding_per_row(pos, dec.d_model)).all()
+    assert blocks == [ROW_BLOCK] * 3
+
+
+def test_a_decode_whose_labels_outrun_the_first_position_block_keeps_the_bits():
+    # 40 positions stepped one by one cross two block boundaries; each
+    # step's log posterior equals the full-context run's, whose position
+    # rows come from one call over every position, and layer 0's keys
+    # and values are the projections of each embedding plus the position
+    # vector of that position computed alone
+    dec, enc = setup_case(91, n=6, d_layers=2)
+    rng = np.random.default_rng(91)
+    labels = [int(t) for t in rng.integers(1, dec.vocab_size, size=39)]
+    want = full_context_decoder_logps(dec, enc, labels)
+    cache = CrossAttentionCache(dec, enc)
+    hist = empty_history(dec)
+    tokens = [dec.sos_id] + labels
+    for pos, token in enumerate(tokens):
+        [(hist, logp, _)] = advance_positions(dec, cache, [hist], [token], [pos], enc.shape[0])
+        assert (logp == want[pos]).all()
+    x = np.stack([dec.embed[t] + positional_encoding_per_row(p, dec.d_model)
+                  for p, t in enumerate(tokens)])
+    layer = dec.layers[0]
+    normed = kernels.layer_norm(x, layer.norm1_g, layer.norm1_b)
+    assert (hist[0, 0] == project_heads(normed, layer.self_mha.w_k)).all()
+    assert (hist[0, 1] == project_heads(normed, layer.self_mha.w_v)).all()
+
+
+@pytest.mark.parametrize("b", range(1, 7))
+def test_batches_interleaving_stem_and_fresh_rows_equal_one_row_steps(b):
+    # every order of rows that bring a stem and rows that do not, in a
+    # batch of b: each row's history and log posterior equal that row
+    # stepped alone from scratch
+    dec, enc = setup_case(92 + b, n=6, d_layers=2)
+    rng = np.random.default_rng(b)
+    cache = CrossAttentionCache(dec, enc)
+    hists = [history_of_length(dec, enc, rng, int(rng.integers(0, 20))) for _ in range(b)]
+    tokens = [dec.sos_id if h.shape[3] == 0 else int(rng.integers(dec.vocab_size)) for h in hists]
+    positions = [h.shape[3] for h in hists]
+    kept = [stem for _, _, stem in advance_positions(dec, cache, hists, tokens, positions, 2)]
+    nu = 5
+    alone = [advance_position(dec, enc, h, t, p, nu) for h, t, p in zip(hists, tokens, positions)]
+    for pattern in range(2 ** b):
+        stems = [kept[i] if pattern >> i & 1 else None for i in range(b)]
+        got = advance_positions(dec, cache, hists, tokens, positions, nu, stems)
+        for (hist, logp, stem), (want_hist, want_logp), given_stem in zip(got, alone, stems):
+            assert hist.dtype == want_hist.dtype and (hist == want_hist).all()
+            assert (logp == want_logp).all()
+            assert given_stem is None or stem is given_stem
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 1.5, True])
+def test_advance_positions_rejects_token_ids_outside_the_vocabulary(bad):
+    # -1 used to read the last embedding row, and the others raised
+    # IndexError from the embedding lookup
+    dec, enc = setup_case(93, n=4)  # vocabulary of 5
+    cache = CrossAttentionCache(dec, enc)
+    hist = empty_history(dec)
+    with pytest.raises(ValueError, match="outside the vocabulary"):
+        advance_positions(dec, cache, [hist, hist], [dec.sos_id, bad], [0, 0], 2)
+    with pytest.raises(ValueError, match="outside the vocabulary"):
+        advance_position(dec, enc, hist, bad, 0, 2)
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True, np.float64(1.0)])
+def test_advance_positions_rejects_positions_that_are_not_integers_from_0(bad):
+    dec, enc = setup_case(94, n=4)
+    hist = empty_history(dec)
+    with pytest.raises(ValueError, match="is not an integer >= 0"):
+        advance_position(dec, enc, hist, dec.sos_id, bad, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cross_cache_rejects_non_finite_encoder_rows(bad):
+    dec, enc = setup_case(95, n=4)
+    cache = CrossAttentionCache(dec, enc[:2])
+    poisoned = enc[2:].copy()
+    poisoned[1, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        cache.extend(poisoned)
+    assert cache.rows == 2 and all(store.rows == 2 for store in cache.kv)
+    with pytest.raises(ValueError, match="non-finite"):
+        CrossAttentionCache(dec, poisoned)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ta_prefix_score_rejects_non_finite_encoder_rows(bad):
+    # it used to return nan
+    dec, enc = setup_case(96, n=4)
+    enc[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ta_prefix_score(enc, (2, 3), (2, 4), dec)

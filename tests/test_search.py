@@ -698,6 +698,25 @@ def test_declined_ancestor_is_scored_before_its_child():
     assert out.trace == search.trace
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_joint_search_rejects_non_finite_encoder_rows(bad):
+    # one NaN entry used to decode to a nan score with p_joint=nan trace
+    # lines; now the rows are refused and none is added
+    m, enc, post, lm, params = decode_setup(119, n=6)
+    search = JointSearch(m.decoder, lm, params, post.shape[1])
+    poisoned = enc.copy()
+    poisoned[3, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        search.add_rows(poisoned)
+    assert search.cross.rows == 0
+    search.add_rows(enc)
+    for row in post:
+        search.advance(row)
+    got = search.finalize()
+    want = decode(enc, post, lm, m.decoder, params)
+    assert got.labels == want.labels and got.trace == want.trace
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_decode_rejects_non_finite_input(bad):
     m, enc, post, lm, params = decode_setup(118)
