@@ -19,7 +19,12 @@ stacked product on q, k and v where they are stored: a prefix view
 its C-contiguous copy, because its rows are packed the same way (the
 tests prove it for views of a block-grown store, misaligned ones
 included).  Only rows laid out otherwise, such as head columns of a
-(rows, heads * d) matrix, are copied first.
+(rows, heads * d) matrix, are copied first.  One query row, a steady
+streaming encoder step or a decoder row over its own history, is
+scored without the stacking axis, (..., n, d) @ (..., d, 1) and
+(..., 1, n) @ (..., n, d_v): each product hands NumPy the same matrix
+and vector, with the same strides, as the stacked form, so it runs
+the same BLAS vector-matrix routine and gives the same bits.
 
 Any other mask takes the masked path, one call for all its rows.  A
 sum's rounding depends on how many terms it adds, so the three steps
@@ -173,14 +178,22 @@ def _packed(a):
 
 def _softmax_attend(q, k, v, scale):
     """Every query row of q (..., B, d) over every row of k and v, one
-    stacked matrix-vector product per (head, row)."""
+    stacked matrix-vector product per (head, row).  One query row
+    (B == 1) drops the stacking row axis, with the same bits (see the
+    module docstring)."""
     # the reductions are max's and sum's own, called without their wrappers;
     # the elementwise steps run in place, on the product's own array
-    logits = np.matmul(k[..., None, :, :], q[..., None])[..., 0]
+    one = q.shape[-2] == 1
+    if one:
+        logits = np.matmul(k, q.swapaxes(-1, -2)).swapaxes(-1, -2)
+    else:
+        logits = np.matmul(k[..., None, :, :], q[..., None])[..., 0]
     logits *= scale
     logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(logits, out=logits)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
+    if one:
+        return np.matmul(e, v)
     return np.matmul(e[..., None, :], v[..., None, :, :])[..., 0, :]
 
 
@@ -247,8 +260,12 @@ def project_heads(x, w):
     broadcast (1, d_model) @ (d_model, d) product, the vector-matrix
     routine of :func:`kernels.matmul`, so a row depends only on its own
     input row: rows projected one at a time and stored are bit-identical
-    to rows projected together.
+    to rows projected together.  One row is the (1, d_model) matrix
+    itself, broadcast over the heads: the same product per head, without
+    the row axis.
     """
+    if x.shape[0] == 1:
+        return np.matmul(x, w)
     return np.matmul(x[None, :, None, :], w[:, None])[:, :, 0]
 
 

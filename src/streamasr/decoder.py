@@ -174,8 +174,9 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=No
     its own history plus itself, and every row cross-attends to encoder
     rows 1..nu only.  ``cache`` is a :class:`CrossAttentionCache` shared
     between calls, or the (N, d_model) encoder matrix, which is projected
-    afresh.  A token id outside the vocabulary or a position that is not
-    an integer >= 0 raises ``ValueError``.
+    afresh.  A token id outside the vocabulary, or a position that is not
+    an integer >= 0 or not the number of positions in its history, raises
+    ``ValueError`` before any work.
 
     ``stems`` (None, or one :class:`Stem` or None per row) carries what
     an earlier step of the same history, token and position computed
@@ -208,9 +209,11 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=No
         raise ValueError(f"{len(hists)} histories, {len(token_ids)} tokens "
                          f"and {len(pos_indices)} positions")
     check_labels(token_ids, 0, params.vocab_size, "the vocabulary")
-    for pos in pos_indices:
+    for pos, hist in zip(pos_indices, hists):
         if not (kernels.is_int(pos) and pos >= 0):
             raise ValueError(f"position {pos!r} is not an integer >= 0")
+        if pos != hist.shape[3]:
+            raise ValueError(f"position {pos} is not the length of its history, {hist.shape[3]}")
     b = len(hists)
     stems = [None] * b if stems is None else list(stems)
     if len(stems) != b:

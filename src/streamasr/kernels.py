@@ -14,6 +14,14 @@ whole-array products and one sequential reduction; every other input
 stays on einsum itself.  ``is_int`` and ``is_real`` are the scalar type
 tests that every argument check shares.
 
+A steady streaming push calls :func:`matmul` and :func:`layer_norm` on
+one row several times per encoder layer, so their fixed cost counts.
+Each makes one combined test for plain ndarrays of fitting shapes; it
+converts anything else with ``np.asarray`` and then checks it, raising
+``ValueError`` with the shapes it got.  :func:`matmul` computes one row as
+``a @ b``: that is the same (1, k) @ (k, n) vector-matrix product as a
+row of the stacked form, on the same operands, so it has the same bits.
+
 A value may cross between NumPy float32 and a Python float only through
 a correctly rounded operation: +, -, *, / and sqrt.  A Python float is a
 binary64, which carries more than 2 * 24 + 2 bits, so one of these
@@ -45,12 +53,20 @@ def matmul(a, b):
     results bit-exactly when they compute rows one at a time.  The rows
     are a stack of (1, k) @ (k, n) products, which NumPy evaluates with
     the same vector-matrix routine as ``a[i] @ b``; plain ``a @ b`` is a
-    matrix-matrix product whose bits may differ.
+    matrix-matrix product whose bits may differ, except for one row,
+    where it is that same (1, k) @ (k, n) product on the same operands,
+    so one row is computed as ``a @ b``, without the stacking axis.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    # the common case, two ndarrays whose shapes fit, in one test;
+    # anything else is converted, then checked
+    if not (type(a) is type(b) is np.ndarray and a.ndim == b.ndim == 2
+            and a.shape[1] == b.shape[0]):
+        a = np.asarray(a)
+        b = np.asarray(b)
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+            raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    if a.shape[0] == 1:
+        return np.matmul(a, b)
     return np.matmul(a[:, None, :], b)[:, 0]
 
 
@@ -61,24 +77,29 @@ def relu(x):
 def layer_norm(m, gain, bias):
     """Per-row layer normalization: gain * (x - mean) / sqrt(var + eps) + bias,
     eps being ``LAYER_NORM_EPS``."""
-    m = np.asarray(m)
-    gain = np.asarray(gain)
-    bias = np.asarray(bias)
-    if m.ndim != 2 or gain.shape != (m.shape[1],) or bias.shape != (m.shape[1],):
-        raise ValueError(
-            f"layer_norm shape mismatch: m {m.shape}, gain {gain.shape}, bias {bias.shape}"
-        )
+    # the common case, an ndarray matrix and two vectors that fit, in one
+    # test; anything else is converted, then checked
+    if not (type(m) is type(gain) is type(bias) is np.ndarray and m.ndim == 2
+            and gain.shape == bias.shape == m.shape[1:]):
+        m = np.asarray(m)
+        gain = np.asarray(gain)
+        bias = np.asarray(bias)
+        if m.ndim != 2 or gain.shape != (m.shape[1],) or bias.shape != (m.shape[1],):
+            raise ValueError(
+                f"layer_norm shape mismatch: m {m.shape}, gain {gain.shape}, bias {bias.shape}"
+            )
     # add.reduce / n is np.mean's own arithmetic (a pairwise sum, then one
     # correctly rounded division) without its Python-level wrappers
     n = m.shape[1]
     if m.shape[0] == 1 and m.dtype is _FLOAT32:
         # one float32 row, reduced as a vector: the same pairwise sums, the
         # mean and var + eps as float32 scalar steps, and the square root
-        # taken as a Python float and rounded once to float32
+        # taken as a Python float, which the float32 division rounds once
+        # to float32 (a Python float is a weak scalar to NumPy)
         row = m[0]
         centered = row - np.add.reduce(row) / n
         var = np.add.reduce(centered * centered) / n + LAYER_NORM_EPS
-        return ((centered / np.float32(math.sqrt(var))) * gain + bias)[None]
+        return ((centered / math.sqrt(var)) * gain + bias)[None]
     centered = m - np.add.reduce(m, axis=1, keepdims=True) / n
     var = np.add.reduce(centered * centered, axis=1, keepdims=True) / n
     return (centered / np.sqrt(var + LAYER_NORM_EPS)) * gain + bias

@@ -712,6 +712,8 @@ class JointSearch:
         """
         stale = [pre for pre in dict.fromkeys(prefixes)
                  if self.ta[pre].step is None or self.ta[pre].step[0] != nu]
+        if not stale:
+            return
         entries = [self.ta[pre] for pre in stale]
         steps = dec_mod.advance_positions(
             self.dec, self.cross, [e.hist for e in entries],

@@ -464,6 +464,27 @@ def conv2d_np_pad(x, kernels, stride, pad):
                      for i in range(t_out)], axis=1)
 
 
+def softmax_attend_stacked(q, k, v, scale):
+    """``attention._softmax_attend`` in its stacked form for any number of
+    query rows, the row axis kept: one (..., 1, n, d) @ (..., B, d, 1)
+    and one (..., B, 1, n) @ (..., 1, n, d_v) product."""
+    logits = np.matmul(k[..., None, :, :], q[..., None])[..., 0]
+    logits *= scale
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    e = np.exp(logits, out=logits)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return np.matmul(e[..., None, :], v[..., None, :, :])[..., 0, :]
+
+
+def stacked_row_products(x, w):
+    """``kernels.matmul`` (w a matrix) or ``attention.project_heads`` (w a
+    (heads, d_model, d) stack) in the stacked form for any number of
+    rows of x: one (1, d_model) @ (d_model, d) product per (head, row)."""
+    if w.ndim == 2:
+        return np.matmul(x[:, None, :], w)[:, 0]
+    return np.matmul(x[None, :, None, :], w[:, None])[:, :, 0]
+
+
 def project_qkv_separately(x, mha):
     """Queries, keys and values of the rows of x, one ``project_heads``
     call per weight."""

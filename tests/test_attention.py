@@ -8,7 +8,8 @@ from streamasr import attention, kernels
 from streamasr.attention import (ROW_BLOCK, KeyValueStore, MhaParams, full_mask,
                                  multi_head_attention, project_heads, scaled_dot_attention)
 from oracles import (attention_oracle, causal_mask, lookahead_mask, mha_oracle,
-                     project_qkv_separately, row_loop_attention, truncation_mask)
+                     project_qkv_separately, row_loop_attention, softmax_attend_stacked,
+                     stacked_row_products, truncation_mask)
 
 
 def rand_mha(rng, heads, d_model, d_k):
@@ -431,6 +432,64 @@ def test_block_grown_store_views_read_the_bits_of_contiguous_copies(heads, d, bl
             assert got.dtype == want.dtype and (got == want).all()
             mis = [misaligned_copy(buf, offset)[:, :n] for buf in store.buffers]
             assert (scaled_dot_attention(misaligned_copy(q, offset), *mis, mask) == want).all()
+
+
+# print_blob: a failure prints the @reproduce_failure line that replays it
+@settings(max_examples=200, deadline=None, print_blob=True)
+@given(heads=st.integers(1, 4), d=st.integers(1, 32), d_v=st.integers(1, 32),
+       n=st.integers(1, 400), extra=st.integers(0, ROW_BLOCK), block=st.integers(1, 2 * ROW_BLOCK + 3),
+       q_extra=st.integers(0, 3), scale=st.sampled_from([1e-3, 1.0, 8.0]),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+def test_one_query_row_equals_the_stacked_form_bit_for_bit(heads, d, d_v, n, extra, block,
+                                                           q_extra, scale, dtype, seed):
+    # one query row is scored without the stacking row axis: each product
+    # hands BLAS the same matrix and vector as the stacked form, so the bits
+    # are the same, over [:, :n] views of a store grown block by block, over
+    # their contiguous copies, with or without the head axis
+    rng = np.random.default_rng(seed)
+    store = KeyValueStore(MhaParams(np.zeros((heads, 1, d)), np.zeros((heads, 1, d)),
+                                    np.zeros((heads, 1, d_v)), np.zeros((heads * d_v, 1))))
+    while store.rows < n + extra:
+        size = min(block, n + extra - store.rows)
+        store.append((rng.standard_normal((heads, size, d)) * scale).astype(dtype),
+                     rng.standard_normal((heads, size, d_v)).astype(dtype))
+    q = (rng.standard_normal((heads, 1 + q_extra, d)) * scale).astype(dtype)[:, q_extra:]
+    k, v = store.view(n)
+    s = 1.0 / math.sqrt(d)
+    want = softmax_attend_stacked(q, k.copy(), v.copy(), s)
+    assert want.shape == (heads, 1, d_v) and want.dtype == dtype
+    for keys, values in ((k, v), (k.copy(), v.copy())):
+        got = attention._softmax_attend(q, keys, values, s)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert (got == want).all()
+        got = attention._softmax_attend(q[0], keys[0], values[0], s)
+        assert (got == softmax_attend_stacked(q[0], keys[0], values[0], s)).all()
+        assert (got == want[0]).all()
+    # the public call, whose all-True mask row takes this path
+    got = scaled_dot_attention(q, k, v, full_mask(1, n))
+    assert got.dtype == want.dtype and (got == want).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(heads=st.integers(1, 12), d_model=st.integers(1, 80), d=st.integers(1, 40),
+       strided=st.booleans(), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_row_projections_equal_the_stacked_form_bit_for_bit(heads, d_model, d, strided,
+                                                                dtype, seed):
+    # project_heads and kernels.matmul compute one row without the stacking
+    # axis: the same (1, d_model) @ (d_model, d) product, the same bits
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((heads, d_model, d)).astype(dtype)
+    x = rng.standard_normal((1, 2 * d_model)).astype(np.float32)
+    x = x[:, ::2] if strided else x[:, :d_model]
+    want = stacked_row_products(x, w)
+    got = project_heads(x, w)
+    assert got.shape == want.shape == (heads, 1, d) and got.dtype == want.dtype
+    assert (got == want).all()
+    for h in range(heads):
+        got = kernels.matmul(x, w[h])
+        assert got.dtype == want.dtype and (got == want[h]).all()
+        assert (got == stacked_row_products(x, w[h])).all()
 
 
 def test_store_view_stops_at_the_rows_held():

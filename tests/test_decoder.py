@@ -501,6 +501,29 @@ def test_advance_positions_rejects_positions_that_are_not_integers_from_0(bad):
         advance_position(dec, enc, hist, dec.sos_id, bad, 2)
 
 
+@pytest.mark.parametrize("length", [0, 2])
+def test_advance_positions_rejects_a_position_that_is_not_its_history_length(monkeypatch, length):
+    # the positional block grows to the position asked for, so a position
+    # of 10**8 would ask for a float64 block of about 51 GB: it raises, as
+    # does any position but the history's length, before any work
+    dec, enc = setup_case(95, n=4)
+    cache = CrossAttentionCache(dec, enc)
+    hist = empty_history(dec)
+    for pos in range(length):
+        [(hist, _, _)] = advance_positions(dec, cache, [hist], [dec.sos_id if pos == 0 else 2],
+                                           [pos], 2)
+
+    def no_step(*args):  # the step's first work; never reached with a bad position
+        pytest.fail("a step ran")
+
+    monkeypatch.setattr(decoder, "append_history", no_step)
+    for bad in {length + 1, abs(length - 1), 10**8}:
+        with pytest.raises(ValueError, match="is not the length of its history"):
+            advance_positions(dec, cache, [hist, hist], [2, 3], [length, bad], 2)
+        with pytest.raises(ValueError, match="is not the length of its history"):
+            advance_position(dec, cache, hist, 2, bad, 2)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_cross_cache_rejects_non_finite_encoder_rows(bad):
     dec, enc = setup_case(95, n=4)

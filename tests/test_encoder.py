@@ -288,6 +288,66 @@ def test_frames_pushed_in_pieces_equal_encode(eps, sizes):
     assert np.array_equal(got, encode(frames, m.encoder, eps))
 
 
+def counted_layer_paths(monkeypatch):
+    """Count the rows each encoder layer computes by its one-row step and
+    by the general path."""
+    counts = {"step": 0, "emit": 0}
+    step, emit = encoder._LayerRows._step, encoder._LayerRows._emit
+
+    def counted_step(self, x, q):
+        counts["step"] += 1
+        return step(self, x, q)
+
+    def counted_emit(self, m, pending):
+        counts["emit"] += m
+        return emit(self, m, pending)
+
+    monkeypatch.setattr(encoder._LayerRows, "_step", counted_step)
+    monkeypatch.setattr(encoder._LayerRows, "_emit", counted_emit)
+    return counts
+
+
+@pytest.mark.parametrize("eps", [0, 1, 2, 3])
+def test_steady_pushes_take_the_one_row_step_with_the_bits_of_encode(monkeypatch, eps):
+    # 4-frame chunks bring each layer one row per push, and once the
+    # look-ahead is full it emits one row that sees every key, by the
+    # one-row step; warm-up and a flush of several rows take the general
+    # path.
+    # 70 frames make 18 rows, past a KeyValueStore block and its kept mask.
+    m = tiny_model(51, e_layers=3)
+    frames = np.random.default_rng(52).standard_normal((70, 4)).astype(np.float32)
+    want = encode(frames, m.encoder, eps)
+    counts = counted_layer_paths(monkeypatch)
+    got = pushed_in_pieces(IncrementalEncoder(m.encoder, eps).push, frames, [4] * 17)
+    assert np.array_equal(got, want)
+    rows = want.shape[0]
+    # layer l (from 0) gets its first row at push l * eps + 1 and emits
+    # from push (l + 1) * eps + 1 on, each of those a step; the flush
+    # emits the rest, by a step too at eps 0, where it brings one row and
+    # nothing is pending
+    flush = 3 if eps == 0 else 0
+    assert counts["step"] == sum(17 - (layer + 1) * eps for layer in range(3)) + flush
+    assert counts["step"] + counts["emit"] == 3 * rows
+
+
+@pytest.mark.parametrize("eps", [0, 1, 2, 3])
+def test_uneven_chunks_mix_both_paths_with_the_bits_of_encode(monkeypatch, eps):
+    # chunks of 1 to 9 frames bring zero, one or several rows: each layer
+    # switches between the one-row step and the general path, and the rows
+    # are encode's
+    m = tiny_model(53, e_layers=3)
+    rng = np.random.default_rng(54 + eps)
+    frames = rng.standard_normal((150, 4)).astype(np.float32)
+    want = encode(frames, m.encoder, eps)
+    counts = counted_layer_paths(monkeypatch)
+    for _ in range(4):
+        sizes = [int(c) for c in rng.integers(1, 10, size=30)]
+        got = pushed_in_pieces(IncrementalEncoder(m.encoder, eps).push, frames,
+                               sizes[:np.searchsorted(np.cumsum(sizes), 150)])
+        assert np.array_equal(got, want)
+    assert counts["step"] and counts["emit"]
+
+
 @pytest.mark.parametrize("chunk", [1, 12, 28])
 def test_position_rows_cross_a_block_with_the_bits_of_each_position(monkeypatch, chunk):
     # a streaming encoder slices its positional rows from blocks of

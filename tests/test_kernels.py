@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,61 @@ def test_layer_norm_one_row_equals_its_np_mean_form_at_the_edges():
                     want = layer_norm_np_mean(row, gain, bias)
                     assert got.dtype == want.dtype == np.float32
                     assert (got == want).all()
+
+
+class _Sub(np.ndarray):
+    """An ndarray subclass: the kernels' one-step entry test takes only
+    plain arrays, and sends this through the conversion and checks."""
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kernels_give_lists_and_subclasses_the_bits_of_plain_arrays(rows, dtype):
+    rng = np.random.default_rng(13)
+    m = rng.standard_normal((rows, 6)).astype(dtype)
+    gain, bias = rng.standard_normal((2, 6)).astype(dtype)
+    w = rng.standard_normal((6, 5)).astype(dtype)
+    want_norm = layer_norm_np_mean(m, gain, bias)
+    want_product = _per_row_matmul(m, w)
+    for form in (np.ndarray.tolist, lambda a: a.view(_Sub)):
+        if form is np.ndarray.tolist and dtype == np.float32:
+            continue  # a list of Python floats is float64
+        norm = kernels.layer_norm(form(m), form(gain), form(bias))
+        assert type(norm) is np.ndarray and norm.dtype == dtype and (norm == want_norm).all()
+        product = kernels.matmul(form(m), form(w))
+        assert type(product) is np.ndarray and product.dtype == dtype
+        assert (product == want_product).all()
+
+
+@pytest.mark.parametrize("m, gain, bias", [
+    (np.zeros((2, 3)), np.ones(4), np.zeros(3)),
+    (np.zeros((2, 3)), np.ones(3), np.zeros(2)),
+    (np.zeros((2, 3)), np.ones((1, 3)), np.zeros(3)),
+    (np.zeros(3), np.ones(3), np.zeros(3)),
+    (np.zeros((1, 2, 3)), np.ones(3), np.zeros(3)),
+    ([[0.0, 1.0, 2.0]], [1.0, 1.0], [0.0, 0.0, 0.0]),
+    (np.zeros((1, 3)).view(_Sub), np.ones(3), np.zeros(4)),
+    (np.zeros((1, 3), dtype=np.float32), np.ones(3, dtype=np.float32), np.zeros(())),
+])
+def test_layer_norm_names_the_shapes_it_rejects(m, gain, bias):
+    shapes = tuple(np.shape(a) for a in (m, gain, bias))
+    message = "layer_norm shape mismatch: m {}, gain {}, bias {}".format(*shapes)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kernels.layer_norm(m, gain, bias)
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.zeros((2, 3)), np.zeros((4, 2))),
+    (np.zeros(3), np.zeros((3, 2))),
+    (np.zeros((1, 3)), np.zeros(3)),
+    (np.zeros((1, 1, 3)), np.zeros((3, 2))),
+    ([[1.0, 2.0]], [[1.0, 2.0]]),
+    (np.zeros((1, 3)).view(_Sub), np.zeros((2, 2), dtype=np.float32)),
+])
+def test_matmul_names_the_shapes_it_rejects(a, b):
+    message = f"matmul shape mismatch: {np.shape(a)} @ {np.shape(b)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kernels.matmul(a, b)
 
 
 def test_matmul_rows_independent_of_batch():

@@ -854,6 +854,26 @@ def test_decode_runs_one_decoder_step_per_parent_and_truncation(monkeypatch, see
     assert len(calls) < len(entries)
 
 
+@pytest.mark.parametrize("eps_dec", [2, 4])
+def test_no_decoder_call_is_made_without_rows(monkeypatch, eps_dec):
+    # seed 124 over 10 encoder rows reaches a round in which every parent
+    # already has its step at the truncation: that round calls nothing
+    from streamasr import decoder
+
+    sizes = []
+    step = decoder.advance_positions
+
+    def counting(params, cache, hists, *args):
+        sizes.append(len(hists))
+        return step(params, cache, hists, *args)
+
+    monkeypatch.setattr(decoder, "advance_positions", counting)
+    m, enc, post, lm, _ = decode_setup(124, n=10)
+    decode(enc, post, lm, m.decoder, DecodeParams(eps_dec=eps_dec, k_size=8, p_size=8,
+                                                  theta1=1e6, theta2=1e6))
+    assert len(sizes) == 10 and min(sizes) > 0
+
+
 @pytest.mark.parametrize("seed", [121, 122, 123])
 def test_layer0_self_attention_runs_once_per_distinct_prefix_stepped(monkeypatch, seed):
     # a TA entry keeps its next position's stem, so stepping the prefix
