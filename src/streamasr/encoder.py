@@ -13,14 +13,11 @@ each chunk as it arrives, gets the same bits: an (N, d_model) float32
 matrix, one row per four input frames.  :func:`encoder_layer` is the
 whole-matrix reference the engine is tested against.
 
-A steady streaming push of 40 ms (four frames) brings each layer one
-row and takes one finished row out of it, which sees every key so far.
-Each layer then takes a one-row step (``_LayerRows._step``) that makes
-the same kernel and attention calls on the same arrays as the general
-path, so the bits are the same, and skips that path's bookkeeping for
-many rows.  The first pushes, while the look-ahead fills, chunks of
-several rows, and final pushes that emit several rows (the flush at
-``eps_enc`` >= 1, offline :func:`encode`) take the general path.
+A steady streaming push of 40 ms (four frames) brings each layer one row
+and emits one row that sees every key.  It runs the code every push
+runs, and its products and attention call take their one-row forms
+(see :mod:`streamasr.attention` and :mod:`streamasr.kernels`), which
+keep the bits.
 """
 
 import functools
@@ -183,12 +180,9 @@ class _LayerRows:
     every key in one all-keys call, and the rows whose look-ahead ends
     sooner in one masked call, each over its own key prefix.
 
-    A push that brings one row while ``eps_enc`` rows are pending (none
-    at a final push) emits exactly one row, which sees every key: the
-    oldest pending row, or the new one.  :meth:`_step` computes it with
-    the calls :meth:`_emit` makes for it, on the same arrays, so with the
-    same bits, without the bookkeeping of many rows.  Every other push
-    takes :meth:`_emit`.
+    A steady streaming push of 40 ms brings one row and emits one row
+    that sees every key; its all-keys mask is a slice of one all-True row
+    kept per layer, grown to the store's capacity, not a new array.
     """
 
     def __init__(self, layer, eps_enc):
@@ -199,14 +193,14 @@ class _LayerRows:
         self.x = np.zeros((0, layer.norm1_g.shape[0]), dtype=np.float32)
         self.q = np.zeros((self.heads, 0, layer.mha.w_q.shape[2]), dtype=np.float32)
         self.kv = KeyValueStore(layer.mha)
-        self._mask = full_mask(1, 0)  # grown to the store's capacity, sliced per step
+        self._row_mask = full_mask(1, 0)
 
     def push(self, x, final):
         """New input rows -> the output rows whose look-ahead is complete.
 
         The rows emitted are taken from the pending rows before the new
         ones are joined to them, so a push that emits every old pending
-        row joins nothing."""
+        row (a steady push) joins nothing."""
         layer, h = self.layer, self.heads
         q = None
         if x.shape[0]:
@@ -215,16 +209,6 @@ class _LayerRows:
             self.kv.append(qkv[h:2 * h], qkv[2 * h:])
             q = qkv[:h]
         old = self.x.shape[0]
-        if x.shape[0] == 1 and old == (0 if final else self.eps):
-            # one row in, and one row out that sees every key: the new row
-            # completes the look-ahead of the oldest pending one (or, with
-            # none pending, is itself the row out)
-            if old:
-                row, row_q = self.x[:1], self.q[:, :1]
-                self.x, self.q = self.x[1:], self.q[:, 1:]
-                self._join(x, q)
-                x, q = row, row_q
-            return self._step(x, q)
         pending = old + x.shape[0]
         m = pending if final else int(max(0, pending - self.eps))
         if m > old:  # new rows are emitted too: join them first
@@ -249,7 +233,7 @@ class _LayerRows:
         m are held in ``x`` and ``q``; they leave the pending rows."""
         if m == 0:
             return self.x[:0]
-        n = self.kv.rows
+        layer, n = self.layer, self.kv.rows
         # pending row i is row n - pending + i and sees the keys up to eps
         # rows ahead of it, so the first `limited` rows end before the last
         # key (eps is finite then) and each sees a key prefix
@@ -268,32 +252,17 @@ class _LayerRows:
                 q[:, :limited], keys[:, :width], values[:, :width],
                 np.frombuffer(stairs, dtype=bool).reshape(limited, width)))
         if limited < m:
-            heads.append(attention.scaled_dot_attention(q[:, limited:], keys, values,
-                                                        full_mask(m - limited, n)))
-        out = self._rows_out(self.x[:m],
-                             heads[0] if len(heads) == 1 else np.concatenate(heads, axis=1))
-        self.x, self.q = self.x[m:], self.q[:, m:]
-        return out
-
-    def _step(self, x, q):
-        """The output row of input row x (1, d_model), with query heads q
-        (heads, 1, d), which sees every key held: :meth:`_emit`'s calls
-        for that one row.  Its all-keys mask is a slice of one kept
-        all-True row, rebuilt only when the store outgrows it."""
-        n = self.kv.rows
-        if self._mask.shape[1] < n:
-            self._mask = full_mask(1, self.kv.capacity)
-        keys, values = self.kv.view()
-        return self._rows_out(x, attention.scaled_dot_attention(q, keys, values,
-                                                                self._mask[:, :n]))
-
-    def _rows_out(self, x, heads):
-        """Input rows x and their attention heads (heads, rows, d_v) -> the
-        layer's output rows: x plus the merged heads, then the residual
-        feed-forward sublayer."""
-        layer = self.layer
-        z = x + merge_heads(heads, layer.mha)
+            if m - limited == 1:
+                if self._row_mask.shape[1] < n:
+                    self._row_mask = full_mask(1, self.kv.capacity)
+                mask = self._row_mask[:, :n]
+            else:
+                mask = full_mask(m - limited, n)
+            heads.append(attention.scaled_dot_attention(q[:, limited:], keys, values, mask))
+        z = self.x[:m] + merge_heads(heads[0] if len(heads) == 1 else np.concatenate(heads, axis=1),
+                                     layer.mha)
         normed = kernels.layer_norm(z, layer.norm2_g, layer.norm2_b)
+        self.x, self.q = self.x[m:], self.q[:, m:]
         return z + feed_forward(normed, layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b)
 
 

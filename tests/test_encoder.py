@@ -288,64 +288,57 @@ def test_frames_pushed_in_pieces_equal_encode(eps, sizes):
     assert np.array_equal(got, encode(frames, m.encoder, eps))
 
 
-def counted_layer_paths(monkeypatch):
-    """Count the rows each encoder layer computes by its one-row step and
-    by the general path."""
-    counts = {"step": 0, "emit": 0}
-    step, emit = encoder._LayerRows._step, encoder._LayerRows._emit
+def kept_mask_calls(monkeypatch, enc):
+    """Count the attention calls of enc's layers whose mask is a slice of
+    a layer's kept all-True row."""
+    calls = []
+    sdpa = encoder.attention.scaled_dot_attention
 
-    def counted_step(self, x, q):
-        counts["step"] += 1
-        return step(self, x, q)
+    def recorded(q, k, v, mask):
+        if any(np.shares_memory(mask, rows._row_mask) for rows in enc.layers):
+            assert mask.shape[0] == 1 and mask.all()
+            calls.append(mask.shape[1])
+        return sdpa(q, k, v, mask)
 
-    def counted_emit(self, m, pending):
-        counts["emit"] += m
-        return emit(self, m, pending)
-
-    monkeypatch.setattr(encoder._LayerRows, "_step", counted_step)
-    monkeypatch.setattr(encoder._LayerRows, "_emit", counted_emit)
-    return counts
+    monkeypatch.setattr(encoder.attention, "scaled_dot_attention", recorded)
+    return calls
 
 
 @pytest.mark.parametrize("eps", [0, 1, 2, 3])
-def test_steady_pushes_take_the_one_row_step_with_the_bits_of_encode(monkeypatch, eps):
+def test_steady_pushes_slice_a_kept_mask_row_with_the_bits_of_encode(monkeypatch, eps):
     # 4-frame chunks bring each layer one row per push, and once the
-    # look-ahead is full it emits one row that sees every key, by the
-    # one-row step; warm-up and a flush of several rows take the general
-    # path.
-    # 70 frames make 18 rows, past a KeyValueStore block and its kept mask.
+    # look-ahead is full it emits one row that sees every key, whose mask
+    # is a slice of the layer's kept all-True row.
+    # 70 frames make 18 rows, past a KeyValueStore block and the kept row.
     m = tiny_model(51, e_layers=3)
     frames = np.random.default_rng(52).standard_normal((70, 4)).astype(np.float32)
     want = encode(frames, m.encoder, eps)
-    counts = counted_layer_paths(monkeypatch)
-    got = pushed_in_pieces(IncrementalEncoder(m.encoder, eps).push, frames, [4] * 17)
+    assert want.shape[0] > ROW_BLOCK
+    enc = IncrementalEncoder(m.encoder, eps)
+    calls = kept_mask_calls(monkeypatch, enc)
+    got = pushed_in_pieces(enc.push, frames, [4] * 17)
     assert np.array_equal(got, want)
-    rows = want.shape[0]
-    # layer l (from 0) gets its first row at push l * eps + 1 and emits
-    # from push (l + 1) * eps + 1 on, each of those a step; the flush
-    # emits the rest, by a step too at eps 0, where it brings one row and
-    # nothing is pending
+    # layer l (from 0) gets its first row at push l * eps + 1 and emits one
+    # row per push from push (l + 1) * eps + 1 on; at eps 0 the flush brings
+    # one row and emits it the same way
     flush = 3 if eps == 0 else 0
-    assert counts["step"] == sum(17 - (layer + 1) * eps for layer in range(3)) + flush
-    assert counts["step"] + counts["emit"] == 3 * rows
+    assert len(calls) == sum(17 - (layer + 1) * eps for layer in range(3)) + flush
+    assert max(calls) > ROW_BLOCK
 
 
 @pytest.mark.parametrize("eps", [0, 1, 2, 3])
-def test_uneven_chunks_mix_both_paths_with_the_bits_of_encode(monkeypatch, eps):
-    # chunks of 1 to 9 frames bring zero, one or several rows: each layer
-    # switches between the one-row step and the general path, and the rows
-    # are encode's
+def test_uneven_chunks_with_the_bits_of_encode(eps):
+    # chunks of 1 to 9 frames bring zero, one or several rows, so a layer
+    # emits none, one or several rows per push, and the rows are encode's
     m = tiny_model(53, e_layers=3)
     rng = np.random.default_rng(54 + eps)
     frames = rng.standard_normal((150, 4)).astype(np.float32)
     want = encode(frames, m.encoder, eps)
-    counts = counted_layer_paths(monkeypatch)
     for _ in range(4):
         sizes = [int(c) for c in rng.integers(1, 10, size=30)]
         got = pushed_in_pieces(IncrementalEncoder(m.encoder, eps).push, frames,
                                sizes[:np.searchsorted(np.cumsum(sizes), 150)])
         assert np.array_equal(got, want)
-    assert counts["step"] and counts["emit"]
 
 
 @pytest.mark.parametrize("chunk", [1, 12, 28])
