@@ -192,7 +192,9 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=No
     array, ``hists[i]`` with the position appended (the input is left
     untouched), the float64 log posterior over the vocabulary, and the
     row's stem (None for a decoder without layers), to hand back when
-    the same position is stepped at another truncation.
+    the same position is stepped at another truncation.  A row whose
+    logits hold NaN or +inf, from a weight that is not finite, raises
+    ``ValueError``; a -inf logit is a label of probability zero.
     :func:`append_history` copies each history once, before the first
     layer; each layer writes its new key and value rows into the copies,
     and its self-attention reads them there.
@@ -234,7 +236,12 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=No
         cur = _cross_and_feed_forward(layer, d, z, q, cache, nu)
     final = kernels.layer_norm(cur, params.final_norm_g, params.final_norm_b)
     logits = kernels.matmul(final, params.out_w) + params.out_b
-    return list(zip(grown, kernels.log_softmax_f64(logits), stems))
+    try:
+        logp = kernels.log_softmax_f64(logits)
+    except ValueError:
+        # the step has changed nothing the caller holds
+        raise ValueError("decoder logits hold NaN or +inf: a decoder weight is not finite") from None
+    return list(zip(grown, logp, stems))
 
 
 def _embed(params, cache, token_ids, pos_indices, dtype):

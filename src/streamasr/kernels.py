@@ -215,6 +215,11 @@ def log_softmax_f64(logits):
     Each row's max and sum are reductions along the contiguous last axis,
     which run per row, and its log is ``math.log`` of its own sum, so a
     row of the matrix gets the bits of the vector call on that row.
+
+    A matrix row with no distribution, one whose logits hold NaN or +inf
+    or are all -inf, raises ``ValueError``; its max shows it.  A vector
+    gives NaN there instead, for the streaming CTC head, whose rows the
+    search refuses when it reads them.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim == 1:
@@ -223,8 +228,12 @@ def log_softmax_f64(logits):
     if z.ndim != 2:
         raise ValueError(f"log_softmax_f64 expects a vector or a matrix, got shape {z.shape}")
     m = np.maximum.reduce(z, axis=1, keepdims=True)
+    maxes = m[:, 0].tolist()
+    # a sum of finite maxes is finite; one NaN, +inf or -inf max is not
+    if not -math.inf < sum(maxes) < math.inf:
+        raise ValueError("a row of logits holds NaN or +inf, or only -inf")
     sums = np.add.reduce(np.exp(z - m), axis=1).tolist()
-    offsets = [mi + math.log(si) for mi, si in zip(m[:, 0].tolist(), sums)]
+    offsets = [mi + math.log(si) for mi, si in zip(maxes, sums)]
     return z - np.array(offsets)[:, None]
 
 

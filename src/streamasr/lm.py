@@ -61,12 +61,20 @@ class NgramLM(LanguageModel):
     def __init__(self, entries, order):
         if order < 1:
             raise ValueError(f"n-gram order must be >= 1, got {order}")
-        self._entries = entries
-        self.order = order
         unigrams = [v[0] for k, v in entries.items() if len(k) == 1]
         if not unigrams:
             raise ValueError("n-gram model has no unigrams")
+        self._entries = entries
+        self.order = order
         self._floor = min(unigrams)
+
+    @classmethod
+    def _loaded(cls, entries, order, floor):
+        """A model from a loader that checked its entries and found the
+        unigram floor as it read them."""
+        lm = cls.__new__(cls)
+        lm._entries, lm.order, lm._floor = entries, order, floor
+        return lm
 
     def start_state(self):
         return ()
@@ -87,73 +95,129 @@ class NgramLM(LanguageModel):
         return self._floor
 
 
+def _is_header(line):
+    """Whether a stripped ARPA line starts a section."""
+    return line in ("\\data\\", "\\end\\") or (line.startswith("\\") and line.endswith("-grams:"))
+
+
+def _token_error(path, lineno, tokens, token_to_id):
+    """The error for the first of ``tokens`` that names no label id."""
+    for tok in tokens:
+        if token_to_id is not None:
+            if tok not in token_to_id:
+                return ValueError(f"{path}:{lineno}: unknown token {tok!r}")
+            continue
+        try:
+            int(tok)
+        except ValueError:
+            return ValueError(f"{path}:{lineno}: token {tok!r} is not an integer id")
+    return ValueError(f"{path}:{lineno}: tokens {tokens!r} name no label ids")
+
+
 def ngram_load(path, token_to_id=None):
     """Read an ARPA-style text file into an NgramLM.
 
     Values are base-10 logs as usual for the format and are converted to
     natural log.  Tokens resolve through ``token_to_id`` when given,
-    otherwise they must be bare integer label ids.
-    """
-    def resolve(tok, lineno):
-        if token_to_id is not None:
-            if tok in token_to_id:
-                return token_to_id[tok]
-            raise ValueError(f"{path}:{lineno}: unknown token {tok!r}")
-        try:
-            return int(tok)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: token {tok!r} is not an integer id") from None
+    otherwise they must be bare integer label ids >= 0.  The ``ngram
+    N=count`` lines set the order, the highest N with a nonzero count;
+    the counts are otherwise advisory.  What the model could not use
+    raises ``ValueError`` naming ``path:line``: an n-gram listed twice or
+    above the order, a weight or back-off that is NaN or +inf (-inf,
+    probability zero, is allowed), or a negative id.
 
+    The file is read once, and each ``\\N-grams:`` section is parsed in
+    one loop that also finds the unigram floor.
+    """
+    bare = token_to_id is None
+    lookup = int if bare else token_to_id.__getitem__
+    inf = math.inf
+    with open(path, "r", encoding="utf-8") as f:
+        lines = f.read().split("\n")
     entries = {}
     declared = {}
-    section = None
+    floor = math.inf
     seen_data = False
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line == "\\data\\":
-                seen_data = True
-                section = "data"
-                continue
-            if line == "\\end\\":
-                section = "end"
-                continue
-            if line.startswith("\\") and line.endswith("-grams:"):
-                try:
-                    section = int(line[1:-len("-grams:")])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad section header {line!r}") from None
-                continue
-            if section == "data":
-                if not line.startswith("ngram "):
-                    raise ValueError(f"{path}:{lineno}: expected 'ngram N=count', got {line!r}")
-                body = line[len("ngram "):]
-                n, _, count = body.partition("=")
-                try:
-                    declared[int(n)] = int(count)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad ngram count line {line!r}") from None
-                continue
-            if isinstance(section, int):
-                parts = line.split()
-                if len(parts) not in (section + 1, section + 2):
-                    raise ValueError(
-                        f"{path}:{lineno}: expected {section} tokens with 1 or 2 weights, got {line!r}"
-                    )
+    section = None  # "data" or "end" once such a header was read
+    i = 0  # the next line's index; past the increment, the line's number
+    while i < len(lines):
+        line = lines[i].strip()
+        i += 1
+        if not line:
+            continue
+        if line == "\\data\\":
+            seen_data = True
+            section = "data"
+            continue
+        if line == "\\end\\":
+            section = "end"
+            continue
+        if line.startswith("\\") and line.endswith("-grams:"):
+            try:
+                n = int(line[1:-len("-grams:")])
+            except ValueError:
+                n = 0
+            if n < 1:
+                raise ValueError(f"{path}:{i}: bad section header {line!r}")
+            if not seen_data:
+                raise ValueError(f"{path}: missing \\data\\ header")
+            order = max((k for k, c in declared.items() if c > 0), default=0)
+            if order < 1:
+                raise ValueError(f"{path}: file declares no n-grams")
+            # the section's entries, up to the next header
+            stop = len(lines)
+            for j in range(i, stop):
+                parts = lines[j].split()
+                if not parts:
+                    continue
+                if parts[0][0] == "\\" and _is_header(lines[j].strip()):
+                    stop = j
+                    break
+                if n > order:
+                    raise ValueError(f"{path}:{j + 1}: {n}-gram above the order {order} "
+                                     f"the \\data\\ counts declare")
+                weights = len(parts) - n
+                if weights != 1 and weights != 2:
+                    raise ValueError(f"{path}:{j + 1}: expected {n} tokens with 1 or 2 weights, "
+                                     f"got {lines[j].strip()!r}")
                 try:
                     logp = float(parts[0]) * LN10
-                    backoff = float(parts[section + 1]) * LN10 if len(parts) == section + 2 else 0.0
+                    backoff = 0.0 if weights == 1 else float(parts[-1]) * LN10
                 except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad weight in {line!r}") from None
-                ids = tuple(resolve(tok, lineno) for tok in parts[1 : section + 1])
-                entries[ids] = (logp, backoff)
-                continue
-            raise ValueError(f"{path}:{lineno}: content outside any section: {line!r}")
+                    raise ValueError(f"{path}:{j + 1}: bad weight in {lines[j].strip()!r}") from None
+                # the sum is NaN or +inf exactly when either is NaN or +inf
+                if not logp + backoff < inf:
+                    raise ValueError(f"{path}:{j + 1}: weight or back-off is NaN or +inf "
+                                     f"in {lines[j].strip()!r}")
+                try:
+                    ids = tuple(map(lookup, parts[1:n + 1]))
+                except (KeyError, ValueError):
+                    raise _token_error(path, j + 1, parts[1:n + 1], token_to_id) from None
+                if bare and min(ids) < 0:
+                    raise ValueError(f"{path}:{j + 1}: negative label id in {lines[j].strip()!r}")
+                entry = (logp, backoff)
+                if entries.setdefault(ids, entry) is not entry:
+                    raise ValueError(f"{path}:{j + 1}: duplicate {n}-gram {lines[j].strip()!r}")
+                if n == 1 and logp < floor:
+                    floor = logp
+            i = stop
+            continue
+        if section == "data":
+            if not line.startswith("ngram "):
+                raise ValueError(f"{path}:{i}: expected 'ngram N=count', got {line!r}")
+            body = line[len("ngram "):]
+            n, _, count = body.partition("=")
+            try:
+                declared[int(n)] = int(count)
+            except ValueError:
+                raise ValueError(f"{path}:{i}: bad ngram count line {line!r}") from None
+            continue
+        raise ValueError(f"{path}:{i}: content outside any section: {line!r}")
     if not seen_data:
         raise ValueError(f"{path}: missing \\data\\ header")
     order = max((n for n, c in declared.items() if c > 0), default=0)
     if order < 1:
         raise ValueError(f"{path}: file declares no n-grams")
-    return NgramLM(entries, order)
+    if floor == math.inf:
+        raise ValueError(f"{path}: n-gram model has no unigrams")
+    return NgramLM._loaded(entries, order, floor)

@@ -34,6 +34,12 @@ conv channels ch1, ch2), and its random initializer.  save_model,
 load_model's shape checks and assembly, and random_model all walk it.
 Its row order is random_model's draw order, so reordering rows changes
 every random model's weights (tests pin them by archive hash).
+
+load_model reads an archive once: the header from the first read, then
+the payload straight into one buffer, each tensor a read-only view of it
+that starts on a 64-byte boundary.  One walk of the schema both lists
+the shapes the header must declare and assembles the model from the
+views.
 """
 
 import math
@@ -238,13 +244,29 @@ _DIMS = {"e_layers": "e_layers", "d_layers": "d_layers", "d_model": "d_model", "
 _POSITIVE_DIMS = ("d_model", "vocab", "d_feat")  # the others may be 0
 
 
+def _specs(rows):
+    """Every tensor's shape spec in rows, nested blocks included."""
+    for _name, _fld, spec, _arg in rows:
+        if type(spec) is _Block:
+            yield from _specs(spec.rows)
+        else:
+            yield spec
+
+
+# The schema's distinct shape specs, which _symbols resolves once per model.
+_SPECS = frozenset(_specs(_SCHEMA))
+
+
 def _symbols(dims, ch1, ch2):
-    """Shape symbol -> size.  Compound symbols are computed here once, so
-    the walk resolves every shape by lookup."""
+    """Shape symbol -> size, and shape spec -> shape for every spec of the
+    schema.  Compound symbols and the shapes are computed here once, so
+    the walk resolves every tensor's shape by one lookup."""
     d_k = dims["d_model"] // dims["heads"]
     f2 = (dims["d_feat"] - 1) // 4 + 1  # feature bins after two pad-1 kernel-3 stride-2 convs
-    return {**dims, "d_k": d_k, "ch1": ch1, "ch2": ch2, "heads*d_k": dims["heads"] * d_k,
-            "ch2*f2": ch2 * f2, "vocab+1": dims["vocab"] + 1}
+    sym = {**dims, "d_k": d_k, "ch1": ch1, "ch2": ch2, "heads*d_k": dims["heads"] * d_k,
+           "ch2*f2": ch2 * f2, "vocab+1": dims["vocab"] + 1}
+    sym.update({spec: tuple(map(sym.get, spec, spec)) for spec in _SPECS})
+    return sym
 
 
 def _build(rows, prefix, sym, leaf):
@@ -254,7 +276,7 @@ def _build(rows, prefix, sym, leaf):
     for name, fld, spec, arg in rows:
         name = prefix + name
         if type(spec) is not _Block:
-            fields[fld] = leaf(name, tuple(sym.get(d, d) for d in spec), arg)
+            fields[fld] = leaf(name, sym[spec], arg)
         elif arg is None:
             fields[fld] = spec.cls(**_build(spec.rows, name, sym, leaf))
         else:
@@ -307,53 +329,143 @@ def _read_header_line(f, path):
     return raw[:-1].decode("ascii")
 
 
-def _header_value(f, path, key):
-    """The value of the next header line, which must be ``key value``."""
-    k, _, v = _read_header_line(f, path).partition(" ")
-    if k != key:
-        raise ValueError(f"{path}: expected {key!r} line, got {k!r}")
-    return v
+# An archive's first read: its whole header up to dozens of layers, and
+# the payload's first bytes with it.
+_HEAD_READ = 1 << 14
+# Each loaded tensor starts on a 64-byte boundary (16 float32 values) of
+# the payload buffer, at least the 16 bytes np.empty's arrays start on.
+_SLOT = 16
 
 
-def _read_f32(f, path, shapes):
-    """The rest of f as consecutive little-endian float32 tensors of the
-    given shapes, each read straight into its own array.  The remaining
-    byte count must equal their total size."""
-    sizes = [math.prod(shape) for shape in shapes]
-    total = 4 * sum(sizes)
+class _ShortHeader(Exception):
+    """The bytes read so far end before the header's data marker."""
+
+
+def _parse_header(head, path):
+    """(dims, sos_id, eos_id, shapes, sizes, payload offset) from the bytes
+    that begin an archive; sizes maps each tensor to its float count, -1
+    for a shape with a negative dimension.  Raises ``_ShortHeader`` if the
+    bytes end before the data marker, once the lines they hold have
+    passed their checks."""
+    fixed = head.split(b"\n", len(_DIMS) + 4)  # magic, dims, sos_id, eos_id, tensors; the rest
+
+    def value(i, key):
+        """The value of line i, which must be ``key value``."""
+        if i >= len(fixed) - 1:
+            raise _ShortHeader
+        k, _, v = fixed[i].decode("ascii").partition(" ")
+        if k != key:
+            raise ValueError(f"{path}: expected {key!r} line, got {k!r}")
+        return v
+
+    if len(fixed) < 2:
+        raise _ShortHeader
+    if fixed[0] != MODEL_MAGIC.encode("ascii"):
+        raise ValueError(f"{path}: bad magic, expected {MODEL_MAGIC!r}")
+    dims = {}
+    for i, key in enumerate(_DIMS, 1):
+        dims[key] = n = int(value(i, key))
+        least = 1 if key in _POSITIVE_DIMS else 0
+        if n < least:
+            raise ValueError(f"{path}: dimension {key} is {n}, must be at least {least}")
+    sos_id = int(value(len(_DIMS) + 1, "sos_id"))
+    eos_id = value(len(_DIMS) + 2, "eos_id")
+    eos_id = None if eos_id == "none" else int(eos_id)
+    count = max(0, int(value(len(_DIMS) + 3, "tensors")))
+    table = fixed[-1].split(b"\n", count + 1)  # the tensor lines, the data marker; the payload
+    shapes, sizes = {}, {}
+    parsed = {}  # dims text -> (shape, size), as most shapes repeat
+    for raw in table[:min(count, len(table) - 1)]:
+        name, _, dimtxt = raw.decode("ascii").partition(" ")
+        if name in shapes:
+            raise ValueError(f"{path}: duplicate tensor {name}")
+        known = parsed.get(dimtxt)
+        if known is None:
+            shape = tuple(map(int, dimtxt.split(",")))
+            # a negative dimension leaves the tensor no payload size
+            known = parsed[dimtxt] = shape, math.prod(shape) if min(shape) >= 0 else -1
+        shapes[name], sizes[name] = known
+    if len(table) < count + 2:
+        raise _ShortHeader
+    if table[count] != b"data":
+        raise ValueError(f"{path}: expected data marker")
+    return dims, sos_id, eos_id, shapes, sizes, len(head) - len(table[-1])
+
+
+def _payload_buffer(have, shapes, sizes):
+    """Each tensor by name, a float32 array of its shape, and the runs of
+    bytes to read the payload into; None if the payload's ``have`` bytes
+    are not what the sizes hold.  The payload stores the tensors sorted
+    by name.
+
+    The tensors are read-only views of one new buffer, in which each
+    starts on a ``_SLOT`` boundary.  A run is a writable byte view of
+    adjacent slots, made before the buffer was made read-only; the runs,
+    filled in order, hold the payload."""
+    if min(sizes.values(), default=0) < 0 or 4 * sum(sizes.values()) != have:
+        return None
+    buf = np.empty(have // 4 + _SLOT * (len(sizes) + 1), dtype="<f4")  # room for the padding
+    skip = -buf.__array_interface__["data"][0] % (4 * _SLOT) // 4
+    mem = buf[skip:].view(np.uint8)
+    # Read-only: decoders derive projection caches from these weights, and
+    # sessions sharing a model must not see it change under them.  A view
+    # of a read-only buffer cannot be made writable again.
+    buf.setflags(write=False)
+    flat = buf[skip:]
+    views, spans, end = {}, [], 0
+    for name in sorted(shapes):
+        n = sizes[name]
+        o = end + -end % _SLOT
+        if spans and o == end:
+            spans[-1][1] = 4 * (o + n)
+        else:
+            spans.append([4 * o, 4 * (o + n)])
+        shape = shapes[name]
+        views[name] = flat[o:o + n] if len(shape) == 1 else flat[o:o + n].reshape(shape)
+        end = o + n
+    return views, [mem[a:b] for a, b in spans]
+
+
+def _read_runs(f, path, rest, runs):
+    """Fill each byte array of runs in turn from the payload: first from
+    ``rest``, the bytes of it read with the header, then straight from f."""
+    for run in runs:
+        n = min(len(run), len(rest))
+        run[:n] = rest[:n]
+        rest = rest[n:]
+        if n < len(run) and f.readinto(run[n:]) != len(run) - n:
+            raise ValueError(f"{path}: payload ended early")
+
+
+def _read_f32(f, path, shape):
+    """The rest of f as one little-endian float32 array of ``shape``,
+    read straight into it.  The remaining byte count must equal its size."""
+    total = 4 * math.prod(shape)
     have = os.fstat(f.fileno()).st_size - f.tell()
     if have != total:
         raise ValueError(f"{path}: payload is {have} bytes, expected {total}")
-    arrays = []
-    for shape in shapes:
-        a = np.empty(shape, dtype="<f4")
-        if f.readinto(a) != a.nbytes:
-            raise ValueError(f"{path}: payload ended early, expected {total} bytes")
-        arrays.append(a)
-    return arrays
+    a = np.empty(shape, dtype="<f4")
+    if f.readinto(a) != total:
+        raise ValueError(f"{path}: payload ended early, expected {total} bytes")
+    return a
 
 
 def load_model(path):
-    with open(path, "rb") as f:
-        if _read_header_line(f, path) != MODEL_MAGIC:
-            raise ValueError(f"{path}: bad magic, expected {MODEL_MAGIC!r}")
-        dims = {}
-        for key in _DIMS:
-            dims[key] = n = int(_header_value(f, path, key))
-            least = 1 if key in _POSITIVE_DIMS else 0
-            if n < least:
-                raise ValueError(f"{path}: dimension {key} is {n}, must be at least {least}")
-        sos_id = int(_header_value(f, path, "sos_id"))
-        eos_id = _header_value(f, path, "eos_id")
-        eos_id = None if eos_id == "none" else int(eos_id)
-        shapes = {}
-        for _ in range(int(_header_value(f, path, "tensors"))):
-            name, _, dimtxt = _read_header_line(f, path).partition(" ")
-            if name in shapes:
-                raise ValueError(f"{path}: duplicate tensor {name}")
-            shapes[name] = tuple(int(d) for d in dimtxt.split(","))
-        if _read_header_line(f, path) != "data":
-            raise ValueError(f"{path}: expected data marker")
+    """Read a model archive: the file once, its header checked against one
+    walk of the schema, the payload into one read-only buffer of which
+    every tensor is a view."""
+    with open(path, "rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(_HEAD_READ)
+        while True:
+            try:
+                dims, sos_id, eos_id, shapes, sizes, start = _parse_header(head, path)
+                break
+            except _ShortHeader:
+                more = f.read()
+                if not more:
+                    raise ValueError(f"{path}: truncated header") from None
+                head += more
 
         if dims["heads"] < 1 or dims["d_model"] % dims["heads"] != 0:
             raise ValueError(f"{path}: d_model {dims['d_model']} not divisible by heads {dims['heads']}")
@@ -368,27 +480,36 @@ def load_model(path):
             if shapes[conv][0] < 1:
                 raise ValueError(f"{path}: tensor {conv} has {shapes[conv][0]} output "
                                  f"channels, must be at least 1")
-        sym = _symbols(dims, shapes["cnn.conv1_w"][0], shapes["cnn.conv2_w"][0])
-        expected = {}
-        _build(_SCHEMA, "", sym, lambda name, shape, _: expected.setdefault(name, shape))
-        for name in sorted(expected):
-            if name not in shapes:
-                raise ValueError(f"{path}: missing tensor {name}")
-        for name in sorted(shapes):
-            if name not in expected:
-                raise ValueError(f"{path}: unexpected tensor {name}")
-            if shapes[name] != expected[name]:
-                raise ValueError(
-                    f"{path}: tensor {name}: shape {shapes[name]} != expected {expected[name]}"
-                )
 
-        names = sorted(shapes)
-        tensors = dict(zip(names, _read_f32(f, path, [shapes[n] for n in names])))
-    for a in tensors.values():
-        # Read-only: decoders derive projection caches from these weights,
-        # and sessions sharing a model must not see it change under them.
-        a.setflags(write=False)
-    return _model(dims, sos_id, eos_id, sym, lambda name, _shape, _init: tensors[name])
+        # The buffer and its tensors exist before the walk, which both lists
+        # the expected shapes and hands the tensors out; the payload is read
+        # into them once the header has passed.
+        payload = _payload_buffer(size - start, shapes, sizes)
+        views = {} if payload is None else payload[0]
+        expected = {}
+
+        def leaf(name, shape, _init):
+            expected[name] = shape
+            return views.get(name)
+
+        sym = _symbols(dims, shapes["cnn.conv1_w"][0], shapes["cnn.conv2_w"][0])
+        model = _model(dims, sos_id, eos_id, sym, leaf)
+        if expected != shapes:
+            for name in sorted(expected):
+                if name not in shapes:
+                    raise ValueError(f"{path}: missing tensor {name}")
+            for name in sorted(shapes):
+                if name not in expected:
+                    raise ValueError(f"{path}: unexpected tensor {name}")
+                if shapes[name] != expected[name]:
+                    raise ValueError(
+                        f"{path}: tensor {name}: shape {shapes[name]} != expected {expected[name]}"
+                    )
+        if payload is None:
+            total = 4 * sum(sizes.values())
+            raise ValueError(f"{path}: payload is {size - start} bytes, expected {total}")
+        _read_runs(f, path, memoryview(head)[start:], payload[1])
+    return model
 
 
 # ---------------------------------------------------------------- features
@@ -417,7 +538,7 @@ def load_features(path):
             raise ValueError(f"{path}: negative feature dimension {t} x {d}")
         if not 0 < shift < math.inf:
             raise ValueError(f"{path}: frame shift must be positive and finite, got {shift!r}")
-        frames, = _read_f32(f, path, [(t, d)])
+        frames = _read_f32(f, path, (t, d))
     if not np.isfinite(frames).all():
         raise ValueError(f"{path}: non-finite feature values")
     return FeatureMatrix(frames, frame_shift_ms=shift)

@@ -544,3 +544,24 @@ def test_ta_prefix_score_rejects_non_finite_encoder_rows(bad):
     enc[1, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         ta_prefix_score(enc, (2, 3), (2, 4), dec)
+
+
+def test_a_minus_inf_logit_gives_minus_inf_for_that_label_only():
+    # -inf is a label of probability zero, not a non-finite weight
+    dec, enc = setup_case(97)
+    dec.out_b[3] = -np.inf
+    cache = CrossAttentionCache(dec, enc)
+    [(_, logp, _)] = advance_positions(dec, cache, [empty_history(dec)], [dec.sos_id], [0], 3)
+    assert logp[3] == -np.inf
+    assert np.isfinite(np.delete(logp, 3)).all()
+    assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_step_with_non_finite_logits_raises(bad):
+    dec, enc = setup_case(98)
+    dec.out_b[2] = bad
+    cache = CrossAttentionCache(dec, enc)
+    hist = empty_history(dec)
+    with pytest.raises(ValueError, match="decoder weight is not finite"):
+        advance_positions(dec, cache, [hist, hist], [dec.sos_id, 2], [0, 0], 3)

@@ -366,3 +366,23 @@ def test_repeated_calls_are_bit_identical():
         kernels.conv2d(pad1(a[None, :, :]), b.reshape(4, 1, 3, 3), 2),
         kernels.conv2d(pad1(a[None, :, :]), b.reshape(4, 1, 3, 3), 2),
     )
+
+
+@pytest.mark.parametrize("bad", ["nan", "+inf", "all -inf"])
+def test_log_softmax_f64_refuses_a_matrix_row_with_no_distribution(bad):
+    z = np.random.default_rng(12).standard_normal((3, 6))
+    if bad == "all -inf":
+        z[1] = -np.inf
+    else:
+        z[1, 4] = float(bad)
+    with pytest.raises(ValueError, match="row of logits holds NaN or \\+inf"):
+        kernels.log_softmax_f64(z)
+
+
+def test_log_softmax_f64_keeps_a_minus_inf_logit_as_probability_zero():
+    z = np.random.default_rng(13).standard_normal((3, 6))
+    z[1, 4] = -np.inf
+    out = kernels.log_softmax_f64(z)
+    assert out[1, 4] == -np.inf
+    assert np.isfinite(np.delete(out[1], 4)).all() and np.isfinite(out[[0, 2]]).all()
+    assert (out[1] == kernels.log_softmax_f64(z[1])).all()

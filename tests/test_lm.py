@@ -179,3 +179,71 @@ def test_backoff_bigram_conditionals_normalize(tmp_path):
         assert total == pytest.approx(1.0, abs=1e-6)
     total = sum(math.exp(lm.extend(lm.start_state(), w)[1]) for w in ids)
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def test_arpa_duplicate_ngram_is_refused(tmp_path):
+    # the last of two equal n-grams used to win
+    text = HAND_ARPA.replace("-0.1549019600 a b\n", "-0.1549019600 a b\n-0.5 a b\n")
+    with pytest.raises(ValueError, match=r"lm\.arpa:12: duplicate 2-gram '-0\.5 a b'"):
+        ngram_load(write(tmp_path, text), {"a": 0, "b": 1, "c": 2})
+    unigram = HAND_ARPA.replace("-1.0 c\n", "-1.0 c\n-2.0 a\n")
+    with pytest.raises(ValueError, match=r"lm\.arpa:9: duplicate 1-gram"):
+        ngram_load(write(tmp_path, unigram), {"a": 0, "b": 1, "c": 2})
+
+
+def test_arpa_ngrams_above_the_declared_order_are_refused(tmp_path):
+    # \data\ declares orders 1-2; the model never reads a 3-gram
+    text = HAND_ARPA.replace("\\end\\", "\\3-grams:\n-0.1 a b c\n\n\\end\\")
+    with pytest.raises(ValueError, match=r"lm\.arpa:14: 3-gram above the order 2"):
+        ngram_load(write(tmp_path, text), {"a": 0, "b": 1, "c": 2})
+    # an empty section above the order holds nothing to refuse
+    empty = HAND_ARPA.replace("\\end\\", "\\3-grams:\n\n\\end\\")
+    assert ngram_load(write(tmp_path, empty), {"a": 0, "b": 1, "c": 2}).order == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "+inf", "NaN", "Infinity", "1e999"])
+@pytest.mark.parametrize("line,field", [("-0.1549019600 a b", 0), ("-0.3010299957 a -0.2", 2)])
+def test_arpa_nan_and_inf_weights_are_refused(tmp_path, bad, line, field):
+    parts = line.split()
+    parts[field] = bad
+    lineno = HAND_ARPA.split("\n").index(line) + 1
+    text = HAND_ARPA.replace(line, " ".join(parts))
+    with pytest.raises(ValueError, match=rf"lm\.arpa:{lineno}: weight or back-off is NaN or \+inf"):
+        ngram_load(write(tmp_path, text), {"a": 0, "b": 1, "c": 2})
+
+
+def test_arpa_minus_inf_weight_is_probability_zero(tmp_path):
+    text = HAND_ARPA.replace("-0.1549019600 a b", "-inf a b").replace("-1.0 c", "-1.0 c -inf")
+    lm = ngram_load(write(tmp_path, text), {"a": 0, "b": 1, "c": 2})
+    state, _ = lm.extend(lm.start_state(), 0)
+    assert lm.extend(state, 1)[1] == -math.inf
+    assert lm.extend(state, 2)[1] == pytest.approx(-1.2 * LN10, abs=1e-9)
+
+
+def test_arpa_negative_integer_ids_are_refused(tmp_path):
+    text = HAND_ARPA.replace(" a", " 0").replace(" b", " 1").replace(" c", " -2")
+    with pytest.raises(ValueError, match=r"lm\.arpa:8: negative label id in '-1\.0 -2'"):
+        ngram_load(write(tmp_path, text))
+
+
+def load_module(name, relpath):
+    """A repository script or module, imported from its file."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parent.parent / relpath
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_arpa_files_the_repository_writes_still_load(tmp_path):
+    tokens = {f"w{i:02d}": i + 2 for i in range(28)}
+    bench = load_module("perfbench_workloads", "perfbench/workloads.py")
+    bench._write_bigram_arpa(tmp_path / "bench.arpa", list(tokens), np.random.default_rng(3))
+    assert ngram_load(tmp_path / "bench.arpa", tokens).order == 2
+    toy = load_module("make_toy_model", "scripts/make_toy_model.py")
+    toy.write_uniform_bigram(tmp_path / "toy.arpa", ["a", "b", "c"])
+    lm = ngram_load(tmp_path / "toy.arpa", {"a": 2, "b": 3, "c": 4})
+    assert lm.extend((2,), 3)[1] == pytest.approx(-math.log(3), abs=1e-5)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamasr.lm import ngram_load
-from streamasr.modelio import load_features, load_model, random_features, save_model, write_features
+from streamasr.modelio import (load_features, load_model, load_vocab, random_features, save_model,
+                               save_vocab, toy_vocab, write_features)
 from helpers import normalized_bigram_arpa, tiny_model
 
 # bytes that keep a damaged text header parseable far enough to reach the
@@ -36,7 +37,8 @@ def valid_files(d):
     save_model(d / "model", tiny_model(161))
     write_features(d / "feats", random_features(162, 15, 4))
     (d / "lm").write_text(normalized_bigram_arpa(rng, range(1, 6)))
-    return {name: (d / name).read_bytes() for name in ("model", "feats", "lm")}
+    save_vocab(d / "vocab", toy_vocab(4, boundary="_"))
+    return {name: (d / name).read_bytes() for name in ("model", "feats", "lm", "vocab")}
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +56,8 @@ def loads_or_rejects(load, path, data):
         pass
 
 
-LOADERS = [("model", load_model), ("feats", load_features), ("lm", ngram_load)]
+LOADERS = [("model", load_model), ("feats", load_features), ("lm", ngram_load),
+           ("vocab", load_vocab)]
 
 
 @pytest.mark.parametrize("name,load", LOADERS)

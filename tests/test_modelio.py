@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamasr.encoder import FeatureMatrix
-from streamasr.modelio import (EOS_TOKEN, SOS_TOKEN, Vocab, load_features,
-                               load_model, load_vocab, random_features,
+from streamasr.modelio import (_HEAD_READ, _SCHEMA, EOS_TOKEN, SOS_TOKEN, Vocab, _tensors,
+                               load_features, load_model, load_vocab, random_features,
                                random_model, save_model, save_vocab, toy_vocab,
                                write_features)
 
@@ -302,3 +302,49 @@ def test_random_features_deterministic():
     b = random_features(145, 7, 5)
     assert np.array_equal(a.frames, b.frames)
     assert a.frames.dtype == np.float32
+
+
+def loaded_tensors(m):
+    """(archive name, array) for every tensor of m, in schema order."""
+    return list(_tensors(_SCHEMA, "", m))
+
+
+def test_loaded_tensors_equal_the_saved_arrays_bit_for_bit(tmp_path):
+    m = random_model(150, d_feat=6, d_model=8, heads=2, vocab_size=5)
+    m.ctc_b[1] = -np.inf  # a special value travels through the payload too
+    save_model(tmp_path / "m.model", m)
+    want, got = loaded_tensors(m), loaded_tensors(load_model(tmp_path / "m.model"))
+    assert [n for n, _ in got] == [n for n, _ in want]
+    for (name, a), (_, b) in zip(want, got):
+        assert b.dtype == np.float32 and b.shape == a.shape, name
+        assert np.array_equal(b.view(np.uint32), a.view(np.uint32)), name
+
+
+def test_loaded_tensors_are_aligned_read_only_views_no_load_shares(tmp_path):
+    p = tmp_path / "m.model"
+    save_model(p, random_model(151, d_feat=6, d_model=8, heads=2, vocab_size=5))
+    first, second = loaded_tensors(load_model(p)), loaded_tensors(load_model(p))
+    for name, a in first:
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
+        # at least np.empty's alignment, so kernels see what they saw
+        assert a.ctypes.data % 16 == 0, name
+    # no cache outlives a load: the second load holds its own memory
+    for _, a in first:
+        for _, b in second:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("kw,long_header", [
+    (dict(e_layers=60, d_feat=3, d_model=2, d_ff=2, heads=1, vocab_size=3), True),
+    (dict(e_layers=1, d_feat=40, d_model=64, d_ff=256, heads=4, vocab_size=30), False),
+], ids=["header-longer-than-the-first-read", "payload-longer-than-the-first-read"])
+def test_archive_loads_whatever_its_header_and_payload_sizes(tmp_path, kw, long_header):
+    m = random_model(152, **kw)
+    p = tmp_path / "m.model"
+    save_model(p, m)
+    raw = p.read_bytes()
+    assert (raw.index(b"\ndata\n") if long_header else len(raw)) > _HEAD_READ
+    for (name, a), (_, b) in zip(loaded_tensors(m), loaded_tensors(load_model(p))):
+        assert np.array_equal(b.view(np.uint32), a.view(np.uint32)), name

@@ -951,3 +951,77 @@ def test_steps_below_the_seen_encoder_rows_are_dropped(growing):
         assert all(nu >= seen for nu, _, _ in steps)
         kept_any = kept_any or bool(steps)
     assert kept_any
+
+
+# A decoder weight that is not finite: one NaN in the output projection, or
+# +inf or NaN in its bias, makes every row's logits NaN or +inf.
+NON_FINITE_DECODER = [("out_w", math.nan), ("out_b", math.nan), ("out_b", math.inf)]
+
+
+def poison(dec, where, bad):
+    getattr(dec, where)[..., 3] = bad
+
+
+@pytest.mark.parametrize("where,bad", NON_FINITE_DECODER)
+def test_decoder_with_a_non_finite_weight_does_not_decode(where, bad):
+    # such a model used to decode to labels with a nan score and
+    # p_joint=nan trace lines
+    m, enc, post, lm, params = decode_setup(133, n=6)
+    poison(m.decoder, where, bad)
+    with pytest.raises(ValueError, match="decoder weight is not finite"):
+        decode(enc, post, lm, m.decoder, params)
+
+
+@pytest.mark.parametrize("where,bad", NON_FINITE_DECODER)
+def test_a_frame_refused_for_a_non_finite_decoder_weight_leaves_the_search(where, bad):
+    # as for a raising hook: the frame, beam and trace stay as they were, and
+    # the frame, advanced again once the weight is mended, decodes as if
+    # nothing had happened
+    m, enc, post, lm, params = decode_setup(134, n=6)
+    want = decode(enc, post, lm, m.decoder, params)
+    search = JointSearch(m.decoder, lm, params, post.shape[1])
+    search.add_rows(enc)
+    search.advance(post[0])
+    weights = getattr(m.decoder, where)
+    kept = weights.copy()
+    poison(m.decoder, where, bad)
+    refused = 0
+    for row in post[1:]:
+        frame, hyps, trace = search.frame, dict(search.hyps), list(search.trace)
+        try:
+            search.advance(row)
+        except ValueError as exc:
+            assert "decoder weight is not finite" in str(exc)
+            assert search.frame == frame and search.hyps == hyps and search.trace == trace
+            refused += 1
+            weights[...] = kept
+            search.advance(row)
+            poison(m.decoder, where, bad)
+    assert refused > 0
+    weights[...] = kept
+    got = search.finalize()
+    assert got.labels == want.labels and got.trace == want.trace and got.score == want.score
+
+
+def test_a_streaming_session_refuses_a_non_finite_decoder_weight():
+    m = tiny_model(138)
+    poison(m.decoder, "out_w", math.nan)
+    frames = np.random.default_rng(138).standard_normal((32, 4)).astype(np.float32)
+    params = DecodeParams(k_size=8, p_size=4, eps_dec=1)
+    sess = StreamingSession(m, UniformLM(3), params, StreamConfig(eps_enc=1, eps_dec=1))
+    with pytest.raises(ValueError, match="decoder weight is not finite"):
+        for t in range(0, 32, 4):
+            sess.push(frames[t:t + 4])
+        sess.finalize()
+    # every emitted row the search has not decoded is still queued
+    assert sess.emitted_frames - sess.decoded_frames == len(sess._post)
+    assert not sess.closed
+
+
+def test_ta_prefix_score_and_joint_loss_refuse_a_non_finite_decoder_weight():
+    m, enc, post, y, align = loss_setup(139)
+    poison(m.decoder, "out_b", math.nan)
+    with pytest.raises(ValueError, match="decoder weight is not finite"):
+        ta_prefix_score(enc, y, align.nu, m.decoder)
+    with pytest.raises(ValueError, match="decoder weight is not finite"):
+        joint_loss(post, enc, y, align, m.decoder, LossParams(0.3))
