@@ -173,14 +173,13 @@ def rounds(sides, seconds):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seconds", type=float, default=4.0, help="time to spend on rounds")
-    ap.add_argument("--seed", type=int, default=SEED, help="model and LM seed")
     ap.add_argument("--baseline", metavar="SRC_DIR",
                     help="another copy's src directory, timed against this one call by call")
     args = ap.parse_args()
     base = None if args.baseline is None else import_baseline(args.baseline)
 
     with tempfile.TemporaryDirectory() as d:
-        paths, model, tokens, entries = write_inputs(d, args.seed)
+        paths, model, tokens, entries = write_inputs(d, SEED)
         sides = [Side(streamasr, paths)] + ([] if base is None else [Side(base, paths)])
         best, n = rounds(sides, args.seconds)
         bad = check(sides, model, tokens, entries, d)

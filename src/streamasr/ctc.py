@@ -283,7 +283,10 @@ def posteriorgram_from_states(states, weight, bias):
     vector-matrix routine of :func:`log_posterior_row`, and one
     :func:`log_softmax_f64` call, so each row has the bits of that
     function on it.  ``states`` that are not a 2-D matrix as wide as the
-    head's input raise ``ValueError``."""
+    head's input raise ``ValueError``, as does a row whose logits hold NaN
+    or +inf, or only -inf (a head weight that is not finite): the matrix
+    call refuses it.  :func:`log_posterior_row` gives NaN for such a row
+    instead, and the search refuses that row when it reads it."""
     mat = np.asarray(states)
     if mat.ndim != 2 or mat.shape[1] != weight.shape[0]:
         raise ValueError(f"encoder states of shape {mat.shape}, "

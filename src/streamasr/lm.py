@@ -61,20 +61,12 @@ class NgramLM(LanguageModel):
     def __init__(self, entries, order):
         if order < 1:
             raise ValueError(f"n-gram order must be >= 1, got {order}")
+        self._entries = entries
+        self.order = order
         unigrams = [v[0] for k, v in entries.items() if len(k) == 1]
         if not unigrams:
             raise ValueError("n-gram model has no unigrams")
-        self._entries = entries
-        self.order = order
         self._floor = min(unigrams)
-
-    @classmethod
-    def _loaded(cls, entries, order, floor):
-        """A model from a loader that checked its entries and found the
-        unigram floor as it read them."""
-        lm = cls.__new__(cls)
-        lm._entries, lm.order, lm._floor = entries, order, floor
-        return lm
 
     def start_state(self):
         return ()
@@ -127,7 +119,7 @@ def ngram_load(path, token_to_id=None):
     probability zero, is allowed), or a negative id.
 
     The file is read once, and each ``\\N-grams:`` section is parsed in
-    one loop that also finds the unigram floor.
+    one loop.
     """
     bare = token_to_id is None
     lookup = int if bare else token_to_id.__getitem__
@@ -136,7 +128,6 @@ def ngram_load(path, token_to_id=None):
         lines = f.read().split("\n")
     entries = {}
     declared = {}
-    floor = math.inf
     seen_data = False
     section = None  # "data" or "end" once such a header was read
     i = 0  # the next line's index; past the increment, the line's number
@@ -198,8 +189,6 @@ def ngram_load(path, token_to_id=None):
                 entry = (logp, backoff)
                 if entries.setdefault(ids, entry) is not entry:
                     raise ValueError(f"{path}:{j + 1}: duplicate {n}-gram {lines[j].strip()!r}")
-                if n == 1 and logp < floor:
-                    floor = logp
             i = stop
             continue
         if section == "data":
@@ -218,6 +207,4 @@ def ngram_load(path, token_to_id=None):
     order = max((n for n, c in declared.items() if c > 0), default=0)
     if order < 1:
         raise ValueError(f"{path}: file declares no n-grams")
-    if floor == math.inf:
-        raise ValueError(f"{path}: n-gram model has no unigrams")
-    return NgramLM._loaded(entries, order, floor)
+    return NgramLM(entries, order)

@@ -401,7 +401,9 @@ def _payload_buffer(have, shapes, sizes):
     The tensors are read-only views of one new buffer, in which each
     starts on a ``_SLOT`` boundary.  A run is a writable byte view of
     adjacent slots, made before the buffer was made read-only; the runs,
-    filled in order, hold the payload."""
+    filled in order, hold the payload.  One allocation, not one per
+    tensor: per-tensor arrays cost a repeated load about as much as the
+    header and schema work that reading the file once saves."""
     if min(sizes.values(), default=0) < 0 or 4 * sum(sizes.values()) != have:
         return None
     buf = np.empty(have // 4 + _SLOT * (len(sizes) + 1), dtype="<f4")  # room for the padding
@@ -428,13 +430,19 @@ def _payload_buffer(have, shapes, sizes):
 
 def _read_runs(f, path, rest, runs):
     """Fill each byte array of runs in turn from the payload: first from
-    ``rest``, the bytes of it read with the header, then straight from f."""
+    ``rest``, the bytes of it read with the header, then straight from f.
+    A read may return fewer bytes than asked (an unbuffered read, or one
+    past the system's limit on a single read), so each run is read until
+    it is full; only a read that returns nothing ends the payload early."""
     for run in runs:
         n = min(len(run), len(rest))
         run[:n] = rest[:n]
         rest = rest[n:]
-        if n < len(run) and f.readinto(run[n:]) != len(run) - n:
-            raise ValueError(f"{path}: payload ended early")
+        while n < len(run):
+            got = f.readinto(run[n:])
+            if not got:
+                raise ValueError(f"{path}: payload ended early")
+            n += got
 
 
 def _read_f32(f, path, shape):

@@ -7,7 +7,8 @@ from streamasr.ctc import (PrefixScores, ctc_forward_logprob, ctc_prefix_step,
                            ctc_viterbi_align, log_posterior_row, posteriorgram_from_states,
                            validate_posteriorgram)
 from streamasr.kernels import NEG_INF, log_add
-from streamasr.search import DecodeParams
+from streamasr.lm import UniformLM
+from streamasr.search import CtcPrefixSearch, DecodeParams
 from helpers import logprob_rows, random_posteriorgram, tiny_model
 from oracles import (collapse_path, ctc_forward_oracle, ctc_path_masses,
                      viterbi_oracle)
@@ -244,6 +245,25 @@ def test_posteriorgram_from_states_is_one_call_with_the_bits_of_each_row(n):
     assert post.shape == (n, m.ctc_b.shape[0]) and post.dtype == np.float64
     for i in range(n):
         assert (post[i] == log_posterior_row(states[i], m.ctc_w, m.ctc_b)).all()
+
+
+@pytest.mark.parametrize("where,bad", [("ctc_w", math.nan), ("ctc_b", math.nan), ("ctc_b", math.inf)])
+def test_a_non_finite_ctc_head_weight_is_refused_offline_and_by_the_search(where, bad):
+    m = tiny_model(91)
+    getattr(m, where)[..., 2] = bad
+    states = np.random.default_rng(92).standard_normal((3, m.ctc_w.shape[0])).astype(np.float32)
+    # the offline head refuses the matrix
+    with pytest.raises(ValueError, match="row of logits holds NaN or \\+inf"):
+        posteriorgram_from_states(states, m.ctc_w, m.ctc_b)
+    # a streaming row comes back NaN (+inf - +inf on the way), and the
+    # search refuses to read it
+    with np.errstate(invalid="ignore"):
+        row = log_posterior_row(states[0], m.ctc_w, m.ctc_b)
+    assert np.isnan(row).any()
+    search = CtcPrefixSearch(UniformLM(m.ctc_b.shape[0] - 1), DecodeParams(), m.ctc_b.shape[0])
+    with pytest.raises(ValueError, match="log probabilities contain NaN or \\+inf"):
+        search.advance(row)
+    assert search.frame == 0
 
 
 @pytest.mark.parametrize("shape", [(5, 2, 8), (0,), (8,), (4, 7), ()])

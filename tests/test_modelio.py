@@ -348,3 +348,60 @@ def test_archive_loads_whatever_its_header_and_payload_sizes(tmp_path, kw, long_
     assert (raw.index(b"\ndata\n") if long_header else len(raw)) > _HEAD_READ
     for (name, a), (_, b) in zip(loaded_tensors(m), loaded_tensors(load_model(p))):
         assert np.array_equal(b.view(np.uint32), a.view(np.uint32)), name
+
+
+class ShortReads:
+    """A binary file whose reads return at most ``limit`` bytes, as a
+    read past the system's single-read limit or some file systems do;
+    after ``stop_after`` bytes every read returns nothing."""
+
+    def __init__(self, path, limit, stop_after=None):
+        self._f = open(path, "rb", buffering=0)
+        self.limit, self.left = limit, stop_after
+
+    def _take(self, n):
+        n = min(n, self.limit)
+        if self.left is not None:
+            n = min(n, self.left)
+            self.left -= n
+        return n
+
+    def read(self, n=-1):
+        if n is None or n < 0:
+            n = self.limit
+        return self._f.read(self._take(n))
+
+    def readinto(self, b):
+        mv = memoryview(b).cast("B")
+        return self._f.readinto(mv[:self._take(len(mv))])
+
+    def fileno(self):
+        return self._f.fileno()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+@pytest.mark.parametrize("limit", [13, 777, 4096])
+def test_archive_loads_bit_for_bit_through_short_reads(tmp_path, monkeypatch, limit):
+    m = random_model(153, e_layers=1, d_feat=40, d_model=64, d_ff=256, heads=4, vocab_size=30)
+    p = tmp_path / "m.model"
+    save_model(p, m)
+    monkeypatch.setattr("streamasr.modelio.open", lambda path, *a, **k: ShortReads(path, limit),
+                        raising=False)
+    for (name, a), (_, b) in zip(loaded_tensors(m), loaded_tensors(load_model(p))):
+        assert np.array_equal(b.view(np.uint32), a.view(np.uint32)), name
+
+
+def test_a_payload_whose_reads_stop_early_is_refused(tmp_path, monkeypatch):
+    p = tmp_path / "m.model"
+    save_model(p, random_model(154, d_feat=6, d_model=8, heads=2, vocab_size=5))
+    size = p.stat().st_size
+    monkeypatch.setattr("streamasr.modelio.open",
+                        lambda path, *a, **k: ShortReads(path, 4096, stop_after=size - 4),
+                        raising=False)
+    with pytest.raises(ValueError, match="payload ended early"):
+        load_model(p)
