@@ -41,7 +41,8 @@ One owner keeps the projected rows of a sequence that only grows:
 layer and for the decoder's cross-attention cache.  Decoder histories,
 which branch per prefix, are the decoder's own (one array per prefix, see
 :mod:`streamasr.decoder`); attention reads their per-layer key and value
-slices as it reads a store's views, without a copy.
+slices as it reads a store's views, without a copy.  q, k and v share
+one floating-point dtype, the model's float32, and nothing promotes it.
 """
 
 import math
@@ -113,8 +114,8 @@ def scaled_dot_attention(q, k, v, mask):
     stacked matrix-vector product per (head, row).  Otherwise the masked
     path (:func:`_masked_attend`) runs per row the steps whose rounding
     depends on how many keys the row allows, and the elementwise steps
-    and the max once for all rows.  A row that allows no key, or q, k or
-    v that are not floating point, raise ``ValueError``.
+    and the max once for all rows.  A row that allows no key, or q, k and
+    v that are not floating point of one dtype, raise ``ValueError``.
     A view whose rows are packed, d values each and one behind the other,
     such as a query slice or a ``[:, :n]`` prefix of a (heads, capacity,
     d) store, gives the bits of its C-contiguous copy, so it is not
@@ -134,16 +135,13 @@ def scaled_dot_attention(q, k, v, mask):
             and (q.strides[-2:], k.strides[-2:], v.strides[-2:])
             == ((qs[-1] * item, item), (ks[-1] * item, item), (vs[-1] * item, item))):
         _check_arguments(q, k, v, mask)
-        dtype = dtype if dtype == v.dtype else np.result_type(q, v)
         q, k, v = _packed(q), _packed(k), _packed(v)
     scale = 1.0 / math.sqrt(qs[-1])
     # one byte per mask entry, 1 where a key is allowed
     flags = (mask if mask.dtype == bool else mask.astype(bool)).tobytes()
     if ks[-2] and 0 not in flags:
-        out = _softmax_attend(q, k, v, scale)
-    else:
-        out = _masked_attend(q, k, v, flags, mask.shape, scale)
-    return out if out.dtype == dtype else out.astype(dtype)
+        return _softmax_attend(q, k, v, scale)
+    return _masked_attend(q, k, v, flags, mask.shape, scale)
 
 
 def _check_arguments(q, k, v, mask):
@@ -159,9 +157,9 @@ def _check_arguments(q, k, v, mask):
         raise ValueError(f"key rows {k.shape[-2]} != value rows {v.shape[-2]}")
     if mask.shape != (q.shape[-2], k.shape[-2]):
         raise ValueError(f"mask shape {mask.shape}, expected {(q.shape[-2], k.shape[-2])}")
-    if q.dtype.kind != "f" or k.dtype.kind != "f" or v.dtype.kind != "f":
-        raise ValueError(f"attention takes floating-point arrays, got {q.dtype}, {k.dtype} "
-                         f"and {v.dtype}")
+    if q.dtype.kind != "f" or not q.dtype == k.dtype == v.dtype:
+        raise ValueError(f"attention takes floating-point arrays of one dtype, got {q.dtype}, "
+                         f"{k.dtype} and {v.dtype}")
 
 
 def _packed(a):
@@ -209,11 +207,10 @@ def _masked_attend(q, k, v, flags, shape, scale):
     b, n = shape
     lead = q.shape[:-1]
     if b == 0:
-        return np.empty(lead + v.shape[-1:], dtype=np.result_type(q, v))
+        return np.empty(lead + v.shape[-1:], dtype=q.dtype)
     if b == 1:
         return _softmax_attend(q, *_allowed_rows(k, v, flags, 0, n), scale)
-    dtype = q.dtype if q.dtype == k.dtype else np.result_type(q, k)
-    logits = np.empty(lead + (n,), dtype=dtype)
+    logits = np.empty(lead + (n,), dtype=q.dtype)
     logits.fill(-np.inf)
     q_cols, logit_cols = q[..., None], logits[..., None]
     rows = []  # per row: its values with an axis for the query row, and their count
@@ -226,12 +223,11 @@ def _masked_attend(q, k, v, flags, shape, scale):
     logits *= scale
     logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(logits, out=logits)
-    sums = np.empty(lead + (1,), dtype=dtype)
+    sums = np.empty(lead + (1,), dtype=q.dtype)
     for i, (_, count) in enumerate(rows):
         np.add.reduce(e[..., i, :count], axis=-1, keepdims=True, out=sums[..., i, :])
     e /= sums
-    out_type = dtype if dtype == v.dtype else np.result_type(dtype, v)
-    out = np.empty(lead + v.shape[-1:], dtype=out_type)
+    out = np.empty(lead + v.shape[-1:], dtype=q.dtype)
     e_rows, out_rows = e[..., None, :], out[..., None, :]
     for i, (values, count) in enumerate(rows):
         np.matmul(e_rows[..., i:i + 1, :, :count], values, out=out_rows[..., i:i + 1, :, :])

@@ -37,7 +37,9 @@ hand back without looking inside.  Histories branch, sibling prefixes
 extending one parent, so a step never writes the history it is given: it
 copies it once into a new array with room for the new position, writes
 each layer's new key and value rows there, and its self-attention reads
-that array, which the step returns for its caller to keep.
+that array, which the step returns for its caller to keep.  A step
+computes in float32, the one model dtype: the cache checks the decoder's
+tensors once, when it is built, and casts the encoder rows it is fed.
 """
 
 from dataclasses import dataclass, field
@@ -112,10 +114,19 @@ class CrossAttentionCache:
     utterance: one block of positions 0, 1, ..., grown by ``ROW_BLOCK``
     positions at a time when a position past it is asked for, from which
     :meth:`position_row` slices one row.  Each row has the bits of its
-    position computed alone.
+    position computed alone.  A tensor of ``params`` that is not
+    float32 raises ``ValueError`` before anything is built.
     """
 
     def __init__(self, params, enc=None):
+        tensors = [params.embed, params.final_norm_g, params.final_norm_b, params.out_w,
+                   params.out_b]
+        for layer in params.layers:
+            own, src = layer.self_mha, layer.src_mha
+            tensors += (own.w_q, own.w_k, own.w_v, own.w_h, src.w_q, src.w_k, src.w_v, src.w_h,
+                        layer.norm1_g, layer.norm1_b, layer.norm2_g, layer.norm2_b, layer.ff1_w,
+                        layer.ff1_b, layer.ff2_w, layer.ff2_b, layer.norm3_g, layer.norm3_b)
+        kernels.check_model_dtype(params, tensors)
         self.params = params
         self.rows = 0
         self.kv = [KeyValueStore(layer.src_mha) for layer in params.layers]
@@ -124,12 +135,15 @@ class CrossAttentionCache:
             self.extend(enc)
 
     def extend(self, rows):
-        """Project and append the next encoder rows, (n, d_model), which
-        must be finite, else ``ValueError`` and nothing is added."""
+        """Project and append the next encoder rows, (n, d_model), cast to
+        float32; they must be finite, else ``ValueError`` and nothing is added."""
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.params.d_model:
             raise ValueError(f"encoder rows of shape {rows.shape}, "
                              f"expected (n, {self.params.d_model})")
+        if rows.dtype != kernels.MODEL_DTYPE:
+            with np.errstate(over="ignore"):  # a value past float32's range is refused below
+                rows = rows.astype(np.float32)
         if not np.isfinite(rows).all():
             raise ValueError("encoder states contain non-finite values")
         if rows.shape[0]:
@@ -222,13 +236,11 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=No
         raise ValueError(f"{b} histories but {len(stems)} stems")
     if b == 0:
         return []
-    # the rows' dtype: an embedding plus a float32 position vector
-    dtype = np.promote_types(params.embed.dtype, np.float32)
-    grown = append_history(hists, dtype)
+    grown = append_history(hists)
     if not params.layers:
-        cur = _embed(params, cache, token_ids, pos_indices, dtype)
+        cur = _embed(params, cache, token_ids, pos_indices)
     else:
-        stems, z, q = _stems(params, cache, grown, token_ids, pos_indices, stems, dtype)
+        stems, z, q = _stems(params, cache, grown, token_ids, pos_indices, stems)
         cur = _cross_and_feed_forward(params.layers[0], 0, z, q, cache, nu)
     for d, layer in enumerate(params.layers[1:], 1):
         z = _self_attention(layer, d, cur, grown)[0]
@@ -244,16 +256,16 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=No
     return list(zip(grown, logp, stems))
 
 
-def _embed(params, cache, token_ids, pos_indices, dtype):
+def _embed(params, cache, token_ids, pos_indices):
     """The embedding of each token plus its position vector, sliced from
-    the cache's block, as a (B, d_model) array of ``dtype``."""
-    x = np.empty((len(token_ids), params.d_model), dtype=dtype)
+    the cache's block, as a (B, d_model) array."""
+    x = np.empty((len(token_ids), params.d_model), dtype=np.float32)
     for j, (tok, pos) in enumerate(zip(token_ids, pos_indices)):
         np.add(params.embed[tok:tok + 1], cache.position_row(pos), out=x[j:j + 1])
     return x
 
 
-def _stems(params, cache, grown, token_ids, pos_indices, stems, dtype):
+def _stems(params, cache, grown, token_ids, pos_indices, stems):
     """Every row's stem, computing the missing ones as one batch, with
     each row's layer-0 key and value written into its history in
     ``grown`` -> (stems, z, q): the rows' residuals (B, d_model) and
@@ -268,7 +280,7 @@ def _stems(params, cache, grown, token_ids, pos_indices, stems, dtype):
             hist[0, :, :, -1] = stem.kv
     if fresh:
         z, qkv = _self_attention(layer, 0, _embed(params, cache, [token_ids[i] for i in fresh],
-                                                  [pos_indices[i] for i in fresh], dtype),
+                                                  [pos_indices[i] for i in fresh]),
                                  [grown[i] for i in fresh])
         q = project_heads(kernels.layer_norm(z, layer.norm2_g, layer.norm2_b), layer.src_mha.w_q)
         for j, i in enumerate(fresh):
@@ -302,11 +314,8 @@ def _attend_own_histories(q, hists, d):
     """Head-major attention outputs (heads, B, d_v): query row i of q over
     layer d's keys and values in ``hists[i]``, its history with its new
     position already written, all of which it sees.  Each row is one
-    attention call, written into its column of the result; the
-    histories share one dtype (:func:`append_history`), so every row's
-    output has the result's."""
-    out = np.empty(q.shape[:2] + hists[0].shape[4:],
-                   dtype=np.promote_types(q.dtype, hists[0].dtype))
+    attention call, written into its column of the result."""
+    out = np.empty(q.shape[:2] + hists[0].shape[4:], dtype=q.dtype)
     for i, h in enumerate(hists):
         out[:, i:i + 1] = attention.scaled_dot_attention(q[:, i:i + 1], h[d, 0], h[d, 1],
                                                          full_mask(1, h.shape[3]))
@@ -343,19 +352,14 @@ def empty_history(params):
     return np.zeros((len(params.layers), 2, heads, 0, d_k), dtype=np.float32)
 
 
-def append_history(hists, dtype):
+def append_history(hists):
     """Each of ``hists`` copied into a new array with room for one more
-    position, whose rows are left for the caller to write.  The copies
-    share one dtype, worked out once: ``dtype``, that of the rows to
-    come, promoted by any history's that is wider.  The inputs are left
-    untouched."""
-    for hist in hists:
-        if hist.dtype != dtype:
-            dtype = np.promote_types(dtype, hist.dtype)
+    position, whose rows are left for the caller to write.  The inputs
+    are left untouched."""
     grown = []
     for hist in hists:
         layers, _, heads, n, d_k = hist.shape
-        new = np.empty((layers, 2, heads, n + 1, d_k), dtype=dtype)
+        new = np.empty((layers, 2, heads, n + 1, d_k), dtype=np.float32)
         new[:, :, :, :n] = hist
         grown.append(new)
     return grown

@@ -284,13 +284,23 @@ class IncrementalEncoder:
     ``final`` ends the sequence: the time axis is zero-padded and every
     look-ahead clamped to the end, as offline.  Positional encodings are
     computed ``ROW_BLOCK`` positions at a time and sliced per push; each
-    row has the bits of its position computed alone.
+    row has the bits of its position computed alone.  A tensor of
+    ``params`` that is not float32, the model dtype, raises ``ValueError``
+    before anything is built.
     """
 
     def __init__(self, params, eps_enc):
         check_eps_enc(eps_enc)
-        self.params = params
         cnn = params.cnn
+        tensors = [cnn.conv1_w, cnn.conv1_b, cnn.conv2_w, cnn.conv2_b, cnn.proj_w, cnn.proj_b,
+                   params.final_norm_g, params.final_norm_b]
+        for layer in params.layers:
+            mha = layer.mha
+            tensors += (mha.w_q, mha.w_k, mha.w_v, mha.w_h, layer.norm1_g, layer.norm1_b,
+                        layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b, layer.norm2_g,
+                        layer.norm2_b)
+        kernels.check_model_dtype(params, tensors)
+        self.params = params
         self.convs = [_ConvRows(cnn.conv1_w, cnn.conv1_b), _ConvRows(cnn.conv2_w, cnn.conv2_b)]
         self.layers = [_LayerRows(layer, eps_enc) for layer in params.layers]
         self.frames = 0

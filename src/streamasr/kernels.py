@@ -1,18 +1,20 @@
 """Deterministic numeric kernels shared by the encoder, decoder and search.
 
-Model math runs in float32; search-time log-probability accumulation runs
-in float64.  Every reduction here has a fixed evaluation order, and every
+Model math runs in float32, the one model dtype, which each engine checks
+once when it is built (:func:`check_model_dtype`); no kernel promotes one
+dtype to another.  Search-time log-probability accumulation runs in
+float64.  Every reduction here has a fixed evaluation order, and every
 row-level operation depends only on its own row.  That makes repeated
 calls bit-identical and lets the causality and streaming-equivalence
 checks compare outputs with ``==`` instead of a tolerance.
 
 The convolution keeps the bits of ``np.einsum``: each (in-channel, kernel
 row) pair's kernel-column products are summed left to right, and those
-sums are added one after another from +0.  For float32 rows of at least
-two output columns :func:`conv_time_slab` computes that order with
-whole-array products and one sequential reduction; every other input
-stays on einsum itself.  ``is_int`` and ``is_real`` are the scalar type
-tests that every argument check shares.
+sums are added one after another from +0.  :func:`conv_time_slab`
+computes that order with whole-array products and one sequential
+reduction, except for rows of one output column, which stay on einsum
+itself.  ``is_int`` and ``is_real`` are the scalar type tests that every
+argument check shares.
 
 A steady streaming push calls :func:`matmul` and :func:`layer_norm` on
 one row several times per encoder layer, so their fixed cost counts.
@@ -39,8 +41,7 @@ import numpy as np
 
 NEG_INF = float("-inf")
 LAYER_NORM_EPS = 1e-12  # added to the variance before its square root
-
-_FLOAT32 = np.dtype(np.float32)
+MODEL_DTYPE = np.dtype(np.float32)
 
 
 def matmul(a, b):
@@ -91,11 +92,11 @@ def layer_norm(m, gain, bias):
     # add.reduce / n is np.mean's own arithmetic (a pairwise sum, then one
     # correctly rounded division) without its Python-level wrappers
     n = m.shape[1]
-    if m.shape[0] == 1 and m.dtype is _FLOAT32:
-        # one float32 row, reduced as a vector: the same pairwise sums, the
-        # mean and var + eps as float32 scalar steps, and the square root
-        # taken as a Python float, which the float32 division rounds once
-        # to float32 (a Python float is a weak scalar to NumPy)
+    if m.shape[0] == 1:
+        # one row, reduced as a vector: the same pairwise sums, the mean
+        # and var + eps as scalar steps of the row's dtype, and the square
+        # root taken as a Python float, which the division rounds to that
+        # dtype (a Python float is a weak scalar to NumPy)
         row = m[0]
         centered = row - np.add.reduce(row) / n
         var = np.add.reduce(centered * centered) / n + LAYER_NORM_EPS
@@ -127,25 +128,25 @@ def conv_time_slab(window, kernels, stride, columns=None):
     strided frequency windows, which sums in two levels: each (in-channel,
     kernel row) pair's kernel-column products left to right,
     ``(p0 + p1) + p2``, then those partial sums one after another in
-    in-channel-major order, starting from +0.  For float32 windows and
-    kernels with at least two output columns that order is computed here
-    as whole-array arithmetic: one product per kernel column of a strided
-    column slice (a view: elementwise products have the same bits on any
-    layout) accumulated in column order, then one sequential
-    ``np.add.reduce`` over the (in-channel, kernel row) axis.  Every other
-    input (float64, mixed dtypes, or ``f_out == 1``, where einsum merges
-    the kernel row and column loops) follows no fixed order, so it stays
-    on einsum, over a contiguous copy of the slab since einsum's order may
-    depend on strides.  ``columns`` is ``conv_columns(kernels)``, made here
-    when not given; each product is elementwise, so its layout does not
-    change a bit.
+    in-channel-major order, starting from +0, for float32 (float64
+    einsum sums in another order).  With at least two output columns that
+    order is computed here as whole-array arithmetic: one product per
+    kernel column of a strided column slice (a view: elementwise products
+    have the same bits on any layout) accumulated in column order, then
+    one sequential ``np.add.reduce`` over the (in-channel, kernel row)
+    axis.  One output column, where einsum merges the kernel row and
+    column loops, follows no fixed order, so it stays on einsum, over a
+    contiguous copy of the slab since einsum's order may depend on
+    strides.  ``columns`` is ``conv_columns(kernels)``, made here when not
+    given; each product is elementwise, so its layout does not change a
+    bit.
     """
     in_ch, k_h = window.shape[:2]
     k_w = kernels.shape[3]
     f_out = (window.shape[2] - k_w) // stride + 1
     if f_out < 1:
         raise ValueError("input too short")
-    if f_out == 1 or window.dtype != np.float32 or kernels.dtype != np.float32:
+    if f_out == 1:
         # the frequency windows, made directly by np.ndarray with the shape
         # and strides that sliding_window_view(window, k_w, axis=2)[:, :, ::stride]
         # gives
@@ -185,7 +186,7 @@ def conv2d(x, kernels, stride, columns=None):
     f_out = (x.shape[2] - k_w) // stride + 1
     if t_out < 1 or f_out < 1:
         raise ValueError("input too short")
-    out = np.empty((kernels.shape[0], t_out, f_out), dtype=np.result_type(x, kernels))
+    out = np.empty((kernels.shape[0], t_out, f_out), dtype=x.dtype)
     if columns is None:
         columns = conv_columns(kernels)
     for i in range(t_out):
@@ -237,6 +238,17 @@ def log_softmax_f64(logits):
     return z - np.array(offsets)[:, None]
 
 
+def check_model_dtype(params, tensors):
+    """Raise ``ValueError`` if one of ``tensors``, read from ``params`` (an
+    ``EncoderParams`` or ``DecoderParams``), is not float32, the model
+    dtype, naming it as a model archive does.  None passes: a
+    front-end-only ``EncoderParams`` has no final norm."""
+    for t in tensors:
+        if not (t is None or t.dtype == MODEL_DTYPE):
+            from .modelio import tensor_name  # imported here: modelio depends on this module
+            raise ValueError(f"{tensor_name(params, t)} is {t.dtype}, not float32, the model dtype")
+
+
 def is_int(v):
     """An integer that is not a bool (NumPy integers count)."""
     return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
@@ -244,4 +256,4 @@ def is_int(v):
 
 def is_real(v):
     """A real number that is not a bool (NumPy reals count)."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    return type(v) in (float, int) or isinstance(v, numbers.Real) and not isinstance(v, bool)

@@ -306,6 +306,14 @@ def _tensors(rows, prefix, obj):
                 yield from _tensors(spec.rows, f"{prefix}{name}{i}.", sub)
 
 
+def tensor_name(params, t):
+    """The archive name of the array t, a tensor of ``params``, an
+    ``EncoderParams`` or a ``DecoderParams``."""
+    for prefix, _fld, block, _arg in _SCHEMA:
+        if type(block) is _Block and type(params) is block.cls:
+            return next(name for name, v in _tensors(block.rows, prefix, params) if v is t)
+
+
 def save_model(path, m):
     tensors = {k: np.ascontiguousarray(v, dtype=np.float32) for k, v in _tensors(_SCHEMA, "", m)}
     lines = [MODEL_MAGIC]

@@ -21,7 +21,7 @@ A joint session's worst-case latency is ``(3 + 4*E*eps_enc +
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,7 +95,9 @@ class StreamingSession:
     def __init__(self, model, lm, decode_params, config, ctc_only=False):
         self.model = model
         self.config = config
-        self.params = replace(decode_params, eps_dec=config.eps_dec)
+        # a shallow copy with config's checked eps_dec: replace() would redo every check
+        self.params = object.__new__(type(decode_params))
+        self.params.__dict__.update(vars(decode_params), eps_dec=int(config.eps_dec))
         n_cols = model.ctc_b.shape[0]
         if ctc_only:
             self.search = CtcPrefixSearch(lm, self.params, n_cols, model.decoder.reserved_ids)

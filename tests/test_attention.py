@@ -186,6 +186,12 @@ def test_attention_shape_errors():
         args = [np.ones((2, 3), dtype=np.int64 if i == ints else np.float32) for i in range(3)]
         with pytest.raises(ValueError, match="floating-point"):
             scaled_dot_attention(*args, np.ones((2, 2), dtype=bool))
+    # q, k and v share one dtype: nothing promotes a mix
+    for wide in range(3):
+        for other in (np.float64, np.float16):
+            args = [np.ones((2, 3), dtype=other if i == wide else np.float32) for i in range(3)]
+            with pytest.raises(ValueError, match="floating-point arrays of one dtype"):
+                scaled_dot_attention(*args, np.ones((2, 2), dtype=bool))
 
 
 def random_mask(rng, kind, b, n):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -53,7 +54,7 @@ def test_layer_norm_shape_mismatch():
 def test_layer_norm_equals_its_np_mean_form(rows, cols, scale, offset, dtype, strided, constant,
                                             seed):
     # sum / n repeats np.mean's pairwise sum and its one division, bit for bit;
-    # one float32 row takes the scalar steps as Python floats.  A constant
+    # one row takes the scalar steps, its square root as a Python float.  A constant
     # row has a variance of 0 (or of rounding), where eps decides; at 1e-6
     # var is near eps.
     rng = np.random.default_rng(seed)
@@ -73,19 +74,21 @@ def test_layer_norm_equals_its_np_mean_form(rows, cols, scale, offset, dtype, st
 
 
 def test_layer_norm_one_row_equals_its_np_mean_form_at_the_edges():
-    # the one-row branch against np.mean at tiny, huge and constant rows, and
-    # at a scale of 1e-6, where var is near eps and both roundings count
+    # the one-row branch, which every dtype takes, against np.mean at tiny,
+    # huge and constant rows, and at a scale of 1e-6, where var is near eps
+    # and both roundings count
     rng = np.random.default_rng(12)
-    for scale in (1e-20, 1e-6, 1e-3, 1.0, 1e18):
+    for dtype, scale in itertools.product((np.float32, np.float64),
+                                          (1e-20, 1e-6, 1e-3, 1.0, 1e18)):
         for offset in (0.0, 7.5, -3e3):
             for cols in (1, 2, 64, 257):
-                m = (rng.standard_normal((1, cols)) * scale + offset).astype(np.float32)
+                m = (rng.standard_normal((1, cols)) * scale + offset).astype(dtype)
                 for row in (m, np.full_like(m, m[0, 0])):
-                    gain = rng.standard_normal(cols).astype(np.float32)
-                    bias = rng.standard_normal(cols).astype(np.float32)
+                    gain = rng.standard_normal(cols).astype(dtype)
+                    bias = rng.standard_normal(cols).astype(dtype)
                     got = kernels.layer_norm(row, gain, bias)
                     want = layer_norm_np_mean(row, gain, bias)
-                    assert got.dtype == want.dtype == np.float32
+                    assert got.dtype == want.dtype == dtype
                     assert (got == want).all()
 
 
@@ -236,25 +239,23 @@ CONV_CHANNELS = st.one_of(st.tuples(st.integers(1, 3), st.integers(1, 4)),
 @settings(max_examples=200, deadline=None)
 @given(channels=CONV_CHANNELS, k_h=st.integers(1, 3), k_w=st.integers(1, 3),
        f_extra=st.integers(0, 40), stride=st.integers(1, 3),
-       dtypes=st.sampled_from([(np.float32, np.float32), (np.float64, np.float64),
-                               (np.float32, np.float64)]),
        values=st.sampled_from(["normal", "relu", "zero"]),
        weights=st.sampled_from(["mixed", "negative"]),
        layout=st.sampled_from(["contiguous", "time-slice", "freq-strided"]),
        seed=st.integers(0, 2**32 - 1))
-def test_conv_time_slab_equals_its_window_view_form(channels, k_h, k_w, f_extra, stride, dtypes,
-                                                    values, weights, layout, seed):
-    # f_extra < stride gives f_out == 1; with float64 or mixed dtypes that
-    # keeps einsum's own path in the draws.  "time-slice" windows are rows
-    # of a (ch, T, F) buffer, as conv2d passes them; "freq-strided" ones
-    # have a frequency stride of two items.  ReLU-style and all-zero
-    # windows make zero products of both signs (all -0.0 under negative
-    # weights), so the bit comparison tells -0.0 from +0.0
+def test_conv_time_slab_equals_its_window_view_form(channels, k_h, k_w, f_extra, stride, values,
+                                                    weights, layout, seed):
+    # float32, the model dtype, whose einsum order the array path keeps;
+    # f_extra < stride gives f_out == 1, einsum's own path, in the draws.
+    # "time-slice" windows are rows of a (ch, T, F) buffer, as conv2d
+    # passes them; "freq-strided" ones have a frequency stride of two
+    # items.  ReLU-style and all-zero windows make zero products of both
+    # signs (all -0.0 under negative weights), so the bit comparison tells
+    # -0.0 from +0.0
     in_ch, out_ch = channels
-    w_dtype, k_dtype = dtypes
     f = k_w + f_extra
     rng = np.random.default_rng(seed)
-    buf = rng.standard_normal((in_ch, k_h + 3, 2 * f)).astype(w_dtype)
+    buf = rng.standard_normal((in_ch, k_h + 3, 2 * f)).astype(np.float32)
     if values == "relu":
         buf = np.maximum(buf, 0)
     elif values == "zero":
@@ -265,7 +266,7 @@ def test_conv_time_slab_equals_its_window_view_form(channels, k_h, k_w, f_extra,
         window = buf[:, 2:2 + k_h, :f]
     else:
         window = buf[:, :k_h, ::2]
-    kern = rng.standard_normal((out_ch, in_ch, k_h, k_w)).astype(k_dtype)
+    kern = rng.standard_normal((out_ch, in_ch, k_h, k_w)).astype(np.float32)
     if weights == "negative":
         kern = -np.abs(kern)
     got = kernels.conv_time_slab(window, kern, stride)

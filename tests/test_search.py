@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from streamasr.ctc import ctc_forward_logprob, ctc_viterbi_align, posteriorgram_from_states
-from streamasr.decoder import ta_prefix_score
+from streamasr.decoder import CrossAttentionCache, ta_prefix_score
 from streamasr.encoder import encode
 from streamasr.kernels import NEG_INF, log_add
 from streamasr.lm import UniformLM
@@ -1016,6 +1016,54 @@ def test_a_streaming_session_refuses_a_non_finite_decoder_weight():
     # every emitted row the search has not decoded is still queued
     assert sess.emitted_frames - sess.decoded_frames == len(sess._post)
     assert not sess.closed
+
+
+# A tensor of each kind by its path in the model and its archive name: an
+# encoder conv weight, an encoder layer norm, the decoder embedding and a
+# decoder attention weight.
+NOT_FLOAT32 = [("encoder.cnn.conv2_w", "cnn.conv2_w"),
+               ("encoder.layers.1.norm1_g", "enc.layer1.norm1_g"),
+               ("decoder.embed", "dec.embed"),
+               ("decoder.layers.0.src_mha.w_k", "dec.layer0.src_att.w_k")]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float16])
+@pytest.mark.parametrize("path,name", NOT_FLOAT32)
+def test_tensors_that_are_not_float32_are_refused_by_name(path, name, dtype):
+    # float32 is the one model dtype: every entry point that builds an
+    # encoder or a decoder cache refuses a tensor of another dtype, naming
+    # it, before anything is built, so no stacked Q/K/V weight is kept
+    m, enc, post, lm, params = decode_setup(140, n=6, k_size=8, p_size=4, eps_dec=1)
+    *steps, field = path.split(".")
+    owner = m
+    for step in steps:
+        owner = owner[int(step)] if step.isdigit() else getattr(owner, step)
+    setattr(owner, field, getattr(owner, field).astype(dtype))
+    frames = np.random.default_rng(140).standard_normal((24, 4)).astype(np.float32)
+    calls = [lambda: StreamingSession(m, lm, params, StreamConfig(eps_enc=1, eps_dec=1))]
+    if path.startswith("encoder"):
+        calls.append(lambda: encode(frames, m.encoder, 1))
+    else:
+        calls += [lambda: decode(enc, post, lm, m.decoder, params),
+                  lambda: CrossAttentionCache(m.decoder, enc)]
+    message = f"^{re.escape(name)} is {np.dtype(dtype)}, not float32"
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    blocks = [layer.mha for layer in m.encoder.layers]
+    blocks += [mha for layer in m.decoder.layers for mha in (layer.self_mha, layer.src_mha)]
+    assert not any("_qkv" in vars(mha) for mha in blocks)
+
+
+def test_a_float64_encoder_matrix_decodes_as_its_float32_cast():
+    # the decoder's cache casts encoder rows to float32 once, as the
+    # encoder casts features, so float64 rows never meet float32 queries
+    m, _, post, lm, params = decode_setup(141, n=6, k_size=8, p_size=4, eps_dec=2)
+    enc = np.random.default_rng(141).standard_normal((6, 8))
+    assert (enc != enc.astype(np.float32)).any()
+    got = decode(enc, post, lm, m.decoder, params)
+    want = decode(enc.astype(np.float32), post, lm, m.decoder, params)
+    assert (got.labels, got.score, got.trace) == (want.labels, want.score, want.trace)
 
 
 def test_ta_prefix_score_and_joint_loss_refuse_a_non_finite_decoder_weight():

@@ -424,6 +424,28 @@ def test_session_overrides_decoder_lookahead_from_config():
     assert sess.params.eps_dec == 7
 
 
+@pytest.mark.parametrize("eps_dec", [5, np.int64(5)])
+def test_session_params_equal_the_replace_form(eps_dec):
+    # the session copies its DecodeParams with the stream's eps_dec, without
+    # dataclasses.replace and its second run of every check: the same
+    # fields, hooks included, and eps_dec a Python int
+    m = tiny_model(137)
+
+    def dcond(prefix, omega_hat, frame, post_row):
+        return False
+
+    def acond(prefix, omega_hat, frame, post_row):
+        return True
+
+    params = DecodeParams(lam=0.25, k_size=8, p_size=4, eps_dec=2, dcond=dcond, acond=acond)
+    cfg = StreamConfig(eps_enc=1, eps_dec=eps_dec)
+    sess = StreamingSession(m, UniformLM(3), params, cfg)
+    want = replace(params, eps_dec=cfg.eps_dec)
+    assert type(sess.params) is DecodeParams and vars(sess.params) == vars(want)
+    assert type(sess.params.eps_dec) is int
+    assert sess.params is not params and params.eps_dec == 2
+
+
 def test_ctc_only_session_matches_offline_prefix_search():
     # eps_dec 3 would hold three frames back in a joint session; the
     # CTC-only one decodes every row it has after each push and still
