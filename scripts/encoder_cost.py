@@ -33,27 +33,19 @@ any encoder row of the two differs.
     python3 scripts/encoder_cost.py --seconds 8 --baseline ../parent/src
 """
 
-import os
+from lockstep import MID_MODEL, import_baseline  # first: one BLAS thread, before numpy loads
 
-# One BLAS thread, as in the benchmark; it must be set before numpy loads.
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
-os.environ["OMP_NUM_THREADS"] = "1"
+import argparse
+import copy
+import sys
+from time import perf_counter
 
-import argparse  # noqa: E402
-import copy  # noqa: E402
-import importlib.util  # noqa: E402
-import sys  # noqa: E402
-from time import perf_counter  # noqa: E402
+import numpy as np
 
-import numpy as np  # noqa: E402
+import streamasr
+from streamasr import encode, random_features, random_model
+from streamasr.encoder import IncrementalEncoder
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-import streamasr  # noqa: E402
-from streamasr import encode, random_features, random_model  # noqa: E402
-from streamasr.encoder import IncrementalEncoder  # noqa: E402
-
-MID_MODEL = dict(d_feat=40, d_model=64, d_ff=256, heads=4, e_layers=6, d_layers=2, vocab_size=30)
 EPS_ENC = 1
 CHUNK_FRAMES = 4  # 40 ms of 10 ms feature frames
 REPEATS = 5  # runs per path; the best is kept
@@ -69,20 +61,6 @@ def best_of(fn):
         outs.append(fn())
         best = min(best, perf_counter() - t0)
     return best, outs
-
-
-def import_baseline(src_dir):
-    """The streamasr package found in ``src_dir``, imported as
-    ``streamasr_baseline`` so that it lives beside this copy."""
-    init = os.path.join(src_dir, "streamasr", "__init__.py")
-    if not os.path.isfile(init):
-        sys.exit(f"no streamasr package in {src_dir}")
-    spec = importlib.util.spec_from_file_location(
-        "streamasr_baseline", init, submodule_search_locations=[os.path.dirname(init)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def lockstep(base, frames, seed):

@@ -17,17 +17,16 @@ depend on how long the prefixes have grown prints a ratio near 1.
     python3 scripts/search_growth.py --seconds 1  # quick smoke run
 """
 
+from lockstep import MID_MODEL  # first: one BLAS thread, before numpy loads
+
 import argparse
 import math
-import os
 import sys
 from time import perf_counter
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from streamasr import (  # noqa: E402
+from streamasr import (
     CtcPrefixSearch,
     DecodeParams,
     LanguageModel,
@@ -37,8 +36,6 @@ from streamasr import (  # noqa: E402
     random_features,
     random_model,
 )
-
-MID_MODEL = dict(d_feat=40, d_model=64, d_ff=256, heads=4, e_layers=6, d_layers=2, vocab_size=30)
 
 
 def random_bigram(rng, n_labels):

@@ -6,64 +6,53 @@ tensors in 1.85 MB), a 30-token vocabulary and a random back-off bigram
 ARPA file (28 unigrams, about 400 bigrams) to a temporary directory,
 then times ``load_model``, ``load_vocab``, ``ngram_load`` (through the
 vocabulary) and the build of one joint ``StreamingSession`` on what
-they loaded.  Rounds repeat for ``--seconds``; each call's time is the
-best of its rounds, and a full garbage collection runs before each
-call, as the benchmark runs one before each set-up.  The script exits 1
-if any loaded tensor differs from the saved one bit for bit, any token
-from the written vocabulary, or any LM entry from the written text.
+they loaded.  Rounds repeat for ``--seconds``; each call's printed time
+is the best of its rounds, and a full garbage collection runs before
+each call, as the benchmark runs one before each set-up.  The script
+exits 1 if any loaded tensor differs from the saved one bit for bit,
+any token from the written vocabulary, or any LM entry from the written
+text.
 
 ``--baseline SRC_DIR`` also imports a second copy of the package from
 SRC_DIR (another checkout's ``src``) under another name and times its
 loaders on the same files in the same rounds, alternating which copy
-goes first from one call and one round to the next.  It prints the
-ratio of the two best times (this copy / baseline) per loader, and
-exits 1 if any tensor, token or LM entry the two copies load differs.
+goes first from one call and one round to the next.  Each two rounds,
+in which each copy makes each call once first and once second, give
+each call one paired ratio: this copy's time over the baseline's, each
+summed over the two rounds.  The script prints the median and the
+quartiles of those ratios per call and for the whole set-up, whose time
+is the sum of its calls'.  Pairs taken moments apart share the
+machine's state, so their ratio holds still where the best of each
+side's rounds, taken in different rounds, does not.  A call can run
+faster first than second, and faster where memory was just freed, so
+the two rounds cancel the order, and each round starts with both
+copies' earlier loads freed.  It exits 1 if any tensor, token or LM
+entry the two copies load differs.
 
     python3 scripts/setup_cost.py              # 4 s of rounds
     python3 scripts/setup_cost.py --seconds 1  # quick smoke run
     python3 scripts/setup_cost.py --seconds 8 --baseline ../parent/src
 """
 
+from lockstep import MID_MODEL, import_baseline  # first: one BLAS thread, before numpy loads
+
+import argparse
+import gc
+import math
 import os
+import sys
+import tempfile
+from time import perf_counter
 
-# One BLAS thread, as in the benchmark; it must be set before numpy loads.
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
-os.environ["OMP_NUM_THREADS"] = "1"
+import numpy as np
 
-import argparse  # noqa: E402
-import gc  # noqa: E402
-import importlib.util  # noqa: E402
-import math  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from time import perf_counter  # noqa: E402
+import streamasr
 
-import numpy as np  # noqa: E402
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-import streamasr  # noqa: E402
-
-MID_MODEL = dict(d_feat=40, d_model=64, d_ff=256, heads=4, e_layers=6, d_layers=2, vocab_size=30)
 SEARCH = dict(k_size=16, p_size=8, eps_dec=4)
 EPS_ENC = 1
-MIN_ROUNDS = 5
+MIN_ROUNDS = 6
 SEED = 0
 LOADERS = ("load_model", "load_vocab", "ngram_load", "session")
-
-
-def import_baseline(src_dir):
-    """The streamasr package found in ``src_dir``, imported as
-    ``streamasr_baseline`` so that it lives beside this copy."""
-    init = os.path.join(src_dir, "streamasr", "__init__.py")
-    if not os.path.isfile(init):
-        sys.exit(f"no streamasr package in {src_dir}")
-    spec = importlib.util.spec_from_file_location(
-        "streamasr_baseline", init, submodule_search_locations=[os.path.dirname(init)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def write_inputs(d, seed):
@@ -152,22 +141,30 @@ def check(sides, want_model, tokens, entries, d):
 
 def rounds(sides, seconds):
     """Time every set-up call of each side, rounds repeated for ``seconds``
-    (at least MIN_ROUNDS) -> (the best seconds, (sides, calls); the
-    number of rounds)."""
-    best = np.full((len(sides), len(LOADERS)), np.inf)
+    (at least MIN_ROUNDS, and an even number) -> the seconds of each,
+    (rounds, sides, calls)."""
+    times = []
     t_end = perf_counter() + seconds
-    r = 0
-    while r < MIN_ROUNDS or perf_counter() < t_end:
+    while len(times) < MIN_ROUNDS or perf_counter() < t_end or len(times) % 2:
+        r = len(times)
+        times.append(np.empty((len(sides), len(LOADERS))))
+        for side in sides:  # free both sides' earlier loads alike
+            side.loaded.clear()
         for j, name in enumerate(LOADERS):
             for k in range(len(sides)):
                 i = (k + r + j) % len(sides)
                 gc.collect()
                 t0 = perf_counter()
                 out = getattr(sides[i], name)()
-                best[i, j] = min(best[i, j], perf_counter() - t0)
+                times[r][i, j] = perf_counter() - t0
                 sides[i].loaded[name] = out
-        r += 1
-    return best, r
+    return np.array(times)
+
+
+def spread(ratios):
+    """The median of ``ratios`` and its quartiles, as text."""
+    q1, med, q3 = np.percentile(ratios, [25, 50, 75])
+    return f"{med:.3f} [{q1:.3f}, {q3:.3f}]"
 
 
 def main():
@@ -181,23 +178,27 @@ def main():
     with tempfile.TemporaryDirectory() as d:
         paths, model, tokens, entries = write_inputs(d, SEED)
         sides = [Side(streamasr, paths)] + ([] if base is None else [Side(base, paths)])
-        best, n = rounds(sides, args.seconds)
+        times = rounds(sides, args.seconds)
         bad = check(sides, model, tokens, entries, d)
         size = os.path.getsize(paths["model"])
     if bad:
         sys.exit("; ".join(bad))
 
+    best = times.min(axis=0)
     print(f"mid model archive {size / 1e6:.2f} MB, {len(tokens)} tokens, "
           f"{sum(len(k) == 1 for k in entries)} unigrams and "
-          f"{sum(len(k) == 2 for k in entries)} bigrams; best of {n} rounds")
+          f"{sum(len(k) == 2 for k in entries)} bigrams; best of {len(times)} rounds")
     print("this copy: " + ", ".join(f"{name} {best[0, j] * 1e6:.0f} us"
                                     for j, name in enumerate(LOADERS)))
     if base is not None:
         print("baseline:  " + ", ".join(f"{name} {best[1, j] * 1e6:.0f} us"
                                         for j, name in enumerate(LOADERS)))
-        print(f"lockstep against {args.baseline}: ratio (this/baseline) " + ", ".join(
-            f"{name} {best[0, j] / best[1, j]:.3f}" for j, name in enumerate(LOADERS)))
-        print(f"whole set-up ratio {best[0].sum() / best[1].sum():.3f}")
+        pairs = times.reshape(-1, 2, *times.shape[1:]).sum(axis=1)  # two rounds each
+        ratios = pairs[:, 0] / pairs[:, 1]  # (pairs of rounds, calls)
+        print(f"lockstep against {args.baseline}: paired ratio (this/baseline), median "
+              f"[quartiles]: " + ", ".join(f"{name} {spread(ratios[:, j])}"
+                                            for j, name in enumerate(LOADERS)))
+        print(f"whole set-up: {spread(pairs[:, 0].sum(axis=1) / pairs[:, 1].sum(axis=1))}")
 
 
 if __name__ == "__main__":

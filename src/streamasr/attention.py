@@ -265,16 +265,6 @@ def project_heads(x, w):
     return np.matmul(x[None, :, None, :], w[:, None])[:, :, 0]
 
 
-def attend(q_in, keys, values, params, mask):
-    """Multi-head attention over head-major keys and values already
-    projected by :func:`project_heads` with ``params.w_k`` and
-    ``params.w_v``: the rows of q_in projected by ``params.w_q``, one
-    :func:`scaled_dot_attention` call for all heads, then
-    :func:`merge_heads`."""
-    return merge_heads(scaled_dot_attention(project_heads(q_in, params.w_q), keys, values, mask),
-                       params)
-
-
 def merge_heads(heads, params):
     """Head-major outputs (heads, rows, d_v), joined per row and projected by ``params.w_h``."""
     h_count, b, d_v = heads.shape
@@ -282,9 +272,11 @@ def merge_heads(heads, params):
 
 
 def multi_head_attention(q_in, k_in, v_in, params, mask):
-    """Concatenated per-head scaled dot-product attention, then output projection."""
-    return attend(q_in, project_heads(k_in, params.w_k), project_heads(v_in, params.w_v),
-                  params, mask)
+    """Concatenated per-head scaled dot-product attention, one call for all
+    heads, then output projection."""
+    heads = scaled_dot_attention(project_heads(q_in, params.w_q), project_heads(k_in, params.w_k),
+                                 project_heads(v_in, params.w_v), mask)
+    return merge_heads(heads, params)
 
 
 ROW_BLOCK = 16  # rows a KeyValueStore grows by

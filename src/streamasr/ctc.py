@@ -10,10 +10,11 @@ impossible events are -inf, never an underflowed zero.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .kernels import NEG_INF, is_int, log_add, log_softmax_f64
+from .kernels import NEG_INF, check_model_dtype, is_int, log_add, log_softmax_f64
 
 BLANK = 0
 
@@ -282,11 +283,14 @@ def posteriorgram_from_states(states, weight, bias):
     The rows are one stack of (1, d_model) @ (d_model, V+1) products, the
     vector-matrix routine of :func:`log_posterior_row`, and one
     :func:`log_softmax_f64` call, so each row has the bits of that
-    function on it.  ``states`` that are not a 2-D matrix as wide as the
-    head's input raise ``ValueError``, as does a row whose logits hold NaN
-    or +inf, or only -inf (a head weight that is not finite): the matrix
-    call refuses it.  :func:`log_posterior_row` gives NaN for such a row
-    instead, and the search refuses that row when it reads it."""
+    function on it.  A head tensor that is not float32, the model dtype,
+    raises ``ValueError`` naming it (``ctc.w`` or ``ctc.b``) before any
+    work.  ``states`` that are not a 2-D matrix as wide as the head's input
+    raise ``ValueError``, as does a row whose logits hold NaN or +inf, or
+    only -inf (a head weight that is not finite): the matrix call refuses
+    it.  :func:`log_posterior_row` gives NaN for such a row instead, and
+    the search refuses that row when it reads it."""
+    check_model_dtype(SimpleNamespace(ctc_w=weight, ctc_b=bias))
     mat = np.asarray(states)
     if mat.ndim != 2 or mat.shape[1] != weight.shape[0]:
         raise ValueError(f"encoder states of shape {mat.shape}, "
@@ -296,7 +300,8 @@ def posteriorgram_from_states(states, weight, bias):
 
 def log_posterior_row(state_row, weight, bias):
     """One CTC posterior row; streaming emits rows through this same path,
-    whose one vector product costs less than a one-row matrix call."""
+    whose one vector product costs less than a one-row matrix call; a
+    streaming session checks the head's dtype once, when it is built."""
     logits = state_row @ weight + bias
     return log_softmax_f64(logits)
 

@@ -25,11 +25,8 @@ stem or computed in the step, into the step's own (B, d_model) and
 Attention keys and values are projected once per row and kept.  A
 :class:`CrossAttentionCache`, fed encoder rows as they arrive, appends
 their cross-attention keys and values in place for a whole utterance,
-and refuses rows that are not finite.  It also keeps the utterance's
-positional encodings: one block of positions 0, 1, ..., grown by
-``ROW_BLOCK`` positions when a longer prefix needs them, from which a
-step slices each new position's row, with the bits of that position
-computed alone.  A
+and refuses rows that are not finite.  Position rows come from
+:func:`streamasr.encoder.position_rows`, as the encoder's do.  A
 prefix's history is one array, (layers, 2, heads, positions, d), with
 every layer's self-attention keys (``[:, 0]``) and values (``[:, 1]``)
 of its positions; it is the decoder's own format, which callers keep and
@@ -48,12 +45,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import attention, kernels
-from .attention import ROW_BLOCK, KeyValueStore, MhaParams, full_mask, merge_heads, project_heads
+from .attention import KeyValueStore, MhaParams, full_mask, merge_heads, project_heads
 from .ctc import check_labels
 # multi_head_attention is no longer called here, but stays bound: the
 # benchmark's tracer (perfbench/tracer.py) wraps it by this module's name.
 from .attention import multi_head_attention  # noqa: F401
-from .encoder import feed_forward, positional_encodings
+from .encoder import feed_forward, position_rows
 
 
 @dataclass
@@ -104,33 +101,20 @@ class CrossAttentionCache:
     decoder reads: :meth:`extend` projects each new row once per decoder
     layer, when the row arrives, and appends it in place to that layer's
     :class:`KeyValueStore`; it keeps no raw encoder matrix.  Every prefix
-    scored against the utterance shares the result, and :meth:`layer`
-    hands out ``[:, :nu]`` views that attention reads without a copy.
+    scored against the utterance shares the result, read as the stores'
+    ``[:, :nu]`` views, without a copy.
     A streaming search hands it rows as the encoder emits them; emitted
     rows never change, which is what keeps a projection valid for the
-    rest of the utterance.  ``rows`` counts the rows added.
-
-    The cache also keeps the decoder's positional encodings for the
-    utterance: one block of positions 0, 1, ..., grown by ``ROW_BLOCK``
-    positions at a time when a position past it is asked for, from which
-    :meth:`position_row` slices one row.  Each row has the bits of its
-    position computed alone.  A tensor of ``params`` that is not
-    float32 raises ``ValueError`` before anything is built.
+    rest of the utterance.  ``rows`` counts the rows added.  A tensor of
+    ``params`` that is not float32 raises ``ValueError`` naming it before
+    anything is built.
     """
 
     def __init__(self, params, enc=None):
-        tensors = [params.embed, params.final_norm_g, params.final_norm_b, params.out_w,
-                   params.out_b]
-        for layer in params.layers:
-            own, src = layer.self_mha, layer.src_mha
-            tensors += (own.w_q, own.w_k, own.w_v, own.w_h, src.w_q, src.w_k, src.w_v, src.w_h,
-                        layer.norm1_g, layer.norm1_b, layer.norm2_g, layer.norm2_b, layer.ff1_w,
-                        layer.ff1_b, layer.ff2_w, layer.ff2_b, layer.norm3_g, layer.norm3_b)
-        kernels.check_model_dtype(params, tensors)
+        kernels.check_model_dtype(params)
         self.params = params
         self.rows = 0
         self.kv = [KeyValueStore(layer.src_mha) for layer in params.layers]
-        self._positions = np.zeros((0, params.d_model), dtype=np.float32)
         if enc is not None:
             self.extend(enc)
 
@@ -153,20 +137,6 @@ class CrossAttentionCache:
                 store.append(attention.project_heads(rows, layer.src_mha.w_k),
                              attention.project_heads(rows, layer.src_mha.w_v))
             self.rows += rows.shape[0]
-
-    def layer(self, d, nu):
-        """Keys and values of encoder rows 1..nu in decoder layer d."""
-        return self.kv[d].view(nu)
-
-    def position_row(self, pos):
-        """The positional encoding of decoder position ``pos`` (an integer
-        >= 0), a (1, d_model) view of the kept block."""
-        if pos >= self._positions.shape[0]:
-            start = self._positions.shape[0]
-            stop = (pos // ROW_BLOCK + 1) * ROW_BLOCK
-            block = positional_encodings(np.arange(start, stop), self.params.d_model)
-            self._positions = np.concatenate([self._positions, block])
-        return self._positions[pos:pos + 1]
 
 
 class Stem(NamedTuple):
@@ -238,9 +208,9 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=No
         return []
     grown = append_history(hists)
     if not params.layers:
-        cur = _embed(params, cache, token_ids, pos_indices)
+        cur = _embed(params, token_ids, pos_indices)
     else:
-        stems, z, q = _stems(params, cache, grown, token_ids, pos_indices, stems)
+        stems, z, q = _stems(params, grown, token_ids, pos_indices, stems)
         cur = _cross_and_feed_forward(params.layers[0], 0, z, q, cache, nu)
     for d, layer in enumerate(params.layers[1:], 1):
         z = _self_attention(layer, d, cur, grown)[0]
@@ -256,16 +226,17 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=No
     return list(zip(grown, logp, stems))
 
 
-def _embed(params, cache, token_ids, pos_indices):
-    """The embedding of each token plus its position vector, sliced from
-    the cache's block, as a (B, d_model) array."""
+def _embed(params, token_ids, pos_indices):
+    """The embedding of each token plus its position vector, as a
+    (B, d_model) array."""
     x = np.empty((len(token_ids), params.d_model), dtype=np.float32)
     for j, (tok, pos) in enumerate(zip(token_ids, pos_indices)):
-        np.add(params.embed[tok:tok + 1], cache.position_row(pos), out=x[j:j + 1])
+        np.add(params.embed[tok:tok + 1], position_rows(pos, pos + 1, params.d_model),
+               out=x[j:j + 1])
     return x
 
 
-def _stems(params, cache, grown, token_ids, pos_indices, stems):
+def _stems(params, grown, token_ids, pos_indices, stems):
     """Every row's stem, computing the missing ones as one batch, with
     each row's layer-0 key and value written into its history in
     ``grown`` -> (stems, z, q): the rows' residuals (B, d_model) and
@@ -279,7 +250,7 @@ def _stems(params, cache, grown, token_ids, pos_indices, stems):
         else:
             hist[0, :, :, -1] = stem.kv
     if fresh:
-        z, qkv = _self_attention(layer, 0, _embed(params, cache, [token_ids[i] for i in fresh],
+        z, qkv = _self_attention(layer, 0, _embed(params, [token_ids[i] for i in fresh],
                                                   [pos_indices[i] for i in fresh]),
                                  [grown[i] for i in fresh])
         q = project_heads(kernels.layer_norm(z, layer.norm2_g, layer.norm2_b), layer.src_mha.w_q)
@@ -325,7 +296,7 @@ def _attend_own_histories(q, hists, d):
 def _cross_and_feed_forward(layer, d, z, q, cache, nu):
     """The rest of layer d: cross-attention of query heads q to encoder
     rows 1..nu, added to z, then the feed-forward sublayer."""
-    keys, values = cache.layer(d, nu)
+    keys, values = cache.kv[d].view(nu)
     z = z + merge_heads(attention.scaled_dot_attention(q, keys, values, full_mask(z.shape[0], nu)),
                         layer.src_mha)
     normed = kernels.layer_norm(z, layer.norm3_g, layer.norm3_b)

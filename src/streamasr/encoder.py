@@ -2,10 +2,11 @@
 
 The front end runs two stride-2 3x3 convolutions with ReLU (4x frame-rate
 reduction), flattens the channel/frequency axes per frame and projects to
-the model width.  Sinusoidal positional encodings are added, then E
-identical pre-norm transformer layers follow.  Each layer's self-attention
-lets frame i see every past frame but only ``eps_enc`` future frames, so
-the total encoder look-ahead grows linearly with depth.
+the model width.  Sinusoidal positional encodings from the one bounded,
+process-wide block cache the decoder reads too (:func:`position_rows`)
+are added, then E identical pre-norm transformer layers follow.  Each
+layer's self-attention lets frame i see every past frame but only
+``eps_enc`` future frames, so the look-ahead grows linearly with depth.
 
 One engine, :class:`IncrementalEncoder`, runs all of it: offline
 :func:`encode` is one push with ``final=True``, and streaming, pushing
@@ -97,11 +98,30 @@ def positional_encodings(positions, d_model):
     return out.astype(np.float32)
 
 
+def position_rows(start, stop, d_model):
+    """The positional encodings of positions start..stop-1 (start <= stop),
+    from blocks of ``ROW_BLOCK`` positions, each computed once per model
+    width and kept read-only: a view of one block, or a new array where the
+    rows span blocks.  Each row has the bits of its position computed alone."""
+    at = start - start % ROW_BLOCK
+    if stop <= at + ROW_BLOCK:
+        return _position_block(at, d_model)[start - at:stop - at]
+    blocks = [_position_block(b, d_model) for b in range(at, stop, ROW_BLOCK)]
+    return np.concatenate(blocks)[start - at:stop - at]
+
+
+@functools.lru_cache(maxsize=128)
+def _position_block(at, d_model):
+    """The encodings of the ``ROW_BLOCK`` positions from ``at`` on, read-only."""
+    out = positional_encodings(np.arange(at, at + ROW_BLOCK), d_model)
+    out.flags.writeable = False
+    return out
+
+
 @functools.lru_cache(maxsize=8)
 def _frequency_divisors(d_model):
     """10000^(2i/d_model) for each even column 2i: d_model/2 numbers per
-    model width, kept read-only for the few widths in use; positions are
-    not cached, so nothing grows with stream length."""
+    model width, kept read-only for the few widths in use."""
     even = np.arange(0, d_model, 2, dtype=np.float64)
     out = np.power(10000.0, even / d_model)
     out.flags.writeable = False
@@ -282,51 +302,28 @@ class IncrementalEncoder:
     output row i needs rows 1..i+eps_enc of the layer below, so encoder
     row n needs frame 4n + 4*E*eps_enc (``streaming.emission_frame``).
     ``final`` ends the sequence: the time axis is zero-padded and every
-    look-ahead clamped to the end, as offline.  Positional encodings are
-    computed ``ROW_BLOCK`` positions at a time and sliced per push; each
-    row has the bits of its position computed alone.  A tensor of
+    look-ahead clamped to the end, as offline.  Each push reads its rows'
+    positional encodings from :func:`position_rows`.  A tensor of
     ``params`` that is not float32, the model dtype, raises ``ValueError``
-    before anything is built.
+    naming it before anything is built (:func:`kernels.check_model_dtype`).
     """
 
     def __init__(self, params, eps_enc):
         check_eps_enc(eps_enc)
-        cnn = params.cnn
-        tensors = [cnn.conv1_w, cnn.conv1_b, cnn.conv2_w, cnn.conv2_b, cnn.proj_w, cnn.proj_b,
-                   params.final_norm_g, params.final_norm_b]
-        for layer in params.layers:
-            mha = layer.mha
-            tensors += (mha.w_q, mha.w_k, mha.w_v, mha.w_h, layer.norm1_g, layer.norm1_b,
-                        layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b, layer.norm2_g,
-                        layer.norm2_b)
-        kernels.check_model_dtype(params, tensors)
+        kernels.check_model_dtype(params)
         self.params = params
+        cnn = params.cnn
         self.convs = [_ConvRows(cnn.conv1_w, cnn.conv1_b), _ConvRows(cnn.conv2_w, cnn.conv2_b)]
         self.layers = [_LayerRows(layer, eps_enc) for layer in params.layers]
         self.frames = 0
         self.rows = 0
-        self._positions = np.zeros((0, params.d_model), dtype=np.float32)
-        self._positions_start = 0  # the position of _positions' first row
 
     def push(self, frames=None, final=False):
         """New feature frames (T, d_feat), or None -> the new encoder rows."""
         x0 = self.front_end(frames, final)
-        x0 = x0 + self._position_rows(x0.shape[0], final)
+        x0 = x0 + position_rows(self.rows, self.rows + x0.shape[0], self.params.d_model)
         self.rows += x0.shape[0]
         return self._layer_stack(x0, final)
-
-    def _position_rows(self, n, final):
-        """The positional encodings of the next n rows, sliced from the kept
-        block; a block that runs out is replaced by one from the next row
-        on, ROW_BLOCK rows long unless more are needed (or ``final``, which
-        needs only these)."""
-        at = self.rows - self._positions_start
-        if at + n > self._positions.shape[0]:
-            count = n if final else max(n, ROW_BLOCK)
-            self._positions = positional_encodings(np.arange(self.rows, self.rows + count),
-                                                   self.params.d_model)
-            self._positions_start, at = self.rows, 0
-        return self._positions[at:at + n]
 
     def front_end(self, frames, final):
         """The one feature check, made before any state changes, then the conv

@@ -1,8 +1,9 @@
 """Deterministic numeric kernels shared by the encoder, decoder and search.
 
-Model math runs in float32, the one model dtype, which each engine checks
-once when it is built (:func:`check_model_dtype`); no kernel promotes one
-dtype to another.  Search-time log-probability accumulation runs in
+Model math runs in float32, the one model dtype, which each engine and
+session checks once when it is built, CTC head included, through the
+archive's tensor schema (:func:`check_model_dtype`); no kernel promotes
+one dtype to another.  Search-time log-probability accumulation runs in
 float64.  Every reduction here has a fixed evaluation order, and every
 row-level operation depends only on its own row.  That makes repeated
 calls bit-identical and lets the causality and streaming-equivalence
@@ -34,6 +35,7 @@ exp, log, sin and cos are not correctly rounded, and NumPy's and
 ``math``'s differ on some inputs, so each stays on the side it runs on.
 """
 
+import functools
 import math
 import numbers
 
@@ -238,15 +240,55 @@ def log_softmax_f64(logits):
     return z - np.array(offsets)[:, None]
 
 
-def check_model_dtype(params, tensors):
-    """Raise ``ValueError`` if one of ``tensors``, read from ``params`` (an
-    ``EncoderParams`` or ``DecoderParams``), is not float32, the model
-    dtype, naming it as a model archive does.  None passes: a
-    front-end-only ``EncoderParams`` has no final norm."""
-    for t in tensors:
+def check_model_dtype(params):
+    """Raise ``ValueError`` if a tensor of ``params`` is not float32, the
+    model dtype, naming it as a model archive does.  The tensors are those
+    the archive's schema (``modelio._SCHEMA``) lists for the type of
+    ``params``: all of an ``EncoderParams`` or a ``DecoderParams``; of
+    anything else, the model's own ``ctc.w`` and ``ctc.b``, read as
+    ``ctc_w`` and ``ctc_b``.  None passes: a front-end-only
+    ``EncoderParams`` has no final norm.  Only a refused tensor is named,
+    by a walk of the schema."""
+    prefix, rows, tensors = _kind(type(params))
+    for t in tensors(params):
         if not (t is None or t.dtype == MODEL_DTYPE):
-            from .modelio import tensor_name  # imported here: modelio depends on this module
-            raise ValueError(f"{tensor_name(params, t)} is {t.dtype}, not float32, the model dtype")
+            from .modelio import _tensors  # imported here: modelio depends on this module
+            name, t = next((name, t) for name, t in _tensors(rows, prefix, params)
+                           if not (t is None or t.dtype == MODEL_DTYPE))
+            raise ValueError(f"{name} is {t.dtype}, not float32, the model dtype")
+
+
+@functools.lru_cache(maxsize=8)
+def _kind(cls):
+    """(archive name prefix, schema rows, tensor lister) of params of type
+    ``cls``.  The lister, a function of such params -> a list of their
+    tensors, is compiled from the rows into plain attribute reads, as
+    ``dataclasses`` compiles ``__init__``, so that a check costs what a
+    hand-written list of the tensors costs."""
+    from .modelio import _SCHEMA, _Block  # imported here: modelio depends on this module
+    prefix, rows = next(((pre, spec.rows) for pre, _, spec, _ in _SCHEMA
+                         if type(spec) is _Block and cls is spec.cls),
+                        ("", tuple(row for row in _SCHEMA if type(row[2]) is not _Block)))
+    lines = ["def tensors(o0):", "    out = []"]
+
+    def block(rows, ref, depth, reads):
+        for _name, fld, spec, arg in rows:
+            if type(spec) is not _Block:
+                reads.append(f"{ref}.{fld}, ")
+            elif arg is None:
+                block(spec.rows, f"{ref}.{fld}", depth, reads)
+            else:
+                lines.append("    " * depth + f"for o{depth} in {ref}.{fld}:")
+                inner = []
+                block(spec.rows, f"o{depth}", depth + 1, inner)
+                lines.append("    " * (depth + 1) + f"out += ({''.join(inner)})")
+
+    top = []
+    block(rows, "o0", 1, top)
+    lines += [f"    out += ({''.join(top)})", "    return out"]
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return prefix, rows, namespace["tensors"]
 
 
 def is_int(v):

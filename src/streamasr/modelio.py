@@ -31,7 +31,8 @@ feature width, a frame shift, and float32 rows.
 One table, ``_SCHEMA``, names every tensor once: its archive name, the
 dataclass field it fills, its shape in the header dims (and d_k and the
 conv channels ch1, ch2), and its random initializer.  save_model,
-load_model's shape checks and assembly, and random_model all walk it.
+load_model's shape checks and assembly, random_model and
+``kernels.check_model_dtype`` (the float32 check) all walk it.
 Its row order is random_model's draw order, so reordering rows changes
 every random model's weights (tests pin them by archive hash).
 
@@ -52,7 +53,7 @@ import numpy as np
 from .attention import MhaParams
 from .ctc import check_labels
 from .decoder import DecoderLayerParams, DecoderParams
-from .encoder import CnnParams, EncoderLayerParams, EncoderParams
+from .encoder import CnnParams, EncoderLayerParams, EncoderParams, FeatureMatrix
 
 MODEL_MAGIC = "STREAMASR v1"
 FEATS_MAGIC = "FEATS v1"
@@ -306,14 +307,6 @@ def _tensors(rows, prefix, obj):
                 yield from _tensors(spec.rows, f"{prefix}{name}{i}.", sub)
 
 
-def tensor_name(params, t):
-    """The archive name of the array t, a tensor of ``params``, an
-    ``EncoderParams`` or a ``DecoderParams``."""
-    for prefix, _fld, block, _arg in _SCHEMA:
-        if type(block) is _Block and type(params) is block.cls:
-            return next(name for name, v in _tensors(block.rows, prefix, params) if v is t)
-
-
 def save_model(path, m):
     tensors = {k: np.ascontiguousarray(v, dtype=np.float32) for k, v in _tensors(_SCHEMA, "", m)}
     lines = [MODEL_MAGIC]
@@ -539,8 +532,6 @@ def write_features(path, feats):
 
 
 def load_features(path):
-    from .encoder import FeatureMatrix
-
     with open(path, "rb") as f:
         if _read_header_line(f, path) != FEATS_MAGIC:
             raise ValueError(f"{path}: bad magic, expected {FEATS_MAGIC!r}")
@@ -587,8 +578,6 @@ def random_model(seed, d_feat=8, d_model=16, d_ff=32, heads=4, e_layers=2,
 
 
 def random_features(seed, t, d_feat, frame_shift_ms=10.0):
-    from .encoder import FeatureMatrix
-
     rng = np.random.default_rng(seed)
     return FeatureMatrix(rng.uniform(-1.0, 1.0, (t, d_feat)).astype(np.float32), frame_shift_ms)
 

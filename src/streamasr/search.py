@@ -472,7 +472,7 @@ def _changed_columns(old, new):
 @dataclass
 class _TaEntry:
     logp: float
-    nus: tuple
+    nu: int  # the truncation its own label was scored at (0 for the root)
     hist: np.ndarray  # the prefix's decoder history, opaque here (see decoder.empty_history)
     step: tuple = None  # (nu, child_hist, log_posterior) of the next label, see _step
     stem: tuple = None  # the next position's truncation-free part (decoder.Stem), see _step
@@ -519,7 +519,7 @@ class JointSearch:
         self._last_carried = dict(self.hyps)
         self._last_phat = {root: 0.0}
         self._last_pjoint = {root: 0.0}
-        self.ta = None if dec is None else {root: _TaEntry(0.0, (), dec_mod.empty_history(dec))}
+        self.ta = None if dec is None else {root: _TaEntry(0.0, 0, dec_mod.empty_history(dec))}
         self.cross = None if dec is None else dec_mod.CrossAttentionCache(dec)
 
     @property
@@ -698,8 +698,7 @@ class JointSearch:
             for pre in ready:
                 parent = self.ta[pre.parent]
                 _, hist, logpost = parent.step
-                self.ta[pre] = _TaEntry(parent.logp + float(logpost[pre.last - 1]),
-                                        parent.nus + (nu,), hist)
+                self.ta[pre] = _TaEntry(parent.logp + float(logpost[pre.last - 1]), nu, hist)
                 del todo[pre]
 
     def _step(self, prefixes, nu):

@@ -30,7 +30,7 @@ import numpy as np
 from .attention import multi_head_attention  # noqa: F401
 from .ctc import check_eps_dec, log_posterior_row
 from .encoder import FeatureMatrix, IncrementalEncoder, check_eps_enc
-from .kernels import is_real
+from .kernels import check_model_dtype, is_real
 from .search import CtcPrefixSearch, DecodeResult, JointSearch
 
 
@@ -83,8 +83,10 @@ def emission_frame(n, e_layers, eps_enc):
 class StreamingSession:
     """One in-flight utterance: push feature chunks, read partials, finalize.
 
-    ``model`` provides .encoder, .decoder, .ctc_w, .ctc_b; the encoder
-    checks each chunk's features before any state changes.  The
+    ``model`` provides .encoder, .decoder, .ctc_w, .ctc_b; a tensor the
+    session reads that is not float32 raises ``ValueError`` naming it
+    before anything is built.  The encoder checks each chunk's features
+    before any state changes.  The
     decoder look-ahead in ``decode_params`` is overridden by the stream
     config so the two cannot disagree.  ``ctc_only`` runs the search
     without the decoder (:class:`~streamasr.search.CtcPrefixSearch`),
@@ -93,6 +95,7 @@ class StreamingSession:
     """
 
     def __init__(self, model, lm, decode_params, config, ctc_only=False):
+        check_model_dtype(model)
         self.model = model
         self.config = config
         # a shallow copy with config's checked eps_dec: replace() would redo every check

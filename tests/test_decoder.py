@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamasr import decoder, kernels
+from streamasr import decoder, encoder, kernels
 from streamasr.attention import ROW_BLOCK, project_heads, scaled_dot_attention
 from streamasr.decoder import (CrossAttentionCache, advance_position, advance_positions,
                                append_history, empty_history, ta_prefix_score)
@@ -405,24 +405,39 @@ def test_decoder_self_attention_needs_value_heads_as_wide_as_key_heads():
 
 
 def test_position_rows_from_the_kept_block_equal_each_position_alone(monkeypatch):
-    # the cache keeps the decoder's positional encodings in one block,
-    # grown by ROW_BLOCK positions at a time; every row asked for, on
-    # either side of a block boundary and in any order, has the bits of
-    # its position computed alone
+    # the decoder reads its positional encodings from the blocks of
+    # ROW_BLOCK positions the encoder reads too, each computed once; every
+    # row a step reads, and every span asked for, on either side of a
+    # block boundary and in any order, has the bits of its positions
+    # computed alone, and a span within one block is a read-only view
     dec, enc = setup_case(90, n=3)
-    blocks = []
+    blocks, seen = [], []
+    compute, take = encoder.positional_encodings, decoder.position_rows
 
     def counting(positions, d_model):
         blocks.append(len(positions))
-        return positional_encodings(positions, d_model)
+        return compute(positions, d_model)
 
-    monkeypatch.setattr(decoder, "positional_encodings", counting)
+    def recorded(start, stop, d_model):
+        seen.append((start, stop, take(start, stop, d_model)))
+        return seen[-1][2]
+
+    encoder._position_block.cache_clear()
+    monkeypatch.setattr(encoder, "positional_encodings", counting)
+    monkeypatch.setattr(decoder, "position_rows", recorded)
     cache = CrossAttentionCache(dec, enc)
-    for pos in (0, 15, 16, 3, 17, 31, 47, 32, 46, 1):
-        row = cache.position_row(pos)
-        assert row.shape == (1, dec.d_model) and row.dtype == np.float32
-        assert (row == positional_encodings([pos], dec.d_model)).all()
-        assert (row[0] == positional_encoding_per_row(pos, dec.d_model)).all()
+    hist, tokens = empty_history(dec), [dec.sos_id] + [2, 3, 4] * 7
+    for pos, token in enumerate(tokens):
+        [(hist, _, _)] = advance_positions(dec, cache, [hist], [token], [pos], 3)
+    assert [(start, stop) for start, stop, _ in seen] == [(p, p + 1) for p in range(len(tokens))]
+    for start, stop in ((0, 1), (15, 17), (16, 16), (3, 40), (31, 33), (47, 48), (1, 16)):
+        recorded(start, stop, dec.d_model)
+    for start, stop, rows in seen:
+        assert rows.shape == (stop - start, dec.d_model) and rows.dtype == np.float32
+        assert rows.flags.writeable == ((stop - 1) // ROW_BLOCK > start // ROW_BLOCK)
+        for i, row in enumerate(rows):
+            assert (row == positional_encodings([start + i], dec.d_model)).all()
+            assert (row == positional_encoding_per_row(start + i, dec.d_model)).all()
     assert blocks == [ROW_BLOCK] * 3
 
 

@@ -341,37 +341,46 @@ def test_uneven_chunks_with_the_bits_of_encode(eps):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("chunk", [1, 12, 28])
+@pytest.mark.parametrize("chunk", [None, 1, 7, 12, 28])
 def test_position_rows_cross_a_block_with_the_bits_of_each_position(monkeypatch, chunk):
-    # a streaming encoder slices its positional rows from blocks of
-    # ROW_BLOCK positions computed in one call; rows on either side of a
-    # block's end, and pushes whose rows span it (chunks of 12 and 28
-    # frames give 3 and 7 rows), keep each position's own bits
+    # the encoder reads its positional rows from the process-wide blocks
+    # of ROW_BLOCK positions; rows on either side of a block's end, read
+    # offline (chunk None) or by pushes whose rows span it (chunks of 12
+    # and 28 frames give 3 and 7 rows), keep each position's own bits
     calls, seen = [], []
     compute = encoder.positional_encodings
-    take = IncrementalEncoder._position_rows
+    take = encoder.position_rows
 
     def counted(positions, d_model):
         calls.append(len(positions))
         return compute(positions, d_model)
 
-    def recorded(self, n, final):
-        rows = take(self, n, final)
-        seen.append((self.rows, rows))
+    def recorded(start, stop, d_model):
+        rows = take(start, stop, d_model)
+        seen.append((start, stop, rows))
         return rows
 
     m = tiny_model(52)
     frames = np.random.default_rng(53).standard_normal((200, 4)).astype(np.float32)
-    want = encode(frames, m.encoder, 1)
+    encoder._position_block.cache_clear()
     monkeypatch.setattr(encoder, "positional_encodings", counted)
-    monkeypatch.setattr(IncrementalEncoder, "_position_rows", recorded)
-    got = pushed_in_pieces(IncrementalEncoder(m.encoder, 1).push, frames, [chunk] * (200 // chunk))
-    assert np.array_equal(got, want)
-    assert sum(rows.shape[0] for _, rows in seen) == got.shape[0] == 50
-    for start, rows in seen:
+    monkeypatch.setattr(encoder, "position_rows", recorded)
+    if chunk is None:
+        got = encode(frames, m.encoder, 1)
+    else:
+        got = pushed_in_pieces(IncrementalEncoder(m.encoder, 1).push, frames,
+                               [chunk] * (200 // chunk))
+    assert [start for start, _, _ in seen] == [0] + [stop for _, stop, _ in seen[:-1]]
+    assert seen[-1][1] == got.shape[0] == 50
+    for start, stop, rows in seen:
+        assert rows.shape == (stop - start, m.encoder.d_model) and rows.dtype == np.float32
         for i, row in enumerate(rows):
+            assert (row == positional_encodings([start + i], m.encoder.d_model)).all()
             assert (row == positional_encoding_per_row(start + i, m.encoder.d_model)).all()
-    # one call per block of ROW_BLOCK rows, not one per push
+    # one call per block of ROW_BLOCK rows, not one per push, and none for
+    # a second encoder, which reads the kept blocks
+    assert calls == [ROW_BLOCK] * 4
+    assert np.array_equal(encode(frames, m.encoder, 1), got)
     assert calls == [ROW_BLOCK] * 4
 
 

@@ -12,6 +12,7 @@ from streamasr.decoder import CrossAttentionCache, ta_prefix_score
 from streamasr.encoder import encode
 from streamasr.kernels import NEG_INF, log_add
 from streamasr.lm import UniformLM
+from streamasr.modelio import _SCHEMA, _Block
 from streamasr.search import (CtcPrefixSearch, DecodeParams, Hypothesis,
                               JointSearch, LossParams, PrefixTable, _rank, _top, ctc_prefix_search,
                               decode, joint_loss, joint_score, prefix_score,
@@ -32,6 +33,22 @@ def hyp(prefix, p_b, p_nb, lm_logp=0.0, ta=None):
 def by_columns(prefix_keyed):
     """A search's prefix-keyed dict (``ta``, ``hyps``) keyed by column tuples."""
     return {pre.as_tuple(): v for pre, v in prefix_keyed.items()}
+
+
+def ta_schedules(search, kept):
+    """Each TA entry's truncation schedule, the nu of every label it
+    scores, keyed by column tuple.  An entry the search made since the
+    last call extends its parent entry's schedule by its own nu, as it
+    was scored on that entry; ``kept`` holds the entries of earlier calls
+    with their schedules, as a parent entry may since have been rescored.
+    Call it after every frame."""
+    out = {}
+    for pre in sorted(search.ta, key=lambda q: q.length):
+        entry = search.ta[pre]
+        if id(entry) not in kept:  # kept holds the entry, so its id is not reused
+            kept[id(entry)] = entry, out[pre.parent] + (entry.nu,) if pre.length else ()
+        out[pre] = kept[id(entry)][1]
+    return by_columns(out)
 
 
 def scored(hyps, score_fn):
@@ -371,13 +388,13 @@ def test_delete_hook_forces_rescoring_at_later_frame():
     search.advance(post[0])
     for pre, entry in by_columns(search.ta).items():
         if len(pre) == 1:
-            target[pre] = entry.nus
-    assert target and all(nus == (1,) for nus in target.values())
+            target[pre] = entry.nu
+    assert target and all(nu == 1 for nu in target.values())
     search.advance(post[1])
     ta = by_columns(search.ta)
     for pre in target:
         if pre in ta:
-            assert ta[pre].nus == (2,)
+            assert ta[pre].nu == 2
 
 
 def test_skip_hook_falls_back_to_parent_score():
@@ -405,7 +422,7 @@ HOOK_ANSWERS = {"dcond": lambda pre, *_: len(pre) % 2 == 1,
 
 
 def ta_snapshot(search):
-    return [(pre, e.logp, e.nus) for pre, e in search.ta.items()]
+    return [(pre, e.logp, e.nu) for pre, e in search.ta.items()]
 
 
 @pytest.mark.parametrize("call", [1, 3])
@@ -682,17 +699,16 @@ def test_declined_ancestor_is_scored_before_its_child():
                           p_size=8, theta1=1e6, theta2=1e6, local_threshold=0.0)
     search = JointSearch(m.decoder, lm, params, post.shape[1])
     search.add_rows(enc)
-    seen_child = False
+    seen_child, kept = False, {}
     for i in range(5):
         search.advance(post[i])
-        ta = by_columns(search.ta)
+        ta, nus = by_columns(search.ta), ta_schedules(search, kept)
         for pre, entry in ta.items():
             if len(pre) >= 2:
                 seen_child = True
-                parent = ta[pre[:-1]]
-                assert parent.nus == entry.nus[:-1]
+                assert ta[pre[:-1]].nu <= entry.nu
             labels = [c - 1 for c in pre]
-            assert entry.logp == ta_prefix_score(enc, labels, entry.nus, m.decoder)
+            assert entry.logp == ta_prefix_score(enc, labels, nus[pre], m.decoder)
     assert seen_child
     out = search.finalize()
     assert out.trace == search.trace
@@ -925,12 +941,14 @@ def test_rescored_entries_equal_the_truncated_decoder_score():
                           theta1=1e6, theta2=1e6, local_threshold=0.0)
     search = JointSearch(m.decoder, lm, params, post.shape[1])
     search.add_rows(enc)
+    kept = {}
     for i in range(6):
         search.advance(post[i])
         assert len(search.ta) > 1
+        nus = ta_schedules(search, kept)
         for pre, entry in by_columns(search.ta).items():
             labels = [c - 1 for c in pre]
-            assert entry.logp == ta_prefix_score(enc, labels, entry.nus, m.decoder)
+            assert entry.logp == ta_prefix_score(enc, labels, nus[pre], m.decoder)
     search.finalize()
 
 
@@ -1018,21 +1036,30 @@ def test_a_streaming_session_refuses_a_non_finite_decoder_weight():
     assert not sess.closed
 
 
-# A tensor of each kind by its path in the model and its archive name: an
-# encoder conv weight, an encoder layer norm, the decoder embedding and a
-# decoder attention weight.
-NOT_FLOAT32 = [("encoder.cnn.conv2_w", "cnn.conv2_w"),
-               ("encoder.layers.1.norm1_g", "enc.layer1.norm1_g"),
-               ("decoder.embed", "dec.embed"),
-               ("decoder.layers.0.src_mha.w_k", "dec.layer0.src_att.w_k")]
+def schema_tensors(rows, path, name, obj):
+    """(attribute path, archive name) of each tensor of obj that the
+    archive schema's ``rows`` list, nested blocks included."""
+    for arc, fld, spec, arg in rows:
+        if type(spec) is not _Block:
+            yield path + fld, name + arc
+        elif arg is None:
+            yield from schema_tensors(spec.rows, f"{path}{fld}.", name + arc, getattr(obj, fld))
+        else:
+            for i, sub in enumerate(getattr(obj, fld)):
+                yield from schema_tensors(spec.rows, f"{path}{fld}.{i}.", f"{name}{arc}{i}.", sub)
+
+
+# Every tensor of decode_setup's model by its path in the model and its
+# archive name, the CTC head's included.
+NOT_FLOAT32 = list(schema_tensors(_SCHEMA, "", "", tiny_model(140)))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float16])
 @pytest.mark.parametrize("path,name", NOT_FLOAT32)
 def test_tensors_that_are_not_float32_are_refused_by_name(path, name, dtype):
-    # float32 is the one model dtype: every entry point that builds an
-    # encoder or a decoder cache refuses a tensor of another dtype, naming
-    # it, before anything is built, so no stacked Q/K/V weight is kept
+    # float32 is the one model dtype: every entry point that reads a
+    # tensor refuses it in another dtype, naming it, before anything is
+    # built, so no stacked Q/K/V weight is kept
     m, enc, post, lm, params = decode_setup(140, n=6, k_size=8, p_size=4, eps_dec=1)
     *steps, field = path.split(".")
     owner = m
@@ -1040,13 +1067,18 @@ def test_tensors_that_are_not_float32_are_refused_by_name(path, name, dtype):
         owner = owner[int(step)] if step.isdigit() else getattr(owner, step)
     setattr(owner, field, getattr(owner, field).astype(dtype))
     frames = np.random.default_rng(140).standard_normal((24, 4)).astype(np.float32)
-    calls = [lambda: StreamingSession(m, lm, params, StreamConfig(eps_enc=1, eps_dec=1))]
+    config = StreamConfig(eps_enc=1, eps_dec=1)
+    calls = [lambda: StreamingSession(m, lm, params, config)]
+    if not path.startswith("decoder"):
+        calls.append(lambda: StreamingSession(m, lm, params, config, ctc_only=True))
     if path.startswith("encoder"):
         calls.append(lambda: encode(frames, m.encoder, 1))
-    else:
+    elif path.startswith("decoder"):
         calls += [lambda: decode(enc, post, lm, m.decoder, params),
                   lambda: CrossAttentionCache(m.decoder, enc)]
-    message = f"^{re.escape(name)} is {np.dtype(dtype)}, not float32"
+    else:
+        calls.append(lambda: posteriorgram_from_states(enc, m.ctc_w, m.ctc_b))
+    message = f"^{re.escape(name)} is {np.dtype(dtype)}, not float32, the model dtype$"
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
