@@ -50,7 +50,7 @@ import streamasr
 
 SEARCH = dict(k_size=16, p_size=8, eps_dec=4)
 EPS_ENC = 1
-MIN_ROUNDS = 6
+MIN_ROUNDS = 5
 SEED = 0
 LOADERS = ("load_model", "load_vocab", "ngram_load", "session")
 
@@ -87,7 +87,8 @@ def write_inputs(d, seed):
 
 class Side:
     """One package copy's set-up calls on the input files, run in LOADERS
-    order; ``loaded`` holds each call's last result until its next run."""
+    order; ``loaded`` holds each call's result of the current round, and
+    is cleared at the start of each round."""
 
     def __init__(self, pkg, paths):
         self.pkg, self.paths = pkg, paths

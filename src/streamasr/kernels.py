@@ -35,7 +35,6 @@ exp, log, sin and cos are not correctly rounded, and NumPy's and
 ``math``'s differ on some inputs, so each stays on the side it runs on.
 """
 
-import functools
 import math
 import numbers
 
@@ -247,48 +246,14 @@ def check_model_dtype(params):
     ``params``: all of an ``EncoderParams`` or a ``DecoderParams``; of
     anything else, the model's own ``ctc.w`` and ``ctc.b``, read as
     ``ctc_w`` and ``ctc_b``.  None passes: a front-end-only
-    ``EncoderParams`` has no final norm.  Only a refused tensor is named,
-    by a walk of the schema."""
-    prefix, rows, tensors = _kind(type(params))
-    for t in tensors(params):
-        if not (t is None or t.dtype == MODEL_DTYPE):
-            from .modelio import _tensors  # imported here: modelio depends on this module
-            name, t = next((name, t) for name, t in _tensors(rows, prefix, params)
-                           if not (t is None or t.dtype == MODEL_DTYPE))
-            raise ValueError(f"{name} is {t.dtype}, not float32, the model dtype")
-
-
-@functools.lru_cache(maxsize=8)
-def _kind(cls):
-    """(archive name prefix, schema rows, tensor lister) of params of type
-    ``cls``.  The lister, a function of such params -> a list of their
-    tensors, is compiled from the rows into plain attribute reads, as
-    ``dataclasses`` compiles ``__init__``, so that a check costs what a
-    hand-written list of the tensors costs."""
-    from .modelio import _SCHEMA, _Block  # imported here: modelio depends on this module
+    ``EncoderParams`` has no final norm."""
+    from .modelio import _SCHEMA, _Block, _tensors  # imported here: modelio depends on this module
     prefix, rows = next(((pre, spec.rows) for pre, _, spec, _ in _SCHEMA
-                         if type(spec) is _Block and cls is spec.cls),
-                        ("", tuple(row for row in _SCHEMA if type(row[2]) is not _Block)))
-    lines = ["def tensors(o0):", "    out = []"]
-
-    def block(rows, ref, depth, reads):
-        for _name, fld, spec, arg in rows:
-            if type(spec) is not _Block:
-                reads.append(f"{ref}.{fld}, ")
-            elif arg is None:
-                block(spec.rows, f"{ref}.{fld}", depth, reads)
-            else:
-                lines.append("    " * depth + f"for o{depth} in {ref}.{fld}:")
-                inner = []
-                block(spec.rows, f"o{depth}", depth + 1, inner)
-                lines.append("    " * (depth + 1) + f"out += ({''.join(inner)})")
-
-    top = []
-    block(rows, "o0", 1, top)
-    lines += [f"    out += ({''.join(top)})", "    return out"]
-    namespace = {}
-    exec("\n".join(lines), namespace)
-    return prefix, rows, namespace["tensors"]
+                         if type(spec) is _Block and spec.cls is type(params)),
+                        ("", [row for row in _SCHEMA if type(row[2]) is not _Block]))
+    for name, t in _tensors(rows, prefix, params):
+        if not (t is None or t.dtype == MODEL_DTYPE):
+            raise ValueError(f"{name} is {t.dtype}, not float32, the model dtype")
 
 
 def is_int(v):

@@ -706,6 +706,7 @@ def test_declined_ancestor_is_scored_before_its_child():
         for pre, entry in ta.items():
             if len(pre) >= 2:
                 seen_child = True
+                assert nus[pre][:-1] == nus[pre[:-1]]
                 assert ta[pre[:-1]].nu <= entry.nu
             labels = [c - 1 for c in pre]
             assert entry.logp == ta_prefix_score(enc, labels, nus[pre], m.decoder)
