@@ -66,18 +66,6 @@ class MhaParams:
     w_v: np.ndarray
     w_h: np.ndarray
 
-    def validate(self, d_model):
-        h, dm, d_k = self.w_q.shape
-        if dm != d_model:
-            raise ValueError(f"w_q model dim {dm} != {d_model}")
-        if self.w_k.shape != (h, d_model, d_k):
-            raise ValueError(f"w_k shape {self.w_k.shape} inconsistent with w_q {self.w_q.shape}")
-        if self.w_v.shape[:2] != (h, d_model):
-            raise ValueError(f"w_v shape {self.w_v.shape} inconsistent with w_q {self.w_q.shape}")
-        d_v = self.w_v.shape[2]
-        if self.w_h.shape != (h * d_v, d_model):
-            raise ValueError(f"w_h shape {self.w_h.shape}, expected {(h * d_v, d_model)}")
-
     def qkv(self):
         """w_q, w_k and w_v stacked into one (3 * heads, d_model, d)
         weight, so that one :func:`project_heads` call gives a row's
@@ -273,7 +261,8 @@ def merge_heads(heads, params):
 
 def multi_head_attention(q_in, k_in, v_in, params, mask):
     """Concatenated per-head scaled dot-product attention, one call for all
-    heads, then output projection."""
+    heads, then output projection.  Kept as the whole-matrix reference of
+    the tests and ``encoder_layer``; no engine calls it."""
     heads = scaled_dot_attention(project_heads(q_in, params.w_q), project_heads(k_in, params.w_k),
                                  project_heads(v_in, params.w_v), mask)
     return merge_heads(heads, params)

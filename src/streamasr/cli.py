@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 
+from .encoder import check_eps_enc
 from .lm import UniformLM, ngram_load
 from .modelio import load_features, load_model, load_vocab
 from .search import DecodeParams
@@ -81,8 +82,13 @@ def _decode_one(path, model, lm, params, args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        # options are checked before anything loads, so no error names a file
         if args.streaming is not None and args.streaming < 1:
             raise ValueError(f"--streaming chunk must be >= 1, got {args.streaming}")
+        check_eps_enc(args.eps_enc)
+        params = DecodeParams(lam=args.lam, alpha0=args.alpha0, alpha=args.alpha,
+                              beta=args.beta, k_size=args.k, p_size=args.p,
+                              theta1=args.theta1, theta2=args.theta2, eps_dec=args.eps_dec)
         model = load_model(args.model)
         vocab = load_vocab(args.vocab)
         if len(vocab) != model.vocab_size:
@@ -95,9 +101,6 @@ def main(argv=None):
             lm = ngram_load(args.lm, token_to_id=vocab.token_to_id)
         else:
             lm = UniformLM(len(vocab) - len(vocab.reserved_ids()))
-        params = DecodeParams(lam=args.lam, alpha0=args.alpha0, alpha=args.alpha,
-                              beta=args.beta, k_size=args.k, p_size=args.p,
-                              theta1=args.theta1, theta2=args.theta2, eps_dec=args.eps_dec)
         trace_f = open(args.trace, "w", encoding="utf-8") if args.trace else None
         try:
             for i, path in enumerate(args.features):

@@ -26,10 +26,6 @@ class PrefixScores:
     p_b: float
     p_nb: float
 
-    @property
-    def total(self):
-        return log_add(self.p_b, self.p_nb)
-
 
 @dataclass
 class TriggerAlignment:
@@ -204,6 +200,8 @@ def ctc_prefix_step(post_row, hyps, local_threshold=1e-4):
     promote an impossible sequence.  The extensions come from the mass
     matrix of :func:`_prefix_masses`, carried prefix by carried prefix
     and column by column, as Python floats.
+    The search runs it on interned prefixes; this tuple form is kept as
+    the tests' reference against path enumeration and the forward score.
     """
     row = np.asarray(post_row, dtype=np.float64)
     if row.ndim != 1:

@@ -46,10 +46,8 @@ import numpy as np
 
 from . import attention, kernels
 from .attention import KeyValueStore, MhaParams, full_mask, merge_heads, project_heads
+from .attention import multi_head_attention  # noqa: F401 (uncalled; the tracer wraps it here)
 from .ctc import check_labels
-# multi_head_attention is no longer called here, but stays bound: the
-# benchmark's tracer (perfbench/tracer.py) wraps it by this module's name.
-from .attention import multi_head_attention  # noqa: F401
 from .encoder import feed_forward, position_rows
 
 
@@ -156,11 +154,11 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=No
     see :func:`empty_history`) with a position that embeds
     ``token_ids[i]`` at index ``pos_indices[i]``; it self-attends over
     its own history plus itself, and every row cross-attends to encoder
-    rows 1..nu only.  ``cache`` is a :class:`CrossAttentionCache` shared
-    between calls, or the (N, d_model) encoder matrix, which is projected
-    afresh.  A token id outside the vocabulary, or a position that is not
-    an integer >= 0 or not the number of positions in its history, raises
-    ``ValueError`` before any work.
+    rows 1..nu only, read from ``cache``, the :class:`CrossAttentionCache`
+    of ``params`` shared between calls.  A token id outside the
+    vocabulary, or a position that is not an integer >= 0 or not the
+    number of positions in its history, raises ``ValueError`` before any
+    work.
 
     ``stems`` (None, or one :class:`Stem` or None per row) carries what
     an earlier step of the same history, token and position computed
@@ -183,10 +181,9 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=No
     layer; each layer writes its new key and value rows into the copies,
     and its self-attention reads them there.
     """
-    if not isinstance(cache, CrossAttentionCache):
-        cache = CrossAttentionCache(params, cache)
-    if cache.params is not params:
-        raise ValueError("cross-attention cache belongs to another decoder")
+    if not (isinstance(cache, CrossAttentionCache) and cache.params is params):
+        raise ValueError("a step reads its own decoder's CrossAttentionCache, not another "
+                         "decoder's or a raw encoder matrix")
     if not kernels.is_int(nu):
         raise ValueError(f"trigger index must be an integer, got {nu!r}")
     if not 1 <= nu <= cache.rows:
@@ -303,12 +300,15 @@ def _cross_and_feed_forward(layer, d, z, q, cache, nu):
     return z + feed_forward(normed, layer.ff1_w, layer.ff1_b, layer.ff2_w, layer.ff2_b)
 
 
-def advance_position(params, enc, hist, token_id, pos_index, nu):
-    """One row of :func:`advance_positions`: the position after ``hist``.
+def advance_position(params, cache, hist, token_id, pos_index, nu):
+    """One row of :func:`advance_positions`: the position after ``hist``,
+    reading encoder rows 1..nu of ``cache``.
 
     Returns (history, log_posterior) as a row of that function does.
+    Kept for :func:`ta_prefix_score` and the tests' one-row references;
+    ``perfbench/tracer.py`` wraps it, reading ``hist`` and ``nu`` by position.
     """
-    return advance_positions(params, enc, [hist], [token_id], [pos_index], nu)[0][:2]
+    return advance_positions(params, cache, [hist], [token_id], [pos_index], nu)[0][:2]
 
 
 def empty_history(params):

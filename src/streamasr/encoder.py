@@ -351,7 +351,8 @@ class IncrementalEncoder:
 
     def push_rows(self, x0, final=False):
         """The layer stack and final norm alone, on projected, position-encoded
-        rows.  The rows are copied: the first layer keeps its pending rows."""
+        rows.  The rows are copied: the first layer keeps its pending rows.
+        Kept for :func:`encoder_forward`; no decode calls it."""
         return self._layer_stack(np.array(x0, dtype=np.float32), final)
 
     def _layer_stack(self, x, final):
@@ -365,6 +366,8 @@ def enc_cnn(features, cnn):
 
     Positional encodings are not added here; callers add them before the
     self-attention stack.  The feature width is the one ``features`` has.
+    Kept as the tests' front end and for ``perfbench/tracer.py``, which
+    wraps it; no decode calls it.
     """
     frames = feature_frames(features)
     params = EncoderParams(cnn, d_feat=frames.shape[-1] if frames.ndim else None)
@@ -372,7 +375,9 @@ def enc_cnn(features, cnn):
 
 
 def encoder_layer(x, layer, mask):
-    """One pre-norm encoder layer: self-attention then feed forward, both residual."""
+    """One pre-norm encoder layer: self-attention then feed forward, both
+    residual.  Kept as the tests' reference and for ``perfbench/tracer.py``,
+    which wraps it; no decode calls it."""
     normed = kernels.layer_norm(x, layer.norm1_g, layer.norm1_b)
     x = x + multi_head_attention(normed, normed, normed, layer.mha, mask)
     normed = kernels.layer_norm(x, layer.norm2_g, layer.norm2_b)
@@ -383,7 +388,8 @@ def encoder_forward(x0, params, eps_enc):
     """Run the self-attention stack over CNN+position-encoded input rows.
 
     eps_enc is the per-layer future visibility in encoder frames; math.inf
-    removes the restriction entirely.
+    removes the restriction entirely.  Kept as the acceptance checks' way
+    to perturb encoder input rows; no decode calls it.
     """
     return IncrementalEncoder(params, eps_enc).push_rows(x0, final=True)
 

@@ -243,6 +243,28 @@ _INITS = {
 _DIMS = {"e_layers": "e_layers", "d_layers": "d_layers", "d_model": "d_model", "d_ff": "d_ff",
          "heads": "heads", "vocab": "vocab_size", "d_feat": "d_feat"}
 _POSITIVE_DIMS = ("d_model", "vocab", "d_feat")  # the others may be 0
+_CONVS = ("cnn.conv1_w", "cnn.conv2_w")  # their output channels are ch1 and ch2
+
+
+def _check_header(dims, sos_id, eos_id, ch1, ch2):
+    """Raise ``ValueError`` for the first header rule that fails, in header
+    order; a conv's channels are None if its weight is missing.  load_model
+    and random_model share it, so random_model builds only what loads."""
+    for key, n in dims.items():
+        least = 1 if key in _POSITIVE_DIMS else 0
+        if n < least:
+            raise ValueError(f"dimension {key} is {n}, must be at least {least}")
+    if dims["heads"] < 1 or dims["d_model"] % dims["heads"] != 0:
+        raise ValueError(f"d_model {dims['d_model']} not divisible by heads {dims['heads']}")
+    if not 0 <= sos_id < dims["vocab"]:
+        raise ValueError(f"sos_id {sos_id} outside vocabulary")
+    if eos_id is not None and not 0 <= eos_id < dims["vocab"]:
+        raise ValueError(f"eos_id {eos_id} outside vocabulary")
+    for conv, ch in zip(_CONVS, (ch1, ch2)):
+        if ch is None:
+            raise ValueError(f"missing tensor {conv}")
+        if ch < 1:
+            raise ValueError(f"tensor {conv} has {ch} output channels, must be at least 1")
 
 
 def _specs(rows):
@@ -363,12 +385,7 @@ def _parse_header(head, path):
         raise _ShortHeader
     if fixed[0] != MODEL_MAGIC.encode("ascii"):
         raise ValueError(f"{path}: bad magic, expected {MODEL_MAGIC!r}")
-    dims = {}
-    for i, key in enumerate(_DIMS, 1):
-        dims[key] = n = int(value(i, key))
-        least = 1 if key in _POSITIVE_DIMS else 0
-        if n < least:
-            raise ValueError(f"{path}: dimension {key} is {n}, must be at least {least}")
+    dims = {key: int(value(i, key)) for i, key in enumerate(_DIMS, 1)}
     sos_id = int(value(len(_DIMS) + 1, "sos_id"))
     eos_id = value(len(_DIMS) + 2, "eos_id")
     eos_id = None if eos_id == "none" else int(eos_id)
@@ -476,19 +493,11 @@ def load_model(path):
                     raise ValueError(f"{path}: truncated header") from None
                 head += more
 
-        if dims["heads"] < 1 or dims["d_model"] % dims["heads"] != 0:
-            raise ValueError(f"{path}: d_model {dims['d_model']} not divisible by heads {dims['heads']}")
-        if not 0 <= sos_id < dims["vocab"]:
-            raise ValueError(f"{path}: sos_id {sos_id} outside vocabulary")
-        if eos_id is not None and not 0 <= eos_id < dims["vocab"]:
-            raise ValueError(f"{path}: eos_id {eos_id} outside vocabulary")
-
-        for conv in ("cnn.conv1_w", "cnn.conv2_w"):
-            if conv not in shapes:
-                raise ValueError(f"{path}: missing tensor {conv}")
-            if shapes[conv][0] < 1:
-                raise ValueError(f"{path}: tensor {conv} has {shapes[conv][0]} output "
-                                 f"channels, must be at least 1")
+        ch1, ch2 = (shapes[conv][0] if conv in shapes else None for conv in _CONVS)
+        try:
+            _check_header(dims, sos_id, eos_id, ch1, ch2)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
         # The buffer and its tensors exist before the walk, which both lists
         # the expected shapes and hands the tensors out; the payload is read
@@ -501,7 +510,7 @@ def load_model(path):
             expected[name] = shape
             return views.get(name)
 
-        sym = _symbols(dims, shapes["cnn.conv1_w"][0], shapes["cnn.conv2_w"][0])
+        sym = _symbols(dims, ch1, ch2)
         model = _model(dims, sos_id, eos_id, sym, leaf)
         if expected != shapes:
             for name in sorted(expected):
@@ -559,12 +568,17 @@ def random_model(seed, d_feat=8, d_model=16, d_ff=32, heads=4, e_layers=2,
     """Small random-weight model for tests and demos; deterministic per seed.
 
     Conv channel counts default to d_model/4 and d_model/2 so the front
-    end widens toward the model dimension.
+    end widens toward the model dimension.  Dimensions that load_model
+    would refuse in an archive's header raise its ``ValueError``.
     """
     if ch1 is None:
         ch1 = max(1, d_model // 4)
     if ch2 is None:
         ch2 = max(1, d_model // 2)
+    dims = {"e_layers": e_layers, "d_layers": d_layers, "d_model": d_model, "d_ff": d_ff,
+            "heads": heads, "vocab": vocab_size, "d_feat": d_feat}
+    eos_id = 1 if with_eos else None
+    _check_header(dims, 0, eos_id, ch1, ch2)
     rng = np.random.default_rng(seed)
 
     def draw(name, shape, init):
@@ -572,9 +586,7 @@ def random_model(seed, d_feat=8, d_model=16, d_ff=32, heads=4, e_layers=2,
         x = rng.uniform(low, high, shape)
         return (x if fan_in is None else x / np.sqrt(fan_in(shape))).astype(np.float32)
 
-    dims = {"e_layers": e_layers, "d_layers": d_layers, "d_model": d_model, "d_ff": d_ff,
-            "heads": heads, "vocab": vocab_size, "d_feat": d_feat}
-    return _model(dims, 0, 1 if with_eos else None, _symbols(dims, ch1, ch2), draw)
+    return _model(dims, 0, eos_id, _symbols(dims, ch1, ch2), draw)
 
 
 def random_features(seed, t, d_feat, frame_shift_ms=10.0):

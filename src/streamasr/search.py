@@ -47,11 +47,12 @@ can be among the first prune's survivors.  Only the survivors the search
 keeps are interned and become :class:`Hypothesis` objects, all of the
 first prune's with a decoder and the top P without one.  Every score is
 a Python float, as are the weights ``DecodeParams`` holds, and a zero LM
-weight means no LM term.  Every ranking (the first prune, the top P by
-p_joint, the best prefix by p_joint) goes through one routine, ``_rank``,
-which breaks score ties toward shorter, then lexicographically smaller
-column tuples; what ranks by p_prfx afterwards reads the first prune's
-order.  A frame commits only after every hook has returned.
+weight means no LM term.  Every ranking goes through one routine,
+``_rank``, which breaks score ties toward shorter, then lexicographically
+smaller column tuples: the first prune directly, and the p_joint rankings
+(the top P, the frame's best and finalize's best) through :func:`prune`;
+what ranks by p_prfx afterwards reads the first prune's order.  A frame
+commits only after every hook has returned.
 """
 
 import math
@@ -62,10 +63,9 @@ from operator import attrgetter
 import numpy as np
 
 from . import decoder as dec_mod
-# ctc_prefix_step is not called here, but stays bound: the benchmark's
-# tracer (perfbench/tracer.py) wraps it in this module by name.
-from .ctc import _prefix_masses, check_log_probs, ctc_prefix_step  # noqa: F401
-from .ctc import check_eps_dec, ctc_forward_logprob, posterior_matrix
+from .ctc import _prefix_masses, check_eps_dec, check_log_probs, ctc_forward_logprob
+from .ctc import ctc_prefix_step  # noqa: F401 (uncalled; the tracer wraps it here)
+from .ctc import posterior_matrix
 from .kernels import NEG_INF, is_int, is_real, log_add
 
 
@@ -424,23 +424,19 @@ def _rank(ranked, size, width):
     return kept
 
 
-def _top(scores, keys, size, width):
-    """The first ``size`` of ``keys`` (prefixes or column tuples) by
-    ``scores`` within ``width`` of the best, in rank order, through
-    :func:`_rank`."""
-    return [r[2] for r in _rank([(-scores[k], len(k), k) for k in keys], size, width)]
-
-
 def prune(hyps, scores, size, width):
     """Keep the top ``size`` by score, then drop anything below max - width.
 
-    ``scores`` maps each key of ``hyps`` to its score.  The result is in
-    rank order.  Ties break toward shorter, then lexicographically smaller
-    prefixes.
+    ``scores`` maps each key of ``hyps`` (prefixes or column tuples) to
+    its score.  The result is in rank order, through :func:`_rank`: ties
+    break toward shorter, then lexicographically smaller prefixes.  The
+    search ranks its p_joint beams with it: the carried top P, the
+    frame's best and finalize's best.
     """
     if size < 1:
         raise ValueError(f"prune size must be >= 1, got {size}")
-    return {p: hyps[p] for p in _top(scores, hyps, size, width)}
+    ranked = _rank([(-scores[k], len(k), k) for k in hyps], size, width)
+    return {k: hyps[k] for _, _, k in ranked}
 
 
 def _format_trace(frame, beams, ids, phat, pjoint):
@@ -517,7 +513,6 @@ class JointSearch:
         self._trace_best = (root, "")
         self._partial = (root, ())
         self._last_carried = dict(self.hyps)
-        self._last_phat = {root: 0.0}
         self._last_pjoint = {root: 0.0}
         self.ta = None if dec is None else {root: _TaEntry(0.0, 0, dec_mod.empty_history(dec))}
         self.cross = None if dec is None else dec_mod.CrossAttentionCache(dec)
@@ -569,11 +564,10 @@ class JointSearch:
         if self.dec is None:
             self.hyps, best = omega_hat, next(iter(kept))
         else:
-            self.hyps = {pre: omega_hat[pre] for pre in _top(pjoint, omega_hat, p.p_size, math.inf)}
+            self.hyps = prune(omega_hat, pjoint, p.p_size, math.inf)
             self.hyps.update(kept)
-            best = _top(pjoint, kept, 1, math.inf)[0]
+            best = next(iter(prune(kept, pjoint, 1, math.inf)))
         self._last_carried = kept
-        self._last_phat = phat
         self._last_pjoint = pjoint
         self.trace.append(_format_trace(self.frame, len(kept), self._trace_ids(best),
                                         phat[best], pjoint[best]))
@@ -785,7 +779,7 @@ class JointSearch:
                 eos_logp = float(entry.step[2][self.dec.eos_id])
                 eos_hyp = replace(self._last_carried[pre], ta_logp=entry.logp + eos_logp)
                 scores[pre] = joint_score(eos_hyp, p)
-        best = _top(scores, self._last_carried, 1, math.inf)[0]
+        best = next(iter(prune(self._last_carried, scores, 1, math.inf)))
         return DecodeResult(tuple(c - 1 for c in best.as_tuple()), float(scores[best]),
                             list(self.trace))
 

@@ -25,9 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# multi_head_attention is not called here, but stays bound: the
-# benchmark's tracer (perfbench/tracer.py) wraps it by this module's name.
-from .attention import multi_head_attention  # noqa: F401
+from .attention import multi_head_attention  # noqa: F401 (uncalled; the tracer wraps it here)
 from .ctc import check_eps_dec, log_posterior_row
 from .encoder import FeatureMatrix, IncrementalEncoder, check_eps_enc
 from .kernels import check_model_dtype, is_real
@@ -111,8 +109,7 @@ class StreamingSession:
         self.encoder = IncrementalEncoder(model.encoder, config.eps_enc)
         self._rows = 0            # encoder rows emitted so far, all added to the search
         self._post = deque()      # posterior rows the search has not consumed yet
-        self._last_node = None    # the search's best CTC prefix at the last partial
-        self._last_partial = None
+        self._last_partial = None  # the search's best CTC partial at the last push
 
     @property
     def emitted_frames(self):
@@ -154,17 +151,13 @@ class StreamingSession:
     def _partial(self):
         if self.search.frame == 0:
             return None
-        # nodes are interned, so the same node is the same partial; a prefix
-        # interned again is a new node with equal labels, which the tuples catch
-        node = self.search.best_ctc_prefix
-        if node is self._last_node:
-            return None
-        self._last_node = node
+        # the same tuple while the best node is unchanged: one identity test
         cur = self.search.best_ctc_partial
-        if cur != self._last_partial:
-            self._last_partial = cur
-            return cur
-        return None
+        if cur is self._last_partial:
+            return None
+        changed = cur != self._last_partial
+        self._last_partial = cur
+        return cur if changed else None
 
     def _pump(self, frames, final):
         if not self._flushed:

@@ -311,16 +311,17 @@ def stepwise_ta_with_eos(dec, enc, labels, nus, n_total):
     """Prefix score under a per-label truncation schedule plus the
     end-of-sequence continuation at full visibility, rebuilt from the
     single-position decoder op."""
-    from streamasr.decoder import advance_position, empty_history
+    from streamasr.decoder import CrossAttentionCache, advance_position, empty_history
 
+    cache = CrossAttentionCache(dec, enc)
     hist = empty_history(dec)
     token = dec.sos_id
     total = 0.0
     for j, lab in enumerate(labels):
-        hist, logp = advance_position(dec, enc, hist, token, j, nus[j])
+        hist, logp = advance_position(dec, cache, hist, token, j, nus[j])
         total += float(logp[lab])
         token = lab
-    _, logp = advance_position(dec, enc, hist, token, len(labels), n_total)
+    _, logp = advance_position(dec, cache, hist, token, len(labels), n_total)
     return total + float(logp[dec.eos_id])
 
 

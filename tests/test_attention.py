@@ -158,17 +158,6 @@ def test_truncation_mask_rows_are_key_prefixes():
     assert np.array_equal(m, want)
 
 
-def test_mha_param_validation():
-    rng = np.random.default_rng(16)
-    params = rand_mha(rng, heads=2, d_model=6, d_k=3)
-    params.validate(6)
-    bad = MhaParams(params.w_q, params.w_k, params.w_v, np.zeros((5, 6), dtype=np.float32))
-    with pytest.raises(ValueError, match="w_h shape"):
-        bad.validate(6)
-    with pytest.raises(ValueError, match="model dim"):
-        params.validate(8)
-
-
 def test_attention_shape_errors():
     with pytest.raises(ValueError, match="query width"):
         scaled_dot_attention(np.ones((1, 3)), np.ones((2, 4)), np.ones((2, 2)),

@@ -158,6 +158,17 @@ def test_bad_eps_enc_exits_one(capsys, workspace):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("model", ["toy.model", "missing.model"])
+def test_a_bad_eps_enc_is_reported_before_anything_loads(capsys, workspace, model):
+    # it used to be reported after the model, vocabulary and LM had
+    # loaded, as an error of the first feature file
+    args = base_args(workspace, **{"eps-enc": "-1"})
+    args[1] = str(workspace / model)
+    code, out, err = run(capsys, args)
+    assert code == 1 and out == ""
+    assert err == "streamasr: error: eps_enc must be a non-negative integer or inf, got -1\n"
+
+
 def test_runtime_errors_exit_one_with_message(capsys, workspace, tmp_path):
     code, _, err = run(capsys, ["--model", str(tmp_path / "nope.model"),
                                 "--vocab", str(workspace / "toy.vocab"),

@@ -65,10 +65,11 @@ def test_causal_consistency_of_cached_positions():
     # each step's posterior must equal the standalone short-context run
     dec, enc = setup_case(55)
     ctx = (2, 3, 4)
+    cache = CrossAttentionCache(dec, enc)
     hist = empty_history(dec)
     tokens = (dec.sos_id,) + ctx
     for i, tok in enumerate(tokens):
-        hist, logp = advance_position(dec, enc, hist, tok, i, 5)
+        hist, logp = advance_position(dec, cache, hist, tok, i, 5)
         standalone = next_label_logp(dec, enc, 5, ctx[:i])
         assert np.array_equal(logp, standalone)
 
@@ -88,11 +89,12 @@ def test_ta_prefix_score_is_sum_of_stepwise_terms():
     dec, enc = setup_case(58, n=6)
     labels = (2, 4, 3)
     nus = (2, 4, 6)
+    cache = CrossAttentionCache(dec, enc)
     hist = empty_history(dec)
     tokens = (dec.sos_id,) + labels[:-1]
     want = 0.0
     for i, (tok, lab, nu) in enumerate(zip(tokens, labels, nus)):
-        hist, logp = advance_position(dec, enc, hist, tok, i, nu)
+        hist, logp = advance_position(dec, cache, hist, tok, i, nu)
         want += float(logp[lab])
     got = ta_prefix_score(enc, labels, nus, dec)
     assert got == pytest.approx(want, abs=1e-10)
@@ -163,7 +165,7 @@ def test_earlier_positions_unaffected_by_later_truncation_growth():
     # both runs score the first label identically at nu=2
     assert total_a != total_b
     hist = empty_history(dec)
-    _, logp0 = advance_position(dec, enc, hist, dec.sos_id, 0, 2)
+    _, logp0 = advance_position(dec, CrossAttentionCache(dec, enc), hist, dec.sos_id, 0, 2)
     assert np.array_equal(logp0, lp_first)
 
 
@@ -172,7 +174,7 @@ def test_history_rows_shapes():
     hist = empty_history(dec)
     heads, _, d_k = dec.layers[0].self_mha.w_k.shape
     assert hist.shape == (len(dec.layers), 2, heads, 0, d_k)
-    grown, _ = advance_position(dec, enc, hist, dec.sos_id, 0, 2)
+    grown, _ = advance_position(dec, CrossAttentionCache(dec, enc), hist, dec.sos_id, 0, 2)
     assert grown.shape == (len(dec.layers), 2, heads, 1, d_k)
     assert hist.shape == (len(dec.layers), 2, heads, 0, d_k)  # the input is left as it was
 
@@ -182,10 +184,11 @@ def test_a_step_shares_no_storage_with_its_input_or_its_siblings():
     # are separate arrays, and writing one changes neither its parent nor
     # its sibling
     dec, enc = setup_case(80, n=5, d_layers=2)
-    parent, _ = advance_position(dec, enc, empty_history(dec), dec.sos_id, 0, 3)
+    cache = CrossAttentionCache(dec, enc)
+    parent, _ = advance_position(dec, cache, empty_history(dec), dec.sos_id, 0, 3)
     kept = parent.copy()
-    (first, _, _), (second, _, _) = advance_positions(dec, CrossAttentionCache(dec, enc),
-                                                      [parent, parent], [2, 3], [1, 1], 4)
+    (first, _, _), (second, _, _) = advance_positions(dec, cache, [parent, parent], [2, 3],
+                                                      [1, 1], 4)
     assert (parent == kept).all()
     assert (first[:, :, :, :1] == parent).all() and (second[:, :, :, :1] == parent).all()
     assert not (first[:, :, :, 1] == second[:, :, :, 1]).all()
@@ -204,8 +207,9 @@ def test_history_has_the_dtype_of_the_key_rows_it_holds(enc64):
     dec, enc = setup_case(81, n=4, d_layers=2)
     if enc64:
         enc = enc.astype(np.float64)
-    hist, _ = advance_position(dec, enc, empty_history(dec), dec.sos_id, 0, 2)
-    hist, _ = advance_position(dec, enc, hist, 3, 1, 4)
+    cache = CrossAttentionCache(dec, enc)
+    hist, _ = advance_position(dec, cache, empty_history(dec), dec.sos_id, 0, 2)
+    hist, _ = advance_position(dec, cache, hist, 3, 1, 4)
     assert hist.dtype == np.float32
     # layer 0's rows are the projections of its normed input, bit for bit
     x = dec.embed[[dec.sos_id, 3]] + positional_encodings([0, 1], dec.d_model)
@@ -252,8 +256,8 @@ def test_shared_cross_cache_grown_in_steps_matches_fresh_caches():
         hist_s = shared[context[:-1]] if context else empty_history(dec)
         hist_f = fresh[context[:-1]] if context else empty_history(dec)
         shared[context], lp_s = advance_position(dec, cache, hist_s, token, len(context), nu)
-        fresh[context], lp_f = advance_position(dec, enc[:emitted], hist_f, token, len(context),
-                                                nu)
+        fresh[context], lp_f = advance_position(dec, CrossAttentionCache(dec, enc[:emitted]),
+                                                hist_f, token, len(context), nu)
         assert np.array_equal(lp_s, lp_f)
         assert np.array_equal(shared[context], fresh[context])
     assert cache.rows == 8
@@ -268,14 +272,14 @@ def test_cross_cache_rejects_shrinking_encoder_and_foreign_decoder():
         advance_position(other, cache, empty_history(other), other.sos_id, 0, 2)
 
 
-def history_of_length(dec, enc, rng, length):
+def history_of_length(dec, cache, rng, length):
     """A history of ``length`` positions, start token first, each scored
-    at a random truncation."""
+    at a random truncation of ``cache``'s encoder rows."""
     hist = empty_history(dec)
     for pos in range(length):
         tok = dec.sos_id if pos == 0 else int(rng.integers(dec.vocab_size))
-        nu = int(rng.integers(1, enc.shape[0] + 1))
-        hist, _ = advance_position(dec, enc, hist, tok, pos, nu)
+        nu = int(rng.integers(1, cache.rows + 1))
+        hist, _ = advance_position(dec, cache, hist, tok, pos, nu)
     return hist
 
 
@@ -287,13 +291,13 @@ def test_advance_positions_rows_equal_single_row_steps(b, d_layers):
     cache = CrossAttentionCache(dec, enc)
     for nu in range(1, enc.shape[0] + 1):
         # lengths 0..4 mixed within a batch and across truncations
-        hists = [history_of_length(dec, enc, rng, (nu + i) % 5) for i in range(b)]
+        hists = [history_of_length(dec, cache, rng, (nu + i) % 5) for i in range(b)]
         tokens = [dec.sos_id] + [int(t) for t in rng.integers(dec.vocab_size, size=b - 1)]
         positions = [h.shape[3] for h in hists]
         got = advance_positions(dec, cache, hists, tokens, positions, nu)
         assert len(got) == b
         for hist, tok, pos, (grown, logp, _) in zip(hists, tokens, positions, got):
-            want_hist, want_logp = advance_position(dec, enc, hist, tok, pos, nu)
+            want_hist, want_logp = advance_position(dec, cache, hist, tok, pos, nu)
             assert logp.dtype == np.float64
             assert (logp == want_logp).all()
             assert grown.shape == want_hist.shape
@@ -319,7 +323,7 @@ def test_rows_with_a_stem_equal_rows_stepped_from_scratch(b, d_layers, enc64):
         enc = enc.astype(np.float64)
     rng = np.random.default_rng(b + 10 * d_layers)
     cache = CrossAttentionCache(dec, enc)
-    hists = [history_of_length(dec, enc, rng, i % 4) for i in range(b)]
+    hists = [history_of_length(dec, cache, rng, i % 4) for i in range(b)]
     tokens = [dec.sos_id if h.shape[3] == 0 else int(rng.integers(dec.vocab_size)) for h in hists]
     positions = [h.shape[3] for h in hists]
     first = advance_positions(dec, cache, hists, tokens, positions, int(rng.integers(1, 7)))
@@ -334,7 +338,7 @@ def test_rows_with_a_stem_equal_rows_stepped_from_scratch(b, d_layers, enc64):
             assert stem is stems[i] or stems[i] is None
             for part, want_part in zip(stem, want_stem):
                 assert part.dtype == want_part.dtype == np.float32 and (part == want_part).all()
-            alone_hist, alone_logp = advance_position(dec, enc, hists[i], tokens[i],
+            alone_hist, alone_logp = advance_position(dec, cache, hists[i], tokens[i],
                                                       positions[i], nu)
             assert (hist == alone_hist).all() and (logp == alone_logp).all()
     with pytest.raises(ValueError, match="stems"):
@@ -343,11 +347,12 @@ def test_rows_with_a_stem_equal_rows_stepped_from_scratch(b, d_layers, enc64):
 
 def test_a_decoder_without_layers_has_no_stems():
     dec, enc = setup_case(89, n=4, d_layers=0)
-    [(hist, logp, stem)] = advance_positions(dec, CrossAttentionCache(dec, enc),
-                                             [empty_history(dec)], [dec.sos_id], [0], 2)
+    cache = CrossAttentionCache(dec, enc)
+    [(hist, logp, stem)] = advance_positions(dec, cache, [empty_history(dec)], [dec.sos_id],
+                                             [0], 2)
     assert stem is None and hist.shape[0] == 0
-    assert (advance_positions(dec, enc, [empty_history(dec)], [dec.sos_id], [0], 3, [stem])[0][1]
-            == advance_position(dec, enc, empty_history(dec), dec.sos_id, 0, 3)[1]).all()
+    assert (advance_positions(dec, cache, [empty_history(dec)], [dec.sos_id], [0], 3, [stem])[0][1]
+            == advance_position(dec, cache, empty_history(dec), dec.sos_id, 0, 3)[1]).all()
 
 
 def test_advance_positions_rejects_bad_arguments():
@@ -357,6 +362,9 @@ def test_advance_positions_rejects_bad_arguments():
     other, _ = setup_case(78, n=4)
     with pytest.raises(ValueError, match="another decoder"):
         advance_positions(other, cache, [empty_history(other)], [other.sos_id], [0], 2)
+    # the step reads encoder rows only through a cache, which projects each row once
+    with pytest.raises(ValueError, match="raw encoder matrix"):
+        advance_positions(dec, enc, [hist], [dec.sos_id], [0], 2)
     for nu in (0, 5, -1):
         with pytest.raises(ValueError, match="trigger index out of range"):
             advance_positions(dec, cache, [hist], [dec.sos_id], [0], nu)
@@ -401,7 +409,7 @@ def test_decoder_self_attention_needs_value_heads_as_wide_as_key_heads():
     mha.w_v = np.zeros((h, d_model, d_k + 1), dtype=np.float32)
     mha.w_h = np.zeros((h * (d_k + 1), d_model), dtype=np.float32)
     with pytest.raises(ValueError, match=f"d_v {d_k + 1}, d_k {d_k}"):
-        advance_position(dec, enc, empty_history(dec), dec.sos_id, 0, 2)
+        advance_position(dec, CrossAttentionCache(dec, enc), empty_history(dec), dec.sos_id, 0, 2)
 
 
 def test_position_rows_from_the_kept_block_equal_each_position_alone(monkeypatch):
@@ -473,12 +481,13 @@ def test_batches_interleaving_stem_and_fresh_rows_equal_one_row_steps(b):
     dec, enc = setup_case(92 + b, n=6, d_layers=2)
     rng = np.random.default_rng(b)
     cache = CrossAttentionCache(dec, enc)
-    hists = [history_of_length(dec, enc, rng, int(rng.integers(0, 20))) for _ in range(b)]
+    hists = [history_of_length(dec, cache, rng, int(rng.integers(0, 20))) for _ in range(b)]
     tokens = [dec.sos_id if h.shape[3] == 0 else int(rng.integers(dec.vocab_size)) for h in hists]
     positions = [h.shape[3] for h in hists]
     kept = [stem for _, _, stem in advance_positions(dec, cache, hists, tokens, positions, 2)]
     nu = 5
-    alone = [advance_position(dec, enc, h, t, p, nu) for h, t, p in zip(hists, tokens, positions)]
+    alone = [advance_position(dec, cache, h, t, p, nu)
+             for h, t, p in zip(hists, tokens, positions)]
     for pattern in range(2 ** b):
         stems = [kept[i] if pattern >> i & 1 else None for i in range(b)]
         got = advance_positions(dec, cache, hists, tokens, positions, nu, stems)
@@ -498,7 +507,7 @@ def test_advance_positions_rejects_token_ids_outside_the_vocabulary(bad):
     with pytest.raises(ValueError, match="outside the vocabulary"):
         advance_positions(dec, cache, [hist, hist], [dec.sos_id, bad], [0, 0], 2)
     with pytest.raises(ValueError, match="outside the vocabulary"):
-        advance_position(dec, enc, hist, bad, 0, 2)
+        advance_position(dec, cache, hist, bad, 0, 2)
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, True, np.float64(1.0)])
@@ -506,7 +515,7 @@ def test_advance_positions_rejects_positions_that_are_not_integers_from_0(bad):
     dec, enc = setup_case(94, n=4)
     hist = empty_history(dec)
     with pytest.raises(ValueError, match="is not an integer >= 0"):
-        advance_position(dec, enc, hist, dec.sos_id, bad, 2)
+        advance_position(dec, CrossAttentionCache(dec, enc), hist, dec.sos_id, bad, 2)
 
 
 @pytest.mark.parametrize("length", [0, 2])

@@ -402,7 +402,9 @@ def test_encoder_rejects_value_heads_of_another_width():
     h, d_model, d_k = mha.w_q.shape
     mha.w_v = np.zeros((h, d_model, d_k + 1), dtype=np.float32)
     mha.w_h = np.zeros((h * (d_k + 1), d_model), dtype=np.float32)
-    mha.validate(d_model)
+    # otherwise a consistent block: only the value width differs
+    assert mha.w_k.shape == (h, d_model, d_k) and mha.w_v.shape[:2] == (h, d_model)
+    assert mha.w_h.shape == (h * mha.w_v.shape[2], d_model)
     msg = f"d_v {d_k + 1}, d_k {d_k}"
     with pytest.raises(ValueError, match=msg):
         IncrementalEncoder(m.encoder, 1)

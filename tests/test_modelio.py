@@ -6,10 +6,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamasr.encoder import FeatureMatrix
-from streamasr.modelio import (_HEAD_READ, _SCHEMA, EOS_TOKEN, SOS_TOKEN, Vocab, _tensors,
+from streamasr.modelio import (_HEAD_READ, _SCHEMA, EOS_TOKEN, SOS_TOKEN, Vocab, _model,
+                               _symbols, _tensors,
                                load_features, load_model, load_vocab, random_features,
                                random_model, save_model, save_vocab, toy_vocab,
                                write_features)
+
+
+def unchecked_model(**kw):
+    """A model whose header holds random_model's default dims updated by
+    ``kw`` and whose tensors are zeros of the shapes those give, built
+    without the header rules, so that its archive can break them."""
+    dims = {**dict(e_layers=2, d_layers=1, d_model=16, d_ff=32, heads=4, vocab=5, d_feat=8),
+            **kw}
+    sym = _symbols(dims, max(1, dims["d_model"] // 4), max(1, dims["d_model"] // 2))
+    return _model(dims, 0, 1, sym, lambda name, shape, init: np.zeros(shape, dtype=np.float32))
 
 
 def test_model_archive_round_trip_is_byte_stable(tmp_path):
@@ -121,10 +132,10 @@ def test_model_archive_error_paths(tmp_path):
         load_model(bad)
 
     # degenerate dimensions are rejected by name, even with matching tensors
-    save_model(bad, random_model(147, d_model=0, heads=1))
+    save_model(bad, unchecked_model(d_model=0, heads=1))
     with pytest.raises(ValueError, match="dimension d_model is 0"):
         load_model(bad)
-    save_model(bad, random_model(148, e_layers=-3))
+    save_model(bad, unchecked_model(e_layers=-3))
     with pytest.raises(ValueError, match="dimension e_layers is -3"):
         load_model(bad)
 
@@ -142,6 +153,58 @@ def test_model_archive_error_paths(tmp_path):
     bad.write_bytes(join_archive(head, lines, blob[:len(blob) - 4 * int(drop)]))
     with pytest.raises(ValueError, match="tensor cnn.conv1_w has -1 output channels"):
         load_model(bad)
+
+
+# random_model arguments that break a header rule, the line of a default
+# archive edited to say the same, and the message both must give
+REFUSED_HEADERS = [
+    (dict(heads=3), b"heads 4", b"heads 3", "d_model 16 not divisible by heads 3"),
+    (dict(heads=0), b"heads 4", b"heads 0", "d_model 16 not divisible by heads 0"),
+    (dict(vocab_size=1), b"vocab 5", b"vocab 1", "eos_id 1 outside vocabulary"),
+    (dict(d_model=0), b"d_model 16", b"d_model 0", "dimension d_model is 0, must be at least 1"),
+    (dict(d_feat=0), b"d_feat 8", b"d_feat 0", "dimension d_feat is 0, must be at least 1"),
+    (dict(e_layers=-1), b"e_layers 2", b"e_layers -1",
+     "dimension e_layers is -1, must be at least 0"),
+    (dict(ch1=0), b"cnn.conv1_w 4,1,3,3", b"cnn.conv1_w 0,1,3,3",
+     "tensor cnn.conv1_w has 0 output channels, must be at least 1"),
+    (dict(ch2=0), b"cnn.conv2_w 8,4,3,3", b"cnn.conv2_w 0,4,3,3",
+     "tensor cnn.conv2_w has 0 output channels, must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("kw,line,edited,message", REFUSED_HEADERS,
+                         ids=[edited.decode() for _, _, edited, _ in REFUSED_HEADERS])
+def test_random_model_refuses_what_load_model_refuses(tmp_path, kw, line, edited, message):
+    # random_model used to build these, and load_model refused their
+    # archives (heads 0 raised ZeroDivisionError instead)
+    path = tmp_path / "m.model"
+    save_model(path, random_model(0))
+    raw = path.read_bytes()
+    assert raw.count(b"\n" + line + b"\n") == 1
+    path.write_bytes(raw.replace(b"\n" + line + b"\n", b"\n" + edited + b"\n"))
+    with pytest.raises(ValueError) as loaded:
+        load_model(path)
+    assert str(loaded.value) == f"{path}: {message}"
+    with pytest.raises(ValueError) as built:
+        random_model(0, **kw)
+    assert str(built.value) == message
+
+
+@pytest.mark.parametrize("kw", [
+    dict(d_model=1, heads=1, d_feat=1, d_ff=0, e_layers=0, d_layers=0, ch1=1, ch2=1),
+    dict(vocab_size=1, with_eos=False),
+    dict(vocab_size=2),
+    dict(d_model=12, heads=3, d_feat=5, ch1=2, ch2=7),
+    dict(d_model=6, heads=6, e_layers=1, d_layers=3),
+])
+def test_random_models_at_the_edges_of_the_header_rules_round_trip(tmp_path, kw):
+    m = random_model(5, **kw)
+    save_model(tmp_path / "a.model", m)
+    back = load_model(tmp_path / "a.model")
+    save_model(tmp_path / "b.model", back)
+    assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
+    assert (back.d_model, back.heads, back.vocab_size, back.d_feat) == \
+        (m.d_model, m.heads, m.vocab_size, m.d_feat)
 
 
 # sha256 of save_model(random_model(seed, **kw)): a change to random_model's

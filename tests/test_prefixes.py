@@ -448,6 +448,20 @@ def carried_tuples(search):
     return {pre.as_tuple(): (h.p_b, h.p_nb) for pre, h in search.hyps.items()}
 
 
+def recorded_phats(search):
+    """A list to which each of ``search``'s frames appends the phat of its
+    first prune's survivors, as the search's CTC stage returns it."""
+    phats, stage = [], search._ctc_stage
+
+    def recording(row):
+        omega_hat, phat = stage(row)
+        phats.append(phat)
+        return omega_hat, phat
+
+    search._ctc_stage = recording
+    return phats
+
+
 def masked_row(search, row):
     """The posterior row the search's CTC stage reads: banned columns at
     -inf, as Python floats."""
@@ -482,6 +496,7 @@ def test_search_phat_is_prefix_score_of_each_survivor(monkeypatch, ctc_only):
     monkeypatch.setattr(search_mod, "Hypothesis", recording)
     monkeypatch.setattr(search_mod, "Prefix", counting)
     node_cap = params.p_size if ctc_only else params.k_size
+    phats = recorded_phats(search)
     nodes = 0
     for row in logp:
         del built[:], created[:]
@@ -495,7 +510,7 @@ def test_search_phat_is_prefix_score_of_each_survivor(monkeypatch, ctc_only):
         assert {h.prefix for h in built} >= set(search.hyps) | set(created)
         for h in built:
             assert h.lm_logp == h.prefix.lm_logp
-            assert search._last_phat[h.prefix] == prefix_score(h, params.alpha0, params.beta)
+            assert phats[-1][h.prefix] == prefix_score(h, params.alpha0, params.beta)
         nodes += len(created)
     assert nodes > 0
 
@@ -515,11 +530,12 @@ def assert_stage_matches_all_nodes(search, logp, lm, params, views):
     k of them as the hooks see them (``views``) in a joint search, the
     carried top p without a decoder."""
     joint = search.dec is not None
+    phats = recorded_phats(search)
     for frame, row in enumerate(logp, start=1):
         want = all_nodes_ctc_stage(masked_row(search, row), search.hyps, lm, params,
                                    params.k_size if joint else params.p_size)
         search.advance(row)
-        assert [(pre.as_tuple(), v) for pre, v in search._last_phat.items()] == \
+        assert [(pre.as_tuple(), v) for pre, v in phats[-1].items()] == \
             [(cols, phat) for cols, _, _, phat in want]
         masses = [(cols, p_b, p_nb) for cols, p_b, p_nb, _ in want]
         if joint:
@@ -621,9 +637,9 @@ def test_first_prune_keeps_a_candidate_exactly_at_the_beam_edge():
     params = DecodeParams(k_size=5, p_size=5, theta1=4.0, theta2=100.0, alpha0=0.0, beta=0.0,
                           local_threshold=0.0)
     search = CtcPrefixSearch(UniformLM(2), params, 3)
+    phats = recorded_phats(search)
     search.advance([-1.0, -5.0, -20.0])
-    assert [(pre.as_tuple(), v) for pre, v in search._last_phat.items()] == [((), -1.0),
-                                                                          ((1,), -5.0)]
+    assert [(pre.as_tuple(), v) for pre, v in phats[-1].items()] == [((), -1.0), ((1,), -5.0)]
 
 
 
@@ -637,12 +653,13 @@ def test_no_numpy_scalar_reaches_scores_or_trace(ctc_only):
         search = JointSearch(m.decoder, lm, params, logp.shape[1])
         search.add_rows(np.random.default_rng(148).standard_normal(
             (logp.shape[0], m.d_model)).astype(np.float32))
+    phats = recorded_phats(search)
     for row in logp:
         search.advance(row)
         for h in search.hyps.values():
             assert type(h.p_b) is float and type(h.p_nb) is float
             assert type(h.lm_logp) is float and type(h.prefix.lm_logp) is float
-        assert all(type(v) is float for v in search._last_phat.values())
+        assert all(type(v) is float for v in phats[-1].values())
         assert all(type(v) is float for v in search._last_pjoint.values())
     result = search.finalize()
     assert type(result.score) is float
@@ -667,8 +684,8 @@ class BlockingLM(LanguageModel):
         return (nxt, label), NEG_INF if (last, label) in self.blocked else inc
 
 
-def assert_no_nan_scores(search):
-    assert not any(math.isnan(v) for v in search._last_phat.values())
+def assert_no_nan_scores(search, phat):
+    assert not any(math.isnan(v) for v in phat.values())
     assert not any(math.isnan(v) for v in search._last_pjoint.values())
     assert "nan" not in search.trace[-1]
 
@@ -703,9 +720,10 @@ def test_zero_lm_weight_keeps_an_lm_minus_inf_out_of_every_score(data):
         search.add_rows(rng.standard_normal((n, m.d_model)).astype(np.float32))
     else:
         search = CtcPrefixSearch(lm, params, n_cols)
+    phats = recorded_phats(search)
     for row in logp:
         search.advance(row)
-        assert_no_nan_scores(search)
+        assert_no_nan_scores(search, phats[-1])
     got = search.finalize()
     assert not math.isnan(got.score)
     if not joint:

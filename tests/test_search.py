@@ -14,7 +14,7 @@ from streamasr.kernels import NEG_INF, log_add
 from streamasr.lm import UniformLM
 from streamasr.modelio import _SCHEMA, _Block
 from streamasr.search import (CtcPrefixSearch, DecodeParams, Hypothesis,
-                              JointSearch, LossParams, PrefixTable, _rank, _top, ctc_prefix_search,
+                              JointSearch, LossParams, PrefixTable, _rank, ctc_prefix_search,
                               decode, joint_loss, joint_score, prefix_score,
                               prune)
 from streamasr.streaming import StreamConfig, StreamingSession
@@ -161,6 +161,30 @@ def test_prune_and_the_rank_routine_equal_the_sorted_key_form(data):
         nodes[k] = pre
     ranked = _rank([(-scores[k], len(k), nodes[k]) for k in keys], size, width)
     assert [r[2].as_tuple() for r in ranked] == want
+
+
+@pytest.mark.parametrize("joint", [True, False])
+def test_the_search_ranks_its_p_joint_beams_through_prune(monkeypatch, joint):
+    # a joint frame ranks its carried top P and its best by p_joint, and
+    # finalize its best, each through the module's prune, which the
+    # benchmark's tracer counts; a CTC-only frame ranks by phat alone, so
+    # only finalize calls it
+    n = 6
+    m, enc, post, lm, params = decode_setup(39, n=n, k_size=8, p_size=3)
+    want = (decode(enc, post, lm, m.decoder, params) if joint
+            else ctc_prefix_search(post, lm, params, banned_ids=m.decoder.reserved_ids))
+    from streamasr import search as search_mod
+    calls, real = [], search_mod.prune
+
+    def counting(hyps, scores, size, width):
+        calls.append(size)
+        return real(hyps, scores, size, width)
+
+    monkeypatch.setattr(search_mod, "prune", counting)
+    got = (decode(enc, post, lm, m.decoder, params) if joint
+           else ctc_prefix_search(post, lm, params, banned_ids=m.decoder.reserved_ids))
+    assert calls == ([params.p_size, 1] * n if joint else []) + [1]
+    assert (got.labels, got.score, got.trace) == (want.labels, want.score, want.trace)
 
 
 def test_decode_params_validation():
@@ -483,7 +507,7 @@ def advance_checking_kept_labels(search, rows):
             assert (search._trace_best, search._partial, search.best_ctc_partial) == before
             search.advance(row)
         node, text = search._trace_best
-        best = _top(search._last_pjoint, search._last_carried, 1, math.inf)[0]
+        best = next(iter(prune(search._last_carried, search._last_pjoint, 1, math.inf)))
         assert node is best and text == ",".join(str(i) for i in spelled(best))
         assert TRACE_RE.match(search.trace[-1]).group(3) == (text or None)
         assert search.best_ctc_partial == spelled(search.best_ctc_prefix)
