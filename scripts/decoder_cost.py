@@ -1,36 +1,40 @@
 #!/usr/bin/env python3
 """Print the cost of the decoder step, ``advance_positions``, call by call.
 
-Builds a random mid-size model (the benchmark's dimensions) and one random
-utterance, encodes it, and runs one offline joint decode (k 16, p 8,
-eps_dec 4, uniform LM), recording every ``decoder.advance_positions``
-call the search makes: which earlier call's row each history and stem
-came from, the tokens, the positions and the truncation.  It then
-replays the recorded calls in order, each call ``REPEATS`` times, and
-prints the calls, the rows per call and the share of rows that bring a
-stem, the summed best time of the calls and the median call.
+Loads the mid-size model archive (the benchmark's dimensions) that
+``lockstep.write_inputs`` writes, encodes one random utterance, and runs
+one offline joint decode (k 16, p 8, eps_dec 4, uniform LM), recording
+every ``decoder.advance_positions`` call the search makes: which earlier
+call's row each history and stem came from, the tokens, the positions
+and the truncation.  It then replays the recorded calls in order, in
+``REPEATS`` rounds of ``lockstep.rounds``, and prints the calls, the
+rows per call and the share of rows that bring a stem, the summed best
+time of the calls and the median call.
 
 ``--baseline SRC_DIR`` also imports a second copy of the package from
 SRC_DIR (another checkout's ``src``) under another name and replays the
-same calls through both copies in lockstep, alternating which of the two
-goes first from one call and one repeat to the next.  Each side builds
-its own model and cross-attention cache from the same encoder rows, and
-feeds each call the histories and stems its own earlier calls returned,
-so each side runs its own formats.  The script prints the ratio (this
-copy / baseline) of the summed best times and the median per-call
-ratio, overall and by the rows a call carries.  It exits 1 if any
-history or log posterior of the two copies differs.
+same calls through both copies in the same rounds, alternating which
+goes first from one call and one round to the next.  Each side loads
+the archive, builds its own cross-attention cache from the same encoder
+rows, and feeds each call the histories and stems its own earlier calls
+of the round returned, so each side runs its own formats.  The script
+prints the paired ratios (``lockstep.paired``, this copy over the
+baseline) of the summed calls and per call as median [quartiles], and
+the median per-call ratio by the rows a call carries.  It exits 1 if
+any history or log posterior of the two copies differs.
 
-    python3 scripts/decoder_cost.py              # 4 s utterance, best of 5
+    python3 scripts/decoder_cost.py              # 4 s utterance, best of 6
     python3 scripts/decoder_cost.py --seconds 1  # quick smoke run
     python3 scripts/decoder_cost.py --seconds 4 --baseline ../parent/src
 """
 
-from lockstep import MID_MODEL, import_baseline  # first: one BLAS thread, before numpy loads
+# first: one BLAS thread, before numpy loads
+from lockstep import MID_MODEL, import_baseline, paired, rounds, spread, write_inputs
 
 import argparse
+import functools
 import sys
-from time import perf_counter
+import tempfile
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from streamasr import decoder as dec_mod
 
 EPS_ENC = 1
 SEARCH = dict(k_size=16, p_size=8, eps_dec=4)
-REPEATS = 5  # runs per call and side; the best is kept
+REPEATS = 6  # rounds of calls (an even number); each call's best is kept
 SEED = 0
 
 
@@ -77,48 +81,32 @@ def record(enc, post, dec):
 
 
 class Side:
-    """One package copy replaying the recorded calls on its own model and
-    cache, each call fed the histories and stems its own earlier calls
-    returned."""
+    """One package copy replaying the recorded calls on its own load of
+    the archive and its own cache, each call fed the histories and stems
+    its own earlier calls of the round returned."""
 
-    def __init__(self, pkg, enc, seed):
-        self.dec = pkg.random_model(seed, **MID_MODEL).decoder
+    def __init__(self, pkg, path, enc, calls):
+        self.dec = pkg.load_model(path).decoder
         self.step = pkg.decoder.advance_positions
         self.cache = pkg.decoder.CrossAttentionCache(self.dec, enc)
         self.empty = pkg.decoder.empty_history(self.dec)
-        self.outputs = []
+        self.calls = calls
 
-    def arguments(self, call):
-        sources, tokens, positions, nu = call
+    def prepare(self, j, outputs):
+        sources, tokens, positions, nu = self.calls[j]
         hists, stems = [], []
         for hist, stem in sources:
-            hists.append(self.empty if hist is None else self.outputs[hist[0]][hist[1]][0])
-            stems.append(None if stem is None else self.outputs[stem[0]][stem[1]][2])
-        return self.dec, self.cache, hists, tokens, positions, nu, stems
+            hists.append(self.empty if hist is None else outputs[hist[0]][hist[1]][0])
+            stems.append(None if stem is None else outputs[stem[0]][stem[1]][2])
+        return functools.partial(self.step, self.dec, self.cache, hists, tokens, positions,
+                                 nu, stems)
 
 
-def replay(sides, calls):
-    """Every recorded call run REPEATS times on each side, alternating
-    which side goes first -> (sides, calls) best seconds, or None if the
-    sides' histories or log posteriors differ on some row."""
-    best = np.full((len(sides), len(calls)), np.inf)
-    for i, call in enumerate(calls):
-        args = [side.arguments(call) for side in sides]
-        outs = [None] * len(sides)
-        for r in range(REPEATS):
-            for j in range(len(sides)):
-                s = (j + i + r) % len(sides)
-                t0 = perf_counter()
-                outs[s] = sides[s].step(*args[s])
-                best[s, i] = min(best[s, i], perf_counter() - t0)
-        for side, out in zip(sides, outs):
-            side.outputs.append(out)
-        if len(outs[0]) != len(outs[-1]):
-            return None
-        for row, other in zip(outs[0], outs[-1]):
-            if not (np.array_equal(row[0], other[0]) and np.array_equal(row[1], other[1])):
-                return None
-    return best
+def same(j, outs, others):
+    """Whether two sides' rows of one call agree in history and log posterior."""
+    return len(outs) == len(others) and all(
+        np.array_equal(row[0], other[0]) and np.array_equal(row[1], other[1])
+        for row, other in zip(outs, others))
 
 
 def main():
@@ -130,22 +118,20 @@ def main():
     args = ap.parse_args()
     base = None if args.baseline is None else import_baseline(args.baseline)
 
-    model = streamasr.random_model(args.seed, **MID_MODEL)
     feats = streamasr.random_features(args.seed + 1, max(4, int(args.seconds * 100)),
                                       MID_MODEL["d_feat"])
-    enc = streamasr.encode(feats, model.encoder, EPS_ENC)
-    post = streamasr.posteriorgram_from_states(enc, model.ctc_w, model.ctc_b)
-    calls = record(enc, post, model.decoder)
-    if not calls:
-        sys.exit("the decode made no decoder call")
+    with tempfile.TemporaryDirectory() as d:
+        path = write_inputs(d, args.seed)[0]["model"]
+        model = streamasr.load_model(path)
+        enc = streamasr.encode(feats, model.encoder, EPS_ENC)
+        post = streamasr.posteriorgram_from_states(enc, model.ctc_w, model.ctc_b)
+        calls = record(enc, post, model.decoder)
+        if not calls:
+            sys.exit("the decode made no decoder call")
+        sides = [Side(pkg, path, enc, calls) for pkg in (streamasr, base) if pkg is not None]
+    times, _ = rounds(sides, len(calls), REPEATS, same=same)
 
-    sides = [Side(streamasr, enc, args.seed)]
-    if base is not None:
-        sides.append(Side(base, enc, args.seed))
-    best = replay(sides, calls)
-    if best is None:
-        sys.exit(f"a history or log posterior differs from the baseline in {args.baseline}")
-
+    best = times.min(axis=0)
     rows = np.array([len(call[1]) for call in calls])
     stems = sum(stem is not None for call in calls for _, stem in call[0])
     audio_s = feats.frames.shape[0] * feats.frame_shift_ms / 1000.0
@@ -155,14 +141,14 @@ def main():
     print(f"this copy: summed {best[0].sum() * 1e3:.2f} ms, "
           f"median call {float(np.median(best[0])) * 1e6:.0f} us")
     if base is not None:
-        ratio = best[0] / best[1]
-        by_rows = " ".join(f"{b}:{float(np.median(ratio[rows == b])):.3f}"
+        ratio = paired(times)
+        by_rows = " ".join(f"{b}:{float(np.median(ratio[:, rows == b])):.3f}"
                            for b in sorted(set(rows.tolist())))
         print(f"baseline:  summed {best[1].sum() * 1e3:.2f} ms, "
               f"median call {float(np.median(best[1])) * 1e6:.0f} us")
-        print(f"lockstep against {args.baseline}: summed ratio (this/baseline) "
-              f"{best[0].sum() / best[1].sum():.3f}, median per-call ratio "
-              f"{float(np.median(ratio)):.3f}; by rows per call {by_rows}")
+        print(f"lockstep against {args.baseline}: paired ratio (this/baseline), median "
+              f"[quartiles]: summed {spread(paired(times.sum(axis=2, keepdims=True)))}, "
+              f"per call {spread(ratio)}; median by rows per call {by_rows}")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Print the streaming encoder's cost per audio second against offline's.
 
-Builds a random mid-size model (the benchmark's dimensions) and one random
-utterance, then times the encoder alone, eps_enc 1: offline ``encode``
-(one final push) and ``IncrementalEncoder.push`` fed 40 ms chunks plus the
-final flush.  Each is the best of ``REPEATS`` runs, in seconds per
-audio second; the ratio streaming/offline is the fixed per-push cost the
-streaming path pays on top of the rows it computes.  It also prints the
+Loads the random mid-size model (the benchmark's dimensions) that
+``lockstep.write_inputs`` writes, builds one random utterance, then
+times the encoder alone, eps_enc 1: offline ``encode`` (one final push)
+and ``IncrementalEncoder.push`` fed 40 ms chunks plus the final flush.
+Each is the best of ``REPEATS`` runs, in seconds per audio second; the
+ratio streaming/offline is the fixed per-push cost the streaming path
+pays on top of the rows it computes.  It also prints the
 median cost of one streaming push in the first and the last quarter of
 the utterance (each push timed as the best of its ``REPEATS`` runs), so
 a cost that grows with stream length shows, and the median cost of the
@@ -15,41 +16,43 @@ per push, so its share of a push shows.  Both paths must return the
 same bits, and the script exits 1 if they do not.
 
 ``--baseline SRC_DIR`` also imports a second copy of the package from
-SRC_DIR (another checkout's ``src``) under another name, builds the same
-model and utterance with it, and steps both streaming encoders push by
-push in one process, alternating which of the two goes first from one
-push and one run to the next.  Each push is timed as the best of its
-``REPEATS`` runs on each side; the script prints the median per-push
-ratio (this copy / baseline) over the whole utterance and in each
-quarter.  Each run ends with ``FLUSHES`` final flushes
-(``push(None, final=True)``) of each side, alternating which goes
-first, each on a copy of the pushed encoder; the script prints the
-ratio of the two best flushes.  The flush is where the encoder scores
-look-ahead-limited rows in a streaming session.  The script exits 1 if
-any encoder row of the two differs.
+SRC_DIR (another checkout's ``src``) under another name; each copy
+loads the archive, and ``lockstep.rounds`` steps both streaming
+encoders through the utterance in ``REPEATS`` rounds.  A round's steps
+are the pushes, then ``FLUSHES`` final flushes
+(``push(None, final=True)``, where the encoder scores
+look-ahead-limited rows), each on a copy of the pushed encoder made
+untimed; which copy goes first alternates from one step and one round
+to the next.  The script prints the paired per-push and flush ratios
+(``lockstep.paired``, this copy over the baseline) as median
+[quartiles], the per-push median by quarter, and each side's best
+times.  It exits 1 if any encoder row of the two differs.
 
-    python3 scripts/encoder_cost.py              # 4 s utterance, best of 5
+    python3 scripts/encoder_cost.py              # 4 s utterance, best of 6
     python3 scripts/encoder_cost.py --seconds 1  # quick smoke run
     python3 scripts/encoder_cost.py --seconds 8 --baseline ../parent/src
 """
 
-from lockstep import MID_MODEL, import_baseline  # first: one BLAS thread, before numpy loads
+# first: one BLAS thread, before numpy loads
+from lockstep import MID_MODEL, import_baseline, paired, rounds, spread, write_inputs
 
 import argparse
 import copy
+import functools
 import sys
+import tempfile
 from time import perf_counter
 
 import numpy as np
 
 import streamasr
-from streamasr import encode, random_features, random_model
+from streamasr import encode, random_features
 from streamasr.encoder import IncrementalEncoder
 
 EPS_ENC = 1
 CHUNK_FRAMES = 4  # 40 ms of 10 ms feature frames
-REPEATS = 5  # runs per path; the best is kept
-FLUSHES = 20  # final flushes timed per lockstep run, each on a copy of the pushed encoder
+REPEATS = 6  # runs per path, and lockstep rounds (an even number); the best is kept
+FLUSHES = 20  # final flushes timed per lockstep round, each on a copy of the pushed encoder
 SEED = 0
 
 
@@ -63,38 +66,21 @@ def best_of(fn):
     return best, outs
 
 
-def lockstep(base, frames, seed):
-    """Both streaming encoders pushed chunk by chunk in turn, REPEATS
-    times, each run ending with FLUSHES final flushes of each side, each
-    on a copy of the pushed encoder -> each push's best time on this
-    copy and on ``base``, (2, pushes + 1) with the flush's last, or None
-    if any encoder row differs."""
-    encoders = [(pkg.encoder.IncrementalEncoder, pkg.random_model(seed, **MID_MODEL).encoder)
-                for pkg in (streamasr, base)]
-    starts = range(0, frames.shape[0], CHUNK_FRAMES)
-    best = np.full((2, len(starts) + 1), np.inf)
+class Side:
+    """One package copy's streaming encoder on its own load of the archive:
+    step j pushes chunk j, and each step after the last chunk is a final
+    flush of a copy of the pushed encoder."""
 
-    def step(i, first, encs, chunk):
-        """One push of each side's encoder in ``encs``, side ``first``
-        first -> whether their rows agree; a flush (``chunk`` None) runs
-        on a copy made just before it."""
-        rows = [None, None]
-        for side in (first, 1 - first):
-            enc = encs[side] if chunk is not None else copy.deepcopy(encs[side])
-            t0 = perf_counter()
-            rows[side] = enc.push(chunk, final=chunk is None)
-            best[side, i] = min(best[side, i], perf_counter() - t0)
-        return np.array_equal(rows[0], rows[1])
+    def __init__(self, pkg, path, chunks):
+        self.cls, self.params = pkg.encoder.IncrementalEncoder, pkg.load_model(path).encoder
+        self.chunks = chunks
 
-    for r in range(REPEATS):
-        live = [cls(params, EPS_ENC) for cls, params in encoders]
-        for i, t in enumerate(starts):
-            if not step(i, (i + r) % 2, live, frames[t:t + CHUNK_FRAMES]):
-                return None
-        for j in range(FLUSHES):
-            if not step(-1, (j + r) % 2, live, None):
-                return None
-    return best
+    def prepare(self, j, outs):
+        if j == 0:
+            self.live = self.cls(self.params, EPS_ENC)
+        if j < len(self.chunks):
+            return functools.partial(self.live.push, self.chunks[j])
+        return functools.partial(copy.deepcopy(self.live).push, None, final=True)
 
 
 def main():
@@ -106,10 +92,14 @@ def main():
     args = ap.parse_args()
     base = None if args.baseline is None else import_baseline(args.baseline)
 
-    model = random_model(args.seed, **MID_MODEL)
     feats = random_features(args.seed + 1, max(1, int(args.seconds * 100)), MID_MODEL["d_feat"])
     frames = feats.frames
     audio_s = frames.shape[0] * feats.frame_shift_ms / 1000.0
+    chunks = [frames[t:t + CHUNK_FRAMES] for t in range(0, frames.shape[0], CHUNK_FRAMES)]
+    with tempfile.TemporaryDirectory() as d:
+        path = write_inputs(d, args.seed)[0]["model"]
+        model = streamasr.load_model(path)
+        sides = [] if base is None else [Side(pkg, path, chunks) for pkg in (streamasr, base)]
 
     def offline():
         return encode(feats, model.encoder, EPS_ENC)
@@ -118,9 +108,9 @@ def main():
         """The encoder rows, and the seconds each chunk's push took."""
         enc = IncrementalEncoder(model.encoder, EPS_ENC)
         rows, pushes = [], []
-        for t in range(0, frames.shape[0], CHUNK_FRAMES):
+        for chunk in chunks:
             t0 = perf_counter()
-            rows.append(enc.push(frames[t:t + CHUNK_FRAMES]))
+            rows.append(enc.push(chunk))
             pushes.append(perf_counter() - t0)
         rows.append(enc.push(None, final=True))
         return np.concatenate(rows), pushes
@@ -129,9 +119,9 @@ def main():
         """The seconds each chunk's front end took."""
         enc = IncrementalEncoder(model.encoder, EPS_ENC)
         pushes = []
-        for t in range(0, frames.shape[0], CHUNK_FRAMES):
+        for chunk in chunks:
             t0 = perf_counter()
-            enc.front_end(frames[t:t + CHUNK_FRAMES], False)
+            enc.front_end(chunk, False)
             pushes.append(perf_counter() - t0)
         return pushes
 
@@ -159,18 +149,18 @@ def main():
           f"of {push_us:.0f} us ({front_us / push_us:.0%})")
 
     if base is not None:
-        best = lockstep(base, frames, args.seed)
-        if best is None:
-            sys.exit(f"encoder rows differ from the baseline in {args.baseline}")
-        ratio = best[0, :-1] / best[1, :-1]
-        quarters = " ".join(f"{float(np.median(q)):.3f}" for q in np.array_split(ratio, 4))
-        print(f"lockstep against {args.baseline}: median per-push ratio (this/baseline) "
-              f"{float(np.median(ratio)):.3f}, by quarter {quarters}; "
-              f"median push {float(np.median(best[0, :-1])) * 1e6:.0f} us against "
-              f"{float(np.median(best[1, :-1])) * 1e6:.0f} us")
-        print(f"lockstep final flush (push(None, final=True)): ratio (this/baseline) "
-              f"{best[0, -1] / best[1, -1]:.3f}; {best[0, -1] * 1e6:.0f} us against "
-              f"{best[1, -1] * 1e6:.0f} us")
+        times, _ = rounds(sides, len(chunks) + FLUSHES, REPEATS,
+                          same=lambda j, a, b: np.array_equal(a, b))
+        ratio, best, n = paired(times), times.min(axis=0), len(chunks)
+        quarters = " ".join(f"{float(np.median(q)):.3f}"
+                            for q in np.array_split(ratio[:, :n], 4, axis=1))
+        print(f"lockstep against {args.baseline}: paired per-push ratio (this/baseline), "
+              f"median [quartiles] {spread(ratio[:, :n])}, by quarter {quarters}; "
+              f"median best push {float(np.median(best[0, :n])) * 1e6:.0f} us against "
+              f"{float(np.median(best[1, :n])) * 1e6:.0f} us")
+        print(f"lockstep final flush (push(None, final=True)): paired ratio "
+              f"{spread(ratio[:, n:])}; best {best[0, n:].min() * 1e6:.0f} us against "
+              f"{best[1, n:].min() * 1e6:.0f} us")
 
 
 if __name__ == "__main__":

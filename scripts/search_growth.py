@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Print how the pure-CTC search's per-frame cost grows along one utterance.
 
-Encodes a random utterance with a random mid-size model (the benchmark's
-dimensions), then runs ``CtcPrefixSearch`` (the one search loop,
-``JointSearch``, without a decoder; k 300, p 30, a random back-off
-bigram LM) over its posteriorgram, timing every frame.  Prints the mean
+Loads the cost scripts' one input set (``lockstep.write_inputs``: a
+random mid-size model archive, the benchmark's dimensions, its
+vocabulary and a random back-off bigram ARPA file), encodes a random
+utterance, then runs ``CtcPrefixSearch`` (the one search loop,
+``JointSearch``, without a decoder; k 300, p 30, the loaded bigram LM)
+over its posteriorgram, timing every frame.  Prints the mean
 per-frame cost in each quarter of the utterance, the mean number of
 nodes interned in the search's prefix table, of LM memo rows in use
 (the carried states') and of spare memo rows held (states that left the
@@ -17,11 +19,11 @@ depend on how long the prefixes have grown prints a ratio near 1.
     python3 scripts/search_growth.py --seconds 1  # quick smoke run
 """
 
-from lockstep import MID_MODEL  # first: one BLAS thread, before numpy loads
+from lockstep import MID_MODEL, write_inputs  # first: one BLAS thread, before numpy loads
 
 import argparse
-import math
 import sys
+import tempfile
 from time import perf_counter
 
 import numpy as np
@@ -30,25 +32,13 @@ from streamasr import (
     CtcPrefixSearch,
     DecodeParams,
     LanguageModel,
-    NgramLM,
     encode,
+    load_model,
+    load_vocab,
+    ngram_load,
     posteriorgram_from_states,
     random_features,
-    random_model,
 )
-
-
-def random_bigram(rng, n_labels):
-    """Every label has a unigram and a backoff weight; about half of the
-    label pairs have a bigram, so scoring takes both paths."""
-    uni = np.log(rng.dirichlet(np.ones(n_labels)))
-    entries = {(a,): (float(uni[a]), math.log(10.0) * rng.uniform(-1.0, 0.0))
-               for a in range(n_labels)}
-    for a in range(n_labels):
-        for b in range(n_labels):
-            if rng.random() < 0.5:
-                entries[(a, b)] = (math.log(rng.uniform(0.01, 1.0)), 0.0)
-    return NgramLM(entries, 2)
 
 
 class CountingLM(LanguageModel):
@@ -72,7 +62,10 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    model = random_model(args.seed, **MID_MODEL)
+    with tempfile.TemporaryDirectory() as d:
+        paths = write_inputs(d, args.seed)[0]
+        model = load_model(paths["model"])
+        bigram = ngram_load(paths["lm"], token_to_id=load_vocab(paths["vocab"]).token_to_id)
     frames = int(args.seconds * 100)  # 10 ms feature frames
     feats = random_features(args.seed + 1, frames, MID_MODEL["d_feat"])
     logp = posteriorgram_from_states(encode(feats, model.encoder, 1), model.ctc_w, model.ctc_b)
@@ -82,7 +75,7 @@ def main():
 
     # label ids 0 and 1 are the decoder's start and end tokens
     banned = (model.sos_id, model.eos_id)
-    lm = CountingLM(random_bigram(np.random.default_rng(args.seed + 2), model.vocab_size))
+    lm = CountingLM(bigram)
     search = CtcPrefixSearch(lm, DecodeParams(k_size=300, p_size=30), logp.shape[1], banned)
     table = search.prefixes
     cost, lengths, nodes, rows, spare, calls = [], [], [], [], [], []

@@ -91,7 +91,8 @@ def positional_encodings(positions, d_model):
             if not np.isfinite(positions).all():
                 raise ValueError("positions must be finite")
             raise ValueError(f"positions must be >= 0, got {low:g}")
-    angles = positions[:, None] / _frequency_divisors(d_model)
+    divisors = np.power(10000.0, np.arange(0, d_model, 2, dtype=np.float64) / d_model)
+    angles = positions[:, None] / divisors
     out = np.empty((positions.shape[0], d_model), dtype=np.float64)
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles[:, :d_model // 2])
@@ -114,16 +115,6 @@ def position_rows(start, stop, d_model):
 def _position_block(at, d_model):
     """The encodings of the ``ROW_BLOCK`` positions from ``at`` on, read-only."""
     out = positional_encodings(np.arange(at, at + ROW_BLOCK), d_model)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _frequency_divisors(d_model):
-    """10000^(2i/d_model) for each even column 2i: d_model/2 numbers per
-    model width, kept read-only for the few widths in use."""
-    even = np.arange(0, d_model, 2, dtype=np.float64)
-    out = np.power(10000.0, even / d_model)
     out.flags.writeable = False
     return out
 

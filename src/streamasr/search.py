@@ -372,7 +372,12 @@ class PrefixTable:
 
 
 def prefix_score(hyp, alpha0, beta):
-    """CTC ranking score: log prefix mass + weighted LM + insertion bonus."""
+    """CTC ranking score: log prefix mass + weighted LM + insertion bonus.
+
+    The public form of :func:`_phat`, with which the search ranks.  Kept
+    as the score the tests compare :func:`joint_score` against; no
+    decode calls it.
+    """
     return _phat(hyp.p_b, hyp.p_nb, hyp.lm_logp, len(hyp.prefix), alpha0, beta)
 
 

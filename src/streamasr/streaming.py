@@ -72,7 +72,11 @@ def theoretical_latency_ms(cfg, e_layers):
 
 
 def emission_frame(n, e_layers, eps_enc):
-    """Input frame count (1-based) at which encoder row n becomes available."""
+    """Input frame count (1-based) at which encoder row n becomes available.
+
+    Kept as the closed form against which the tests pin a session's
+    realized emission; no decode calls it.
+    """
     if eps_enc == math.inf:
         return math.inf
     return 4 * (n + e_layers * eps_enc)
@@ -113,12 +117,14 @@ class StreamingSession:
 
     @property
     def emitted_frames(self):
-        """Encoder rows produced so far."""
+        """Encoder rows produced so far.  Kept for the tests of the
+        emission schedule, which read it; no decode calls it."""
         return self._rows
 
     @property
     def decoded_frames(self):
-        """Encoder frames the search has consumed so far."""
+        """Encoder frames the search has consumed so far.  Kept for the
+        tests of the emission schedule, which read it; no decode calls it."""
         return self.search.frame
 
     def push(self, chunk):
