@@ -4,24 +4,23 @@
 Loads the mid-size model archive (the benchmark's dimensions) that
 ``lockstep.write_inputs`` writes, encodes one random utterance, and runs
 one offline joint decode (k 16, p 8, eps_dec 4, uniform LM), recording
-every ``decoder.advance_positions`` call the search makes: which earlier
-call's row each history and stem came from, the tokens, the positions
-and the truncation.  It then replays the recorded calls in order, in
-``REPEATS`` rounds of ``lockstep.rounds``, and prints the calls, the
-rows per call and the share of rows that bring a stem, the summed best
-time of the calls and the median call.
+every ``decoder.advance_positions`` call the search makes.  It replays
+them in order, in ``REPEATS`` rounds of ``lockstep.rounds``, each round
+stepping its own decoder states, so stems carry over as in the decode,
+and prints the calls, the rows per call and the share of rows whose
+state brings a stem, the summed best time and the median call.
 
 ``--baseline SRC_DIR`` also imports a second copy of the package from
 SRC_DIR (another checkout's ``src``) under another name and replays the
 same calls through both copies in the same rounds, alternating which
 goes first from one call and one round to the next.  Each side loads
 the archive, builds its own cross-attention cache from the same encoder
-rows, and feeds each call the histories and stems its own earlier calls
-of the round returned, so each side runs its own formats.  The script
-prints the paired ratios (``lockstep.paired``, this copy over the
-baseline) of the summed calls and per call as median [quartiles], and
-the median per-call ratio by the rows a call carries.  It exits 1 if
-any history or log posterior of the two copies differs.
+rows, and makes its own states from its own calls' histories, so each
+side runs its own formats.  The script prints the paired ratios
+(``lockstep.paired``, this copy over the baseline) of the summed calls
+and per call as median [quartiles], and the median per-call ratio by
+the rows a call carries.  It exits 1 if any history or log posterior of
+the two copies differs.
 
     python3 scripts/decoder_cost.py              # 4 s utterance, best of 6
     python3 scripts/decoder_cost.py --seconds 1  # quick smoke run
@@ -49,26 +48,24 @@ SEED = 0
 
 def record(enc, post, dec):
     """One offline joint decode with every ``advance_positions`` call
-    recorded -> a list of (sources, tokens, positions, nu), where
-    ``sources[i]`` is ((call, row), (call, row)): the earlier call and
-    row that returned row i's history and its stem, None for an empty
-    history and for a row handed no stem."""
-    calls, made, outputs = [], {}, []
+    recorded -> a list of (rows, nu), one (history, token, first) per
+    row: the call and row that returned the state's history (None if
+    empty), its token, and the call and row that first stepped it."""
+    calls, made, first, kept = [], {}, {}, []
     real = dec_mod.advance_positions
 
-    def recording(params, cache, hists, token_ids, pos_indices, nu, stems=None):
-        stems = [None] * len(hists) if stems is None else stems
-        sources = []
-        for hist, stem in zip(hists, stems):
-            source = (made.get(id(hist)), None if stem is None else made[id(stem)])
-            if source[0] is None and hist.shape[3]:
+    def recording(cache, states, nu):
+        rows = []
+        for i, state in enumerate(states):
+            hist = made.get(id(state.hist))
+            if hist is None and state.hist.shape[3]:
                 raise RuntimeError("a history that no recorded call returned")
-            sources.append(source)
-        out = real(params, cache, hists, token_ids, pos_indices, nu, stems)
-        for row, (hist, _, stem) in enumerate(out):
-            made[id(hist)] = made[id(stem)] = (len(calls), row)
-        outputs.append(out)  # keeps each id unique while recording
-        calls.append((sources, list(token_ids), list(pos_indices), nu))
+            rows.append((hist, state.token, first.setdefault(id(state), (len(calls), i))))
+        out = real(cache, states, nu)
+        for i, (hist, _) in enumerate(out):
+            made[id(hist)] = (len(calls), i)
+        kept.append((states, out))  # keeps each id unique while recording
+        calls.append((rows, nu))
         return out
 
     dec_mod.advance_positions = recording
@@ -82,24 +79,27 @@ def record(enc, post, dec):
 
 class Side:
     """One package copy replaying the recorded calls on its own load of
-    the archive and its own cache, each call fed the histories and stems
-    its own earlier calls of the round returned."""
+    the archive and its own cache, each round making a state at its first
+    step, from the history its own earlier call of the round returned."""
 
     def __init__(self, pkg, path, enc, calls):
-        self.dec = pkg.load_model(path).decoder
+        dec = pkg.load_model(path).decoder
         self.step = pkg.decoder.advance_positions
-        self.cache = pkg.decoder.CrossAttentionCache(self.dec, enc)
-        self.empty = pkg.decoder.empty_history(self.dec)
+        self.state = pkg.decoder.DecoderState
+        self.cache = pkg.decoder.CrossAttentionCache(dec, enc)
+        self.empty = pkg.decoder.empty_history(dec)
         self.calls = calls
 
     def prepare(self, j, outputs):
-        sources, tokens, positions, nu = self.calls[j]
-        hists, stems = [], []
-        for hist, stem in sources:
-            hists.append(self.empty if hist is None else outputs[hist[0]][hist[1]][0])
-            stems.append(None if stem is None else outputs[stem[0]][stem[1]][2])
-        return functools.partial(self.step, self.dec, self.cache, hists, tokens, positions,
-                                 nu, stems)
+        rows, nu = self.calls[j]
+        if j == 0:
+            self.states = {}  # a round starts with no state stepped
+        for i, (hist, token, first) in enumerate(rows):
+            if first == (j, i):
+                self.states[first] = self.state(
+                    self.empty if hist is None else outputs[hist[0]][hist[1]][0], token)
+        return functools.partial(self.step, self.cache,
+                                 [self.states[first] for _, _, first in rows], nu)
 
 
 def same(j, outs, others):
@@ -132,8 +132,8 @@ def main():
     times, _ = rounds(sides, len(calls), REPEATS, same=same)
 
     best = times.min(axis=0)
-    rows = np.array([len(call[1]) for call in calls])
-    stems = sum(stem is not None for call in calls for _, stem in call[0])
+    rows = np.array([len(call[0]) for call in calls])
+    stems = sum(first[0] < j for j, (states, _) in enumerate(calls) for _, _, first in states)
     audio_s = feats.frames.shape[0] * feats.frame_shift_ms / 1000.0
     print(f"{audio_s:g} s utterance, {enc.shape[0]} encoder rows, "
           f"{len(calls)} advance_positions calls, {rows.mean():.2f} rows per call, "

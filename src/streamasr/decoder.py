@@ -6,35 +6,25 @@ self-attention over positions 1..l and attends to a *truncated* prefix of
 the encoder sequence: only rows 1..nu_l, where nu_l is the trigger frame
 of label l plus the configured decoder look-ahead.  Positions are
 computed once, at their own truncation point, and reused verbatim when
-the prefix is extended.  :func:`advance_positions` is the one step: it
-computes a batch of new positions that share a truncation nu (a search
-frame's distinct parents) in one pass, and ``advance_position`` is its
-one-row case.
+the prefix is extended.  :func:`advance_positions`, the one step, steps
+the states of a search frame's distinct parents at one truncation nu in
+one pass; ``advance_position`` is its one-row case.
 
 Triggered attention steps one position again at each later truncation
 the search scores it at, but layer 0 reads the encoder only in its
-cross-attention.  Everything before that, the embedding, the positional
-encoding, norm1, the Q/K/V projection, self-attention, norm2 and the
-cross-attention query, is the position's :class:`Stem`: a step returns
-each row's stem, and a later step of the same history, token and
-position that is handed it skips that half of layer 0 with the same
-bits.  A step writes each row's residual and query heads, kept in its
-stem or computed in the step, into the step's own (B, d_model) and
-(heads, B, d_k) arrays, which the rest of layer 0 reads as one batch.
+cross-attention; everything before that is the position's :class:`Stem`.
+A prefix is one :class:`DecoderState`, whose first step keeps the stem
+for its later ones.
 
 Attention keys and values are projected once per row and kept.  A
 :class:`CrossAttentionCache`, fed encoder rows as they arrive, appends
 their cross-attention keys and values in place for a whole utterance,
 and refuses rows that are not finite.  Position rows come from
 :func:`streamasr.encoder.position_rows`, as the encoder's do.  A
-prefix's history is one array, (layers, 2, heads, positions, d), with
-every layer's self-attention keys (``[:, 0]``) and values (``[:, 1]``)
-of its positions; it is the decoder's own format, which callers keep and
-hand back without looking inside.  Histories branch, sibling prefixes
-extending one parent, so a step never writes the history it is given: it
-copies it once into a new array with room for the new position, writes
-each layer's new key and value rows there, and its self-attention reads
-that array, which the step returns for its caller to keep.  A step
+history is one array, (layers, 2, heads, positions, d), of every layer's
+self-attention keys (``[:, 0]``) and values (``[:, 1]``).  Histories
+branch, so a step copies each once into a new array with room for the
+new position, which its layers write and read, and returns it.  A step
 computes in float32, the one model dtype: the cache checks the decoder's
 tensors once, when it is built, and casts the encoder rows it is fed.
 """
@@ -138,76 +128,60 @@ class CrossAttentionCache:
 
 
 class Stem(NamedTuple):
-    """The first half of decoder layer 0 for one new position: everything
-    before it reads the encoder, which no truncation changes.  The
-    decoder's own format, kept and handed back by callers."""
+    """Decoder layer 0 for one new position up to where it reads the
+    encoder, which no truncation changes; a :class:`DecoderState` keeps it."""
 
     kv: np.ndarray  # (2, heads, d_k): the position's layer-0 self-attention key and value
     z: np.ndarray  # (d_model,): the residual after layer 0's self-attention
     q: np.ndarray  # (heads, d_k): layer 0's cross-attention query heads
 
 
-def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=None):
-    """Decoder states and next-label posteriors for B new positions at once.
+@dataclass(slots=True, eq=False)
+class DecoderState:
+    """A prefix's decoder state: ``hist``, its history (see :func:`empty_history`),
+    ``token``, the label id its next position (index: the history's length)
+    embeds, and ``stem``, that position's :class:`Stem` once a step computed
+    it.  The decoder's own format, kept by callers; a step sets only ``stem``."""
 
-    Row i extends the positions cached in ``hists[i]`` (a history array,
-    see :func:`empty_history`) with a position that embeds
-    ``token_ids[i]`` at index ``pos_indices[i]``; it self-attends over
-    its own history plus itself, and every row cross-attends to encoder
-    rows 1..nu only, read from ``cache``, the :class:`CrossAttentionCache`
-    of ``params`` shared between calls.  A token id outside the
-    vocabulary, or a position that is not an integer >= 0 or not the
-    number of positions in its history, raises ``ValueError`` before any
-    work.
+    hist: np.ndarray
+    token: int
+    stem: Stem = None
 
-    ``stems`` (None, or one :class:`Stem` or None per row) carries what
-    an earlier step of the same history, token and position computed
-    before layer 0's cross-attention; a row with a stem skips the
-    embedding, the positional encoding, norm1, the Q/K/V projection,
-    self-attention, norm2 and the cross-attention query projection of
-    layer 0, and gets the same bits.  The norms, projections, feed-forward and vocabulary
-    projection run once over the rows that need them; they are
-    row-invariant, and attention is computed per query row, so row i
-    equals a call with that row alone bit for bit.
 
-    Returns one (history, log_posterior, stem) per row: a new history
-    array, ``hists[i]`` with the position appended (the input is left
-    untouched), the float64 log posterior over the vocabulary, and the
-    row's stem (None for a decoder without layers), to hand back when
-    the same position is stepped at another truncation.  A row whose
-    logits hold NaN or +inf, from a weight that is not finite, raises
-    ``ValueError``; a -inf logit is a label of probability zero.
-    :func:`append_history` copies each history once, before the first
-    layer; each layer writes its new key and value rows into the copies,
-    and its self-attention reads them there.
+def advance_positions(cache, states, nu):
+    """Next-label posteriors of B decoder states in one batched step.
+
+    Row i steps ``states[i]``: the position after its history, at index
+    the history's length, embeds the state's token, self-attends over
+    that history and itself, and cross-attends to encoder rows 1..nu of
+    ``cache``, the states' decoder's :class:`CrossAttentionCache`.  A
+    token id outside the vocabulary raises ``ValueError`` before any
+    work.  A state's stem skips the first half of layer 0 with the same
+    bits; a state without one keeps the one its row computes.  Every
+    other stage runs once over the batch, row-invariant, and attention
+    per query row, so each row equals a call with that row alone.
+
+    Returns one (history, log_posterior) per row: a new history array
+    (the state's is left untouched) and the float64 log posterior over
+    the vocabulary.  Logits that hold NaN or +inf, from a weight that is
+    not finite, raise ``ValueError`` and set no stem; a -inf logit is a
+    label of probability zero.
     """
-    if not (isinstance(cache, CrossAttentionCache) and cache.params is params):
-        raise ValueError("a step reads its own decoder's CrossAttentionCache, not another "
-                         "decoder's or a raw encoder matrix")
+    if not isinstance(cache, CrossAttentionCache):
+        raise ValueError("a step reads a CrossAttentionCache, not a raw encoder matrix")
     if not kernels.is_int(nu):
         raise ValueError(f"trigger index must be an integer, got {nu!r}")
     if not 1 <= nu <= cache.rows:
         raise ValueError("trigger index out of range")
-    if not len(hists) == len(token_ids) == len(pos_indices):
-        raise ValueError(f"{len(hists)} histories, {len(token_ids)} tokens "
-                         f"and {len(pos_indices)} positions")
-    check_labels(token_ids, 0, params.vocab_size, "the vocabulary")
-    for pos, hist in zip(pos_indices, hists):
-        if not (kernels.is_int(pos) and pos >= 0):
-            raise ValueError(f"position {pos!r} is not an integer >= 0")
-        if pos != hist.shape[3]:
-            raise ValueError(f"position {pos} is not the length of its history, {hist.shape[3]}")
-    b = len(hists)
-    stems = [None] * b if stems is None else list(stems)
-    if len(stems) != b:
-        raise ValueError(f"{b} histories but {len(stems)} stems")
-    if b == 0:
+    params = cache.params
+    check_labels([state.token for state in states], 0, params.vocab_size, "the vocabulary")
+    if not states:
         return []
-    grown = append_history(hists)
+    grown = append_history([state.hist for state in states])
     if not params.layers:
-        cur = _embed(params, token_ids, pos_indices)
+        stems, cur = (), _embed(params, states)
     else:
-        stems, z, q = _stems(params, grown, token_ids, pos_indices, stems)
+        stems, z, q = _stems(params, grown, states)
         cur = _cross_and_feed_forward(params.layers[0], 0, z, q, cache, nu)
     for d, layer in enumerate(params.layers[1:], 1):
         z = _self_attention(layer, d, cur, grown)[0]
@@ -220,26 +194,28 @@ def advance_positions(params, cache, hists, token_ids, pos_indices, nu, stems=No
     except ValueError:
         # the step has changed nothing the caller holds
         raise ValueError("decoder logits hold NaN or +inf: a decoder weight is not finite") from None
-    return list(zip(grown, logp, stems))
+    for state, stem in zip(states, stems):
+        state.stem = stem
+    return list(zip(grown, logp))
 
 
-def _embed(params, token_ids, pos_indices):
-    """The embedding of each token plus its position vector, as a
-    (B, d_model) array."""
-    x = np.empty((len(token_ids), params.d_model), dtype=np.float32)
-    for j, (tok, pos) in enumerate(zip(token_ids, pos_indices)):
+def _embed(params, states):
+    """Each state's token embedding plus its position vector, (B, d_model)."""
+    x = np.empty((len(states), params.d_model), dtype=np.float32)
+    for j, state in enumerate(states):
+        tok, pos = state.token, state.hist.shape[3]
         np.add(params.embed[tok:tok + 1], position_rows(pos, pos + 1, params.d_model),
                out=x[j:j + 1])
     return x
 
 
-def _stems(params, grown, token_ids, pos_indices, stems):
-    """Every row's stem, computing the missing ones as one batch, with
+def _stems(params, grown, states):
+    """Every state's stem, the missing ones computed as one batch, with
     each row's layer-0 key and value written into its history in
     ``grown`` -> (stems, z, q): the rows' residuals (B, d_model) and
-    cross-attention query heads (heads, B, d_k), each stem's written
-    into its row of these two arrays."""
+    cross-attention query heads (heads, B, d_k), from their stems."""
     layer = params.layers[0]
+    stems = [state.stem for state in states]
     fresh = []
     for i, (hist, stem) in enumerate(zip(grown, stems)):
         if stem is None:
@@ -247,8 +223,7 @@ def _stems(params, grown, token_ids, pos_indices, stems):
         else:
             hist[0, :, :, -1] = stem.kv
     if fresh:
-        z, qkv = _self_attention(layer, 0, _embed(params, [token_ids[i] for i in fresh],
-                                                  [pos_indices[i] for i in fresh]),
+        z, qkv = _self_attention(layer, 0, _embed(params, [states[i] for i in fresh]),
                                  [grown[i] for i in fresh])
         q = project_heads(kernels.layer_norm(z, layer.norm2_g, layer.norm2_b), layer.src_mha.w_q)
         for j, i in enumerate(fresh):
@@ -256,13 +231,8 @@ def _stems(params, grown, token_ids, pos_indices, stems):
             stems[i] = Stem(qkv[1:, :, j].copy(), z[j].copy(), q[:, j].copy())
         if len(fresh) == len(stems):
             return stems, z, q
-    b, first = len(stems), stems[0]
-    z = np.empty((b,) + first.z.shape, dtype=first.z.dtype)
-    q = np.empty((first.q.shape[0], b, first.q.shape[1]), dtype=first.q.dtype)
-    for i, stem in enumerate(stems):
-        z[i] = stem.z
-        q[:, i] = stem.q
-    return stems, z, q
+    q = np.array([stem.q for stem in stems]).transpose(1, 0, 2).copy()
+    return stems, np.array([stem.z for stem in stems]), q
 
 
 def _self_attention(layer, d, cur, grown):
@@ -302,13 +272,16 @@ def _cross_and_feed_forward(layer, d, z, q, cache, nu):
 
 def advance_position(params, cache, hist, token_id, pos_index, nu):
     """One row of :func:`advance_positions`: the position after ``hist``,
-    reading encoder rows 1..nu of ``cache``.
-
-    Returns (history, log_posterior) as a row of that function does.
-    Kept for :func:`ta_prefix_score` and the tests' one-row references;
-    ``perfbench/tracer.py`` wraps it, reading ``hist`` and ``nu`` by position.
-    """
-    return advance_positions(params, cache, [hist], [token_id], [pos_index], nu)[0][:2]
+    embedding ``token_id`` -> (history, log_posterior).  ``cache`` must be
+    ``params``' and ``pos_index`` ``hist``'s length, else ``ValueError``.
+    Kept for :func:`ta_prefix_score`, the tests and ``perfbench/tracer.py``,
+    which wraps it, reading ``hist`` and ``nu`` by position."""
+    if isinstance(cache, CrossAttentionCache) and cache.params is not params:
+        raise ValueError("a step reads its own decoder's cache, not another decoder's")
+    kernels.check_count(pos_index, "position")
+    if pos_index != hist.shape[3]:
+        raise ValueError(f"position {pos_index} is not the length of its history, {hist.shape[3]}")
+    return advance_positions(cache, [DecoderState(hist, token_id)], nu)[0]
 
 
 def empty_history(params):

@@ -134,7 +134,8 @@ def feature_frames(features):
 
 
 def cnn_frame_count(t):
-    """Output frame count of the two stride-2 convolutions for t input frames."""
+    """Output frame count of the two stride-2 convolutions for t >= 0 input frames."""
+    kernels.check_count(t, "frame count")
     return math.ceil(math.ceil(t / 2) / 2)
 
 

@@ -261,6 +261,12 @@ def is_int(v):
     return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
 
 
+def check_count(v, what):
+    """Refuse ``v``, named ``what``, unless it is an integer >= 0."""
+    if not (is_int(v) and v >= 0):
+        raise ValueError(f"{what} {v!r} is not an integer >= 0")
+
+
 def is_real(v):
     """A real number that is not a bool (NumPy reals count)."""
     return type(v) in (float, int) or isinstance(v, numbers.Real) and not isinstance(v, bool)

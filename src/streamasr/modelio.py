@@ -54,6 +54,7 @@ from .attention import MhaParams
 from .ctc import check_labels
 from .decoder import DecoderLayerParams, DecoderParams
 from .encoder import CnnParams, EncoderLayerParams, EncoderParams, FeatureMatrix
+from .kernels import is_real
 
 MODEL_MAGIC = "STREAMASR v1"
 FEATS_MAGIC = "FEATS v1"
@@ -120,11 +121,20 @@ def load_vocab(path):
 
 
 def save_vocab(path, vocab):
-    with open(path, "w", encoding="utf-8") as f:
-        if vocab.boundary:
-            f.write(f"#boundary {vocab.boundary}\n")
-        for tok in vocab.tokens:
-            f.write(tok + "\n")
+    """Write ``vocab`` as :func:`load_vocab` reads it back; what would read
+    back otherwise raises ``ValueError`` before the file is opened."""
+    boundary = vocab.boundary
+    lines = ([f"#boundary {boundary}"] if boundary else []) + vocab.tokens
+    for i, line in enumerate(lines):
+        if "\n" in line or "\r" in line:
+            raise ValueError(f"{path}: {line!r} holds a line break")
+        if not line:
+            raise ValueError(f"{path}: token {i - bool(boundary)} would be an empty token line")
+    if not boundary and lines[0].startswith("#boundary "):
+        raise ValueError(f"{path}: first token {lines[0]!r} would read as the boundary line")
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 # ------------------------------------------------------------------- model
@@ -534,9 +544,20 @@ def load_model(path):
 
 
 def write_features(path, feats):
-    frames = np.ascontiguousarray(feats.frames, dtype=np.float32)
+    """Write ``feats``; what load_features refuses raises ``ValueError`` first."""
+    shift = feats.frame_shift_ms
+    if not (is_real(shift) and 0 < shift < math.inf):
+        raise ValueError(f"{path}: frame shift must be positive and finite, got {shift!r}")
+    with np.errstate(over="ignore"):  # a value past float32's range is refused below
+        frames = np.ascontiguousarray(feats.frames, dtype=np.float32)
+    if frames.ndim != 2:
+        raise ValueError(f"{path}: features of shape {frames.shape}, expected (frames, d_feat)")
+    if frames.shape[0] == 0:
+        raise ValueError(f"{path}: empty utterance")
+    if not np.isfinite(frames).all():
+        raise ValueError(f"{path}: non-finite feature values")
     with open(path, "wb") as f:
-        f.write(f"{FEATS_MAGIC}\n{frames.shape[0]} {frames.shape[1]} {feats.frame_shift_ms!r}\n".encode("ascii"))
+        f.write(f"{FEATS_MAGIC}\n{frames.shape[0]} {frames.shape[1]} {float(shift)!r}\n".encode("ascii"))
         f.write(frames.astype("<f4", copy=False).tobytes())
 
 

@@ -474,9 +474,8 @@ def _changed_columns(old, new):
 class _TaEntry:
     logp: float
     nu: int  # the truncation its own label was scored at (0 for the root)
-    hist: np.ndarray  # the prefix's decoder history, opaque here (see decoder.empty_history)
+    state: dec_mod.DecoderState  # the prefix's, opaque here
     step: tuple = None  # (nu, child_hist, log_posterior) of the next label, see _step
-    stem: tuple = None  # the next position's truncation-free part (decoder.Stem), see _step
 
 
 class JointSearch:
@@ -519,7 +518,8 @@ class JointSearch:
         self._partial = (root, ())
         self._last_carried = dict(self.hyps)
         self._last_pjoint = {root: 0.0}
-        self.ta = None if dec is None else {root: _TaEntry(0.0, 0, dec_mod.empty_history(dec))}
+        self.ta = None if dec is None else {
+            root: _TaEntry(0.0, 0, dec_mod.DecoderState(dec_mod.empty_history(dec), dec.sos_id))}
         self.cross = None if dec is None else dec_mod.CrossAttentionCache(dec)
 
     @property
@@ -697,7 +697,8 @@ class JointSearch:
             for pre in ready:
                 parent = self.ta[pre.parent]
                 _, hist, logpost = parent.step
-                self.ta[pre] = _TaEntry(parent.logp + float(logpost[pre.last - 1]), nu, hist)
+                self.ta[pre] = _TaEntry(parent.logp + float(logpost[pre.last - 1]), nu,
+                                        dec_mod.DecoderState(hist, pre.last - 1))
                 del todo[pre]
 
     def _step(self, prefixes, nu):
@@ -713,13 +714,9 @@ class JointSearch:
         if not stale:
             return
         entries = [self.ta[pre] for pre in stale]
-        steps = dec_mod.advance_positions(
-            self.dec, self.cross, [e.hist for e in entries],
-            [pre.last - 1 if pre else self.dec.sos_id for pre in stale],
-            [len(pre) for pre in stale], nu, [e.stem for e in entries])
-        for entry, (hist, logpost, stem) in zip(entries, steps):
+        steps = dec_mod.advance_positions(self.cross, [e.state for e in entries], nu)
+        for entry, (hist, logpost) in zip(entries, steps):
             entry.step = (nu, hist, logpost)
-            entry.stem = stem
 
     def _evict_ta(self):
         """Keep the entries of the prefixes still in the table (the carried

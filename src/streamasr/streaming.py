@@ -28,7 +28,7 @@ import numpy as np
 from .attention import multi_head_attention  # noqa: F401 (uncalled; the tracer wraps it here)
 from .ctc import check_eps_dec, log_posterior_row
 from .encoder import FeatureMatrix, IncrementalEncoder, check_eps_enc
-from .kernels import check_model_dtype, is_real
+from .kernels import check_count, check_model_dtype, is_real
 from .search import CtcPrefixSearch, DecodeResult, JointSearch
 
 
@@ -65,6 +65,7 @@ def theoretical_latency_ms(cfg, e_layers):
     session waits for no decoder look-ahead: its latency is this with
     eps_dec 0, ``theoretical_latency_ms(replace(cfg, eps_dec=0), e_layers)``.
     """
+    check_count(e_layers, "encoder layer count")
     if cfg.eps_enc == math.inf:
         return math.inf
     s = cfg.frame_shift_ms
@@ -77,6 +78,8 @@ def emission_frame(n, e_layers, eps_enc):
     Kept as the closed form against which the tests pin a session's
     realized emission; no decode calls it.
     """
+    check_count(n, "encoder row")
+    check_count(e_layers, "encoder layer count")
     if eps_enc == math.inf:
         return math.inf
     return 4 * (n + e_layers * eps_enc)
@@ -111,15 +114,14 @@ class StreamingSession:
         self.closed = False
         self._flushed = False     # the encoder's final flush has run
         self.encoder = IncrementalEncoder(model.encoder, config.eps_enc)
-        self._rows = 0            # encoder rows emitted so far, all added to the search
         self._post = deque()      # posterior rows the search has not consumed yet
         self._last_partial = None  # the search's best CTC partial at the last push
 
     @property
     def emitted_frames(self):
-        """Encoder rows produced so far.  Kept for the tests of the
-        emission schedule, which read it; no decode calls it."""
-        return self._rows
+        """Encoder rows produced so far: those the search has consumed and
+        those queued for it."""
+        return self.search.frame + len(self._post)
 
     @property
     def decoded_frames(self):
@@ -169,11 +171,10 @@ class StreamingSession:
         if not self._flushed:
             rows = self.encoder.push(frames, final)
             self.search.add_rows(rows)
-            self._rows += rows.shape[0]
             self._post.extend(log_posterior_row(row, self.model.ctc_w, self.model.ctc_b)
                               for row in rows)
             self._flushed = final
-        dec_target = self._rows if final else max(0, self._rows - self.search.lookahead)
+        dec_target = max(0, self.emitted_frames - (0 if final else self.search.lookahead))
         while self.search.frame < dec_target:
             # consumed once advance returns: a failed frame is retried later
             self.search.advance(self._post[0])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from streamasr.decoder import CrossAttentionCache, advance_positions, empty_history
+from streamasr.decoder import CrossAttentionCache, DecoderState, advance_positions, empty_history
 from streamasr.lm import NgramLM
 from streamasr.modelio import random_model
 
@@ -56,9 +56,18 @@ def next_label_logp(dec, enc, nu, context):
     ``advance_positions`` at truncation nu on one CrossAttentionCache."""
     cache = CrossAttentionCache(dec, enc)
     hist = empty_history(dec)
-    for pos, token in enumerate([dec.sos_id, *context]):
-        [(hist, logp, _)] = advance_positions(dec, cache, [hist], [token], [pos], nu)
+    for token in [dec.sos_id, *context]:
+        [(hist, logp)] = advance_positions(cache, [DecoderState(hist, token)], nu)
     return logp
+
+
+def decoder_states(hists, tokens, stems=()):
+    """One fresh DecoderState per history and token, the i-th given
+    ``stems[i]`` when there is one."""
+    states = [DecoderState(hist, token) for hist, token in zip(hists, tokens)]
+    for state, stem in zip(states, stems):
+        state.stem = stem
+    return states
 
 
 def normalized_bigram_arpa(rng, ids):

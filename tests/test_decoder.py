@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from streamasr import decoder, encoder, kernels
 from streamasr.attention import ROW_BLOCK, project_heads, scaled_dot_attention
-from streamasr.decoder import (CrossAttentionCache, advance_position, advance_positions,
-                               append_history, empty_history, ta_prefix_score)
+from streamasr.decoder import (CrossAttentionCache, DecoderState, advance_position,
+                               advance_positions, append_history, empty_history, ta_prefix_score)
 from streamasr.encoder import positional_encodings
-from helpers import next_label_logp, random_enc_states, tiny_model
+from helpers import decoder_states, next_label_logp, random_enc_states, tiny_model
 from oracles import (full_context_decoder_logps, own_histories_block_mask,
                      positional_encoding_per_row)
 
@@ -133,8 +133,8 @@ def test_ta_prefix_score_rejects_truncation_points_that_are_not_integers(bad):
 def test_advance_positions_rejects_a_trigger_index_that_is_not_an_integer(bad):
     dec, enc = setup_case(64, n=4)
     with pytest.raises(ValueError, match="trigger index must be an integer"):
-        advance_positions(dec, CrossAttentionCache(dec, enc), [empty_history(dec)],
-                          [dec.sos_id], [0], bad)
+        advance_positions(CrossAttentionCache(dec, enc),
+                          [DecoderState(empty_history(dec), dec.sos_id)], bad)
 
 
 def test_ta_prefix_score_length_mismatch():
@@ -187,8 +187,7 @@ def test_a_step_shares_no_storage_with_its_input_or_its_siblings():
     cache = CrossAttentionCache(dec, enc)
     parent, _ = advance_position(dec, cache, empty_history(dec), dec.sos_id, 0, 3)
     kept = parent.copy()
-    (first, _, _), (second, _, _) = advance_positions(dec, cache, [parent, parent], [2, 3],
-                                                      [1, 1], 4)
+    (first, _), (second, _) = advance_positions(cache, decoder_states([parent, parent], [2, 3]), 4)
     assert (parent == kept).all()
     assert (first[:, :, :, :1] == parent).all() and (second[:, :, :, :1] == parent).all()
     assert not (first[:, :, :, 1] == second[:, :, :, 1]).all()
@@ -294,9 +293,9 @@ def test_advance_positions_rows_equal_single_row_steps(b, d_layers):
         hists = [history_of_length(dec, cache, rng, (nu + i) % 5) for i in range(b)]
         tokens = [dec.sos_id] + [int(t) for t in rng.integers(dec.vocab_size, size=b - 1)]
         positions = [h.shape[3] for h in hists]
-        got = advance_positions(dec, cache, hists, tokens, positions, nu)
+        got = advance_positions(cache, decoder_states(hists, tokens), nu)
         assert len(got) == b
-        for hist, tok, pos, (grown, logp, _) in zip(hists, tokens, positions, got):
+        for hist, tok, pos, (grown, logp) in zip(hists, tokens, positions, got):
             want_hist, want_logp = advance_position(dec, cache, hist, tok, pos, nu)
             assert logp.dtype == np.float64
             assert (logp == want_logp).all()
@@ -326,13 +325,16 @@ def test_rows_with_a_stem_equal_rows_stepped_from_scratch(b, d_layers, enc64):
     hists = [history_of_length(dec, cache, rng, i % 4) for i in range(b)]
     tokens = [dec.sos_id if h.shape[3] == 0 else int(rng.integers(dec.vocab_size)) for h in hists]
     positions = [h.shape[3] for h in hists]
-    first = advance_positions(dec, cache, hists, tokens, positions, int(rng.integers(1, 7)))
+    first = decoder_states(hists, tokens)
+    advance_positions(cache, first, int(rng.integers(1, 7)))
     for nu in range(1, enc.shape[0] + 1):
-        stems = [stem if rng.random() < 0.5 else None for _, _, stem in first]
-        got = advance_positions(dec, cache, hists, tokens, positions, nu, stems)
-        want = advance_positions(dec, cache, hists, tokens, positions, nu)
+        stems = [state.stem if rng.random() < 0.5 else None for state in first]
+        states, want_states = decoder_states(hists, tokens, stems), decoder_states(hists, tokens)
+        got = advance_positions(cache, states, nu)
+        want = advance_positions(cache, want_states, nu)
         for i, (row, want_row) in enumerate(zip(got, want)):
-            (hist, logp, stem), (want_hist, want_logp, want_stem) = row, want_row
+            (hist, logp), (want_hist, want_logp) = row, want_row
+            stem, want_stem = states[i].stem, want_states[i].stem
             assert hist.dtype == want_hist.dtype == np.float32 and (hist == want_hist).all()
             assert (logp == want_logp).all()
             assert stem is stems[i] or stems[i] is None
@@ -341,38 +343,34 @@ def test_rows_with_a_stem_equal_rows_stepped_from_scratch(b, d_layers, enc64):
             alone_hist, alone_logp = advance_position(dec, cache, hists[i], tokens[i],
                                                       positions[i], nu)
             assert (hist == alone_hist).all() and (logp == alone_logp).all()
-    with pytest.raises(ValueError, match="stems"):
-        advance_positions(dec, cache, hists, tokens, positions, 2, [None] * (b + 1))
 
 
 def test_a_decoder_without_layers_has_no_stems():
     dec, enc = setup_case(89, n=4, d_layers=0)
     cache = CrossAttentionCache(dec, enc)
-    [(hist, logp, stem)] = advance_positions(dec, cache, [empty_history(dec)], [dec.sos_id],
-                                             [0], 2)
-    assert stem is None and hist.shape[0] == 0
-    assert (advance_positions(dec, cache, [empty_history(dec)], [dec.sos_id], [0], 3, [stem])[0][1]
+    state = DecoderState(empty_history(dec), dec.sos_id)
+    [(hist, logp)] = advance_positions(cache, [state], 2)
+    assert state.stem is None and hist.shape[0] == 0
+    assert (advance_positions(cache, [state], 3)[0][1]
             == advance_position(dec, cache, empty_history(dec), dec.sos_id, 0, 3)[1]).all()
 
 
 def test_advance_positions_rejects_bad_arguments():
     dec, enc = setup_case(77, n=4)
     cache = CrossAttentionCache(dec, enc)
-    hist = empty_history(dec)
+    state = DecoderState(empty_history(dec), dec.sos_id)
     other, _ = setup_case(78, n=4)
     with pytest.raises(ValueError, match="another decoder"):
-        advance_positions(other, cache, [empty_history(other)], [other.sos_id], [0], 2)
+        advance_position(other, cache, empty_history(other), other.sos_id, 0, 2)
     # the step reads encoder rows only through a cache, which projects each row once
     with pytest.raises(ValueError, match="raw encoder matrix"):
-        advance_positions(dec, enc, [hist], [dec.sos_id], [0], 2)
+        advance_positions(enc, [state], 2)
+    with pytest.raises(ValueError, match="raw encoder matrix"):
+        advance_position(dec, enc, state.hist, dec.sos_id, 0, 2)
     for nu in (0, 5, -1):
         with pytest.raises(ValueError, match="trigger index out of range"):
-            advance_positions(dec, cache, [hist], [dec.sos_id], [0], nu)
-    for hists, tokens, positions in [([hist, hist], [dec.sos_id], [0, 0]),
-                                     ([hist], [dec.sos_id, 2], [0]),
-                                     ([hist, hist], [dec.sos_id, 2], [0])]:
-        with pytest.raises(ValueError, match="histories"):
-            advance_positions(dec, cache, hists, tokens, positions, 2)
+            advance_positions(cache, [state], nu)
+    assert advance_positions(cache, [], 2) == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -435,8 +433,8 @@ def test_position_rows_from_the_kept_block_equal_each_position_alone(monkeypatch
     monkeypatch.setattr(decoder, "position_rows", recorded)
     cache = CrossAttentionCache(dec, enc)
     hist, tokens = empty_history(dec), [dec.sos_id] + [2, 3, 4] * 7
-    for pos, token in enumerate(tokens):
-        [(hist, _, _)] = advance_positions(dec, cache, [hist], [token], [pos], 3)
+    for token in tokens:
+        [(hist, _)] = advance_positions(cache, [DecoderState(hist, token)], 3)
     assert [(start, stop) for start, stop, _ in seen] == [(p, p + 1) for p in range(len(tokens))]
     for start, stop in ((0, 1), (15, 17), (16, 16), (3, 40), (31, 33), (47, 48), (1, 16)):
         recorded(start, stop, dec.d_model)
@@ -463,7 +461,7 @@ def test_a_decode_whose_labels_outrun_the_first_position_block_keeps_the_bits():
     hist = empty_history(dec)
     tokens = [dec.sos_id] + labels
     for pos, token in enumerate(tokens):
-        [(hist, logp, _)] = advance_positions(dec, cache, [hist], [token], [pos], enc.shape[0])
+        [(hist, logp)] = advance_positions(cache, [DecoderState(hist, token)], enc.shape[0])
         assert (logp == want[pos]).all()
     x = np.stack([dec.embed[t] + positional_encoding_per_row(p, dec.d_model)
                   for p, t in enumerate(tokens)])
@@ -483,18 +481,19 @@ def test_batches_interleaving_stem_and_fresh_rows_equal_one_row_steps(b):
     cache = CrossAttentionCache(dec, enc)
     hists = [history_of_length(dec, cache, rng, int(rng.integers(0, 20))) for _ in range(b)]
     tokens = [dec.sos_id if h.shape[3] == 0 else int(rng.integers(dec.vocab_size)) for h in hists]
-    positions = [h.shape[3] for h in hists]
-    kept = [stem for _, _, stem in advance_positions(dec, cache, hists, tokens, positions, 2)]
+    kept = decoder_states(hists, tokens)
+    advance_positions(cache, kept, 2)
     nu = 5
-    alone = [advance_position(dec, cache, h, t, p, nu)
-             for h, t, p in zip(hists, tokens, positions)]
+    alone = [advance_position(dec, cache, h, t, h.shape[3], nu) for h, t in zip(hists, tokens)]
     for pattern in range(2 ** b):
-        stems = [kept[i] if pattern >> i & 1 else None for i in range(b)]
-        got = advance_positions(dec, cache, hists, tokens, positions, nu, stems)
-        for (hist, logp, stem), (want_hist, want_logp), given_stem in zip(got, alone, stems):
+        stems = [kept[i].stem if pattern >> i & 1 else None for i in range(b)]
+        states = decoder_states(hists, tokens, stems)
+        got = advance_positions(cache, states, nu)
+        for (hist, logp), (want_hist, want_logp), state, given_stem in zip(got, alone, states,
+                                                                           stems):
             assert hist.dtype == want_hist.dtype and (hist == want_hist).all()
             assert (logp == want_logp).all()
-            assert given_stem is None or stem is given_stem
+            assert given_stem is None or state.stem is given_stem
 
 
 @pytest.mark.parametrize("bad", [-1, 5, 1.5, True])
@@ -505,7 +504,7 @@ def test_advance_positions_rejects_token_ids_outside_the_vocabulary(bad):
     cache = CrossAttentionCache(dec, enc)
     hist = empty_history(dec)
     with pytest.raises(ValueError, match="outside the vocabulary"):
-        advance_positions(dec, cache, [hist, hist], [dec.sos_id, bad], [0, 0], 2)
+        advance_positions(cache, decoder_states([hist, hist], [dec.sos_id, bad]), 2)
     with pytest.raises(ValueError, match="outside the vocabulary"):
         advance_position(dec, cache, hist, bad, 0, 2)
 
@@ -527,16 +526,14 @@ def test_advance_positions_rejects_a_position_that_is_not_its_history_length(mon
     cache = CrossAttentionCache(dec, enc)
     hist = empty_history(dec)
     for pos in range(length):
-        [(hist, _, _)] = advance_positions(dec, cache, [hist], [dec.sos_id if pos == 0 else 2],
-                                           [pos], 2)
+        [(hist, _)] = advance_positions(cache, [DecoderState(hist, dec.sos_id if pos == 0 else 2)],
+                                        2)
 
     def no_step(*args):  # the step's first work; never reached with a bad position
         pytest.fail("a step ran")
 
     monkeypatch.setattr(decoder, "append_history", no_step)
     for bad in {length + 1, abs(length - 1), 10**8}:
-        with pytest.raises(ValueError, match="is not the length of its history"):
-            advance_positions(dec, cache, [hist, hist], [2, 3], [length, bad], 2)
         with pytest.raises(ValueError, match="is not the length of its history"):
             advance_position(dec, cache, hist, 2, bad, 2)
 
@@ -568,7 +565,7 @@ def test_a_minus_inf_logit_gives_minus_inf_for_that_label_only():
     dec, enc = setup_case(97)
     dec.out_b[3] = -np.inf
     cache = CrossAttentionCache(dec, enc)
-    [(_, logp, _)] = advance_positions(dec, cache, [empty_history(dec)], [dec.sos_id], [0], 3)
+    [(_, logp)] = advance_positions(cache, [DecoderState(empty_history(dec), dec.sos_id)], 3)
     assert logp[3] == -np.inf
     assert np.isfinite(np.delete(logp, 3)).all()
     assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-12)
@@ -581,4 +578,49 @@ def test_a_step_with_non_finite_logits_raises(bad):
     cache = CrossAttentionCache(dec, enc)
     hist = empty_history(dec)
     with pytest.raises(ValueError, match="decoder weight is not finite"):
-        advance_positions(dec, cache, [hist, hist], [dec.sos_id, 2], [0, 0], 3)
+        advance_positions(cache, decoder_states([hist, hist], [dec.sos_id, 2]), 3)
+
+
+def test_a_state_keeps_the_stem_of_its_first_step_for_its_next(monkeypatch):
+    # the first step of a state sets its stem; its next step, at another
+    # truncation, reuses that stem, runs no layer-0 self-attention, and
+    # gets the bits of a step from scratch
+    dec, enc = setup_case(99, n=5, d_layers=2)
+    cache = CrossAttentionCache(dec, enc)
+    hist, _ = advance_position(dec, cache, empty_history(dec), dec.sos_id, 0, 2)
+    state = DecoderState(hist, 3)
+    assert state.stem is None
+    advance_positions(cache, [state], 2)
+    stem = state.stem
+    assert isinstance(stem, decoder.Stem)
+    layer0 = []
+    attend_own = decoder._attend_own_histories
+
+    def counting(q, hists, d):
+        if d == 0:
+            layer0.append(len(hists))
+        return attend_own(q, hists, d)
+
+    monkeypatch.setattr(decoder, "_attend_own_histories", counting)
+    [(grown, logp)] = advance_positions(cache, [state], 4)
+    assert state.stem is stem and not layer0
+    assert state.hist is hist and hist.shape[3] == 1
+    want_hist, want_logp = advance_position(dec, cache, hist, 3, 1, 4)
+    assert layer0 == [1]
+    assert (grown == want_hist).all() and (logp == want_logp).all()
+
+
+def test_a_step_that_raises_sets_no_stem():
+    # stems go into their states only once the logits are finite: a step
+    # that raises leaves every state's stem as it was
+    dec, enc = setup_case(98)
+    cache = CrossAttentionCache(dec, enc)
+    kept = DecoderState(empty_history(dec), dec.sos_id)
+    advance_positions(cache, [kept], 2)
+    stem = kept.stem
+    assert stem is not None
+    dec.out_b[2] = np.nan
+    fresh = DecoderState(kept.hist, 2)
+    with pytest.raises(ValueError, match="decoder weight is not finite"):
+        advance_positions(cache, [kept, fresh], 3)
+    assert kept.stem is stem and fresh.stem is None

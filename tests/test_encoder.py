@@ -106,6 +106,15 @@ def test_cnn_frame_count(t, n):
     assert cnn_frame_count(t) == n
 
 
+@pytest.mark.parametrize("bad", [-5, -1, 2.5, 4.0, True, None])
+def test_cnn_frame_count_refuses_what_is_not_a_frame_count(bad):
+    # -5 used to give -1, and 2.5 gave 1
+    with pytest.raises(ValueError, match=f"frame count {bad!r} is not an integer >= 0"):
+        cnn_frame_count(bad)
+    assert cnn_frame_count(np.int64(5)) == cnn_frame_count(5) == 2
+    assert cnn_frame_count(0) == 0
+
+
 def test_enc_cnn_output_rows_match_frame_count():
     rng = np.random.default_rng(20)
     cnn = rand_cnn(rng, d_feat=6, ch1=2, ch2=3, d_model=8)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -292,6 +293,37 @@ def test_vocab_file_round_trip(tmp_path):
     assert load_vocab(p2).boundary is None
 
 
+@pytest.mark.parametrize("tokens, boundary, match", [
+    (["#boundary x", SOS_TOKEN, "a"], None, "'#boundary x' would read as the boundary line"),
+    ([SOS_TOKEN, "a\nb"], None, "'a\\nb' holds a line break"),
+    ([SOS_TOKEN, "a\r"], None, "'a\\r' holds a line break"),
+    ([SOS_TOKEN, "a", ""], None, "token 2 would be an empty token line"),
+    ([SOS_TOKEN, "a"], "\n", "'#boundary \\n' holds a line break"),
+    ([SOS_TOKEN, "a"], "_\r", "'#boundary _\\r' holds a line break"),
+])
+def test_save_vocab_refuses_what_would_not_read_back(tmp_path, tokens, boundary, match):
+    # each used to write a file that load_vocab read back as another
+    # vocabulary, shifting label ids, or refused
+    p = tmp_path / "v.vocab"
+    with pytest.raises(ValueError, match=re.escape(match)):
+        save_vocab(p, Vocab(tokens, boundary))
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("vocab", [
+    toy_vocab(), toy_vocab(4, boundary="_"), toy_vocab(2, with_eos=False),
+    Vocab(["#boundary x", SOS_TOKEN, "a"], boundary="_"),
+    Vocab([SOS_TOKEN, "#boundary", "é"], boundary="▁"),
+])
+def test_save_vocab_writes_what_reads_back(tmp_path, vocab):
+    # a first token like the boundary line is written under a declared
+    # boundary, where it is the second line
+    p = tmp_path / "v.vocab"
+    save_vocab(p, vocab)
+    back = load_vocab(p)
+    assert back.tokens == vocab.tokens and back.boundary == vocab.boundary
+
+
 def test_vocab_file_rejects_empty_line(tmp_path):
     p = tmp_path / "v.vocab"
     p.write_text(f"{SOS_TOKEN}\n\nx\n")
@@ -329,9 +361,39 @@ def test_features_with_non_finite_values_are_rejected(tmp_path, bad):
     frames = np.zeros((3, 2), dtype=np.float32)
     frames[1, 0] = bad
     p = tmp_path / "u.feats"
-    write_features(p, FeatureMatrix(frames))
+    with pytest.raises(ValueError, match="non-finite"):
+        write_features(p, FeatureMatrix(frames))
+    assert not p.exists()
+    p.write_bytes(b"FEATS v1\n3 2 10.0\n" + frames.astype("<f4").tobytes())
     with pytest.raises(ValueError, match="non-finite"):
         load_features(p)
+
+
+@pytest.mark.parametrize("frames, shift, match", [
+    (np.zeros((2, 3)), 0.0, "frame shift must be positive and finite, got 0.0"),
+    (np.zeros((2, 3)), -10.0, "frame shift must be positive and finite, got -10.0"),
+    (np.zeros((2, 3)), math.nan, "frame shift must be positive and finite, got nan"),
+    (np.zeros((2, 3)), math.inf, "frame shift must be positive and finite, got inf"),
+    (np.zeros((2, 3)), True, "frame shift must be positive and finite, got True"),
+    (np.zeros((0, 3)), 10.0, "empty utterance"),
+    (np.zeros(3), 10.0, r"features of shape \(3,\), expected \(frames, d_feat\)"),
+    (np.zeros((2, 3, 1)), 10.0, r"features of shape \(2, 3, 1\)"),
+    (np.full((2, 3), 1e39), 10.0, "non-finite feature values"),  # past float32's range
+])
+def test_write_features_refuses_what_load_features_refuses(tmp_path, frames, shift, match):
+    # each used to write a file that load_features refuses; the 1-D
+    # matrix raised IndexError
+    p = tmp_path / "u.feats"
+    with pytest.raises(ValueError, match=match):
+        write_features(p, FeatureMatrix(frames, shift))
+    assert not p.exists()
+
+
+def test_a_numpy_frame_shift_is_written_as_a_number(tmp_path):
+    # its repr, "np.float64(12.5)", used to go into the header
+    p = tmp_path / "u.feats"
+    write_features(p, random_features(148, 3, 2, frame_shift_ms=np.float64(12.5)))
+    assert load_features(p).frame_shift_ms == 12.5
 
 
 @pytest.mark.parametrize("shift", ["0.0", "-10.0", "nan", "inf"])

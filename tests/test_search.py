@@ -859,9 +859,9 @@ def counted_steps(monkeypatch):
     calls = []
     step = decoder.advance_positions
 
-    def counting(params, cache, hists, token_ids, pos_indices, nu, stems=None):
-        calls.extend((hist, tok, pos, nu) for hist, tok, pos in zip(hists, token_ids, pos_indices))
-        return step(params, cache, hists, token_ids, pos_indices, nu, stems)
+    def counting(cache, states, nu):
+        calls.extend((s.hist, s.token, s.hist.shape[3], nu) for s in states)
+        return step(cache, states, nu)
 
     monkeypatch.setattr(decoder, "advance_positions", counting)
     return calls
@@ -904,9 +904,9 @@ def test_no_decoder_call_is_made_without_rows(monkeypatch, eps_dec):
     sizes = []
     step = decoder.advance_positions
 
-    def counting(params, cache, hists, *args):
-        sizes.append(len(hists))
-        return step(params, cache, hists, *args)
+    def counting(cache, states, nu):
+        sizes.append(len(states))
+        return step(cache, states, nu)
 
     monkeypatch.setattr(decoder, "advance_positions", counting)
     m, enc, post, lm, _ = decode_setup(124, n=10)

@@ -75,6 +75,29 @@ def test_latency_matches_hand_formula():
     assert theoretical_latency_ms(StreamConfig(eps_enc=math.inf), 12) == math.inf
 
 
+@pytest.mark.parametrize("bad", [-3, -1, 1.5, 2.0, True, None])
+def test_latency_refuses_a_layer_count_that_is_not_an_integer_from_0(bad):
+    # -3 layers used to give -10.0 ms
+    cfg = StreamConfig(eps_enc=1, eps_dec=2)
+    with pytest.raises(ValueError, match=f"encoder layer count {bad!r} is not an integer >= 0"):
+        theoretical_latency_ms(cfg, bad)
+    assert theoretical_latency_ms(cfg, np.int64(3)) == theoretical_latency_ms(cfg, 3) == 230.0
+    assert theoretical_latency_ms(cfg, 0) == 110.0
+
+
+@pytest.mark.parametrize("n, e_layers, what", [
+    (-2, 1, "encoder row -2"), (1.5, 1, "encoder row 1.5"), (True, 1, "encoder row True"),
+    (1, -1, "encoder layer count -1"), (1, 2.0, "encoder layer count 2.0"),
+    (-2, -1, "encoder row -2"),
+])
+def test_emission_frame_refuses_counts_that_are_not_integers_from_0(n, e_layers, what):
+    # emission_frame(-2, -1, 1) used to give -12
+    with pytest.raises(ValueError, match=f"{what} is not an integer >= 0"):
+        emission_frame(n, e_layers, 1)
+    assert emission_frame(np.int64(2), np.int64(3), 1) == emission_frame(2, 3, 1) == 20
+    assert emission_frame(0, 0, 1) == 0 and emission_frame(0, 12, math.inf) == math.inf
+
+
 def test_emission_schedule_matches_closed_form():
     # rows come out at their closed-form emission frame; a CTC-only session
     # then decodes every row it has, a joint one holds frame n back until
