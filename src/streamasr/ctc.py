@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .kernels import NEG_INF, check_model_dtype, is_int, log_add, log_softmax_f64
+from .kernels import NEG_INF, check_count, check_model_dtype, is_int, log_add, log_softmax_f64
 
 BLANK = 0
 
@@ -59,12 +59,6 @@ def posterior_matrix(post):
     if lp.ndim != 2:
         raise ValueError(f"posteriorgram must be 2-D (frames, columns), got shape {lp.shape}")
     return lp
-
-
-def check_eps_dec(eps_dec):
-    """Reject a decoder look-ahead that is not a non-negative integer."""
-    if not is_int(eps_dec) or eps_dec < 0:
-        raise ValueError(f"eps_dec must be a non-negative integer, got {eps_dec!r}")
 
 
 def check_log_probs(lp):
@@ -137,7 +131,7 @@ def ctc_viterbi_align(post, labels, eps_dec):
     reported unclamped.  Raises when the labels cannot be aligned within
     the frame count.
     """
-    check_eps_dec(eps_dec)
+    check_count(eps_dec, "eps_dec")
     lp = posterior_matrix(post)
     labels = list(labels)
     check_labels(labels, 1, lp.shape[1], "posteriorgram columns")

@@ -9,6 +9,7 @@ cache per-prefix state safely.
 import math
 
 from .kernels import is_int
+from .modelio import read_lines
 
 LN10 = math.log(10.0)
 
@@ -124,8 +125,7 @@ def ngram_load(path, token_to_id=None):
     bare = token_to_id is None
     lookup = int if bare else token_to_id.__getitem__
     inf = math.inf
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().split("\n")
+    lines = read_lines(path)
     entries = {}
     declared = {}
     seen_data = False
@@ -207,4 +207,7 @@ def ngram_load(path, token_to_id=None):
     order = max((n for n, c in declared.items() if c > 0), default=0)
     if order < 1:
         raise ValueError(f"{path}: file declares no n-grams")
-    return NgramLM(entries, order)
+    try:
+        return NgramLM(entries, order)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

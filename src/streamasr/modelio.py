@@ -36,16 +36,18 @@ load_model's shape checks and assembly, random_model and
 Its row order is random_model's draw order, so reordering rows changes
 every random model's weights (tests pin them by archive hash).
 
-load_model reads an archive once: the header from the first read, then
-the payload straight into one buffer, each tensor a read-only view of it
-that starts on a 64-byte boundary.  One walk of the schema both lists
-the shapes the header must declare and assembles the model from the
-views.
+load_model reads an archive once, through a buffered file: the header
+line by line up to the data marker, then the payload straight into the
+runs of one buffer, each tensor a read-only view of it that starts on a
+64-byte boundary.  One walk of the schema both lists the shapes the
+header must declare and assembles the model from the views.
 """
 
 import math
 import os
+import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -105,9 +107,18 @@ class Vocab:
         return text
 
 
-def load_vocab(path):
+def read_lines(path):
+    """The lines of a UTF-8 text file, split at line breaks; a file that is
+    not UTF-8 raises ``ValueError`` naming it."""
     with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().split("\n")
+        try:
+            return f.read().split("\n")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+
+
+def load_vocab(path):
+    lines = read_lines(path)
     if lines and lines[-1] == "":
         lines.pop()
     boundary = None
@@ -117,7 +128,10 @@ def load_vocab(path):
     for i, tok in enumerate(lines):
         if tok == "":
             raise ValueError(f"{path}:{i + 1}: empty token line")
-    return Vocab(lines, boundary)
+    try:
+        return Vocab(lines, boundary)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def save_vocab(path, vocab):
@@ -355,69 +369,83 @@ def save_model(path, m):
             f.write(tensors[n].astype("<f4", copy=False).tobytes())
 
 
-def _read_header_line(f, path):
+def _header_error(what, raw, path):
+    """``ValueError`` naming path and raw, a header line ``what`` spoils."""
+    line = raw.removesuffix(b"\n").decode("ascii", "backslashreplace")
+    return ValueError(f"{path}: {what} in header line {line!r}")
+
+
+def _header_text(raw, path):
+    """The text of raw, a header line, without the line break that must end it."""
+    if not raw.endswith(b"\n"):
+        raise ValueError(f"{path}: truncated header")
+    try:
+        return raw[:-1].decode("ascii")
+    except UnicodeDecodeError:
+        raise _header_error("non-ASCII byte", raw, path) from None
+
+
+def _check_magic(f, path, magic):
+    """Read the first line, which must be ``magic``."""
     raw = f.readline()
     if not raw.endswith(b"\n"):
         raise ValueError(f"{path}: truncated header")
-    return raw[:-1].decode("ascii")
+    if raw[:-1] != magic.encode("ascii"):
+        raise ValueError(f"{path}: bad magic, expected {magic!r}")
 
 
-# An archive's first read: its whole header up to dozens of layers, and
-# the payload's first bytes with it.
-_HEAD_READ = 1 << 14
-# Each loaded tensor starts on a 64-byte boundary (16 float32 values) of
-# the payload buffer, at least the 16 bytes np.empty's arrays start on.
-_SLOT = 16
+def _read_header(f, path):
+    """(dims, sos_id, eos_id, shapes, sizes) from the header that f begins
+    with, read line by line up to the data marker, where f is left; sizes
+    maps each tensor to its float count, -1 for a shape with a negative
+    dimension."""
+    _check_magic(f, path, MODEL_MAGIC)
 
-
-class _ShortHeader(Exception):
-    """The bytes read so far end before the header's data marker."""
-
-
-def _parse_header(head, path):
-    """(dims, sos_id, eos_id, shapes, sizes, payload offset) from the bytes
-    that begin an archive; sizes maps each tensor to its float count, -1
-    for a shape with a negative dimension.  Raises ``_ShortHeader`` if the
-    bytes end before the data marker, once the lines they hold have
-    passed their checks."""
-    fixed = head.split(b"\n", len(_DIMS) + 4)  # magic, dims, sos_id, eos_id, tensors; the rest
-
-    def value(i, key):
-        """The value of line i, which must be ``key value``."""
-        if i >= len(fixed) - 1:
-            raise _ShortHeader
-        k, _, v = fixed[i].decode("ascii").partition(" ")
+    def value(key, parse=int):
+        """The parsed value of the next line, which must be ``key value``."""
+        raw = f.readline()
+        k, _, v = _header_text(raw, path).partition(" ")
         if k != key:
             raise ValueError(f"{path}: expected {key!r} line, got {k!r}")
-        return v
+        try:
+            return parse(v)
+        except ValueError:
+            raise _header_error("bad number", raw, path) from None
 
-    if len(fixed) < 2:
-        raise _ShortHeader
-    if fixed[0] != MODEL_MAGIC.encode("ascii"):
-        raise ValueError(f"{path}: bad magic, expected {MODEL_MAGIC!r}")
-    dims = {key: int(value(i, key)) for i, key in enumerate(_DIMS, 1)}
-    sos_id = int(value(len(_DIMS) + 1, "sos_id"))
-    eos_id = value(len(_DIMS) + 2, "eos_id")
-    eos_id = None if eos_id == "none" else int(eos_id)
-    count = max(0, int(value(len(_DIMS) + 3, "tensors")))
-    table = fixed[-1].split(b"\n", count + 1)  # the tensor lines, the data marker; the payload
+    dims = {key: value(key) for key in _DIMS}
+    sos_id = value("sos_id")
+    eos_id = value("eos_id", lambda v: None if v == "none" else int(v))
+    count = max(0, value("tensors"))
     shapes, sizes = {}, {}
     parsed = {}  # dims text -> (shape, size), as most shapes repeat
-    for raw in table[:min(count, len(table) - 1)]:
-        name, _, dimtxt = raw.decode("ascii").partition(" ")
+    for raw in islice(f, min(count, sys.maxsize)):  # islice's limit; no file has more lines
+        try:
+            # the dims text keeps the line break, which int() ignores; a line
+            # the end of the file cuts short lacks it, so it misses parsed
+            name, _, dimtxt = raw.decode("ascii").partition(" ")
+        except UnicodeDecodeError:
+            raise _header_error("non-ASCII byte", raw, path) from None
+        known = parsed.get(dimtxt)
+        if known is None and raw[-1] != 10:
+            raise ValueError(f"{path}: truncated header")
         if name in shapes:
             raise ValueError(f"{path}: duplicate tensor {name}")
-        known = parsed.get(dimtxt)
         if known is None:
-            shape = tuple(map(int, dimtxt.split(",")))
+            try:
+                shape = tuple(map(int, dimtxt.split(",")))
+            except ValueError:
+                raise _header_error("bad number", raw, path) from None
             # a negative dimension leaves the tensor no payload size
             known = parsed[dimtxt] = shape, math.prod(shape) if min(shape) >= 0 else -1
         shapes[name], sizes[name] = known
-    if len(table) < count + 2:
-        raise _ShortHeader
-    if table[count] != b"data":
+    if _header_text(f.readline(), path) != "data":
         raise ValueError(f"{path}: expected data marker")
-    return dims, sos_id, eos_id, shapes, sizes, len(head) - len(table[-1])
+    return dims, sos_id, eos_id, shapes, sizes
+
+
+# Each loaded tensor starts on a 64-byte boundary (16 float32 values) of
+# the payload buffer, at least the 16 bytes np.empty's arrays start on.
+_SLOT = 16
 
 
 def _payload_buffer(have, shapes, sizes):
@@ -456,52 +484,13 @@ def _payload_buffer(have, shapes, sizes):
     return views, [mem[a:b] for a, b in spans]
 
 
-def _read_runs(f, path, rest, runs):
-    """Fill each byte array of runs in turn from the payload: first from
-    ``rest``, the bytes of it read with the header, then straight from f.
-    A read may return fewer bytes than asked (an unbuffered read, or one
-    past the system's limit on a single read), so each run is read until
-    it is full; only a read that returns nothing ends the payload early."""
-    for run in runs:
-        n = min(len(run), len(rest))
-        run[:n] = rest[:n]
-        rest = rest[n:]
-        while n < len(run):
-            got = f.readinto(run[n:])
-            if not got:
-                raise ValueError(f"{path}: payload ended early")
-            n += got
-
-
-def _read_f32(f, path, shape):
-    """The rest of f as one little-endian float32 array of ``shape``,
-    read straight into it.  The remaining byte count must equal its size."""
-    total = 4 * math.prod(shape)
-    have = os.fstat(f.fileno()).st_size - f.tell()
-    if have != total:
-        raise ValueError(f"{path}: payload is {have} bytes, expected {total}")
-    a = np.empty(shape, dtype="<f4")
-    if f.readinto(a) != total:
-        raise ValueError(f"{path}: payload ended early, expected {total} bytes")
-    return a
-
-
 def load_model(path):
     """Read a model archive: the file once, its header checked against one
     walk of the schema, the payload into one read-only buffer of which
     every tensor is a view."""
-    with open(path, "rb", buffering=0) as f:
-        size = os.fstat(f.fileno()).st_size
-        head = f.read(_HEAD_READ)
-        while True:
-            try:
-                dims, sos_id, eos_id, shapes, sizes, start = _parse_header(head, path)
-                break
-            except _ShortHeader:
-                more = f.read()
-                if not more:
-                    raise ValueError(f"{path}: truncated header") from None
-                head += more
+    with open(path, "rb") as f:
+        dims, sos_id, eos_id, shapes, sizes = _read_header(f, path)
+        have = os.fstat(f.fileno()).st_size - f.tell()
 
         ch1, ch2 = (shapes[conv][0] if conv in shapes else None for conv in _CONVS)
         try:
@@ -512,7 +501,7 @@ def load_model(path):
         # The buffer and its tensors exist before the walk, which both lists
         # the expected shapes and hands the tensors out; the payload is read
         # into them once the header has passed.
-        payload = _payload_buffer(size - start, shapes, sizes)
+        payload = _payload_buffer(have, shapes, sizes)
         views = {} if payload is None else payload[0]
         expected = {}
 
@@ -535,8 +524,11 @@ def load_model(path):
                     )
         if payload is None:
             total = 4 * sum(sizes.values())
-            raise ValueError(f"{path}: payload is {size - start} bytes, expected {total}")
-        _read_runs(f, path, memoryview(head)[start:], payload[1])
+            raise ValueError(f"{path}: payload is {have} bytes, expected {total}")
+        # a buffered readinto returns short only at the end of the file
+        for run in payload[1]:
+            if f.readinto(run) != len(run):
+                raise ValueError(f"{path}: payload ended early")
     return model
 
 
@@ -563,19 +555,28 @@ def write_features(path, feats):
 
 def load_features(path):
     with open(path, "rb") as f:
-        if _read_header_line(f, path) != FEATS_MAGIC:
-            raise ValueError(f"{path}: bad magic, expected {FEATS_MAGIC!r}")
-        parts = _read_header_line(f, path).split(" ")
+        _check_magic(f, path, FEATS_MAGIC)
+        raw = f.readline()
+        parts = _header_text(raw, path).split(" ")
         if len(parts) != 3:
             raise ValueError(f"{path}: malformed feature header")
-        t, d, shift = int(parts[0]), int(parts[1]), float(parts[2])
+        try:
+            t, d, shift = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise _header_error("bad number", raw, path) from None
         if t == 0:
             raise ValueError(f"{path}: empty utterance")
         if t < 0 or d < 0:
             raise ValueError(f"{path}: negative feature dimension {t} x {d}")
         if not 0 < shift < math.inf:
             raise ValueError(f"{path}: frame shift must be positive and finite, got {shift!r}")
-        frames = _read_f32(f, path, (t, d))
+        total = 4 * t * d
+        have = os.fstat(f.fileno()).st_size - f.tell()
+        if have != total:
+            raise ValueError(f"{path}: payload is {have} bytes, expected {total}")
+        frames = np.empty((t, d), dtype="<f4")
+        if f.readinto(frames) != total:
+            raise ValueError(f"{path}: payload ended early, expected {total} bytes")
     if not np.isfinite(frames).all():
         raise ValueError(f"{path}: non-finite feature values")
     return FeatureMatrix(frames, frame_shift_ms=shift)

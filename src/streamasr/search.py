@@ -63,10 +63,10 @@ from operator import attrgetter
 import numpy as np
 
 from . import decoder as dec_mod
-from .ctc import _prefix_masses, check_eps_dec, check_log_probs, ctc_forward_logprob
+from .ctc import _prefix_masses, check_log_probs, ctc_forward_logprob
 from .ctc import ctc_prefix_step  # noqa: F401 (uncalled; the tracer wraps it here)
 from .ctc import posterior_matrix
-from .kernels import NEG_INF, is_int, is_real, log_add
+from .kernels import NEG_INF, check_count, is_int, is_real, log_add
 
 
 @dataclass
@@ -127,7 +127,7 @@ class DecodeParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.theta1 <= 0 or self.theta2 <= 0:
             raise ValueError("beam widths must be positive")
-        check_eps_dec(self.eps_dec)
+        check_count(self.eps_dec, "eps_dec")
         if not 0.0 <= self.local_threshold < 1.0:
             raise ValueError(f"local_threshold must be in [0, 1), got {self.local_threshold}")
         for name in ("dcond", "acond"):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import multi_head_attention  # noqa: F401 (uncalled; the tracer wraps it here)
-from .ctc import check_eps_dec, log_posterior_row
+from .ctc import log_posterior_row
 from .encoder import FeatureMatrix, IncrementalEncoder, check_eps_enc
 from .kernels import check_count, check_model_dtype, is_real
 from .search import CtcPrefixSearch, DecodeResult, JointSearch
@@ -48,7 +48,7 @@ class StreamConfig:
 
     def __post_init__(self):
         check_eps_enc(self.eps_enc)
-        check_eps_dec(self.eps_dec)
+        check_count(self.eps_dec, "eps_dec")
         shift = self.frame_shift_ms
         if not is_real(shift) or not 0 < shift < math.inf:
             raise ValueError(f"frame_shift_ms must be a positive finite number, got {shift!r}")

@@ -169,6 +169,19 @@ def test_a_bad_eps_enc_is_reported_before_anything_loads(capsys, workspace, mode
     assert err == "streamasr: error: eps_enc must be a non-negative integer or inf, got -1\n"
 
 
+def test_an_archive_header_that_does_not_parse_is_reported_with_its_path(capsys, workspace,
+                                                                         tmp_path):
+    # it used to print int()'s error, which named no file
+    bad = tmp_path / "bad.model"
+    bad.write_bytes((workspace / "toy.model").read_bytes().replace(b"\nheads 2\n",
+                                                                   b"\nheads x2\n", 1))
+    args = base_args(workspace)
+    args[1] = str(bad)
+    code, out, err = run(capsys, args)
+    assert code == 1 and out == ""
+    assert err == f"streamasr: error: {bad}: bad number in header line 'heads x2'\n"
+
+
 def test_runtime_errors_exit_one_with_message(capsys, workspace, tmp_path):
     code, _, err = run(capsys, ["--model", str(tmp_path / "nope.model"),
                                 "--vocab", str(workspace / "toy.vocab"),

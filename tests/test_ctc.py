@@ -115,9 +115,9 @@ def test_viterbi_nu_adds_lookahead_unclamped():
 @pytest.mark.parametrize("eps_dec", [-5, 1.5, True, None])
 def test_viterbi_rejects_an_eps_dec_the_search_rejects(eps_dec):
     rows = logprob_rows(np.random.default_rng(80), 4, 4)
-    with pytest.raises(ValueError, match="eps_dec must be a non-negative integer"):
+    with pytest.raises(ValueError, match="eps_dec .* is not an integer >= 0"):
         ctc_viterbi_align(rows, (2, 3), eps_dec)
-    with pytest.raises(ValueError, match="eps_dec must be a non-negative integer"):
+    with pytest.raises(ValueError, match="eps_dec .* is not an integer >= 0"):
         DecodeParams(eps_dec=eps_dec)
     assert ctc_viterbi_align(rows, (2, 3), np.int64(2)) == ctc_viterbi_align(rows, (2, 3), 2)
 

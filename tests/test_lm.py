@@ -159,6 +159,26 @@ def test_arpa_parse_errors_carry_line_numbers(tmp_path):
         ngram_load(write(tmp_path, "\\data\\\nbogus\n\\end\\\n"))
 
 
+ARPA_HEAD = b"\\data\\\nngram 1=2\n\n\\1-grams:\n-0.3 a\n"
+
+
+@pytest.mark.parametrize("data,message", [
+    (ARPA_HEAD + b"-0.5 \xff\n\\end\\\n",
+     f"not UTF-8 text: invalid start byte at byte {len(ARPA_HEAD) + 5}"),
+    (ARPA_HEAD + b"-0.5\xa0b\n\\end\\\n",
+     f"not UTF-8 text: invalid start byte at byte {len(ARPA_HEAD) + 4}"),
+    (b"\\data\\\nngram 1=0\nngram 2=1\n\n\\2-grams:\n-0.3 a b\n\\end\\\n",
+     "n-gram model has no unigrams"),
+], ids=["token", "weight", "no-unigrams"])
+def test_an_arpa_file_that_does_not_load_is_named_with_the_file(tmp_path, data, message):
+    # each raised an error that named no file
+    p = tmp_path / "lm.arpa"
+    p.write_bytes(data)
+    with pytest.raises(ValueError) as e:
+        ngram_load(p, {"a": 0, "b": 1})
+    assert str(e.value) == f"{p}: {message}"
+
+
 def test_arpa_loading_is_deterministic(tmp_path):
     rng = np.random.default_rng(90)
     text = normalized_bigram_arpa(rng, ids=[0, 1, 2, 3])

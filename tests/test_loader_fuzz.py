@@ -1,7 +1,8 @@
 """Loaders fed truncated and byte-corrupted copies of valid files.
 
-Whatever the damage, a loader either returns or raises ValueError; any
-other exception is a crash a caller could not have anticipated.
+Whatever the damage, a loader either returns or raises ValueError that
+names the file; any other exception is a crash a caller could not have
+anticipated.
 """
 
 import numpy as np
@@ -52,8 +53,8 @@ def loads_or_rejects(load, path, data):
     path.write_bytes(data)
     try:
         load(path)
-    except ValueError:
-        pass
+    except ValueError as e:
+        assert str(e).startswith(f"{path}:"), e
 
 
 LOADERS = [("model", load_model), ("feats", load_features), ("lm", ngram_load),

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import re
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamasr.encoder import FeatureMatrix
-from streamasr.modelio import (_HEAD_READ, _SCHEMA, EOS_TOKEN, SOS_TOKEN, Vocab, _model,
+from streamasr.modelio import (_SCHEMA, EOS_TOKEN, SOS_TOKEN, Vocab, _model,
                                _symbols, _tensors,
                                load_features, load_model, load_vocab, random_features,
                                random_model, save_model, save_vocab, toy_vocab,
@@ -103,6 +104,11 @@ def test_model_archive_error_paths(tmp_path):
     with pytest.raises(ValueError, match="truncated header"):
         load_model(bad)
 
+    # a table line cut short inside its shape
+    bad.write_bytes(raw[:raw.index(b",", raw.index(b"\ntensors ")) + 1])
+    with pytest.raises(ValueError, match="truncated header"):
+        load_model(bad)
+
     # a dropped tensor is reported by name
     lo, hi = blob_span(tensor_lines, "ctc.w")
     kept = [ln for ln in tensor_lines if not ln.startswith("ctc.w ")]
@@ -120,6 +126,12 @@ def test_model_archive_error_paths(tmp_path):
     # an extra tensor is rejected by name
     bad.write_bytes(join_archive(head, tensor_lines + ["zz.extra 2,2"], blob))
     with pytest.raises(ValueError, match="unexpected tensor zz.extra"):
+        load_model(bad)
+
+    # a table longer than any file runs into the data marker, as a shorter
+    # overcount does; it used to raise OverflowError
+    bad.write_bytes(re.sub(rb"\ntensors \d+\n", b"\ntensors %d\n" % 10**20, raw, count=1))
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: bad number in header line 'data'")):
         load_model(bad)
 
     # short payload
@@ -189,6 +201,39 @@ def test_random_model_refuses_what_load_model_refuses(tmp_path, kw, line, edited
     with pytest.raises(ValueError) as built:
         random_model(0, **kw)
     assert str(built.value) == message
+
+
+UNPARSED_HEADER_LINES = [
+    (b"e_layers 2", b"e_layers two", "bad number"),
+    (b"d_layers 1", b"d_layers 1.0", "bad number"),
+    (b"d_model 16", b"d_model 0x10", "bad number"),
+    (b"d_ff 32", b"d_ff", "bad number"),
+    (b"heads 4", b"heads four", "bad number"),
+    (b"vocab 5", b"vocab 5,", "bad number"),
+    (b"d_feat 8", b"d_feat -", "bad number"),
+    (b"sos_id 0", b"sos_id zero", "bad number"),
+    (b"eos_id 1", b"eos_id None", "bad number"),
+    (b"tensors 57", b"tensors many", "bad number"),
+    (b"ctc.w 16,6", b"ctc.w 16,x", "bad number"),
+    (b"heads 4", b"heads \xe94", "non-ASCII byte"),
+    (b"ctc.w 16,6", b"ctc.\xff 16,6", "non-ASCII byte"),
+]
+
+
+@pytest.mark.parametrize("line,edited,what", UNPARSED_HEADER_LINES,
+                         ids=[edited.decode("latin-1") for _, edited, _ in UNPARSED_HEADER_LINES])
+def test_an_archive_header_line_that_does_not_parse_is_named_with_the_file(
+        tmp_path, line, edited, what):
+    # each raised int()'s or the ASCII decoder's error, which named no file
+    path = tmp_path / "m.model"
+    save_model(path, random_model(0))
+    raw = path.read_bytes()
+    assert raw.count(b"\n" + line + b"\n") == 1
+    path.write_bytes(raw.replace(b"\n" + line + b"\n", b"\n" + edited + b"\n"))
+    with pytest.raises(ValueError) as e:
+        load_model(path)
+    text = edited.decode("ascii", "backslashreplace")
+    assert str(e.value) == f"{path}: {what} in header line {text!r}"
 
 
 @pytest.mark.parametrize("kw", [
@@ -331,6 +376,21 @@ def test_vocab_file_rejects_empty_line(tmp_path):
         load_vocab(p)
 
 
+@pytest.mark.parametrize("data,message", [
+    (b"#boundary \xff\n<sos>\na\n", "not UTF-8 text: invalid start byte at byte 10"),
+    (b"<sos>\n\xc3(\n", "not UTF-8 text: invalid continuation byte at byte 6"),
+    (b"<sos>\na\na\n", "duplicate token 'a'"),
+    (b"a\nb\n", "vocabulary lacks <sos>"),
+], ids=["boundary-line", "token-line", "duplicate", "no-sos"])
+def test_a_vocabulary_that_does_not_load_is_named_with_the_file(tmp_path, data, message):
+    # each raised an error that named no file
+    p = tmp_path / "v.vocab"
+    p.write_bytes(data)
+    with pytest.raises(ValueError) as e:
+        load_vocab(p)
+    assert str(e.value) == f"{p}: {message}"
+
+
 def test_features_round_trip(tmp_path):
     feats = random_features(144, 9, 6, frame_shift_ms=12.5)
     p = tmp_path / "u.feats"
@@ -354,6 +414,23 @@ def test_features_errors(tmp_path):
     p.write_bytes(b"NOPE v1\n2 3 10.0\n" + b"\x00" * 24)
     with pytest.raises(ValueError, match="magic"):
         load_features(p)
+
+
+@pytest.mark.parametrize("header,what", [
+    (b"ten 8 10.0", "bad number"),
+    (b"2 3.0 10.0", "bad number"),
+    (b"2 3 x10.0", "bad number"),
+    (b"2 3 10.0\xb5", "non-ASCII byte"),
+], ids=["frames", "width", "frame-shift", "non-ascii"])
+def test_a_feature_header_that_does_not_parse_is_named_with_the_file(tmp_path, header, what):
+    # each raised int()'s, float()'s or the ASCII decoder's error, which
+    # named no file
+    p = tmp_path / "u.feats"
+    p.write_bytes(b"FEATS v1\n" + header + b"\n" + b"\x00" * 24)
+    with pytest.raises(ValueError) as e:
+        load_features(p)
+    text = header.decode("ascii", "backslashreplace")
+    assert str(e.value) == f"{p}: {what} in header line {text!r}"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -470,12 +547,12 @@ def test_archive_loads_whatever_its_header_and_payload_sizes(tmp_path, kw, long_
     p = tmp_path / "m.model"
     save_model(p, m)
     raw = p.read_bytes()
-    assert (raw.index(b"\ndata\n") if long_header else len(raw)) > _HEAD_READ
+    assert (raw.index(b"\ndata\n") if long_header else len(raw)) > io.DEFAULT_BUFFER_SIZE
     for (name, a), (_, b) in zip(loaded_tensors(m), loaded_tensors(load_model(p))):
         assert np.array_equal(b.view(np.uint32), a.view(np.uint32)), name
 
 
-class ShortReads:
+class ShortReads(io.RawIOBase):
     """A binary file whose reads return at most ``limit`` bytes, as a
     read past the system's single-read limit or some file systems do;
     after ``stop_after`` bytes every read returns nothing."""
@@ -484,30 +561,37 @@ class ShortReads:
         self._f = open(path, "rb", buffering=0)
         self.limit, self.left = limit, stop_after
 
-    def _take(self, n):
-        n = min(n, self.limit)
-        if self.left is not None:
-            n = min(n, self.left)
-            self.left -= n
-        return n
-
-    def read(self, n=-1):
-        if n is None or n < 0:
-            n = self.limit
-        return self._f.read(self._take(n))
+    def readable(self):
+        return True
 
     def readinto(self, b):
         mv = memoryview(b).cast("B")
-        return self._f.readinto(mv[:self._take(len(mv))])
+        n = min(len(mv), self.limit)
+        if self.left is not None:
+            n = min(n, self.left)
+            self.left -= n
+        return self._f.readinto(mv[:n])
+
+    def seekable(self):
+        return True
+
+    def seek(self, pos, whence=io.SEEK_SET):
+        return self._f.seek(pos, whence)
 
     def fileno(self):
         return self._f.fileno()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
+    def close(self):
         self._f.close()
+        super().close()
+
+
+def short_reads(monkeypatch, limit, stop_after=None):
+    """Make the loaders open files through ShortReads, buffered as open does."""
+    monkeypatch.setattr(
+        "streamasr.modelio.open",
+        lambda path, *a, **k: io.BufferedReader(ShortReads(path, limit, stop_after)),
+        raising=False)
 
 
 @pytest.mark.parametrize("limit", [13, 777, 4096])
@@ -515,8 +599,7 @@ def test_archive_loads_bit_for_bit_through_short_reads(tmp_path, monkeypatch, li
     m = random_model(153, e_layers=1, d_feat=40, d_model=64, d_ff=256, heads=4, vocab_size=30)
     p = tmp_path / "m.model"
     save_model(p, m)
-    monkeypatch.setattr("streamasr.modelio.open", lambda path, *a, **k: ShortReads(path, limit),
-                        raising=False)
+    short_reads(monkeypatch, limit)
     for (name, a), (_, b) in zip(loaded_tensors(m), loaded_tensors(load_model(p))):
         assert np.array_equal(b.view(np.uint32), a.view(np.uint32)), name
 
@@ -525,8 +608,6 @@ def test_a_payload_whose_reads_stop_early_is_refused(tmp_path, monkeypatch):
     p = tmp_path / "m.model"
     save_model(p, random_model(154, d_feat=6, d_model=8, heads=2, vocab_size=5))
     size = p.stat().st_size
-    monkeypatch.setattr("streamasr.modelio.open",
-                        lambda path, *a, **k: ShortReads(path, 4096, stop_after=size - 4),
-                        raising=False)
+    short_reads(monkeypatch, 4096, stop_after=size - 4)
     with pytest.raises(ValueError, match="payload ended early"):
         load_model(p)

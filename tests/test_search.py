@@ -593,6 +593,38 @@ def test_ta_cache_holds_only_ancestors_of_live_prefixes():
         assert set(by_columns(search.ta)) <= live
 
 
+def test_a_table_prefix_whose_parent_is_carried_is_carried_again_on_its_kept_state(monkeypatch):
+    # Without hooks a later frame reads the decoder state of the carried
+    # prefixes and of the table prefixes whose parent is carried: such a
+    # prefix is a one-label extension of a carried one, so it can be a
+    # candidate again, keeps its TA entry unscored, and a later frame
+    # steps its state.  Seed 15 carries a 5-label prefix again at frame 7
+    # and steps it at frame 8.
+    from streamasr import decoder
+
+    stepped = []
+    step = decoder.advance_positions
+
+    def recording(cache, states, nu):
+        stepped.extend(states)
+        return step(cache, states, nu)
+
+    monkeypatch.setattr(decoder, "advance_positions", recording)
+    m, enc, post, lm, params = decode_setup(15, n=12, k_size=16, p_size=8, eps_dec=2)
+    search = JointSearch(m.decoder, lm, params, post.shape[1])
+    search.add_rows(enc)
+    waiting, again = {}, []
+    for i in range(12):
+        search.advance(post[i])
+        again += [(len(stepped), e.state) for pre, e in waiting.items()
+                  if pre in search.hyps and search.ta[pre] is e]
+        waiting = {pre: e for pre, e in search.ta.items()
+                   if pre not in search.hyps and pre.parent in search.hyps}
+    search.finalize()
+    assert again
+    assert any(any(s is state for s in stepped[start:]) for start, state in again)
+
+
 def test_loss_params_validation():
     LossParams(0.0)
     LossParams(1.0)
