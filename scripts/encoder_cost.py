@@ -22,11 +22,12 @@ encoders through the utterance in ``REPEATS`` rounds.  A round's steps
 are the pushes, then ``FLUSHES`` final flushes
 (``push(None, final=True)``, where the encoder scores
 look-ahead-limited rows), each on a copy of the pushed encoder made
-untimed; which copy goes first alternates from one step and one round
-to the next.  The script prints the paired per-push and flush ratios
-(``lockstep.paired``, this copy over the baseline) as median
-[quartiles], the per-push median by quarter, and each side's best
-times.  It exits 1 if any encoder row of the two differs.
+untimed, then ``ENCODES`` offline ``encode`` calls of the whole
+utterance; which copy goes first alternates from one step and one round
+to the next.  The script prints the paired per-push, flush and offline
+encode ratios (``lockstep.paired``, this copy over the baseline) as
+median [quartiles], the per-push median by quarter, and each side's
+best times.  It exits 1 if any encoder row of the two differs.
 
     python3 scripts/encoder_cost.py              # 4 s utterance, best of 6
     python3 scripts/encoder_cost.py --seconds 1  # quick smoke run
@@ -53,6 +54,7 @@ EPS_ENC = 1
 CHUNK_FRAMES = 4  # 40 ms of 10 ms feature frames
 REPEATS = 6  # runs per path, and lockstep rounds (an even number); the best is kept
 FLUSHES = 20  # final flushes timed per lockstep round, each on a copy of the pushed encoder
+ENCODES = 4  # offline encodes of the utterance timed per lockstep round
 SEED = 0
 
 
@@ -67,20 +69,24 @@ def best_of(fn):
 
 
 class Side:
-    """One package copy's streaming encoder on its own load of the archive:
-    step j pushes chunk j, and each step after the last chunk is a final
-    flush of a copy of the pushed encoder."""
+    """One package copy's encoder on its own load of the archive: step j
+    pushes chunk j, each of the ``FLUSHES`` steps after the last chunk is
+    a final flush of a copy of the pushed encoder, and each step after
+    those an offline ``encode`` of the whole utterance."""
 
     def __init__(self, pkg, path, chunks):
-        self.cls, self.params = pkg.encoder.IncrementalEncoder, pkg.load_model(path).encoder
+        self.pkg, self.params = pkg, pkg.load_model(path).encoder
         self.chunks = chunks
+        self.frames = np.concatenate(chunks)
 
     def prepare(self, j, outs):
         if j == 0:
-            self.live = self.cls(self.params, EPS_ENC)
+            self.live = self.pkg.encoder.IncrementalEncoder(self.params, EPS_ENC)
         if j < len(self.chunks):
             return functools.partial(self.live.push, self.chunks[j])
-        return functools.partial(copy.deepcopy(self.live).push, None, final=True)
+        if j < len(self.chunks) + FLUSHES:
+            return functools.partial(copy.deepcopy(self.live).push, None, final=True)
+        return functools.partial(self.pkg.encode, self.frames, self.params, EPS_ENC)
 
 
 def main():
@@ -149,9 +155,9 @@ def main():
           f"of {push_us:.0f} us ({front_us / push_us:.0%})")
 
     if base is not None:
-        times, _ = rounds(sides, len(chunks) + FLUSHES, REPEATS,
+        times, _ = rounds(sides, len(chunks) + FLUSHES + ENCODES, REPEATS,
                           same=lambda j, a, b: np.array_equal(a, b))
-        ratio, best, n = paired(times), times.min(axis=0), len(chunks)
+        ratio, best, n, m = paired(times), times.min(axis=0), len(chunks), len(chunks) + FLUSHES
         quarters = " ".join(f"{float(np.median(q)):.3f}"
                             for q in np.array_split(ratio[:, :n], 4, axis=1))
         print(f"lockstep against {args.baseline}: paired per-push ratio (this/baseline), "
@@ -159,8 +165,10 @@ def main():
               f"median best push {float(np.median(best[0, :n])) * 1e6:.0f} us against "
               f"{float(np.median(best[1, :n])) * 1e6:.0f} us")
         print(f"lockstep final flush (push(None, final=True)): paired ratio "
-              f"{spread(ratio[:, n:])}; best {best[0, n:].min() * 1e6:.0f} us against "
-              f"{best[1, n:].min() * 1e6:.0f} us")
+              f"{spread(ratio[:, n:m])}; best {best[0, n:m].min() * 1e6:.0f} us against "
+              f"{best[1, n:m].min() * 1e6:.0f} us")
+        print(f"lockstep offline encode: paired ratio {spread(ratio[:, m:])}; "
+              f"best {best[0, m:].min() * 1e3:.2f} ms against {best[1, m:].min() * 1e3:.2f} ms")
 
 
 if __name__ == "__main__":

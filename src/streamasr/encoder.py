@@ -155,7 +155,7 @@ class _ConvRows:
     def __init__(self, w, b):
         self.w = w
         self.b = b
-        self.columns = kernels.conv_columns(w)  # laid out for every row's conv call
+        self.columns = kernels.conv_columns(w)  # laid out once for every push's conv call
         self.pending = None
 
     def push(self, x, final):

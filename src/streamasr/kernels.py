@@ -11,11 +11,13 @@ checks compare outputs with ``==`` instead of a tolerance.
 
 The convolution keeps the bits of ``np.einsum``: each (in-channel, kernel
 row) pair's kernel-column products are summed left to right, and those
-sums are added one after another from +0.  :func:`conv_time_slab`
-computes that order with whole-array products and one sequential
-reduction, except for rows of one output column, which stay on einsum
-itself.  ``is_int`` and ``is_real`` are the scalar type tests that every
-argument check shares.
+sums are added one after another from +0.  :func:`conv_time_slab` is the
+one conv kernel, over any number of output rows: it computes that order
+over blocks of rows sized to stay in a core's L2 cache, as one einsum
+outer product (no sums, so einsum's own order does not enter) and two
+sequential reductions per block, except for rows of one output column,
+which stay on einsum itself.  ``is_int`` and ``is_real`` are the scalar
+type tests that every argument check shares.
 
 A steady streaming push calls :func:`matmul` and :func:`layer_norm` on
 one row several times per encoder layer, so their fixed cost counts.
@@ -43,6 +45,10 @@ import numpy as np
 NEG_INF = float("-inf")
 LAYER_NORM_EPS = 1e-12  # added to the variance before its square root
 MODEL_DTYPE = np.dtype(np.float32)
+# products per block of conv_time_slab: 1 MB of float32, which with the
+# block's inputs and pair sums stays in L2 (timed on a Xeon with 2 MB of L2
+# per core: half or twice the size made the offline convs slower)
+CONV_BLOCK_PRODUCTS = 1 << 18
 
 
 def matmul(a, b):
@@ -109,63 +115,94 @@ def layer_norm(m, gain, bias):
 
 def conv_columns(kernels):
     """Kernels (out_ch, in_ch, k_h, k_w) laid out as :func:`conv_time_slab`
-    multiplies them: a contiguous (k_w, in_ch, k_h, 1, out_ch) copy, whose
-    entry w holds kernel column w's weights for every output channel.  A
-    caller that convolves many rows with one set of kernels makes it once
-    and hands it to every call."""
-    return np.ascontiguousarray(kernels.transpose(3, 1, 2, 0)[:, :, :, None])
+    multiplies them: a contiguous (k_w, in_ch * k_h, out_ch) copy, whose
+    entry w holds kernel column w's weights, one row per (in-channel,
+    kernel row) pair.  A caller that convolves many slabs with one set of
+    kernels makes it once and hands it to every call."""
+    out_ch, in_ch, k_h, k_w = kernels.shape
+    return np.ascontiguousarray(kernels.transpose(3, 1, 2, 0).reshape(k_w, in_ch * k_h, out_ch))
 
 
-def conv_time_slab(window, kernels, stride, columns=None):
-    """One output time row (out_ch, f_out) of a 2-D convolution
-    (cross-correlation).
+def conv_time_slab(slab, kernels, stride, columns=None):
+    """The output rows (out_ch, rows, f_out) of a 2-D convolution
+    (cross-correlation) over an already padded input slab
+    (in_ch, T, f_padded), both axes swept with ``stride``.
 
-    ``window`` is the already padded input slab (in_ch, k_h, f_padded)
-    covering a single output time position; the frequency axis is swept
-    here and :func:`conv2d` sweeps time with it, so a window yields the
-    same row however many rows the call computes.
-
-    The row has the bits of ``np.einsum("ihfw,oihw->of", ...)`` over the
-    strided frequency windows, which sums in two levels: each (in-channel,
-    kernel row) pair's kernel-column products left to right,
-    ``(p0 + p1) + p2``, then those partial sums one after another in
-    in-channel-major order, starting from +0, for float32 (float64
-    einsum sums in another order).  With at least two output columns that
-    order is computed here as whole-array arithmetic: one product per
-    kernel column of a strided column slice (a view: elementwise products
-    have the same bits on any layout) accumulated in column order, then
-    one sequential ``np.add.reduce`` over the (in-channel, kernel row)
-    axis.  One output column, where einsum merges the kernel row and
-    column loops, follows no fixed order, so it stays on einsum, over a
-    contiguous copy of the slab since einsum's order may depend on
-    strides.  ``columns`` is ``conv_columns(kernels)``, made here when not
-    given; each product is elementwise, so its layout does not change a
-    bit.
+    Each output row has the bits of ``np.einsum("ihfw,oihw->of", ...)``
+    over its own window's strided frequency windows, which sums in two
+    levels: each (in-channel, kernel row) pair's kernel-column products
+    left to right, ``(p0 + p1) + p2``, then those partial sums one after
+    another in in-channel-major order, starting from +0, for float32
+    (float64 einsum sums in another order).  With at least two output
+    columns that order is computed for a block of rows at a time: one
+    ``np.einsum`` outer product of every kernel column's inputs (pairs by
+    rows and columns) with its weights (pairs by output channels), a
+    ``np.add.reduce`` over the kernel columns, which adds them left to
+    right, and one over the pairs from ``initial=0``, which adds them one
+    after another.  No product is summed, so einsum's order does not
+    enter, and a row's bits do not depend on the rows around it; the
+    products are laid out with the longer of the block's outputs per
+    channel and the output channels last, where einsum's inner loop runs,
+    and the layout changes no bit.  Blocks hold about
+    ``CONV_BLOCK_PRODUCTS`` products, so the buffers, allocated once per
+    call, stay in a core's L2 cache.  One output column, where
+    einsum merges the kernel row and column loops, follows no fixed order,
+    so each row stays on einsum itself, over a contiguous copy of its
+    window since einsum's order may depend on strides.  ``columns`` is
+    ``conv_columns(kernels)``, made here when not given.
     """
-    in_ch, k_h = window.shape[:2]
-    k_w = kernels.shape[3]
-    f_out = (window.shape[2] - k_w) // stride + 1
-    if f_out < 1:
+    in_ch, t, f = slab.shape
+    out_ch, _, k_h, k_w = kernels.shape
+    rows = (t - k_h) // stride + 1
+    f_out = (f - k_w) // stride + 1
+    if rows < 1 or f_out < 1:
         raise ValueError("input too short")
+    dtype = np.promote_types(slab.dtype, kernels.dtype)
     if f_out == 1:
-        # the frequency windows, made directly by np.ndarray with the shape
-        # and strides that sliding_window_view(window, k_w, axis=2)[:, :, ::stride]
-        # gives
-        window = np.ascontiguousarray(window)
-        s_c, s_h, s_f = window.strides
-        sw = np.ndarray((in_ch, k_h, f_out, k_w), window.dtype, window,
-                        strides=(s_c, s_h, s_f * stride, s_f))
-        return np.einsum("ihfw,oihw->of", sw, kernels, optimize=False)
-    span = stride * (f_out - 1) + 1
+        out = np.empty((out_ch, rows, 1), dtype)
+        for i in range(rows):
+            # the frequency windows, made directly by np.ndarray with the shape
+            # and strides that sliding_window_view(window, k_w, axis=2)[:, :, ::stride]
+            # gives
+            window = np.ascontiguousarray(slab[:, i * stride:i * stride + k_h])
+            s_c, s_h, s_f = window.strides
+            sw = np.ndarray((in_ch, k_h, 1, k_w), window.dtype, window,
+                            strides=(s_c, s_h, s_f * stride, s_f))
+            out[:, i] = np.einsum("ihfw,oihw->of", sw, kernels, optimize=False)
+        return out
     if columns is None:
         columns = conv_columns(kernels)
-    # columns[w], (in_ch, k_h, 1, out_ch): column w's weights broadcast over f_out
-    acc = window[:, :, 0:span:stride, None] * columns[0]
-    for w in range(1, k_w):
-        acc += window[:, :, w:w + span:stride, None] * columns[w]
-    # acc: (in_ch, k_h, f_out, out_ch); the reduction over the outer axis adds
-    # the pairs' sums one after another, and initial=0 is einsum's +0 start
-    return np.add.reduce(acc.reshape(in_ch * k_h, f_out, -1), axis=0, initial=0).T
+    slab = np.ascontiguousarray(slab)
+    s_c, s_t, s_f = slab.strides
+    # windows[w, c, h, i, j] = slab[c, i * stride + h, j * stride + w]: the
+    # input that kernel column w's weight for pair (c, h) multiplies in
+    # output row i, column j
+    windows = np.ndarray((k_w, in_ch, k_h, rows, f_out), slab.dtype, slab,
+                         strides=(s_f, s_c, s_t, stride * s_t, stride * s_f))
+    pairs = in_ch * k_h
+    block = max(1, min(rows, CONV_BLOCK_PRODUCTS // (k_w * pairs * f_out * out_ch)))
+    nb = block * f_out
+    # einsum's inner loop runs along the products' last axis: a block's
+    # outputs per channel, or the output channels if there are more of them
+    outputs_last = nb >= out_ch
+    spec = "wpn,wpo->wpon" if outputs_last else "wpn,wpo->wpno"
+    x = np.empty((k_w, pairs, nb), dtype)
+    prod = np.empty((k_w, pairs, out_ch, nb) if outputs_last else (k_w, pairs, nb, out_ch), dtype)
+    acc = np.empty(prod.shape[1:], dtype)
+    out = np.empty((out_ch, rows * f_out), dtype)
+    for i in range(0, rows, block):
+        b = min(block, rows - i)
+        n = b * f_out
+        np.copyto(x[:, :, :n].reshape(k_w, in_ch, k_h, b, f_out), windows[:, :, :, i:i + b])
+        o = out[:, i * f_out:i * f_out + n]
+        if outputs_last:
+            p, a = prod[..., :n], acc[..., :n]
+        else:
+            p, a, o = prod[:, :, :n], acc[:, :n], o.T
+        np.einsum(spec, x[:, :, :n], columns, out=p)
+        np.add.reduce(p, axis=0, out=a)
+        np.add.reduce(a, axis=0, initial=0, out=o)
+    return out.reshape(out_ch, rows, f_out)
 
 
 def conv2d(x, kernels, stride, columns=None):
@@ -173,8 +210,9 @@ def conv2d(x, kernels, stride, columns=None):
 
     x: (in_ch, T, F); kernels: (out_ch, in_ch, k_h, k_w).  Both axes are
     swept with the same ``stride``, without padding.  No bias, no
-    activation.  ``columns`` is ``conv_columns(kernels)``, made once here
-    when not given, for every row's :func:`conv_time_slab` call.
+    activation.  Checks its arguments, then makes one
+    :func:`conv_time_slab` call over the whole input; ``columns`` is
+    ``conv_columns(kernels)``, made there when not given.
     """
     x = np.asarray(x)
     kernels = np.asarray(kernels)
@@ -182,18 +220,7 @@ def conv2d(x, kernels, stride, columns=None):
         raise ValueError(f"conv2d expects 3-D input and 4-D kernels, got {x.shape}, {kernels.shape}")
     if kernels.shape[1] != x.shape[0]:
         raise ValueError(f"conv2d channel mismatch: input {x.shape[0]}, kernels {kernels.shape[1]}")
-    k_h, k_w = kernels.shape[2:]
-    t_out = (x.shape[1] - k_h) // stride + 1
-    f_out = (x.shape[2] - k_w) // stride + 1
-    if t_out < 1 or f_out < 1:
-        raise ValueError("input too short")
-    out = np.empty((kernels.shape[0], t_out, f_out), dtype=x.dtype)
-    if columns is None:
-        columns = conv_columns(kernels)
-    for i in range(t_out):
-        out[:, i, :] = conv_time_slab(x[:, i * stride : i * stride + k_h, :], kernels, stride,
-                                      columns)
-    return out
+    return conv_time_slab(x, kernels, stride, columns)
 
 
 def log_add(a, b):

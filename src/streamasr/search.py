@@ -90,7 +90,8 @@ class DecodeParams:
     dcond returning True deletes a prefix's triggered-attention (TA) score
     so it is computed again this frame.  acond returning False skips TA
     scoring for a prefix this frame; its fused score then falls back to
-    the parent's TA score.  A declined prefix still gets a TA score when a
+    the TA score of its nearest scored ancestor (the empty prefix always
+    has one).  A declined prefix still gets a TA score when a
     descendant is scored later: missing ancestors are scored first,
     shortest first, at that frame's encoder truncation.  A prefix
     re-scored after dcond and a missing ancestor both read their parent's
@@ -403,7 +404,7 @@ def joint_score(hyp, params, fallback_ta=None):
     """
     ta = hyp.ta_logp if hyp.ta_logp is not None else fallback_ta
     if ta is None:
-        raise ValueError("no triggered-attention score for prefix or its parent")
+        raise ValueError("no triggered-attention score for prefix and no fallback")
     logp = log_add(hyp.p_b, hyp.p_nb)
     if params.lam == 1.0:
         s = logp
@@ -671,8 +672,11 @@ class JointSearch:
                 pjoint[pre] = joint_score(h, p)
             else:
                 h.ta_logp = None
-                parent = self.ta.get(pre.parent)
-                pjoint[pre] = joint_score(h, p, parent.logp if parent else None)
+                # the nearest scored ancestor; the root's entry is never evicted
+                anc = pre.parent
+                while anc not in self.ta:
+                    anc = anc.parent
+                pjoint[pre] = joint_score(h, p, self.ta[anc].logp)
         return pjoint
 
     def _score_ta(self, targets, nu):

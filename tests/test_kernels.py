@@ -271,8 +271,52 @@ def test_conv_time_slab_equals_its_window_view_form(channels, k_h, k_w, f_extra,
         kern = -np.abs(kern)
     got = kernels.conv_time_slab(window, kern, stride)
     want = conv_time_slab_window_view(window, kern, stride)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert (bits(got) == bits(want)).all()
+    assert got.dtype == want.dtype and got.shape == (want.shape[0], 1, want.shape[1])
+    assert (bits(got[:, 0]) == bits(want)).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(in_ch=st.integers(1, 16), out_ch=st.integers(1, 32), rows=st.integers(1, 40),
+       f_out=st.integers(1, 12), k_h=st.integers(1, 3), k_w=st.integers(1, 3),
+       stride=st.integers(1, 3), block_rows=st.one_of(st.none(), st.integers(1, 8)),
+       layout=st.sampled_from(["contiguous", "time-slice", "freq-strided"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_conv_time_slab_blocks_equal_the_per_row_window_view_form(in_ch, out_ch, rows, f_out,
+                                                                  k_h, k_w, stride, block_rows,
+                                                                  layout, seed):
+    # a slab of many output rows, cut into blocks of block_rows rows (None:
+    # the module's own block size), so row counts fall on both sides of a
+    # block boundary; a quarter of the inputs are +0.0 and a quarter -0.0,
+    # and the weights are negative half the time, so zero products of both
+    # signs arise, and every output row must carry the bits, sign bits
+    # included, of the per-row einsum over its own window
+    rng = np.random.default_rng(seed)
+    t = stride * (rows - 1) + k_h
+    f = stride * (f_out - 1) + k_w + int(rng.integers(0, stride))
+    buf = rng.standard_normal((in_ch, t + 3, 2 * f)).astype(np.float32)
+    zeros = rng.integers(0, 4, buf.shape)
+    buf[zeros == 0] = 0.0
+    buf[zeros == 1] = -0.0
+    if layout == "contiguous":
+        slab = np.ascontiguousarray(buf[:, :t, :f])
+    elif layout == "time-slice":
+        slab = buf[:, 2:2 + t, :f]
+    else:
+        slab = buf[:, :t, ::2]
+    kern = rng.standard_normal((out_ch, in_ch, k_h, k_w)).astype(np.float32)
+    if rng.integers(0, 2):
+        kern = -np.abs(kern)
+    budget = kernels.CONV_BLOCK_PRODUCTS
+    if block_rows is not None:
+        kernels.CONV_BLOCK_PRODUCTS = block_rows * k_w * in_ch * k_h * f_out * out_ch
+    try:
+        got = kernels.conv_time_slab(slab, kern, stride, kernels.conv_columns(kern))
+    finally:
+        kernels.CONV_BLOCK_PRODUCTS = budget
+    assert got.dtype == np.float32 and got.shape == (out_ch, rows, f_out)
+    for i in range(rows):
+        want = conv_time_slab_window_view(slab[:, i * stride:i * stride + k_h], kern, stride)
+        assert (bits(got[:, i]) == bits(want)).all()
 
 
 @settings(max_examples=80, deadline=None)

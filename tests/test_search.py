@@ -441,6 +441,44 @@ def test_skip_hook_falls_back_to_parent_score():
         assert val == pytest.approx(want, abs=1e-12)
 
 
+def test_a_policy_declining_every_prefix_finishes_the_decode():
+    # only the root is ever scored, so from frame 2 on a prefix's parent has
+    # no TA entry either: every candidate falls back to the root's score
+    m, enc, post, lm, _ = decode_setup(110, n=6)
+    params = DecodeParams(acond=lambda *a: False)
+    out = decode(enc, post, lm, m.decoder, params)
+    assert len(out.trace) == 6
+
+
+@pytest.mark.parametrize("acond", [lambda *a: False, lambda pre, *_: len(pre) == 1,
+                                   lambda pre, *_: len(pre) % 3 == 0],
+                         ids=["none", "one-label", "every-third"])
+def test_declined_prefix_falls_back_to_its_nearest_scored_ancestor(acond):
+    # each carried candidate without an entry of its own is fused with the
+    # TA score of the nearest ancestor that has one; the policies decline
+    # every prefix, every prefix but one-label ones, and two generations of
+    # every three, so the nearest scored ancestor is often not the parent
+    m, enc, post, lm, _ = decode_setup(110, n=12)
+    params = DecodeParams(acond=acond, k_size=8, p_size=8, eps_dec=1, local_threshold=0.0)
+    search = JointSearch(m.decoder, lm, params, post.shape[1])
+    search.add_rows(enc)
+    skipped = 0
+    for row in post:
+        search.advance(row)
+        for pre, h in search.hyps.items():
+            if h.ta_logp is not None:
+                assert search._last_pjoint[pre] == joint_score(h, params)
+                continue
+            anc, up = pre.parent, 1
+            while anc not in search.ta:
+                anc, up = anc.parent, up + 1
+            skipped += up > 1
+            assert search._last_pjoint[pre] == joint_score(h, params, search.ta[anc].logp)
+    assert skipped
+    out = search.finalize()
+    assert out.trace == search.trace
+
+
 HOOK_ANSWERS = {"dcond": lambda pre, *_: len(pre) % 2 == 1,
                 "acond": lambda pre, *_: len(pre) != 2}
 

@@ -349,6 +349,23 @@ def test_push_rejects_non_finite_chunk_and_keeps_session(bad):
     assert got.labels == want.labels and got.trace == want.trace
 
 
+@pytest.mark.parametrize("acond", [lambda *a: False, lambda pre, *_: len(pre) % 3 == 0],
+                         ids=["none", "every-third"])
+def test_session_with_declined_generations_equals_offline(acond):
+    # candidates whose parent has no TA entry fall back to their nearest
+    # scored ancestor, streamed as offline
+    m = tiny_model(137)
+    frames = np.random.default_rng(137).standard_normal((48, 4)).astype(np.float32)
+    cfg = StreamConfig(eps_enc=1, eps_dec=1)
+    params = DecodeParams(k_size=8, p_size=4, eps_dec=1, acond=acond)
+    want = offline_reference(m, frames, 1, params)
+    sess = StreamingSession(m, UniformLM(3), params, cfg)
+    for i in range(0, 48, 5):
+        sess.push(frames[i:i + 5])
+    got = sess.finalize()
+    assert got.labels == want.labels and got.trace == want.trace and got.score == want.score
+
+
 @pytest.mark.parametrize("retry", ["push", "finalize", "finalize-raised"])
 def test_session_retried_after_a_raising_hook_equals_one_that_never_raises(retry):
     m = tiny_model(137)
