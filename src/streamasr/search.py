@@ -11,16 +11,17 @@ eps_dec, (4) combines both scores,
               + alpha * log p_lm + beta * |prefix|,
 
 and (5) carries forward the union of the top P by p_joint and the top P
-within width theta2 by p_prfx.  Triggered-attention scores are cached per
-prefix together with the decoder states and the encoder truncation each
-label was scored at, so a label's score never silently shifts to a later
-frame once computed.  A cached prefix also keeps its next-label decoder
-step at the latest truncation; its children and the final ``<eos>`` pass
-share that one step, and the steps a frame needs run as one batched
-decoder call.  The encoder rows the decoder reads have one owner, the
-search's append-only :class:`~streamasr.decoder.CrossAttentionCache`:
-a caller adds rows as they exist (all at once offline, as the encoder
-emits them in a streaming session), and frame n needs its own row.
+within width theta2 by p_prfx.  A prefix's triggered-attention entry
+(its score, the truncation its last label was scored at and its decoder
+state) lives on its node while the node is in the prefix table, so a
+label's score never silently shifts to a later frame once computed.
+Next-label decoder steps live in one table for the last truncation; a
+prefix's children and the final ``<eos>`` pass share its step there, and
+a frame's steps run as one batched decoder call.  The encoder rows the
+decoder reads have one owner, the search's append-only
+:class:`~streamasr.decoder.CrossAttentionCache`: a caller adds rows as
+they exist (all at once offline, as the encoder emits them in a
+streaming session), and frame n needs its own row.
 
 :class:`JointSearch` is the one implementation.  Its decoder-less case,
 :class:`CtcPrefixSearch`, is the pure CTC prefix beam search: steps (3)
@@ -56,9 +57,10 @@ commits only after every hook has returned.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,7 +164,6 @@ class Hypothesis:
     p_b: float
     p_nb: float
     lm_logp: float
-    ta_logp: float | None = None
 
 
 @dataclass
@@ -174,8 +175,9 @@ class DecodeResult:
 
 class Prefix:
     """One interned search prefix: the empty prefix, or a parent plus one
-    last column, with the LM state after its labels and their cumulative
-    LM log probability.
+    last column, with the LM state after its labels, their cumulative LM
+    log probability and, in a joint search, its triggered-attention entry
+    ``ta`` (a :class:`_TaEntry`, None until scored and once cleared).
 
     A search makes one node per distinct prefix (see PrefixTable), so a
     node hashes and compares equal by identity.  ``len`` is the number of
@@ -184,7 +186,7 @@ class Prefix:
     the search used to key on.
     """
 
-    __slots__ = ("parent", "last", "length", "lm_state", "lm_logp", "refs")
+    __slots__ = ("parent", "last", "length", "lm_state", "lm_logp", "ta", "refs")
 
     def __init__(self, parent, last, lm_state, lm_logp):
         self.parent = parent
@@ -192,6 +194,7 @@ class Prefix:
         self.length = 0 if parent is None else parent.length + 1
         self.lm_state = lm_state
         self.lm_logp = lm_logp
+        self.ta = None
         self.refs = 0  # its children in the table, plus 1 while carried; -1 once dropped
 
     def __len__(self):
@@ -223,7 +226,8 @@ class PrefixTable:
     only the candidates it keeps, and the table holds only the carried
     prefixes and their ancestors: ``Prefix.refs`` counts a node's children
     in the table and 1 while it is carried, and a node whose count falls
-    to 0 leaves the table, taking 1 from its parent.
+    to 0 leaves the table, taking 1 from its parent and clearing its TA
+    entry, which nothing can read once the node is gone.
 
     A node gets its LM state and log probability from ``lm`` when it is
     interned.  The LM steps come from a memo with one row per LM state
@@ -364,6 +368,7 @@ class PrefixTable:
         while not node.refs and node.parent is not None:
             del self._children[node.parent, node.last]
             node.refs = -1
+            node.ta = None
             node = node.parent
             node.refs -= 1
 
@@ -394,24 +399,23 @@ def _phat(p_b, p_nb, lm_logp, length, alpha0, beta):
     return s + beta * length
 
 
-def joint_score(hyp, params, fallback_ta=None):
-    """Fused score; uses the hypothesis's own TA score or the caller's fallback.
+def joint_score(hyp, params, ta_logp):
+    """Fused score of ``hyp`` with the triggered-attention log probability
+    ``ta_logp``: the search passes the prefix's own entry's, or its nearest
+    scored ancestor's, and in finalize the entry's plus ``<eos>``.
 
     The lam == 1 branch reproduces prefix_score's arithmetic exactly (not
     just to rounding), which is what makes the pure-CTC reduction an
-    identity rather than an approximation.  As in prefix_score, a zero
-    LM weight means no LM term.
+    identity rather than an approximation; it does not read ``ta_logp``.
+    As in prefix_score, a zero LM weight means no LM term.
     """
-    ta = hyp.ta_logp if hyp.ta_logp is not None else fallback_ta
-    if ta is None:
-        raise ValueError("no triggered-attention score for prefix and no fallback")
     logp = log_add(hyp.p_b, hyp.p_nb)
     if params.lam == 1.0:
         s = logp
     elif params.lam == 0.0:
-        s = (1.0 - params.lam) * ta
+        s = (1.0 - params.lam) * ta_logp
     else:
-        s = params.lam * logp + (1.0 - params.lam) * ta
+        s = params.lam * logp + (1.0 - params.lam) * ta_logp
     if params.alpha:
         s += params.alpha * hyp.lm_logp
     return s + params.beta * len(hyp.prefix)
@@ -471,12 +475,12 @@ def _changed_columns(old, new):
     return new.length, cols
 
 
-@dataclass
-class _TaEntry:
+class _TaEntry(NamedTuple):
+    """A prefix's triggered-attention entry, held as ``Prefix.ta``."""
+
     logp: float
     nu: int  # the truncation its own label was scored at (0 for the root)
     state: dec_mod.DecoderState  # the prefix's, opaque here
-    step: tuple = None  # (nu, child_hist, log_posterior) of the next label, see _step
 
 
 class JointSearch:
@@ -519,8 +523,10 @@ class JointSearch:
         self._partial = (root, ())
         self._last_carried = dict(self.hyps)
         self._last_pjoint = {root: 0.0}
-        self.ta = None if dec is None else {
-            root: _TaEntry(0.0, 0, dec_mod.DecoderState(dec_mod.empty_history(dec), dec.sos_id))}
+        self._steps, self._steps_nu = {}, 0  # prefix -> its step at nu, see _step
+        if dec is not None:
+            root.ta = _TaEntry(0.0, 0, dec_mod.DecoderState(dec_mod.empty_history(dec),
+                                                            dec.sos_id))
         self.cross = None if dec is None else dec_mod.CrossAttentionCache(dec)
 
     @property
@@ -542,8 +548,9 @@ class JointSearch:
         decoder, the frame's own encoder row must have been added.  A row
         in which no prefix keeps nonzero probability (a zero blank and no
         label the search may extend) raises ``ValueError``; that and a
-        hook that raises leave ``frame``, ``hyps``, ``trace`` and the TA
-        cache as they were, so the frame can be advanced again."""
+        hook that raises leave ``frame``, ``hyps``, ``trace``, the TA
+        entries and the step table as they were, so the frame can be
+        advanced again."""
         row = np.array(post_row, dtype=np.float64, copy=True)
         if row.shape != (self.n_cols,):
             raise ValueError(f"posterior row shape {row.shape}, expected ({self.n_cols},)")
@@ -578,8 +585,11 @@ class JointSearch:
         self.trace.append(_format_trace(self.frame, len(kept), self._trace_ids(best),
                                         phat[best], pjoint[best]))
         self.prefixes.retain(self.hyps)
-        if self.dec is not None:
-            self._evict_ta()
+        if self._steps:
+            # a later frame or finalize steps only prefixes still in the
+            # table, at a truncation no lower than the encoder rows added
+            keep = self._steps_nu >= self.cross.rows
+            self._steps = {pre: s for pre, s in self._steps.items() if keep and pre.refs > 0}
 
     def _ctc_stage(self, row):
         """One CTC prefix step, phat for every candidate and the first
@@ -643,8 +653,9 @@ class JointSearch:
     def _ta_stage(self, row, omega_hat, n):
         """Ask the hooks about frame ``n``, then give omega_hat's prefixes
         their TA scores at its truncation, and return every candidate's
-        joint score.  Every hook is asked before any TA entry is deleted
-        or added, so a hook that raises leaves the TA cache as it was."""
+        joint score with its own TA score or its nearest scored
+        ancestor's.  Every hook is asked before any TA entry or step is
+        deleted or added, so a hook that raises leaves them as they were."""
         p = self.params
         drop = ()
         if p.dcond is not None or p.acond is not None:
@@ -653,38 +664,32 @@ class JointSearch:
             view = {cols[pre]: h for pre, h in omega_hat.items()}
         if p.dcond is not None:
             drop = {pre for pre in omega_hat
-                    if pre and pre in self.ta and p.dcond(cols[pre], view, n, row)}
+                    if pre and pre.ta is not None and p.dcond(cols[pre], view, n, row)}
         if p.acond is None:
-            targets = [pre for pre in omega_hat if pre not in self.ta or pre in drop]
+            targets = [pre for pre in omega_hat if pre.ta is None or pre in drop]
         else:
             targets = [pre for pre in sorted(omega_hat, key=lambda q: (len(q), cols[q]))
-                       if (pre not in self.ta or pre in drop)
+                       if (pre.ta is None or pre in drop)
                        and p.acond(cols[pre], view, n, row)]
         for pre in drop:
-            del self.ta[pre]
+            pre.ta = None  # and the step taken from that entry
+            self._steps.pop(pre, None)
         self._score_ta(targets, min(n + p.eps_dec, self.cross.rows))
 
         pjoint = {}
         for pre, h in omega_hat.items():
-            entry = self.ta.get(pre)
-            if entry is not None:
-                h.ta_logp = entry.logp
-                pjoint[pre] = joint_score(h, p)
-            else:
-                h.ta_logp = None
-                # the nearest scored ancestor; the root's entry is never evicted
-                anc = pre.parent
-                while anc not in self.ta:
-                    anc = anc.parent
-                pjoint[pre] = joint_score(h, p, self.ta[anc].logp)
+            anc = pre
+            while anc.ta is None:  # the root's entry is never cleared
+                anc = anc.parent
+            pjoint[pre] = joint_score(h, p, anc.ta.logp)
         return pjoint
 
     def _score_ta(self, targets, nu):
-        """Give each of ``targets`` a TA entry at truncation nu, scoring
-        any ancestors that have none first.
+        """Set ``Prefix.ta`` of each of ``targets`` at truncation nu,
+        scoring any ancestors that have none first.
 
-        Each round creates the entries whose parent has one, after
-        stepping all of their distinct parents in one decoder call; a
+        Each round creates the entries whose parent has one, from the
+        parents' steps at nu, taken in one decoder call; a
         later round serves children of entries made this frame (missing
         ancestors, ``dcond`` re-scoring).  Rows of a batched decoder step
         do not depend on each other, so the order within a round does not
@@ -692,46 +697,37 @@ class JointSearch:
         """
         todo = {}
         for pre in targets:
-            while pre not in self.ta and pre not in todo:
+            while pre.ta is None and pre not in todo:
                 todo[pre] = None
                 pre = pre.parent
         while todo:
-            ready = [pre for pre in todo if pre.parent in self.ta]
-            self._step([pre.parent for pre in ready], nu)
+            ready = [pre for pre in todo if pre.parent.ta is not None]
+            steps = self._step([pre.parent for pre in ready], nu)
             for pre in ready:
-                parent = self.ta[pre.parent]
-                _, hist, logpost = parent.step
-                self.ta[pre] = _TaEntry(parent.logp + float(logpost[pre.last - 1]), nu,
-                                        dec_mod.DecoderState(hist, pre.last - 1))
+                hist, logpost = steps[pre.parent]
+                pre.ta = _TaEntry(pre.parent.ta.logp + float(logpost[pre.last - 1]), nu,
+                                  dec_mod.DecoderState(hist, pre.last - 1))
                 del todo[pre]
 
     def _step(self, prefixes, nu):
-        """Give each of ``prefixes`` its next-label decoder step at
-        truncation nu, running the missing ones as one batched step.
+        """The step table at truncation nu (a new one when nu moves; it
+        never falls), given the next-label step (history, log posterior)
+        of each of ``prefixes``, the missing ones run as one batched step.
 
-        The step depends only on the prefix's entry and nu, so it runs
-        once per pair: every child of the prefix and the ``<eos>`` pass
-        read the kept result, and the children share the one history.
+        A step depends only on the prefix's entry and nu, so it runs once
+        per pair: the prefix's children and the ``<eos>`` pass read it and
+        share the one history.  A ``dcond`` re-score pops its prefix's
+        step, and a frame's end keeps only the steps of prefixes still in
+        the table, none below the encoder rows added.
         """
-        stale = [pre for pre in dict.fromkeys(prefixes)
-                 if self.ta[pre].step is None or self.ta[pre].step[0] != nu]
-        if not stale:
-            return
-        entries = [self.ta[pre] for pre in stale]
-        steps = dec_mod.advance_positions(self.cross, [e.state for e in entries], nu)
-        for entry, (hist, logpost) in zip(entries, steps):
-            entry.step = (nu, hist, logpost)
-
-    def _evict_ta(self):
-        """Keep the entries of the prefixes still in the table (the carried
-        prefixes and their ancestors), and only the steps a later frame or
-        finalize can still read: nu never falls below the encoder rows
-        already seen."""
-        self.ta = {pre: e for pre, e in self.ta.items() if pre.refs > 0}
-        seen = self.cross.rows
-        for entry in self.ta.values():
-            if entry.step is not None and entry.step[0] < seen:
-                entry.step = None
+        if nu != self._steps_nu:
+            self._steps, self._steps_nu = {}, nu
+        steps = self._steps
+        todo = [pre for pre in dict.fromkeys(prefixes) if pre not in steps]
+        if todo:
+            steps.update(zip(todo, dec_mod.advance_positions(
+                self.cross, [pre.ta.state for pre in todo], nu)))
+        return steps
 
     def _trace_ids(self, best):
         """``best``'s label ids joined by commas, built from the last trace
@@ -777,14 +773,11 @@ class JointSearch:
         scores = {pre: self._last_pjoint[pre] for pre in self._last_carried}
         p = self.params
         if self.dec is not None and self.dec.eos_id is not None:
-            avail = self.cross.rows
-            scored = [pre for pre in self._last_carried if pre in self.ta]
-            self._step(scored, avail)
+            scored = [pre for pre in self._last_carried if pre.ta is not None]
+            steps = self._step(scored, self.cross.rows)
             for pre in scored:
-                entry = self.ta[pre]
-                eos_logp = float(entry.step[2][self.dec.eos_id])
-                eos_hyp = replace(self._last_carried[pre], ta_logp=entry.logp + eos_logp)
-                scores[pre] = joint_score(eos_hyp, p)
+                eos_logp = float(steps[pre][1][self.dec.eos_id])
+                scores[pre] = joint_score(self._last_carried[pre], p, pre.ta.logp + eos_logp)
         best = next(iter(prune(self._last_carried, scores, 1, math.inf)))
         return DecodeResult(tuple(c - 1 for c in best.as_tuple()), float(scores[best]),
                             list(self.trace))

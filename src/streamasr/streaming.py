@@ -123,12 +123,6 @@ class StreamingSession:
         those queued for it."""
         return self.search.frame + len(self._post)
 
-    @property
-    def decoded_frames(self):
-        """Encoder frames the search has consumed so far.  Kept for the
-        tests of the emission schedule, which read it; no decode calls it."""
-        return self.search.frame
-
     def push(self, chunk):
         """Feed a chunk of feature frames; returns the new best partial
         hypothesis (label-id tuple) if it changed, else None."""

@@ -1,6 +1,8 @@
 """Shared builders for randomized test inputs."""
 
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 
@@ -44,6 +46,31 @@ def bigram(rng, n_labels, quantized):
             if rng.random() < 0.5:
                 entries[(a, b)] = (logp(), 0.0)
     return NgramLM(entries, 2)
+
+
+def load_module(name, relpath):
+    """A repository script or module, imported from its file."""
+    path = pathlib.Path(__file__).resolve().parent.parent / relpath
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def record_interned(search):
+    """Record every node ``search`` interns from now on, as the keys of
+    the dict returned.  The dict keeps them alive, so a test can read a
+    node after it has left the prefix table."""
+    nodes = {}
+    child = search.prefixes.child
+
+    def recording(parent, col):
+        node = child(parent, col)
+        nodes[node] = None
+        return node
+
+    search.prefixes.child = recording
+    return nodes
 
 
 def random_enc_states(rng, n, d_model):

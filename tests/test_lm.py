@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from streamasr.lm import LN10, NgramLM, UniformLM, ngram_load
-from helpers import normalized_bigram_arpa
+from helpers import load_module, normalized_bigram_arpa
 
 HAND_ARPA = """\\data\\
 ngram 1=3
@@ -244,18 +244,6 @@ def test_arpa_negative_integer_ids_are_refused(tmp_path):
     text = HAND_ARPA.replace(" a", " 0").replace(" b", " 1").replace(" c", " -2")
     with pytest.raises(ValueError, match=r"lm\.arpa:8: negative label id in '-1\.0 -2'"):
         ngram_load(write(tmp_path, text))
-
-
-def load_module(name, relpath):
-    """A repository script or module, imported from its file."""
-    import importlib.util
-    import pathlib
-
-    path = pathlib.Path(__file__).resolve().parent.parent / relpath
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_arpa_files_the_repository_writes_still_load(tmp_path):

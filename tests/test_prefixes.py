@@ -15,7 +15,7 @@ from streamasr.modelio import random_features
 from streamasr.search import (CtcPrefixSearch, DecodeParams, JointSearch, Prefix, PrefixTable,
                               _rank, ctc_prefix_search, prefix_score, prune)
 from streamasr.streaming import StreamConfig, StreamingSession
-from helpers import HookFailed, RaiseOnce, bigram, logprob_rows, tiny_model
+from helpers import HookFailed, RaiseOnce, bigram, logprob_rows, record_interned, tiny_model
 from oracles import (_tuple_prefix_step, all_nodes_ctc_stage, memo_row, rebuilt_retain,
                      tuple_ctc_search)
 
@@ -147,6 +147,7 @@ def test_incremental_retain_equals_the_full_rebuild(data):
     # none, a row goes to the next new state as soon as its state leaves
     search.prefixes.SPARE_ROWS = data.draw(st.sampled_from([0, 2, PrefixTable.SPARE_ROWS]))
     check_retain_against_rebuild(search.prefixes)
+    interned = record_interned(search)
     for row in logp:
         try:
             search.advance(row)
@@ -154,7 +155,7 @@ def test_incremental_retain_equals_the_full_rebuild(data):
             search.advance(row)
     assert search.frame == n
     if joint:
-        assert all(pre.refs > 0 for pre in search.ta)
+        assert all(pre.refs > 0 for pre in interned if pre.ta is not None)
 
 
 def quantized_rows(rng, n, c):
@@ -234,14 +235,15 @@ def ancestors(prefixes):
 @pytest.mark.parametrize("ctc_only", [True, False])
 def test_long_session_keeps_only_live_prefixes_and_their_ancestors(ctc_only):
     sess, feats = session(ctc_only)
+    search = sess.search
+    interned = record_interned(search)
     for start in range(0, feats.frames.shape[0], 4):
         sess.push(feats.frames[start:start + 4])
-    search = sess.search
     assert search.frame >= 390
     live = ancestors(search.hyps)
     assert set(search.prefixes) | {search.prefixes.root} == live
     if not ctc_only:
-        assert set(search.ta) <= live
+        assert {pre for pre in interned if pre.ta is not None} <= live
     assert max(len(pre) for pre in search.hyps) > 20
     sess.finalize()
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from streamasr.ctc import ctc_forward_logprob, ctc_viterbi_align, posteriorgram_from_states
-from streamasr.decoder import CrossAttentionCache, ta_prefix_score
+from streamasr.decoder import (CrossAttentionCache, DecoderState, advance_positions,
+                               ta_prefix_score)
 from streamasr.encoder import encode
 from streamasr.kernels import NEG_INF, log_add
 from streamasr.lm import UniformLM
@@ -18,7 +19,8 @@ from streamasr.search import (CtcPrefixSearch, DecodeParams, Hypothesis,
                               decode, joint_loss, joint_score, prefix_score,
                               prune)
 from streamasr.streaming import StreamConfig, StreamingSession
-from helpers import HookFailed, RaiseOnce, bigram, logprob_rows, random_enc_states, tiny_model
+from helpers import (HookFailed, RaiseOnce, bigram, logprob_rows, random_enc_states,
+                     record_interned, tiny_model)
 from oracles import rank_key, sorted_key_prune, top_hypotheses, within
 
 TRACE_RE = re.compile(
@@ -26,13 +28,22 @@ TRACE_RE = re.compile(
 )
 
 
-def hyp(prefix, p_b, p_nb, lm_logp=0.0, ta=None):
-    return Hypothesis(prefix, p_b, p_nb, lm_logp=lm_logp, ta_logp=ta)
+def hyp(prefix, p_b, p_nb, lm_logp=0.0):
+    return Hypothesis(prefix, p_b, p_nb, lm_logp=lm_logp)
 
 
 def by_columns(prefix_keyed):
-    """A search's prefix-keyed dict (``ta``, ``hyps``) keyed by column tuples."""
+    """A prefix-keyed dict (``ta_entries``, a search's ``hyps``) keyed by
+    column tuples."""
     return {pre.as_tuple(): v for pre, v in prefix_keyed.items()}
+
+
+def ta_entries(search):
+    """A joint search's TA entries by prefix node: those of the root and of
+    the prefix table's nodes that have one.  A node that leaves the table
+    loses its entry, so these are all the entries the search holds."""
+    return {pre: pre.ta for pre in (search.prefixes.root, *search.prefixes)
+            if pre.ta is not None}
 
 
 def ta_schedules(search, kept):
@@ -43,8 +54,9 @@ def ta_schedules(search, kept):
     with their schedules, as a parent entry may since have been rescored.
     Call it after every frame."""
     out = {}
-    for pre in sorted(search.ta, key=lambda q: q.length):
-        entry = search.ta[pre]
+    entries = ta_entries(search)
+    for pre in sorted(entries, key=lambda q: q.length):
+        entry = entries[pre]
         if id(entry) not in kept:  # kept holds the entry, so its id is not reused
             kept[id(entry)] = entry, out[pre.parent] + (entry.nu,) if pre.length else ()
         out[pre] = kept[id(entry)][1]
@@ -73,30 +85,31 @@ def test_prefix_score_formula():
 
 def test_joint_score_formula_mixed():
     p = DecodeParams(lam=0.3, alpha=0.5, beta=2.0)
-    h = hyp((3,), math.log(0.2), math.log(0.1), lm_logp=-0.9, ta=-1.7)
+    h = hyp((3,), math.log(0.2), math.log(0.1), lm_logp=-0.9)
     want = 0.3 * math.log(0.3) + 0.7 * -1.7 + 0.5 * -0.9 + 2.0
-    assert joint_score(h, p) == pytest.approx(want, abs=1e-12)
+    assert joint_score(h, p, -1.7) == pytest.approx(want, abs=1e-12)
 
 
 def test_joint_score_pure_ctc_is_bitwise_prefix_score():
     p = DecodeParams(lam=1.0, alpha0=0.7, alpha=0.7, beta=2.0)
-    h = hyp((3, 4, 3), -0.123456789, -1.23456789, lm_logp=-2.7182818, ta=-9.9)
-    assert joint_score(h, p) == prefix_score(h, p.alpha0, p.beta)
+    h = hyp((3, 4, 3), -0.123456789, -1.23456789, lm_logp=-2.7182818)
+    assert joint_score(h, p, -9.9) == prefix_score(h, p.alpha0, p.beta)
 
 
 def test_joint_score_pure_attention_drops_ctc_mass():
     p = DecodeParams(lam=0.0, alpha=0.0, beta=0.0)
-    h = hyp((3,), -0.5, -0.7, ta=-1.25)
-    assert joint_score(h, p) == -1.25
+    h = hyp((3,), -0.5, -0.7)
+    assert joint_score(h, p, -1.25) == -1.25
 
 
-def test_joint_score_falls_back_to_parent_then_errors():
+def test_joint_score_reads_the_ta_score_it_is_given_and_none_at_lam_1():
+    # the caller picks the TA score (the prefix's own, an ancestor's, or
+    # one with <eos>); at lam 1 a missing score is not an error
     p = DecodeParams()
-    h = hyp((3,), -0.5, -0.7, ta=None)
-    assert joint_score(h, p, fallback_ta=-2.0) == joint_score(
-        hyp((3,), -0.5, -0.7, ta=-2.0), p)
-    with pytest.raises(ValueError, match="no triggered-attention score"):
-        joint_score(h, p)
+    h = hyp((3,), -0.5, -0.7)
+    assert joint_score(h, p, -2.0) == 0.5 * log_add(-0.5, -0.7) + 0.5 * -2.0 + 2.0
+    pure = DecodeParams(lam=1.0)
+    assert joint_score(h, pure, None) == prefix_score(h, pure.alpha0, pure.beta)
 
 
 def test_prune_width_drops_distant_tail():
@@ -410,12 +423,12 @@ def test_delete_hook_forces_rescoring_at_later_frame():
     search = JointSearch(m.decoder, lm, params, post.shape[1])
     search.add_rows(enc)
     search.advance(post[0])
-    for pre, entry in by_columns(search.ta).items():
+    for pre, entry in by_columns(ta_entries(search)).items():
         if len(pre) == 1:
             target[pre] = entry.nu
     assert target and all(nu == 1 for nu in target.values())
     search.advance(post[1])
-    ta = by_columns(search.ta)
+    ta = by_columns(ta_entries(search))
     for pre in target:
         if pre in ta:
             assert ta[pre].nu == 2
@@ -430,14 +443,14 @@ def test_skip_hook_falls_back_to_parent_score():
     search.add_rows(enc)
     search.advance(post[0])
     # nothing new was scored: only the root entry remains
-    assert set(by_columns(search.ta)) == {()}
+    assert set(by_columns(ta_entries(search))) == {()}
     for pre, val in search._last_pjoint.items():
         h = search.hyps.get(pre)
         if h is None or not pre:
             continue
         # fused score used the root's 0.0 attention mass as fallback
-        want = joint_score(Hypothesis(pre, h.p_b, h.p_nb, h.lm_logp, None),
-                           params, fallback_ta=0.0)
+        assert pre.ta is None
+        want = joint_score(h, params, 0.0)
         assert val == pytest.approx(want, abs=1e-12)
 
 
@@ -466,14 +479,14 @@ def test_declined_prefix_falls_back_to_its_nearest_scored_ancestor(acond):
     for row in post:
         search.advance(row)
         for pre, h in search.hyps.items():
-            if h.ta_logp is not None:
-                assert search._last_pjoint[pre] == joint_score(h, params)
+            if pre.ta is not None:
+                assert search._last_pjoint[pre] == joint_score(h, params, pre.ta.logp)
                 continue
             anc, up = pre.parent, 1
-            while anc not in search.ta:
+            while anc.ta is None:
                 anc, up = anc.parent, up + 1
             skipped += up > 1
-            assert search._last_pjoint[pre] == joint_score(h, params, search.ta[anc].logp)
+            assert search._last_pjoint[pre] == joint_score(h, params, anc.ta.logp)
     assert skipped
     out = search.finalize()
     assert out.trace == search.trace
@@ -484,7 +497,10 @@ HOOK_ANSWERS = {"dcond": lambda pre, *_: len(pre) % 2 == 1,
 
 
 def ta_snapshot(search):
-    return [(pre, e.logp, e.nu) for pre, e in search.ta.items()]
+    """The search's TA entries and its step table; the list holds the
+    steps, which compare by identity."""
+    entries = [(pre, e.logp, e.nu) for pre, e in ta_entries(search).items()]
+    return entries, search._steps_nu, list(search._steps.items())
 
 
 @pytest.mark.parametrize("call", [1, 3])
@@ -619,16 +635,21 @@ def test_finalize_before_any_frame_is_empty():
 
 
 def test_ta_cache_holds_only_ancestors_of_live_prefixes():
+    # every node the search interned, those that left the table included:
+    # only the carried prefixes and their ancestors keep an entry
     m, enc, post, lm, params = decode_setup(113, n=5)
     search = JointSearch(m.decoder, lm, params, post.shape[1])
     search.add_rows(enc)
+    interned = record_interned(search)
     for i in range(5):
         search.advance(post[i])
         live = set()
-        for pre in by_columns(search.hyps):
-            for j in range(len(pre) + 1):
-                live.add(pre[:j])
-        assert set(by_columns(search.ta)) <= live
+        for pre in search.hyps:
+            while pre is not None:
+                live.add(pre)
+                pre = pre.parent
+        held = {pre for pre in interned if pre.ta is not None}
+        assert held and held <= live
 
 
 def test_a_table_prefix_whose_parent_is_carried_is_carried_again_on_its_kept_state(monkeypatch):
@@ -655,8 +676,8 @@ def test_a_table_prefix_whose_parent_is_carried_is_carried_again_on_its_kept_sta
     for i in range(12):
         search.advance(post[i])
         again += [(len(stepped), e.state) for pre, e in waiting.items()
-                  if pre in search.hyps and search.ta[pre] is e]
-        waiting = {pre: e for pre, e in search.ta.items()
+                  if pre in search.hyps and pre.ta is e]
+        waiting = {pre: e for pre, e in ta_entries(search).items()
                    if pre not in search.hyps and pre.parent in search.hyps}
     search.finalize()
     assert again
@@ -796,7 +817,7 @@ def test_declined_ancestor_is_scored_before_its_child():
     seen_child, kept = False, {}
     for i in range(5):
         search.advance(post[i])
-        ta, nus = by_columns(search.ta), ta_schedules(search, kept)
+        ta, nus = by_columns(ta_entries(search)), ta_schedules(search, kept)
         for pre, entry in ta.items():
             if len(pre) >= 2:
                 seen_child = True
@@ -922,15 +943,16 @@ def test_advance_rejects_non_finite_row(kind, bad):
 
 
 def counted_steps(monkeypatch):
-    """Record one (parent history, token, position, nu) key per row of
-    every batched decoder step."""
+    """Record one (decoder state, nu) pair per row of every batched
+    decoder step; the list keeps the states alive, so their ids, and
+    their histories', are not reused."""
     from streamasr import decoder
 
     calls = []
     step = decoder.advance_positions
 
     def counting(cache, states, nu):
-        calls.extend((s.hist, s.token, s.hist.shape[3], nu) for s in states)
+        calls.extend((s, nu) for s in states)
         return step(cache, states, nu)
 
     monkeypatch.setattr(decoder, "advance_positions", counting)
@@ -938,9 +960,8 @@ def counted_steps(monkeypatch):
 
 
 def distinct_steps(calls):
-    # a parent is its history object plus the token it feeds; the history
-    # objects stay referenced by ``calls``, so their ids are not reused
-    return {(id(h), tok, pos, nu) for h, tok, pos, nu in calls}
+    # a parent is its history object plus the token it feeds, at a position
+    return {(id(s.hist), s.token, s.hist.shape[3], nu) for s, nu in calls}
 
 
 @pytest.mark.parametrize("seed", [121, 122, 123])
@@ -1005,7 +1026,7 @@ def test_layer0_self_attention_runs_once_per_distinct_prefix_stepped(monkeypatch
     params = DecodeParams(eps_dec=2, k_size=8, p_size=8, theta1=1e6, theta2=1e6)
     decode(enc, post, lm, m.decoder, params)
     # a prefix stepped is its history object, the token it feeds and its position
-    prefixes = {(id(h), tok, pos) for h, tok, pos, _ in calls}
+    prefixes = {(id(s.hist), s.token, s.hist.shape[3]) for s, _ in calls}
     assert len(layer0_rows) == len(prefixes) < len(calls)
 
 
@@ -1018,8 +1039,8 @@ def test_finalize_reuses_steps_taken_at_the_last_truncation(monkeypatch):
     for i in range(6):
         search.advance(post[i])
     avail = enc.shape[0]
-    scored = [search.ta[pre] for pre in search._last_carried if pre in search.ta]
-    kept = [e for e in scored if e.step is not None and e.step[0] == avail]
+    scored = [pre for pre in search._last_carried if pre.ta is not None]
+    kept = [pre for pre in scored if search._steps_nu == avail and pre in search._steps]
     assert kept
     before = len(calls)
     assert before
@@ -1039,20 +1060,78 @@ def test_rescored_entries_equal_the_truncated_decoder_score():
     kept = {}
     for i in range(6):
         search.advance(post[i])
-        assert len(search.ta) > 1
+        assert len(ta_entries(search)) > 1
         nus = ta_schedules(search, kept)
-        for pre, entry in by_columns(search.ta).items():
+        for pre, entry in by_columns(ta_entries(search)).items():
             labels = [c - 1 for c in pre]
             assert entry.logp == ta_prefix_score(enc, labels, nus[pre], m.decoder)
+        assert_steps_are_their_entries_steps(search)
     search.finalize()
+    assert_steps_are_their_entries_steps(search)
+
+
+def fresh_step(search, pre):
+    """The next-label step of ``pre``'s TA entry at the step table's
+    truncation, taken on a copy of its state."""
+    state = pre.ta.state
+    [step] = advance_positions(search.cross, [DecoderState(state.hist, state.token)],
+                               search._steps_nu)
+    return step
+
+
+def same_step(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def assert_steps_are_their_entries_steps(search):
+    """Every step in the search's table is the step of its prefix's
+    current TA entry."""
+    for pre, step in search._steps.items():
+        assert same_step(step, fresh_step(search, pre)), pre
+
+
+@pytest.mark.parametrize("seed", [125, 126])
+def test_a_prefix_rescored_by_dcond_is_stepped_again_from_its_new_entry(seed):
+    # With eps_dec 2 the last three frames all step at truncation 8, so the
+    # step table outlives them; dcond deletes every TA score at the last
+    # two.  A prefix stepped at 8 from an entry scored at an earlier
+    # truncation is re-scored at 8, and a two-layer decoder's history
+    # depends on the truncation, so the kept step is not the new entry's:
+    # the table drops it and the prefix is stepped again.
+    m = tiny_model(seed, d_layers=2)
+    rng = np.random.default_rng(seed + 500)
+    enc = random_enc_states(rng, 8, 8)
+    post = posteriorgram_from_states(enc, m.ctc_w, m.ctc_b)
+    params = DecodeParams(dcond=lambda pre, omega, frame, row: frame >= 7, eps_dec=2,
+                          k_size=6, p_size=3, theta1=1e6, theta2=1e6, local_threshold=0.0)
+    search = JointSearch(m.decoder, UniformLM(3), params, post.shape[1])
+    search.add_rows(enc)
+    replaced = 0
+    for row in post:
+        nu, steps = search._steps_nu, dict(search._steps)
+        entries = {pre: pre.ta for pre in steps}
+        search.advance(row)
+        assert_steps_are_their_entries_steps(search)
+        for pre, step in steps.items():
+            if search._steps_nu == nu and pre.ta not in (None, entries[pre]):
+                replaced += not same_step(step, fresh_step(search, pre))
+    search.finalize()
+    assert_steps_are_their_entries_steps(search)
+    assert replaced
 
 
 @pytest.mark.parametrize("growing", [False, True])
-def test_steps_below_the_seen_encoder_rows_are_dropped(growing):
+def test_steps_below_the_seen_encoder_rows_are_dropped(monkeypatch, growing):
+    # after every frame the step table holds only steps taken at the last
+    # truncation stepped, none below the encoder rows added, and only for
+    # prefixes still in the prefix table; some prefixes that kept a step
+    # past a frame's end leave the table later
     m, enc, post, lm, _ = decode_setup(126, n=8)
     params = DecodeParams(eps_dec=2, k_size=8, p_size=8, theta1=1e6, theta2=1e6)
+    calls = counted_steps(monkeypatch)
     search = JointSearch(m.decoder, lm, params, post.shape[1])
     kept_any = False
+    held = {}  # every prefix that kept a step past a frame's end
     added = 0
     for i in range(8):
         target = min(i + 1 + params.eps_dec, 8) if growing else 8
@@ -1060,10 +1139,41 @@ def test_steps_below_the_seen_encoder_rows_are_dropped(growing):
         added = target
         search.advance(post[i])
         seen = search.cross.rows
-        steps = [e.step for e in search.ta.values() if e.step is not None]
+        steps = [(search._steps_nu, *s) for s in search._steps.values()]
         assert all(nu >= seen for nu, _, _ in steps)
+        assert all(nu == calls[-1][1] for nu, _, _ in steps)
+        table = {search.prefixes.root, *search.prefixes}
+        assert set(search._steps) <= table
         kept_any = kept_any or bool(steps)
+        held.update(dict.fromkeys(search._steps))
     assert kept_any
+    assert any(pre.refs < 0 for pre in held)
+    search.finalize()
+    assert search._steps_nu == 8 and set(search._steps) >= set(search._last_carried)
+
+
+@pytest.mark.parametrize("hooks", [{}, {"dcond": lambda *_: True},
+                                   {"acond": lambda pre, *_: len(pre) % 3 == 0}],
+                         ids=["no-hook", "dcond-every-prefix", "acond-two-generations"])
+def test_no_decoder_state_is_stepped_twice_at_one_truncation(monkeypatch, hooks):
+    # whole joint decodes, offline and streamed in chunks that add encoder
+    # rows as they come: a state's step at a truncation is taken once and
+    # read from the step table by its children and the <eos> pass; with
+    # dcond a re-scored prefix is a new state, and the acond declines the
+    # one- and two-label prefixes, so their children score them first
+    pairs = counted_steps(monkeypatch)
+    params = DecodeParams(eps_dec=2, k_size=8, p_size=8, local_threshold=0.0, **hooks)
+    for seed in (121, 122, 123):
+        m, enc, post, lm, _ = decode_setup(seed, n=10)
+        decode(enc, post, lm, m.decoder, params)
+        frames = np.random.default_rng(seed).standard_normal((40, 4)).astype(np.float32)
+        sess = StreamingSession(m, lm, params, StreamConfig(eps_enc=1, eps_dec=2))
+        for t in range(0, 40, 4):
+            sess.push(frames[t:t + 4])
+        sess.finalize()
+    assert pairs
+    assert len({(id(state), nu) for state, nu in pairs}) == len(pairs)
+    assert len({nu for _, nu in pairs}) > 5
 
 
 # A decoder weight that is not finite: one NaN in the output projection, or
@@ -1127,7 +1237,7 @@ def test_a_streaming_session_refuses_a_non_finite_decoder_weight():
             sess.push(frames[t:t + 4])
         sess.finalize()
     # every emitted row the search has not decoded is still queued
-    assert sess.emitted_frames - sess.decoded_frames == len(sess._post)
+    assert sess.emitted_frames - sess.search.frame == len(sess._post)
     assert not sess.closed
 
 

@@ -120,7 +120,7 @@ def test_emission_schedule_matches_closed_form():
                     while emission_frame(want + 1, e_layers, eps) <= t:
                         want += 1
                     assert sess.emitted_frames == want, (ctc_only, eps, eps_dec, t)
-                    assert sess.decoded_frames == max(0, want - lag), (ctc_only, eps, eps_dec, t)
+                    assert sess.search.frame == max(0, want - lag), (ctc_only, eps, eps_dec, t)
                 sess.finalize()
 
 
@@ -139,7 +139,7 @@ def test_realized_decode_lag_matches_the_closed_form(ctc_only):
         first = {}
         for t in range(1, 61):
             sess.push(frames[t - 1:t])
-            for n in range(len(first) + 1, sess.decoded_frames + 1):
+            for n in range(len(first) + 1, sess.search.frame + 1):
                 first[n] = t
         sess.finalize()
         assert len(first) >= 5, eps_enc
@@ -287,7 +287,7 @@ def test_streaming_causality_sentinel():
         pa = sa.push(a[t:t + 1])
         pb = sb.push(b[t:t + 1])
         assert pa == pb
-    committed = sa.decoded_frames
+    committed = sa.search.frame
     assert committed >= 2
     for t in range(12, 20):
         sa.push(a[t:t + 1])
@@ -380,11 +380,11 @@ def test_session_retried_after_a_raising_hook_equals_one_that_never_raises(retry
         flaky = RaiseOnce(params.acond, at=n)
         sess = StreamingSession(m, UniformLM(3), replace(params, acond=flaky), cfg)
         sess.push(frames)
-        assert sess.decoded_frames < n
+        assert sess.search.frame < n
         with pytest.raises(HookFailed):
             sess.finalize()
         assert flaky.raised and not sess.closed
-        assert sess.emitted_frames == n and sess.decoded_frames == n - 1
+        assert sess.emitted_frames == n and sess.search.frame == n - 1
         with pytest.raises(RuntimeError, match="only finalize may follow"):
             sess.push(frames[:4])
         got = sess.finalize()
@@ -397,8 +397,8 @@ def test_session_retried_after_a_raising_hook_equals_one_that_never_raises(retry
     with pytest.raises(HookFailed):
         sess.push(frames[:first])
     # frame 5 failed: four frames decoded, and no posterior row was lost
-    assert sess.decoded_frames == len(sess.search.trace) == 4
-    assert len(sess._post) == sess.emitted_frames - sess.decoded_frames > 0
+    assert sess.search.frame == len(sess.search.trace) == 4
+    assert len(sess._post) == sess.emitted_frames - sess.search.frame > 0
     if retry == "push":
         sess.push(frames[first:])
     got = sess.finalize()
@@ -503,7 +503,7 @@ def test_ctc_only_session_matches_offline_prefix_search():
         sess = StreamingSession(m, UniformLM(3), params, cfg, ctc_only=True)
         for start in range(0, 33, chunk):
             sess.push(frames[start:start + chunk])
-            assert sess.decoded_frames == sess.emitted_frames, (chunk, start)
+            assert sess.search.frame == sess.emitted_frames, (chunk, start)
         got = sess.finalize()
         assert (got.labels, got.score, got.trace) == (offline.labels, offline.score,
                                                       offline.trace), chunk
